@@ -33,9 +33,9 @@
 //! The verdict is three-valued: an access is *proved in-bounds* (no
 //! diagnostic), *provably out-of-bounds* ([`Severity::Error`], code V101),
 //! or *not provable either way* ([`Severity::Warning`], code V102). The
-//! autotuner only rejects candidates on errors; the `verify_bench --smoke`
-//! CI gate requires zero diagnostics of either severity on every shipped
-//! kernel and schedule of record.
+//! autotuner only rejects candidates on errors; the `verify_library` test
+//! of `exo-bench` requires zero diagnostics of either severity on every
+//! shipped kernel and schedule of record.
 
 use crate::checks::loop_is_parallelizable;
 use crate::context::Context;

@@ -30,10 +30,9 @@
 //!    and a cost-model-fidelity score (Spearman rank correlation between
 //!    simulated cycles and measured nanoseconds over the measured set).
 //!
-//! `tune_bench` (in `exo-bench`) drives this over the library kernels and
-//! records the results in `BENCH_autotune.json`; its `--smoke` mode is
-//! the CI gate asserting the search rediscovers the hand-written SGEMM
-//! schedule.
+//! `tests/tune_kernels.rs` is the gate asserting the search rediscovers
+//! the hand-written SGEMM schedule; the `tune_search` workload of
+//! `benchmark/` measures the search over the library kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -193,7 +192,7 @@ impl TuneReport {
     }
 
     /// Flops per simulated cycle of the model-best candidate — the
-    /// GFLOP-proxy tracked by `BENCH_autotune.json`.
+    /// GFLOP-proxy of a tuning report.
     pub fn best_flops_per_cycle(&self) -> Option<f64> {
         self.best_by_cycles()
             .map(|c| self.flops / c.cycles.max(1) as f64)

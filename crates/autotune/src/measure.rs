@@ -1,12 +1,12 @@
-//! Wall-clock measurement of candidate schedules: emit portable C,
-//! compile with the system toolchain, and time a repetition loop.
+//! Wall-clock measurement of candidate schedules: the policy around
+//! `exo_codegen::difftest::time_kernel`, which emits the timing driver,
+//! compiles it with the system toolchain and runs it.
 //!
-//! Reuses the differential harness's input synthesis and compiler driver
-//! (`exo_codegen::difftest`), so measured kernels run on exactly the
-//! input shapes the cost model was evaluated on. Portable scalar mode is
-//! used deliberately: it runs on any build host, and the quantity the
-//! fidelity report needs is the *ranking* agreement between simulated
-//! cycles and measured time, which portable C already exercises.
+//! Candidates are timed on the differential harness's synthesized
+//! inputs, so measured kernels run on exactly the input shapes the cost
+//! model was evaluated on. What lives here is the choice of unit
+//! (machine-intrinsic when the host can run it, portable scalar
+//! otherwise), the starting repetition count, and the worker pool.
 //!
 //! Robustness: timing binaries run under [`exo_guard::run_guarded`]
 //! (hard wall-clock limit, kill-on-timeout), and each candidate is
@@ -15,16 +15,15 @@
 //! candidate* instead of unwinding the worker scope and killing the
 //! whole batch.
 
-use exo_codegen::difftest::{cc_available, compile, synth_inputs, SynthArg};
+use exo_codegen::difftest::{cc_available, synth_inputs, time_kernel};
 use exo_codegen::{emit_c, CodegenOptions};
-use exo_guard::{panic_message, run_guarded, GuardConfig};
+use exo_guard::panic_message;
 use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
 use exo_machine::MachineModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// The outcome of measuring one candidate.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,160 +72,11 @@ impl Measurement {
     }
 }
 
-/// Timed runs per measurement: each run times the whole repetition loop
-/// and reports its own ns-per-call, so the summary can take a median
-/// instead of trusting one sample of a noisy timer.
-pub const TIMED_RUNS: usize = 5;
-
-/// Minimum wall-clock span of one timed batch, in nanoseconds (20 ms).
-/// The emitted driver doubles its repetition count until a calibration
-/// batch reaches this: below it, timer granularity and scheduler noise
-/// drown out sub-microsecond kernels and the measured ranking is
-/// meaningless.
-pub const MIN_BATCH_NS: f64 = 2e7;
-
-/// Reduces the per-run ns-per-call samples of one measurement to
-/// `(median, relative spread)`. The median — not the mean — is what
-/// ranks candidates: one descheduled run inflates a mean enough to flip
-/// adjacent ranks, while the median ignores it. Returns `None` on an
-/// empty slice.
-pub fn summarize_runs(runs: &[f64]) -> Option<(f64, f64)> {
-    if runs.is_empty() {
-        return None;
-    }
-    let mut sorted = runs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    let median = if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    };
-    let spread = if median > 0.0 {
-        (sorted[n - 1] - sorted[0]) / median
-    } else {
-        0.0
-    };
-    Some((median, spread))
-}
-
-/// Emits a `main` that initializes the synthesized inputs, warms the
-/// kernel, calibrates the repetition count (starting from `reps`,
-/// doubling until one batch spans at least [`MIN_BATCH_NS`]), then
-/// times [`TIMED_RUNS`] batches with `CLOCK_MONOTONIC` and prints each
-/// batch's nanoseconds per call on its own line.
-fn emit_timing_driver(unit_code: &str, proc: &Proc, inputs: &[SynthArg], reps: u64) -> String {
-    let mut s = String::with_capacity(unit_code.len() + 4096);
-    // clock_gettime is POSIX, hidden by -std=c99 unless requested before
-    // the first include.
-    s.push_str("#define _POSIX_C_SOURCE 199309L\n");
-    s.push_str(unit_code);
-    s.push_str("\n#include <stdio.h>\n#include <time.h>\n\nint main(void) {\n");
-    let mut call_args = Vec::with_capacity(inputs.len());
-    for (k, input) in inputs.iter().enumerate() {
-        let var = format!("exo_arg_{k}");
-        match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => call_args.push(format!("{v}")),
-            SynthArg::Float(v) => call_args.push(exo_ir::format_float(*v)),
-            SynthArg::Bool(b) => call_args.push(if *b { "1" } else { "0" }.to_string()),
-            SynthArg::Tensor {
-                dims,
-                data,
-                elem,
-                window,
-            } => {
-                let celem = match elem {
-                    DataType::F32 => "float",
-                    DataType::F64 => "double",
-                    DataType::I8 => "int8_t",
-                    DataType::I32 => "int32_t",
-                    DataType::Bool => "bool",
-                    DataType::Index => "int64_t",
-                };
-                let init: Vec<String> = data
-                    .iter()
-                    .map(|v| {
-                        if elem.is_float() {
-                            exo_ir::format_float(*v)
-                        } else {
-                            format!("{}", *v as i64)
-                        }
-                    })
-                    .collect();
-                s.push_str(&format!(
-                    "    static {celem} {var}[{}] = {{ {} }};\n",
-                    data.len(),
-                    init.join(", ")
-                ));
-                if dims.is_empty() || !*window {
-                    call_args.push(var.clone());
-                } else {
-                    let mut strides = vec![1i64; dims.len()];
-                    for d in (0..dims.len().saturating_sub(1)).rev() {
-                        strides[d] = strides[d + 1] * dims[d + 1] as i64;
-                    }
-                    let tag = exo_machine::c_type_tag(*elem);
-                    let ss: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
-                    call_args.push(format!(
-                        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
-                        dims.len(),
-                        ss.join(", ")
-                    ));
-                }
-            }
-        }
-    }
-    let call = format!("{}({})", proc.name(), call_args.join(", "));
-    // Warmup (page faults, frequency ramp), then calibration: the
-    // cost-model-derived starting count doubles until one batch spans
-    // MIN_BATCH_NS of wall clock — simulated cycles and real ns can be
-    // orders of magnitude apart, and a sub-millisecond batch measures
-    // the timer and the scheduler, not the kernel.
-    s.push_str(&format!("    {call};\n    {call};\n"));
-    s.push_str("    struct timespec exo_t0, exo_t1;\n");
-    s.push_str(&format!("    long exo_reps = {reps};\n"));
-    s.push_str("    for (;;) {\n");
-    s.push_str("        clock_gettime(CLOCK_MONOTONIC, &exo_t0);\n");
-    s.push_str(&format!(
-        "        for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{\n            {call};\n        }}\n"
-    ));
-    s.push_str("        clock_gettime(CLOCK_MONOTONIC, &exo_t1);\n");
-    s.push_str(&format!(
-        "        double exo_ns = (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + \
-         (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);\n        \
-         if (exo_ns >= {MIN_BATCH_NS:.1} || exo_reps >= (1L << 20)) break;\n        \
-         exo_reps *= 2;\n    }}\n"
-    ));
-    // TIMED_RUNS independently timed batches, one ns-per-call line each
-    // — the Rust side takes the median so a single descheduled run
-    // cannot flip rankings.
-    s.push_str(&format!(
-        "    for (int exo_run = 0; exo_run < {TIMED_RUNS}; exo_run++) {{\n"
-    ));
-    s.push_str("        clock_gettime(CLOCK_MONOTONIC, &exo_t0);\n");
-    s.push_str(&format!(
-        "        for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{\n            {call};\n        }}\n"
-    ));
-    s.push_str("        clock_gettime(CLOCK_MONOTONIC, &exo_t1);\n");
-    s.push_str(
-        "        double exo_ns = (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + \
-         (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);\n        \
-         printf(\"%.17g\\n\", exo_ns / exo_reps);\n    }\n    return 0;\n}\n",
-    );
-    s
-}
-
 /// Starting repetition count for the driver's calibration loop, matched
 /// to the candidate's simulated cost so cheap kernels skip most of the
 /// doubling and expensive ones start low.
 fn reps_for(cycles: u64) -> u64 {
     (20_000_000 / cycles.max(1)).clamp(3, 5_000)
-}
-
-/// Supervision policy for timing binaries: a bounded repetition loop
-/// should finish in well under a minute; past that it is hung.
-fn run_guard() -> GuardConfig {
-    GuardConfig::with_timeout(Duration::from_secs(60))
 }
 
 /// Measures one already-scheduled procedure: emit, compile, run, parse.
@@ -260,31 +110,7 @@ fn measure_one(
             .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?,
     };
     let inputs = synth_inputs(proc, input_seed)?;
-    let driver = emit_timing_driver(&unit.code, proc, &inputs, reps_for(cycles));
-    let bin = compile(&driver, &unit.cflags, proc.name())?;
-    let mut cmd = std::process::Command::new(&bin);
-    let output = run_guarded(&mut cmd, &run_guard());
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let output = output.map_err(|e| format!("running {}: {e}", bin.display()))?;
-    if !output.success {
-        return Err(format!(
-            "timing binary for `{}` exited with {:?}",
-            proc.name(),
-            output.code
-        ));
-    }
-    let runs: Vec<f64> = output
-        .stdout_lossy()
-        .split_ascii_whitespace()
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| format!("bad timing output for `{}`: {e}", proc.name()))
-        })
-        .collect::<Result<_, _>>()?;
-    summarize_runs(&runs)
-        .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
+    time_kernel(&unit, proc, &inputs, reps_for(cycles))
 }
 
 /// Measures a batch of scheduled procedures in parallel worker threads
@@ -453,36 +279,5 @@ mod tests {
                 spread: 0.1
             }
         );
-    }
-
-    #[test]
-    fn median_summary_survives_single_run_jitter() {
-        // Candidate A is genuinely faster (runs ~100ns) than candidate B
-        // (~110ns), but each has one descheduled outlier. Means would
-        // flip the ranking (A: 108, B: 102); medians must not.
-        let runs_a = [100.0, 140.0, 99.0, 101.0, 100.0];
-        let runs_b = [110.0, 109.0, 111.0, 70.0, 110.0];
-        let (med_a, spread_a) = summarize_runs(&runs_a).unwrap();
-        let (med_b, spread_b) = summarize_runs(&runs_b).unwrap();
-        let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
-        assert!(
-            mean(&runs_a) > mean(&runs_b),
-            "premise: the means rank them backwards"
-        );
-        assert!(
-            med_a < med_b,
-            "median ranking flipped by jitter: {med_a} vs {med_b}"
-        );
-        // The spread exposes exactly how noisy each measurement was.
-        assert!((spread_a - 41.0 / 100.0).abs() < 1e-12);
-        assert!((spread_b - 41.0 / 110.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_runs_handles_degenerate_input() {
-        assert_eq!(summarize_runs(&[]), None);
-        assert_eq!(summarize_runs(&[7.0]), Some((7.0, 0.0)));
-        // Even run count: median is the mean of the middle two.
-        assert_eq!(summarize_runs(&[4.0, 2.0]), Some((3.0, 2.0 / 3.0)));
     }
 }

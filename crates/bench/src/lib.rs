@@ -9,30 +9,6 @@
 
 pub mod paper;
 
-/// Schema version stamped into every `BENCH_*.json` this harness
-/// writes. Bump whenever a writer changes the shape (not just the
-/// values) of its JSON, so downstream tooling can detect format drift.
-/// v3 added the `host` object (CPU features + OpenMP availability), so
-/// measured numbers carry the hardware they were taken on.
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
-
-/// The shared header of every `BENCH_*.json`: the opening brace plus
-/// `schema_version`, `generated_by` and `host` fields. `bin` is the
-/// bench binary's name, e.g. `"serve_bench"`. The `host` object records
-/// what `exo_machine::HostCaps` probed — without it a
-/// `BENCH_codegen_runtime.json` full of GFLOP/s numbers is
-/// uninterpretable.
-pub fn bench_json_header(bin: &str) -> String {
-    let caps = exo_machine::HostCaps::detect();
-    format!(
-        "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \
-         \"generated_by\": \"cargo run --release -p exo-bench --bin {bin}\",\n  \
-         \"host\": {{\"cc\": {}, \"avx2\": {}, \"fma\": {}, \"avx512f\": {}, \
-         \"openmp\": {}, \"threads\": {}}},\n",
-        caps.cc, caps.avx2, caps.fma, caps.avx512f, caps.openmp, caps.threads
-    )
-}
-
 use exo_baselines::VendorBaseline;
 use exo_cursors::ProcHandle;
 use exo_interp::{ArgValue, ProcRegistry};
@@ -361,41 +337,5 @@ mod tests {
     fn fig13_reports_speedup_over_naive() {
         let t = fig13();
         assert!(t.contains("blur"), "{t}");
-    }
-
-    #[test]
-    fn bench_header_stamps_schema_and_host() {
-        let h = bench_json_header("serve_bench");
-        assert!(h.starts_with("{\n"), "{h}");
-        assert!(
-            h.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")),
-            "{h}"
-        );
-        assert!(h.contains("--bin serve_bench"), "{h}");
-        // The host object must name every probed capability with a JSON
-        // boolean (threads is a count), and leave the object open for
-        // the writer's own fields.
-        for key in [
-            "\"cc\":",
-            "\"avx2\":",
-            "\"fma\":",
-            "\"avx512f\":",
-            "\"openmp\":",
-        ] {
-            let pos = h
-                .find(key)
-                .unwrap_or_else(|| panic!("missing {key} in {h}"));
-            let rest = &h[pos + key.len()..];
-            let val = rest.trim_start();
-            assert!(
-                val.starts_with("true") || val.starts_with("false"),
-                "{key} is not a JSON bool in {h}"
-            );
-        }
-        assert!(h.contains("\"threads\":"), "{h}");
-        assert!(
-            h.trim_end().ends_with(','),
-            "header must end mid-object: {h}"
-        );
     }
 }

@@ -1,8 +1,7 @@
 //! The paper-kernel C-generation workloads: every scheduled output of
 //! `exo-lib`, paired with the registry of instruction procedures it
 //! calls, for golden-`.c` checks and compile-and-run differential
-//! testing (see the `codegen_bench` binary and
-//! `crates/bench/tests/golden_c.rs`).
+//! testing (see `crates/bench/tests/golden_c.rs`).
 
 use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
@@ -26,14 +25,14 @@ pub struct CWorkload {
     pub proc: Proc,
     /// Instruction procedures the schedule calls.
     pub registry: ProcRegistry,
-    /// Rough cost class: heavyweight workloads are skipped by `--smoke`
-    /// differential runs (they still get golden + compile checks).
+    /// Rough cost class: heavyweight workloads get golden and compile
+    /// checks but no differential run.
     pub heavy: bool,
 }
 
 /// `copies` side-by-side copies of the sgemm loop nest in one procedure
-/// (the sched-bench wide variants; the schedule rewrites only the first).
-/// Shared by `sched_bench`, `codegen_bench` and the memory-budget tests.
+/// (the wide scheduling workloads; the schedule rewrites only the first).
+/// Shared by the golden tests, the memory-budget tests and `benchmark/`.
 pub fn sgemm_wide(copies: usize) -> Proc {
     let base = exo_kernels::sgemm();
     let stmts: Vec<Stmt> = (0..copies)

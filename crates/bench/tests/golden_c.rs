@@ -4,11 +4,26 @@
 //! the pretty-printer goldens in `crates/bench/goldens` enforce for the
 //! scheduling layer — any emitter change shows up as a reviewable diff.
 //!
-//! Regenerate with
-//! `cargo run --release -p exo-bench --bin codegen_bench -- --write-goldens`.
+//! With a `cc` on `PATH` the emitted units are also compiled with
+//! `cc -O2 -Wall -Werror` (goldens with their `-m` flags) and run against
+//! the interpreter; without one those steps log a skip.
+
+mod common;
 
 use exo_bench::paper::{c_workloads, golden_c_path};
+use exo_codegen::difftest::{
+    cc_available, compile_check, run_differential, run_differential_native, DiffOutcome,
+};
 use exo_codegen::{emit_c, CodegenOptions};
+
+/// A differential run either agrees or says why it could not run.
+fn expect_agreement(what: &str, outcome: Result<DiffOutcome, String>) {
+    match outcome {
+        Ok(DiffOutcome::Agreed { elems, .. }) => assert!(elems > 0, "{what}: nothing compared"),
+        Ok(DiffOutcome::Skipped(why)) => eprintln!("SKIPPED {what}: {why}"),
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
 
 #[test]
 fn paper_kernels_match_their_golden_c() {
@@ -17,23 +32,22 @@ fn paper_kernels_match_their_golden_c() {
         let Some(file) = w.golden else { continue };
         let unit = emit_c(&w.proc, &w.registry, &CodegenOptions::native())
             .unwrap_or_else(|e| panic!("emitting `{}`: {e}", w.name));
-        let path = golden_c_path(file);
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-        assert_eq!(
-            unit.code,
-            golden,
-            "`{}` emitted C diverged from {} — regenerate with \
-             `cargo run -p exo-bench --bin codegen_bench -- --write-goldens` \
-             only if the change is intentional",
-            w.name,
-            path.display()
-        );
+        common::assert_matches_golden(w.name, &unit.code, &golden_c_path(file));
         assert!(
             unit.stock_toolchain,
             "golden `{}` must be stock-compilable",
             w.name
         );
+        if cc_available() {
+            compile_check(&unit, w.name)
+                .unwrap_or_else(|e| panic!("golden `{}` does not compile: {e}", w.name));
+            // A golden that compiles but miscomputes is still a codegen
+            // bug: where the CPU has the unit's ISA extensions, run it.
+            expect_agreement(
+                &format!("native `{}`", w.name),
+                run_differential_native(&w.proc, &w.registry, 1),
+            );
+        }
         checked += 1;
     }
     assert!(
@@ -43,9 +57,7 @@ fn paper_kernels_match_their_golden_c() {
 }
 
 #[test]
-fn every_scheduled_workload_emits_portable_c() {
-    // Emission (not compilation — that needs `cc` and runs in
-    // `codegen_bench`) must succeed for every scheduled output.
+fn every_scheduled_workload_emits_portable_c_that_agrees_with_the_interpreter() {
     for w in c_workloads() {
         let unit = emit_c(&w.proc, &w.registry, &CodegenOptions::portable())
             .unwrap_or_else(|e| panic!("emitting `{}` (portable): {e}", w.name));
@@ -55,5 +67,18 @@ fn every_scheduled_workload_emits_portable_c() {
             w.name
         );
         assert!(unit.stock_toolchain);
+        if !cc_available() {
+            continue;
+        }
+        if w.heavy {
+            // Too large to run under the interpreter in a debug test.
+            compile_check(&unit, w.name)
+                .unwrap_or_else(|e| panic!("portable `{}` does not compile: {e}", w.name));
+        } else {
+            expect_agreement(
+                &format!("portable `{}`", w.name),
+                run_differential(&w.proc, &w.registry, 1),
+            );
+        }
     }
 }

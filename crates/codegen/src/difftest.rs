@@ -12,13 +12,20 @@
 //! When no C compiler is on `PATH` the harness returns
 //! [`DiffOutcome::Skipped`] and callers log a notice instead of failing —
 //! CI always has `cc`, so the check cannot rot silently there.
+//!
+//! This is also the one module that knows how synthesized arguments
+//! become C declarations ([`emit_driver`] dumps, [`emit_timing_driver`]
+//! times), what the `cc` command line is and where it builds
+//! ([`cc_command`], [`BuildDir`]), and how a driver's `%.17g` lines are
+//! run and parsed ([`run_lines`]). The autotuner's measurement and the
+//! compilation service call these; they add only their own policy.
 
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
-use exo_interp::{ArgValue, Interpreter, NullMonitor, ProcRegistry};
+use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
 use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, UnOp};
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -79,7 +86,9 @@ struct Rng(u64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng(seed | 1)
+        // xorshift's one fixed point is the zero state; every other
+        // seed is its own stream (OR-ing a bit in would pair seeds up).
+        Rng(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
     }
     fn next(&mut self) -> u64 {
         let mut x = self.0;
@@ -324,13 +333,9 @@ pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
     Ok(out)
 }
 
-/// Runs the interpreter on `proc` with the synthesized inputs and
-/// returns the final contents of every tensor argument, in order.
-pub fn interp_outputs(
-    proc: &Proc,
-    registry: &ProcRegistry,
-    inputs: &[SynthArg],
-) -> Result<Vec<Vec<f64>>, String> {
+/// Converts synthesized inputs to interpreter arguments; also returns
+/// the buffer behind every tensor argument, in order.
+pub fn interp_args(inputs: &[SynthArg]) -> (Vec<BufRef>, Vec<ArgValue>) {
     let mut bufs = Vec::new();
     let mut args = Vec::with_capacity(inputs.len());
     for input in inputs {
@@ -347,6 +352,17 @@ pub fn interp_outputs(
             }
         }
     }
+    (bufs, args)
+}
+
+/// Runs the interpreter on `proc` with the synthesized inputs and
+/// returns the final contents of every tensor argument, in order.
+pub fn interp_outputs(
+    proc: &Proc,
+    registry: &ProcRegistry,
+    inputs: &[SynthArg],
+) -> Result<Vec<Vec<f64>>, String> {
+    let (bufs, args) = interp_args(inputs);
     let mut interp = Interpreter::new(registry);
     interp
         .run(proc, args, &mut NullMonitor)
@@ -362,16 +378,13 @@ fn c_literal(elem: DataType, v: f64) -> String {
     }
 }
 
-/// Appends a `main` driver to an emitted unit: inputs embedded as static
-/// initializers, one kernel call, and a `%.17g` dump of every tensor.
-pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
-    let mut s = String::with_capacity(unit.code.len() + 4096);
-    s.push_str(&unit.code);
-    s.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
-    // Declarations.
+/// Declares every tensor of `inputs` as a static initialized array
+/// `exo_arg_<k>` in `s` and returns the kernel's call arguments plus the
+/// `(variable, length)` of each declared tensor.
+fn materialize_args(s: &mut String, inputs: &[SynthArg]) -> (Vec<String>, Vec<(String, usize)>) {
     let mut call_args = Vec::with_capacity(inputs.len());
-    let mut dumps = Vec::new();
-    for (k, (arg, input)) in proc.args().iter().zip(inputs).enumerate() {
+    let mut tensors = Vec::new();
+    for (k, input) in inputs.iter().enumerate() {
         let var = format!("exo_arg_{k}");
         match input {
             SynthArg::Size(v) | SynthArg::Int(v) => call_args.push(format!("{v}")),
@@ -413,11 +426,20 @@ pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
                         ss.join(", ")
                     ));
                 }
-                dumps.push((var, n));
-                let _ = arg;
+                tensors.push((var, n));
             }
         }
     }
+    (call_args, tensors)
+}
+
+/// Appends a `main` driver to an emitted unit: inputs embedded as static
+/// initializers, one kernel call, and a `%.17g` dump of every tensor.
+pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
+    let mut s = String::with_capacity(unit.code.len() + 4096);
+    s.push_str(&unit.code);
+    s.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
+    let (call_args, dumps) = materialize_args(&mut s, inputs);
     s.push_str(&format!("    {}({});\n", proc.name(), call_args.join(", ")));
     for (var, n) in dumps {
         s.push_str(&format!(
@@ -429,15 +451,125 @@ pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
     s
 }
 
-/// Compiles a C source with `cc -O2 -Wall -Werror -std=c99` plus
-/// `extra_cflags` and returns the path of the produced binary (inside a
-/// fresh temp directory), or the compiler's diagnostics on failure.
-pub fn compile(
+/// Timed batches per run of a timing driver: each batch times the whole
+/// repetition loop and prints its own ns-per-call, so the summary can
+/// take a median instead of trusting one sample of a noisy timer.
+pub const TIMED_RUNS: usize = 5;
+
+/// Minimum wall-clock span of one timed batch, in nanoseconds (20 ms).
+/// The timing driver doubles its repetition count until a calibration
+/// batch reaches this: below it, timer granularity and scheduler noise
+/// drown out sub-microsecond kernels and the measured ranking is
+/// meaningless.
+const MIN_BATCH_NS: f64 = 2e7;
+
+/// Wraps an emitted unit in a `main` that initializes the synthesized
+/// inputs, warms the kernel, calibrates the repetition count (starting
+/// from `reps`, doubling until one batch spans at least 20 ms), then
+/// times [`TIMED_RUNS`] batches with
+/// `CLOCK_MONOTONIC` and prints each batch's nanoseconds per call on its
+/// own line.
+pub fn emit_timing_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg], reps: u64) -> String {
+    let mut s = String::with_capacity(unit.code.len() + 4096);
+    // clock_gettime is POSIX, hidden by -std=c99 unless requested before
+    // the first include.
+    s.push_str("#define _POSIX_C_SOURCE 199309L\n");
+    s.push_str(&unit.code);
+    s.push_str("\n#include <stdio.h>\n#include <time.h>\n\nint main(void) {\n");
+    let (call_args, _) = materialize_args(&mut s, inputs);
+    let call = format!("{}({})", proc.name(), call_args.join(", "));
+    // Warmup (page faults, frequency ramp), then calibration: simulated
+    // cycles and real ns can be orders of magnitude apart, and a
+    // sub-millisecond batch measures the timer and the scheduler, not
+    // the kernel.
+    s.push_str(&format!("    {call};\n    {call};\n"));
+    s.push_str("    struct timespec exo_t0, exo_t1;\n");
+    s.push_str(&format!("    long exo_reps = {reps};\n"));
+    let batch = format!(
+        "        clock_gettime(CLOCK_MONOTONIC, &exo_t0);\n        \
+         for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{\n            {call};\n        }}\n        \
+         clock_gettime(CLOCK_MONOTONIC, &exo_t1);\n        \
+         double exo_ns = (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + \
+         (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);\n"
+    );
+    s.push_str(&format!(
+        "    for (;;) {{\n{batch}        \
+         if (exo_ns >= {MIN_BATCH_NS:.1} || exo_reps >= (1L << 20)) break;\n        \
+         exo_reps *= 2;\n    }}\n"
+    ));
+    s.push_str(&format!(
+        "    for (int exo_run = 0; exo_run < {TIMED_RUNS}; exo_run++) {{\n{batch}        \
+         printf(\"%.17g\\n\", exo_ns / exo_reps);\n    }}\n    return 0;\n}}\n"
+    ));
+    s
+}
+
+/// Reduces the per-batch ns-per-call samples of one timing run to
+/// `(median, relative spread)`. The median — not the mean — is what
+/// ranks candidates: one descheduled batch inflates a mean enough to
+/// flip adjacent ranks, while the median ignores it. Returns `None` on
+/// an empty slice.
+pub fn summarize_runs(runs: &[f64]) -> Option<(f64, f64)> {
+    if runs.is_empty() {
+        return None;
+    }
+    let mut sorted = runs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let n = sorted.len();
+    let median = if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    };
+    let spread = if median > 0.0 {
+        (sorted[n - 1] - sorted[0]) / median
+    } else {
+        0.0
+    };
+    Some((median, spread))
+}
+
+/// A fresh directory under the system temp directory holding one
+/// compilation's `kernel.c` and its artifact. Dropping it removes the
+/// directory, on every return path of whoever holds it.
+#[derive(Debug)]
+pub struct BuildDir {
+    artifact: PathBuf,
+}
+
+impl BuildDir {
+    /// The compiled binary (`kernel`) or object file (`kernel.o`).
+    pub fn artifact(&self) -> &Path {
+        &self.artifact
+    }
+
+    /// Gives the directory up: returns the artifact's path, and removing
+    /// its parent directory becomes the caller's job.
+    pub fn into_artifact(mut self) -> PathBuf {
+        // The emptied path has no parent, so the drop removes nothing.
+        std::mem::take(&mut self.artifact)
+    }
+}
+
+impl Drop for BuildDir {
+    fn drop(&mut self) {
+        if let Some(dir) = self.artifact.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Writes `source` into a fresh [`BuildDir`] and returns the command
+/// `program -O2 -Wall -Werror -std=c99 <extra_cflags>` that builds it: a
+/// linked binary when the source has a `main` driver, an object file
+/// otherwise. The command is not run here, so each caller supervises it
+/// under its own guard policy.
+pub fn cc_command(
+    program: &str,
     source: &str,
     extra_cflags: &[String],
     tag: &str,
-) -> Result<std::path::PathBuf, String> {
-    let _span = exo_obs::span!("difftest:compile", "{}", tag);
+) -> Result<(Command, BuildDir), String> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "exo_codegen_{}_{}_{}",
@@ -446,57 +578,123 @@ pub fn compile(
         tag
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let src = dir.join("kernel.c");
-    let mut f =
-        std::fs::File::create(&src).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
-    f.write_all(source.as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", src.display()))?;
-    drop(f);
     let link = source.contains("int main(void)");
-    let bin = dir.join(if link { "kernel" } else { "kernel.o" });
-    let mut cmd = Command::new("cc");
+    let build = BuildDir {
+        artifact: dir.join(if link { "kernel" } else { "kernel.o" }),
+    };
+    let src = dir.join("kernel.c");
+    std::fs::write(&src, source).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
+    let mut cmd = Command::new(program);
     cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);
     cmd.args(extra_cflags);
     if !link {
         // No driver: compile-only (nothing defines `main`).
         cmd.arg("-c");
     }
-    cmd.arg("-o").arg(&bin).arg(&src);
+    cmd.arg("-o").arg(&build.artifact).arg(&src);
     if link {
         cmd.arg("-lm");
     }
+    Ok((cmd, build))
+}
+
+/// Compiles a C source with the system `cc` ([`cc_command`]) under the
+/// harness's own compile deadline; the error carries the compiler's
+/// diagnostics.
+pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+    let _span = exo_obs::span!("difftest:compile", "{}", tag);
+    let (mut cmd, build) = cc_command("cc", source, extra_cflags, tag)?;
     let output =
         run_guarded(&mut cmd, &compile_guard()).map_err(|e| format!("cannot run cc: {e}"))?;
     if !output.success {
         return Err(format!(
             "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
-            src.display(),
+            build.artifact.with_file_name("kernel.c").display(),
             output.code,
             output.stderr_lossy()
         ));
     }
-    Ok(bin)
+    Ok(build)
+}
+
+/// [`build`] for callers that manage the directory themselves: returns
+/// the path of the produced artifact, whose parent directory the caller
+/// removes.
+pub fn compile(source: &str, extra_cflags: &[String], tag: &str) -> Result<PathBuf, String> {
+    build(source, extra_cflags, tag).map(BuildDir::into_artifact)
 }
 
 /// Compile-only check of an emitted unit (used for intrinsic-mode units,
 /// which may not be runnable on the build host).
 pub fn compile_check(unit: &CUnit, tag: &str) -> Result<(), String> {
-    let bin = compile(&unit.code, &unit.cflags, tag)?;
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    Ok(())
+    build(&unit.code, &unit.cflags, tag).map(drop)
 }
 
-fn run_binary(bin: &std::path::Path) -> Result<String, String> {
-    let _span = exo_obs::span!("difftest:run", "{}", bin.display());
-    let mut cmd = Command::new(bin);
-    let output = run_guarded(&mut cmd, &run_guard())
-        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
-    if !output.success {
-        return Err(format!("{} exited with {:?}", bin.display(), output.code));
+/// Why [`run_lines`] produced no values.
+#[derive(Debug)]
+pub struct RunError {
+    /// The process was killed at the guard's wall-clock deadline.
+    pub timed_out: bool,
+    /// What happened, naming the exit code or the offending token.
+    pub message: String,
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
     }
-    Ok(output.stdout_lossy())
+}
+
+/// Runs a driver binary's command under `guard` and parses its stdout —
+/// one `%.17g` number per line — into values.
+pub fn run_lines(cmd: &mut Command, guard: &GuardConfig) -> Result<Vec<f64>, RunError> {
+    let _span = exo_obs::span!("difftest:run", "{:?}", cmd.get_program());
+    let failed = |message| RunError {
+        timed_out: false,
+        message,
+    };
+    let output = run_guarded(cmd, guard).map_err(|e| RunError {
+        timed_out: e.is_timeout(),
+        message: e.to_string(),
+    })?;
+    if !output.success {
+        return Err(failed(format!(
+            "binary exited {:?}: {}",
+            output.code,
+            output.stderr_lossy()
+        )));
+    }
+    output
+        .stdout_lossy()
+        .split_ascii_whitespace()
+        .map(|t| {
+            t.parse::<f64>()
+                .map_err(|e| failed(format!("unparseable driver output `{t}`: {e}")))
+        })
+        .collect()
+}
+
+/// Compiles a driver source for `unit` and returns the numbers the
+/// binary prints.
+fn run_driver(driver: &str, unit: &CUnit, proc: &Proc) -> Result<Vec<f64>, String> {
+    let build = build(driver, &unit.cflags, proc.name())?;
+    run_lines(&mut Command::new(build.artifact()), &run_guard())
+        .map_err(|e| format!("driver binary of `{}`: {e}", proc.name()))
+}
+
+/// Compiles `unit` under the timing driver ([`emit_timing_driver`]), runs
+/// it once and returns `(median ns per call, relative spread)` over its
+/// [`TIMED_RUNS`] batches.
+pub fn time_kernel(
+    unit: &CUnit,
+    proc: &Proc,
+    inputs: &[SynthArg],
+    reps: u64,
+) -> Result<(f64, f64), String> {
+    let driver = emit_timing_driver(unit, proc, inputs, reps);
+    let runs = run_driver(&driver, unit, proc)?;
+    summarize_runs(&runs)
+        .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
 }
 
 /// Tolerance for comparing one element of a buffer of the given type:
@@ -576,7 +774,7 @@ pub fn run_differential_with(
     // CPU with the matching features — on an unsupported host the unit
     // is still compile-checked, then the run is skipped (not failed).
     if !unit.cflags.is_empty() && !exo_machine::HostCaps::detect().supports_cflags(&unit.cflags) {
-        compile(&unit.code, &unit.cflags, proc.name())?;
+        compile_check(&unit, proc.name())?;
         return Ok(DiffOutcome::Skipped(format!(
             "`{}` compiled, but this host cannot execute {}",
             proc.name(),
@@ -584,18 +782,7 @@ pub fn run_differential_with(
         )));
     }
     let driver = emit_driver(&unit, proc, &inputs);
-    let bin = compile(&driver, &unit.cflags, proc.name())?;
-    let stdout = run_binary(&bin)?;
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let got: Vec<f64> = stdout
-        .split_ascii_whitespace()
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| format!("bad driver output `{t}`: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
+    let got = run_driver(&driver, &unit, proc)?;
     let total: usize = expected.iter().map(|b| b.len()).sum();
     if got.len() != total {
         return Err(format!(
@@ -639,4 +826,40 @@ pub fn run_differential_with(
         buffers: tensor_idx,
         elems: total,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_summary_survives_single_run_jitter() {
+        // Candidate A is genuinely faster (runs ~100ns) than candidate B
+        // (~110ns), but each has one descheduled outlier. Means would
+        // flip the ranking (A: 108, B: 102); medians must not.
+        let runs_a = [100.0, 140.0, 99.0, 101.0, 100.0];
+        let runs_b = [110.0, 109.0, 111.0, 70.0, 110.0];
+        let (med_a, spread_a) = summarize_runs(&runs_a).unwrap();
+        let (med_b, spread_b) = summarize_runs(&runs_b).unwrap();
+        let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
+        assert!(
+            mean(&runs_a) > mean(&runs_b),
+            "premise: the means rank them backwards"
+        );
+        assert!(
+            med_a < med_b,
+            "median ranking flipped by jitter: {med_a} vs {med_b}"
+        );
+        // The spread exposes exactly how noisy each measurement was.
+        assert!((spread_a - 41.0 / 100.0).abs() < 1e-12);
+        assert!((spread_b - 41.0 / 110.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summarize_runs_handles_degenerate_input() {
+        assert_eq!(summarize_runs(&[]), None);
+        assert_eq!(summarize_runs(&[7.0]), Some((7.0, 0.0)));
+        // Even run count: median is the mean of the middle two.
+        assert_eq!(summarize_runs(&[4.0, 2.0]), Some((3.0, 2.0 / 3.0)));
+    }
 }

@@ -4,7 +4,7 @@
 //! extent but inside the underlying buffer) aborts the compiled binary.
 
 use exo_codegen::difftest::{
-    cc_available, compile, emit_driver, run_differential_with, synth_inputs, DiffOutcome,
+    build, cc_available, emit_driver, run_differential_with, synth_inputs, DiffOutcome,
 };
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_core::{reorder_loops, TailStrategy};
@@ -93,13 +93,10 @@ fn debug_bounds_aborts_on_out_of_window_read() {
     let unit = emit_c(&proc, &registry, &CodegenOptions::debug()).unwrap();
     let inputs = synth_inputs(&proc, 11).unwrap();
     let driver = emit_driver(&unit, &proc, &inputs);
-    let bin = compile(&driver, &unit.cflags, proc.name()).unwrap();
-    let output = std::process::Command::new(&bin)
+    let bin = build(&driver, &unit.cflags, proc.name()).unwrap();
+    let output = std::process::Command::new(bin.artifact())
         .output()
         .expect("driver binary runs");
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
     assert!(
         !output.status.success(),
         "debug-bounds binary should abort on the out-of-window read; stdout: {}",

@@ -5,7 +5,7 @@
 //! Skipped (with a logged notice) when no C compiler is on `PATH`; CI
 //! always has one, so the check cannot rot there.
 
-use exo_codegen::difftest::{cc_available, run_differential, DiffOutcome};
+use exo_codegen::difftest::{cc_available, run_differential, synth_inputs, DiffOutcome, SynthArg};
 use exo_interp::ProcRegistry;
 use exo_ir::Proc;
 use exo_kernels::{Precision, LEVEL1_KERNELS, LEVEL2_KERNELS};
@@ -35,6 +35,27 @@ fn cc_presence_is_reported() {
         cc_available(),
         if cc_available() { "run" } else { "are skipped" }
     );
+}
+
+#[test]
+fn every_seed_is_its_own_input_stream() {
+    let first_tensor = |seed: u64| {
+        let inputs = synth_inputs(&exo_kernels::scal(Precision::Single), seed).expect("inputs");
+        inputs
+            .into_iter()
+            .find_map(|arg| match arg {
+                SynthArg::Tensor { data, .. } => Some(data),
+                _ => None,
+            })
+            .expect("scal has a tensor argument")
+    };
+    // Seeds 2k and 2k+1 used to share one stream (the generator OR-ed
+    // the low bit into its state). Even seeds keep the data they had.
+    assert_eq!(
+        first_tensor(2)[..8],
+        [-5.0, 7.0, 6.0, 7.0, 0.0, -1.0, 0.0, 3.0]
+    );
+    assert_ne!(first_tensor(2), first_tensor(3));
 }
 
 #[test]

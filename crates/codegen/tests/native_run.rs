@@ -9,12 +9,13 @@
 //! to a logged skip, never a failure.
 
 use exo_codegen::difftest::{
-    cc_available, run_differential_native, run_differential_with, DiffOutcome,
+    cc_available, run_differential_native, run_differential_with, synth_inputs, time_kernel,
+    DiffOutcome,
 };
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
-use exo_ir::Proc;
+use exo_ir::{Expr, Proc};
 use exo_kernels::{blur2d, gemv, sgemm, Precision};
 use exo_lib::{apply_script, schedule_of_record, LoopSel, SchedStep, ScheduleScript};
 use exo_machine::{HostCaps, MachineModel};
@@ -71,6 +72,62 @@ fn vectorized_kernels_differential_run_natively() {
         let scheduled = parallel_schedule(kernel, &machine, &[]);
         expect_run_or_logged_skip(kernel, run_differential_native(&scheduled, &registry, 7));
     }
+}
+
+/// Wall-clock gate (CI runs it alone, in release mode, with
+/// `cargo test --release -- --ignored`): on a host that executes
+/// `-mavx2 -mfma`, the schedule of record's intrinsic build must beat the
+/// unscheduled kernel's portable build. Deliberately loose — gcc's `-O2`
+/// auto-vectorizer narrows the gap on some hosts; the point is "the
+/// intrinsics path is measurably faster", not a roofline claim.
+#[test]
+#[ignore = "wall-clock gate: run in release mode, not beside the parallel debug tests"]
+fn avx2_sgemm_beats_portable_scalar() {
+    const MIN_SPEEDUP: f64 = 1.2;
+    let caps = HostCaps::detect();
+    if !cc_available() || !caps.supports_cflags(&["-mavx2", "-mfma"]) {
+        eprintln!(
+            "SKIPPED speedup gate: host cannot build and execute -mavx2 -mfma ({})",
+            caps.summary()
+        );
+        return;
+    }
+    let machine = MachineModel::avx2();
+    let registry: ProcRegistry = machine
+        .instructions(exo_ir::DataType::F32)
+        .into_iter()
+        .collect();
+    let base = sgemm();
+    let tuned = parallel_schedule("sgemm", &machine, &[]);
+    // Scheduling keeps the signature, so both builds run the same inputs
+    // — 96³ rather than the differential harness's 32³, where call
+    // overhead and `cc -O2`'s own vectorizer close most of the gap.
+    let sized = base.clone().add_assertion(Expr::bin(
+        exo_ir::BinOp::Ge,
+        exo_ir::var("M"),
+        exo_ir::ib(96),
+    ));
+    let inputs = synth_inputs(&sized, 2).expect("sgemm inputs");
+    let scalar_unit = emit_c(&base, &registry, &CodegenOptions::portable()).expect("emits");
+    let avx2_unit = emit_c(&tuned, &registry, &CodegenOptions::native()).expect("emits");
+    // Fastest of three alternating launches each: noise only ever adds
+    // time, and a noisy second on a shared host hits both builds.
+    let (mut scalar, mut avx2) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (ns, _) = time_kernel(&scalar_unit, &base, &inputs, 1).expect("scalar is timed");
+        scalar = scalar.min(ns);
+        let (ns, _) = time_kernel(&avx2_unit, &tuned, &inputs, 1).expect("avx2 is timed");
+        avx2 = avx2.min(ns);
+    }
+    eprintln!(
+        "sgemm: scalar {scalar:.0} ns, avx2 {avx2:.0} ns, {:.2}x",
+        scalar / avx2
+    );
+    assert!(
+        scalar / avx2 >= MIN_SPEEDUP,
+        "AVX2 sgemm is only {:.2}x faster than portable scalar (gate: {MIN_SPEEDUP}x)",
+        scalar / avx2
+    );
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //! copies this scope does not reproduce (statement construction inside
 //! primitives cloned subtrees deeply before blocks were Arc-backed),
 //! the reference engine errs cheap: measured old-vs-new gaps are lower
-//! bounds. The differential property tests assert the equivalence; the
-//! `sched_bench` binary measures the costs.
+//! bounds. The differential property tests assert the equivalence;
+//! `EXPERIMENTS.md` keeps the last measured costs.
 
 use std::cell::Cell;
 

@@ -9,7 +9,7 @@
 //!   clones). Lowered callees are cached inside the [`ProcRegistry`].
 //! * [`Interpreter::run_reference`] — the original tree-walking path with
 //!   a `HashMap`-scoped environment, kept as the semantic baseline for
-//!   differential tests and the `interp_bench` old-vs-new comparison.
+//!   differential tests.
 //!
 //! Both paths are observationally identical: same buffer contents, same
 //! [`Monitor`] event sequence, same errors.
@@ -895,8 +895,7 @@ impl<'a> Interpreter<'a> {
     /// Runs `proc` through the original tree-walking interpreter with a
     /// scoped `HashMap` environment. Kept as the semantic baseline: the
     /// differential tests assert it agrees with [`Interpreter::run`]
-    /// event-for-event, and `interp_bench` measures the speedup of the
-    /// lowered path against it.
+    /// event-for-event.
     ///
     /// # Errors
     /// Same contract as [`Interpreter::run`].

@@ -48,8 +48,8 @@ impl Sym {
     /// constructed next produces deterministic generated names.
     ///
     /// This exists for single-threaded benchmark harnesses and golden
-    /// tests (`sched_bench` resets before every schedule construction so
-    /// repeated runs pretty-print identically). Never call it from code
+    /// tests that need repeated runs to pretty-print identically. Never
+    /// call it from code
     /// that may run concurrently with other symbol-generating work —
     /// reused suffixes could collide with live fresh names.
     pub fn reset_fresh_counter() {

@@ -14,8 +14,8 @@
 //! producing a wrong program.
 //!
 //! [`schedule_of_record`] pins, per library kernel, the best script the
-//! autotuner has found so far; `tune_bench --smoke` re-derives and
-//! re-validates these against the hand schedules in CI.
+//! autotuner has found so far; `exo-autotune`'s `tune_kernels` test
+//! re-derives and re-validates these against the hand schedules.
 
 use crate::vectorize::vectorize;
 use exo_core::{
@@ -319,8 +319,8 @@ fn stage_accum(p: &ProcHandle, loop_: &LoopSel) -> Result<ProcHandle> {
 }
 
 /// The pinned schedule of record for a library kernel, by procedure
-/// name — the best script the autotuner has found so far (see
-/// `BENCH_autotune.json`), replayable without running the search.
+/// name — the best script the autotuner has found so far, replayable
+/// without running the search.
 ///
 /// Returns `None` for kernels without a recorded schedule.
 pub fn schedule_of_record(kernel: &str, machine: &MachineModel) -> Option<ScheduleScript> {

@@ -44,7 +44,7 @@ impl Fault {
         Fault::CacheCorruption,
     ];
 
-    /// Stable lower-case name (used in reports and `BENCH_service.json`).
+    /// Stable lower-case name, for reports.
     pub fn name(self) -> &'static str {
         match self {
             Fault::CcHang => "cc-hang",

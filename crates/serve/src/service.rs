@@ -25,7 +25,9 @@ use crate::types::{
     ServeOk, ServeRequest, ServeResult, Tier, TraceStep,
 };
 use exo_analysis::{check_proc, Severity};
-use exo_codegen::difftest::{emit_driver, interp_outputs, synth_inputs};
+use exo_codegen::difftest::{
+    cc_command, emit_driver, interp_outputs, run_lines, synth_inputs, BuildDir,
+};
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, run_guarded, GuardConfig};
@@ -35,7 +37,6 @@ use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -636,8 +637,8 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 };
                 let driver = emit_driver(&unit, proc, &inputs);
-                match compile_guarded(inner, &driver, &unit, job.fault, true) {
-                    Ok(bin) => match run_binary_guarded(inner, &bin, job.fault) {
+                match compile_guarded(inner, &driver, &unit, job.fault) {
+                    Ok(build) => match run_binary_guarded(inner, &build, job.fault) {
                         Ok(summary) => break Some(summary),
                         Err((reason, detail)) => {
                             // The unit compiled; serve the compile-only
@@ -667,22 +668,20 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 }
             }
-            Tier::CompileOnly => {
-                match compile_guarded(inner, &unit.code, &unit, job.fault, false) {
-                    Ok(_) => break None,
-                    Err((reason, detail)) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::CompileOnly,
-                            Tier::Interp,
-                            reason,
-                            detail,
-                        );
-                        tier = Tier::Interp;
-                    }
+            Tier::CompileOnly => match compile_guarded(inner, &unit.code, &unit, job.fault) {
+                Ok(_) => break None,
+                Err((reason, detail)) => {
+                    degrade(
+                        &mut degraded,
+                        &mut trace,
+                        Tier::CompileOnly,
+                        Tier::Interp,
+                        reason,
+                        detail,
+                    );
+                    tier = Tier::Interp;
                 }
-            }
+            },
             Tier::Interp => {
                 let inputs = match synth_inputs(proc, request.options.input_seed) {
                     Ok(inputs) => inputs,
@@ -760,132 +759,60 @@ fn hang_command() -> Command {
     cmd
 }
 
-/// Compiles `source` under supervision into a fresh temp dir; `link`
-/// selects driver (with `main`) vs object-only compilation. Returns the
-/// produced artifact path or a (reason, detail) degradation pair.
+/// Compiles `source` (a driver with `main`, or the bare unit) under the
+/// service's compile guard, with the planned compiler fault substituted
+/// for `cc`. Returns the build directory, which removes itself when
+/// dropped, or a (reason, detail) degradation pair.
 fn compile_guarded(
     inner: &ServiceInner,
     source: &str,
     unit: &CUnit,
     fault: Option<Fault>,
-    link: bool,
-) -> Result<PathBuf, (DegradeReason, String)> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
+) -> Result<BuildDir, (DegradeReason, String)> {
     ServeStats::bump(&inner.stats.compiles);
-    let dir = std::env::temp_dir().join(format!(
-        "exo_serve_{}_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed),
-        unit.name
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| {
-        (
-            DegradeReason::CompilerUnavailable,
-            format!("cannot create {}: {e}", dir.display()),
-        )
-    })?;
-    let src = dir.join("kernel.c");
-    std::fs::write(&src, source).map_err(|e| {
-        (
-            DegradeReason::CompilerUnavailable,
-            format!("cannot write {}: {e}", src.display()),
-        )
-    })?;
-    let artifact = dir.join(if link { "kernel" } else { "kernel.o" });
-    let mut cmd = match fault {
-        Some(Fault::CcHang) => hang_command(),
-        Some(Fault::CcMissing) => Command::new("exo2-injected-missing-cc"),
-        _ => Command::new("cc"),
+    let program = match fault {
+        Some(Fault::CcMissing) => "exo2-injected-missing-cc",
+        _ => "cc",
     };
-    cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);
-    cmd.args(&unit.cflags);
-    if !link {
-        cmd.arg("-c");
+    let (mut cmd, build) = cc_command(program, source, &unit.cflags, &unit.name)
+        .map_err(|detail| (DegradeReason::CompilerUnavailable, detail))?;
+    if matches!(fault, Some(Fault::CcHang)) {
+        cmd = hang_command();
     }
-    cmd.arg("-o").arg(&artifact).arg(&src);
-    if link {
-        cmd.arg("-lm");
-    }
-    let outcome = run_guarded(&mut cmd, &inner.cfg.compile_guard);
-    match outcome {
-        Ok(out) if out.success => Ok(artifact),
-        Ok(out) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            Err((
-                DegradeReason::CompilerFailed,
-                format!("cc exited {:?}: {}", out.code, out.stderr_lossy()),
-            ))
+    match run_guarded(&mut cmd, &inner.cfg.compile_guard) {
+        Ok(out) if out.success => Ok(build),
+        Ok(out) => Err((
+            DegradeReason::CompilerFailed,
+            format!("cc exited {:?}: {}", out.code, out.stderr_lossy()),
+        )),
+        Err(err) if err.is_timeout() => {
+            ServeStats::bump(&inner.stats.guard_timeouts);
+            Err((DegradeReason::CompilerTimeout, err.to_string()))
         }
-        Err(err) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            if err.is_timeout() {
-                ServeStats::bump(&inner.stats.guard_timeouts);
-                Err((DegradeReason::CompilerTimeout, err.to_string()))
-            } else {
-                Err((DegradeReason::CompilerUnavailable, err.to_string()))
-            }
-        }
+        Err(err) => Err((DegradeReason::CompilerUnavailable, err.to_string())),
     }
 }
 
-/// Runs a compiled driver binary under supervision and parses its
-/// `%.17g`-per-line tensor dump into an [`ExecSummary`].
+/// Runs a compiled driver binary under the service's run guard (or the
+/// planned hang in its place) and folds its tensor dump into an
+/// [`ExecSummary`].
 fn run_binary_guarded(
     inner: &ServiceInner,
-    bin: &PathBuf,
+    build: &BuildDir,
     fault: Option<Fault>,
 ) -> Result<ExecSummary, (DegradeReason, String)> {
     ServeStats::bump(&inner.stats.binary_runs);
     let mut cmd = match fault {
         Some(Fault::BinaryHang) => hang_command(),
-        _ => Command::new(bin),
+        _ => Command::new(build.artifact()),
     };
-    let outcome = run_guarded(&mut cmd, &inner.cfg.run_guard);
-    let cleanup = || {
-        if let Some(dir) = bin.parent() {
-            let _ = std::fs::remove_dir_all(dir);
+    match run_lines(&mut cmd, &inner.cfg.run_guard) {
+        Ok(values) => Ok(summarize(&[values])),
+        Err(err) if err.timed_out => {
+            ServeStats::bump(&inner.stats.guard_timeouts);
+            Err((DegradeReason::BinaryTimeout, err.message))
         }
-    };
-    match outcome {
-        Ok(out) if out.success => {
-            cleanup();
-            let mut h = Fnv::new();
-            let mut elems = 0usize;
-            for token in out.stdout_lossy().split_ascii_whitespace() {
-                match token.parse::<f64>() {
-                    Ok(v) => {
-                        h.write_u64(v.to_bits());
-                        elems += 1;
-                    }
-                    Err(e) => {
-                        return Err((
-                            DegradeReason::BinaryFailed,
-                            format!("unparseable driver output `{token}`: {e}"),
-                        ))
-                    }
-                }
-            }
-            Ok(ExecSummary {
-                elems,
-                checksum: h.finish(),
-            })
-        }
-        Ok(out) => {
-            cleanup();
-            Err((
-                DegradeReason::BinaryFailed,
-                format!("binary exited {:?}: {}", out.code, out.stderr_lossy()),
-            ))
-        }
-        Err(err) => {
-            cleanup();
-            if err.is_timeout() {
-                ServeStats::bump(&inner.stats.guard_timeouts);
-                Err((DegradeReason::BinaryTimeout, err.to_string()))
-            } else {
-                Err((DegradeReason::BinaryFailed, err.to_string()))
-            }
-        }
+        Err(err) => Err((DegradeReason::BinaryFailed, err.message)),
     }
 }
 

@@ -27,7 +27,7 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable lower-case name (reports, `BENCH_service.json`).
+    /// Stable lower-case name, for reports.
     pub fn name(self) -> &'static str {
         match self {
             Tier::NativeRun => "native-run",
@@ -66,7 +66,7 @@ pub enum DegradeReason {
 }
 
 impl DegradeReason {
-    /// Stable lower-case name (reports, `BENCH_service.json`).
+    /// Stable lower-case name, for reports.
     pub fn name(self) -> &'static str {
         match self {
             DegradeReason::CompilerUnavailable => "compiler-unavailable",
@@ -284,8 +284,7 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 impl ServeError {
-    /// Stable lower-case classification name (reports,
-    /// `BENCH_service.json`).
+    /// Stable lower-case classification name, for reports.
     pub fn class(&self) -> &'static str {
         match self {
             ServeError::Overloaded { .. } => "overloaded",
