@@ -338,6 +338,9 @@ pub fn written_params(proc: &exo_ir::Proc) -> Vec<bool> {
 /// non-private buffer arguments a callee may write.
 struct RegionCollector<'c> {
     iters: Vec<Sym>,
+    /// The in-scope iterators whose loop has constant bounds, with their
+    /// first and last value: a region is recorded as its hull over these.
+    ranges: Vec<(Sym, i64, i64)>,
     allocs: BTreeSet<Sym>,
     regions: Vec<Region>,
     callee_writes: CalleeWrites<'c>,
@@ -347,13 +350,42 @@ impl<'c> RegionCollector<'c> {
     fn new(callee_writes: CalleeWrites<'c>) -> Self {
         RegionCollector {
             iters: Vec::new(),
+            ranges: Vec::new(),
             allocs: BTreeSet::new(),
             regions: Vec::new(),
             callee_writes,
         }
     }
 
+    /// Widens `[lo, hi)` to cover every value of the constant-range
+    /// iterators in scope (the rows `4 * io + k0`, `k0` in `[0, 4)`, become
+    /// `[4 * io, 4 * io + 4)`), so that the footprint of a small inner loop
+    /// is one body-invariant interval. Over-approximating a region can
+    /// only make a disjointness proof harder, never unsound.
+    fn hull(&self, (mut lo, mut hi): (LinExpr, LinExpr)) -> (LinExpr, LinExpr) {
+        for (iter, first, last) in &self.ranges {
+            for (bound, is_lo) in [(&mut lo, true), (&mut hi, false)] {
+                let c = bound.coeff_of(iter);
+                if c == 0 {
+                    continue;
+                }
+                let at = if (c > 0) == is_lo { *first } else { *last };
+                // On overflow the bound keeps mentioning the iterator,
+                // which no proof accepts.
+                if let Some(constant) = c
+                    .checked_mul(at)
+                    .and_then(|v| bound.constant.checked_add(v))
+                {
+                    bound.terms.remove(&crate::linear::Atom::Var(iter.clone()));
+                    bound.constant = constant;
+                }
+            }
+        }
+        (lo, hi)
+    }
+
     fn push(&mut self, buf: &Sym, dims: Vec<(LinExpr, LinExpr)>, written: bool) {
+        let dims = dims.into_iter().map(|d| self.hull(d)).collect();
         self.regions.push(Region {
             buf: buf.clone(),
             dims,
@@ -406,9 +438,16 @@ impl<'c> RegionCollector<'c> {
                 if !(self.expr(lo) && self.expr(hi)) {
                     return false;
                 }
+                let outer_ranges = self.ranges.len();
+                if let (Some(first), Some(end)) = (lo.as_int(), hi.as_int()) {
+                    if first < end {
+                        self.ranges.push((iter.clone(), first, end - 1));
+                    }
+                }
                 self.iters.push(iter.clone());
                 let ok = self.stmts(body);
                 self.iters.pop();
+                self.ranges.truncate(outer_ranges);
                 ok
             }
             Stmt::If {
@@ -1022,6 +1061,28 @@ mod tests {
             parallel: false,
         }];
         assert!(!loop_is_threadable(&Sym::new("x"), &body));
+    }
+
+    #[test]
+    fn threadable_row_blocks_through_a_constant_inner_loop() {
+        // for k0 in [0, 4): y[4 * i + k0] — the copy-out of a register
+        // tile. One iteration owns rows [4i, 4i + 4): disjoint across i.
+        let rows = |stride: i64| {
+            [Stmt::For {
+                iter: Sym::new("k0"),
+                lo: ib(0),
+                hi: ib(4),
+                body: Block::from_stmts(vec![assign(
+                    "y",
+                    vec![ib(stride) * var("i") + var("k0")],
+                    fb(0.0),
+                )]),
+                parallel: false,
+            }]
+        };
+        assert!(loop_is_threadable(&Sym::new("i"), &rows(4)));
+        // A stride shorter than the block overlaps the neighbour's rows.
+        assert!(!loop_is_threadable(&Sym::new("i"), &rows(3)));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! edit, and the cost simulator prices any legal program. This crate
 //! turns that into an autotuner:
 //!
-//! 1. **Generate** — enumerate the single-step and interchange-led
-//!    two-step core of the space, then sample longer seeded-random
-//!    scripts ([`space::generate_candidates`]).
+//! 1. **Generate** — start from the kernel's schedule of record (the
+//!    incumbent), enumerate the single-step and interchange-led two-step
+//!    core of the space, then sample longer seeded-random scripts
+//!    ([`space::generate_candidates`]).
 //! 2. **Statically prune** — reject candidates whose first step provably
 //!    fails against the base proc ([`prune::statically_illegal`]) without
 //!    replaying them: unresolvable selectors and perfect splits whose
@@ -149,12 +150,14 @@ pub struct TuneReport {
     /// Candidates rejected by the simulator (interpreter trap).
     pub trapped: usize,
     /// Survivors, ranked by simulated cycles (ascending). The identity
-    /// script is always candidate zero of the input set, so this is
-    /// non-empty whenever the kernel itself simulates.
+    /// script is always in the input set, so this is non-empty whenever
+    /// the kernel itself simulates.
     pub candidates: Vec<Candidate>,
     /// Simulated cycles of the unscheduled kernel.
     pub baseline_cycles: u64,
-    /// Simulated cycles of the pinned schedule of record, if one exists.
+    /// Simulated cycles of the pinned schedule of record, if one exists
+    /// and survives: the search is seeded with it, so this is the price
+    /// of that candidate.
     pub record_cycles: Option<u64>,
     /// How many candidates were wall-clock measured.
     pub measured: usize,
@@ -354,9 +357,15 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     // Deterministic ranking: cycles ascending, script key as tiebreak.
     survivors.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.key().cmp(&b.0.key())));
 
-    let record_cycles = schedule_of_record(task.proc.name(), &task.machine)
-        .and_then(|script| apply_script(&base, &script, &task.machine).ok())
-        .and_then(|p| cost_of(p.proc(), &registry, cfg.input_seed).ok());
+    // The search is warm-started from the schedule of record (it is the
+    // first candidate generated), so its price is already among the
+    // survivors' — unless the primitives or the simulator refused it.
+    let record_cycles = schedule_of_record(task.proc.name(), &task.machine).and_then(|record| {
+        survivors
+            .iter()
+            .find(|(script, _, _)| *script == record)
+            .map(|(_, _, cycles)| *cycles)
+    });
 
     let mut candidates: Vec<Candidate> = survivors
         .iter()

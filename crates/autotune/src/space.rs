@@ -175,6 +175,10 @@ fn repeat_is_noop(base: &ProcHandle, step: &SchedStep, machine: &MachineModel) -
 
 /// Generates up to `budget` unique candidate scripts for `base`:
 ///
+/// 0. the schedule of record for `base`'s name on `machine`, if there is
+///    one — the search is warm-started from the incumbent, so it can only
+///    report a schedule at least as good, however far the record lies
+///    beyond the three-step scripts sampled below,
 /// 1. the identity script (the unscheduled kernel is always a candidate),
 /// 2. every single step of the menu,
 /// 3. every interchange-led pair `reorder(L); <single>` — the
@@ -204,6 +208,9 @@ pub fn generate_candidates(
             out.push(script);
         }
     };
+    if let Some(record) = exo_lib::schedule_of_record(base.proc().name(), machine) {
+        push(record, &mut out);
+    }
     push(ScheduleScript::default(), &mut out);
     for step in &menu {
         push(ScheduleScript::new(vec![step.clone()]), &mut out);

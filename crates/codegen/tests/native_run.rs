@@ -44,7 +44,7 @@ fn parallel_schedule(kernel: &str, machine: &MachineModel, outer: &[(&str, usize
         .clone()
 }
 
-fn expect_run_or_logged_skip(name: &str, outcome: Result<DiffOutcome, String>) {
+fn expect_run_or_logged_skip(name: &str, flags: &[&str], outcome: Result<DiffOutcome, String>) {
     match outcome {
         Ok(DiffOutcome::Agreed { buffers, elems }) => {
             assert!(buffers > 0 && elems > 0, "{name}: nothing compared");
@@ -53,11 +53,36 @@ fn expect_run_or_logged_skip(name: &str, outcome: Result<DiffOutcome, String>) {
             eprintln!("SKIPPED native differential for `{name}`: {why}");
             // On a capable host the run must NOT have been skipped.
             assert!(
-                !HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]),
-                "{name}: skipped on a host that supports the flags: {why}"
+                !HostCaps::detect().supports_cflags(flags),
+                "{name}: skipped on a host that supports {flags:?}: {why}"
             );
         }
         Err(e) => panic!("{name}: {e}"),
+    }
+}
+
+/// The register-blocked sgemm record on both machine models: portable C
+/// always agrees with the interpreter; the intrinsic build is executed
+/// wherever `HostCaps` says the host can (AVX-512 is a logged skip on
+/// an AVX2-only host, never on a capable one).
+#[test]
+fn sgemm_record_agrees_portable_and_native_on_both_models() {
+    for (machine, flags) in [
+        (MachineModel::avx2(), &["-mavx2", "-mfma"][..]),
+        (MachineModel::avx512(), &["-mavx512f"][..]),
+    ] {
+        let registry: ProcRegistry = machine
+            .instructions(exo_ir::DataType::F32)
+            .into_iter()
+            .collect();
+        let p = parallel_schedule("sgemm", &machine, &[]);
+        let name = format!("sgemm on {}", machine.name);
+        match run_differential_with(&p, &registry, 7, &CodegenOptions::portable()) {
+            Ok(DiffOutcome::Agreed { elems, .. }) => assert!(elems > 0, "{name}"),
+            Ok(DiffOutcome::Skipped(why)) => eprintln!("SKIPPED portable `{name}`: {why}"),
+            Err(e) => panic!("{name}, portable: {e}"),
+        }
+        expect_run_or_logged_skip(&name, flags, run_differential_native(&p, &registry, 7));
     }
 }
 
@@ -70,20 +95,25 @@ fn vectorized_kernels_differential_run_natively() {
         .collect();
     for kernel in ["sgemm", "sgemv_n", "blur2d"] {
         let scheduled = parallel_schedule(kernel, &machine, &[]);
-        expect_run_or_logged_skip(kernel, run_differential_native(&scheduled, &registry, 7));
+        expect_run_or_logged_skip(
+            kernel,
+            &["-mavx2", "-mfma"],
+            run_differential_native(&scheduled, &registry, 7),
+        );
     }
 }
 
 /// Wall-clock gate (CI runs it alone, in release mode, with
 /// `cargo test --release -- --ignored`): on a host that executes
 /// `-mavx2 -mfma`, the schedule of record's intrinsic build must beat the
-/// unscheduled kernel's portable build. Deliberately loose — gcc's `-O2`
-/// auto-vectorizer narrows the gap on some hosts; the point is "the
-/// intrinsics path is measurably faster", not a roofline claim.
+/// unscheduled kernel's portable build by 2x. The register-blocked
+/// record measures 3-4x here; gcc's `-O2` auto-vectorizer is what the
+/// scalar build already gets, so losing the register tile (back to the
+/// 1.2x of `reorder(k); vectorize(j)`) trips the gate.
 #[test]
 #[ignore = "wall-clock gate: run in release mode, not beside the parallel debug tests"]
 fn avx2_sgemm_beats_portable_scalar() {
-    const MIN_SPEEDUP: f64 = 1.2;
+    const MIN_SPEEDUP: f64 = 2.0;
     let caps = HostCaps::detect();
     if !cc_available() || !caps.supports_cflags(&["-mavx2", "-mfma"]) {
         eprintln!(
@@ -137,15 +167,26 @@ fn openmp_pragmas_only_on_certified_loops() {
         .instructions(exo_ir::DataType::F32)
         .into_iter()
         .collect();
-    // sgemm parallelized over the outer `i` loop: rows of C are
-    // disjoint, so the region analysis certifies it and the pragma must
-    // be present (with the matching cflag).
-    let p = parallel_schedule("sgemm", &machine, &[("i", 0)]);
+    // sgemm parallelized over the outer `io` loop of the record: row
+    // blocks of C are disjoint and the `C_reg` tile is declared inside the
+    // loop body, hence private — the region analysis certifies it, and
+    // the pragma must sit on that loop and nowhere else (with the
+    // matching cflag).
+    let p = parallel_schedule("sgemm", &machine, &[("io", 0)]);
     let unit = emit_c(&p, &registry, &CodegenOptions::native_openmp()).expect("emit");
+    let pragmas: Vec<usize> = unit
+        .code
+        .lines()
+        .enumerate()
+        .filter_map(|(n, line)| line.contains("#pragma omp parallel for").then_some(n))
+        .collect();
+    let [at] = pragmas.as_slice() else {
+        panic!("expected one pragma, on `io`:\n{}", unit.code)
+    };
+    let threaded = unit.code.lines().nth(at + 1).unwrap_or_default();
     assert!(
-        unit.code.contains("#pragma omp parallel for"),
-        "certified parallel loop lost its pragma:\n{}",
-        unit.code
+        threaded.trim_start().starts_with("for (int64_t io = 0;"),
+        "the pragma is on `{threaded}`, not on the io loop"
     );
     assert!(
         unit.cflags.iter().any(|f| f == "-fopenmp"),
@@ -208,7 +249,7 @@ fn openmp_binaries_agree_with_interpreter() {
         .into_iter()
         .collect();
     let cases: [(&str, &[(&str, usize)]); 3] = [
-        ("sgemm", &[("i", 0)]),
+        ("sgemm", &[("io", 0)]),
         ("sgemv_n", &[("i", 0)]),
         ("blur2d", &[("y", 0), ("y", 1)]),
     ];

@@ -1,5 +1,11 @@
-//! SGEMM scheduling (§6.2.3, Appendix C): register-level micro-kernels
-//! generated by reusing the `vectorize` library function.
+//! SGEMM scheduling (§6.2.3, Appendix C) by reusing the `vectorize`
+//! library function: interchange, then vectorize the rows. This is the
+//! short schedule — every FMA reloads and stores its vector of `C`. The
+//! register-blocked micro-kernel of the paper's case study, which holds a
+//! tile of `C` in vector registers across `k`, is the sgemm
+//! [`schedule_of_record`](crate::schedule_of_record), built from the same
+//! operator; `optimize_sgemm` stays as it is because the library
+//! benchmark and the goldens are measured on it.
 
 use crate::vectorize::vectorize;
 use exo_core::{reorder_loops, Result, TailStrategy};

@@ -13,17 +13,20 @@
 //! primitives* (the search prunes on the returned error) rather than
 //! producing a wrong program.
 //!
-//! [`schedule_of_record`] pins, per library kernel, the best script the
-//! autotuner has found so far; `exo-autotune`'s `tune_kernels` test
-//! re-derives and re-validates these against the hand schedules.
+//! [`schedule_of_record`] pins, per library kernel, the best script
+//! known so far — found by the autotuner, or, for sgemm, the
+//! register-blocked micro-kernel written by hand out of the same steps,
+//! which lies beyond the short scripts the search samples. The search is
+//! seeded with it; `exo-autotune`'s `tune_kernels` test re-validates it.
 
 use crate::vectorize::vectorize;
+use exo_analysis::{infer_bounds, Context};
 use exo_core::{
     divide_loop, parallelize_loop_where, reorder_loops, simplify, stage_mem, unroll_loop, Result,
     SchedError, TailStrategy,
 };
 use exo_cursors::{Cursor, ProcHandle};
-use exo_ir::{ib, DataType, Expr, Stmt};
+use exo_ir::{DataType, Stmt};
 use exo_machine::MachineModel;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -134,8 +137,9 @@ pub enum SchedStep {
         loop_: LoopSel,
     },
     /// Stage the destination of the first reduction inside the selected
-    /// loop into a local accumulator held across the loop (`stage_mem`
-    /// with a unit window around the loop).
+    /// loop into a local buffer held across the loop: `stage_mem` around
+    /// the loop, with the window the loop is inferred to touch — one cell
+    /// or a constant-size tile; a symbolic extent is refused.
     StageAccum {
         /// The loop to hold the accumulator across.
         loop_: LoopSel,
@@ -276,66 +280,116 @@ pub fn apply_script(
     Ok(current)
 }
 
-/// The first `Reduce` statement (pre-order) in a block, if any.
-fn first_reduce(block: &exo_ir::Block) -> Option<(exo_ir::Sym, Vec<Expr>)> {
-    for stmt in block {
-        match stmt {
-            Stmt::Reduce { buf, idx, .. } => return Some((buf.clone(), idx.clone())),
-            Stmt::For { body, .. } => {
-                if let Some(found) = first_reduce(body) {
-                    return Some(found);
-                }
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if let Some(found) = first_reduce(then_body).or_else(|| first_reduce(else_body)) {
-                    return Some(found);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+/// The destination of the first `Reduce` statement (pre-order) in a
+/// block, if any.
+fn first_reduce(block: &exo_ir::Block) -> Option<exo_ir::Sym> {
+    block.iter().find_map(|stmt| match stmt {
+        Stmt::Reduce { buf, .. } => Some(buf.clone()),
+        Stmt::For { body, .. } => first_reduce(body),
+        Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } => first_reduce(then_body).or_else(|| first_reduce(else_body)),
+        _ => None,
+    })
 }
 
-/// Stages the destination element of the first reduction under `loop_`
-/// into a unit-window accumulator held across the loop: `stage_mem` with
-/// the window `[(e, e+1)]` per destination index `e`, which the
-/// containment check rejects whenever an index depends on the staged
-/// loop's own iterator (that is the pruning, not a special case here).
+/// Stages the destination of the first reduction under `loop_` into a
+/// local buffer held across the loop: `stage_mem` with the window
+/// [`infer_bounds`] reports for that buffer inside the loop. Only windows
+/// whose every extent is a compile-time constant are accepted — one cell
+/// (`{buf}_acc`) or a register tile (`{buf}_reg`). An index that ranges
+/// over a symbolic loop inside the staged one (or is the staged loop's
+/// own symbolic iterator) makes an extent symbolic, and that refusal is
+/// the pruning.
 fn stage_accum(p: &ProcHandle, loop_: &LoopSel) -> Result<ProcHandle> {
     let c = loop_.resolve(p)?;
-    let Stmt::For { body, .. } = c.stmt()?.clone() else {
+    let scope = c.stmt()?;
+    let Stmt::For { body, .. } = scope else {
         return Err(SchedError::scheduling("stage_accum requires a for loop"));
     };
-    let (buf, idx) = first_reduce(&body)
+    let buf = first_reduce(body)
         .ok_or_else(|| SchedError::scheduling("stage_accum: no reduction inside the loop"))?;
-    let window: Vec<(Expr, Expr)> = idx.iter().map(|e| (e.clone(), e.clone() + ib(1))).collect();
-    let new_name = p.fresh_name(&format!("{}_acc", buf.name()));
-    stage_mem(p, &c, buf.name(), &window, &new_name)
+    let path = c
+        .path()
+        .stmt_path()
+        .ok_or_else(|| SchedError::scheduling("statement cursor was invalidated"))?;
+    let ctx = Context::at(p.proc(), path);
+    let bounds = infer_bounds(scope, &buf, &ctx)
+        .map_err(|why| SchedError::scheduling(format!("stage_accum: {why}")))?;
+    let mut one_cell = true;
+    for (d, (lo, hi)) in bounds.dims.iter().enumerate() {
+        let extent = bounds.extent(d, &ctx).as_int().filter(|n| *n >= 1);
+        let extent = extent.ok_or_else(|| {
+            SchedError::scheduling(format!(
+                "stage_accum: `{}` spans [{lo}, {hi}) inside `{loop_}`, not a constant extent",
+                buf.name()
+            ))
+        })?;
+        one_cell &= extent == 1;
+    }
+    let suffix = if one_cell { "acc" } else { "reg" };
+    let new_name = p.fresh_name(&format!("{}_{suffix}", buf.name()));
+    stage_mem(p, &c, buf.name(), &bounds.dims, &new_name)
+}
+
+/// The register-blocked sgemm of the paper's GEMM case study (§6.2.3),
+/// as a script: an `R × 16` tile of `C` is held in vector registers
+/// across the whole `k` loop, and each `k` step is `R × 16 / lanes` FMAs
+/// into it, straight-line.
+///
+/// 16 is the widest column tile the kernel's `% 16` assertions make a
+/// perfect split; `R` is the number of rows for which the tile fills half
+/// the register file (4 on AVX2, 16 on AVX-512), leaving the other half
+/// to the operands. A machine without vector registers gets `R = 0`,
+/// which `split` refuses.
+fn blocked_sgemm(vw: i64, vec_registers: i64) -> ScheduleScript {
+    const TILE_N: i64 = 16;
+    let rows = vec_registers * vw / (2 * TILE_N);
+    let sel = |name: &str| LoopSel::new(name, 0);
+    let reorder = |name: &str| SchedStep::Reorder { loop_: sel(name) };
+    let vectorize = |name: &str| SchedStep::Vectorize {
+        loop_: sel(name),
+        width: vw,
+    };
+    let split = |name: &str, factor| SchedStep::Split {
+        loop_: sel(name),
+        factor,
+        cut_tail: false,
+    };
+    let mut steps = vec![
+        split("i", rows),
+        split("j", TILE_N),
+        // k, io, ii, jo, ji  ->  io, jo, k, ii, ji
+        reorder("k"),
+        reorder("ii"),
+        reorder("k"),
+        SchedStep::StageAccum { loop_: sel("k") },
+        vectorize("ji"),
+    ];
+    // `vectorize` ends in a proc-wide `replace_all`, so where a tile row is
+    // one vector the copy loops were consumed with the micro-kernel;
+    // narrower vectors divide the copy-in and copy-out rows as well.
+    if vw < TILE_N {
+        steps.extend([vectorize("k1"), vectorize("k1")]);
+    }
+    // The micro-kernel, straight-line: its vector loop, then its rows.
+    steps.push(SchedStep::Unroll { loop_: sel("vo_0") });
+    steps.push(SchedStep::Unroll { loop_: sel("ii") });
+    steps.push(SchedStep::Simplify);
+    ScheduleScript::new(steps)
 }
 
 /// The pinned schedule of record for a library kernel, by procedure
-/// name — the best script the autotuner has found so far, replayable
-/// without running the search.
+/// name — the best script known so far, replayable without running the
+/// search.
 ///
 /// Returns `None` for kernels without a recorded schedule.
 pub fn schedule_of_record(kernel: &str, machine: &MachineModel) -> Option<ScheduleScript> {
     let vw = machine.vec_width(DataType::F32);
     match kernel {
-        // Matches `optimize_sgemm`: interchange k/i, vectorize rows.
-        "sgemm" => Some(ScheduleScript::new(vec![
-            SchedStep::Reorder {
-                loop_: LoopSel::new("k", 0),
-            },
-            SchedStep::Vectorize {
-                loop_: LoopSel::new("j", 0),
-                width: vw,
-            },
-        ])),
+        "sgemm" => Some(blocked_sgemm(vw, machine.vec_registers())),
         // Row-major gemv: vectorize the inner (column) loop.
         "sgemv_n" => Some(ScheduleScript::new(vec![SchedStep::Vectorize {
             loop_: LoopSel::new("j", 0),
@@ -373,35 +427,61 @@ mod tests {
     type ArgBuilder = fn() -> Vec<ArgValue>;
 
     #[test]
-    fn sgemm_record_matches_the_hand_schedule() {
-        let machine = MachineModel::avx2();
-        let p = ProcHandle::new(sgemm());
-        let script = schedule_of_record("sgemm", &machine).unwrap();
-        let replayed = apply_script(&p, &script, &machine).unwrap();
-        let hand = crate::optimize_sgemm(&p, &machine).unwrap();
-        assert_eq!(replayed.proc().to_string(), hand.proc().to_string());
+    fn sgemm_record_holds_the_c_tile_in_registers_across_k() {
+        for machine in [MachineModel::avx2(), MachineModel::avx512()] {
+            let p = ProcHandle::new(sgemm());
+            let script = schedule_of_record("sgemm", &machine).unwrap();
+            let replayed = apply_script(&p, &script, &machine)
+                .unwrap_or_else(|e| panic!("{}: `{script}` is refused: {e}", machine.name));
+            let diags = exo_analysis::check_proc(replayed.proc());
+            assert!(diags.is_empty(), "{}: {diags:?}", machine.name);
+            // The tile is `rows x 16`, half the register file, and the
+            // k loop touches it instead of C.
+            let rows = machine.vec_registers() * machine.vec_width(DataType::F32) / 32;
+            let text = replayed.proc().to_string();
+            assert!(
+                text.contains(&format!("C_reg_0: f32[{rows}, 16]")),
+                "{}: {text}",
+                machine.name
+            );
+            let k_loop = replayed.find_loop("k").unwrap();
+            let in_k = exo_analysis::Effects::of_stmt(k_loop.stmt().unwrap());
+            assert!(in_k.touches(&exo_ir::Sym::new("C_reg_0")), "{text}");
+            assert!(!in_k.touches(&exo_ir::Sym::new("C")), "{text}");
+            let registry = registry(&machine);
+            assert_eq!(
+                run(p.proc(), &registry, sgemm_args_mnk(32, 48, 16)),
+                run(replayed.proc(), &registry, sgemm_args_mnk(32, 48, 16)),
+                "{}: record diverges at M=32 N=48 K=16",
+                machine.name
+            );
+        }
     }
 
     #[test]
     fn records_replay_and_stay_equivalent() {
-        let machine = MachineModel::avx2();
-        let registry = registry(&machine);
-        let cases: Vec<(exo_ir::Proc, ArgBuilder)> = vec![
-            (sgemm(), || sgemm_args(16)),
-            (gemv(Precision::Single, false), || gemv_args(16)),
-            (blur2d(), || blur_args(32)),
+        let cases: Vec<(MachineModel, exo_ir::Proc, ArgBuilder)> = vec![
+            (MachineModel::avx2(), sgemm(), || sgemm_args(16)),
+            (MachineModel::avx2(), gemv(Precision::Single, false), || {
+                gemv_args(16)
+            }),
+            (MachineModel::avx2(), blur2d(), || blur_args(32)),
+            (MachineModel::avx512(), sgemm(), || sgemm_args(16)),
+            (MachineModel::avx512(), blur2d(), || blur_args(32)),
         ];
-        for (kernel, mk_args) in cases {
-            let script = schedule_of_record(kernel.name(), &machine)
-                .unwrap_or_else(|| panic!("no record for {}", kernel.name()));
+        for (machine, kernel, mk_args) in cases {
+            let registry = registry(&machine);
+            let what = format!("record for {} on {}", kernel.name(), machine.name);
+            let script =
+                schedule_of_record(kernel.name(), &machine).unwrap_or_else(|| panic!("no {what}"));
             let p = ProcHandle::new(kernel.clone());
-            let scheduled = apply_script(&p, &script, &machine)
-                .unwrap_or_else(|e| panic!("record for {} fails: {e}", kernel.name()));
+            let scheduled =
+                apply_script(&p, &script, &machine).unwrap_or_else(|e| panic!("{what} fails: {e}"));
             // Fresh buffers per run: ArgValue clones share their Rc
             // buffer, so reusing one set would accumulate across runs.
             let before = run(&kernel, &registry, mk_args());
             let after = run(scheduled.proc(), &registry, mk_args());
-            assert_eq!(before, after, "record for {} diverges", kernel.name());
+            assert_eq!(before, after, "{what} diverges");
         }
     }
 
@@ -443,6 +523,40 @@ mod tests {
     }
 
     #[test]
+    fn stage_accum_takes_a_constant_tile_and_refuses_a_symbolic_one() {
+        let machine = MachineModel::avx2();
+        let p = ProcHandle::new(sgemm());
+        let sel = |name: &str| LoopSel::new(name, 0);
+        let split = |name: &str, factor| SchedStep::Split {
+            loop_: sel(name),
+            factor,
+            cut_tail: false,
+        };
+        let stage = SchedStep::StageAccum { loop_: sel("k") };
+        // Both dimensions split: k spans C[4io..4io+4, 16jo..16jo+16].
+        let tile = ScheduleScript::new(vec![
+            split("i", 4),
+            split("j", 16),
+            SchedStep::Reorder { loop_: sel("k") },
+            SchedStep::Reorder { loop_: sel("ii") },
+            SchedStep::Reorder { loop_: sel("k") },
+            stage.clone(),
+        ]);
+        let staged = apply_script(&p, &tile, &machine).unwrap();
+        let text = staged.proc().to_string();
+        assert!(text.contains("C_reg_0: f32[4, 16]"), "{text}");
+        let registry = registry(&machine);
+        assert_eq!(
+            run(p.proc(), &registry, sgemm_args(16)),
+            run(staged.proc(), &registry, sgemm_args(16))
+        );
+        // Only j split: k still spans every row of C, and M is symbolic.
+        let rows_free = ScheduleScript::new(vec![split("j", 16), stage]);
+        let err = apply_script(&p, &rows_free, &machine).unwrap_err();
+        assert!(err.to_string().contains("not a constant extent"), "{err}");
+    }
+
+    #[test]
     fn selectors_address_repeated_loop_names() {
         let machine = MachineModel::avx2();
         let p = ProcHandle::new(blur2d());
@@ -465,21 +579,25 @@ mod tests {
     }
 
     fn sgemm_args(n: usize) -> Vec<ArgValue> {
+        sgemm_args_mnk(n, n, n)
+    }
+
+    fn sgemm_args_mnk(m: usize, n: usize, k: usize) -> Vec<ArgValue> {
         let (_, a) = ArgValue::from_vec(
-            (0..n * n).map(|v| (v % 5) as f64).collect(),
-            vec![n, n],
+            (0..m * k).map(|v| (v % 5) as f64).collect(),
+            vec![m, k],
             DataType::F32,
         );
         let (_, b) = ArgValue::from_vec(
-            (0..n * n).map(|v| (v % 3) as f64).collect(),
-            vec![n, n],
+            (0..k * n).map(|v| (v % 3) as f64).collect(),
+            vec![k, n],
             DataType::F32,
         );
-        let (_, c) = ArgValue::zeros(vec![n, n], DataType::F32);
+        let (_, c) = ArgValue::zeros(vec![m, n], DataType::F32);
         vec![
+            ArgValue::Int(m as i64),
             ArgValue::Int(n as i64),
-            ArgValue::Int(n as i64),
-            ArgValue::Int(n as i64),
+            ArgValue::Int(k as i64),
             a,
             b,
             c,

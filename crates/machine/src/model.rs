@@ -80,6 +80,18 @@ impl MachineModel {
         mem.lanes(ty).map(|l| l as i64).unwrap_or(1)
     }
 
+    /// Architectural vector registers (`ymm0–15`, `zmm0–31`; 0 without a
+    /// vector unit). Register-blocked schedules size their accumulator
+    /// tile from this: half the file holds the tile, the other half the
+    /// operands streaming past it.
+    pub fn vec_registers(&self) -> i64 {
+        match self.kind {
+            MachineKind::Avx2 => 16,
+            MachineKind::Avx512 => 32,
+            MachineKind::Gemmini | MachineKind::Scalar => 0,
+        }
+    }
+
     /// The vector-register memory space of this machine.
     pub fn mem_type(&self) -> Mem {
         match self.kind {
@@ -138,6 +150,9 @@ mod tests {
         assert_eq!(MachineModel::avx512().vec_width(DataType::F32), 16);
         assert_eq!(MachineModel::avx512().vec_width(DataType::F64), 8);
         assert_eq!(MachineModel::scalar().vec_width(DataType::F32), 1);
+        assert_eq!(MachineModel::avx2().vec_registers(), 16);
+        assert_eq!(MachineModel::avx512().vec_registers(), 32);
+        assert_eq!(MachineModel::scalar().vec_registers(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Guards the bugfix contract of the cursors / ir::expr / machine::isa
-# library code — and the whole exo-codegen, exo-autotune, exo-analysis,
+# library code, the two exo-lib modules request scripts reach (record,
+# vectorize) — and the whole exo-codegen, exo-autotune, exo-analysis,
 # exo-guard, exo-serve and exo-obs crates — no
 # panic!/unreachable!/todo!/unwrap()/expect()
 # on any reachable library path. Only the library portion of each file is scanned (everything
@@ -28,6 +29,7 @@ FILES=(
   crates/autotune/src/measure.rs
   crates/autotune/src/prune.rs
   crates/lib/src/record.rs
+  crates/lib/src/vectorize.rs
   crates/analysis/src/bounds.rs
   crates/analysis/src/checks.rs
   crates/analysis/src/context.rs
@@ -88,4 +90,4 @@ if [ "$status" -ne 0 ]; then
   echo "error: panicking constructs found on library paths (see above)" >&2
   exit 1
 fi
-echo "ok: no panic!/unwrap/expect on library paths in cursors, ir::expr, machine::isa, codegen, autotune, lib::record, analysis, guard, serve, obs"
+echo "ok: no panic!/unwrap/expect on library paths in cursors, ir::expr, machine::isa, codegen, autotune, lib::record, lib::vectorize, analysis, guard, serve, obs"
