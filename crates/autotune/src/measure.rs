@@ -1,6 +1,8 @@
 //! Wall-clock measurement of candidate schedules: the policy around
-//! `exo_codegen::difftest::time_kernel`, which emits the timing driver,
-//! compiles it with the system toolchain and runs it.
+//! `exo_codegen::difftest::Toolchain::time_kernel`, which emits the
+//! timing driver, compiles it with the system toolchain and runs it.
+//! One [`Toolchain`] per batch, shared by its workers: the top-K native
+//! candidates pay for parsing `immintrin.h` once, not K times.
 //!
 //! Candidates are timed on the differential harness's synthesized
 //! inputs, so measured kernels run on exactly the input shapes the cost
@@ -15,7 +17,7 @@
 //! candidate* instead of unwinding the worker scope and killing the
 //! whole batch.
 
-use exo_codegen::difftest::{cc_available, synth_inputs, time_kernel};
+use exo_codegen::difftest::{cc_available, synth_inputs, Toolchain};
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_guard::panic_message;
 use exo_interp::ProcRegistry;
@@ -87,6 +89,7 @@ fn reps_for(cycles: u64) -> u64 {
 /// CPU without the `-m` features — it falls back to the portable scalar
 /// unit, so a batch never fails just because the host is modest.
 fn measure_one(
+    toolchain: &Toolchain,
     proc: &Proc,
     registry: &ProcRegistry,
     input_seed: u64,
@@ -110,7 +113,7 @@ fn measure_one(
             .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?,
     };
     let inputs = synth_inputs(proc, input_seed)?;
-    time_kernel(&unit, proc, &inputs, reps_for(cycles))
+    toolchain.time_kernel(&unit, proc, &inputs, reps_for(cycles))
 }
 
 /// Measures a batch of scheduled procedures in parallel worker threads
@@ -134,8 +137,9 @@ pub fn measure_batch(
     if !cc_available() || procs.is_empty() {
         return vec![Measurement::Unavailable; procs.len()];
     }
+    let toolchain = Toolchain::system();
     measure_batch_impl(procs, machine, threads, &|registry, _i, proc, cycles| {
-        measure_one(proc, registry, input_seed, cycles, native)
+        measure_one(&toolchain, proc, registry, input_seed, cycles, native)
     })
 }
 

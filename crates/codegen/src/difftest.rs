@@ -16,9 +16,12 @@
 //! This is also the one module that knows how synthesized arguments
 //! become C declarations ([`emit_driver`] dumps, [`emit_timing_driver`]
 //! times), what the `cc` command line is and where it builds
-//! ([`cc_command`], [`BuildDir`]), and how a driver's `%.17g` lines are
-//! run and parsed ([`run_lines`]). The autotuner's measurement and the
-//! compilation service call these; they add only their own policy.
+//! ([`cc_command`], [`BuildDir`]), what a compiler has already parsed
+//! ([`Toolchain`]: one precompiled prelude per `cflags` set, so
+//! `immintrin.h` is read once per owner instead of once per compile),
+//! and how a driver's `%.17g` lines are run and parsed ([`run_lines`]).
+//! The autotuner's measurement and the compilation service call these;
+//! they add only their own policy.
 
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
@@ -28,8 +31,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Supervision policy for `cc` invocations: generous wall-clock limit
 /// (optimizing large units is slow under load), bounded diagnostics.
@@ -463,6 +466,12 @@ pub const TIMED_RUNS: usize = 5;
 /// meaningless.
 const MIN_BATCH_NS: f64 = 2e7;
 
+/// `clock_gettime` is POSIX, hidden by `-std=c99` unless this is defined
+/// before the first include — the first line of a timing driver and of
+/// the precompiled prelude ([`Toolchain`]), which `-include` puts ahead
+/// of it.
+const POSIX_DEFINE: &str = "#define _POSIX_C_SOURCE 199309L\n";
+
 /// Wraps an emitted unit in a `main` that initializes the synthesized
 /// inputs, warms the kernel, calibrates the repetition count (starting
 /// from `reps`, doubling until one batch spans at least 20 ms), then
@@ -471,9 +480,7 @@ const MIN_BATCH_NS: f64 = 2e7;
 /// own line.
 pub fn emit_timing_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg], reps: u64) -> String {
     let mut s = String::with_capacity(unit.code.len() + 4096);
-    // clock_gettime is POSIX, hidden by -std=c99 unless requested before
-    // the first include.
-    s.push_str("#define _POSIX_C_SOURCE 199309L\n");
+    s.push_str(POSIX_DEFINE);
     s.push_str(&unit.code);
     s.push_str("\n#include <stdio.h>\n#include <time.h>\n\nint main(void) {\n");
     let (call_args, _) = materialize_args(&mut s, inputs);
@@ -530,7 +537,7 @@ pub fn summarize_runs(runs: &[f64]) -> Option<(f64, f64)> {
 }
 
 /// A fresh directory under the system temp directory holding one
-/// compilation's `kernel.c` and its artifact. Dropping it removes the
+/// compilation's source and its artifact. Dropping it removes the
 /// directory, on every return path of whoever holds it.
 #[derive(Debug)]
 pub struct BuildDir {
@@ -538,6 +545,29 @@ pub struct BuildDir {
 }
 
 impl BuildDir {
+    /// Creates `exo_codegen_<pid>_<n>_<tag>/`, which will hold `artifact`.
+    fn create(tag: &str, artifact: &str) -> Result<BuildDir, String> {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "exo_codegen_{}_{}_{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed),
+            tag
+        ));
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        Ok(BuildDir {
+            artifact: dir.join(artifact),
+        })
+    }
+
+    /// Writes `text` to `file` beside the artifact and returns its path.
+    fn write(&self, file: &str, text: &str) -> Result<PathBuf, String> {
+        let path = self.artifact.with_file_name(file);
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        Ok(path)
+    }
+
     /// The compiled binary (`kernel`) or object file (`kernel.o`).
     pub fn artifact(&self) -> &Path {
         &self.artifact
@@ -559,6 +589,10 @@ impl Drop for BuildDir {
     }
 }
 
+/// What every `cc` invocation of the harness starts with — kernels and
+/// the precompiled prelude alike, or GCC would ignore the prelude.
+const BASE_CFLAGS: [&str; 4] = ["-O2", "-Wall", "-Werror", "-std=c99"];
+
 /// Writes `source` into a fresh [`BuildDir`] and returns the command
 /// `program -O2 -Wall -Werror -std=c99 <extra_cflags>` that builds it: a
 /// linked binary when the source has a `main` driver, an object file
@@ -570,22 +604,11 @@ pub fn cc_command(
     extra_cflags: &[String],
     tag: &str,
 ) -> Result<(Command, BuildDir), String> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "exo_codegen_{}_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed),
-        tag
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let link = source.contains("int main(void)");
-    let build = BuildDir {
-        artifact: dir.join(if link { "kernel" } else { "kernel.o" }),
-    };
-    let src = dir.join("kernel.c");
-    std::fs::write(&src, source).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
+    let build = BuildDir::create(tag, if link { "kernel" } else { "kernel.o" })?;
+    let src = build.write("kernel.c", source)?;
     let mut cmd = Command::new(program);
-    cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);
+    cmd.args(BASE_CFLAGS);
     cmd.args(extra_cflags);
     if !link {
         // No driver: compile-only (nothing defines `main`).
@@ -598,14 +621,161 @@ pub fn cc_command(
     Ok((cmd, build))
 }
 
-/// Compiles a C source with the system `cc` ([`cc_command`]) under the
-/// harness's own compile deadline; the error carries the compiler's
-/// diagnostics.
-pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
-    let _span = exo_obs::span!("difftest:compile", "{}", tag);
-    let (mut cmd, build) = cc_command("cc", source, extra_cflags, tag)?;
-    let output =
-        run_guarded(&mut cmd, &compile_guard()).map_err(|e| format!("cannot run cc: {e}"))?;
+/// The include that dominates a native unit's compile: `cc` spends about
+/// 270 of its 340 ms parsing it. Sources that carry it get the prelude.
+const PRELUDE_MARKER: &str = "#include <immintrin.h>";
+
+/// A C compiler plus what it has already parsed: per distinct `cflags`
+/// set, a precompiled header of the fixed include block every native
+/// unit starts with, built on first use and passed to later compiles
+/// with `-include`.
+///
+/// The preludes are private to their owner: each sits in its own
+/// [`BuildDir`] and goes when the toolchain is dropped. GCC silently
+/// ignores a `.gch` built with other flags but fails hard on a truncated
+/// one, so a prelude is keyed by the full `cflags`, never shared between
+/// processes and never reused from an earlier run. A prelude that cannot
+/// be built is remembered as such, and the command is then exactly
+/// [`cc_command`]'s.
+#[derive(Debug)]
+pub struct Toolchain {
+    program: String,
+    guard: GuardConfig,
+    /// Per `cflags` set asked for so far: the directory holding
+    /// `prelude.h` and `prelude.h.gch`, or why it could not be built.
+    preludes: Mutex<BTreeMap<Vec<String>, Result<BuildDir, String>>>,
+}
+
+impl Toolchain {
+    /// A toolchain around the compiler `program`, whose own compiler
+    /// runs (prelude builds, [`Toolchain::build`]) are supervised by
+    /// `guard`.
+    pub fn new(program: &str, guard: GuardConfig) -> Self {
+        Toolchain {
+            program: program.to_string(),
+            guard,
+            preludes: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The system `cc` under the harness's own compile deadline.
+    pub fn system() -> Self {
+        Toolchain::new("cc", compile_guard())
+    }
+
+    /// Preludes built so far (failed builds and reuses not counted).
+    /// Waits for a build in progress.
+    pub fn preludes_built(&self) -> u64 {
+        let built = self.lock_preludes().values().filter(|p| p.is_ok()).count();
+        built as u64
+    }
+
+    fn lock_preludes(&self) -> MutexGuard<'_, BTreeMap<Vec<String>, Result<BuildDir, String>>> {
+        // The map's only update is the insert of a finished entry, so a
+        // poisoned lock still guards a valid map.
+        self.preludes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// [`cc_command`] for this toolchain's compiler, plus `-include
+    /// <prelude.h>` when `source` includes `<immintrin.h>` and the
+    /// prelude for `cflags` exists or can be built now.
+    pub fn command(
+        &self,
+        source: &str,
+        cflags: &[String],
+        tag: &str,
+    ) -> Result<(Command, BuildDir), String> {
+        let (mut cmd, build) = cc_command(&self.program, source, cflags, tag)?;
+        if source.contains(PRELUDE_MARKER) {
+            if let Some(header) = self.prelude(cflags) {
+                cmd.arg("-include").arg(header);
+            }
+        }
+        Ok((cmd, build))
+    }
+
+    /// Compiles `source` under this toolchain's guard; the error carries
+    /// the compiler's diagnostics.
+    pub fn build(&self, source: &str, cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+        let _span = exo_obs::span!("difftest:compile", "{}", tag);
+        run_cc(self.command(source, cflags, tag)?, &self.guard)
+    }
+
+    /// Compiles `unit` under the timing driver ([`emit_timing_driver`]),
+    /// runs it once and returns `(median ns per call, relative spread)`
+    /// over its [`TIMED_RUNS`] batches.
+    pub fn time_kernel(
+        &self,
+        unit: &CUnit,
+        proc: &Proc,
+        inputs: &[SynthArg],
+        reps: u64,
+    ) -> Result<(f64, f64), String> {
+        let driver = emit_timing_driver(unit, proc, inputs, reps);
+        let runs = run_driver(&self.build(&driver, &unit.cflags, proc.name())?, proc)?;
+        summarize_runs(&runs)
+            .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
+    }
+
+    /// Path of the `prelude.h` whose precompiled form was built with
+    /// `cflags`, building it on the first lookup. Concurrent lookups wait
+    /// for a build in progress rather than starting their own.
+    fn prelude(&self, cflags: &[String]) -> Option<PathBuf> {
+        let mut preludes = self.lock_preludes();
+        let mut built_ms = None;
+        if !preludes.contains_key(cflags) {
+            let _span = exo_obs::span!("difftest:prelude", "{}", cflags.join(" "));
+            let started = Instant::now();
+            let built = self.build_prelude(cflags);
+            built_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+            preludes.insert(cflags.to_vec(), built);
+        }
+        match preludes.get(cflags)? {
+            Ok(dir) => {
+                exo_obs::event("difftest:prelude", || match built_ms {
+                    Some(ms) => format!("built {ms:.0} {}", cflags.join(" ")),
+                    None => "reused".to_string(),
+                });
+                Some(dir.artifact().with_extension(""))
+            }
+            Err(reason) => {
+                exo_obs::event("difftest:prelude", || format!("unavailable: {reason}"));
+                None
+            }
+        }
+    }
+
+    /// Precompiles the include block of a native unit with exactly the
+    /// flags its compiles will use. The text begins with the timing
+    /// driver's `_POSIX_C_SOURCE` line: `-include` runs `features.h`
+    /// before the driver's own `#define`, and `clock_gettime` would be
+    /// gone under `-std=c99`. A failed or killed build leaves nothing
+    /// behind (the directory goes with the error).
+    fn build_prelude(&self, cflags: &[String]) -> Result<BuildDir, String> {
+        let dir = BuildDir::create("prelude", "prelude.h.gch")?;
+        let header = dir.write(
+            "prelude.h",
+            &format!("{POSIX_DEFINE}#include <stdint.h>\n#include <string.h>\n{PRELUDE_MARKER}\n"),
+        )?;
+        let mut cmd = Command::new(&self.program);
+        cmd.args(BASE_CFLAGS).args(cflags).args(["-x", "c-header"]);
+        cmd.arg(&header).arg("-o").arg(dir.artifact());
+        match run_guarded(&mut cmd, &self.guard) {
+            Ok(out) if out.success => Ok(dir),
+            Ok(out) => Err(format!(
+                "{} exited {:?}: {}",
+                self.program,
+                out.code,
+                out.stderr_lossy()
+            )),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+}
+
+/// Runs a compile command under `guard` and hands its directory on.
+fn run_cc((mut cmd, build): (Command, BuildDir), guard: &GuardConfig) -> Result<BuildDir, String> {
+    let output = run_guarded(&mut cmd, guard).map_err(|e| format!("cannot run cc: {e}"))?;
     if !output.success {
         return Err(format!(
             "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
@@ -615,6 +785,17 @@ pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDi
         ));
     }
     Ok(build)
+}
+
+/// Compiles a C source with the system `cc` ([`cc_command`]) under the
+/// harness's own compile deadline; the error carries the compiler's
+/// diagnostics.
+pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+    let _span = exo_obs::span!("difftest:compile", "{}", tag);
+    run_cc(
+        cc_command("cc", source, extra_cflags, tag)?,
+        &compile_guard(),
+    )
 }
 
 /// [`build`] for callers that manage the directory themselves: returns
@@ -674,27 +855,10 @@ pub fn run_lines(cmd: &mut Command, guard: &GuardConfig) -> Result<Vec<f64>, Run
         .collect()
 }
 
-/// Compiles a driver source for `unit` and returns the numbers the
-/// binary prints.
-fn run_driver(driver: &str, unit: &CUnit, proc: &Proc) -> Result<Vec<f64>, String> {
-    let build = build(driver, &unit.cflags, proc.name())?;
+/// Runs a compiled driver of `proc` and returns the numbers it prints.
+fn run_driver(build: &BuildDir, proc: &Proc) -> Result<Vec<f64>, String> {
     run_lines(&mut Command::new(build.artifact()), &run_guard())
         .map_err(|e| format!("driver binary of `{}`: {e}", proc.name()))
-}
-
-/// Compiles `unit` under the timing driver ([`emit_timing_driver`]), runs
-/// it once and returns `(median ns per call, relative spread)` over its
-/// [`TIMED_RUNS`] batches.
-pub fn time_kernel(
-    unit: &CUnit,
-    proc: &Proc,
-    inputs: &[SynthArg],
-    reps: u64,
-) -> Result<(f64, f64), String> {
-    let driver = emit_timing_driver(unit, proc, inputs, reps);
-    let runs = run_driver(&driver, unit, proc)?;
-    summarize_runs(&runs)
-        .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
 }
 
 /// Tolerance for comparing one element of a buffer of the given type:
@@ -782,7 +946,7 @@ pub fn run_differential_with(
         )));
     }
     let driver = emit_driver(&unit, proc, &inputs);
-    let got = run_driver(&driver, &unit, proc)?;
+    let got = run_driver(&build(&driver, &unit.cflags, proc.name())?, proc)?;
     let total: usize = expected.iter().map(|b| b.len()).sum();
     if got.len() != total {
         return Err(format!(

@@ -26,7 +26,7 @@ use crate::types::{
 };
 use exo_analysis::{check_proc, Severity};
 use exo_codegen::difftest::{
-    cc_command, emit_driver, interp_outputs, run_lines, synth_inputs, BuildDir,
+    cc_command, emit_driver, interp_outputs, run_lines, synth_inputs, BuildDir, Toolchain,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
@@ -103,6 +103,10 @@ pub struct ServeStats {
     pub compiles: AtomicU64,
     /// Supervised compiled-binary invocations.
     pub binary_runs: AtomicU64,
+    /// Precompiled preludes the service's toolchain built (one per
+    /// distinct native `cflags` set; not counted in `compiles`). The
+    /// request that triggers one is slower by the build.
+    pub preludes_built: AtomicU64,
     /// Interpreter executions.
     pub interp_runs: AtomicU64,
     /// Degradation steps taken across all requests.
@@ -143,6 +147,8 @@ pub struct StatsSnapshot {
     pub compiles: u64,
     /// See [`ServeStats::binary_runs`].
     pub binary_runs: u64,
+    /// See [`ServeStats::preludes_built`].
+    pub preludes_built: u64,
     /// See [`ServeStats::interp_runs`].
     pub interp_runs: u64,
     /// See [`ServeStats::degradations`].
@@ -179,6 +185,7 @@ impl ServeStats {
             overloaded: get(&self.overloaded),
             compiles: get(&self.compiles),
             binary_runs: get(&self.binary_runs),
+            preludes_built: get(&self.preludes_built),
             interp_runs: get(&self.interp_runs),
             degradations: get(&self.degradations),
             guard_timeouts: get(&self.guard_timeouts),
@@ -204,6 +211,9 @@ struct ServiceInner {
     shutdown: AtomicBool,
     cache: ResultCache,
     stats: ServeStats,
+    /// `cc` and the preludes it has precompiled, for the service's
+    /// lifetime: they go when the last worker has been joined.
+    toolchain: Toolchain,
     cfg: ServeConfig,
     workers_alive: AtomicUsize,
 }
@@ -246,6 +256,7 @@ impl KernelService {
             shutdown: AtomicBool::new(false),
             cache: ResultCache::new(cfg.negative_ttl),
             stats: ServeStats::default(),
+            toolchain: Toolchain::new("cc", cfg.compile_guard.clone()),
             cfg,
             workers_alive: AtomicUsize::new(0),
         });
@@ -567,9 +578,10 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
         .collect();
     // Codegen mode: the native-run tier gets machine intrinsics (and
     // OpenMP work-sharing, which the emitter only applies to loops the
-    // verifier certifies race-free) whenever the host can execute them;
-    // every other tier — and every host that cannot — gets portable
-    // scalar C. Tests inject degraded caps to pin the fallback.
+    // verifier certifies race-free) whenever the host can execute what
+    // the emitted unit asks for; every other tier — and every host that
+    // cannot — gets portable scalar C. Tests inject degraded caps to pin
+    // the fallback.
     let caps = inner
         .cfg
         .host_caps
@@ -585,31 +597,44 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
             CodegenOptions::portable(),
             format!("portable (tier {})", request.options.tier),
         )
-    } else if !caps.supports_cflags(&["-mavx2", "-mfma"]) {
-        (
-            CodegenOptions::portable(),
-            "portable (host cannot execute -mavx2 -mfma)".to_string(),
-        )
     } else if caps.openmp {
         (CodegenOptions::native_openmp(), String::new())
     } else {
         (CodegenOptions::native(), String::new())
     };
-    let mut unit = {
+    let emit = |opts: &CodegenOptions| {
         let _span = exo_obs::span!("serve:emit", "{}", proc.name());
-        emit_c(proc, &registry, &opts).map_err(|e| ServeError::Codegen(e.to_string()))?
+        emit_c(proc, &registry, opts).map_err(|e| ServeError::Codegen(e.to_string()))
     };
-    if !unit.stock_toolchain {
-        // Intrinsics this toolchain cannot even compile (e.g. Gemmini):
-        // fall back to the portable unit rather than failing downstream.
-        unit = emit_c(proc, &registry, &CodegenOptions::portable())
-            .map_err(|e| ServeError::Codegen(e.to_string()))?;
-        chosen_flags = "portable (native unit needs a non-stock toolchain)".to_string();
-    } else if chosen_flags.is_empty() {
-        chosen_flags = if unit.cflags.is_empty() {
-            "native (no extra flags needed)".to_string()
+    let mut unit = emit(&opts)?;
+    if chosen_flags.is_empty() {
+        // The native unit's own flags decide, not the target's usual
+        // ones: an AVX-512 unit on an AVX2-only host would die of SIGILL.
+        let fallback = if !unit.stock_toolchain {
+            // Intrinsics this toolchain cannot even compile (e.g. Gemmini).
+            Some("native unit needs a non-stock toolchain".to_string())
+        } else if !caps.supports_cflags(&unit.cflags) {
+            let missing: Vec<&str> = unit
+                .cflags
+                .iter()
+                .filter(|f| !caps.supports_cflags(std::slice::from_ref(*f)))
+                .map(String::as_str)
+                .collect();
+            Some(if missing.is_empty() {
+                "host has no C compiler".to_string()
+            } else {
+                format!("host cannot execute {}", missing.join(" "))
+            })
         } else {
-            format!("native ({})", unit.cflags.join(" "))
+            None
+        };
+        chosen_flags = match fallback {
+            Some(why) => {
+                unit = emit(&CodegenOptions::portable())?;
+                format!("portable ({why})")
+            }
+            None if unit.cflags.is_empty() => "native (no extra flags needed)".to_string(),
+            None => format!("native ({})", unit.cflags.join(" ")),
         };
     }
     trace.step("emit", "ok".to_string());
@@ -759,10 +784,11 @@ fn hang_command() -> Command {
     cmd
 }
 
-/// Compiles `source` (a driver with `main`, or the bare unit) under the
-/// service's compile guard, with the planned compiler fault substituted
-/// for `cc`. Returns the build directory, which removes itself when
-/// dropped, or a (reason, detail) degradation pair.
+/// Compiles `source` (a driver with `main`, or the bare unit) with the
+/// service's toolchain under the service's compile guard, or with the
+/// planned compiler fault substituted for `cc`. Returns the build
+/// directory, which removes itself when dropped, or a (reason, detail)
+/// degradation pair.
 fn compile_guarded(
     inner: &ServiceInner,
     source: &str,
@@ -770,15 +796,26 @@ fn compile_guarded(
     fault: Option<Fault>,
 ) -> Result<BuildDir, (DegradeReason, String)> {
     ServeStats::bump(&inner.stats.compiles);
-    let program = match fault {
-        Some(Fault::CcMissing) => "exo2-injected-missing-cc",
-        _ => "cc",
+    // The planned compiler faults stand in for `cc` itself: they go
+    // around the toolchain and build no prelude.
+    let command = match fault {
+        Some(Fault::CcMissing) => {
+            cc_command("exo2-injected-missing-cc", source, &unit.cflags, &unit.name)
+        }
+        Some(Fault::CcHang) => cc_command("cc", source, &unit.cflags, &unit.name)
+            .map(|(_, build)| (hang_command(), build)),
+        _ => {
+            let command = inner.toolchain.command(source, &unit.cflags, &unit.name);
+            let built = inner.toolchain.preludes_built();
+            inner
+                .stats
+                .preludes_built
+                .fetch_max(built, Ordering::Relaxed);
+            command
+        }
     };
-    let (mut cmd, build) = cc_command(program, source, &unit.cflags, &unit.name)
-        .map_err(|detail| (DegradeReason::CompilerUnavailable, detail))?;
-    if matches!(fault, Some(Fault::CcHang)) {
-        cmd = hang_command();
-    }
+    let (mut cmd, build) =
+        command.map_err(|detail| (DegradeReason::CompilerUnavailable, detail))?;
     match run_guarded(&mut cmd, &inner.cfg.compile_guard) {
         Ok(out) if out.success => Ok(build),
         Ok(out) => Err((

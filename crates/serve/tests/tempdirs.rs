@@ -1,6 +1,10 @@
-//! Build directories never outlive their request: after a compile-only
+//! Build directories never outlive their owner: after a compile-only
 //! request and a native-run request whose binary hangs, the temp
-//! directory holds no `exo_codegen_*` / `exo_serve_*` entry.
+//! directory holds no `exo_codegen_*` / `exo_serve_*` entry — and on a
+//! host that runs AVX2, neither does it after a service that served a
+//! native unit has shut down: the precompiled prelude (≈ 24 MB) goes
+//! with the service that built it. (`exo-autotune`'s `tempdirs.rs` has
+//! the same check for a `measure_batch`.)
 //!
 //! One test per process: it points `TMPDIR` at a private directory.
 
@@ -10,6 +14,15 @@ use exo_machine::MachineKind;
 use exo_serve::proc_guard::GuardConfig;
 use exo_serve::{Fault, FaultPlan, KernelService, ServeConfig, ServeOptions, ServeRequest, Tier};
 use std::time::Duration;
+
+/// What the private temp directory still holds of our build directories.
+fn leaked(tmp: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(tmp)
+        .expect("private temp dir is readable")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("exo_codegen_") || name.starts_with("exo_serve_"))
+        .collect()
+}
 
 #[test]
 fn compile_only_and_hung_binary_requests_leave_no_build_directory() {
@@ -50,10 +63,46 @@ fn compile_only_and_hung_binary_requests_leave_no_build_directory() {
     assert_eq!((stats.compiles, stats.guard_timeouts), (2, 1));
     service.shutdown();
 
-    let left: Vec<String> = std::fs::read_dir(&tmp)
-        .expect("private temp dir is readable")
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|name| name.starts_with("exo_codegen_") || name.starts_with("exo_serve_"))
-        .collect();
-    assert!(left.is_empty(), "leaked build directories: {left:?}");
+    assert_eq!(
+        leaked(&tmp),
+        Vec::<String>::new(),
+        "leaked build directories"
+    );
+
+    // The native half: units that include `<immintrin.h>`, so the owner
+    // builds a prelude directory that outlives every request.
+    if !exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
+        eprintln!("skipping the native half: host cannot build and execute -mavx2 -mfma");
+        return;
+    }
+    let machine = exo_machine::MachineModel::avx2();
+    let script = exo_lib::schedule_of_record("sgemm", &machine).expect("sgemm record");
+    let service = KernelService::new(ServeConfig::default());
+    let ok = service
+        .submit(ServeRequest {
+            proc: exo_kernels::sgemm(),
+            script,
+            target: MachineKind::Avx2,
+            options: ServeOptions {
+                tier: Tier::NativeRun,
+                ..ServeOptions::default()
+            },
+        })
+        .wait_timeout(Duration::from_secs(120))
+        .expect("request hung")
+        .result
+        .expect("the native request is served");
+    assert_eq!(ok.tier, Tier::NativeRun);
+    let built = service.stats().preludes_built;
+    if built == 1 {
+        assert!(
+            leaked(&tmp).iter().any(|name| name.ends_with("_prelude")),
+            "a live service keeps its prelude: {:?}",
+            leaked(&tmp)
+        );
+    } else {
+        eprintln!("note: this cc cannot build the prelude");
+    }
+    service.shutdown();
+    assert_eq!(leaked(&tmp), Vec::<String>::new(), "after shutdown");
 }

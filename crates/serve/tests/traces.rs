@@ -130,6 +130,61 @@ fn binary_hang_pins_native_to_compile_only() {
     );
 }
 
+/// sgemm under the AVX2 schedule of record: with real caps on a capable
+/// host its unit includes `<immintrin.h>`, the kind the service's
+/// toolchain precompiles a prelude for.
+fn native_sgemm_request(input_seed: u64) -> ServeRequest {
+    let machine = exo_machine::MachineModel::avx2();
+    ServeRequest {
+        proc: exo_kernels::sgemm(),
+        script: exo_lib::schedule_of_record("sgemm", &machine).expect("sgemm schedule of record"),
+        target: MachineKind::Avx2,
+        options: ServeOptions {
+            tier: Tier::NativeRun,
+            want_c: true,
+            input_seed,
+            ..ServeOptions::default()
+        },
+    }
+}
+
+/// The compiler faults on a *native* unit give the ladders pinned above
+/// for portable ones: the fault stands in for `cc`, goes around the
+/// toolchain, and no prelude is built for a compile that never happens.
+#[test]
+fn compiler_faults_on_a_native_unit_keep_their_ladders() {
+    if !exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
+        eprintln!("skipping: host cannot build and execute -mavx2 -mfma");
+        return;
+    }
+    for (fault, reason) in [
+        (Fault::CcMissing, DegradeReason::CompilerUnavailable),
+        (Fault::CcHang, DegradeReason::CompilerTimeout),
+    ] {
+        let mut cfg = ServeConfig {
+            fault_plan: FaultPlan::none().with(0, fault),
+            ..ServeConfig::default()
+        };
+        cfg.compile_guard = GuardConfig {
+            spawn_retries: 1,
+            backoff_base: Duration::from_millis(1),
+            ..GuardConfig::with_timeout(Duration::from_millis(1500))
+        };
+        let service = KernelService::new(cfg);
+        let ok = serve(&service, native_sgemm_request(1));
+        assert!(
+            ok.c_code
+                .as_deref()
+                .is_some_and(|c| c.contains("immintrin.h")),
+            "{fault:?}: the faulted unit must be the native one"
+        );
+        assert_eq!(ok.tier, Tier::Interp, "{fault:?}");
+        assert_eq!(ladder(&ok), vec![(Tier::NativeRun, Tier::Interp, reason)]);
+        let stats = service.stats();
+        assert_eq!((stats.compiles, stats.preludes_built), (1, 0), "{fault:?}");
+    }
+}
+
 #[test]
 fn worker_panic_yields_internal_not_a_degradation() {
     let d = service_with(Fault::WorkerPanic)
@@ -192,17 +247,6 @@ fn native_flags_follow_injected_host_caps() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
-    let machine = exo_machine::MachineModel::avx2();
-    let request = |tier| ServeRequest {
-        proc: exo_kernels::sgemm(),
-        script: exo_lib::schedule_of_record("sgemm", &machine).expect("sgemm schedule of record"),
-        target: MachineKind::Avx2,
-        options: ServeOptions {
-            tier,
-            want_c: true,
-            ..ServeOptions::default()
-        },
-    };
 
     // Degraded caps: the request must still be served, from a portable
     // unit, with the fallback named in the trace.
@@ -210,7 +254,7 @@ fn native_flags_follow_injected_host_caps() {
         host_caps: Some(exo_machine::HostCaps::none()),
         ..ServeConfig::default()
     });
-    let ok = serve(&degraded, request(Tier::NativeRun));
+    let ok = serve(&degraded, native_sgemm_request(0));
     assert_eq!(
         ok.trace.step("native-flags").expect("native-flags").outcome,
         "portable (host cannot execute -mavx2 -mfma)"
@@ -225,7 +269,7 @@ fn native_flags_follow_injected_host_caps() {
     // the trace names the flags it was compiled with.
     if exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
         let native = KernelService::new(ServeConfig::default());
-        let ok = serve(&native, request(Tier::NativeRun));
+        let ok = serve(&native, native_sgemm_request(0));
         let flags = &ok.trace.step("native-flags").expect("native-flags").outcome;
         assert!(
             flags.starts_with("native (") && flags.contains("-mavx2"),
@@ -235,6 +279,73 @@ fn native_flags_follow_injected_host_caps() {
         assert!(c.contains("immintrin.h"), "native unit expected:\n{c}");
     } else {
         eprintln!("skipping native half: host cannot execute -mavx2 -mfma");
+    }
+}
+
+/// The native/portable decision reads the emitted unit's own flags: an
+/// AVX-512 request on a host with AVX2 but no AVX-512F is served from a
+/// portable unit at the tier it asked for — not compiled with
+/// `-mavx512f`, killed by SIGILL and served degraded.
+#[test]
+fn avx512_request_on_an_avx2_only_host_is_served_portable() {
+    if !exo_codegen::difftest::cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let service = KernelService::new(ServeConfig {
+        host_caps: Some(exo_machine::HostCaps {
+            cc: true,
+            avx2: true,
+            fma: true,
+            ..exo_machine::HostCaps::none()
+        }),
+        ..ServeConfig::default()
+    });
+    let machine = exo_machine::MachineModel::avx512();
+    let mut request = native_sgemm_request(0);
+    request.script = exo_lib::schedule_of_record("sgemm", &machine).expect("AVX-512 record");
+    request.target = MachineKind::Avx512;
+    let ok = serve(&service, request);
+    assert_eq!(ok.tier, Tier::NativeRun);
+    assert!(ok.degraded.is_empty(), "degraded: {:?}", ladder(&ok));
+    assert_eq!(
+        ok.trace.step("native-flags").expect("native-flags").outcome,
+        "portable (host cannot execute -mavx512f)"
+    );
+    let c = ok.c_code.as_deref().expect("want_c");
+    assert!(!c.contains("immintrin.h"), "portable C expected:\n{c}");
+    assert!(ok.exec.is_some_and(|e| e.elems > 0), "the binary ran");
+}
+
+/// One prelude per service and `cflags` set, built by the first native
+/// request and counted on its own: `compiles` stays one per request and
+/// the request trace gains no step.
+#[test]
+fn a_service_builds_its_prelude_once_and_counts_it_apart() {
+    if !exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
+        eprintln!("skipping: host cannot build and execute -mavx2 -mfma");
+        return;
+    }
+    let service = KernelService::new(ServeConfig::default());
+    for seed in 1..=2 {
+        let ok = serve(&service, native_sgemm_request(seed));
+        assert_eq!(ok.tier, Tier::NativeRun);
+        assert!(ok.degraded.is_empty(), "degraded: {:?}", ladder(&ok));
+        let names: Vec<&str> = ok.trace.steps.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            vec!["replay", "verify", "emit", "native-flags", "native-run"]
+        );
+    }
+    let stats = service.stats();
+    assert_eq!((stats.compiles, stats.binary_runs), (2, 2));
+    assert!(
+        stats.preludes_built <= 1,
+        "two requests with one flag set built {} preludes",
+        stats.preludes_built
+    );
+    if stats.preludes_built == 0 {
+        eprintln!("note: this cc cannot build the prelude; requests were served without it");
     }
 }
 
@@ -285,10 +396,7 @@ fn full_ladder_trace_walks_every_tier() {
             ("replay", "ok"),
             ("verify", "ok (0 findings)"),
             ("emit", "ok"),
-            (
-                "native-flags",
-                "portable (host cannot execute -mavx2 -mfma)"
-            ),
+            ("native-flags", "portable (host has no C compiler)"),
             ("native-run", "degraded to compile-only: input-synthesis"),
             ("compile-only", "degraded to interp: compiler-unavailable"),
             ("interp", "degraded to verified-ir: input-synthesis"),
