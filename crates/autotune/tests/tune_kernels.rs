@@ -10,7 +10,7 @@ use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
 use exo_ir::DataType;
-use exo_kernels::{gemv, sgemm, Precision};
+use exo_kernels::{blur2d, gemv, sgemm, Precision};
 use exo_lib::{apply_script, schedule_of_record};
 use exo_machine::MachineModel;
 
@@ -75,6 +75,27 @@ fn autotuner_rediscovers_the_sgemm_schedule() {
         !unseeded.script.steps.is_empty(),
         "winner should not be the identity schedule"
     );
+}
+
+#[test]
+fn avx2_records_simulate_to_the_pinned_cycle_counts() {
+    // The simulator's output where the benchmark is not the only witness:
+    // a change to the executor or the cost monitor that moves a count
+    // fails here. (A budget of one is the record alone: candidate zero.)
+    let machine = MachineModel::avx2();
+    for (kernel, cycles) in [
+        (sgemm(), 27_952),
+        (gemv(Precision::Single, false), 1_984),
+        (blur2d(), 4_620),
+    ] {
+        let task = TuneTask::new(kernel, machine.clone(), 0.0);
+        let config = TuneConfig {
+            budget: 1,
+            ..cost_only()
+        };
+        let report = tune(&task, &config).expect("the record tunes");
+        assert_eq!(report.record_cycles, Some(cycles), "`{}`", task.name);
+    }
 }
 
 #[test]

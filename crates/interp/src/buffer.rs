@@ -142,72 +142,79 @@ impl View {
 
     /// Precomputes a dense access plan for this view: the linear base
     /// offset plus one `(offset, extent, stride)` triple per exposed
-    /// dimension. Returns `None` when the plan cannot be proven safe up
-    /// front (stride products overflowing `usize`, or a dropped dimension
-    /// pinned out of bounds) — callers then fall back to the checked
-    /// [`View::read`]/[`View::write`] path, which reports the identical
-    /// error the tree interpreter would have.
-    pub(crate) fn plan(&self) -> Option<AccessPlan> {
+    /// dimension, written into `dims`' storage (callers on the call path
+    /// hand back the vector of a released binding). Returns `None` when
+    /// the plan cannot be proven safe up front (stride products
+    /// overflowing `usize`, or a dropped dimension pinned out of bounds) —
+    /// callers then fall back to the checked [`View::read`]/[`View::write`]
+    /// path, which reports the identical error the tree interpreter would
+    /// have.
+    pub(crate) fn plan_into(&self, mut dims: Vec<PlanDim>) -> Option<AccessPlan> {
         let buf = self.buf.borrow();
-        let nd = buf.dims.len();
-        // Row-major suffix-product strides, checked. The final
-        // accumulator is the total element count: requiring it to fit in
-        // `usize` proves every in-bounds linear offset is overflow-free.
-        let mut strides = vec![1usize; nd];
-        let mut acc = 1usize;
-        for (d, s) in strides.iter_mut().enumerate().rev() {
-            *s = acc;
-            acc = acc.checked_mul(buf.dims[d])?;
-        }
+        dims.clear();
         let mut base = 0usize;
-        let mut kept_iter = self.kept.iter().peekable();
-        let mut dims = Vec::with_capacity(self.kept.len());
-        for (d, &stride) in strides.iter().enumerate() {
-            if kept_iter.peek() == Some(&&d) {
-                kept_iter.next();
+        // Innermost dimension first, so the running product is the
+        // row-major stride. Its final value is the total element count:
+        // requiring it to fit in `usize` proves every in-bounds linear
+        // offset is overflow-free.
+        let mut stride = 1usize;
+        let mut kept = self.kept.iter().rev().peekable();
+        for (d, &extent) in buf.dims.iter().enumerate().rev() {
+            let off = self.offsets[d];
+            if kept.peek() == Some(&&d) {
+                kept.next();
                 dims.push(PlanDim {
-                    off: self.offsets[d],
-                    extent: buf.dims[d],
+                    off,
+                    extent,
                     stride,
                 });
             } else {
                 // Dropped dimension: pinned at its offset for every access.
-                let off = self.offsets[d];
-                if off < 0 || off as u64 >= buf.dims[d] as u64 {
+                if off < 0 || off as u64 >= extent as u64 {
                     return None;
                 }
                 base = base.checked_add((off as usize).checked_mul(stride)?)?;
             }
+            stride = stride.checked_mul(extent)?;
         }
-        Some(AccessPlan {
-            base,
-            dims: dims.into_boxed_slice(),
-        })
+        dims.reverse();
+        Some(AccessPlan { base, dims })
     }
 
     /// Narrows this view by a further window: `spec` gives, per exposed
     /// dimension, either a point (drop the dimension) or an interval start
     /// (keep the dimension with an extra offset).
     pub fn narrow(&self, spec: &[WindowDim]) -> View {
-        let mut offsets = self.offsets.clone();
-        let mut kept = Vec::new();
-        for (k, w) in spec.iter().enumerate() {
+        self.narrow_into(spec.iter().copied(), Vec::new(), Vec::new())
+    }
+
+    /// [`View::narrow`] into the storage of two vectors the caller already
+    /// owns (their contents are discarded).
+    pub(crate) fn narrow_into(
+        &self,
+        spec: impl ExactSizeIterator<Item = WindowDim>,
+        mut offsets: Vec<i64>,
+        mut kept: Vec<usize>,
+    ) -> View {
+        offsets.clear();
+        offsets.extend_from_slice(&self.offsets);
+        kept.clear();
+        let narrowed = spec.len();
+        for (k, w) in spec.enumerate() {
             let dim = self.kept[k];
             // Saturating, like `translate`: an offset extreme enough to
             // overflow cannot wrap back into bounds, so it surfaces as an
             // ordinary out-of-bounds access instead of a wrong element.
             match w {
-                WindowDim::Point(p) => offsets[dim] = offsets[dim].saturating_add(*p),
+                WindowDim::Point(p) => offsets[dim] = offsets[dim].saturating_add(p),
                 WindowDim::Interval(lo) => {
-                    offsets[dim] = offsets[dim].saturating_add(*lo);
+                    offsets[dim] = offsets[dim].saturating_add(lo);
                     kept.push(dim);
                 }
             }
         }
         // Dimensions beyond the spec stay kept unchanged.
-        for &dim in self.kept.iter().skip(spec.len()) {
-            kept.push(dim);
-        }
+        kept.extend(self.kept.iter().skip(narrowed));
         View {
             buf: self.buf.clone(),
             offsets,
@@ -259,7 +266,7 @@ pub(crate) struct AccessPlan {
     /// Linear offset contributed by dropped (point) dimensions.
     base: usize,
     /// Per exposed dimension: window offset, underlying extent, stride.
-    dims: Box<[PlanDim]>,
+    dims: Vec<PlanDim>,
 }
 
 #[derive(Clone, Debug)]
@@ -270,6 +277,11 @@ pub(crate) struct PlanDim {
 }
 
 impl AccessPlan {
+    /// Gives the plan's vector back for the next [`View::plan_into`].
+    pub(crate) fn into_dims(self) -> Vec<PlanDim> {
+        self.dims
+    }
+
     /// Linear element offset of `idx`, or `None` when the access is out of
     /// bounds or has the wrong arity (callers fall back to the slow,
     /// fully-checked path to produce the canonical error or to reproduce
@@ -294,7 +306,7 @@ impl AccessPlan {
 }
 
 /// One narrowing specification per exposed dimension (see [`View::narrow`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WindowDim {
     /// Pin the dimension at an offset (the dimension is dropped).
     Point(i64),
@@ -389,6 +401,55 @@ mod tests {
         // v2 index [0] maps to underlying [3, 5].
         v2.write(&[0], 7.0).unwrap();
         assert_eq!(buf.borrow().data[3 * 8 + 5], 7.0);
+    }
+
+    #[test]
+    fn plans_agree_with_the_checked_translation() {
+        let buf = Rc::new(RefCell::new(BufferData::zeros(
+            vec![3, 4, 5],
+            DataType::F32,
+            Mem::Dram,
+        )));
+        let full = View::full(buf.clone());
+        let views = [
+            full.clone(),
+            full.narrow(&[WindowDim::Interval(1), WindowDim::Point(2)]),
+            full.narrow(&[WindowDim::Point(2), WindowDim::Interval(1)])
+                .narrow(&[WindowDim::Interval(1), WindowDim::Point(4)]),
+            full.narrow(&[
+                WindowDim::Point(0),
+                WindowDim::Point(3),
+                WindowDim::Point(4),
+            ]),
+            // A pinned dimension out of bounds: no plan, checked path only.
+            full.narrow(&[WindowDim::Point(3)]),
+        ];
+        for view in &views {
+            // The recycled vector's old contents must not leak into the plan.
+            let stale = vec![
+                PlanDim {
+                    off: 9,
+                    extent: 9,
+                    stride: 9
+                };
+                4
+            ];
+            let Some(plan) = view.plan_into(stale) else {
+                assert!(view.read(&vec![0; view.kept.len()]).is_none());
+                continue;
+            };
+            let rank = view.kept.len();
+            let mut idx = vec![-1i64; rank];
+            loop {
+                let checked = buf.borrow().linear_index(&view.translate(&idx));
+                assert_eq!(plan.lin(&idx), checked, "{idx:?} through {view:?}");
+                let Some(k) = idx.iter().position(|&i| i < 5) else {
+                    break;
+                };
+                idx[k] += 1;
+                idx[..k].fill(-1);
+            }
+        }
     }
 
     #[test]

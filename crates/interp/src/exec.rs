@@ -14,7 +14,7 @@
 //! Both paths are observationally identical: same buffer contents, same
 //! [`Monitor`] event sequence, same errors.
 
-use crate::buffer::{AccessPlan, ArgValue, BufferData, View, WindowDim};
+use crate::buffer::{AccessPlan, ArgValue, BufferData, PlanDim, View, WindowDim};
 use crate::error::InterpError;
 use crate::lower::{
     lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc,
@@ -66,6 +66,14 @@ impl Value {
         }
     }
 
+    fn neg(self) -> Result<Value> {
+        match self {
+            Value::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(index_overflow),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            Value::Bool(_) => Err(InterpError::Malformed("negating a boolean".into())),
+        }
+    }
+
     fn as_bool(self) -> Result<bool> {
         match self {
             Value::Bool(b) => Ok(b),
@@ -80,6 +88,12 @@ impl Value {
     }
 }
 
+/// Integer arithmetic is checked wherever it can reach an index: a wrapped
+/// sum would address a valid but wrong element.
+fn index_overflow() -> InterpError {
+    InterpError::Malformed("integer overflow in index expression".into())
+}
+
 /// A tensor binding: the view plus its precomputed dense access plan
 /// (`None` when the plan cannot be proven safe; accesses then take the
 /// fully-checked slow path).
@@ -92,7 +106,12 @@ struct TensorBind {
 impl TensorBind {
     /// Binds a view with a precomputed stride plan (lowered path).
     fn planned(view: View) -> Self {
-        let plan = view.plan();
+        TensorBind::planned_in(view, Vec::new())
+    }
+
+    /// [`TensorBind::planned`], the plan built in `dims`' storage.
+    fn planned_in(view: View, dims: Vec<PlanDim>) -> Self {
+        let plan = view.plan_into(dims);
         TensorBind { view, plan }
     }
 
@@ -112,10 +131,38 @@ enum Binding {
 /// One dense activation record of the lowered executor.
 type Frame = Vec<Option<Binding>>;
 
+/// The vectors of one released tensor binding (a view's offsets and kept
+/// dimensions, a plan's dimensions), kept so that binding the next window
+/// argument allocates nothing.
+#[derive(Default)]
+struct BindStorage {
+    offsets: Vec<i64>,
+    kept: Vec<usize>,
+    dims: Vec<PlanDim>,
+}
+
+/// Bound on the pooled callee frames and on the pooled binding storage.
+const POOL_CAP: usize = 64;
+
+/// One entry of the lowered executor's loop stack.
+struct LoopState {
+    cur: i64,
+    hi: i64,
+    iter: u32,
+    parallel: bool,
+}
+
 /// Tensor ranks up to this size evaluate their index vectors in stack
 /// storage on the hot access path; higher ranks (unseen in practice)
 /// fall back to a heap vector.
 const MAX_INLINE_RANK: usize = 8;
+
+/// Scratch for one evaluated index vector.
+#[derive(Default)]
+struct IndexBuf {
+    inline: [i64; MAX_INLINE_RANK],
+    heap: Vec<i64>,
+}
 
 /// Lexically-scoped environment (reference path only).
 struct Env {
@@ -215,17 +262,65 @@ impl InstProfile {
     }
 }
 
+/// Resolves a buffer reference to its tensor binding, with the same
+/// error behaviour as the reference path's environment lookup.
+fn tensor_at<'f>(lp: &LoweredProc, buf: &LBufRef, frame: &'f Frame) -> Result<&'f TensorBind> {
+    match buf {
+        LBufRef::Unbound(n) => Err(InterpError::Unbound(n.to_string())),
+        LBufRef::Slot(s) => match &frame[*s as usize] {
+            Some(Binding::Tensor(t)) => Ok(t),
+            _ => Err(InterpError::Unbound(lp.slot_names[*s as usize].clone())),
+        },
+    }
+}
+
+/// The integer value of an expression built only from integer literals,
+/// integer-bound variables and checked `+ - * / %` (Euclidean, like
+/// [`Interpreter::eval_bin`]); `None` for everything else, including a
+/// zero divisor and an overflow, which the general evaluator reports.
+#[inline]
+fn fold_index(expr: &LExpr, frame: &Frame) -> Option<i64> {
+    use BinOp::*;
+    match expr {
+        LExpr::Int(v) => Some(*v),
+        LExpr::Var(LBufRef::Slot(s)) => match &frame[*s as usize] {
+            Some(Binding::Scalar(Value::Int(v))) => Some(*v),
+            _ => None,
+        },
+        LExpr::Bin {
+            op: op @ (Add | Sub | Mul | Div | Mod),
+            lhs,
+            rhs,
+        } => {
+            let a = fold_index(lhs, frame)?;
+            let b = fold_index(rhs, frame)?;
+            match op {
+                Add => a.checked_add(b),
+                Sub => a.checked_sub(b),
+                Mul => a.checked_mul(b),
+                Div => a.checked_div_euclid(b),
+                _ => a.checked_rem_euclid(b),
+            }
+        }
+        _ => None,
+    }
+}
+
 /// Executes object-language procedures against concrete buffers, reporting
 /// events to a [`Monitor`].
 pub struct Interpreter<'a> {
     registry: &'a ProcRegistry,
-    configs: HashMap<(String, String), f64>,
+    /// Configuration registers: struct name, then field name.
+    configs: HashMap<Box<str>, HashMap<Box<str>, f64>>,
     next_addr: u64,
     suppress: usize,
     /// Monotone counter issuing a unique token per loop-statement
     /// execution, reported via `Monitor::on_loop_enter`.
     loop_seq: u64,
     frame_pool: Vec<Frame>,
+    bind_pool: Vec<BindStorage>,
+    /// Loop stack of the lowered executor, shared by nested bodies.
+    loops: Vec<LoopState>,
     /// Opt-in per-instruction-class counters; `None` keeps the counting
     /// branch off the hot loop.
     profile: Option<Box<InstProfile>>,
@@ -241,6 +336,8 @@ impl<'a> Interpreter<'a> {
             suppress: 0,
             loop_seq: 0,
             frame_pool: Vec::new(),
+            bind_pool: Vec::new(),
+            loops: Vec::new(),
             profile: None,
         }
     }
@@ -264,15 +361,18 @@ impl<'a> Interpreter<'a> {
     /// The procedure is lowered to a slot-indexed instruction vector first
     /// (reusing the registry's cached lowering when `proc` is registered
     /// under its own name), then executed by the dense-frame executor.
+    /// Generic over the monitor, so a concrete monitor's hooks inline into
+    /// the executor's loop (and the empty ones vanish); `&mut dyn Monitor`
+    /// is accepted as before.
     ///
     /// # Errors
     /// Returns an [`InterpError`] for unbound symbols, out-of-bounds
     /// accesses, failed assertions, bad calls and unknown procedures.
-    pub fn run(
+    pub fn run<M: Monitor + ?Sized>(
         &mut self,
         proc: &Proc,
         args: Vec<ArgValue>,
-        monitor: &mut dyn Monitor,
+        monitor: &mut M,
     ) -> Result<()> {
         let _span = exo_obs::span!("interp:run", "{}", proc.name());
         if args.len() != proc.args().len() {
@@ -305,9 +405,19 @@ impl<'a> Interpreter<'a> {
     /// Read access to the accumulated configuration-register state
     /// (useful for Gemmini tests).
     pub fn config(&self, config: &str, field: &str) -> Option<f64> {
-        self.configs
-            .get(&(config.to_string(), field.to_string()))
-            .copied()
+        self.configs.get(config)?.get(field).copied()
+    }
+
+    /// Writes a configuration register; only the first write of a field
+    /// allocates its key.
+    fn set_config(&mut self, config: &str, field: &str, value: f64) {
+        match self.configs.get_mut(config).and_then(|f| f.get_mut(field)) {
+            Some(slot) => *slot = value,
+            None => {
+                let fields = self.configs.entry(config.into()).or_default();
+                fields.insert(field.into(), value);
+            }
+        }
     }
 
     fn bind_arg(&mut self, kind: &ArgKind, value: ArgValue, name: &str) -> Result<Binding> {
@@ -356,33 +466,69 @@ impl<'a> Interpreter<'a> {
 
     fn take_frame(&mut self, size: usize) -> Frame {
         let mut f = self.frame_pool.pop().unwrap_or_default();
-        f.clear();
         f.resize(size, None);
         f
     }
 
+    /// Returns a callee frame to the pool, and the vectors of its tensor
+    /// bindings to the storage pool the next call's windows draw from.
     fn release_frame(&mut self, mut f: Frame) {
-        f.clear();
-        if self.frame_pool.len() < 64 {
+        for binding in f.drain(..) {
+            if let Some(Binding::Tensor(t)) = binding {
+                self.recycle(t);
+            }
+        }
+        if self.frame_pool.len() < POOL_CAP {
             self.frame_pool.push(f);
         }
     }
 
-    /// Executes a lowered body against its frame with a program counter.
-    fn exec_lowered(
+    fn recycle(&mut self, t: TensorBind) {
+        if self.bind_pool.len() < POOL_CAP {
+            let View { offsets, kept, .. } = t.view;
+            let dims = t.plan.map(AccessPlan::into_dims).unwrap_or_default();
+            self.bind_pool.push(BindStorage {
+                offsets,
+                kept,
+                dims,
+            });
+        }
+    }
+
+    /// Rebinds a tensor slot, recycling the storage of the binding it
+    /// replaces (a window or allocation inside a loop rebinds per
+    /// iteration).
+    fn bind_tensor(&mut self, frame: &mut Frame, slot: u32, t: TensorBind) {
+        if let Some(Binding::Tensor(old)) = frame[slot as usize].replace(Binding::Tensor(t)) {
+            self.recycle(old);
+        }
+    }
+
+    /// Executes a lowered body against its frame. The loop stack is the
+    /// interpreter's own, shared by nested bodies: this body's entries sit
+    /// above `base` and are dropped on every way out.
+    fn exec_lowered<M: Monitor + ?Sized>(
         &mut self,
         lp: &LoweredProc,
         frame: &mut Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<()> {
-        struct LoopState {
-            cur: i64,
-            hi: i64,
-            iter: u32,
-            parallel: bool,
-        }
+        let base = self.loops.len();
+        self.loops.reserve(lp.max_loop_depth);
+        let result = self.exec_code(lp, frame, mon, base);
+        self.loops.truncate(base);
+        result
+    }
+
+    /// The program-counter loop of [`Interpreter::exec_lowered`].
+    fn exec_code<M: Monitor + ?Sized>(
+        &mut self,
+        lp: &LoweredProc,
+        frame: &mut Frame,
+        mon: &mut M,
+        base: usize,
+    ) -> Result<()> {
         let code = &lp.code;
-        let mut loops: Vec<LoopState> = Vec::with_capacity(lp.max_loop_depth);
         let mut pc = 0usize;
         while let Some(inst) = code.get(pc) {
             if let Some(profile) = self.profile.as_deref_mut() {
@@ -420,7 +566,7 @@ impl<'a> Interpreter<'a> {
                     }
                     let mut sizes = Vec::with_capacity(dims.len());
                     for d in dims.iter() {
-                        let v = self.eval_l(lp, d, frame, mon)?.as_int()?;
+                        let v = self.eval_index(lp, d, frame, mon)?;
                         if v < 0 {
                             return Err(InterpError::Malformed(format!(
                                 "negative allocation size for `{}`",
@@ -430,7 +576,7 @@ impl<'a> Interpreter<'a> {
                         sizes.push(v as usize);
                     }
                     let view = self.alloc_buffer(sizes, *ty, mem.clone());
-                    frame[*slot as usize] = Some(Binding::Tensor(TensorBind::planned(view)));
+                    self.bind_tensor(frame, *slot, TensorBind::planned(view));
                     pc += 1;
                 }
                 LInst::Loop {
@@ -443,14 +589,14 @@ impl<'a> Interpreter<'a> {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
-                    let lo = self.eval_l(lp, lo, frame, mon)?.as_int()?;
-                    let hi = self.eval_l(lp, hi, frame, mon)?.as_int()?;
+                    let lo = self.eval_index(lp, lo, frame, mon)?;
+                    let hi = self.eval_index(lp, hi, frame, mon)?;
                     if lo < hi {
                         if self.suppress == 0 {
                             mon.on_loop_iter(*parallel);
                         }
                         frame[*iter as usize] = Some(Binding::Scalar(Value::Int(lo)));
-                        loops.push(LoopState {
+                        self.loops.push(LoopState {
                             cur: lo,
                             hi,
                             iter: *iter,
@@ -462,7 +608,7 @@ impl<'a> Interpreter<'a> {
                     }
                 }
                 LInst::EndLoop { start } => {
-                    let Some(st) = loops.last_mut() else {
+                    let Some(st) = self.loops.get_mut(base..).and_then(|own| own.last_mut()) else {
                         return Err(InterpError::Malformed(
                             "unbalanced loop in lowered code".into(),
                         ));
@@ -475,7 +621,7 @@ impl<'a> Interpreter<'a> {
                         frame[st.iter as usize] = Some(Binding::Scalar(Value::Int(st.cur)));
                         pc = *start as usize + 1;
                     } else {
-                        loops.pop();
+                        self.loops.pop();
                         pc += 1;
                     }
                 }
@@ -513,16 +659,15 @@ impl<'a> Interpreter<'a> {
                     if self.suppress == 0 {
                         mon.on_config_write(config, field);
                     }
-                    self.configs
-                        .insert((config.to_string(), field.to_string()), v);
+                    self.set_config(config, field, v);
                     pc += 1;
                 }
                 LInst::WindowBind { slot, rhs } => {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
-                    let view = self.eval_lwindow(lp, rhs, frame, mon)?;
-                    frame[*slot as usize] = Some(Binding::Tensor(TensorBind::planned(view)));
+                    let t = self.bind_window(lp, rhs, frame, mon)?;
+                    self.bind_tensor(frame, *slot, t);
                     pc += 1;
                 }
             }
@@ -530,13 +675,13 @@ impl<'a> Interpreter<'a> {
         Ok(())
     }
 
-    fn exec_call_l(
+    fn exec_call_l<M: Monitor + ?Sized>(
         &mut self,
         name: &str,
         args: &[LCallArg],
         caller: &LoweredProc,
         caller_frame: &Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<()> {
         let registry: &'a ProcRegistry = self.registry;
         let callee = registry
@@ -573,7 +718,7 @@ impl<'a> Interpreter<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn call_body_l(
+    fn call_body_l<M: Monitor + ?Sized>(
         &mut self,
         name: &str,
         lowered: &LoweredProc,
@@ -581,13 +726,14 @@ impl<'a> Interpreter<'a> {
         caller: &LoweredProc,
         caller_frame: &Frame,
         frame: &mut Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<()> {
         for (param, arg) in lowered.args.iter().zip(args) {
             let binding = match param.kind {
-                LParamKind::Size => {
-                    Binding::Scalar(self.eval_l(caller, &arg.scalar, caller_frame, mon)?)
-                }
+                LParamKind::Size => Binding::Scalar(match fold_index(&arg.scalar, caller_frame) {
+                    Some(v) => Value::Int(v),
+                    None => self.eval_l(caller, &arg.scalar, caller_frame, mon)?,
+                }),
                 LParamKind::Scalar => {
                     // Scalar arguments may also be passed 0-dim buffers
                     // by reference (Gemmini's acc_scale / clamp idiom).
@@ -608,8 +754,7 @@ impl<'a> Interpreter<'a> {
                     }
                 }
                 LParamKind::Tensor => {
-                    let view = self.eval_lwindow(caller, &arg.window, caller_frame, mon)?;
-                    Binding::Tensor(TensorBind::planned(view))
+                    Binding::Tensor(self.bind_window(caller, &arg.window, caller_frame, mon)?)
                 }
             };
             frame[param.slot as usize] = Some(binding);
@@ -625,87 +770,106 @@ impl<'a> Interpreter<'a> {
         self.exec_lowered(lowered, frame, mon)
     }
 
-    /// Resolves a buffer reference to its tensor binding, with the same
-    /// error behaviour as the reference path's environment lookup.
-    fn tensor_at<'f>(
-        &self,
-        lp: &LoweredProc,
-        buf: &LBufRef,
-        frame: &'f Frame,
-    ) -> Result<&'f TensorBind> {
-        match buf {
-            LBufRef::Unbound(n) => Err(InterpError::Unbound(n.to_string())),
-            LBufRef::Slot(s) => match &frame[*s as usize] {
-                Some(Binding::Tensor(t)) => Ok(t),
-                _ => Err(InterpError::Unbound(lp.slot_names[*s as usize].clone())),
-            },
-        }
-    }
-
-    /// Evaluates a lowered expression used as a tensor argument.
-    fn eval_lwindow(
-        &self,
+    /// Evaluates a lowered expression used as a tensor argument and plans
+    /// the resulting view, in vectors drawn from the storage pool.
+    fn bind_window<M: Monitor + ?Sized>(
+        &mut self,
         lp: &LoweredProc,
         w: &LWindow,
         frame: &Frame,
-        mon: &mut dyn Monitor,
-    ) -> Result<View> {
-        match w {
-            LWindow::Var { buf } => Ok(self.tensor_at(lp, buf, frame)?.view.clone()),
+        mon: &mut M,
+    ) -> Result<TensorBind> {
+        let mut scratch = IndexBuf::default();
+        let (t, spec, at): (&TensorBind, &[LWSpec], &[i64]) = match w {
+            LWindow::Var { buf } => (tensor_at(lp, buf, frame)?, &[], &[]),
             LWindow::PointRead { buf, idx } => {
                 // A point access used where a window is expected: a 0-dim view.
-                let t = self.tensor_at(lp, buf, frame)?;
-                let mut spec = Vec::with_capacity(idx.len());
-                for e in idx.iter() {
-                    spec.push(WindowDim::Point(self.eval_l(lp, e, frame, mon)?.as_int()?));
-                }
-                Ok(t.view.narrow(&spec))
+                let t = tensor_at(lp, buf, frame)?;
+                let at = self.eval_indices(lp, idx.iter(), frame, mon, &mut scratch)?;
+                (t, &[], at)
             }
             LWindow::Window { buf, spec } => {
-                let t = self.tensor_at(lp, buf, frame)?;
-                let mut out = Vec::with_capacity(spec.len());
-                for s in spec.iter() {
-                    match s {
-                        LWSpec::Point(e) => {
-                            out.push(WindowDim::Point(self.eval_l(lp, e, frame, mon)?.as_int()?))
-                        }
-                        LWSpec::Interval { lo, .. } => out.push(WindowDim::Interval(
-                            self.eval_l(lp, lo, frame, mon)?.as_int()?,
-                        )),
-                    }
-                }
-                Ok(t.view.narrow(&out))
+                let t = tensor_at(lp, buf, frame)?;
+                let starts = spec.iter().map(|s| match s {
+                    LWSpec::Point(e) | LWSpec::Interval { lo: e, .. } => e,
+                });
+                let at = self.eval_indices(lp, starts, frame, mon, &mut scratch)?;
+                (t, spec, at)
             }
-            LWindow::NotATensor { display } => Err(InterpError::BadCall(format!(
-                "expression `{display}` cannot be passed as a tensor argument"
-            ))),
+            LWindow::NotATensor { display } => {
+                return Err(InterpError::BadCall(format!(
+                    "expression `{display}` cannot be passed as a tensor argument"
+                )))
+            }
+        };
+        // `spec` is empty for a point read: every position is a point.
+        let narrowing = at.iter().enumerate().map(|(k, &v)| match spec.get(k) {
+            Some(LWSpec::Interval { .. }) => WindowDim::Interval(v),
+            _ => WindowDim::Point(v),
+        });
+        let storage = self.bind_pool.pop().unwrap_or_default();
+        let view = t.view.narrow_into(narrowing, storage.offsets, storage.kept);
+        Ok(TensorBind::planned_in(view, storage.dims))
+    }
+
+    /// Evaluates an index vector into `scratch`: element accesses are the
+    /// hottest operation in the executor and must not heap-allocate.
+    #[inline]
+    fn eval_indices<'e, 's, M: Monitor + ?Sized>(
+        &self,
+        lp: &LoweredProc,
+        idx: impl ExactSizeIterator<Item = &'e LExpr>,
+        frame: &Frame,
+        mon: &mut M,
+        scratch: &'s mut IndexBuf,
+    ) -> Result<&'s [i64]> {
+        let rank = idx.len();
+        if rank <= MAX_INLINE_RANK {
+            for (k, e) in idx.enumerate() {
+                scratch.inline[k] = self.eval_index(lp, e, frame, mon)?;
+            }
+            Ok(&scratch.inline[..rank])
+        } else {
+            scratch.heap.clear();
+            for e in idx {
+                scratch.heap.push(self.eval_index(lp, e, frame, mon)?);
+            }
+            Ok(&scratch.heap)
         }
     }
 
-    fn load_l(
+    /// Evaluates an expression in index position (an access index, a loop
+    /// bound, a window offset, an allocation size) straight to `i64`.
+    /// Integer literals, integer variables and `+ - * / %` over them — all
+    /// a schedule ever puts there — never build a [`Value`]; anything else
+    /// (a `Read`, a float, a zero divisor, an overflow, an unbound name)
+    /// goes through the general evaluator, which emits its events and
+    /// reports its errors. The fold itself emits nothing, so falling back
+    /// replays no event.
+    #[inline]
+    fn eval_index<M: Monitor + ?Sized>(
+        &self,
+        lp: &LoweredProc,
+        expr: &LExpr,
+        frame: &Frame,
+        mon: &mut M,
+    ) -> Result<i64> {
+        match fold_index(expr, frame) {
+            Some(v) => Ok(v),
+            None => self.eval_l(lp, expr, frame, mon)?.as_int(),
+        }
+    }
+
+    fn load_l<M: Monitor + ?Sized>(
         &self,
         lp: &LoweredProc,
         buf: &LBufRef,
         idx: &[LExpr],
         frame: &Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<f64> {
-        // Evaluate indices into stack storage: element accesses are the
-        // hottest operation in the executor and must not heap-allocate.
-        let mut inline = [0i64; MAX_INLINE_RANK];
-        let mut heap: Vec<i64>;
-        let indices: &[i64] = if idx.len() <= MAX_INLINE_RANK {
-            for (k, e) in idx.iter().enumerate() {
-                inline[k] = self.eval_l(lp, e, frame, mon)?.as_int()?;
-            }
-            &inline[..idx.len()]
-        } else {
-            heap = Vec::with_capacity(idx.len());
-            for e in idx {
-                heap.push(self.eval_l(lp, e, frame, mon)?.as_int()?);
-            }
-            &heap
-        };
+        let mut scratch = IndexBuf::default();
+        let indices = self.eval_indices(lp, idx.iter(), frame, mon, &mut scratch)?;
         let (slot, t) = match buf {
             LBufRef::Unbound(n) => return Err(InterpError::Unbound(n.to_string())),
             LBufRef::Slot(s) => match &frame[*s as usize] {
@@ -748,29 +912,17 @@ impl<'a> Interpreter<'a> {
         Ok(value)
     }
 
-    fn store_l(
+    fn store_l<M: Monitor + ?Sized>(
         &self,
         lp: &LoweredProc,
         buf: &LBufRef,
         idx: &[LExpr],
         value: f64,
         frame: &Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<()> {
-        let mut inline = [0i64; MAX_INLINE_RANK];
-        let mut heap: Vec<i64>;
-        let indices: &[i64] = if idx.len() <= MAX_INLINE_RANK {
-            for (k, e) in idx.iter().enumerate() {
-                inline[k] = self.eval_l(lp, e, frame, mon)?.as_int()?;
-            }
-            &inline[..idx.len()]
-        } else {
-            heap = Vec::with_capacity(idx.len());
-            for e in idx {
-                heap.push(self.eval_l(lp, e, frame, mon)?.as_int()?);
-            }
-            &heap
-        };
+        let mut scratch = IndexBuf::default();
+        let indices = self.eval_indices(lp, idx.iter(), frame, mon, &mut scratch)?;
         let (slot, t) = match buf {
             LBufRef::Unbound(n) => return Err(InterpError::Unbound(n.to_string())),
             LBufRef::Slot(s) => match &frame[*s as usize] {
@@ -811,12 +963,12 @@ impl<'a> Interpreter<'a> {
             })
     }
 
-    fn eval_l(
+    fn eval_l<M: Monitor + ?Sized>(
         &self,
         lp: &LoweredProc,
         expr: &LExpr,
         frame: &Frame,
-        mon: &mut dyn Monitor,
+        mon: &mut M,
     ) -> Result<Value> {
         match expr {
             LExpr::Int(v) => Ok(Value::Int(*v)),
@@ -861,29 +1013,18 @@ impl<'a> Interpreter<'a> {
             LExpr::Un { op, arg } => {
                 let v = self.eval_l(lp, arg, frame, mon)?;
                 match op {
-                    UnOp::Neg => Ok(match v {
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        Value::Bool(_) => {
-                            return Err(InterpError::Malformed("negating a boolean".into()))
-                        }
-                    }),
+                    UnOp::Neg => v.neg(),
                     UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
                 }
             }
             LExpr::Stride { buf, dim } => {
-                let t = self.tensor_at(lp, buf, frame)?;
+                let t = tensor_at(lp, buf, frame)?;
                 let b = t.view.buf.borrow();
                 let stride: usize = b.dims.iter().skip(dim + 1).product();
                 Ok(Value::Int(stride.max(1) as i64))
             }
             LExpr::ReadConfig { config, field } => {
-                let v = self
-                    .configs
-                    .get(&(config.to_string(), field.to_string()))
-                    .copied()
-                    .unwrap_or(0.0);
-                Ok(Value::Float(v))
+                Ok(Value::Float(self.config(config, field).unwrap_or(0.0)))
             }
         }
     }
@@ -1042,8 +1183,7 @@ impl<'a> Interpreter<'a> {
                 if self.suppress == 0 {
                     monitor.on_config_write(config.name(), field);
                 }
-                self.configs
-                    .insert((config.name().to_string(), field.clone()), v);
+                self.set_config(config.name(), field, v);
                 Ok(())
             }
             Stmt::WindowStmt { name, rhs } => {
@@ -1278,13 +1418,7 @@ impl<'a> Interpreter<'a> {
             Expr::Un { op, arg } => {
                 let v = self.eval(arg, env, monitor)?;
                 match op {
-                    UnOp::Neg => Ok(match v {
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        Value::Bool(_) => {
-                            return Err(InterpError::Malformed("negating a boolean".into()))
-                        }
-                    }),
+                    UnOp::Neg => v.neg(),
                     UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
                 }
             }
@@ -1297,46 +1431,39 @@ impl<'a> Interpreter<'a> {
                 let stride: usize = b.dims.iter().skip(dim + 1).product();
                 Ok(Value::Int(stride.max(1) as i64))
             }
-            Expr::ReadConfig { config, field } => {
-                let v = self
-                    .configs
-                    .get(&(config.name().to_string(), field.clone()))
-                    .copied()
-                    .unwrap_or(0.0);
-                Ok(Value::Float(v))
-            }
+            Expr::ReadConfig { config, field } => Ok(Value::Float(
+                self.config(config.name(), field).unwrap_or(0.0),
+            )),
         }
     }
 
-    fn eval_bin(&self, op: BinOp, l: Value, r: Value, monitor: &mut dyn Monitor) -> Result<Value> {
+    fn eval_bin<M: Monitor + ?Sized>(
+        &self,
+        op: BinOp,
+        l: Value,
+        r: Value,
+        monitor: &mut M,
+    ) -> Result<Value> {
         use BinOp::*;
         // Integer arithmetic when both sides are integers (index math).
         if let (Value::Int(a), Value::Int(b)) = (l, r) {
-            return Ok(match op {
-                Add => Value::Int(a + b),
-                Sub => Value::Int(a - b),
-                Mul => Value::Int(a * b),
-                Div => {
-                    if b == 0 {
-                        return Err(InterpError::DivideByZero);
-                    }
-                    Value::Int(a.div_euclid(b))
-                }
-                Mod => {
-                    if b == 0 {
-                        return Err(InterpError::DivideByZero);
-                    }
-                    Value::Int(a.rem_euclid(b))
-                }
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                Gt => Value::Bool(a > b),
-                Ge => Value::Bool(a >= b),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                And => Value::Bool(a != 0 && b != 0),
-                Or => Value::Bool(a != 0 || b != 0),
-            });
+            let int = |v: Option<i64>| v.map(Value::Int).ok_or_else(index_overflow);
+            return match op {
+                Add => int(a.checked_add(b)),
+                Sub => int(a.checked_sub(b)),
+                Mul => int(a.checked_mul(b)),
+                Div | Mod if b == 0 => Err(InterpError::DivideByZero),
+                Div => int(a.checked_div_euclid(b)),
+                Mod => int(a.checked_rem_euclid(b)),
+                Lt => Ok(Value::Bool(a < b)),
+                Le => Ok(Value::Bool(a <= b)),
+                Gt => Ok(Value::Bool(a > b)),
+                Ge => Ok(Value::Bool(a >= b)),
+                Eq => Ok(Value::Bool(a == b)),
+                Ne => Ok(Value::Bool(a != b)),
+                And => Ok(Value::Bool(a != 0 && b != 0)),
+                Or => Ok(Value::Bool(a != 0 || b != 0)),
+            };
         }
         if let (Value::Bool(a), Value::Bool(b)) = (l, r) {
             return Ok(match op {
@@ -1500,10 +1627,69 @@ mod tests {
         assert!(interp.take_profile().is_none());
     }
 
+    /// Records, in order, every event both paths emit (the walker-only
+    /// loop-identity and reduce-bracket events are left out). Instruction
+    /// procedures suppress their bodies, as under the cost monitor.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Monitor for Recorder {
+        fn enter_call(&mut self, proc: &Proc) -> bool {
+            self.0.push(format!("enter {}", proc.name()));
+            proc.instr().is_some()
+        }
+        fn exit_call(&mut self, proc: &Proc) {
+            self.0.push(format!("exit {}", proc.name()));
+        }
+        fn on_scalar_op(&mut self, op: BinOp, dt: DataType) {
+            self.0.push(format!("op {op:?} {dt:?}"));
+        }
+        fn on_read(&mut self, mem: &exo_ir::Mem, addr: u64, bytes: u64) {
+            self.0.push(format!("read {mem:?} {addr:#x} {bytes}"));
+        }
+        fn on_write(&mut self, mem: &exo_ir::Mem, addr: u64, bytes: u64) {
+            self.0.push(format!("write {mem:?} {addr:#x} {bytes}"));
+        }
+        fn on_loop_iter(&mut self, parallel: bool) {
+            self.0.push(format!("iter {parallel}"));
+        }
+        fn on_branch(&mut self) {
+            self.0.push("branch".into());
+        }
+        fn on_config_write(&mut self, config: &str, field: &str) {
+            self.0.push(format!("config {config}.{field}"));
+        }
+        fn on_stmt(&mut self) {
+            self.0.push("stmt".into());
+        }
+    }
+
+    /// Runs `p` through both paths on the buffers `mk_args` makes (the
+    /// first is the output) and asserts the same output and event log.
+    fn assert_paths_agree(
+        registry: &ProcRegistry,
+        p: &Proc,
+        mk_args: impl Fn() -> (crate::BufRef, Vec<ArgValue>),
+    ) -> Vec<String> {
+        let mut lowered = Recorder::default();
+        let (out_lowered, args) = mk_args();
+        Interpreter::new(registry)
+            .run(p, args, &mut lowered)
+            .unwrap();
+        let mut reference = Recorder::default();
+        let (out_reference, args) = mk_args();
+        Interpreter::new(registry)
+            .run_reference(p, args, &mut reference)
+            .unwrap();
+        assert_eq!(out_lowered.borrow().data, out_reference.borrow().data);
+        assert_eq!(lowered.0, reference.0);
+        lowered.0
+    }
+
     #[test]
     fn lowered_and_reference_paths_agree_event_for_event() {
         let (m, n) = (3usize, 5usize);
-        let mk_args = || {
+        assert_paths_agree(&ProcRegistry::new(), &gemv_proc(), || {
             let (_, a_arg) = ArgValue::from_vec(
                 (0..m * n).map(|v| v as f64 * 0.5).collect(),
                 vec![m, n],
@@ -1525,25 +1711,85 @@ mod tests {
                     y_arg,
                 ],
             )
+        });
+    }
+
+    #[test]
+    fn vectorized_calls_agree_event_for_event() {
+        // The call path end to end: interval windows with computed
+        // offsets into instruction procedures (bodies suppressed), a
+        // window bound once and passed on whole, and an ordinary callee
+        // (events kept) taking a `size` argument and a point window.
+        let window = |buf: &str, lo: Expr| Expr::Window {
+            buf: Sym::new(buf),
+            idx: vec![WAccess::Interval(lo.clone(), lo + ib(8))],
         };
-        let registry = ProcRegistry::new();
-        let p = gemv_proc();
-        let mut mon_new = CountingMonitor::default();
-        let mut mon_old = CountingMonitor::default();
-        let (y_new, args_new) = mk_args();
-        Interpreter::new(&registry)
-            .run(&p, args_new, &mut mon_new)
-            .unwrap();
-        let (y_old, args_old) = mk_args();
-        Interpreter::new(&registry)
-            .run_reference(&p, args_old, &mut mon_old)
-            .unwrap();
-        assert_eq!(y_new.borrow().data, y_old.borrow().data);
-        assert_eq!(mon_new.scalar_ops, mon_old.scalar_ops);
-        assert_eq!(mon_new.loop_iters, mon_old.loop_iters);
-        assert_eq!(mon_new.reads, mon_old.reads);
-        assert_eq!(mon_new.writes, mon_old.writes);
-        assert_eq!(mon_new.stmts, mon_old.stmts);
+        let load = ProcBuilder::new("vec_load8")
+            .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
+            .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
+            .instr("avx2_load", "load")
+            .for_("l", ib(0), ib(8), |b| {
+                b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));
+            })
+            .build();
+        let axpy = ProcBuilder::new("vec_axpy8")
+            .window_arg("dst", DataType::F32, vec![ib(8)], Mem::Dram)
+            .window_arg("src", DataType::F32, vec![ib(8)], Mem::VecAvx2)
+            .instr("avx2_fma", "fma")
+            .for_("l", ib(0), ib(8), |b| {
+                b.reduce(
+                    "dst",
+                    vec![var("l")],
+                    fb(2.0) * b.read("src", vec![var("l")]),
+                );
+            })
+            .build();
+        let bump = ProcBuilder::new("bump")
+            .size_arg("by")
+            .window_arg("cell", DataType::F32, vec![], Mem::Dram)
+            .with_body(|b| {
+                b.reduce("cell", vec![], var("by"));
+            })
+            .build();
+        let caller = ProcBuilder::new("caller")
+            .size_arg("n")
+            .tensor_arg("y", DataType::F32, vec![var("n")], Mem::Dram)
+            .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
+            .with_body(|b| {
+                b.alloc("v", DataType::F32, vec![ib(8)], Mem::VecAvx2);
+                b.for_("io", ib(0), var("n") / ib(8), |b| {
+                    b.push(Stmt::WindowStmt {
+                        name: Sym::new("ys"),
+                        rhs: window("y", ib(8) * var("io")),
+                    });
+                    b.call(
+                        "vec_load8",
+                        vec![window("v", ib(0)), window("x", ib(8) * var("io"))],
+                    );
+                    b.call("vec_axpy8", vec![var("ys"), window("v", ib(0))]);
+                    b.call(
+                        "bump",
+                        vec![
+                            var("io") + ib(1),
+                            read("y", vec![ib(8) * var("io") + ib(3)]),
+                        ],
+                    );
+                });
+            })
+            .build();
+        let registry: ProcRegistry = [load, axpy, bump].into_iter().collect();
+        let n = 24usize;
+        let events = assert_paths_agree(&registry, &caller, || {
+            let (yb, y_arg) = ArgValue::zeros(vec![n], DataType::F32);
+            let (_, x_arg) =
+                ArgValue::from_vec((0..n).map(|v| v as f64).collect(), vec![n], DataType::F32);
+            (yb, vec![ArgValue::Int(n as i64), y_arg, x_arg])
+        });
+        // Instruction bodies stayed silent; the ordinary callee did not.
+        let count = |what: &str| events.iter().filter(|e| e.starts_with(what)).count();
+        assert_eq!(count("enter vec_"), 2 * n / 8);
+        assert_eq!(count("read VecAvx2"), 0);
+        assert_eq!(count("write Dram"), n / 8);
     }
 
     #[test]

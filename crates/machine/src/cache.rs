@@ -5,8 +5,6 @@
 //! makes tiling, staging and data-layout schedules pay off in the
 //! simulated figures, mirroring why they pay off on real hardware.
 
-use std::collections::VecDeque;
-
 /// Configuration of a single cache level.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheConfig {
@@ -14,7 +12,8 @@ pub struct CacheConfig {
     pub capacity: u64,
     /// Line size in bytes.
     pub line: u64,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set). More ways than the capacity has
+    /// lines means fully associative: one set of `capacity / line` lines.
     pub ways: usize,
     /// Hit latency in cycles.
     pub hit_latency: u64,
@@ -65,18 +64,33 @@ impl CacheStats {
 /// One set-associative cache level with LRU replacement.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    config: CacheConfig,
-    sets: Vec<VecDeque<u64>>,
+    hit_latency: u64,
+    line: u64,
+    ways: usize,
+    /// Every set's lines in one array, `ways` slots per set, each set's
+    /// resident lines at the front of its slots in most-recently-used
+    /// order.
+    lines: Vec<u64>,
+    /// Resident lines per set.
+    lens: Vec<usize>,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Creates an empty cache with the given configuration.
+    /// Creates an empty cache with the given configuration. A zero line
+    /// size or associativity is read as one, and a set holds no more lines
+    /// than the capacity has (see [`CacheConfig::ways`]).
     pub fn new(config: CacheConfig) -> Self {
-        let n_sets = (config.capacity / config.line / config.ways as u64).max(1) as usize;
+        let line = config.line.max(1);
+        let total_lines = (config.capacity / line).max(1);
+        let ways = (config.ways.max(1) as u64).min(total_lines);
+        let n_sets = total_lines / ways;
         Cache {
-            config,
-            sets: vec![VecDeque::new(); n_sets],
+            hit_latency: config.hit_latency,
+            line,
+            ways: ways as usize,
+            lines: vec![0; (n_sets * ways) as usize],
+            lens: vec![0; n_sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -84,26 +98,33 @@ impl Cache {
     /// Accesses `addr`; returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let line = addr / self.config.line;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            // LRU: move to the front.
-            set.remove(pos);
-            set.push_front(line);
-            return true;
+        let line = addr / self.line;
+        let set_idx = (line % self.lens.len() as u64) as usize;
+        let len = &mut self.lens[set_idx];
+        let set = &mut self.lines[set_idx * self.ways..][..self.ways];
+        let hit = set[..*len].iter().position(|&l| l == line);
+        let pos = match hit {
+            Some(pos) => pos,
+            None => {
+                self.stats.misses += 1;
+                // The least recently used line falls off a full set.
+                *len = (*len + 1).min(self.ways);
+                *len - 1
+            }
+        };
+        // LRU: the accessed line moves to the front, the ones that were
+        // ahead of it move back one slot. (Most hits are on the front
+        // line already and move nothing.)
+        if pos > 0 {
+            set.copy_within(..pos, 1);
         }
-        self.stats.misses += 1;
-        set.push_front(line);
-        while set.len() > self.config.ways {
-            set.pop_back();
-        }
-        false
+        set[0] = line;
+        hit.is_some()
     }
 
     /// Hit latency of this level.
     pub fn hit_latency(&self) -> u64 {
-        self.config.hit_latency
+        self.hit_latency
     }
 
     /// Accumulated statistics.
@@ -115,6 +136,154 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The per-set `VecDeque` LRU the flat array replaced, kept here as
+    /// the specification [`Cache`] is checked against.
+    struct NaiveLru {
+        line: u64,
+        ways: usize,
+        sets: Vec<VecDeque<u64>>,
+        stats: CacheStats,
+    }
+
+    impl NaiveLru {
+        fn new(config: &CacheConfig) -> Self {
+            let n_sets = (config.capacity / config.line / config.ways as u64).max(1) as usize;
+            NaiveLru {
+                line: config.line,
+                ways: config.ways,
+                sets: vec![VecDeque::new(); n_sets],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.stats.accesses += 1;
+            let line = addr / self.line;
+            let n_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n_sets) as usize];
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                set.push_front(line);
+                return true;
+            }
+            self.stats.misses += 1;
+            set.push_front(line);
+            set.truncate(self.ways);
+            false
+        }
+    }
+
+    /// Replays `len` addresses drawn from `seed` (a short working set with
+    /// the occasional far address, so hits, reorderings and evictions all
+    /// occur) through both models.
+    fn agree_on_trace(
+        flat: &mut Cache,
+        naive: &mut NaiveLru,
+        seed: u64,
+        len: usize,
+        span: u64,
+    ) -> Result<(), String> {
+        let mut state = seed | 1;
+        for step in 0..len {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let draw = state >> 33;
+            let addr = if draw.is_multiple_of(16) {
+                draw.wrapping_mul(0x9E37_79B9)
+            } else {
+                draw % span
+            };
+            if flat.access(addr) != naive.access(addr) {
+                return Err(format!("step {step}: addr {addr:#x}"));
+            }
+        }
+        if *flat.stats() != naive.stats {
+            return Err(format!("{:?} vs {:?}", flat.stats(), naive.stats));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn flat_lru_agrees_with_the_naive_lru_on_small_configs(
+            seed in 1u64..u64::MAX,
+            n_sets in 1u64..5,
+            ways in 1usize..5,
+            line_pick in 0usize..4,
+        ) {
+            let line = [1u64, 4, 48, 64][line_pick];
+            let config = CacheConfig {
+                capacity: n_sets * ways as u64 * line,
+                line,
+                ways,
+                hit_latency: 1,
+            };
+            let (mut flat, mut naive) = (Cache::new(config.clone()), NaiveLru::new(&config));
+            let span = 3 * config.capacity;
+            if let Err(why) = agree_on_trace(&mut flat, &mut naive, seed, 600, span) {
+                prop_assert!(false, "{} under {:?}", why, config);
+            }
+        }
+
+        /// More ways than lines: the flat cache is the naive LRU of the
+        /// fully-associative cache of that capacity, not a one-set cache
+        /// holding `ways` lines (which `ways: usize::MAX` would make
+        /// unbounded).
+        #[test]
+        fn over_associative_configs_are_fully_associative(
+            seed in 1u64..u64::MAX,
+            total_lines in 1u64..5,
+            extra_ways in 1usize..5,
+        ) {
+            let config = CacheConfig {
+                capacity: total_lines * 64,
+                line: 64,
+                ways: total_lines as usize + extra_ways,
+                hit_latency: 1,
+            };
+            let mut flat = Cache::new(config.clone());
+            let mut naive = NaiveLru::new(&CacheConfig {
+                ways: total_lines as usize,
+                ..config.clone()
+            });
+            let span = 3 * config.capacity;
+            if let Err(why) = agree_on_trace(&mut flat, &mut naive, seed, 600, span) {
+                prop_assert!(false, "{} under {:?}", why, config);
+            }
+        }
+
+        #[test]
+        fn flat_lru_agrees_with_the_naive_lru_on_l1_and_l2(seed in 1u64..u64::MAX) {
+            for config in [CacheConfig::l1(), CacheConfig::l2()] {
+                let (mut flat, mut naive) = (Cache::new(config.clone()), NaiveLru::new(&config));
+                let span = 2 * config.capacity;
+                if let Err(why) = agree_on_trace(&mut flat, &mut naive, seed, 4000, span) {
+                    prop_assert!(false, "{} under {:?}", why, config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_configs_are_clamped_not_divided_by() {
+        for (line, ways) in [(0, 2), (64, 0), (0, 0), (64, usize::MAX)] {
+            let mut c = Cache::new(CacheConfig {
+                capacity: 256,
+                line,
+                ways,
+                hit_latency: 1,
+            });
+            assert!(!c.access(0x40));
+            assert!(c.access(0x40));
+            assert_eq!(c.stats().misses, 1);
+        }
+    }
 
     #[test]
     fn repeated_accesses_hit() {

@@ -99,6 +99,7 @@ impl CostMonitor {
         self.report
     }
 
+    #[inline]
     fn charge_memory(&mut self, mem: &Mem, addr: u64) {
         if mem.is_dram() {
             let cost = if self.l1.access(addr) {
@@ -119,6 +120,7 @@ impl CostMonitor {
 }
 
 impl Monitor for CostMonitor {
+    #[inline]
     fn enter_call(&mut self, proc: &Proc) -> bool {
         match proc.instr() {
             Some(info) => {
@@ -140,19 +142,23 @@ impl Monitor for CostMonitor {
         }
     }
 
+    #[inline]
     fn on_scalar_op(&mut self, _op: BinOp, _dt: DataType) {
         self.report.scalar_cycles += self.model.scalar_op;
         self.report.cycles += self.model.scalar_op;
     }
 
+    #[inline]
     fn on_read(&mut self, mem: &Mem, addr: u64, _bytes: u64) {
         self.charge_memory(mem, addr);
     }
 
+    #[inline]
     fn on_write(&mut self, mem: &Mem, addr: u64, _bytes: u64) {
         self.charge_memory(mem, addr);
     }
 
+    #[inline]
     fn on_loop_iter(&mut self, parallel: bool) {
         // Parallel loops amortize their control overhead across cores; the
         // model charges half the scalar overhead.
@@ -165,11 +171,13 @@ impl Monitor for CostMonitor {
         self.report.cycles += cost;
     }
 
+    #[inline]
     fn on_branch(&mut self) {
         self.report.control_cycles += self.model.branch;
         self.report.cycles += self.model.branch;
     }
 
+    #[inline]
     fn on_config_write(&mut self, _config: &str, _field: &str) {
         self.report.instr_cycles += self.model.config_write;
         self.report.cycles += self.model.config_write;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Guards the bugfix contract of the cursors / ir::expr / machine::isa
-# library code, the two exo-lib modules request scripts reach (record,
+# Guards the bugfix contract of the cursors / ir::expr / machine::isa /
+# machine::cache library code, the two exo-lib modules request scripts reach (record,
 # vectorize) — and the whole exo-codegen, exo-autotune, exo-analysis,
 # exo-guard, exo-serve and exo-obs crates — no
 # panic!/unreachable!/todo!/unwrap()/expect()
@@ -19,6 +19,7 @@ FILES=(
   crates/cursors/src/lib.rs
   crates/ir/src/expr.rs
   crates/machine/src/isa.rs
+  crates/machine/src/cache.rs
   crates/machine/src/hostcaps.rs
   crates/codegen/src/lib.rs
   crates/codegen/src/emit.rs
@@ -90,4 +91,4 @@ if [ "$status" -ne 0 ]; then
   echo "error: panicking constructs found on library paths (see above)" >&2
   exit 1
 fi
-echo "ok: no panic!/unwrap/expect on library paths in cursors, ir::expr, machine::isa, codegen, autotune, lib::record, lib::vectorize, analysis, guard, serve, obs"
+echo "ok: no panic!/unwrap/expect on library paths in cursors, ir::expr, machine::isa, machine::cache, codegen, autotune, lib::record, lib::vectorize, analysis, guard, serve, obs"
