@@ -394,7 +394,7 @@ impl<'a> UnitEmitter<'a> {
         let demoted = self.scalar_fallback_instrs.contains(proc.name());
         let intrinsic = if proc.is_instr() && self.opts.intrinsics && !demoted {
             match exo_machine::c_intrinsic(proc.name()) {
-                Some(i) if i.stock_toolchain || self.opts.allow_non_stock => Some(i),
+                Some(i) if i.stock_toolchain => Some(i),
                 _ => None,
             }
         } else {

@@ -60,15 +60,12 @@ use std::fmt;
 pub struct CodegenOptions {
     /// Lower instruction procedures to their real machine intrinsics
     /// (from `exo_machine::c_intrinsic`) instead of the portable scalar
-    /// fallback generated from their object-code bodies. The resulting
+    /// fallback generated from their object-code bodies. Only intrinsics
+    /// a stock toolchain ships headers for are used (Gemmini's
+    /// `gemmini.h` macros keep their scalar bodies). The resulting
     /// translation unit may need extra compiler flags
     /// ([`CUnit::cflags`]).
     pub intrinsics: bool,
-    /// With [`CodegenOptions::intrinsics`], also accept intrinsics whose
-    /// headers a stock toolchain does not ship (Gemmini's `gemmini.h`).
-    /// The unit is then marked [`CUnit::stock_toolchain`]` = false` and
-    /// skipped by compile checks.
-    pub allow_non_stock: bool,
     /// Emit debug-mode bounds checks: every buffer access whose extent is
     /// statically renderable goes through an `assert`-backed `exo_bnd`
     /// helper, catching the out-of-window access class the interpreter's

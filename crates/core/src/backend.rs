@@ -2,7 +2,7 @@
 //! precisions, parallelism and window-ness.
 
 use crate::error::SchedError;
-use crate::helpers::IntoCursor;
+use crate::helpers::{stmt_path_of, IntoCursor};
 use crate::{stats, Result};
 use exo_analysis::{loop_is_parallelizable, Context, Effects};
 use exo_cursors::{Cursor, ProcHandle, Rewrite};
@@ -34,9 +34,7 @@ fn resolve_buffer(p: &ProcHandle, buf: BufferRef<'_>) -> Result<(Option<Vec<exo_
         BufferRef::Cursor(c) => {
             let c = p.forward(c)?;
             match c.stmt()? {
-                Stmt::Alloc { name, .. } => {
-                    Ok((Some(c.path().stmt_path().unwrap().to_vec()), name.clone()))
-                }
+                Stmt::Alloc { name, .. } => Ok((Some(stmt_path_of(&c)?), name.clone())),
                 other => Err(SchedError::scheduling(format!(
                     "expected an allocation, found `{}`",
                     other.kind()
@@ -46,7 +44,7 @@ fn resolve_buffer(p: &ProcHandle, buf: BufferRef<'_>) -> Result<(Option<Vec<exo_
         BufferRef::Name(name) => {
             // Prefer an allocation with that name; otherwise a proc argument.
             if let Ok(c) = p.find(&format!("{name}: _")) {
-                let path = c.path().stmt_path().unwrap().to_vec();
+                let path = stmt_path_of(&c)?;
                 return Ok((Some(path), Sym::new(name)));
             }
             if p.proc().arg(name).is_some() {
@@ -183,7 +181,7 @@ pub fn parallelize_loop_where(
             "parallelize_loop requires a for loop",
         ));
     };
-    let path = c.path().stmt_path().unwrap().to_vec();
+    let path = stmt_path_of(&c)?;
     let ctx = Context::at(p.proc(), &path);
     let eff = Effects::of_stmts(body.iter());
     // Either certificate suffices: index-level commutativity (rejects

@@ -1,7 +1,10 @@
 //! Buffer transformations (paper Appendix A.5).
 
 use crate::error::SchedError;
-use crate::helpers::{expect_const, expect_positive, mk_for, IntoCursor};
+use crate::helpers::{
+    expect_const, expect_positive, index_in_block, mk_for, sibling, stmt_path_of, IntoCursor,
+};
+use crate::uses::{for_scope_after, rewrite_uses, try_modify_stmt, Use};
 use crate::{stats, Result};
 use exo_analysis::{infer_bounds, simplify_expr, Context};
 use exo_cursors::{Cursor, CursorPath, ProcHandle, Rewrite};
@@ -10,87 +13,28 @@ use exo_ir::{
     Stmt, Sym, WAccess,
 };
 
-/// Rewrites every access (read, write, window) to `buf` inside a statement,
-/// transforming the index vector with `f`.
-fn map_accesses_stmt(stmt: &mut Stmt, buf: &Sym, f: &dyn Fn(Vec<Expr>) -> Vec<Expr>) {
-    match stmt {
-        Stmt::Assign { buf: b, idx, rhs } | Stmt::Reduce { buf: b, idx, rhs } => {
-            if b == buf {
-                *idx = f(std::mem::take(idx));
-            }
-            map_accesses_expr(rhs, buf, f);
-            for e in idx.iter_mut() {
-                map_accesses_expr(e, buf, f);
-            }
-        }
-        Stmt::Alloc { dims, .. } => {
-            for e in dims.iter_mut() {
-                map_accesses_expr(e, buf, f);
-            }
-        }
-        Stmt::For { lo, hi, body, .. } => {
-            map_accesses_expr(lo, buf, f);
-            map_accesses_expr(hi, buf, f);
-            for s in body.stmts_mut().iter_mut() {
-                map_accesses_stmt(s, buf, f);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            map_accesses_expr(cond, buf, f);
-            for s in then_body
-                .stmts_mut()
-                .iter_mut()
-                .chain(else_body.stmts_mut().iter_mut())
-            {
-                map_accesses_stmt(s, buf, f);
-            }
-        }
-        Stmt::Call { args, .. } => {
-            for e in args.iter_mut() {
-                map_accesses_expr(e, buf, f);
-            }
-        }
-        Stmt::Pass => {}
-        Stmt::WriteConfig { value, .. } => map_accesses_expr(value, buf, f),
-        Stmt::WindowStmt { rhs, .. } => map_accesses_expr(rhs, buf, f),
-    }
-}
-
-fn map_accesses_expr(e: &mut Expr, buf: &Sym, f: &dyn Fn(Vec<Expr>) -> Vec<Expr>) {
-    match e {
-        Expr::Read { buf: b, idx } => {
-            for i in idx.iter_mut() {
-                map_accesses_expr(i, buf, f);
-            }
-            if b == buf {
-                *idx = f(std::mem::take(idx));
-            }
-        }
-        Expr::Window { buf: b, idx } => {
-            for w in idx.iter_mut() {
-                match w {
-                    WAccess::Point(e) => map_accesses_expr(e, buf, f),
-                    WAccess::Interval(lo, hi) => {
-                        map_accesses_expr(lo, buf, f);
-                        map_accesses_expr(hi, buf, f);
-                    }
-                }
-            }
-            if b == buf {
+/// Rewrites every indexed access (read, write, window) to `buf` inside a
+/// statement, transforming the index vector with `f`.
+fn map_accesses(stmt: &mut Stmt, buf: &Sym, f: impl Fn(Vec<Expr>) -> Vec<Expr>) -> Result<()> {
+    rewrite_uses(std::slice::from_mut(stmt), buf, |u| {
+        match u {
+            Use::Index(_, idx) => *idx = f(std::mem::take(idx)),
+            Use::Window(_, widx) => {
                 // Window accesses are transformed point-wise on their start
                 // expressions; interval lengths are preserved.
-                let points: Vec<Expr> = idx
+                let starts: Vec<Expr> = widx
                     .iter()
                     .map(|w| match w {
                         WAccess::Point(e) | WAccess::Interval(e, _) => e.clone(),
                     })
                     .collect();
-                let mapped = f(points);
-                for (w, new_start) in idx.iter_mut().zip(mapped) {
+                let mapped = f(starts);
+                if mapped.len() != widx.len() {
+                    return Err(SchedError::scheduling(format!(
+                        "a window of `{buf}` is in use; cannot change the rank of `{buf}`"
+                    )));
+                }
+                for (w, new_start) in widx.iter_mut().zip(mapped) {
                     match w {
                         WAccess::Point(e) => *e = new_start,
                         WAccess::Interval(lo, hi) => {
@@ -101,21 +45,17 @@ fn map_accesses_expr(e: &mut Expr, buf: &Sym, f: &dyn Fn(Vec<Expr>) -> Vec<Expr>
                     }
                 }
             }
+            // The buffer keeps its name: a whole-buffer use stays in scope.
+            Use::Name(_) => {}
         }
-        Expr::Bin { lhs, rhs, .. } => {
-            map_accesses_expr(lhs, buf, f);
-            map_accesses_expr(rhs, buf, f);
-        }
-        Expr::Un { arg, .. } => map_accesses_expr(arg, buf, f),
-        _ => {}
-    }
+        Ok(())
+    })
 }
 
 /// Renames a buffer in a statement (accesses and window statements, not
 /// allocations of a *different* buffer).
 fn rename_buffer_stmt(stmt: &mut Stmt, old: &Sym, new: &Sym) {
-    let replaced = exo_ir::rename_sym(stmt.clone(), old, new);
-    *stmt = replaced;
+    *stmt = exo_ir::rename_sym(std::mem::replace(stmt, Stmt::Pass), old, new);
 }
 
 /// The pieces of an `Alloc` statement: its path, name, element type,
@@ -130,7 +70,7 @@ fn alloc_parts(c: &Cursor) -> Result<AllocParts> {
             dims,
             mem,
         } => Ok((
-            c.path().stmt_path().unwrap().to_vec(),
+            stmt_path_of(c)?,
             name.clone(),
             *ty,
             dims.clone(),
@@ -143,29 +83,6 @@ fn alloc_parts(c: &Cursor) -> Result<AllocParts> {
     }
 }
 
-/// Applies `f` to every statement after index `idx` in the block at
-/// `container` (the scope in which an allocation at that position is
-/// live), via statement-local edits.
-fn for_scope_after(
-    rw: &mut Rewrite,
-    container: &[Step],
-    idx: usize,
-    f: &dyn Fn(&mut Stmt),
-) -> Result<()> {
-    let len = {
-        let (block, _) = resolve_container(rw.proc(), container)
-            .ok_or_else(|| SchedError::scheduling("allocation scope no longer resolves"))?;
-        block.len()
-    };
-    for i in (idx + 1)..len {
-        let mut path = container.to_vec();
-        let last = *path.last().unwrap();
-        *path.last_mut().unwrap() = last.with_index(i);
-        rw.modify_stmt(&path, |s| f(s))?;
-    }
-    Ok(())
-}
-
 /// Moves an allocation out of `n_lifts` enclosing scopes (paper:
 /// `lift_alloc`). The allocation's dimensions must not depend on the
 /// iterators of the loops it is lifted across.
@@ -175,7 +92,7 @@ pub fn lift_alloc(p: &ProcHandle, alloc: impl IntoCursor, n_lifts: usize) -> Res
     let mut current = p.clone();
     let mut cursor = c;
     for _ in 0..n_lifts.max(1) {
-        let path = cursor.path().stmt_path().unwrap().to_vec();
+        let path = stmt_path_of(&cursor)?;
         if path.len() < 2 {
             return Err(SchedError::scheduling(format!(
                 "allocation `{name}` is already at the top level"
@@ -223,7 +140,7 @@ pub fn sink_alloc(p: &ProcHandle, alloc: impl IntoCursor) -> Result<ProcHandle> 
             )));
         }
     }
-    let mut dest = next.path().stmt_path().unwrap().to_vec();
+    let mut dest = stmt_path_of(&next)?;
     dest.push(Step::Body(0));
     let mut rw = Rewrite::new(p);
     rw.move_block(&path, 1, &dest)?;
@@ -287,14 +204,11 @@ pub fn reuse_buffer(p: &ProcHandle, a: &str, b: impl IntoCursor) -> Result<ProcH
             )));
         }
     }
-    let (container_path, idx) = (
-        b_path[..b_path.len()].to_vec(),
-        b_path.last().unwrap().index(),
-    );
     let a_sym = Sym::new(a);
     let mut rw = Rewrite::new(p);
-    for_scope_after(&mut rw, &container_path, idx, &|s| {
+    for_scope_after(&mut rw, &b_path, 1, &b_name, |s| {
         rename_buffer_stmt(s, &b_name, &a_sym);
+        Ok(())
     })?;
     rw.delete(&b_path, 1)?;
     stats::record("reuse_buffer");
@@ -319,28 +233,24 @@ pub fn resize_dim(
             dims.len()
         )));
     }
-    let idx = path.last().unwrap().index();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
         if let Stmt::Alloc { dims, .. } = s {
             dims[dim] = size.clone();
         }
     })?;
-    let size2 = size.clone();
-    let offset2 = offset.clone();
-    for_scope_after(&mut rw, &path, idx, &move |s| {
-        map_accesses_stmt(s, &name, &|mut idxs| {
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        map_accesses(s, &name, |mut idxs| {
             if dim < idxs.len() {
-                let shifted =
-                    simplify_expr(&(idxs[dim].clone() - offset2.clone()), &Context::new());
+                let shifted = simplify_expr(&(idxs[dim].clone() - offset.clone()), &Context::new());
                 idxs[dim] = if fold {
-                    shifted % size2.clone()
+                    shifted % size.clone()
                 } else {
                     shifted
                 };
             }
             idxs
-        });
+        })
     })?;
     stats::record("resize_dim");
     Ok(rw.commit())
@@ -360,19 +270,17 @@ pub fn expand_dim(
     if let Some(v) = size.as_int() {
         expect_positive(v, "expand_dim size")?;
     }
-    let idx = path.last().unwrap().index();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
         if let Stmt::Alloc { dims, .. } = s {
             dims.insert(0, size.clone());
         }
     })?;
-    let index2 = index.clone();
-    for_scope_after(&mut rw, &path, idx, &move |s| {
-        map_accesses_stmt(s, &name, &|mut idxs| {
-            idxs.insert(0, index2.clone());
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        map_accesses(s, &name, |mut idxs| {
+            idxs.insert(0, index.clone());
             idxs
-        });
+        })
     })?;
     stats::record("expand_dim");
     Ok(rw.commit())
@@ -393,23 +301,20 @@ pub fn rearrange_dim(p: &ProcHandle, alloc: impl IntoCursor, perm: &[usize]) -> 
             dims.len()
         )));
     }
-    let idx = path.last().unwrap().index();
-    let perm2 = perm.to_vec();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
         if let Stmt::Alloc { dims, .. } = s {
-            *dims = perm2.iter().map(|&i| dims[i].clone()).collect();
+            *dims = perm.iter().map(|&i| dims[i].clone()).collect();
         }
     })?;
-    let perm3 = perm.to_vec();
-    for_scope_after(&mut rw, &path, idx, &move |s| {
-        map_accesses_stmt(s, &name, &|idxs| {
-            if idxs.len() == perm3.len() {
-                perm3.iter().map(|&i| idxs[i].clone()).collect()
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        map_accesses(s, &name, |idxs| {
+            if idxs.len() == perm.len() {
+                perm.iter().map(|&i| idxs[i].clone()).collect()
             } else {
                 idxs
             }
-        });
+        })
     })?;
     stats::record("rearrange_dim");
     Ok(rw.commit())
@@ -436,7 +341,6 @@ pub fn divide_dim(
             "dimension {dim} of `{name}` has size {size}, not divisible by {factor}"
         )));
     }
-    let idx = path.last().unwrap().index();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
         if let Stmt::Alloc { dims, .. } = s {
@@ -444,15 +348,15 @@ pub fn divide_dim(
             dims.insert(dim + 1, ib(factor));
         }
     })?;
-    for_scope_after(&mut rw, &path, idx, &move |s| {
-        map_accesses_stmt(s, &name, &|mut idxs| {
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        map_accesses(s, &name, |mut idxs| {
             if dim < idxs.len() {
                 let e = idxs[dim].clone();
                 idxs[dim] = e.clone() / ib(factor);
                 idxs.insert(dim + 1, e % ib(factor));
             }
             idxs
-        });
+        })
     })?;
     stats::record("divide_dim");
     Ok(rw.commit())
@@ -474,7 +378,6 @@ pub fn mult_dim(
         ));
     }
     let c2 = expect_const(&dims[dim2], "mult_dim merged dimension")?;
-    let idx = path.last().unwrap().index();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
         if let Stmt::Alloc { dims, .. } = s {
@@ -482,14 +385,14 @@ pub fn mult_dim(
             dims.remove(dim2);
         }
     })?;
-    for_scope_after(&mut rw, &path, idx, &move |s| {
-        map_accesses_stmt(s, &name, &|mut idxs| {
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        map_accesses(s, &name, |mut idxs| {
             if dim < idxs.len() && dim2 < idxs.len() {
                 idxs[dim] = idxs[dim].clone() * ib(c2) + idxs[dim2].clone();
                 idxs.remove(dim2);
             }
             idxs
-        });
+        })
     })?;
     stats::record("mult_dim");
     Ok(rw.commit())
@@ -505,24 +408,7 @@ pub fn unroll_buffer(p: &ProcHandle, alloc: impl IntoCursor, dim: usize) -> Resu
             .ok_or_else(|| SchedError::scheduling("dimension out of range"))?,
         "unroll_buffer dimension size",
     )?;
-    // Every access must index this dimension with a constant.
-    let mut constant_only = true;
-    for_each_stmt_paths(p.proc(), &mut |_, stmt| {
-        for (b, idxs) in exo_ir::collect_reads(stmt)
-            .into_iter()
-            .chain(exo_ir::collect_writes(stmt))
-        {
-            if b == name && idxs.get(dim).and_then(|e| e.as_int()).is_none() {
-                constant_only = false;
-            }
-        }
-    });
-    if !constant_only {
-        return Err(SchedError::scheduling(format!(
-            "`{name}` is indexed non-constantly along dimension {dim}; cannot unroll"
-        )));
-    }
-    let idx = path.last().unwrap().index();
+    let size = expect_positive(size, "unroll_buffer dimension size")?;
     let mut remaining = dims.clone();
     remaining.remove(dim);
     let news: Vec<Stmt> = (0..size)
@@ -535,80 +421,40 @@ pub fn unroll_buffer(p: &ProcHandle, alloc: impl IntoCursor, dim: usize) -> Resu
         .collect();
     let mut rw = Rewrite::new(p);
     rw.replace(&path, 1, news)?;
-    // The replacement inserted `size` statements; later statements in the
-    // same block shifted by size-1, so the scope now starts after them.
-    let name2 = name.clone();
-    for_scope_after(&mut rw, &path, idx + (size as usize - 1), &move |s| {
-        // Rewrite accesses buffer-by-constant-index into the split buffers.
-        for k in 0..size {
-            let split = Sym::new(format!("{name2}_{k}"));
-            let name3 = name2.clone();
-            map_accesses_stmt(s, &name3, &|idxs| idxs);
-            let _ = &split;
-        }
-        // Perform the rename via a full traversal: read accesses with the
-        // constant index are renamed and the index removed.
-        rewrite_unrolled(s, &name2, dim);
+    // The replacement put `size` statements where the allocation was; the
+    // buffer's scope starts after them.
+    for_scope_after(&mut rw, &path, size as usize, &name, |s| {
+        rewrite_uses(std::slice::from_mut(s), &name, |u| {
+            // Every use must select the unrolled dimension with a constant;
+            // it then names the split buffer and drops that dimension.
+            let constant =
+                |e: Option<&Expr>| e.and_then(Expr::as_int).filter(|k| (0..size).contains(k));
+            let split = match u {
+                Use::Index(b, idx) => constant(idx.get(dim)).map(|k| {
+                    idx.remove(dim);
+                    (b, k)
+                }),
+                Use::Window(b, widx) => match widx.get(dim) {
+                    Some(WAccess::Point(e)) => constant(Some(e)),
+                    _ => None,
+                }
+                .map(|k| {
+                    widx.remove(dim);
+                    (b, k)
+                }),
+                Use::Name(_) => None,
+            };
+            let (b, k) = split.ok_or_else(|| {
+                SchedError::scheduling(format!(
+                    "`{name}` is indexed non-constantly along dimension {dim}; cannot unroll"
+                ))
+            })?;
+            *b = Sym::new(format!("{name}_{k}"));
+            Ok(())
+        })
     })?;
     stats::record("unroll_buffer");
     Ok(rw.commit())
-}
-
-fn rewrite_unrolled(stmt: &mut Stmt, buf: &Sym, dim: usize) {
-    fn fix_expr(e: &mut Expr, buf: &Sym, dim: usize) {
-        match e {
-            Expr::Read { buf: b, idx } => {
-                for i in idx.iter_mut() {
-                    fix_expr(i, buf, dim);
-                }
-                if b == buf {
-                    if let Some(k) = idx.get(dim).and_then(|e| e.as_int()) {
-                        *b = Sym::new(format!("{buf}_{k}"));
-                        idx.remove(dim);
-                    }
-                }
-            }
-            Expr::Bin { lhs, rhs, .. } => {
-                fix_expr(lhs, buf, dim);
-                fix_expr(rhs, buf, dim);
-            }
-            Expr::Un { arg, .. } => fix_expr(arg, buf, dim),
-            _ => {}
-        }
-    }
-    match stmt {
-        Stmt::Assign { buf: b, idx, rhs } | Stmt::Reduce { buf: b, idx, rhs } => {
-            fix_expr(rhs, buf, dim);
-            for i in idx.iter_mut() {
-                fix_expr(i, buf, dim);
-            }
-            if b == buf {
-                if let Some(k) = idx.get(dim).and_then(|e| e.as_int()) {
-                    *b = Sym::new(format!("{buf}_{k}"));
-                    idx.remove(dim);
-                }
-            }
-        }
-        Stmt::For { body, .. } => {
-            for s in body.stmts_mut().iter_mut() {
-                rewrite_unrolled(s, buf, dim);
-            }
-        }
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => {
-            for s in then_body
-                .stmts_mut()
-                .iter_mut()
-                .chain(else_body.stmts_mut().iter_mut())
-            {
-                rewrite_unrolled(s, buf, dim);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Binds an expression occurrence to a fresh scalar temporary allocated and
@@ -775,32 +621,23 @@ pub fn stage_mem(
 
     let mut rw = Rewrite::new(p);
     // Rewrite accesses inside the target to the staged buffer.
-    let window2: Vec<Expr> = window.iter().map(|(lo, _)| lo.clone()).collect();
-    for i in 0..count {
-        let mut spath = path.clone();
-        let last = *spath.last().unwrap();
-        *spath.last_mut().unwrap() = last.with_index(last.index() + i);
-        let new_sym2 = new_sym.clone();
-        let buf_sym2 = buf_sym.clone();
-        let lows = window2.clone();
-        let ctx2 = ctx.clone();
-        rw.modify_stmt(&spath, move |s| {
-            map_accesses_stmt(s, &buf_sym2, &|idxs| {
+    let start = index_in_block(&path)?;
+    for i in start..start + count {
+        try_modify_stmt(&mut rw, &sibling(&path, i)?, |s| {
+            map_accesses(s, &buf_sym, |idxs| {
                 idxs.iter()
-                    .zip(lows.iter())
-                    .map(|(e, lo)| simplify_expr(&(e.clone() - lo.clone()), &ctx2))
+                    .zip(window.iter())
+                    .map(|(e, (lo, _))| simplify_expr(&(e.clone() - lo.clone()), &ctx))
                     .collect()
-            });
-            rename_buffer_stmt(s, &buf_sym2, &new_sym2);
+            })?;
+            rename_buffer_stmt(s, &buf_sym, &new_sym);
+            Ok(())
         })?;
     }
     // Copy-out after the target (inserted first so the pre-target insertion
     // below does not shift its position incorrectly).
     if writes_buf {
-        let mut after = path.clone();
-        let last = *after.last().unwrap();
-        *after.last_mut().unwrap() = last.with_index(last.index() + count);
-        rw.insert(&after, vec![copy(false)])?;
+        rw.insert(&sibling(&path, start + count)?, vec![copy(false)])?;
     }
     // Allocation + copy-in before the target.
     rw.insert(

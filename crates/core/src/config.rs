@@ -3,7 +3,7 @@
 //! configuration-register writes.
 
 use crate::error::SchedError;
-use crate::helpers::IntoCursor;
+use crate::helpers::{stmt_path_of, IntoCursor};
 use crate::{stats, Result};
 use exo_cursors::{Cursor, CursorPath, ProcHandle, Rewrite};
 use exo_ir::{for_each_expr, for_each_stmt_paths, Expr, Step, Stmt, Sym};
@@ -97,7 +97,7 @@ pub fn delete_config(p: &ProcHandle, stmt: impl IntoCursor) -> Result<ProcHandle
             "delete_config requires a configuration write",
         ));
     };
-    let path = c.path().stmt_path().unwrap().to_vec();
+    let path = stmt_path_of(&c)?;
     if field_read_after(p, &path, &config, &field) {
         return Err(SchedError::scheduling(format!(
             "configuration field `{config}.{field}` is read by later code"

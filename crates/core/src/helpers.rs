@@ -4,7 +4,7 @@
 use crate::error::SchedError;
 use crate::Result;
 use exo_cursors::{Cursor, ProcHandle};
-use exo_ir::{Block, Expr, Stmt, Sym};
+use exo_ir::{Block, Expr, Step, Stmt, Sym};
 
 /// Argument type accepted wherever a primitive takes a reference to object
 /// code: a cursor (implicitly forwarded to the target procedure, as in the
@@ -42,6 +42,42 @@ impl IntoCursor for String {
     fn into_cursor(self, p: &ProcHandle) -> Result<Cursor> {
         Ok(p.find(&self)?)
     }
+}
+
+/// The statement path a cursor addresses; an error once the cursor has been
+/// invalidated by an edit.
+pub(crate) fn stmt_path_of(c: &Cursor) -> Result<Vec<Step>> {
+    c.path()
+        .stmt_path()
+        .map(|p| p.to_vec())
+        .ok_or_else(|| SchedError::scheduling("cursor was invalidated"))
+}
+
+/// The path of the statement at `index` in the block that holds `path`'s
+/// statement.
+pub(crate) fn sibling(path: &[Step], index: usize) -> Result<Vec<Step>> {
+    let (last, parents) = path
+        .split_last()
+        .ok_or_else(|| SchedError::scheduling("empty statement path"))?;
+    let mut out = parents.to_vec();
+    out.push(last.with_index(index));
+    Ok(out)
+}
+
+/// Index, within its block, of the statement `path` addresses.
+pub(crate) fn index_in_block(path: &[Step]) -> Result<usize> {
+    path.last()
+        .map(|s| s.index())
+        .ok_or_else(|| SchedError::scheduling("empty statement path"))
+}
+
+/// Whether `second` addresses the statement right after `first` in the
+/// same block.
+pub(crate) fn adjacent(first: &[Step], second: &[Step]) -> bool {
+    matches!(
+        (first.split_last(), second.split_last()),
+        (Some((l1, p1)), Some((l2, p2))) if p1 == p2 && *l2 == l1.with_index(l1.index() + 1)
+    )
 }
 
 /// Destructures a loop cursor into `(iter, lo, hi, body, parallel)`.

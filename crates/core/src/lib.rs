@@ -61,6 +61,7 @@ mod rearrange;
 mod scope;
 mod simplify_ops;
 pub mod stats;
+mod uses;
 
 pub use backend::{
     parallelize_loop, parallelize_loop_where, set_memory, set_precision, set_window,

@@ -2,7 +2,8 @@
 
 use crate::error::SchedError;
 use crate::helpers::{
-    expect_const, expect_positive, loop_parts, mk_for, mk_if, subst_stmts, IntoCursor,
+    adjacent, expect_const, expect_positive, index_in_block, loop_parts, mk_for, mk_if, sibling,
+    stmt_path_of, subst_stmts, IntoCursor,
 };
 use crate::{stats, Result};
 use exo_analysis::{body_depends_on, is_idempotent, provably_equal, Context, Effects, LinExpr};
@@ -24,13 +25,6 @@ pub enum TailStrategy {
     /// Like [`TailStrategy::Cut`], but the tail loop is wrapped in
     /// `if I % c > 0`.
     CutAndGuard,
-}
-
-fn stmt_path_of(c: &Cursor) -> Result<Vec<exo_ir::Step>> {
-    c.path()
-        .stmt_path()
-        .map(|p| p.to_vec())
-        .ok_or_else(|| SchedError::scheduling("cursor does not reference a statement"))
 }
 
 /// Divides a loop of `n` iterations into nested outer/inner loops of
@@ -297,10 +291,7 @@ pub fn join_loops(
     let (i2, lo2, hi2, b2, _) = loop_parts(&c2)?;
     let p1 = stmt_path_of(&c1)?;
     let p2 = stmt_path_of(&c2)?;
-    if p1.len() != p2.len()
-        || p1[..p1.len() - 1] != p2[..p2.len() - 1]
-        || p2.last().unwrap().index() != p1.last().unwrap().index() + 1
-    {
+    if !adjacent(&p1, &p2) {
         return Err(SchedError::scheduling(
             "join_loops requires two adjacent loops",
         ));
@@ -451,7 +442,7 @@ pub fn fission(p: &ProcHandle, gap: &Cursor, n_lifts: usize) -> Result<ProcHandl
         if gap_path.len() < 2 {
             return Err(SchedError::scheduling("fission gap is not inside a loop"));
         }
-        let split_idx = gap_path.last().unwrap().index();
+        let split_idx = index_in_block(&gap_path)?;
         let loop_path = gap_path[..gap_path.len() - 1].to_vec();
         let loop_cursor = current.cursor_at(CursorPath::stmt(loop_path.clone()));
         let (iter, lo, hi, body, parallel) = loop_parts(&loop_cursor)?;
@@ -472,9 +463,7 @@ pub fn fission(p: &ProcHandle, gap: &Cursor, n_lifts: usize) -> Result<ProcHandl
             body: exo_ir::Block::from_stmts(s2),
             parallel,
         };
-        let mut after_loop = loop_path.clone();
-        let last = *after_loop.last().unwrap();
-        *after_loop.last_mut().unwrap() = last.with_index(last.index() + 1);
+        let after_loop = sibling(&loop_path, index_in_block(&loop_path)? + 1)?;
         let mut rw = Rewrite::new(&current);
         rw.insert(&after_loop, vec![second])?;
         let mut tail_path = loop_path.clone();
@@ -484,10 +473,7 @@ pub fn fission(p: &ProcHandle, gap: &Cursor, n_lifts: usize) -> Result<ProcHandl
         stats::record("fission");
         // The next lift splits the loop that encloses the two new loops, at
         // the gap between them.
-        let mut next_gap = loop_path;
-        let last = *next_gap.last().unwrap();
-        *next_gap.last_mut().unwrap() = last.with_index(last.index() + 1);
-        gap_path = next_gap;
+        gap_path = after_loop;
     }
     Ok(current)
 }
@@ -528,10 +514,7 @@ pub fn remove_loop(p: &ProcHandle, loop_: impl IntoCursor) -> Result<ProcHandle>
         first_stmt.push(exo_ir::Step::Body(0));
         rw.move_block(&first_stmt, count, &path)?;
     }
-    let mut loop_now = path.clone();
-    let last = *loop_now.last().unwrap();
-    *loop_now.last_mut().unwrap() = last.with_index(last.index() + count);
-    rw.delete(&loop_now, 1)?;
+    rw.delete(&sibling(&path, index_in_block(&path)? + count)?, 1)?;
     stats::record("remove_loop");
     Ok(rw.commit())
 }

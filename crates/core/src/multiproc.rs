@@ -3,11 +3,12 @@
 //! and `rename`.
 
 use crate::error::SchedError;
-use crate::helpers::IntoCursor;
+use crate::helpers::{stmt_path_of, IntoCursor};
+use crate::uses::inline_window_uses;
 use crate::{stats, Result};
 use exo_analysis::provably_equal;
 use exo_cursors::{CursorPath, ProcHandle, Rewrite};
-use exo_ir::{ib, substitute_block, ArgKind, Block, Expr, Proc, ProcArg, Stmt, Sym, WAccess};
+use exo_ir::{substitute_block, ArgKind, Block, Expr, Proc, ProcArg, Stmt, Sym, WAccess};
 use std::collections::HashMap;
 
 /// Renames a procedure (paper: `rename`).
@@ -41,181 +42,32 @@ pub fn inline_call(p: &ProcHandle, call: impl IntoCursor, callee: &Proc) -> Resu
     for (arg, actual) in callee.args().iter().zip(args.iter()) {
         body = bind_argument(body, arg, actual)?;
     }
-    let path = c.path().stmt_path().unwrap().to_vec();
+    let path = stmt_path_of(&c)?;
     let mut rw = Rewrite::new(p);
     rw.replace(&path, 1, body.into_stmts())?;
     stats::record("inline");
     Ok(rw.commit())
 }
 
-fn bind_argument(body: Block, arg: &ProcArg, actual: &Expr) -> Result<Block> {
-    match &arg.kind {
-        ArgKind::Size | ArgKind::Scalar { .. } => Ok(substitute_block(body, &arg.name, actual)),
-        ArgKind::Tensor { .. } => match actual {
-            Expr::Var(buf) => {
-                // Whole-buffer argument: a plain rename.
-                Ok(Block::from_stmts(
-                    body.into_stmts()
-                        .into_iter()
-                        .map(|s| exo_ir::rename_sym(s, &arg.name, buf))
-                        .collect(),
-                ))
-            }
-            Expr::Window { buf, idx } => {
-                let spec = idx.clone();
-                Ok(Block::from_stmts(
-                    body.into_stmts()
-                        .into_iter()
-                        .map(|s| rebase_accesses(s, &arg.name, buf, &spec))
-                        .collect(),
-                ))
-            }
-            other => Err(SchedError::scheduling(format!(
-                "cannot inline tensor argument bound to `{other}`"
-            ))),
-        },
-    }
-}
-
-/// Rewrites accesses to `formal` into accesses to `actual` with the window
-/// `spec` applied (point dims re-inserted, interval dims offset).
-fn rebase_accesses(stmt: Stmt, formal: &Sym, actual: &Sym, spec: &[WAccess]) -> Stmt {
-    let translate = |idx: Vec<Expr>| -> Vec<Expr> {
-        let mut out = Vec::new();
-        let mut k = 0usize;
-        for w in spec {
-            match w {
-                WAccess::Point(e) => out.push(e.clone()),
-                WAccess::Interval(lo, _) => {
-                    let local = idx.get(k).cloned().unwrap_or(ib(0));
-                    out.push(lo.clone() + local);
-                    k += 1;
-                }
-            }
+fn bind_argument(mut body: Block, arg: &ProcArg, actual: &Expr) -> Result<Block> {
+    match (&arg.kind, actual) {
+        (ArgKind::Size | ArgKind::Scalar { .. }, _) => {
+            Ok(substitute_block(body, &arg.name, actual))
         }
-        out
-    };
-    fn fix_expr(e: Expr, formal: &Sym, actual: &Sym, tr: &dyn Fn(Vec<Expr>) -> Vec<Expr>) -> Expr {
-        match e {
-            Expr::Read { buf, idx } if &buf == formal => Expr::Read {
-                buf: actual.clone(),
-                idx: tr(idx
-                    .into_iter()
-                    .map(|i| fix_expr(i, formal, actual, tr))
-                    .collect()),
-            },
-            Expr::Read { buf, idx } => Expr::Read {
-                buf,
-                idx: idx
-                    .into_iter()
-                    .map(|i| fix_expr(i, formal, actual, tr))
-                    .collect(),
-            },
-            Expr::Bin { op, lhs, rhs } => Expr::Bin {
-                op,
-                lhs: Box::new(fix_expr(*lhs, formal, actual, tr)),
-                rhs: Box::new(fix_expr(*rhs, formal, actual, tr)),
-            },
-            Expr::Un { op, arg } => Expr::Un {
-                op,
-                arg: Box::new(fix_expr(*arg, formal, actual, tr)),
-            },
-            Expr::Stride { buf, dim } if &buf == formal => Expr::Stride {
-                buf: actual.clone(),
-                dim,
-            },
-            other => other,
+        // Whole-buffer argument: a plain rename.
+        (ArgKind::Tensor { .. }, Expr::Var(buf)) => Ok(body
+            .into_stmts()
+            .into_iter()
+            .map(|s| exo_ir::rename_sym(s, &arg.name, buf))
+            .collect()),
+        (ArgKind::Tensor { .. }, Expr::Window { buf, idx }) => {
+            inline_window_uses(body.stmts_mut(), &arg.name, buf, idx)?;
+            Ok(body)
         }
+        (ArgKind::Tensor { .. }, other) => Err(SchedError::scheduling(format!(
+            "cannot inline tensor argument bound to `{other}`"
+        ))),
     }
-    fn fix_stmt(
-        stmt: Stmt,
-        formal: &Sym,
-        actual: &Sym,
-        tr: &dyn Fn(Vec<Expr>) -> Vec<Expr>,
-    ) -> Stmt {
-        match stmt {
-            Stmt::Assign { buf, idx, rhs } => {
-                let idx: Vec<Expr> = idx
-                    .into_iter()
-                    .map(|i| fix_expr(i, formal, actual, tr))
-                    .collect();
-                let rhs = fix_expr(rhs, formal, actual, tr);
-                if &buf == formal {
-                    Stmt::Assign {
-                        buf: actual.clone(),
-                        idx: tr(idx),
-                        rhs,
-                    }
-                } else {
-                    Stmt::Assign { buf, idx, rhs }
-                }
-            }
-            Stmt::Reduce { buf, idx, rhs } => {
-                let idx: Vec<Expr> = idx
-                    .into_iter()
-                    .map(|i| fix_expr(i, formal, actual, tr))
-                    .collect();
-                let rhs = fix_expr(rhs, formal, actual, tr);
-                if &buf == formal {
-                    Stmt::Reduce {
-                        buf: actual.clone(),
-                        idx: tr(idx),
-                        rhs,
-                    }
-                } else {
-                    Stmt::Reduce { buf, idx, rhs }
-                }
-            }
-            Stmt::For {
-                iter,
-                lo,
-                hi,
-                body,
-                parallel,
-            } => Stmt::For {
-                iter,
-                lo: fix_expr(lo, formal, actual, tr),
-                hi: fix_expr(hi, formal, actual, tr),
-                body: Block::from_stmts(
-                    body.into_stmts()
-                        .into_iter()
-                        .map(|s| fix_stmt(s, formal, actual, tr))
-                        .collect(),
-                ),
-                parallel,
-            },
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => Stmt::If {
-                cond: fix_expr(cond, formal, actual, tr),
-                then_body: Block::from_stmts(
-                    then_body
-                        .into_stmts()
-                        .into_iter()
-                        .map(|s| fix_stmt(s, formal, actual, tr))
-                        .collect(),
-                ),
-                else_body: Block::from_stmts(
-                    else_body
-                        .into_stmts()
-                        .into_iter()
-                        .map(|s| fix_stmt(s, formal, actual, tr))
-                        .collect(),
-                ),
-            },
-            Stmt::Call { proc, args } => Stmt::Call {
-                proc,
-                args: args
-                    .into_iter()
-                    .map(|a| fix_expr(a, formal, actual, tr))
-                    .collect(),
-            },
-            other => other,
-        }
-    }
-    fix_stmt(stmt, formal, actual, &translate)
 }
 
 /// Replaces a call to one procedure with a call to an equivalent procedure
@@ -235,7 +87,7 @@ pub fn call_eqv(p: &ProcHandle, call: impl IntoCursor, equivalent: &Proc) -> Res
             args.len()
         )));
     }
-    let path = c.path().stmt_path().unwrap().to_vec();
+    let path = stmt_path_of(&c)?;
     let name = equivalent.name().to_string();
     let mut rw = Rewrite::new(p);
     rw.modify_stmt(&path, |s| {
@@ -668,7 +520,7 @@ pub fn replace(p: &ProcHandle, target: impl IntoCursor, instr: &Proc) -> Result<
             ))
         })?
     };
-    let path = c.path().stmt_path().unwrap().to_vec();
+    let path = stmt_path_of(&c)?;
     let mut rw = Rewrite::new(p);
     rw.replace(
         &path,
@@ -749,7 +601,7 @@ pub fn replace_all(p: &ProcHandle, instrs: &[Proc]) -> Result<ProcHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_ir::{fb, read, var, DataType, Mem, ProcBuilder};
+    use exo_ir::{fb, ib, read, var, DataType, Mem, ProcBuilder};
 
     fn vec_load_instr() -> Proc {
         ProcBuilder::new("mm256_loadu_ps")

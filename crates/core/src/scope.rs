@@ -2,7 +2,7 @@
 //! (paper Appendix A.3).
 
 use crate::error::SchedError;
-use crate::helpers::IntoCursor;
+use crate::helpers::{adjacent, stmt_path_of, IntoCursor};
 use crate::loops::interchange_safe;
 use crate::{stats, Result};
 use exo_analysis::{infer_bounds, provably_equal, Context, Effects};
@@ -73,20 +73,9 @@ pub fn specialize(p: &ProcHandle, target: impl IntoCursor, conds: &[Expr]) -> Re
 pub fn fuse(p: &ProcHandle, first: impl IntoCursor, second: impl IntoCursor) -> Result<ProcHandle> {
     let c1 = first.into_cursor(p)?;
     let c2 = second.into_cursor(p)?;
-    let p1 = c1
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
-    let p2 = c2
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
-    if p1.len() != p2.len()
-        || p1[..p1.len() - 1] != p2[..p2.len() - 1]
-        || p2.last().unwrap().index() != p1.last().unwrap().index() + 1
-    {
+    let p1 = stmt_path_of(&c1)?;
+    let p2 = stmt_path_of(&c2)?;
+    if !adjacent(&p1, &p2) {
         return Err(SchedError::scheduling(
             "fuse requires two adjacent statements",
         ));
@@ -261,11 +250,7 @@ pub fn lift_scope(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle> 
     let parent = c
         .parent()
         .map_err(|_| SchedError::scheduling("lift_scope: the statement has no enclosing scope"))?;
-    let parent_path = parent
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
+    let parent_path = stmt_path_of(&parent)?;
     let child = c.stmt()?.clone();
     let parent_stmt = parent.stmt()?.clone();
     // The child must be the only statement of the parent's (relevant) body.

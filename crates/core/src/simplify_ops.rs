@@ -1,72 +1,42 @@
 //! Simplification primitives (paper Appendix A.6).
 
 use crate::error::SchedError;
-use crate::helpers::IntoCursor;
+use crate::helpers::{index_in_block, stmt_path_of, IntoCursor};
+use crate::uses::{for_scope_after, inline_window_uses};
 use crate::{stats, Result};
 use exo_analysis::{provably_equal, simplify_expr, simplify_predicate, Context};
 use exo_cursors::{Cursor, CursorPath, ProcHandle, Rewrite};
-use exo_ir::{resolve_container, Expr, Step, Stmt, Sym, WAccess};
+use exo_ir::{
+    resolve_container, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, Expr, Step, Stmt, Sym,
+    VisitMut,
+};
 
-fn simplify_stmt_exprs(stmt: &mut Stmt, ctx: &Context) {
-    let simp = |e: &mut Expr, ctx: &Context| *e = simplify_expr(e, ctx);
-    match stmt {
-        Stmt::Assign { idx, rhs, .. } | Stmt::Reduce { idx, rhs, .. } => {
-            for e in idx.iter_mut() {
-                simp(e, ctx);
-            }
-            simp(rhs, ctx);
-        }
-        Stmt::Alloc { dims, .. } => {
-            for e in dims.iter_mut() {
-                simp(e, ctx);
-            }
-        }
-        Stmt::For {
+/// Simplifies every expression position under the facts in force there:
+/// the context it starts with plus the range of each enclosing loop.
+struct Simplifier {
+    ctx: Context,
+}
+
+impl VisitMut for Simplifier {
+    // `simplify_expr` rewrites the whole tree itself; no descent here.
+    fn visit_expr(&mut self, e: &mut Expr) {
+        *e = simplify_expr(e, &self.ctx);
+    }
+
+    fn visit_stmt(&mut self, s: &mut Stmt) {
+        let Stmt::For {
             iter, lo, hi, body, ..
-        } => {
-            simp(lo, ctx);
-            simp(hi, ctx);
-            let mut inner = ctx.clone();
-            inner.push_iter(iter.clone(), lo.clone(), hi.clone());
-            for s in body.stmts_mut().iter_mut() {
-                simplify_stmt_exprs(s, &inner);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            simp(cond, ctx);
-            for s in then_body
-                .stmts_mut()
-                .iter_mut()
-                .chain(else_body.stmts_mut().iter_mut())
-            {
-                simplify_stmt_exprs(s, ctx);
-            }
-        }
-        Stmt::Call { args, .. } => {
-            for e in args.iter_mut() {
-                match e {
-                    Expr::Window { idx, .. } => {
-                        for w in idx.iter_mut() {
-                            match w {
-                                WAccess::Point(e) => simp(e, ctx),
-                                WAccess::Interval(lo, hi) => {
-                                    simp(lo, ctx);
-                                    simp(hi, ctx);
-                                }
-                            }
-                        }
-                    }
-                    other => simp(other, ctx),
-                }
-            }
-        }
-        Stmt::Pass => {}
-        Stmt::WriteConfig { value, .. } => simp(value, ctx),
-        Stmt::WindowStmt { rhs, .. } => simp(rhs, ctx),
+        } = s
+        else {
+            return walk_stmt_mut(self, s);
+        };
+        self.visit_expr(lo);
+        self.visit_expr(hi);
+        let mut inner = self.ctx.clone();
+        inner.push_iter(iter.clone(), lo.clone(), hi.clone());
+        let outer = std::mem::replace(&mut self.ctx, inner);
+        walk_stmts_mut(self, body.stmts_mut());
+        self.ctx = outer;
     }
 }
 
@@ -76,12 +46,12 @@ fn simplify_stmt_exprs(stmt: &mut Stmt, ctx: &Context) {
 /// existing cursor remains valid. Use [`eliminate_dead_code`] to remove
 /// provably dead branches and empty loops.
 pub fn simplify(p: &ProcHandle) -> Result<ProcHandle> {
-    let base_ctx = Context::from_proc(p.proc());
+    let mut simplifier = Simplifier {
+        ctx: Context::from_proc(p.proc()),
+    };
     let mut rw = Rewrite::new(p);
-    let n = p.proc().body().len();
-    for i in 0..n {
-        let ctx = base_ctx.clone();
-        rw.modify_stmt(&[Step::Body(i)], |s| simplify_stmt_exprs(s, &ctx))?;
+    for i in 0..p.proc().body().len() {
+        rw.modify_stmt(&[Step::Body(i)], |s| simplifier.visit_stmt(s))?;
     }
     stats::record("simplify");
     Ok(rw.commit())
@@ -96,14 +66,10 @@ pub fn simplify(p: &ProcHandle) -> Result<ProcHandle> {
 /// transformed without rewriting — or paying for — unrelated code.
 pub fn simplify_at(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle> {
     let c = scope.into_cursor(p)?;
-    let path = c
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
+    let path = stmt_path_of(&c)?;
     let ctx = Context::at(p.proc(), &path);
     let mut rw = Rewrite::new(p);
-    rw.modify_stmt(&path, |s| simplify_stmt_exprs(s, &ctx))?;
+    rw.modify_stmt(&path, |s| Simplifier { ctx }.visit_stmt(s))?;
     stats::record("simplify");
     Ok(rw.commit())
 }
@@ -113,11 +79,7 @@ pub fn simplify_at(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle>
 /// condition is decidable is replaced by the taken branch.
 pub fn eliminate_dead_code(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle> {
     let c = scope.into_cursor(p)?;
-    let path = c
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
+    let path = stmt_path_of(&c)?;
     let ctx = Context::at(p.proc(), &path);
     let replacement = match c.stmt()? {
         Stmt::For { lo, hi, .. } => {
@@ -209,11 +171,7 @@ pub fn rewrite_expr(p: &ProcHandle, expr: &Cursor, new: Expr) -> Result<ProcHand
 /// (paper: `merge_writes`). The cursor addresses the first write.
 pub fn merge_writes(p: &ProcHandle, first: impl IntoCursor) -> Result<ProcHandle> {
     let c = first.into_cursor(p)?;
-    let path = c
-        .path()
-        .stmt_path()
-        .ok_or_else(|| SchedError::scheduling("invalid cursor"))?
-        .to_vec();
+    let path = stmt_path_of(&c)?;
     let s1 = c.stmt()?.clone();
     let s2 = c
         .next()
@@ -314,112 +272,14 @@ pub fn inline_window(p: &ProcHandle, window: impl IntoCursor) -> Result<ProcHand
             "window statement has a malformed right-hand side",
         ));
     };
-    let path = c.path().stmt_path().unwrap().to_vec();
-    let (_, alias_idx) = resolve_container(p.proc(), &path)
-        .ok_or_else(|| SchedError::scheduling("window scope no longer resolves"))?;
-    let container = path.clone();
+    let path = stmt_path_of(&c)?;
     let mut rw = Rewrite::new(p);
-    // Substitute in every following statement of the same block.
-    let len = {
-        let (block, _) = resolve_container(rw.proc(), &container).unwrap();
-        block.len()
-    };
-    for i in (alias_idx + 1)..len {
-        let mut spath = container.clone();
-        let last = *spath.last().unwrap();
-        *spath.last_mut().unwrap() = last.with_index(i);
-        let name2 = name.clone();
-        let buf2 = buf.clone();
-        let spec = idx.clone();
-        rw.modify_stmt(&spath, move |s| {
-            substitute_window_alias(s, &name2, &buf2, &spec);
-        })?;
-    }
+    for_scope_after(&mut rw, &path, 1, &name, |s| {
+        inline_window_uses(std::slice::from_mut(s), &name, &buf, &idx)
+    })?;
     rw.delete(&path, 1)?;
     stats::record("inline_window");
     Ok(rw.commit())
-}
-
-fn substitute_window_alias(stmt: &mut Stmt, alias: &Sym, buf: &Sym, spec: &[WAccess]) {
-    // Translate an alias index vector into the underlying buffer's indices.
-    let translate = |idx: Vec<Expr>| -> Vec<Expr> {
-        let mut out = Vec::new();
-        let mut k = 0usize;
-        for w in spec {
-            match w {
-                WAccess::Point(e) => out.push(e.clone()),
-                WAccess::Interval(lo, _) => {
-                    let local = idx.get(k).cloned().unwrap_or(exo_ir::ib(0));
-                    out.push(lo.clone() + local);
-                    k += 1;
-                }
-            }
-        }
-        out
-    };
-    fn walk(stmt: &mut Stmt, alias: &Sym, buf: &Sym, translate: &dyn Fn(Vec<Expr>) -> Vec<Expr>) {
-        fn walk_expr(
-            e: &mut Expr,
-            alias: &Sym,
-            buf: &Sym,
-            translate: &dyn Fn(Vec<Expr>) -> Vec<Expr>,
-        ) {
-            match e {
-                Expr::Read { buf: b, idx } => {
-                    for i in idx.iter_mut() {
-                        walk_expr(i, alias, buf, translate);
-                    }
-                    if b == alias {
-                        *b = buf.clone();
-                        *idx = translate(std::mem::take(idx));
-                    }
-                }
-                Expr::Bin { lhs, rhs, .. } => {
-                    walk_expr(lhs, alias, buf, translate);
-                    walk_expr(rhs, alias, buf, translate);
-                }
-                Expr::Un { arg, .. } => walk_expr(arg, alias, buf, translate),
-                _ => {}
-            }
-        }
-        match stmt {
-            Stmt::Assign { buf: b, idx, rhs } | Stmt::Reduce { buf: b, idx, rhs } => {
-                walk_expr(rhs, alias, buf, translate);
-                for i in idx.iter_mut() {
-                    walk_expr(i, alias, buf, translate);
-                }
-                if b == alias {
-                    *b = buf.clone();
-                    *idx = translate(std::mem::take(idx));
-                }
-            }
-            Stmt::For { body, .. } => {
-                for s in body.stmts_mut().iter_mut() {
-                    walk(s, alias, buf, translate);
-                }
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                for s in then_body
-                    .stmts_mut()
-                    .iter_mut()
-                    .chain(else_body.stmts_mut().iter_mut())
-                {
-                    walk(s, alias, buf, translate);
-                }
-            }
-            Stmt::Call { args, .. } => {
-                for a in args.iter_mut() {
-                    walk_expr(a, alias, buf, translate);
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(stmt, alias, buf, &translate);
 }
 
 /// Substitutes a scalar assignment into all later statements of its block
@@ -436,11 +296,10 @@ pub fn inline_assign(p: &ProcHandle, assign: impl IntoCursor) -> Result<ProcHand
             "inline_assign requires a scalar destination",
         ));
     }
-    let path = c.path().stmt_path().unwrap().to_vec();
-    let start = path.last().unwrap().index();
-    let container = path.clone();
+    let path = stmt_path_of(&c)?;
+    let start = index_in_block(&path)?;
     // The destination must not be written again afterwards in its scope.
-    let (block, _) = resolve_container(p.proc(), &container)
+    let (block, _) = resolve_container(p.proc(), &path)
         .ok_or_else(|| SchedError::scheduling("scope no longer resolves"))?;
     for later in block.iter().skip(start + 1) {
         let eff = exo_analysis::Effects::of_stmt(later);
@@ -450,107 +309,55 @@ pub fn inline_assign(p: &ProcHandle, assign: impl IntoCursor) -> Result<ProcHand
             )));
         }
     }
-    let len = block.len();
+    let mut inliner = InlineScalar {
+        buf: &buf,
+        value: &rhs,
+        stuck: None,
+    };
     let mut rw = Rewrite::new(p);
-    for i in (start + 1)..len {
-        let mut spath = container.clone();
-        let last = *spath.last().unwrap();
-        *spath.last_mut().unwrap() = last.with_index(i);
-        let buf2 = buf.clone();
-        let rhs2 = rhs.clone();
-        rw.modify_stmt(&spath, move |s| {
-            *s = replace_scalar_reads(s.clone(), &buf2, &rhs2);
-        })?;
+    for_scope_after(&mut rw, &path, 1, &buf, |s| {
+        inliner.visit_stmt(s);
+        Ok(())
+    })?;
+    if let Some(stuck) = inliner.stuck {
+        return Err(SchedError::scheduling(format!(
+            "cannot inline `{buf}` into `{stuck}`"
+        )));
     }
     rw.delete(&path, 1)?;
     stats::record("inline_assign");
     Ok(rw.commit())
 }
 
-fn replace_scalar_reads(stmt: Stmt, buf: &Sym, value: &Expr) -> Stmt {
-    fn fix(e: Expr, buf: &Sym, value: &Expr) -> Expr {
+/// Replaces scalar reads of `buf` by `value`; a use that is not a scalar
+/// read (a window or stride of `buf`) is reported in `stuck`.
+struct InlineScalar<'a> {
+    buf: &'a Sym,
+    value: &'a Expr,
+    stuck: Option<Expr>,
+}
+
+impl VisitMut for InlineScalar<'_> {
+    fn visit_expr(&mut self, e: &mut Expr) {
         match e {
-            Expr::Read { buf: b, idx } if &b == buf && idx.is_empty() => value.clone(),
-            Expr::Read { buf: b, idx } => Expr::Read {
-                buf: b,
-                idx: idx.into_iter().map(|i| fix(i, buf, value)).collect(),
-            },
-            Expr::Var(ref s) if s == buf => value.clone(),
-            Expr::Bin { op, lhs, rhs } => Expr::Bin {
-                op,
-                lhs: Box::new(fix(*lhs, buf, value)),
-                rhs: Box::new(fix(*rhs, buf, value)),
-            },
-            Expr::Un { op, arg } => Expr::Un {
-                op,
-                arg: Box::new(fix(*arg, buf, value)),
-            },
-            other => other,
+            Expr::Read { buf, idx } if buf == self.buf && idx.is_empty() => *e = self.value.clone(),
+            Expr::Var(s) if s == self.buf => *e = self.value.clone(),
+            Expr::Window { buf, .. } | Expr::Stride { buf, .. } if buf == self.buf => {
+                self.stuck = Some(e.clone())
+            }
+            _ => walk_expr_mut(self, e),
         }
     }
-    match stmt {
-        Stmt::Assign { buf: b, idx, rhs } => Stmt::Assign {
-            buf: b,
-            idx: idx.into_iter().map(|i| fix(i, buf, value)).collect(),
-            rhs: fix(rhs, buf, value),
-        },
-        Stmt::Reduce { buf: b, idx, rhs } => Stmt::Reduce {
-            buf: b,
-            idx: idx.into_iter().map(|i| fix(i, buf, value)).collect(),
-            rhs: fix(rhs, buf, value),
-        },
-        Stmt::For {
-            iter,
-            lo,
-            hi,
-            body,
-            parallel,
-        } => Stmt::For {
-            iter,
-            lo: fix(lo, buf, value),
-            hi: fix(hi, buf, value),
-            body: exo_ir::Block::from_stmts(
-                body.clone()
-                    .into_stmts()
-                    .into_iter()
-                    .map(|s| replace_scalar_reads(s, buf, value))
-                    .collect(),
-            ),
-            parallel,
-        },
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => Stmt::If {
-            cond: fix(cond, buf, value),
-            then_body: exo_ir::Block::from_stmts(
-                then_body
-                    .into_stmts()
-                    .into_iter()
-                    .map(|s| replace_scalar_reads(s, buf, value))
-                    .collect(),
-            ),
-            else_body: exo_ir::Block::from_stmts(
-                else_body
-                    .into_stmts()
-                    .into_iter()
-                    .map(|s| replace_scalar_reads(s, buf, value))
-                    .collect(),
-            ),
-        },
-        Stmt::Call { proc, args } => Stmt::Call {
-            proc,
-            args: args.into_iter().map(|a| fix(a, buf, value)).collect(),
-        },
-        other => other,
+
+    fn enter(&mut self, binder: &Sym) -> bool {
+        binder != self.buf
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_ir::{fb, ib, read, var, DataType, Mem, ProcBuilder};
+    use exo_ir::{fb, ib, read, var, DataType, Mem, ProcBuilder, WAccess};
 
     #[test]
     fn simplify_folds_index_arithmetic() {

@@ -1,6 +1,7 @@
 //! Expressions of the object language.
 
 use crate::sym::Sym;
+use crate::visit::{walk_expr, Visit};
 use std::fmt;
 use std::ops;
 
@@ -216,58 +217,36 @@ impl Expr {
     /// Returns `true` if the expression syntactically mentions `sym`
     /// (as a variable, buffer, stride or config reference).
     pub fn mentions(&self, sym: &Sym) -> bool {
-        match self {
-            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) => false,
-            Expr::Var(s) => s == sym,
-            Expr::Read { buf, idx } => buf == sym || idx.iter().any(|e| e.mentions(sym)),
-            Expr::Window { buf, idx } => {
-                buf == sym
-                    || idx.iter().any(|w| match w {
-                        WAccess::Point(e) => e.mentions(sym),
-                        WAccess::Interval(lo, hi) => lo.mentions(sym) || hi.mentions(sym),
-                    })
+        struct Mentions<'a>(&'a Sym, bool);
+        impl Visit for Mentions<'_> {
+            fn visit_sym(&mut self, s: &Sym) {
+                self.1 |= s == self.0;
             }
-            Expr::Bin { lhs, rhs, .. } => lhs.mentions(sym) || rhs.mentions(sym),
-            Expr::Un { arg, .. } => arg.mentions(sym),
-            Expr::Stride { buf, .. } => buf == sym,
-            Expr::ReadConfig { config, .. } => config == sym,
+            fn visit_expr(&mut self, e: &Expr) {
+                if !self.1 {
+                    walk_expr(self, e);
+                }
+            }
         }
+        let mut found = Mentions(sym, false);
+        found.visit_expr(self);
+        found.1
     }
 
     /// Collects every buffer symbol read anywhere in this expression.
     pub fn buffers_read(&self) -> Vec<Sym> {
-        let mut out = Vec::new();
-        self.collect_buffers(&mut out);
-        out
-    }
-
-    fn collect_buffers(&self, out: &mut Vec<Sym>) {
-        match self {
-            Expr::Read { buf, idx } => {
-                out.push(buf.clone());
-                for e in idx {
-                    e.collect_buffers(out);
+        struct Buffers(Vec<Sym>);
+        impl Visit for Buffers {
+            fn visit_expr(&mut self, e: &Expr) {
+                if let Expr::Read { buf, .. } | Expr::Window { buf, .. } = e {
+                    self.0.push(buf.clone());
                 }
+                walk_expr(self, e);
             }
-            Expr::Window { buf, idx } => {
-                out.push(buf.clone());
-                for w in idx {
-                    match w {
-                        WAccess::Point(e) => e.collect_buffers(out),
-                        WAccess::Interval(lo, hi) => {
-                            lo.collect_buffers(out);
-                            hi.collect_buffers(out);
-                        }
-                    }
-                }
-            }
-            Expr::Bin { lhs, rhs, .. } => {
-                lhs.collect_buffers(out);
-                rhs.collect_buffers(out);
-            }
-            Expr::Un { arg, .. } => arg.collect_buffers(out),
-            _ => {}
         }
+        let mut out = Buffers(Vec::new());
+        out.visit_expr(self);
+        out.0
     }
 }
 

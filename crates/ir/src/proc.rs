@@ -243,7 +243,7 @@ impl Proc {
     /// `bindings` maps argument names to constant values, in any order.
     /// Unknown names are ignored.
     pub fn partial_eval(&self, bindings: &[(&str, i64)]) -> Proc {
-        use crate::visit::substitute_var;
+        use crate::visit::{substitute_block, substitute_expr};
         let mut p = self.clone();
         for (name, value) in bindings {
             let sym = Sym::new(*name);
@@ -254,26 +254,17 @@ impl Proc {
             for arg in &mut p.args {
                 if let ArgKind::Tensor { dims, .. } = &mut arg.kind {
                     for d in dims {
-                        *d = substitute_expr_helper(d, &sym, &val);
+                        *d = substitute_expr(d.clone(), &sym, &val);
                     }
                 }
             }
             for pred in &mut p.preds {
-                *pred = substitute_expr_helper(pred, &sym, &val);
+                *pred = substitute_expr(pred.clone(), &sym, &val);
             }
-            let body = std::mem::take(&mut p.body);
-            p.body = body
-                .into_stmts()
-                .into_iter()
-                .map(|s| substitute_var(s, &sym, &val))
-                .collect();
+            p.body = substitute_block(std::mem::take(&mut p.body), &sym, &val);
         }
         p
     }
-}
-
-fn substitute_expr_helper(e: &Expr, sym: &Sym, val: &Expr) -> Expr {
-    crate::visit::substitute_expr(e.clone(), sym, val)
 }
 
 #[cfg(test)]

@@ -1,328 +1,252 @@
-//! Structural traversal, substitution, and renaming utilities.
+//! The one traversal of the object language, and the substitution,
+//! renaming and collection utilities built on it.
+//!
+//! [`Visit`] (read-only) and [`VisitMut`] (rewriting) are generated from a
+//! single body, so the question "which positions of a statement hold an
+//! expression, and which expressions hold children?" is answered once.
+//! Every hook has a default: `visit_expr` / `visit_stmt` recurse, the
+//! others do nothing, so a client states only what it does *at* a node.
 
 use crate::expr::{Expr, WAccess};
 use crate::stmt::{Block, Stmt};
 use crate::sym::Sym;
 
-/// Replaces every *variable* occurrence of `sym` in the expression with
-/// `val`. Buffer names, stride references and config references are left
-/// unchanged (those are renamed with [`rename_sym`]).
-pub fn substitute_expr(e: Expr, sym: &Sym, val: &Expr) -> Expr {
-    match e {
-        Expr::Var(ref s) if s == sym => val.clone(),
-        Expr::Int(_)
-        | Expr::Float(_)
-        | Expr::Bool(_)
-        | Expr::Var(_)
-        | Expr::Stride { .. }
-        | Expr::ReadConfig { .. } => e,
-        Expr::Read { buf, idx } => Expr::Read {
-            buf,
-            idx: idx
-                .into_iter()
-                .map(|i| substitute_expr(i, sym, val))
-                .collect(),
-        },
-        Expr::Window { buf, idx } => Expr::Window {
-            buf,
-            idx: idx
-                .into_iter()
-                .map(|w| match w {
-                    WAccess::Point(e) => WAccess::Point(substitute_expr(e, sym, val)),
-                    WAccess::Interval(lo, hi) => WAccess::Interval(
-                        substitute_expr(lo, sym, val),
-                        substitute_expr(hi, sym, val),
-                    ),
-                })
-                .collect(),
-        },
-        Expr::Bin { op, lhs, rhs } => Expr::Bin {
-            op,
-            lhs: Box::new(substitute_expr(*lhs, sym, val)),
-            rhs: Box::new(substitute_expr(*rhs, sym, val)),
-        },
-        Expr::Un { op, arg } => Expr::Un {
-            op,
-            arg: Box::new(substitute_expr(*arg, sym, val)),
-        },
-    }
-}
+macro_rules! define_traversal {
+    ($(#[$doc:meta])* $Trait:ident, $walk_expr:ident, $walk_stmt:ident, $walk_stmts:ident,
+     $stmts:ident $(, $m:ident)?) => {
+        $(#[$doc])*
+        pub trait $Trait {
+            /// Every symbol occurrence: uses (variables, buffers, stride
+            /// and config targets) and binding sites alike.
+            fn visit_sym(&mut self, _sym: &$($m)? Sym) {}
 
-/// Replaces every variable occurrence of `sym` with `val` throughout a
-/// statement (recursively). Loop iterators that *shadow* `sym` stop the
-/// substitution in their body.
-pub fn substitute_var(stmt: Stmt, sym: &Sym, val: &Expr) -> Stmt {
-    let sub = |e: Expr| substitute_expr(e, sym, val);
-    match stmt {
-        Stmt::Assign { buf, idx, rhs } => Stmt::Assign {
-            buf,
-            idx: idx.into_iter().map(sub).collect(),
-            rhs: substitute_expr(rhs, sym, val),
-        },
-        Stmt::Reduce { buf, idx, rhs } => Stmt::Reduce {
-            buf,
-            idx: idx.into_iter().map(sub).collect(),
-            rhs: substitute_expr(rhs, sym, val),
-        },
-        Stmt::Alloc {
-            name,
-            ty,
-            dims,
-            mem,
-        } => Stmt::Alloc {
-            name,
-            ty,
-            dims: dims.into_iter().map(sub).collect(),
-            mem,
-        },
-        Stmt::For {
-            iter,
-            lo,
-            hi,
-            body,
-            parallel,
-        } => {
-            let lo = substitute_expr(lo, sym, val);
-            let hi = substitute_expr(hi, sym, val);
-            if &iter == sym {
-                // The iterator shadows `sym`: do not substitute inside the body.
-                Stmt::For {
-                    iter,
-                    lo,
-                    hi,
-                    body,
-                    parallel,
+            /// Every expression position. The default recurses into the
+            /// children; an override that does not call the walker prunes
+            /// the subtree.
+            fn visit_expr(&mut self, e: &$($m)? Expr) {
+                $walk_expr(self, e)
+            }
+
+            /// Every statement. The default visits the statement's own
+            /// symbols and expressions, then its child blocks.
+            fn visit_stmt(&mut self, s: &$($m)? Stmt) {
+                $walk_stmt(self, s)
+            }
+
+            /// Called once per binder, after the binding statement's own
+            /// expressions and before the binder's scope: the body of a
+            /// `for`, or the rest of the enclosing block after an `alloc`
+            /// or a window alias. Returning `false` leaves that scope
+            /// unvisited — how a client says the name it rewrites is
+            /// shadowed there.
+            fn enter(&mut self, _binder: &Sym) -> bool {
+                true
+            }
+        }
+
+        /// Visits the symbols and child expressions of `e`.
+        pub fn $walk_expr<V: $Trait + ?Sized>(v: &mut V, e: &$($m)? Expr) {
+            match e {
+                Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) => {}
+                Expr::Var(s) | Expr::Stride { buf: s, .. } | Expr::ReadConfig { config: s, .. } => {
+                    v.visit_sym(s)
                 }
-            } else {
-                Stmt::For {
-                    iter,
-                    lo,
-                    hi,
-                    body: substitute_block(body, sym, val),
-                    parallel,
+                Expr::Read { buf, idx } => {
+                    v.visit_sym(buf);
+                    for i in idx {
+                        v.visit_expr(i);
+                    }
+                }
+                Expr::Window { buf, idx } => {
+                    v.visit_sym(buf);
+                    for w in idx {
+                        match w {
+                            WAccess::Point(p) => v.visit_expr(p),
+                            WAccess::Interval(lo, hi) => {
+                                v.visit_expr(lo);
+                                v.visit_expr(hi);
+                            }
+                        }
+                    }
+                }
+                Expr::Bin { lhs, rhs, .. } => {
+                    v.visit_expr(lhs);
+                    v.visit_expr(rhs);
+                }
+                Expr::Un { arg, .. } => v.visit_expr(arg),
+            }
+        }
+
+        /// Visits the symbols and expressions of `s`, then its child
+        /// blocks (a loop body only if `enter` allows).
+        pub fn $walk_stmt<V: $Trait + ?Sized>(v: &mut V, s: &$($m)? Stmt) {
+            match s {
+                Stmt::Assign { buf, idx, rhs } | Stmt::Reduce { buf, idx, rhs } => {
+                    v.visit_sym(buf);
+                    for i in idx {
+                        v.visit_expr(i);
+                    }
+                    v.visit_expr(rhs);
+                }
+                Stmt::Alloc { name, dims, .. } => {
+                    v.visit_sym(name);
+                    for d in dims {
+                        v.visit_expr(d);
+                    }
+                }
+                Stmt::For { iter, lo, hi, body, .. } => {
+                    v.visit_sym(iter);
+                    v.visit_expr(lo);
+                    v.visit_expr(hi);
+                    if v.enter(iter) {
+                        $walk_stmts(v, body.$stmts());
+                    }
+                }
+                Stmt::If { cond, then_body, else_body } => {
+                    v.visit_expr(cond);
+                    $walk_stmts(v, then_body.$stmts());
+                    $walk_stmts(v, else_body.$stmts());
+                }
+                Stmt::Call { args, .. } => {
+                    for a in args {
+                        v.visit_expr(a);
+                    }
+                }
+                Stmt::Pass => {}
+                Stmt::WriteConfig { config, value, .. } => {
+                    v.visit_sym(config);
+                    v.visit_expr(value);
+                }
+                Stmt::WindowStmt { name, rhs } => {
+                    v.visit_sym(name);
+                    v.visit_expr(rhs);
                 }
             }
         }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => Stmt::If {
-            cond: substitute_expr(cond, sym, val),
-            then_body: substitute_block(then_body, sym, val),
-            else_body: substitute_block(else_body, sym, val),
-        },
-        Stmt::Call { proc, args } => Stmt::Call {
-            proc,
-            args: args.into_iter().map(sub).collect(),
-        },
-        Stmt::Pass => Stmt::Pass,
-        Stmt::WriteConfig {
-            config,
-            field,
-            value,
-        } => Stmt::WriteConfig {
-            config,
-            field,
-            value: substitute_expr(value, sym, val),
-        },
-        Stmt::WindowStmt { name, rhs } => Stmt::WindowStmt {
-            name,
-            rhs: substitute_expr(rhs, sym, val),
-        },
+
+        /// Visits sibling statements in order, stopping after an `alloc`
+        /// or window alias whose scope the client declines to `enter`.
+        pub fn $walk_stmts<V: $Trait + ?Sized>(v: &mut V, stmts: &$($m)? [Stmt]) {
+            for s in stmts {
+                v.visit_stmt(s);
+                if let Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } = &*s {
+                    if !v.enter(name) {
+                        break;
+                    }
+                }
+            }
+        }
+    };
+}
+
+define_traversal!(
+    /// A read-only pass over statements and expressions.
+    Visit, walk_expr, walk_stmt, walk_stmts, stmts
+);
+define_traversal!(
+    /// An in-place rewriting pass over statements and expressions. Walking
+    /// a block mutably un-shares it (see [`Block::stmts_mut`]).
+    VisitMut, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, stmts_mut, mut
+);
+
+struct Subst<'a> {
+    sym: &'a Sym,
+    val: &'a Expr,
+}
+
+impl VisitMut for Subst<'_> {
+    fn visit_expr(&mut self, e: &mut Expr) {
+        if e.as_var() == Some(self.sym) {
+            *e = self.val.clone();
+        } else {
+            walk_expr_mut(self, e);
+        }
+    }
+
+    fn enter(&mut self, binder: &Sym) -> bool {
+        binder != self.sym
     }
 }
 
+/// Replaces every *variable* occurrence of `sym` in the expression with
+/// `val`. Buffer names, stride references and config references are left
+/// unchanged (those are renamed with [`rename_sym`]).
+pub fn substitute_expr(mut e: Expr, sym: &Sym, val: &Expr) -> Expr {
+    Subst { sym, val }.visit_expr(&mut e);
+    e
+}
+
+/// Replaces every variable occurrence of `sym` with `val` throughout a
+/// statement (recursively). A binder of `sym` — a loop iterator, an
+/// allocation or a window alias — *shadows* it: the substitution stops at
+/// the binder's scope.
+pub fn substitute_var(mut stmt: Stmt, sym: &Sym, val: &Expr) -> Stmt {
+    Subst { sym, val }.visit_stmt(&mut stmt);
+    stmt
+}
+
 /// Substitutes within every statement of a block.
-pub fn substitute_block(block: Block, sym: &Sym, val: &Expr) -> Block {
+pub fn substitute_block(mut block: Block, sym: &Sym, val: &Expr) -> Block {
+    walk_stmts_mut(&mut Subst { sym, val }, block.stmts_mut());
     block
-        .into_stmts()
-        .into_iter()
-        .map(|s| substitute_var(s, sym, val))
-        .collect()
+}
+
+struct Rename<'a> {
+    old: &'a Sym,
+    new: &'a Sym,
+}
+
+impl VisitMut for Rename<'_> {
+    fn visit_sym(&mut self, sym: &mut Sym) {
+        if sym == self.old {
+            *sym = self.new.clone();
+        }
+    }
 }
 
 /// Renames a symbol everywhere it appears — as a variable, buffer name,
 /// iterator, stride target or config struct.
-pub fn rename_sym(stmt: Stmt, old: &Sym, new: &Sym) -> Stmt {
-    let rn = |s: Sym| if &s == old { new.clone() } else { s };
-    let re = |e: Expr| rename_expr(e, old, new);
-    match stmt {
-        Stmt::Assign { buf, idx, rhs } => Stmt::Assign {
-            buf: rn(buf),
-            idx: idx.into_iter().map(re).collect(),
-            rhs: rename_expr(rhs, old, new),
-        },
-        Stmt::Reduce { buf, idx, rhs } => Stmt::Reduce {
-            buf: rn(buf),
-            idx: idx.into_iter().map(re).collect(),
-            rhs: rename_expr(rhs, old, new),
-        },
-        Stmt::Alloc {
-            name,
-            ty,
-            dims,
-            mem,
-        } => Stmt::Alloc {
-            name: rn(name),
-            ty,
-            dims: dims.into_iter().map(re).collect(),
-            mem,
-        },
-        Stmt::For {
-            iter,
-            lo,
-            hi,
-            body,
-            parallel,
-        } => Stmt::For {
-            iter: rn(iter),
-            lo: rename_expr(lo, old, new),
-            hi: rename_expr(hi, old, new),
-            body: body
-                .into_stmts()
-                .into_iter()
-                .map(|s| rename_sym(s, old, new))
-                .collect(),
-            parallel,
-        },
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => Stmt::If {
-            cond: rename_expr(cond, old, new),
-            then_body: then_body
-                .into_stmts()
-                .into_iter()
-                .map(|s| rename_sym(s, old, new))
-                .collect(),
-            else_body: else_body
-                .into_stmts()
-                .into_iter()
-                .map(|s| rename_sym(s, old, new))
-                .collect(),
-        },
-        Stmt::Call { proc, args } => Stmt::Call {
-            proc,
-            args: args.into_iter().map(re).collect(),
-        },
-        Stmt::Pass => Stmt::Pass,
-        Stmt::WriteConfig {
-            config,
-            field,
-            value,
-        } => Stmt::WriteConfig {
-            config: rn(config),
-            field,
-            value: rename_expr(value, old, new),
-        },
-        Stmt::WindowStmt { name, rhs } => Stmt::WindowStmt {
-            name: rn(name),
-            rhs: rename_expr(rhs, old, new),
-        },
-    }
+pub fn rename_sym(mut stmt: Stmt, old: &Sym, new: &Sym) -> Stmt {
+    Rename { old, new }.visit_stmt(&mut stmt);
+    stmt
 }
 
 /// Renames a symbol within an expression, including buffer names.
-pub fn rename_expr(e: Expr, old: &Sym, new: &Sym) -> Expr {
-    let rn = |s: Sym| if &s == old { new.clone() } else { s };
-    match e {
-        Expr::Var(s) => Expr::Var(rn(s)),
-        Expr::Read { buf, idx } => Expr::Read {
-            buf: rn(buf),
-            idx: idx.into_iter().map(|i| rename_expr(i, old, new)).collect(),
-        },
-        Expr::Window { buf, idx } => Expr::Window {
-            buf: rn(buf),
-            idx: idx
-                .into_iter()
-                .map(|w| match w {
-                    WAccess::Point(e) => WAccess::Point(rename_expr(e, old, new)),
-                    WAccess::Interval(lo, hi) => {
-                        WAccess::Interval(rename_expr(lo, old, new), rename_expr(hi, old, new))
-                    }
-                })
-                .collect(),
-        },
-        Expr::Bin { op, lhs, rhs } => Expr::Bin {
-            op,
-            lhs: Box::new(rename_expr(*lhs, old, new)),
-            rhs: Box::new(rename_expr(*rhs, old, new)),
-        },
-        Expr::Un { op, arg } => Expr::Un {
-            op,
-            arg: Box::new(rename_expr(*arg, old, new)),
-        },
-        Expr::Stride { buf, dim } => Expr::Stride { buf: rn(buf), dim },
-        Expr::ReadConfig { config, field } => Expr::ReadConfig {
-            config: rn(config),
-            field,
-        },
-        other => other,
+pub fn rename_expr(mut e: Expr, old: &Sym, new: &Sym) -> Expr {
+    Rename { old, new }.visit_expr(&mut e);
+    e
+}
+
+struct EachExpr<F>(F);
+
+impl<F: FnMut(&Expr)> Visit for EachExpr<F> {
+    fn visit_expr(&mut self, e: &Expr) {
+        (self.0)(e);
+        walk_expr(self, e);
     }
 }
 
 /// Calls `f` on every expression occurring in the statement, recursively
 /// (including expressions in nested statements).
 pub fn for_each_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    let mut visit = |e: &Expr| visit_expr(e, f);
-    match stmt {
-        Stmt::Assign { idx, rhs, .. } | Stmt::Reduce { idx, rhs, .. } => {
-            idx.iter().for_each(&mut visit);
-            visit(rhs);
-        }
-        Stmt::Alloc { dims, .. } => dims.iter().for_each(&mut visit),
-        Stmt::For { lo, hi, body, .. } => {
-            visit(lo);
-            visit(hi);
-            body.iter().for_each(|s| for_each_expr(s, f));
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            visit(cond);
-            then_body.iter().for_each(|s| for_each_expr(s, f));
-            else_body.iter().for_each(|s| for_each_expr(s, f));
-        }
-        Stmt::Call { args, .. } => args.iter().for_each(&mut visit),
-        Stmt::Pass => {}
-        Stmt::WriteConfig { value, .. } => visit(value),
-        Stmt::WindowStmt { rhs, .. } => visit(rhs),
-    }
+    EachExpr(f).visit_stmt(stmt);
 }
 
-fn visit_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Read { idx, .. } => idx.iter().for_each(|i| visit_expr(i, f)),
-        Expr::Window { idx, .. } => idx.iter().for_each(|w| match w {
-            WAccess::Point(e) => visit_expr(e, f),
-            WAccess::Interval(lo, hi) => {
-                visit_expr(lo, f);
-                visit_expr(hi, f);
-            }
-        }),
-        Expr::Bin { lhs, rhs, .. } => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
-        }
-        Expr::Un { arg, .. } => visit_expr(arg, f),
-        _ => {}
+struct EachStmt<F>(F);
+
+impl<F: FnMut(&Stmt)> Visit for EachStmt<F> {
+    fn visit_stmt(&mut self, s: &Stmt) {
+        (self.0)(s);
+        walk_stmt(self, s);
     }
+
+    fn visit_expr(&mut self, _: &Expr) {}
 }
 
 /// Calls `f` on every statement rooted at `stmt` (pre-order, including
 /// `stmt` itself).
 pub fn for_each_stmt(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
-    f(stmt);
-    for block in stmt.child_blocks() {
-        for s in block.iter() {
-            for_each_stmt(s, f);
-        }
-    }
+    EachStmt(f).visit_stmt(stmt);
 }
 
 /// Collects every `(buffer, index)` pair read anywhere under `stmt`.
@@ -330,12 +254,10 @@ pub fn for_each_stmt(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
 /// effect analysis; here they are reported as reads.
 pub fn collect_reads(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
     let mut out = Vec::new();
-    for_each_stmt(stmt, &mut |s| {
-        for_each_expr_local(s, &mut |e| {
-            if let Expr::Read { buf, idx } = e {
-                out.push((buf.clone(), idx.clone()));
-            }
-        });
+    for_each_expr(stmt, &mut |e| {
+        if let Expr::Read { buf, idx } = e {
+            out.push((buf.clone(), idx.clone()));
+        }
     });
     out
 }
@@ -353,6 +275,14 @@ pub fn collect_writes(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
     out
 }
 
+struct SymNames(std::collections::BTreeSet<String>);
+
+impl Visit for SymNames {
+    fn visit_sym(&mut self, sym: &Sym) {
+        self.0.insert(sym.name().to_string());
+    }
+}
+
 /// Collects the textual name of every symbol occurring anywhere in the
 /// procedure: arguments, assertion mentions, allocation / iterator /
 /// window-alias binding sites, and every buffer, variable, stride or
@@ -361,67 +291,15 @@ pub fn collect_writes(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
 /// This is the "used names" set that [`crate::Proc::fresh_sym`] keeps
 /// fresh names disjoint from.
 pub fn collect_sym_names(proc: &crate::proc::Proc) -> std::collections::BTreeSet<String> {
-    fn note_expr(e: &Expr, out: &mut std::collections::BTreeSet<String>) {
-        match e {
-            Expr::Var(s) | Expr::Stride { buf: s, .. } | Expr::ReadConfig { config: s, .. } => {
-                out.insert(s.name().to_string());
-            }
-            Expr::Read { buf, .. } | Expr::Window { buf, .. } => {
-                out.insert(buf.name().to_string());
-            }
-            _ => {}
-        }
-    }
-    let mut out = std::collections::BTreeSet::new();
+    let mut names = SymNames(Default::default());
     for arg in proc.args() {
-        out.insert(arg.name.name().to_string());
+        names.visit_sym(&arg.name);
     }
     for pred in proc.preds() {
-        visit_expr(pred, &mut |e| note_expr(e, &mut out));
+        names.visit_expr(pred);
     }
-    for stmt in proc.body().iter() {
-        for_each_stmt(stmt, &mut |s| {
-            match s {
-                Stmt::Assign { buf, .. } | Stmt::Reduce { buf, .. } => {
-                    out.insert(buf.name().to_string());
-                }
-                Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } => {
-                    out.insert(name.name().to_string());
-                }
-                Stmt::For { iter, .. } => {
-                    out.insert(iter.name().to_string());
-                }
-                Stmt::WriteConfig { config, .. } => {
-                    out.insert(config.name().to_string());
-                }
-                Stmt::If { .. } | Stmt::Call { .. } | Stmt::Pass => {}
-            }
-            for_each_expr_local(s, &mut |e| note_expr(e, &mut out));
-        });
-    }
-    out
-}
-
-/// Like [`for_each_expr`] but does not recurse into nested statements
-/// (used when the caller already walks statements separately).
-fn for_each_expr_local(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    let mut visit = |e: &Expr| visit_expr(e, f);
-    match stmt {
-        Stmt::Assign { idx, rhs, .. } | Stmt::Reduce { idx, rhs, .. } => {
-            idx.iter().for_each(&mut visit);
-            visit(rhs);
-        }
-        Stmt::Alloc { dims, .. } => dims.iter().for_each(&mut visit),
-        Stmt::For { lo, hi, .. } => {
-            visit(lo);
-            visit(hi);
-        }
-        Stmt::If { cond, .. } => visit(cond),
-        Stmt::Call { args, .. } => args.iter().for_each(&mut visit),
-        Stmt::Pass => {}
-        Stmt::WriteConfig { value, .. } => visit(value),
-        Stmt::WindowStmt { rhs, .. } => visit(rhs),
-    }
+    walk_stmts(&mut names, proc.body().stmts());
+    names.0
 }
 
 #[cfg(test)]

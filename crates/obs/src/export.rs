@@ -13,10 +13,9 @@
 //! disjoint, never partially overlapping). The obs smoke bench runs
 //! every exported trace through it.
 //!
-//! [`fmt_report`] renders a human summary table: per-span-name
-//! aggregates plus the process-wide metrics registry.
+//! [`fmt_report`] renders a human summary table of per-span-name
+//! aggregates.
 
-use crate::metrics;
 use crate::trace::{Record, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -443,8 +442,8 @@ struct SpanAgg {
     max_ns: u64,
 }
 
-/// Renders a human summary: per-span-name aggregates from `trace`, then
-/// the process-wide metrics registry (counters and histograms).
+/// Renders a human summary: per-span-name aggregates and per-event-name
+/// counts from `trace`.
 pub fn fmt_report(trace: &Trace) -> String {
     let mut aggs: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
     let mut event_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -485,33 +484,6 @@ pub fn fmt_report(trace: &Trace) -> String {
     }
     if trace.dropped > 0 {
         let _ = writeln!(out, "(dropped {} records at capacity)", trace.dropped);
-    }
-    let counters = metrics::registry().counter_values();
-    if !counters.is_empty() {
-        let _ = writeln!(out, "{:<28} {:>9}", "counter", "value");
-        for (name, value) in counters {
-            let _ = writeln!(out, "{name:<28} {value:>9}");
-        }
-    }
-    let hists = metrics::registry().histogram_summaries();
-    if !hists.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<28} {:>9} {:>10} {:>10} {:>10} {:>10}",
-            "histogram", "count", "p50_us", "p90_us", "p99_us", "max_us"
-        );
-        for (name, s) in hists {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>9} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                name,
-                s.count,
-                s.p50 as f64 / 1e3,
-                s.p90 as f64 / 1e3,
-                s.p99 as f64 / 1e3,
-                s.max as f64 / 1e3,
-            );
-        }
     }
     out
 }

@@ -1,10 +1,10 @@
 //! `exo-obs`: the workspace observability substrate — span tracing,
-//! metrics, and Chrome-trace export, with no dependencies.
+//! a latency histogram, and Chrome-trace export, with no dependencies.
 //!
 //! The rest of the workspace instruments its hot layers against this
 //! crate: scheduling primitives, the interpreter, subprocess guards,
 //! the autotuner's funnel stages and the serve request pipeline each
-//! open [`span!`]s and bump [`metrics`]. Everything is **off by
+//! open [`span!`]s. Everything is **off by
 //! default**: until [`trace::enable`] flips one process-wide atomic,
 //! an instrumentation site costs a single relaxed load (attribute
 //! formatting is behind closures that never run while disabled).
@@ -25,7 +25,6 @@
 //! {
 //!     let _outer = exo_obs::span!("work", "n={}", 3);
 //!     let _inner = exo_obs::span!("step");
-//!     exo_obs::counter("steps").inc();
 //! }
 //! let trace = session.finish();                // disables, drains
 //! let json = exo_obs::chrome_trace(&trace);
@@ -43,7 +42,7 @@ pub mod trace;
 pub use export::{
     chrome_trace, fmt_report, json_escape, parse_json, validate_chrome_trace, JsonValue, TraceCheck,
 };
-pub use metrics::{counter, histogram, registry, Counter, HistSummary, Histogram, Registry};
+pub use metrics::{HistSummary, Histogram};
 pub use trace::{
     disable, enable, enabled, event, flush_thread, now_ns, session, span, span_with, take,
     EventRecord, Record, Session, Span, SpanRecord, Trace,

@@ -1,47 +1,14 @@
-//! Counters and fixed-bucket histograms.
+//! Fixed-bucket histograms.
 //!
-//! Both types are plain atomics: increments are wait-free, never lock,
-//! and never lose counts under concurrency (`fetch_add` on relaxed
-//! atomics — the tests hammer this from many threads). Histograms use
-//! fixed power-of-two bucket bounds so recording is a binary search +
-//! one `fetch_add`; percentile summaries are computed from one bucket
-//! snapshot, which makes `p50 <= p90 <= p99` monotone by construction.
-//!
-//! A process-wide [`Registry`] maps names to shared counters and
-//! histograms for code that wants drive-by metrics without plumbing;
-//! subsystems with a natural home for their metrics (e.g. the serve
-//! stats block) embed [`Counter`]/[`Histogram`] directly instead.
+//! A [`Histogram`] is plain atomics: recording is wait-free, never
+//! locks, and never loses counts under concurrency (`fetch_add` on
+//! relaxed atomics). Bucket bounds are fixed powers of two, so recording
+//! is a binary search + one `fetch_add`; percentile summaries are computed
+//! from one bucket snapshot, which makes `p50 <= p90 <= p99` monotone by
+//! construction. The serve stats block embeds one directly.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-
-/// A monotone counter. Increments are wait-free and never lost.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Plain-data percentile summary of a [`Histogram`].
 ///
@@ -166,89 +133,9 @@ impl Default for Histogram {
     }
 }
 
-/// A name → metric map shared across threads. Lookup takes a lock;
-/// callers hold the returned `Arc` and increment it lock-free.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
-    }
-
-    /// The latency histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::latency_ns()))
-            .clone()
-    }
-
-    /// All counter values by name.
-    pub fn counter_values(&self) -> BTreeMap<String, u64> {
-        let map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// All histogram summaries by name.
-    pub fn histogram_summaries(&self) -> BTreeMap<String, HistSummary> {
-        let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.iter().map(|(k, v)| (k.clone(), v.summary())).collect()
-    }
-
-    /// Drops every registered metric (outstanding `Arc`s stay valid but
-    /// are no longer reachable by name).
-    pub fn reset(&self) {
-        self.counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-}
-
-/// The process-wide registry.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
-}
-
-/// The process-wide counter named `name`.
-pub fn counter(name: &str) -> Arc<Counter> {
-    registry().counter(name)
-}
-
-/// The process-wide latency histogram named `name`.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    registry().histogram(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
 
     #[test]
     fn histogram_percentiles_are_bucket_bounds() {
@@ -273,17 +160,5 @@ mod tests {
     fn empty_histogram_summary_is_zero() {
         let s = Histogram::latency_ns().summary();
         assert_eq!(s, HistSummary::default());
-    }
-
-    #[test]
-    fn registry_returns_shared_instances() {
-        let r = Registry::new();
-        r.counter("x").add(3);
-        r.counter("x").add(4);
-        assert_eq!(r.counter_values().get("x"), Some(&7));
-        r.histogram("lat").record(1000);
-        assert_eq!(r.histogram_summaries().get("lat").map(|s| s.count), Some(1));
-        r.reset();
-        assert!(r.counter_values().is_empty());
     }
 }

@@ -1,11 +1,9 @@
-//! Concurrency contract of the metrics registry and the span collector:
-//! eight threads hammer both at once; afterwards every count is exactly
-//! accounted (atomics lose nothing) and the exported trace is valid
-//! Chrome trace JSON whose span intervals are monotone and well-nested
-//! on every thread lane.
+//! Concurrency contract of the span collector: eight threads hammer it at
+//! once; afterwards every span and event is exactly accounted and the
+//! exported trace is valid Chrome trace JSON whose span intervals are
+//! monotone and well-nested on every thread lane.
 
-use exo_obs::{chrome_trace, registry, validate_chrome_trace, Record};
-use std::sync::atomic::{AtomicU64, Ordering};
+use exo_obs::{chrome_trace, validate_chrome_trace, Record};
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -14,28 +12,17 @@ const OPS: usize = 500;
 #[test]
 fn eight_threads_lose_no_counts_and_export_well_nested_spans() {
     let session = exo_obs::session();
-    registry().reset();
-    let counter = registry().counter("hammer.ops");
-    let histogram = registry().histogram("hammer.latency");
     let barrier = Arc::new(Barrier::new(THREADS));
-    let hist_sum = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let counter = counter.clone();
-            let histogram = histogram.clone();
             let barrier = barrier.clone();
-            let hist_sum = hist_sum.clone();
             scope.spawn(move || {
                 barrier.wait();
                 for i in 0..OPS {
                     let _root = exo_obs::span!("hammer:outer", "thread={t} op={i}");
                     {
                         let _inner = exo_obs::span!("hammer:inner");
-                        counter.inc();
-                        let sample = (t * OPS + i) as u64;
-                        histogram.record(sample);
-                        hist_sum.fetch_add(sample, Ordering::Relaxed);
                     }
                     if i % 50 == 0 {
                         exo_obs::event("hammer:tick", || format!("thread={t} op={i}"));
@@ -46,21 +33,6 @@ fn eight_threads_lose_no_counts_and_export_well_nested_spans() {
     });
 
     let trace = session.finish();
-
-    // --- no lost counts ---
-    let expected_ops = (THREADS * OPS) as u64;
-    assert_eq!(counter.get(), expected_ops, "counter lost increments");
-    let summary = histogram.summary();
-    assert_eq!(summary.count, expected_ops, "histogram lost samples");
-    assert_eq!(
-        summary.sum,
-        hist_sum.load(Ordering::Relaxed),
-        "histogram sum drifted from the independently tracked sum"
-    );
-    assert!(
-        summary.p50 <= summary.p90 && summary.p90 <= summary.p99 && summary.p99 <= summary.max,
-        "percentiles must be monotone: {summary:?}"
-    );
 
     // --- no lost spans (collector capacity is far above this volume) ---
     assert_eq!(trace.dropped, 0, "collector dropped records");
