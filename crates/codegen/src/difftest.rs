@@ -14,15 +14,21 @@
 //! CI always has `cc`, so the check cannot rot silently there.
 //!
 //! This is also the one module that knows how synthesized arguments
-//! become C declarations ([`emit_driver`] dumps, [`emit_timing_driver`]
-//! times), what the `cc` command line is and where it builds
-//! ([`cc_command`], [`BuildDir`]), what a compiler has already parsed
-//! ([`Toolchain`]: one precompiled prelude per `cflags` set, so
-//! `immintrin.h` is read once per owner instead of once per compile),
-//! and how a driver's `%.17g` lines are run and parsed ([`run_lines`]).
-//! The autotuner's measurement and the compilation service call these;
-//! they add only their own policy.
+//! reach a compiled kernel — as data ([`emit_data_driver`] reads the
+//! argument block [`encode_args`] writes, so its text depends on the
+//! signature alone and one build serves every input) or as C
+//! declarations ([`emit_driver`] dumps, a one-file reproducer;
+//! [`emit_timing_driver`] times) — what the `cc` command line is and
+//! where it builds ([`cc_command`], [`BuildDir`]), what a compiler has
+//! already parsed and built ([`Toolchain`]: one precompiled prelude per
+//! `cflags` set, so `immintrin.h` is read once per owner instead of once
+//! per compile, and one build per distinct source, so a unit is compiled
+//! once per owner instead of once per request), and how a driver's
+//! `%.17g` lines are run and parsed ([`run_lines`]). The autotuner's
+//! measurement and the compilation service call these; they add only
+//! their own policy.
 
+use crate::emit::c_type;
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
@@ -31,7 +37,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Supervision policy for `cc` invocations: generous wall-clock limit
@@ -260,8 +266,8 @@ pub enum ArgShape {
 /// Picks one shared value for every size argument of `proc`: the first
 /// entry of `candidates` that satisfies all assertion preconditions.
 /// The runtime bench uses this with far larger candidates than the
-/// differential harness's defaults (whose data must fit in static C
-/// initializers).
+/// differential harness's defaults (which the interpreter executes too,
+/// and which [`emit_driver`] spells out as static C initializers).
 ///
 /// # Errors
 /// When no candidate satisfies the assertions.
@@ -381,10 +387,37 @@ fn c_literal(elem: DataType, v: f64) -> String {
     }
 }
 
+/// How a tensor variable is passed to the kernel: the bare pointer, or —
+/// for a window parameter of rank ≥ 1 — the window struct over it with
+/// the given (dense row-major) stride expressions, one per dimension.
+fn tensor_arg(var: &str, elem: DataType, window: bool, strides: &[String]) -> String {
+    if strides.is_empty() || !window {
+        return var.to_string();
+    }
+    let tag = exo_machine::c_type_tag(elem);
+    format!(
+        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
+        strides.len(),
+        strides.join(", ")
+    )
+}
+
+/// The tail of a dump driver's `main`: one kernel call, then every
+/// tensor — `(variable, length expression)` — printed `%.17g` per line.
+fn call_and_dump(s: &mut String, proc: &Proc, call_args: &[String], tensors: &[(String, String)]) {
+    s.push_str(&format!("    {}({});\n", proc.name(), call_args.join(", ")));
+    for (var, n) in tensors {
+        s.push_str(&format!(
+            "    for (int64_t exo_i = 0; exo_i < {n}; exo_i++) {{\n        \
+             printf(\"%.17g\\n\", (double){var}[exo_i]);\n    }}\n"
+        ));
+    }
+}
+
 /// Declares every tensor of `inputs` as a static initialized array
 /// `exo_arg_<k>` in `s` and returns the kernel's call arguments plus the
 /// `(variable, length)` of each declared tensor.
-fn materialize_args(s: &mut String, inputs: &[SynthArg]) -> (Vec<String>, Vec<(String, usize)>) {
+fn materialize_args(s: &mut String, inputs: &[SynthArg]) -> (Vec<String>, Vec<(String, String)>) {
     let mut call_args = Vec::with_capacity(inputs.len());
     let mut tensors = Vec::new();
     for (k, input) in inputs.iter().enumerate() {
@@ -399,37 +432,20 @@ fn materialize_args(s: &mut String, inputs: &[SynthArg]) -> (Vec<String>, Vec<(S
                 elem,
                 window,
             } => {
-                let celem = match elem {
-                    DataType::F32 => "float",
-                    DataType::F64 => "double",
-                    DataType::I8 => "int8_t",
-                    DataType::I32 => "int32_t",
-                    DataType::Bool => "bool",
-                    DataType::Index => "int64_t",
-                };
+                let celem = c_type(*elem);
                 let n = data.len();
                 let init: Vec<String> = data.iter().map(|v| c_literal(*elem, *v)).collect();
                 s.push_str(&format!(
                     "    static {celem} {var}[{n}] = {{ {} }};\n",
                     init.join(", ")
                 ));
-                if dims.is_empty() || !*window {
-                    call_args.push(var.clone());
-                } else {
-                    // Window parameter: dense row-major strides.
-                    let mut strides = vec![1i64; dims.len()];
-                    for d in (0..dims.len().saturating_sub(1)).rev() {
-                        strides[d] = strides[d + 1] * dims[d + 1] as i64;
-                    }
-                    let tag = exo_machine::c_type_tag(*elem);
-                    let ss: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
-                    call_args.push(format!(
-                        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
-                        dims.len(),
-                        ss.join(", ")
-                    ));
+                let mut strides = vec![1i64; dims.len()];
+                for d in (0..dims.len().saturating_sub(1)).rev() {
+                    strides[d] = strides[d + 1] * dims[d + 1] as i64;
                 }
-                tensors.push((var, n));
+                let strides: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
+                call_args.push(tensor_arg(&var, *elem, *window, &strides));
+                tensors.push((var, n.to_string()));
             }
         }
     }
@@ -438,17 +454,232 @@ fn materialize_args(s: &mut String, inputs: &[SynthArg]) -> (Vec<String>, Vec<(S
 
 /// Appends a `main` driver to an emitted unit: inputs embedded as static
 /// initializers, one kernel call, and a `%.17g` dump of every tensor.
+/// The result is a self-contained reproducer — and a different
+/// translation unit for every input, which is why the harness and the
+/// service run [`emit_data_driver`] instead.
 pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
     let mut s = String::with_capacity(unit.code.len() + 4096);
     s.push_str(&unit.code);
     s.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
     let (call_args, dumps) = materialize_args(&mut s, inputs);
-    s.push_str(&format!("    {}({});\n", proc.name(), call_args.join(", ")));
-    for (var, n) in dumps {
-        s.push_str(&format!(
-            "    for (int64_t exo_i = 0; exo_i < {n}; exo_i++) {{\n        \
-             printf(\"%.17g\\n\", (double){var}[exo_i]);\n    }}\n"
-        ));
+    call_and_dump(&mut s, proc, &call_args, &dumps);
+    s.push_str("    return 0;\n}\n");
+    s
+}
+
+/// First word of an argument block: `EXO2ARGS` read as a little-endian
+/// integer and written in host byte order like every other field, so a
+/// block from a host of the other endianness fails here.
+const ARGS_MAGIC: u64 = u64::from_le_bytes(*b"EXO2ARGS");
+/// Second word of an argument block.
+const ARGS_VERSION: u64 = 1;
+
+/// The tag that opens each argument of a block.
+const TAG_SIZE: u64 = 0;
+const TAG_INT: u64 = 1;
+const TAG_BOOL: u64 = 2;
+const TAG_FLOAT: u64 = 3;
+const TAG_TENSOR: u64 = 4;
+
+/// Encodes synthesized arguments as the argument block a data driver
+/// ([`emit_data_driver`]) reads. Every field is eight bytes in host byte
+/// order: magic, version, argument count; then per argument a tag and a
+/// payload — an `i64` for a size, an integer or a boolean, an `f64` for a
+/// float scalar, and for a tensor its rank, that many dimensions, its
+/// element count and that many `f64` elements. An element holds the value
+/// the embedded-literal driver would spell (integer element types
+/// truncate as [`emit_driver`]'s literals do), and the driver converts it
+/// to the element type as C converts that literal, so both drivers hand
+/// the kernel the same bits.
+pub fn encode_args(inputs: &[SynthArg]) -> Vec<u8> {
+    let mut words: Vec<u64> = vec![ARGS_MAGIC, ARGS_VERSION, inputs.len() as u64];
+    for input in inputs {
+        match input {
+            SynthArg::Size(v) => words.extend([TAG_SIZE, *v as u64]),
+            SynthArg::Int(v) => words.extend([TAG_INT, *v as u64]),
+            SynthArg::Bool(b) => words.extend([TAG_BOOL, u64::from(*b)]),
+            SynthArg::Float(v) => words.extend([TAG_FLOAT, v.to_bits()]),
+            SynthArg::Tensor {
+                dims, data, elem, ..
+            } => {
+                words.extend([TAG_TENSOR, dims.len() as u64]);
+                words.extend(dims.iter().map(|d| *d as u64));
+                words.push(data.len() as u64);
+                words.extend(data.iter().map(|v| {
+                    if elem.is_float() {
+                        v.to_bits()
+                    } else {
+                        ((*v as i64) as f64).to_bits()
+                    }
+                }));
+            }
+        }
+    }
+    words.iter().flat_map(|w| w.to_ne_bytes()).collect()
+}
+
+/// The decoder every data driver starts with. It is the only code here
+/// that parses bytes it did not write: each read is checked against the
+/// bytes remaining, and a block it cannot accept ends the process with
+/// status 2 and a message naming the field. Everything from here on runs
+/// once over a few kilobytes, so GCC is told not to optimise it: at `-O2`
+/// the driver's own code was 40 of the 105 ms `cc` spent on sgemv_n's
+/// AVX2 unit (69 ms with the pragma, what the embedded-literal driver
+/// costs); the kernel above keeps the command line's level.
+const DECODER: &str = r#"
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize ("O0")
+#endif
+
+static const unsigned char *exo_at;
+static uint64_t exo_left;
+
+static void exo_bad(const char *field, const char *why) {
+    fprintf(stderr, "argument block: %s: %s\n", field, why);
+    exit(2);
+}
+
+static void exo_take(void *dst, uint64_t n, const char *field) {
+    if (n > exo_left) exo_bad(field, "truncated");
+    memcpy(dst, exo_at, (size_t)n);
+    exo_at += n;
+    exo_left -= n;
+}
+
+static void exo_expect(uint64_t want, const char *field, const char *why) {
+    uint64_t got;
+    exo_take(&got, 8, field);
+    if (got != want) exo_bad(field, why);
+}
+"#;
+
+/// Reads a tensor's header — tag, rank, dimensions, element count — and
+/// returns the count, with the dense row-major strides in `strides`.
+/// Every suffix product of the dimensions must fit an `int64_t`, the
+/// count must cover their product, and that many elements must follow.
+/// (`TAG_TENSOR` is spelled out by [`emit_data_driver`].)
+const TENSOR_DECODER: &str = r#"
+static int64_t exo_tensor(uint64_t rank, uint64_t *dims, int64_t *strides, const char *field) {
+    exo_expect(TAG_TENSOR, field, "not a tensor");
+    exo_expect(rank, field, "rank differs from the signature's");
+    for (uint64_t d = 0; d < rank; d++) exo_take(&dims[d], 8, field);
+    uint64_t span = 1;
+    for (uint64_t d = rank; d-- > 0;) {
+        strides[d] = (int64_t)span;
+        if (dims[d] != 0 && span > (uint64_t)INT64_MAX / dims[d]) exo_bad(field, "dimensions overflow");
+        span *= dims[d];
+    }
+    uint64_t len;
+    exo_take(&len, 8, field);
+    if (len == 0 || len < span) exo_bad(field, "fewer elements than its dimensions span");
+    if (len > exo_left / 8) exo_bad(field, "truncated");
+    return (int64_t)len;
+}
+"#;
+
+/// Appends to an emitted unit a `main(argc, argv)` that reads the
+/// argument block ([`encode_args`]) in the file named by `argv[1]`,
+/// allocates and fills every tensor, calls the kernel once and dumps
+/// every tensor as [`emit_driver`] does. The text is a function of the
+/// procedure's signature only — never of an input — so one build runs
+/// every input of the kernel.
+pub fn emit_data_driver(unit: &CUnit, proc: &Proc) -> String {
+    let args = proc.args();
+    let mut s = String::with_capacity(unit.code.len() + 4096);
+    s.push_str(&unit.code);
+    s.push_str(DECODER);
+    if args
+        .iter()
+        .any(|a| matches!(a.kind, ArgKind::Tensor { .. }))
+    {
+        s.push_str(&TENSOR_DECODER.replace("TAG_TENSOR", &TAG_TENSOR.to_string()));
+    }
+    s.push_str(&format!(
+        r#"
+int main(int argc, char **argv) {{
+    if (argc != 2) exo_bad("command line", "expected the path of one argument block");
+    FILE *exo_file = fopen(argv[1], "rb");
+    if (!exo_file) exo_bad(argv[1], "cannot open");
+    if (fseek(exo_file, 0, SEEK_END) != 0) exo_bad(argv[1], "cannot seek");
+    long exo_size = ftell(exo_file);
+    if (exo_size < 0) exo_bad(argv[1], "cannot tell its size");
+    rewind(exo_file);
+    unsigned char *exo_block = (unsigned char *)malloc((size_t)exo_size + 1);
+    if (!exo_block) exo_bad(argv[1], "allocation failed");
+    if (fread(exo_block, 1, (size_t)exo_size, exo_file) != (size_t)exo_size) exo_bad(argv[1], "cannot read");
+    fclose(exo_file);
+    exo_at = exo_block;
+    exo_left = (uint64_t)exo_size;
+    exo_expect(UINT64_C({ARGS_MAGIC:#x}), "magic", "not an argument block of this host");
+    exo_expect({ARGS_VERSION}, "version", "unsupported");
+    exo_expect({}, "argument count", "differs from the signature's");
+"#,
+        args.len()
+    ));
+    let mut call_args = Vec::with_capacity(args.len());
+    let mut tensors = Vec::new();
+    for (k, arg) in args.iter().enumerate() {
+        let var = format!("exo_arg_{k}");
+        let field = format!("\"argument {k} ({})\"", arg.name);
+        let mut scalar = |ctype: &str, tag: u64, what: &str| {
+            s.push_str(&format!(
+                "    {ctype} {var};\n    exo_expect({tag}, {field}, \"not {what}\");\n    \
+                 exo_take(&{var}, 8, {field});\n"
+            ));
+            call_args.push(var.clone());
+        };
+        match &arg.kind {
+            ArgKind::Size => scalar("int64_t", TAG_SIZE, "a size"),
+            ArgKind::Scalar { ty } if ty.is_float() => scalar("double", TAG_FLOAT, "a float"),
+            ArgKind::Scalar { ty: DataType::Bool } => scalar("int64_t", TAG_BOOL, "a boolean"),
+            ArgKind::Scalar { .. } => scalar("int64_t", TAG_INT, "an integer"),
+            ArgKind::Tensor {
+                ty, dims, window, ..
+            } => {
+                let (celem, rank) = (c_type(*ty), dims.len());
+                let slots = rank.max(1);
+                // Converting a double outside an integer type's range is
+                // undefined in C: the block is refused instead.
+                let in_range = match ty {
+                    DataType::I8 => Some("-128.0 && exo_v < 128.0"),
+                    DataType::I32 => Some("-2147483648.0 && exo_v < 2147483648.0"),
+                    DataType::Index => {
+                        Some("-9223372036854775808.0 && exo_v < 9223372036854775808.0")
+                    }
+                    DataType::F32 | DataType::F64 | DataType::Bool => None,
+                }
+                .map_or(String::new(), |range| {
+                    format!(
+                        "if (!(exo_v >= {range})) exo_bad({field}, \"element outside {celem}\");\n        "
+                    )
+                });
+                s.push_str(&format!(
+                    "    uint64_t exo_dims_{k}[{slots}];\n    int64_t exo_str_{k}[{slots}];\n    \
+                     int64_t exo_len_{k} = exo_tensor({rank}, exo_dims_{k}, exo_str_{k}, {field});\n    \
+                     {celem} *{var} = ({celem} *)malloc((size_t)exo_len_{k} * sizeof({celem}));\n    \
+                     if (!{var}) exo_bad({field}, \"allocation failed\");\n    \
+                     for (int64_t exo_i = 0; exo_i < exo_len_{k}; exo_i++) {{\n        \
+                     double exo_v;\n        exo_take(&exo_v, 8, {field});\n        \
+                     {in_range}{var}[exo_i] = ({celem})exo_v;\n    }}\n"
+                ));
+                let strides: Vec<String> = (0..rank).map(|d| format!("exo_str_{k}[{d}]")).collect();
+                call_args.push(tensor_arg(&var, *ty, *window, &strides));
+                tensors.push((var, format!("exo_len_{k}")));
+            }
+        }
+    }
+    s.push_str(
+        "    if (exo_left != 0) exo_bad(\"end of block\", \"trailing bytes\");\n    \
+         free(exo_block);\n",
+    );
+    call_and_dump(&mut s, proc, &call_args, &tensors);
+    for (var, _) in &tensors {
+        s.push_str(&format!("    free({var});\n"));
     }
     s.push_str("    return 0;\n}\n");
     s
@@ -561,10 +792,11 @@ impl BuildDir {
         })
     }
 
-    /// Writes `text` to `file` beside the artifact and returns its path.
-    fn write(&self, file: &str, text: &str) -> Result<PathBuf, String> {
+    /// Writes `contents` to `file` beside the artifact and returns its path.
+    fn write(&self, file: &str, contents: impl AsRef<[u8]>) -> Result<PathBuf, String> {
         let path = self.artifact.with_file_name(file);
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        std::fs::write(&path, contents)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         Ok(path)
     }
 
@@ -593,25 +825,54 @@ impl Drop for BuildDir {
 /// the precompiled prelude alike, or GCC would ignore the prelude.
 const BASE_CFLAGS: [&str; 4] = ["-O2", "-Wall", "-Werror", "-std=c99"];
 
+/// What a compile produces.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Artifact {
+    /// A linked binary, `kernel`: the source defines `main`.
+    Executable,
+    /// An object file, `kernel.o`: compiled with `-c`, nothing is linked.
+    Object,
+}
+
+/// Why a build produced no artifact. The variant is the fact a caller
+/// classifies by; the payload is the text a person reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BuildError {
+    /// The compiler ran and refused the source: its exit status and
+    /// diagnostics.
+    Failed(String),
+    /// The compiler was killed at the guard's wall-clock deadline.
+    TimedOut(String),
+    /// No compiler ran: it could not be spawned or observed, or the
+    /// build directory could not be set up.
+    Unavailable(String),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (BuildError::Failed(m) | BuildError::TimedOut(m) | BuildError::Unavailable(m)) = self;
+        f.write_str(m)
+    }
+}
+
 /// Writes `source` into a fresh [`BuildDir`] and returns the command
-/// `program -O2 -Wall -Werror -std=c99 <extra_cflags>` that builds it: a
-/// linked binary when the source has a `main` driver, an object file
-/// otherwise. The command is not run here, so each caller supervises it
-/// under its own guard policy.
+/// `program -O2 -Wall -Werror -std=c99 <extra_cflags>` that builds it
+/// into the `kind` of artifact asked for. The command is not run here,
+/// so each caller supervises it under its own guard policy.
 pub fn cc_command(
     program: &str,
     source: &str,
     extra_cflags: &[String],
     tag: &str,
+    kind: Artifact,
 ) -> Result<(Command, BuildDir), String> {
-    let link = source.contains("int main(void)");
+    let link = kind == Artifact::Executable;
     let build = BuildDir::create(tag, if link { "kernel" } else { "kernel.o" })?;
     let src = build.write("kernel.c", source)?;
     let mut cmd = Command::new(program);
     cmd.args(BASE_CFLAGS);
     cmd.args(extra_cflags);
     if !link {
-        // No driver: compile-only (nothing defines `main`).
         cmd.arg("-c");
     }
     cmd.arg("-o").arg(&build.artifact).arg(&src);
@@ -621,22 +882,100 @@ pub fn cc_command(
     Ok((cmd, build))
 }
 
+/// Runs a compiler command under `guard`: the one place where an exit
+/// status or a guard error becomes a [`BuildError`].
+pub fn run_compiler(cmd: &mut Command, guard: &GuardConfig) -> Result<(), BuildError> {
+    let program = cmd.get_program().to_string_lossy().into_owned();
+    match run_guarded(cmd, guard) {
+        Ok(out) if out.success => Ok(()),
+        Ok(out) => Err(BuildError::Failed(format!(
+            "{program} exited {:?}:\n{}",
+            out.code,
+            out.stderr_lossy()
+        ))),
+        Err(e) if e.is_timeout() => Err(BuildError::TimedOut(format!("{program}: {e}"))),
+        Err(e) => Err(BuildError::Unavailable(format!(
+            "cannot run {program}: {e}"
+        ))),
+    }
+}
+
+/// Runs a [`cc_command`] under `guard` and hands its directory on.
+fn run_cc(
+    command: Result<(Command, BuildDir), String>,
+    guard: &GuardConfig,
+) -> Result<BuildDir, BuildError> {
+    let (mut cmd, build) = command.map_err(BuildError::Unavailable)?;
+    run_compiler(&mut cmd, guard)?;
+    Ok(build)
+}
+
 /// The include that dominates a native unit's compile: `cc` spends about
 /// 270 of its 340 ms parsing it. Sources that carry it get the prelude.
 const PRELUDE_MARKER: &str = "#include <immintrin.h>";
 
-/// A C compiler plus what it has already parsed: per distinct `cflags`
-/// set, a precompiled header of the fixed include block every native
-/// unit starts with, built on first use and passed to later compiles
-/// with `-include`.
+/// Builds a [`Toolchain`] keeps at most. A build directory of the
+/// largest unit served — sgemm's AVX-512 record with its data driver —
+/// holds 39 kB of source and a 29 kB binary, and the key keeps the source
+/// once more in memory: ≈ 3.5 MB of disk and 1.3 MB of heap at the cap.
+/// `cold_native` holds 3 units per service, the fault-injection soak 8;
+/// a warm lookup at the cap scans every key in 2 µs.
+pub const BUILD_CACHE_CAP: usize = 32;
+
+/// One memoised build: its key — compared in full, so that no hash
+/// collision can ever run the wrong kernel — and the slot its first
+/// lookup fills while later lookups of the same key wait on it.
+#[derive(Debug)]
+struct CachedBuild {
+    kind: Artifact,
+    cflags: Vec<String>,
+    source: String,
+    slot: BuildSlot,
+}
+
+type BuildSlot = Arc<OnceLock<Result<Arc<BuildDir>, BuildError>>>;
+
+/// A handle on a memoised build of a [`Toolchain`]. The artifact stays
+/// on disk for as long as a handle exists — through eviction and through
+/// the toolchain's own drop — so a binary is never deleted mid-run.
+#[derive(Clone, Debug)]
+pub struct SharedBuild {
+    dir: Arc<BuildDir>,
+    reused: bool,
+}
+
+impl SharedBuild {
+    /// The compiled binary (`kernel`) or object file (`kernel.o`).
+    pub fn artifact(&self) -> &Path {
+        self.dir.artifact()
+    }
+
+    /// Whether the compiler did not run for this lookup: the toolchain
+    /// had built the artifact already (or a concurrent lookup was
+    /// building it, and this one waited).
+    pub fn reused(&self) -> bool {
+        self.reused
+    }
+}
+
+/// A C compiler plus what it has already parsed and built.
 ///
-/// The preludes are private to their owner: each sits in its own
-/// [`BuildDir`] and goes when the toolchain is dropped. GCC silently
-/// ignores a `.gch` built with other flags but fails hard on a truncated
-/// one, so a prelude is keyed by the full `cflags`, never shared between
-/// processes and never reused from an earlier run. A prelude that cannot
-/// be built is remembered as such, and the command is then exactly
-/// [`cc_command`]'s.
+/// Per distinct `cflags` set it keeps a precompiled header of the fixed
+/// include block every native unit starts with, built on first use and
+/// passed to later compiles with `-include`. The preludes are private to
+/// their owner: each sits in its own [`BuildDir`] and goes when the
+/// toolchain is dropped. GCC silently ignores a `.gch` built with other
+/// flags but fails hard on a truncated one, so a prelude is keyed by the
+/// full `cflags`, never shared between processes and never reused from
+/// an earlier run. A prelude that cannot be built is remembered as such,
+/// and the command is then exactly [`cc_command`]'s.
+///
+/// Per distinct (artifact kind, `cflags`, source text) it keeps what
+/// [`Toolchain::executable`] and [`Toolchain::object`] built, least
+/// recently used first, at most [`BUILD_CACHE_CAP`] of them. A failed or
+/// timed-out build is not kept. Eviction and the toolchain's drop only
+/// give up the cache's own handle: a directory goes once the last
+/// [`SharedBuild`] on it has gone too.
 #[derive(Debug)]
 pub struct Toolchain {
     program: String,
@@ -644,17 +983,18 @@ pub struct Toolchain {
     /// Per `cflags` set asked for so far: the directory holding
     /// `prelude.h` and `prelude.h.gch`, or why it could not be built.
     preludes: Mutex<BTreeMap<Vec<String>, Result<BuildDir, String>>>,
+    builds: Mutex<Vec<CachedBuild>>,
 }
 
 impl Toolchain {
-    /// A toolchain around the compiler `program`, whose own compiler
-    /// runs (prelude builds, [`Toolchain::build`]) are supervised by
-    /// `guard`.
+    /// A toolchain around the compiler `program`, whose compiler runs
+    /// are supervised by `guard`.
     pub fn new(program: &str, guard: GuardConfig) -> Self {
         Toolchain {
             program: program.to_string(),
             guard,
             preludes: Mutex::new(BTreeMap::new()),
+            builds: Mutex::new(Vec::new()),
         }
     }
 
@@ -676,6 +1016,12 @@ impl Toolchain {
         self.preludes.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn lock_builds(&self) -> MutexGuard<'_, Vec<CachedBuild>> {
+        // Every update is one `Vec` operation on whole entries, so a
+        // poisoned lock still guards a valid list.
+        self.builds.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// [`cc_command`] for this toolchain's compiler, plus `-include
     /// <prelude.h>` when `source` includes `<immintrin.h>` and the
     /// prelude for `cflags` exists or can be built now.
@@ -684,8 +1030,9 @@ impl Toolchain {
         source: &str,
         cflags: &[String],
         tag: &str,
+        kind: Artifact,
     ) -> Result<(Command, BuildDir), String> {
-        let (mut cmd, build) = cc_command(&self.program, source, cflags, tag)?;
+        let (mut cmd, build) = cc_command(&self.program, source, cflags, tag, kind)?;
         if source.contains(PRELUDE_MARKER) {
             if let Some(header) = self.prelude(cflags) {
                 cmd.arg("-include").arg(header);
@@ -694,11 +1041,101 @@ impl Toolchain {
         Ok((cmd, build))
     }
 
-    /// Compiles `source` under this toolchain's guard; the error carries
-    /// the compiler's diagnostics.
-    pub fn build(&self, source: &str, cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+    /// Compiles `source` under this toolchain's guard into a directory
+    /// of the caller's own; nothing is remembered.
+    pub fn build(
+        &self,
+        source: &str,
+        cflags: &[String],
+        tag: &str,
+        kind: Artifact,
+    ) -> Result<BuildDir, BuildError> {
         let _span = exo_obs::span!("difftest:compile", "{}", tag);
-        run_cc(self.command(source, cflags, tag)?, &self.guard)
+        run_cc(self.command(source, cflags, tag, kind), &self.guard)
+    }
+
+    /// The linked binary of `source` (which defines `main`) under
+    /// `cflags`: built by the first lookup as [`Toolchain::build`] builds
+    /// it, handed out again by every later one.
+    pub fn executable(
+        &self,
+        source: &str,
+        cflags: &[String],
+        tag: &str,
+    ) -> Result<SharedBuild, BuildError> {
+        self.memoised(source, cflags, tag, Artifact::Executable)
+    }
+
+    /// The object file of `source` under `cflags`, memoised like
+    /// [`Toolchain::executable`].
+    pub fn object(
+        &self,
+        source: &str,
+        cflags: &[String],
+        tag: &str,
+    ) -> Result<SharedBuild, BuildError> {
+        self.memoised(source, cflags, tag, Artifact::Object)
+    }
+
+    /// Looks the build up, most recently used last; the first lookup of
+    /// a key builds it outside the list's lock, so different keys build
+    /// in parallel while lookups of the same key wait on its slot.
+    fn memoised(
+        &self,
+        source: &str,
+        cflags: &[String],
+        tag: &str,
+        kind: Artifact,
+    ) -> Result<SharedBuild, BuildError> {
+        let slot = {
+            let mut builds = self.lock_builds();
+            let known = builds
+                .iter()
+                .position(|b| b.kind == kind && b.cflags == cflags && b.source == source);
+            let entry = match known {
+                Some(at) => builds.remove(at),
+                None => CachedBuild {
+                    kind,
+                    cflags: cflags.to_vec(),
+                    source: source.to_string(),
+                    slot: BuildSlot::default(),
+                },
+            };
+            let slot = entry.slot.clone();
+            builds.push(entry);
+            if builds.len() > BUILD_CACHE_CAP {
+                builds.remove(0);
+            }
+            slot
+        };
+        let mut built_ms = None;
+        let result = slot.get_or_init(|| {
+            let started = Instant::now();
+            let built = self.build(source, cflags, tag, kind).map(Arc::new);
+            built_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+            built
+        });
+        match result {
+            Ok(dir) => {
+                exo_obs::event("difftest:build", || match built_ms {
+                    Some(ms) => format!("built {ms:.0} {tag}"),
+                    None => format!("reused {tag}"),
+                });
+                Ok(SharedBuild {
+                    dir: dir.clone(),
+                    reused: built_ms.is_none(),
+                })
+            }
+            Err(error) => {
+                exo_obs::event("difftest:build", || format!("failed {tag}"));
+                // Lookups that were waiting share the error; the next one
+                // finds no entry and builds again.
+                if built_ms.is_some() {
+                    self.lock_builds().retain(|b| !Arc::ptr_eq(&b.slot, &slot));
+                }
+                Err(error.clone())
+            }
+        }
     }
 
     /// Compiles `unit` under the timing driver ([`emit_timing_driver`]),
@@ -712,7 +1149,10 @@ impl Toolchain {
         reps: u64,
     ) -> Result<(f64, f64), String> {
         let driver = emit_timing_driver(unit, proc, inputs, reps);
-        let runs = run_driver(&self.build(&driver, &unit.cflags, proc.name())?, proc)?;
+        let build = self
+            .build(&driver, &unit.cflags, proc.name(), Artifact::Executable)
+            .map_err(|e| e.to_string())?;
+        let runs = run_driver(&build, proc)?;
         summarize_runs(&runs)
             .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
     }
@@ -755,47 +1195,44 @@ impl Toolchain {
         let dir = BuildDir::create("prelude", "prelude.h.gch")?;
         let header = dir.write(
             "prelude.h",
-            &format!("{POSIX_DEFINE}#include <stdint.h>\n#include <string.h>\n{PRELUDE_MARKER}\n"),
+            format!("{POSIX_DEFINE}#include <stdint.h>\n#include <string.h>\n{PRELUDE_MARKER}\n"),
         )?;
         let mut cmd = Command::new(&self.program);
         cmd.args(BASE_CFLAGS).args(cflags).args(["-x", "c-header"]);
         cmd.arg(&header).arg("-o").arg(dir.artifact());
-        match run_guarded(&mut cmd, &self.guard) {
-            Ok(out) if out.success => Ok(dir),
-            Ok(out) => Err(format!(
-                "{} exited {:?}: {}",
-                self.program,
-                out.code,
-                out.stderr_lossy()
-            )),
-            Err(e) => Err(e.to_string()),
-        }
+        run_compiler(&mut cmd, &self.guard).map_err(|e| e.to_string())?;
+        Ok(dir)
     }
 }
 
-/// Runs a compile command under `guard` and hands its directory on.
-fn run_cc((mut cmd, build): (Command, BuildDir), guard: &GuardConfig) -> Result<BuildDir, String> {
-    let output = run_guarded(&mut cmd, guard).map_err(|e| format!("cannot run cc: {e}"))?;
-    if !output.success {
-        return Err(format!(
-            "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
-            build.artifact.with_file_name("kernel.c").display(),
-            output.code,
-            output.stderr_lossy()
-        ));
-    }
-    Ok(build)
-}
-
-/// Compiles a C source with the system `cc` ([`cc_command`]) under the
-/// harness's own compile deadline; the error carries the compiler's
-/// diagnostics.
-pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+/// Compiles `source` with the system `cc` ([`cc_command`]) under the
+/// harness's own compile deadline.
+fn system_build(
+    source: &str,
+    extra_cflags: &[String],
+    tag: &str,
+    kind: Artifact,
+) -> Result<BuildDir, BuildError> {
     let _span = exo_obs::span!("difftest:compile", "{}", tag);
     run_cc(
-        cc_command("cc", source, extra_cflags, tag)?,
+        cc_command("cc", source, extra_cflags, tag, kind),
         &compile_guard(),
     )
+}
+
+/// Compiles a self-contained C source with the system `cc` under the
+/// harness's own compile deadline: linked when the text defines
+/// `int main(void)` (as [`emit_driver`]'s and [`emit_timing_driver`]'s
+/// do), an object file otherwise. The error carries the compiler's
+/// diagnostics. This is the entry for callers that hold only text; every
+/// path that knows what it emitted names the [`Artifact`] instead.
+pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
+    let kind = if source.contains("int main(void)") {
+        Artifact::Executable
+    } else {
+        Artifact::Object
+    };
+    system_build(source, extra_cflags, tag, kind).map_err(|e| e.to_string())
 }
 
 /// [`build`] for callers that manage the directory themselves: returns
@@ -808,7 +1245,9 @@ pub fn compile(source: &str, extra_cflags: &[String], tag: &str) -> Result<PathB
 /// Compile-only check of an emitted unit (used for intrinsic-mode units,
 /// which may not be runnable on the build host).
 pub fn compile_check(unit: &CUnit, tag: &str) -> Result<(), String> {
-    build(&unit.code, &unit.cflags, tag).map(drop)
+    system_build(&unit.code, &unit.cflags, tag, Artifact::Object)
+        .map(drop)
+        .map_err(|e| e.to_string())
 }
 
 /// Why [`run_lines`] produced no values.
@@ -853,6 +1292,27 @@ pub fn run_lines(cmd: &mut Command, guard: &GuardConfig) -> Result<Vec<f64>, Run
                 .map_err(|e| failed(format!("unparseable driver output `{t}`: {e}")))
         })
         .collect()
+}
+
+/// Runs a data driver ([`emit_data_driver`]) on an argument block
+/// ([`encode_args`]): writes the block to a file in a temp directory of
+/// this call's own (gone on every return path, and never the directory
+/// of a shared build), appends its path to `cmd` — the driver binary, or
+/// whatever a caller substitutes for it — and runs that as [`run_lines`]
+/// does.
+pub fn run_data_driver(
+    cmd: &mut Command,
+    block: &[u8],
+    guard: &GuardConfig,
+) -> Result<Vec<f64>, RunError> {
+    let file = BuildDir::create("args", "args.bin")
+        .and_then(|dir| dir.write("args.bin", block).map(|_| dir))
+        .map_err(|message| RunError {
+            timed_out: false,
+            message,
+        })?;
+    cmd.arg(file.artifact());
+    run_lines(cmd, guard)
 }
 
 /// Runs a compiled driver of `proc` and returns the numbers it prints.
@@ -945,8 +1405,15 @@ pub fn run_differential_with(
             unit.cflags.join(" ")
         )));
     }
-    let driver = emit_driver(&unit, proc, &inputs);
-    let got = run_driver(&build(&driver, &unit.cflags, proc.name())?, proc)?;
+    let driver = emit_data_driver(&unit, proc);
+    let exe = system_build(&driver, &unit.cflags, proc.name(), Artifact::Executable)
+        .map_err(|e| e.to_string())?;
+    let got = run_data_driver(
+        &mut Command::new(exe.artifact()),
+        &encode_args(&inputs),
+        &run_guard(),
+    )
+    .map_err(|e| format!("driver binary of `{}`: {e}", proc.name()))?;
     let total: usize = expected.iter().map(|b| b.len()).sum();
     if got.len() != total {
         return Err(format!(

@@ -20,7 +20,7 @@ use exo_ir::{format_float, ArgKind, BinOp, DataType, Expr, Proc, Sym, UnOp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// C scalar type for a data type.
-fn c_type(ty: DataType) -> &'static str {
+pub(crate) fn c_type(ty: DataType) -> &'static str {
     match ty {
         DataType::F32 => "float",
         DataType::F64 => "double",

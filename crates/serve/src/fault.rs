@@ -25,6 +25,10 @@ pub enum Fault {
     /// The compiled kernel binary is replaced by a process that sleeps
     /// forever — exercises the run timeout + compile-only degradation.
     BinaryHang,
+    /// The argument block handed to the compiled kernel binary is cut in
+    /// half — exercises the generated decoder's refusal and the
+    /// `BinaryFailed` degradation to compile-only.
+    ArgsTruncated,
     /// The worker panics mid-request — exercises `catch_unwind`
     /// isolation, `ServeError::Internal` classification and negative-
     /// cache quarantine.
@@ -36,10 +40,11 @@ pub enum Fault {
 
 impl Fault {
     /// All fault kinds, in the order the seeded plan cycles through.
-    pub const ALL: [Fault; 5] = [
+    pub const ALL: [Fault; 6] = [
         Fault::CcHang,
         Fault::CcMissing,
         Fault::BinaryHang,
+        Fault::ArgsTruncated,
         Fault::WorkerPanic,
         Fault::CacheCorruption,
     ];
@@ -50,6 +55,7 @@ impl Fault {
             Fault::CcHang => "cc-hang",
             Fault::CcMissing => "cc-missing",
             Fault::BinaryHang => "binary-hang",
+            Fault::ArgsTruncated => "args-truncated",
             Fault::WorkerPanic => "worker-panic",
             Fault::CacheCorruption => "cache-corruption",
         }

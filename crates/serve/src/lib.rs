@@ -14,10 +14,10 @@
 //! overload sheds requests instead of queueing unboundedly.
 //!
 //! Deterministic fault injection ([`FaultPlan`]) drives the soak tests:
-//! hung compilers, missing compilers, hung binaries, panicking workers
-//! and corrupted cache entries at seeded request indices, with the
-//! invariant that every request still resolves to a classified response
-//! and every worker survives.
+//! hung compilers, missing compilers, hung binaries, truncated argument
+//! blocks, panicking workers and corrupted cache entries at seeded
+//! request indices, with the invariant that every request still resolves
+//! to a classified response and every worker survives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

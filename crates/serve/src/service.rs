@@ -26,11 +26,12 @@ use crate::types::{
 };
 use exo_analysis::{check_proc, Severity};
 use exo_codegen::difftest::{
-    cc_command, emit_driver, interp_outputs, run_lines, synth_inputs, BuildDir, Toolchain,
+    emit_data_driver, encode_args, interp_outputs, run_compiler, run_data_driver, synth_inputs,
+    Artifact, BuildError, SharedBuild, SynthArg, Toolchain,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
-use exo_guard::{panic_message, run_guarded, GuardConfig};
+use exo_guard::{panic_message, GuardConfig};
 use exo_interp::ProcRegistry;
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
@@ -99,8 +100,14 @@ pub struct ServeStats {
     pub coalesced: AtomicU64,
     /// Submissions shed because the queue was full.
     pub overloaded: AtomicU64,
-    /// Supervised C compiler invocations (injected hangs included).
+    /// Supervised C compiler invocations (injected faults included): the
+    /// native tiers' lookups that the toolchain's build cache did not
+    /// answer. A lookup that waited on a concurrent build which then
+    /// failed counts here too.
     pub compiles: AtomicU64,
+    /// Native-tier lookups answered by a build this service's toolchain
+    /// already holds: no `cc` ran.
+    pub builds_reused: AtomicU64,
     /// Supervised compiled-binary invocations.
     pub binary_runs: AtomicU64,
     /// Precompiled preludes the service's toolchain built (one per
@@ -145,6 +152,8 @@ pub struct StatsSnapshot {
     pub overloaded: u64,
     /// See [`ServeStats::compiles`].
     pub compiles: u64,
+    /// See [`ServeStats::builds_reused`].
+    pub builds_reused: u64,
     /// See [`ServeStats::binary_runs`].
     pub binary_runs: u64,
     /// See [`ServeStats::preludes_built`].
@@ -184,6 +193,7 @@ impl ServeStats {
             coalesced: get(&self.coalesced),
             overloaded: get(&self.overloaded),
             compiles: get(&self.compiles),
+            builds_reused: get(&self.builds_reused),
             binary_runs: get(&self.binary_runs),
             preludes_built: get(&self.preludes_built),
             interp_runs: get(&self.interp_runs),
@@ -211,8 +221,9 @@ struct ServiceInner {
     shutdown: AtomicBool,
     cache: ResultCache,
     stats: ServeStats,
-    /// `cc` and the preludes it has precompiled, for the service's
-    /// lifetime: they go when the last worker has been joined.
+    /// `cc`, the preludes it has precompiled and the units it has built,
+    /// for the service's lifetime: they go when the last worker has been
+    /// joined.
     toolchain: Toolchain,
     cfg: ServeConfig,
     workers_alive: AtomicUsize,
@@ -642,6 +653,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
 
     let mut degraded: Vec<Degradation> = Vec::new();
     let mut tier = request.options.tier;
+    let mut served = "served";
     let exec = loop {
         let _tier_span = exo_obs::span!("serve:tier", "{}", tier.name());
         match tier {
@@ -661,10 +673,13 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                         continue;
                     }
                 };
-                let driver = emit_driver(&unit, proc, &inputs);
-                match compile_guarded(inner, &driver, &unit, job.fault) {
-                    Ok(build) => match run_binary_guarded(inner, &build, job.fault) {
-                        Ok(summary) => break Some(summary),
+                let driver = emit_data_driver(&unit, proc);
+                match compile_guarded(inner, Artifact::Executable, &driver, &unit, job.fault) {
+                    Ok(exe) => match run_binary_guarded(inner, &exe, &inputs, job.fault) {
+                        Ok(summary) => {
+                            served = build_outcome(&exe);
+                            break Some(summary);
+                        }
                         Err((reason, detail)) => {
                             // The unit compiled; serve the compile-only
                             // tier from the artifact we already have.
@@ -693,20 +708,25 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 }
             }
-            Tier::CompileOnly => match compile_guarded(inner, &unit.code, &unit, job.fault) {
-                Ok(_) => break None,
-                Err((reason, detail)) => {
-                    degrade(
-                        &mut degraded,
-                        &mut trace,
-                        Tier::CompileOnly,
-                        Tier::Interp,
-                        reason,
-                        detail,
-                    );
-                    tier = Tier::Interp;
+            Tier::CompileOnly => {
+                match compile_guarded(inner, Artifact::Object, &unit.code, &unit, job.fault) {
+                    Ok(object) => {
+                        served = build_outcome(&object);
+                        break None;
+                    }
+                    Err((reason, detail)) => {
+                        degrade(
+                            &mut degraded,
+                            &mut trace,
+                            Tier::CompileOnly,
+                            Tier::Interp,
+                            reason,
+                            detail,
+                        );
+                        tier = Tier::Interp;
+                    }
                 }
-            },
+            }
             Tier::Interp => {
                 let inputs = match synth_inputs(proc, request.options.input_seed) {
                     Ok(inputs) => inputs,
@@ -742,7 +762,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
             Tier::VerifiedIr => break None,
         }
     };
-    trace.step(tier.name(), "served".to_string());
+    trace.step(tier.name(), served.to_string());
 
     inner
         .stats
@@ -775,75 +795,104 @@ fn summarize(buffers: &[Vec<f64>]) -> ExecSummary {
     }
 }
 
+/// The serving step's outcome for a tier that asked the toolchain for a
+/// build: whether `cc` ran for this request.
+fn build_outcome(build: &SharedBuild) -> &'static str {
+    if build.reused() {
+        "served (reused)"
+    } else {
+        "served (built)"
+    }
+}
+
 /// A process that sleeps far past any guard timeout — the injected hang.
-/// `sh -c` with a single command `exec`s it, so the timeout kill reaches
-/// the sleeper itself.
+/// The shell forks the sleeper (dash does not `exec` the last command of
+/// a `-c` script), so it dies only because the guard signals the whole
+/// process group at the deadline. Arguments appended to the command are
+/// the script's `$0`, `$1`, …: ignored.
 fn hang_command() -> Command {
     let mut cmd = Command::new("sh");
     cmd.arg("-c").arg("sleep 600");
     cmd
 }
 
-/// Compiles `source` (a driver with `main`, or the bare unit) with the
-/// service's toolchain under the service's compile guard, or with the
-/// planned compiler fault substituted for `cc`. Returns the build
-/// directory, which removes itself when dropped, or a (reason, detail)
-/// degradation pair.
+/// The service toolchain's build of `source` — a data driver with `main`
+/// to link, or the bare unit to compile — under the service's compile
+/// guard: built by the first request for it, reused by every later one.
+/// A planned compiler fault stands in for `cc` itself and goes around the
+/// toolchain: it neither reads nor populates the build cache and builds
+/// no prelude. The error is a (reason, detail) degradation pair.
 fn compile_guarded(
     inner: &ServiceInner,
+    kind: Artifact,
     source: &str,
     unit: &CUnit,
     fault: Option<Fault>,
-) -> Result<BuildDir, (DegradeReason, String)> {
-    ServeStats::bump(&inner.stats.compiles);
-    // The planned compiler faults stand in for `cc` itself: they go
-    // around the toolchain and build no prelude.
-    let command = match fault {
-        Some(Fault::CcMissing) => {
-            cc_command("exo2-injected-missing-cc", source, &unit.cflags, &unit.name)
-        }
-        Some(Fault::CcHang) => cc_command("cc", source, &unit.cflags, &unit.name)
-            .map(|(_, build)| (hang_command(), build)),
+) -> Result<SharedBuild, (DegradeReason, String)> {
+    let injected = |mut stand_in: Command| {
+        Err(run_compiler(&mut stand_in, &inner.cfg.compile_guard)
+            .err()
+            .unwrap_or_else(|| BuildError::Failed("the injected compiler built nothing".into())))
+    };
+    let built = match fault {
+        Some(Fault::CcMissing) => injected(Command::new("exo2-injected-missing-cc")),
+        Some(Fault::CcHang) => injected(hang_command()),
         _ => {
-            let command = inner.toolchain.command(source, &unit.cflags, &unit.name);
-            let built = inner.toolchain.preludes_built();
-            inner
-                .stats
-                .preludes_built
-                .fetch_max(built, Ordering::Relaxed);
-            command
+            let built = match kind {
+                Artifact::Executable => {
+                    inner.toolchain.executable(source, &unit.cflags, &unit.name)
+                }
+                Artifact::Object => inner.toolchain.object(source, &unit.cflags, &unit.name),
+            };
+            // A lookup the cache answered built no prelude either, and
+            // must not queue behind another worker's prelude build.
+            if !matches!(&built, Ok(build) if build.reused()) {
+                inner
+                    .stats
+                    .preludes_built
+                    .fetch_max(inner.toolchain.preludes_built(), Ordering::Relaxed);
+            }
+            built
         }
     };
-    let (mut cmd, build) =
-        command.map_err(|detail| (DegradeReason::CompilerUnavailable, detail))?;
-    match run_guarded(&mut cmd, &inner.cfg.compile_guard) {
-        Ok(out) if out.success => Ok(build),
-        Ok(out) => Err((
-            DegradeReason::CompilerFailed,
-            format!("cc exited {:?}: {}", out.code, out.stderr_lossy()),
-        )),
-        Err(err) if err.is_timeout() => {
-            ServeStats::bump(&inner.stats.guard_timeouts);
-            Err((DegradeReason::CompilerTimeout, err.to_string()))
-        }
-        Err(err) => Err((DegradeReason::CompilerUnavailable, err.to_string())),
-    }
+    ServeStats::bump(match &built {
+        Ok(build) if build.reused() => &inner.stats.builds_reused,
+        _ => &inner.stats.compiles,
+    });
+    built.map_err(|error| {
+        let reason = match error {
+            BuildError::Failed(_) => DegradeReason::CompilerFailed,
+            BuildError::TimedOut(_) => {
+                ServeStats::bump(&inner.stats.guard_timeouts);
+                DegradeReason::CompilerTimeout
+            }
+            BuildError::Unavailable(_) => DegradeReason::CompilerUnavailable,
+        };
+        (reason, error.to_string())
+    })
 }
 
-/// Runs a compiled driver binary under the service's run guard (or the
-/// planned hang in its place) and folds its tensor dump into an
-/// [`ExecSummary`].
+/// Runs a built data driver on `inputs` under the service's run guard
+/// (or the planned hang in its place, or on the planned half of the
+/// argument block) and folds its tensor dump into an [`ExecSummary`]. The
+/// argument file lives in a temp directory of this request's own, never
+/// in the shared build's.
 fn run_binary_guarded(
     inner: &ServiceInner,
-    build: &BuildDir,
+    exe: &SharedBuild,
+    inputs: &[SynthArg],
     fault: Option<Fault>,
 ) -> Result<ExecSummary, (DegradeReason, String)> {
     ServeStats::bump(&inner.stats.binary_runs);
     let mut cmd = match fault {
         Some(Fault::BinaryHang) => hang_command(),
-        _ => Command::new(build.artifact()),
+        _ => Command::new(exe.artifact()),
     };
-    match run_lines(&mut cmd, &inner.cfg.run_guard) {
+    let mut block = encode_args(inputs);
+    if fault == Some(Fault::ArgsTruncated) {
+        block.truncate(block.len() / 2);
+    }
+    match run_data_driver(&mut cmd, &block, &inner.cfg.run_guard) {
         Ok(values) => Ok(summarize(&[values])),
         Err(err) if err.timed_out => {
             ServeStats::bump(&inner.stats.guard_timeouts);

@@ -119,7 +119,9 @@ pub struct TraceStep {
     pub name: &'static str,
     /// Wall-clock nanoseconds spent in the stage.
     pub ns: u64,
-    /// How the stage ended: `"ok"`, `"served"`, or
+    /// How the stage ended: `"ok"`, `"served"` — `"served (built)"` or
+    /// `"served (reused)"` where the tier asked the toolchain for a
+    /// build, saying whether `cc` ran for this request — or
     /// `"degraded to <tier>: <reason>"`.
     pub outcome: String,
 }

@@ -1,10 +1,11 @@
-//! Build directories never outlive their owner: after a compile-only
-//! request and a native-run request whose binary hangs, the temp
-//! directory holds no `exo_codegen_*` / `exo_serve_*` entry — and on a
-//! host that runs AVX2, neither does it after a service that served a
-//! native unit has shut down: the precompiled prelude (≈ 24 MB) goes
-//! with the service that built it. (`exo-autotune`'s `tempdirs.rs` has
-//! the same check for a `measure_batch`.)
+//! Build directories never outlive their owner. A live service keeps one
+//! directory per unit it has built and nothing per request: the argument
+//! file of a native run goes with the request, also when its binary
+//! hangs. After shutdown the temp directory holds no `exo_codegen_*` /
+//! `exo_serve_*` entry — cached builds included, and on a host that runs
+//! AVX2 the precompiled prelude (≈ 24 MB) of a service that served a
+//! native unit too. (`exo-autotune`'s `tempdirs.rs` has the same check
+//! for a `measure_batch`.)
 //!
 //! One test per process: it points `TMPDIR` at a private directory.
 
@@ -61,6 +62,12 @@ fn compile_only_and_hung_binary_requests_leave_no_build_directory() {
     }
     let stats = service.stats();
     assert_eq!((stats.compiles, stats.guard_timeouts), (2, 1));
+    // The object and the linked driver, cached; no argument file.
+    let kept = leaked(&tmp);
+    assert!(
+        kept.len() == 2 && kept.iter().all(|name| name.ends_with("_sscal")),
+        "a live service keeps its two builds and nothing else: {kept:?}"
+    );
     service.shutdown();
 
     assert_eq!(
@@ -78,21 +85,38 @@ fn compile_only_and_hung_binary_requests_leave_no_build_directory() {
     let machine = exo_machine::MachineModel::avx2();
     let script = exo_lib::schedule_of_record("sgemm", &machine).expect("sgemm record");
     let service = KernelService::new(ServeConfig::default());
-    let ok = service
-        .submit(ServeRequest {
-            proc: exo_kernels::sgemm(),
-            script,
-            target: MachineKind::Avx2,
-            options: ServeOptions {
-                tier: Tier::NativeRun,
-                ..ServeOptions::default()
-            },
-        })
-        .wait_timeout(Duration::from_secs(120))
-        .expect("request hung")
-        .result
-        .expect("the native request is served");
-    assert_eq!(ok.tier, Tier::NativeRun);
+    for input_seed in 1..=2 {
+        let ok = service
+            .submit(ServeRequest {
+                proc: exo_kernels::sgemm(),
+                script: script.clone(),
+                target: MachineKind::Avx2,
+                options: ServeOptions {
+                    tier: Tier::NativeRun,
+                    input_seed,
+                    ..ServeOptions::default()
+                },
+            })
+            .wait_timeout(Duration::from_secs(120))
+            .expect("request hung")
+            .result
+            .expect("the native request is served");
+        assert_eq!(ok.tier, Tier::NativeRun);
+    }
+    assert_eq!(
+        leaked(&tmp)
+            .iter()
+            .filter(|name| name.ends_with("_sgemm"))
+            .count(),
+        1,
+        "two requests for one unit share one build directory: {:?}",
+        leaked(&tmp)
+    );
+    assert!(
+        !leaked(&tmp).iter().any(|name| name.ends_with("_args")),
+        "an argument file outlived its request: {:?}",
+        leaked(&tmp)
+    );
     let built = service.stats().preludes_built;
     if built == 1 {
         assert!(

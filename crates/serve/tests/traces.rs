@@ -317,9 +317,13 @@ fn avx512_request_on_an_avx2_only_host_is_served_portable() {
     assert!(ok.exec.is_some_and(|e| e.elems > 0), "the binary ran");
 }
 
-/// One prelude per service and `cflags` set, built by the first native
-/// request and counted on its own: `compiles` stays one per request and
-/// the request trace gains no step.
+/// One prelude per service and `cflags` set, and one build per unit:
+/// both are made for the first native request and the second one — same
+/// kernel, another input seed — runs what the first built. The counts
+/// read `(compiles, binary_runs) == (1, 2)`; until inputs became data
+/// they read `(2, 2)`, the seed being part of the compiled text, and that
+/// change is what this assertion now pins. The prelude is counted on its
+/// own and the request trace gains no step.
 #[test]
 fn a_service_builds_its_prelude_once_and_counts_it_apart() {
     if !exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
@@ -327,7 +331,7 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
         return;
     }
     let service = KernelService::new(ServeConfig::default());
-    for seed in 1..=2 {
+    for (seed, outcome) in [(1, "served (built)"), (2, "served (reused)")] {
         let ok = serve(&service, native_sgemm_request(seed));
         assert_eq!(ok.tier, Tier::NativeRun);
         assert!(ok.degraded.is_empty(), "degraded: {:?}", ladder(&ok));
@@ -336,9 +340,14 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
             names,
             vec!["replay", "verify", "emit", "native-flags", "native-run"]
         );
+        assert_eq!(
+            ok.trace.step("native-run").expect("native-run").outcome,
+            outcome
+        );
     }
     let stats = service.stats();
-    assert_eq!((stats.compiles, stats.binary_runs), (2, 2));
+    assert_eq!((stats.compiles, stats.binary_runs), (1, 2));
+    assert_eq!(stats.builds_reused, 1);
     assert!(
         stats.preludes_built <= 1,
         "two requests with one flag set built {} preludes",
@@ -347,6 +356,14 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
     if stats.preludes_built == 0 {
         eprintln!("note: this cc cannot build the prelude; requests were served without it");
     }
+
+    // The same kernel for the scalar target is the same procedure under
+    // other flags and another text: exactly one more build.
+    let mut portable = native_sgemm_request(1);
+    portable.script = ScheduleScript::new(vec![]);
+    portable.target = MachineKind::Scalar;
+    assert_eq!(serve(&service, portable).tier, Tier::NativeRun);
+    assert_eq!(service.stats().compiles, 2);
 }
 
 #[test]
