@@ -15,10 +15,11 @@
 //!         x = arr[32*io + ii] + arr[32*io + ii + 1] + arr[32*io + ii + 2]
 //! ```
 
+use crate::accesses::{walk_accesses, Access, AccessSink, Dim, Shape, Touch};
 use crate::context::Context;
-use crate::linear::LinExpr;
 use crate::simplify::simplify_expr;
-use exo_ir::{ib, substitute_expr, Expr, Stmt, Sym};
+use crate::verify::extremize;
+use exo_ir::{ib, Expr, Stmt, Sym};
 
 /// The inferred access window of a buffer within a scope.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,103 +38,6 @@ impl BufferBounds {
     }
 }
 
-struct AccessSite {
-    idx: Vec<Expr>,
-    /// Iterators bound within the scope at this access, with their ranges.
-    iters: Vec<(Sym, Expr, Expr)>,
-}
-
-fn gather(stmt: &Stmt, buf: &Sym, iters: &mut Vec<(Sym, Expr, Expr)>, out: &mut Vec<AccessSite>) {
-    let record_expr = |e: &Expr, iters: &Vec<(Sym, Expr, Expr)>, out: &mut Vec<AccessSite>| {
-        collect_reads_of(e, buf, iters, out);
-    };
-    match stmt {
-        Stmt::Assign { buf: b, idx, rhs } | Stmt::Reduce { buf: b, idx, rhs } => {
-            if b == buf {
-                out.push(AccessSite {
-                    idx: idx.clone(),
-                    iters: iters.clone(),
-                });
-            }
-            for i in idx {
-                record_expr(i, iters, out);
-            }
-            record_expr(rhs, iters, out);
-        }
-        Stmt::For {
-            iter, lo, hi, body, ..
-        } => {
-            iters.push((iter.clone(), lo.clone(), hi.clone()));
-            for s in body.iter() {
-                gather(s, buf, iters, out);
-            }
-            iters.pop();
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            record_expr(cond, iters, out);
-            for s in then_body.iter().chain(else_body.iter()) {
-                gather(s, buf, iters, out);
-            }
-        }
-        Stmt::Call { args, .. } => {
-            for a in args {
-                record_expr(a, iters, out);
-            }
-        }
-        Stmt::WriteConfig { value, .. } => record_expr(value, iters, out),
-        Stmt::WindowStmt { rhs, .. } => record_expr(rhs, iters, out),
-        Stmt::Alloc { .. } | Stmt::Pass => {}
-    }
-}
-
-fn collect_reads_of(e: &Expr, buf: &Sym, iters: &[(Sym, Expr, Expr)], out: &mut Vec<AccessSite>) {
-    match e {
-        Expr::Read { buf: b, idx } => {
-            if b == buf {
-                out.push(AccessSite {
-                    idx: idx.clone(),
-                    iters: iters.to_vec(),
-                });
-            }
-            for i in idx {
-                collect_reads_of(i, buf, iters, out);
-            }
-        }
-        Expr::Bin { lhs, rhs, .. } => {
-            collect_reads_of(lhs, buf, iters, out);
-            collect_reads_of(rhs, buf, iters, out);
-        }
-        Expr::Un { arg, .. } => collect_reads_of(arg, buf, iters, out),
-        _ => {}
-    }
-}
-
-/// Substitutes each in-scope bound iterator by the value that extremizes an
-/// affine index expression: its lower bound when minimizing with a positive
-/// coefficient, its upper bound (`hi - 1`) otherwise.
-fn extremize(idx: &Expr, iters: &[(Sym, Expr, Expr)], minimize: bool, ctx: &Context) -> Expr {
-    let lin = LinExpr::from_expr(idx);
-    let mut out = idx.clone();
-    for (iter, lo, hi) in iters {
-        let coeff = lin.coeff_of(iter);
-        if coeff == 0 && !lin.mentions(iter) {
-            continue;
-        }
-        let take_lo = (coeff >= 0) == minimize;
-        let value = if take_lo {
-            lo.clone()
-        } else {
-            hi.clone() - ib(1)
-        };
-        out = substitute_expr(out, iter, &value);
-    }
-    simplify_expr(&out, ctx)
-}
-
 /// Why [`infer_bounds`] could not produce an access window, so scheduling
 /// errors can say *what* defeated the inference rather than a bare "cannot
 /// infer bounds".
@@ -141,92 +45,147 @@ fn extremize(idx: &Expr, iters: &[(Sym, Expr, Expr)], minimize: bool, ctx: &Cont
 pub enum BoundsFailure {
     /// The buffer is never accessed inside the scope.
     NotAccessed,
-    /// The buffer is accessed with inconsistent ranks and some access
-    /// supplies no index expression for this dimension.
-    MissingDimension(usize),
+    /// The buffer is handed to a callee by its bare name: all of it may be
+    /// touched.
+    PassedWhole {
+        /// The callee that receives the buffer.
+        callee: String,
+    },
+    /// The buffer is accessed through a window alias, whose indices the
+    /// inference does not translate back.
+    ViaAlias(Sym),
+    /// An index or window bound is not provably monotone in an iterator of
+    /// the scope, so substituting the iterator's endpoints does not bound
+    /// it (`x[i % 4]`).
+    NotMonotone {
+        /// The offending index expression, as printed.
+        index: String,
+        /// The dimension it indexes.
+        dim: usize,
+    },
 }
 
 impl std::fmt::Display for BoundsFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BoundsFailure::NotAccessed => write!(f, "the buffer is not accessed in the scope"),
-            BoundsFailure::MissingDimension(d) => write!(
+            BoundsFailure::PassedWhole { callee } => write!(
                 f,
-                "accesses have inconsistent ranks: no access supplies an index for dimension {d}"
+                "the whole buffer is passed to `{callee}`, which may touch any of it"
+            ),
+            BoundsFailure::ViaAlias(alias) => write!(
+                f,
+                "the buffer is accessed through the window alias `{alias}`"
+            ),
+            BoundsFailure::NotMonotone { index, dim } => write!(
+                f,
+                "index `{index}` (dimension {dim}) is not provably monotone in the loops of the \
+                 scope, so their endpoints do not bound it"
             ),
         }
     }
 }
 
-/// Infers the access bounds of `buf` within the statement `scope`.
+/// The running hull of every access to one buffer: the [`infer_bounds`]
+/// policy over the access walk.
+struct Hull<'c> {
+    buf: &'c Sym,
+    /// The buffer `buf` stores into (itself, unless it is an alias).
+    root: &'c Sym,
+    /// The caller's facts, under which the hull is compared and printed.
+    outer: &'c Context,
+    /// `outer` with its iterators left symbolic: only the loops of the
+    /// scope are eliminated.
+    free: Context,
+    /// The hull so far; "not accessed" until the first access.
+    bounds: Result<Vec<(Expr, Expr)>, BoundsFailure>,
+}
+
+impl Hull<'_> {
+    /// `dims` widened to cover the access.
+    fn cover(
+        &self,
+        a: &Access<'_, '_>,
+        mut dims: Vec<(Expr, Expr)>,
+    ) -> Result<Vec<(Expr, Expr)>, BoundsFailure> {
+        if a.name != self.buf {
+            return Err(BoundsFailure::ViaAlias(a.name.clone()));
+        }
+        if let (Shape::Whole, Touch::Arg { callee, .. }) = (a.shape, a.touch) {
+            let callee = callee.to_string();
+            return Err(BoundsFailure::PassedWhole { callee });
+        }
+        let mut facts = self.free.clone();
+        for l in a.at.loops() {
+            facts.push_iter(l.iter.clone(), l.lo.clone(), l.hi.clone());
+        }
+        let le = |a: &Expr, b: &Expr| self.outer.proves_le(a, b);
+        for (dim, named) in a.shape.dims().enumerate() {
+            let extreme = |e: &Expr, maximize: bool| {
+                extremize(e, &facts, maximize).ok_or_else(|| BoundsFailure::NotMonotone {
+                    index: e.to_string(),
+                    dim,
+                })
+            };
+            let (lo, hi) = match named {
+                // A point `e` is the interval `[e, e + 1)`.
+                Dim::Point(e) => {
+                    let last = extreme(e, true)?;
+                    let end = simplify_expr(&(last + ib(1)), self.outer);
+                    (extreme(e, false)?, end)
+                }
+                Dim::Interval(lo, hi) => (extreme(lo, false)?, extreme(hi, true)?),
+            };
+            match dims.get_mut(dim) {
+                // An undecidable comparison keeps the earlier bound.
+                Some((prev_lo, prev_hi)) => {
+                    if !le(prev_lo, &lo) && le(&lo, prev_lo) {
+                        *prev_lo = lo;
+                    }
+                    if le(prev_hi, &hi) {
+                        *prev_hi = hi;
+                    }
+                }
+                None => dims.push((lo, hi)),
+            }
+        }
+        Ok(dims)
+    }
+}
+
+impl<'a> AccessSink<'a> for Hull<'_> {
+    fn access(&mut self, a: &Access<'_, 'a>) {
+        if a.root != self.root {
+            return;
+        }
+        self.bounds = match std::mem::replace(&mut self.bounds, Ok(Vec::new())) {
+            Ok(dims) => self.cover(a, dims),
+            Err(BoundsFailure::NotAccessed) => self.cover(a, Vec::new()),
+            Err(why) => Err(why),
+        };
+    }
+}
+
+/// Infers the access bounds of `buf` within the statement `scope`: the
+/// hull of every access the walk of [`crate::accesses`] reports — point
+/// reads and writes, windows (`[lo, hi)` as written), at every expression
+/// position including loop bounds, allocation sizes and call arguments.
 ///
 /// Returns a [`BoundsFailure`] describing why inference gave up when it
-/// does (never silently). The analysis is exact for affine indices;
-/// non-affine indices fall back to using the raw expression for both
-/// bounds (conservatively tight to that single access).
+/// does (never silently): the iterators bound inside `scope` are
+/// eliminated by the verifier's monotonicity-checked [`extremize`], and an
+/// index it cannot prove monotone is a failure, not a guess.
 pub fn infer_bounds(scope: &Stmt, buf: &Sym, ctx: &Context) -> Result<BufferBounds, BoundsFailure> {
-    let mut sites = Vec::new();
-    gather(scope, buf, &mut Vec::new(), &mut sites);
-    if sites.is_empty() {
-        return Err(BoundsFailure::NotAccessed);
-    }
-    let ndims = sites.iter().map(|s| s.idx.len()).max().unwrap_or(0);
-    let mut dims = Vec::with_capacity(ndims);
-    for d in 0..ndims {
-        let mut lo: Option<Expr> = None;
-        let mut hi: Option<Expr> = None;
-        for site in &sites {
-            let Some(idx) = site.idx.get(d) else { continue };
-            let site_lo = extremize(idx, &site.iters, true, ctx);
-            let site_hi = simplify_expr(&(extremize(idx, &site.iters, false, ctx) + ib(1)), ctx);
-            lo = Some(match lo {
-                None => site_lo,
-                Some(prev) => symbolic_min(prev, site_lo, ctx),
-            });
-            hi = Some(match hi {
-                None => site_hi,
-                Some(prev) => symbolic_max(prev, site_hi, ctx),
-            });
-        }
-        match (lo, hi) {
-            (Some(lo), Some(hi)) => dims.push((lo, hi)),
-            _ => return Err(BoundsFailure::MissingDimension(d)),
-        }
-    }
-    Ok(BufferBounds {
-        buf: buf.clone(),
-        dims,
-    })
-}
-
-fn symbolic_min(a: Expr, b: Expr, ctx: &Context) -> Expr {
-    if ctx.proves_le(&a, &b) || provably_le_by_constant(&a, &b) {
-        a
-    } else if ctx.proves_le(&b, &a) || provably_le_by_constant(&b, &a) {
-        b
-    } else {
-        // Undecidable: keep the first (deterministic, documented as the
-        // conservative fallback).
-        a
-    }
-}
-
-fn symbolic_max(a: Expr, b: Expr, ctx: &Context) -> Expr {
-    if ctx.proves_le(&a, &b) || provably_le_by_constant(&a, &b) {
-        b
-    } else {
-        // Either `b <= a` is proven or the comparison is undecidable; in
-        // both cases keep `a` (the documented conservative fallback).
-        a
-    }
-}
-
-fn provably_le_by_constant(a: &Expr, b: &Expr) -> bool {
-    LinExpr::from_expr(b)
-        .sub(&LinExpr::from_expr(a))
-        .as_constant()
-        .map(|c| c >= 0)
-        .unwrap_or(false)
+    let mut hull = Hull {
+        buf,
+        root: ctx.root_of(buf),
+        outer: ctx,
+        free: ctx.clone().with_free_iterators(),
+        bounds: Err(BoundsFailure::NotAccessed),
+    };
+    walk_accesses(Some(ctx), [scope], &mut hull);
+    let buf = buf.clone();
+    hull.bounds.map(|dims| BufferBounds { buf, dims })
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! paper's Appendix A). All checks are conservative: a `false` answer means
 //! "could not prove safe", not "definitely unsafe".
 
+use crate::accesses::{self, walk_accesses, AccessSink, Dim, Place, Scope, Shape, Touch};
 use crate::context::Context;
 use crate::effects::{Access, Effects};
 use crate::linear::LinExpr;
@@ -78,6 +79,8 @@ fn may_overlap(a: &Access, b: &Access, ctx: &Context) -> bool {
 
 /// Whether two statements (or statement blocks, via their combined
 /// effects) commute: executing them in either order yields the same state.
+/// Where window aliases may be in scope the effects must have been taken
+/// in `ctx` ([`Effects::of_stmts_in`]), so that they name root buffers.
 pub fn stmts_commute(a: &Effects, b: &Effects, ctx: &Context) -> bool {
     // Config state: any write/read or write/write collision on the same
     // field forbids reordering.
@@ -253,16 +256,14 @@ struct Region {
     written: bool,
 }
 
-fn point_dim(e: &Expr) -> (LinExpr, LinExpr) {
-    let lo = LinExpr::from_expr(e);
-    let hi = lo.add(&LinExpr::constant(1));
-    (lo, hi)
-}
-
-fn waccess_dim(w: &exo_ir::WAccess) -> (LinExpr, LinExpr) {
-    match w {
-        exo_ir::WAccess::Point(e) => point_dim(e),
-        exo_ir::WAccess::Interval(lo, hi) => (LinExpr::from_expr(lo), LinExpr::from_expr(hi)),
+fn region_dim(dim: Dim<'_>) -> (LinExpr, LinExpr) {
+    match dim {
+        Dim::Point(e) => {
+            let lo = LinExpr::from_expr(e);
+            let hi = lo.add(&LinExpr::constant(1));
+            (lo, hi)
+        }
+        Dim::Interval(lo, hi) => (LinExpr::from_expr(lo), LinExpr::from_expr(hi)),
     }
 }
 
@@ -277,215 +278,116 @@ pub type CalleeWrites<'a> = &'a dyn Fn(&str, usize) -> Option<bool>;
 
 /// Which positional arguments `proc`'s body may write, derived from the
 /// body itself: an argument is written when it is the target of an
-/// assignment or reduction, aliased by a window statement, or passed on
-/// to a nested call in any buffer position (no recursion — the nested
-/// callee's body is not at hand here). Scalar and size arguments are
-/// never written (the IR has no address-of).
+/// assignment or reduction — directly or through a window alias of it —
+/// or passed on to a nested call in any buffer position (no recursion —
+/// the nested callee's body is not at hand here). Scalar and size
+/// arguments are never written (the IR has no address-of).
 pub fn written_params(proc: &exo_ir::Proc) -> Vec<bool> {
-    fn mark<'a>(stmts: impl IntoIterator<Item = &'a Stmt>, written: &mut BTreeSet<Sym>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { buf, .. } | Stmt::Reduce { buf, .. } => {
-                    written.insert(buf.clone());
-                }
-                // The alias may be written later; charge the source.
-                Stmt::WindowStmt {
-                    rhs: Expr::Window { buf, .. },
-                    ..
-                } => {
-                    written.insert(buf.clone());
-                }
-                Stmt::Call { args, .. } => {
-                    for a in args {
-                        match a {
-                            Expr::Window { buf, .. } | Expr::Read { buf, .. } => {
-                                written.insert(buf.clone());
-                            }
-                            Expr::Var(v) => {
-                                written.insert(v.clone());
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                Stmt::For { body, .. } => mark(body, written),
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    mark(then_body, written);
-                    mark(else_body, written);
-                }
-                _ => {}
+    struct Written<'a>(BTreeSet<&'a Sym>);
+    impl<'a> AccessSink<'a> for Written<'a> {
+        fn access(&mut self, a: &accesses::Access<'_, 'a>) {
+            if !matches!(a.touch, Touch::Read) {
+                self.0.insert(a.root);
             }
         }
     }
-    let mut written = BTreeSet::new();
-    mark(proc.body(), &mut written);
+    let mut written = Written(BTreeSet::new());
+    walk_accesses(None, proc.body(), &mut written);
     proc.args()
         .iter()
-        .map(|a| written.contains(&a.name))
+        .map(|a| written.0.contains(&a.name))
         .collect()
 }
 
-/// Collects every buffer region a loop body touches. Call-argument
-/// windows are written or read per the [`CalleeWrites`] oracle (written
-/// when unknown) and reduces are plain writes — under OS threads `+=`
-/// is a read-modify-write data race even though it commutes
-/// semantically. Collection *fails* (returns `false`) on constructs the
-/// region analysis cannot bound: window aliases, config writes, bare
-/// non-private buffer arguments a callee may write.
+/// Collects every buffer region a loop body touches: the region
+/// certificate's policy over the access walk. Call-argument windows are
+/// written or read per the [`CalleeWrites`] oracle (written when unknown)
+/// and reduces are plain writes — under OS threads `+=` is a
+/// read-modify-write data race even though it commutes semantically.
+/// Collection *fails* (`bounded` turns `false`) on constructs the region
+/// analysis cannot bound: window aliases, config writes, bare non-private
+/// buffer arguments a callee may write.
 struct RegionCollector<'c> {
-    iters: Vec<Sym>,
-    /// The in-scope iterators whose loop has constant bounds, with their
-    /// first and last value: a region is recorded as its hull over these.
-    ranges: Vec<(Sym, i64, i64)>,
-    allocs: BTreeSet<Sym>,
     regions: Vec<Region>,
     callee_writes: CalleeWrites<'c>,
+    bounded: bool,
 }
 
-impl<'c> RegionCollector<'c> {
-    fn new(callee_writes: CalleeWrites<'c>) -> Self {
-        RegionCollector {
-            iters: Vec::new(),
-            ranges: Vec::new(),
-            allocs: BTreeSet::new(),
-            regions: Vec::new(),
-            callee_writes,
+/// Widens `[lo, hi)` to cover every value of the enclosing iterators
+/// whose loop has constant bounds (the rows `4 * io + k0`, `k0` in
+/// `[0, 4)`, become `[4 * io, 4 * io + 4)`), so that the footprint of a
+/// small inner loop is one body-invariant interval. Over-approximating a
+/// region can only make a disjointness proof harder, never unsound.
+fn hull(at: &Place<'_>, (mut lo, mut hi): (LinExpr, LinExpr)) -> (LinExpr, LinExpr) {
+    for l in at.loops() {
+        let (Some(first), Some(end)) = (l.lo.as_int(), l.hi.as_int()) else {
+            continue;
+        };
+        if first >= end {
+            continue;
         }
-    }
-
-    /// Widens `[lo, hi)` to cover every value of the constant-range
-    /// iterators in scope (the rows `4 * io + k0`, `k0` in `[0, 4)`, become
-    /// `[4 * io, 4 * io + 4)`), so that the footprint of a small inner loop
-    /// is one body-invariant interval. Over-approximating a region can
-    /// only make a disjointness proof harder, never unsound.
-    fn hull(&self, (mut lo, mut hi): (LinExpr, LinExpr)) -> (LinExpr, LinExpr) {
-        for (iter, first, last) in &self.ranges {
-            for (bound, is_lo) in [(&mut lo, true), (&mut hi, false)] {
-                let c = bound.coeff_of(iter);
-                if c == 0 {
-                    continue;
-                }
-                let at = if (c > 0) == is_lo { *first } else { *last };
-                // On overflow the bound keeps mentioning the iterator,
-                // which no proof accepts.
-                if let Some(constant) = c
-                    .checked_mul(at)
-                    .and_then(|v| bound.constant.checked_add(v))
-                {
-                    bound.terms.remove(&crate::linear::Atom::Var(iter.clone()));
-                    bound.constant = constant;
-                }
+        for (bound, is_lo) in [(&mut lo, true), (&mut hi, false)] {
+            let c = bound.coeff_of(l.iter);
+            if c == 0 {
+                continue;
+            }
+            let value = if (c > 0) == is_lo { first } else { end - 1 };
+            // On overflow the bound keeps mentioning the iterator,
+            // which no proof accepts.
+            if let Some(constant) = c
+                .checked_mul(value)
+                .and_then(|v| bound.constant.checked_add(v))
+            {
+                bound
+                    .terms
+                    .remove(&crate::linear::Atom::Var(l.iter.clone()));
+                bound.constant = constant;
             }
         }
-        (lo, hi)
     }
+    (lo, hi)
+}
 
-    fn push(&mut self, buf: &Sym, dims: Vec<(LinExpr, LinExpr)>, written: bool) {
-        let dims = dims.into_iter().map(|d| self.hull(d)).collect();
+impl<'a> AccessSink<'a> for RegionCollector<'_> {
+    fn access(&mut self, a: &accesses::Access<'_, 'a>) {
+        // A buffer allocated in the body is private to each iteration.
+        if a.is_local() {
+            return;
+        }
+        // The indices of an access through an alias are the alias' own.
+        self.bounded &= a.name == a.root;
+        let written = match (a.touch, a.shape) {
+            (Touch::Read, _) | (Touch::Arg { .. }, Shape::Point(_)) => false,
+            (Touch::Write | Touch::Reduce, _) => true,
+            (Touch::Arg { callee, n }, Shape::Window(_)) => {
+                (self.callee_writes)(callee, n).unwrap_or(true)
+            }
+            // A bare name passed to a callee is fine when the callee
+            // provably never writes it (a read of unknown extent pairs
+            // against writers and blocks them, which is exactly right);
+            // otherwise the callee could write through it with unknown
+            // extent.
+            (Touch::Arg { callee, n }, Shape::Whole) => {
+                self.bounded &= (self.callee_writes)(callee, n) == Some(false);
+                false
+            }
+        };
         self.regions.push(Region {
-            buf: buf.clone(),
-            dims,
-            iters: self.iters.clone(),
+            buf: a.root.clone(),
+            dims: a.shape.dims().map(|d| hull(a.at, region_dim(d))).collect(),
+            iters: a.at.loops().map(|l| l.iter.clone()).collect(),
             written,
         });
     }
 
-    fn expr(&mut self, e: &Expr) -> bool {
-        match e {
-            Expr::Read { buf, idx } => {
-                self.push(buf, idx.iter().map(point_dim).collect(), false);
-                idx.iter().all(|i| self.expr(i))
-            }
-            Expr::Window { buf, idx } => {
-                self.push(buf, idx.iter().map(waccess_dim).collect(), false);
-                idx.iter().all(|w| match w {
-                    exo_ir::WAccess::Point(e) => self.expr(e),
-                    exo_ir::WAccess::Interval(lo, hi) => self.expr(lo) && self.expr(hi),
-                })
-            }
-            Expr::Bin { lhs, rhs, .. } => self.expr(lhs) && self.expr(rhs),
-            Expr::Un { arg, .. } => self.expr(arg),
-            Expr::Int(_)
-            | Expr::Float(_)
-            | Expr::Bool(_)
-            | Expr::Var(_)
-            | Expr::Stride { .. }
-            | Expr::ReadConfig { .. } => true,
-        }
+    fn enter(&mut self, scope: &Scope<'a>, _at: &Place<'a>) {
+        // Aliases defeat the region analysis, used or not.
+        self.bounded &= !matches!(scope, Scope::Alias { .. });
     }
 
-    fn stmts<'a>(&mut self, stmts: impl IntoIterator<Item = &'a Stmt>) -> bool {
-        stmts.into_iter().all(|s| self.stmt(s))
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> bool {
-        match s {
-            Stmt::Assign { buf, idx, rhs } | Stmt::Reduce { buf, idx, rhs } => {
-                self.push(buf, idx.iter().map(point_dim).collect(), true);
-                idx.iter().all(|i| self.expr(i)) && self.expr(rhs)
-            }
-            Stmt::Alloc { name, dims, .. } => {
-                self.allocs.insert(name.clone());
-                dims.iter().all(|d| self.expr(d))
-            }
-            Stmt::For {
-                iter, lo, hi, body, ..
-            } => {
-                if !(self.expr(lo) && self.expr(hi)) {
-                    return false;
-                }
-                let outer_ranges = self.ranges.len();
-                if let (Some(first), Some(end)) = (lo.as_int(), hi.as_int()) {
-                    if first < end {
-                        self.ranges.push((iter.clone(), first, end - 1));
-                    }
-                }
-                self.iters.push(iter.clone());
-                let ok = self.stmts(body);
-                self.iters.pop();
-                self.ranges.truncate(outer_ranges);
-                ok
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => self.expr(cond) && self.stmts(then_body) && self.stmts(else_body),
-            Stmt::Call { proc, args } => args.iter().enumerate().all(|(n, a)| match a {
-                Expr::Window { buf, idx } => {
-                    let written = (self.callee_writes)(proc, n).unwrap_or(true);
-                    self.push(buf, idx.iter().map(waccess_dim).collect(), written);
-                    idx.iter().all(|w| match w {
-                        exo_ir::WAccess::Point(e) => self.expr(e),
-                        exo_ir::WAccess::Interval(lo, hi) => self.expr(lo) && self.expr(hi),
-                    })
-                }
-                // A bare name passed to a callee is fine when it is a
-                // body-local (hence thread-private) alloc, or when the
-                // callee provably never writes it (a read of unknown
-                // extent pairs against writers and blocks them, which is
-                // exactly right); otherwise the callee could write
-                // through it with unknown extent.
-                Expr::Var(v) => {
-                    if self.allocs.contains(v) {
-                        true
-                    } else if (self.callee_writes)(proc, n) == Some(false) {
-                        self.push(v, Vec::new(), false);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                other => self.expr(other),
-            }),
-            Stmt::Pass => true,
-            // Ordered device state and aliases defeat the region analysis.
-            Stmt::WriteConfig { .. } | Stmt::WindowStmt { .. } => false,
-        }
+    fn config(&mut self, _config: &'a Sym, _field: &'a str, write: bool) {
+        // Ordered device state defeats it too.
+        self.bounded &= !write;
     }
 }
 
@@ -555,6 +457,10 @@ fn region_disjoint_across(iter: &Sym, a: &Region, b: &Region) -> bool {
 /// write; see [`loop_is_threadable_where`] to supply a
 /// [`CalleeWrites`] oracle so read-only operands (the `B` panel of an
 /// FMA, a broadcast source) stop defeating the proof.
+///
+/// Neither this nor [`loop_is_threadable_where`] knows what is in scope
+/// around the loop: a body that uses a window alias declared outside it
+/// needs [`parallel_loop_is_safe`].
 pub fn loop_is_threadable<'a>(iter: &Sym, body: impl IntoIterator<Item = &'a Stmt>) -> bool {
     loop_is_threadable_where(iter, body, &|_, _| None)
 }
@@ -566,14 +472,26 @@ pub fn loop_is_threadable_where<'a, 'c>(
     body: impl IntoIterator<Item = &'a Stmt>,
     callee_writes: CalleeWrites<'c>,
 ) -> bool {
-    let mut rc = RegionCollector::new(callee_writes);
-    if !rc.stmts(body) {
+    threadable(None, iter, body, callee_writes)
+}
+
+/// The region certificate, for a loop sitting where `outer` was taken.
+fn threadable<'a>(
+    outer: Option<&'a Context>,
+    iter: &Sym,
+    body: impl IntoIterator<Item = &'a Stmt>,
+    callee_writes: CalleeWrites<'_>,
+) -> bool {
+    let mut rc = RegionCollector {
+        regions: Vec::new(),
+        callee_writes,
+        bounded: true,
+    };
+    walk_accesses(outer, body, &mut rc);
+    if !rc.bounded {
         return false;
     }
     for w in rc.regions.iter().filter(|r| r.written) {
-        if rc.allocs.contains(&w.buf) {
-            continue;
-        }
         // Every same-buffer pair with this writer — including the
         // writer against its own copy from another iteration — must be
         // provably disjoint across iterations.
@@ -584,6 +502,24 @@ pub fn loop_is_threadable_where<'a, 'c>(
         }
     }
     true
+}
+
+/// Whether `for iter in ...: body`, sitting where `ctx` was taken
+/// ([`Context::at`] of the loop), may be marked `parallel`. Two independent
+/// certificates, either of which proves the iterations order-independent:
+/// the index-level commutativity check [`loop_is_parallelizable`] (rejects
+/// any body with calls) and the region-level thread-safety check behind
+/// [`loop_is_threadable_where`] (handles instruction calls through their
+/// window footprints). Both see an access through an alias `ctx` has in
+/// scope as an access to the alias' root.
+pub fn parallel_loop_is_safe<'a>(
+    iter: &Sym,
+    body: impl IntoIterator<Item = &'a Stmt> + Clone,
+    ctx: &'a Context,
+    callee_writes: CalleeWrites<'_>,
+) -> bool {
+    loop_is_parallelizable(iter, &Effects::of_stmts_in(ctx, body.clone()), ctx)
+        || threadable(Some(ctx), iter, body, callee_writes)
 }
 
 /// The source-level iterator names of the parallel loops in `proc` that
@@ -600,46 +536,36 @@ pub fn threadable_parallel_loops_where(
     proc: &exo_ir::Proc,
     callee_writes: CalleeWrites<'_>,
 ) -> BTreeSet<String> {
-    fn walk<'a>(
-        stmts: impl IntoIterator<Item = &'a Stmt>,
-        ok: &mut BTreeSet<String>,
-        bad: &mut BTreeSet<String>,
-        cw: CalleeWrites<'_>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::For {
-                    iter,
-                    body,
-                    parallel,
-                    ..
-                } => {
-                    if *parallel {
-                        if loop_is_threadable_where(iter, body, cw) {
-                            ok.insert(iter.name().to_string());
-                        } else {
-                            bad.insert(iter.name().to_string());
-                        }
-                    }
-                    walk(body, ok, bad, cw);
+    struct ParallelLoops<'c> {
+        ok: BTreeSet<String>,
+        bad: BTreeSet<String>,
+        callee_writes: CalleeWrites<'c>,
+    }
+    impl<'a> AccessSink<'a> for ParallelLoops<'_> {
+        fn access(&mut self, _: &accesses::Access<'_, 'a>) {}
+
+        fn enter(&mut self, scope: &Scope<'a>, at: &Place<'a>) {
+            let Scope::Loop(l) = scope else { return };
+            if l.parallel {
+                let name = l.iter.name().to_string();
+                let mut around = Context::new();
+                at.bind_into(&mut around);
+                if threadable(Some(&around), l.iter, l.body, self.callee_writes) {
+                    self.ok.insert(name);
+                } else {
+                    self.bad.insert(name);
                 }
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    walk(then_body, ok, bad, cw);
-                    walk(else_body, ok, bad, cw);
-                }
-                _ => {}
             }
         }
     }
-    let mut ok = BTreeSet::new();
-    let mut bad = BTreeSet::new();
-    walk(proc.body(), &mut ok, &mut bad, callee_writes);
-    ok.retain(|name| !bad.contains(name));
-    ok
+    let mut loops = ParallelLoops {
+        ok: BTreeSet::new(),
+        bad: BTreeSet::new(),
+        callee_writes,
+    };
+    walk_accesses(None, proc.body(), &mut loops);
+    loops.ok.retain(|name| !loops.bad.contains(name));
+    loops.ok
 }
 
 /// Whether executing the statements twice in a row is equivalent to
@@ -698,16 +624,6 @@ pub fn writes_depend_on_iter(body_effects: &Effects, iter: &Sym) -> bool {
                     .iter()
                     .any(|e| LinExpr::from_expr(e).coeff_of(iter) != 0)
         })
-}
-
-/// Names of buffers allocated directly or transitively in the statements.
-pub fn alloc_names<'a>(stmts: impl IntoIterator<Item = &'a Stmt>) -> BTreeSet<Sym> {
-    Effects::of_stmts(stmts).allocs.into_iter().collect()
-}
-
-/// Buffers written (assigned or reduced) in the statements.
-pub fn buffers_written<'a>(stmts: impl IntoIterator<Item = &'a Stmt>) -> BTreeSet<Sym> {
-    Effects::of_stmts(stmts).buffers_written()
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 //!   convention (size arguments are positive),
 //! * iterator ranges `lo <= i < hi` from enclosing loops,
 //! * upper-bound facts from assertions (`assert N <= 88`) used by the
-//!   skinny-matrix schedules.
+//!   skinny-matrix schedules,
+//! * the window aliases in scope (`w = y[0:4]` makes `w` a name for
+//!   cells of `y`): the access walk starts from them, so that statements
+//!   which merely *use* an alias are still seen to touch its source.
 
 use crate::linear::LinExpr;
 use exo_ir::{ArgKind, BinOp, Expr, Proc, Step, Stmt, Sym};
@@ -34,6 +37,10 @@ pub struct Context {
     upper_bounds: HashMap<Sym, i64>,
     /// Iterator ranges of enclosing loops, innermost last.
     iter_ranges: Vec<(Sym, IterRange)>,
+    /// Window aliases in scope as `(alias, root buffer)`, innermost last.
+    /// An allocation that takes over an alias' name is recorded as its own
+    /// root.
+    aliases: Vec<(Sym, Sym)>,
 }
 
 impl Context {
@@ -43,15 +50,28 @@ impl Context {
     }
 
     /// Builds the context visible at the statement addressed by `path`
-    /// inside `proc`: procedure-level assertions plus the ranges of every
-    /// enclosing loop.
+    /// inside `proc`: procedure-level assertions, the ranges of every
+    /// enclosing loop, and the window aliases declared before it.
     pub fn at(proc: &Proc, path: &[Step]) -> Self {
         let mut ctx = Context::from_proc(proc);
-        // Walk down the path, recording loop iterator ranges.
+        // Walk down the path, recording loop iterator ranges and the
+        // aliases the earlier siblings at each level declare.
         let mut stmts: &[Stmt] = proc.body().stmts();
         for step in path {
             let idx = step.index();
             let Some(stmt) = stmts.get(idx) else { break };
+            for earlier in &stmts[..idx] {
+                match earlier {
+                    Stmt::WindowStmt {
+                        name,
+                        rhs: Expr::Window { buf, .. },
+                    } => ctx.bind(name.clone(), ctx.root_of(buf).clone()),
+                    Stmt::Alloc { name, .. } if ctx.root_of(name) != name => {
+                        ctx.bind(name.clone(), name.clone())
+                    }
+                    _ => {}
+                }
+            }
             if let Stmt::For { iter, lo, hi, .. } = stmt {
                 ctx.push_iter(iter.clone(), lo.clone(), hi.clone());
             }
@@ -180,6 +200,30 @@ impl Context {
             _ => {}
         }
         self.iter_ranges.push((iter, IterRange { lo, hi }));
+    }
+
+    /// Records that `name` stores into the buffer `root` from here on: a
+    /// window alias of `root`'s cells, or (`root == name`) an allocation
+    /// taking over the name of an alias.
+    pub(crate) fn bind(&mut self, name: Sym, root: Sym) {
+        self.aliases.push((name, root));
+    }
+
+    /// The buffer `name` stores into: the root of the innermost alias
+    /// called `name`, or `name` itself.
+    pub(crate) fn root_of<'a>(&'a self, name: &'a Sym) -> &'a Sym {
+        self.aliases
+            .iter()
+            .rev()
+            .find(|(alias, _)| alias == name)
+            .map_or(name, |(_, root)| root)
+    }
+
+    /// The same facts with no loop counted as enclosing: every iterator in
+    /// scope becomes a free symbol (its constant bounds are kept).
+    pub(crate) fn with_free_iterators(mut self) -> Self {
+        self.iter_ranges.clear();
+        self
     }
 
     /// The range of an in-scope iterator, if known.
@@ -339,5 +383,42 @@ mod tests {
         assert_eq!(ri.lo, ib(0));
         assert_eq!(ri.hi, var("M"));
         assert_eq!(ctx.lower_bound(&Sym::new("i")), Some(0));
+    }
+
+    #[test]
+    fn context_at_records_the_aliases_in_scope() {
+        let window = |buf: &str| Expr::Window {
+            buf: Sym::new(buf),
+            idx: vec![exo_ir::WAccess::Interval(ib(0), ib(4))],
+        };
+        let alias = |name: &str, buf: &str| Stmt::WindowStmt {
+            name: Sym::new(name),
+            rhs: window(buf),
+        };
+        // w = y[0:4]; v = w[0:4]; for i: (w: f32[4]; pass; u = y[0:4])
+        let p = ProcBuilder::new("p")
+            .tensor_arg("y", DataType::F32, vec![ib(8)], Mem::Dram)
+            .stmt(alias("w", "y"))
+            .stmt(alias("v", "w"))
+            .for_("i", ib(0), ib(4), |b| {
+                b.push(Stmt::Alloc {
+                    name: Sym::new("w"),
+                    ty: DataType::F32,
+                    dims: vec![ib(4)],
+                    mem: Mem::Dram,
+                });
+                b.pass();
+                b.push(alias("u", "y"));
+            })
+            .build();
+        let (w, v, u, y) = (Sym::new("w"), Sym::new("v"), Sym::new("u"), Sym::new("y"));
+        // At the loop: both aliases, the alias of an alias resolved.
+        let ctx = Context::at(&p, &[Step::Body(2)]);
+        assert_eq!((ctx.root_of(&w), ctx.root_of(&v)), (&y, &y));
+        // After the allocation that takes over `w`: `w` is its own buffer,
+        // `v` still names `y`, and `u` is not declared yet.
+        let ctx = Context::at(&p, &[Step::Body(2), Step::Body(1)]);
+        assert_eq!((ctx.root_of(&w), ctx.root_of(&v)), (&w, &y));
+        assert_eq!(ctx.root_of(&u), &u);
     }
 }

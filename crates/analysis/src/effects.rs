@@ -1,43 +1,26 @@
 //! Read/write/reduce effect sets of statements and blocks.
 
-use exo_ir::{Expr, Stmt, Sym, WAccess};
+use crate::accesses::{self, walk_accesses, AccessSink, Place, Scope, Shape, Touch};
+use crate::context::Context;
+use exo_ir::{Expr, Stmt, Sym};
 use std::collections::BTreeSet;
 
 /// One buffer access: the buffer, its index expressions, and the loop
 /// iterators bound *within the analyzed region* that are in scope at the
-/// access site.
+/// access site. An access through a window alias is recorded against the
+/// alias' root buffer, as a whole-buffer access.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Access {
     /// Accessed buffer.
     pub buf: Sym,
     /// Index expressions, one per dimension (empty for scalars and for
-    /// whole-buffer accesses such as call-argument windows).
+    /// whole-buffer accesses).
     pub idx: Vec<Expr>,
     /// Iterators bound inside the analyzed region at this access.
     pub iters: Vec<Sym>,
-    /// Whether the access covers an unknown region of the buffer (window
-    /// arguments to calls, reads with non-affine indices).
+    /// Whether the access covers an unknown region of the buffer
+    /// (windows, bare-name call arguments, accesses through an alias).
     pub whole_buffer: bool,
-}
-
-impl Access {
-    fn point(buf: Sym, idx: Vec<Expr>, iters: &[Sym]) -> Self {
-        Access {
-            buf,
-            idx,
-            iters: iters.to_vec(),
-            whole_buffer: false,
-        }
-    }
-
-    fn whole(buf: Sym, iters: &[Sym]) -> Self {
-        Access {
-            buf,
-            idx: Vec::new(),
-            iters: iters.to_vec(),
-            whole_buffer: true,
-        }
-    }
 }
 
 /// The effects of a statement or block.
@@ -55,24 +38,34 @@ pub struct Effects {
     pub config_reads: Vec<(Sym, String)>,
     /// Whether the region contains calls (treated conservatively).
     pub has_calls: bool,
-    /// Buffers allocated within the region.
+    /// Buffers allocated within the region. A window alias is not an
+    /// allocation: what is stored through it lands in its root.
     pub allocs: Vec<Sym>,
+    /// Window aliases declared within the region. Like an allocation, the
+    /// name means nothing to statements moved out of the region.
+    pub aliases: Vec<Sym>,
 }
 
 impl Effects {
     /// Effects of a single statement.
     pub fn of_stmt(stmt: &Stmt) -> Effects {
+        Effects::of_stmts([stmt])
+    }
+
+    /// Combined effects of a sequence of statements that use no window
+    /// alias declared around them (see [`Effects::of_stmts_in`]).
+    pub fn of_stmts<'a>(stmts: impl IntoIterator<Item = &'a Stmt>) -> Effects {
         let mut eff = Effects::default();
-        collect(stmt, &mut Vec::new(), &mut eff);
+        walk_accesses(None, stmts, &mut eff);
         eff
     }
 
-    /// Combined effects of a sequence of statements.
-    pub fn of_stmts<'a>(stmts: impl IntoIterator<Item = &'a Stmt>) -> Effects {
+    /// Combined effects of a sequence of statements sitting where `ctx`
+    /// was taken ([`Context::at`]): an access through an alias declared
+    /// before them is an access to that alias' root.
+    pub fn of_stmts_in<'a>(ctx: &'a Context, stmts: impl IntoIterator<Item = &'a Stmt>) -> Effects {
         let mut eff = Effects::default();
-        for s in stmts {
-            collect(s, &mut Vec::new(), &mut eff);
-        }
+        walk_accesses(Some(ctx), stmts, &mut eff);
         eff
     }
 
@@ -115,113 +108,59 @@ impl Effects {
     }
 }
 
-fn collect_expr(e: &Expr, iters: &[Sym], eff: &mut Effects) {
-    match e {
-        Expr::Read { buf, idx } => {
-            eff.reads
-                .push(Access::point(buf.clone(), idx.clone(), iters));
-            for i in idx {
-                collect_expr(i, iters, eff);
+/// The [`Effects`] policy over the access walk: windows and accesses
+/// through aliases are whole-buffer accesses to the root, and a window or
+/// bare name handed to a callee may be written by it.
+impl<'a> AccessSink<'a> for Effects {
+    fn access(&mut self, a: &accesses::Access<'_, 'a>) {
+        let idx = match a.root_shape() {
+            Shape::Point(idx) => Some(idx),
+            Shape::Window(_) | Shape::Whole => None,
+        };
+        let access = Access {
+            buf: a.root.clone(),
+            idx: idx.unwrap_or_default().to_vec(),
+            iters: a.at.loops().map(|l| l.iter.clone()).collect(),
+            whole_buffer: idx.is_none(),
+        };
+        match (a.touch, a.shape) {
+            (Touch::Read, _) | (Touch::Arg { .. }, Shape::Point(_)) => self.reads.push(access),
+            (Touch::Write, _) => self.writes.push(access),
+            (Touch::Reduce, _) => self.reduces.push(access),
+            (Touch::Arg { .. }, Shape::Window(_)) => {
+                self.writes.push(access.clone());
+                self.reads.push(access);
             }
+            (Touch::Arg { .. }, Shape::Whole) => self.writes.push(access),
         }
-        Expr::Window { buf, idx } => {
-            eff.reads.push(Access::whole(buf.clone(), iters));
-            for w in idx {
-                match w {
-                    WAccess::Point(e) => collect_expr(e, iters, eff),
-                    WAccess::Interval(lo, hi) => {
-                        collect_expr(lo, iters, eff);
-                        collect_expr(hi, iters, eff);
-                    }
-                }
-            }
-        }
-        Expr::Bin { lhs, rhs, .. } => {
-            collect_expr(lhs, iters, eff);
-            collect_expr(rhs, iters, eff);
-        }
-        Expr::Un { arg, .. } => collect_expr(arg, iters, eff),
-        Expr::ReadConfig { config, field } => {
-            eff.config_reads.push((config.clone(), field.clone()));
-        }
-        _ => {}
     }
-}
 
-fn collect(stmt: &Stmt, iters: &mut Vec<Sym>, eff: &mut Effects) {
-    match stmt {
-        Stmt::Assign { buf, idx, rhs } => {
-            eff.writes
-                .push(Access::point(buf.clone(), idx.clone(), iters));
-            for i in idx {
-                collect_expr(i, iters, eff);
-            }
-            collect_expr(rhs, iters, eff);
+    fn enter(&mut self, scope: &Scope<'a>, _at: &Place<'a>) {
+        match scope {
+            Scope::Loop(_) => {}
+            Scope::Alloc { name, .. } => self.allocs.push((*name).clone()),
+            Scope::Alias { name, .. } => self.aliases.push((*name).clone()),
         }
-        Stmt::Reduce { buf, idx, rhs } => {
-            eff.reduces
-                .push(Access::point(buf.clone(), idx.clone(), iters));
-            for i in idx {
-                collect_expr(i, iters, eff);
-            }
-            collect_expr(rhs, iters, eff);
-        }
-        Stmt::Alloc { name, .. } => eff.allocs.push(name.clone()),
-        Stmt::For {
-            iter, lo, hi, body, ..
-        } => {
-            collect_expr(lo, iters, eff);
-            collect_expr(hi, iters, eff);
-            iters.push(iter.clone());
-            for s in body.iter() {
-                collect(s, iters, eff);
-            }
-            iters.pop();
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            collect_expr(cond, iters, eff);
-            for s in then_body.iter().chain(else_body.iter()) {
-                collect(s, iters, eff);
-            }
-        }
-        Stmt::Call { args, .. } => {
-            eff.has_calls = true;
-            for a in args {
-                // Window arguments may be written by the callee: record both.
-                if let Expr::Window { buf, .. } = a {
-                    eff.writes.push(Access::whole(buf.clone(), iters));
-                }
-                if let Expr::Var(buf) = a {
-                    // Bare buffer arguments are conservatively writable too.
-                    eff.writes.push(Access::whole(buf.clone(), iters));
-                }
-                collect_expr(a, iters, eff);
-            }
-        }
-        Stmt::Pass => {}
-        Stmt::WriteConfig {
-            config,
-            field,
-            value,
-        } => {
-            eff.config_writes.push((config.clone(), field.clone()));
-            collect_expr(value, iters, eff);
-        }
-        Stmt::WindowStmt { name, rhs } => {
-            eff.allocs.push(name.clone());
-            collect_expr(rhs, iters, eff);
-        }
+    }
+
+    fn config(&mut self, config: &'a Sym, field: &'a str, write: bool) {
+        let list = if write {
+            &mut self.config_writes
+        } else {
+            &mut self.config_reads
+        };
+        list.push((config.clone(), field.to_string()));
+    }
+
+    fn call(&mut self, _callee: &'a str) {
+        self.has_calls = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_ir::{ib, read, var, Block, DataType, Mem};
+    use exo_ir::{ib, read, var, Block, DataType, Mem, WAccess};
 
     fn gemv_loop() -> Stmt {
         Stmt::For {

@@ -10,12 +10,25 @@
 //! * [`LinExpr`] — affine normal forms over symbols, with non-affine
 //!   sub-expressions treated as opaque atoms,
 //! * [`Context`] — facts harvested from procedure assertions (divisibility,
-//!   bounds) and enclosing loop ranges,
-//! * [`Effects`] — read/write/reduce access sets of statements and blocks,
+//!   bounds), enclosing loop ranges and the window aliases in scope,
+//! * the access walk (`accesses.rs`, crate-private) — the one pass over
+//!   statements, a client of [`exo_ir::Visit`], that decodes every buffer
+//!   touch into a record (name as written, root buffer behind any window
+//!   alias, read / write / reduce / argument *n* of callee *c*, point /
+//!   window / whole buffer, enclosing loops and local declarations, cursor
+//!   path) and pushes it to a sink. It alone resolves aliases, starting
+//!   from those a [`Context`] has in scope. Everything below that asks
+//!   "which cells does this code touch" is a sink over it and differs only
+//!   in policy:
+//!   * [`Effects`] — read/write/reduce access sets of statements and
+//!     blocks,
+//!   * [`infer_bounds`] — the per-buffer bounds inference that the paper's
+//!     Halide library builds in user space (§4),
+//!   * the region certificate behind [`loop_is_threadable`],
+//!     [`threadable_parallel_loops`] and [`written_params`],
+//!   * [`check_proc`]'s bounds pass,
 //! * commutativity / dependence / idempotence / invariance checks used by
 //!   the primitives in `exo-core`,
-//! * [`infer_bounds`] — the per-buffer bounds inference that the paper's
-//!   Halide library builds in user space (§4),
 //! * [`simplify_expr`] — arithmetic simplification used by the `simplify`
 //!   primitive.
 //!
@@ -25,7 +38,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
+mod accesses;
 mod bounds;
 mod checks;
 mod context;
@@ -36,8 +61,8 @@ mod verify;
 
 pub use bounds::{infer_bounds, BoundsFailure, BufferBounds};
 pub use checks::{
-    alloc_names, body_depends_on, buffers_written, is_idempotent, loop_is_parallelizable,
-    loop_is_threadable, loop_is_threadable_where, stmts_commute, threadable_parallel_loops,
+    body_depends_on, is_idempotent, loop_is_parallelizable, loop_is_threadable,
+    loop_is_threadable_where, parallel_loop_is_safe, stmts_commute, threadable_parallel_loops,
     threadable_parallel_loops_where, writes_depend_on_iter, written_params, CalleeWrites,
 };
 pub use context::Context;

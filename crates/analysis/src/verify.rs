@@ -8,9 +8,9 @@
 //!   intervals) is proved in-bounds against the buffer's declared
 //!   dimensions, using the assert-derived facts in [`Context`]
 //!   (divisibility, lower bounds) and enclosing loop ranges.
-//! * **Races** — every loop marked `parallel` is re-checked with the
-//!   index-level dependence test of
-//!   [`loop_is_parallelizable`](crate::loop_is_parallelizable).
+//! * **Races** — every loop marked `parallel` is re-checked with
+//!   [`parallel_loop_is_safe`](crate::parallel_loop_is_safe), the test
+//!   `parallelize_loop` applies.
 //!
 //! The bounds prover works over [`VLin`], a linear normal form that —
 //! unlike [`LinExpr`], which treats `E / k` and `E % k` as opaque strings —
@@ -37,11 +37,11 @@
 //! of `exo-bench` requires zero diagnostics of either severity on every
 //! shipped kernel and schedule of record.
 
-use crate::checks::loop_is_parallelizable;
+use crate::accesses::{walk_accesses, Access, AccessSink, Dim, Place, Scope, Shape};
+use crate::checks::parallel_loop_is_safe;
 use crate::context::Context;
-use crate::effects::Effects;
 use crate::simplify::simplify_expr;
-use exo_ir::{ib, substitute_expr, ArgKind, BinOp, Expr, Proc, Step, Stmt, Sym, WAccess};
+use exo_ir::{ib, substitute_expr, ArgKind, BinOp, Expr, Proc, Step, Sym, WAccess};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How severe a diagnostic is.
@@ -397,7 +397,7 @@ pub fn prove_le(a: &Expr, b: &Expr, ctx: &Context) -> bool {
 /// range endpoint that extremizes `e`, returning the extremized expression
 /// — or `None` when some occurrence is not provably monotone in the
 /// iterator (e.g. under a bare `%` with no recombinable partner).
-fn extremize(e: &Expr, ctx: &Context, maximize: bool) -> Option<Expr> {
+pub(crate) fn extremize(e: &Expr, ctx: &Context, maximize: bool) -> Option<Expr> {
     let mut cur = simplify_expr(e, ctx);
     let iters = ctx.iterators();
     for iter in iters.iter().rev() {
@@ -464,12 +464,19 @@ fn extremize(e: &Expr, ctx: &Context, maximize: bool) -> Option<Expr> {
 // ---------------------------------------------------------------------------
 
 struct Checker<'p> {
-    proc: &'p Proc,
-    /// Lexical scope of buffer shapes: `(name, dims)`, innermost last.
-    scope: Vec<(Sym, Vec<Expr>)>,
-    diags: Vec<Diagnostic>,
+    /// Facts at the statement being visited.
+    ctx: Context,
+    /// The facts outside each enclosing loop, innermost last.
+    outside: Vec<Context>,
+    report: Report<'p>,
     /// Callee-writability oracle for the V201 region certificate.
     callee_writes: crate::checks::CalleeWrites<'p>,
+}
+
+/// The findings so far, and the bounds obligations that add to them.
+struct Report<'p> {
+    proc: &'p Proc,
+    diags: Vec<Diagnostic>,
 }
 
 /// Statically verifies a whole procedure: every access in-bounds, every
@@ -489,22 +496,17 @@ pub fn check_proc_where(
     proc: &Proc,
     callee_writes: crate::checks::CalleeWrites<'_>,
 ) -> Vec<Diagnostic> {
-    let mut scope = Vec::new();
-    for arg in proc.args() {
-        if let ArgKind::Tensor { dims, .. } = &arg.kind {
-            scope.push((arg.name.clone(), dims.clone()));
-        }
-    }
     let mut checker = Checker {
-        proc,
-        scope,
-        diags: Vec::new(),
+        ctx: Context::from_proc(proc),
+        outside: Vec::new(),
+        report: Report {
+            proc,
+            diags: Vec::new(),
+        },
         callee_writes,
     };
-    let ctx = Context::from_proc(proc);
-    let mut path = Vec::new();
-    checker.walk_block(proc.body().stmts(), false, &mut path, &ctx);
-    checker.diags
+    walk_accesses(None, proc.body(), &mut checker);
+    checker.report.diags
 }
 
 /// Buffers with at least one access the verifier could not certify
@@ -518,328 +520,144 @@ pub fn unproven_buffers(proc: &Proc) -> BTreeSet<String> {
         .collect()
 }
 
-impl Checker<'_> {
-    fn walk_block(
-        &mut self,
-        stmts: &[Stmt],
-        else_branch: bool,
-        path: &mut Vec<Step>,
-        ctx: &Context,
-    ) {
-        let scope_mark = self.scope.len();
-        for (i, stmt) in stmts.iter().enumerate() {
-            let step = if else_branch {
-                Step::Else(i)
-            } else {
-                Step::Body(i)
-            };
-            path.push(step);
-            self.walk_stmt(stmt, path, ctx);
-            path.pop();
-        }
-        self.scope.truncate(scope_mark);
-    }
-
-    fn walk_stmt(&mut self, stmt: &Stmt, path: &mut Vec<Step>, ctx: &Context) {
-        match stmt {
-            Stmt::Assign { buf, idx, rhs } | Stmt::Reduce { buf, idx, rhs } => {
-                self.check_point_access(buf, idx, path, ctx);
-                for e in idx {
-                    self.walk_expr(e, path, ctx);
-                }
-                self.walk_expr(rhs, path, ctx);
-            }
-            Stmt::Alloc { name, dims, .. } => {
-                self.scope.push((name.clone(), dims.clone()));
-            }
-            Stmt::WindowStmt { name, rhs } => {
-                if let Expr::Window { buf, idx } = rhs {
-                    self.check_window(buf, idx, path, ctx);
-                    let view_dims: Vec<Expr> = idx
-                        .iter()
-                        .filter_map(|w| match w {
-                            WAccess::Interval(lo, hi) => {
-                                Some(simplify_expr(&(hi.clone() - lo.clone()), ctx))
-                            }
-                            WAccess::Point(_) => None,
-                        })
-                        .collect();
-                    self.scope.push((name.clone(), view_dims));
-                }
-                self.walk_expr(rhs, path, ctx);
-            }
-            Stmt::For {
-                iter,
-                lo,
-                hi,
-                body,
-                parallel,
-            } => {
-                self.walk_expr(lo, path, ctx);
-                self.walk_expr(hi, path, ctx);
-                let mut inner = ctx.clone();
-                inner.push_iter(iter.clone(), lo.clone(), hi.clone());
-                if *parallel {
-                    let eff = Effects::of_stmts(body.iter());
-                    // Two independent certificates: the index-level
-                    // commutativity check (rejects any body with calls)
-                    // and the region-level thread-safety check (handles
-                    // instruction calls via their window footprints).
-                    // Either one proves the iterations order-independent.
-                    if !loop_is_parallelizable(iter, &eff, &inner)
-                        && !crate::checks::loop_is_threadable_where(
-                            iter,
-                            body.iter(),
-                            self.callee_writes,
-                        )
-                    {
-                        self.diags.push(Diagnostic {
-                            code: "V201",
-                            severity: Severity::Error,
-                            message: format!(
-                                "parallel loop `{iter}` in `{}` is not provably race-free",
-                                self.proc.name()
-                            ),
-                            path: path.clone(),
-                            buf: None,
-                        });
-                    }
-                }
-                self.walk_block(body.stmts(), false, path, &inner);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.walk_expr(cond, path, ctx);
-                self.walk_block(then_body.stmts(), false, path, ctx);
-                self.walk_block(else_body.stmts(), true, path, ctx);
-            }
-            Stmt::Call { args, .. } => {
-                for a in args {
-                    self.walk_expr(a, path, ctx);
-                }
-            }
-            Stmt::WriteConfig { value, .. } => self.walk_expr(value, path, ctx),
-            Stmt::Pass => {}
+/// The verifier's policy over the access walk: every point and window, by
+/// whatever name it is written, is checked against the shape that name
+/// has where it is used; every `parallel` loop is re-certified on entry.
+impl<'a> AccessSink<'a> for Checker<'_> {
+    fn access(&mut self, a: &Access<'_, 'a>) {
+        // A bare name has no indices to check.
+        if !matches!(a.shape, Shape::Whole) {
+            self.report.check_access(a, &self.ctx);
         }
     }
 
-    fn walk_expr(&mut self, e: &Expr, path: &mut Vec<Step>, ctx: &Context) {
-        match e {
-            Expr::Read { buf, idx } => {
-                self.check_point_access(buf, idx, path, ctx);
-                for i in idx {
-                    self.walk_expr(i, path, ctx);
-                }
+    fn enter(&mut self, scope: &Scope<'a>, at: &Place<'a>) {
+        let Scope::Loop(l) = scope else { return };
+        self.outside.push(self.ctx.clone());
+        self.ctx
+            .push_iter(l.iter.clone(), l.lo.clone(), l.hi.clone());
+        if l.parallel {
+            // The body is walked on its own: tell that walk what is in
+            // scope here (undone with the rest of `ctx` when the loop
+            // exits).
+            at.bind_into(&mut self.ctx);
+            if !parallel_loop_is_safe(l.iter, l.body, &self.ctx, self.callee_writes) {
+                self.report.diags.push(Diagnostic {
+                    code: "V201",
+                    severity: Severity::Error,
+                    message: format!(
+                        "parallel loop `{}` in `{}` is not provably race-free",
+                        l.iter,
+                        self.report.proc.name()
+                    ),
+                    path: at.path.to_vec(),
+                    buf: None,
+                });
             }
-            Expr::Window { buf, idx } => {
-                self.check_window(buf, idx, path, ctx);
-                for w in idx {
-                    match w {
-                        WAccess::Point(p) => self.walk_expr(p, path, ctx),
+        }
+    }
+
+    fn exit(&mut self, scope: &Scope<'a>) {
+        if let Scope::Loop(_) = scope {
+            self.ctx = self.outside.pop().unwrap_or_default();
+        }
+    }
+}
+
+impl Report<'_> {
+    /// The dimensions `buf` has at `at`: those of the innermost
+    /// allocation or alias of that name, else of the argument.
+    fn dims_of(&self, buf: &Sym, at: &Place<'_>, ctx: &Context) -> Option<Vec<Expr>> {
+        let local = at.scopes.iter().rev().find_map(|scope| match scope {
+            Scope::Alloc { name, dims } if *name == buf => Some(dims.to_vec()),
+            Scope::Alias { name, window, .. } if *name == buf => Some(
+                window
+                    .iter()
+                    .filter_map(|w| match w {
                         WAccess::Interval(lo, hi) => {
-                            self.walk_expr(lo, path, ctx);
-                            self.walk_expr(hi, path, ctx);
+                            Some(simplify_expr(&(hi.clone() - lo.clone()), ctx))
                         }
-                    }
-                }
-            }
-            Expr::Bin { lhs, rhs, .. } => {
-                self.walk_expr(lhs, path, ctx);
-                self.walk_expr(rhs, path, ctx);
-            }
-            Expr::Un { arg, .. } => self.walk_expr(arg, path, ctx),
-            _ => {}
-        }
+                        WAccess::Point(_) => None,
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        });
+        local.or_else(|| match &self.proc.arg(buf.name())?.kind {
+            ArgKind::Tensor { dims, .. } => Some(dims.clone()),
+            _ => None,
+        })
     }
 
-    fn dims_of(&self, buf: &Sym) -> Option<Vec<Expr>> {
-        self.scope
-            .iter()
-            .rev()
-            .find(|(name, _)| name == buf)
-            .map(|(_, dims)| dims.clone())
-    }
-
-    fn check_point_access(&mut self, buf: &Sym, idx: &[Expr], path: &[Step], ctx: &Context) {
-        let Some(dims) = self.dims_of(buf) else {
-            self.diag(
-                "V104",
-                Severity::Error,
-                path,
-                buf,
-                format!("access to unknown buffer `{buf}`"),
-            );
-            return;
+    /// Every dimension the access names lies inside the shape its name has
+    /// there: a point inside `[0, extent)`, an interval `[lo, hi)` with
+    /// `0 <= lo` and `hi <= extent`.
+    fn check_access(&mut self, a: &Access<'_, '_>, ctx: &Context) {
+        let buf = a.name;
+        let Some(dims) = self.dims_of(buf, a.at, ctx) else {
+            let message = format!("access to unknown buffer `{buf}`");
+            return self.diag("V104", Severity::Error, a, message);
         };
-        if idx.len() != dims.len() {
-            self.diag(
-                "V103",
-                Severity::Error,
-                path,
-                buf,
-                format!(
-                    "`{buf}` has {} dimension(s) but is accessed with {} index(es)",
-                    dims.len(),
-                    idx.len()
-                ),
+        let named = a.shape.dims().count();
+        if named != dims.len() {
+            let message = format!(
+                "`{buf}` has {} dimension(s) but is accessed with {named}",
+                dims.len()
             );
-            return;
+            return self.diag("V103", Severity::Error, a, message);
         }
-        for (d, (e, dim)) in idx.iter().zip(dims.iter()).enumerate() {
-            // Upper: max(e) <= dim - 1.
-            self.check_le(
-                e,
-                &(dim.clone() - ib(1)),
-                path,
-                ctx,
-                buf,
-                &format!("index `{e}` of `{buf}` (dim {d}, extent {dim})"),
-            );
-            // Lower: 0 <= min(e).
-            self.check_ge_zero(
-                e,
-                path,
-                ctx,
-                buf,
-                &format!("index `{e}` of `{buf}` (dim {d})"),
-            );
-        }
-    }
-
-    fn check_window(&mut self, buf: &Sym, idx: &[WAccess], path: &[Step], ctx: &Context) {
-        let Some(dims) = self.dims_of(buf) else {
-            self.diag(
-                "V104",
-                Severity::Error,
-                path,
-                buf,
-                format!("window of unknown buffer `{buf}`"),
-            );
-            return;
+        let point = match a.shape {
+            Shape::Point(_) => "index",
+            _ => "window point",
         };
-        if idx.len() != dims.len() {
-            self.diag(
-                "V103",
-                Severity::Error,
-                path,
-                buf,
-                format!(
-                    "`{buf}` has {} dimension(s) but is windowed with {} accessor(s)",
-                    dims.len(),
-                    idx.len()
-                ),
-            );
-            return;
-        }
-        for (d, (w, dim)) in idx.iter().zip(dims.iter()).enumerate() {
-            match w {
-                WAccess::Point(e) => {
-                    self.check_le(
-                        e,
-                        &(dim.clone() - ib(1)),
-                        path,
-                        ctx,
-                        buf,
-                        &format!("window point `{e}` of `{buf}` (dim {d}, extent {dim})"),
-                    );
-                    self.check_ge_zero(
-                        e,
-                        path,
-                        ctx,
-                        buf,
-                        &format!("window point `{e}` of `{buf}` (dim {d})"),
-                    );
-                }
-                WAccess::Interval(lo, hi) => {
-                    // The interval is `[lo, hi)`: `hi` may equal the extent.
-                    self.check_le(
-                        hi,
-                        dim,
-                        path,
-                        ctx,
-                        buf,
-                        &format!("window end `{hi}` of `{buf}` (dim {d}, extent {dim})"),
-                    );
-                    self.check_ge_zero(
-                        lo,
-                        path,
-                        ctx,
-                        buf,
-                        &format!("window start `{lo}` of `{buf}` (dim {d})"),
-                    );
-                }
-            }
+        for (d, (named, dim)) in a.shape.dims().zip(&dims).enumerate() {
+            let (lo, lo_is, hi, hi_is, end) = match named {
+                Dim::Point(e) => (e, point, e, point, dim.clone() - ib(1)),
+                // The interval is `[lo, hi)`: `hi` may equal the extent.
+                Dim::Interval(lo, hi) => (lo, "window start", hi, "window end", dim.clone()),
+            };
+            self.check_bound(hi, true, &end, a, ctx, &|| {
+                format!("{hi_is} `{hi}` of `{buf}` (dim {d}, extent {dim})")
+            });
+            self.check_bound(lo, false, &ib(0), a, ctx, &|| {
+                format!("{lo_is} `{lo}` of `{buf}` (dim {d})")
+            });
         }
     }
 
-    /// Proves `max(e) <= bound`; on failure distinguishes a proven
-    /// violation (`min(e) > bound`) from an unprovable obligation.
-    fn check_le(
+    /// Proves `e <= bound` (`upper`) or `bound <= e` at every value the
+    /// enclosing iterators give `e`; on failure distinguishes a proven
+    /// violation (even the most favourable value lies beyond `bound`) from
+    /// an unprovable obligation.
+    fn check_bound(
         &mut self,
         e: &Expr,
+        upper: bool,
         bound: &Expr,
-        path: &[Step],
+        a: &Access<'_, '_>,
         ctx: &Context,
-        buf: &Sym,
-        what: &str,
+        what: &dyn Fn() -> String,
     ) {
-        if let Some(mx) = extremize(e, ctx, true) {
-            if prove_le(&mx, bound, ctx) {
-                return;
-            }
+        let within = |e: &Expr, limit: &Expr| match upper {
+            true => prove_le(e, limit, ctx),
+            false => prove_le(limit, e, ctx),
+        };
+        if extremize(e, ctx, upper).is_some_and(|worst| within(&worst, bound)) {
+            return;
         }
-        let proven_oob = extremize(e, ctx, false)
-            .map(|mn| prove_le(&(bound.clone() + ib(1)), &mn, ctx))
-            .unwrap_or(false);
-        if proven_oob {
-            self.diag(
-                "V101",
-                Severity::Error,
-                path,
-                buf,
-                format!("{what} is provably out of bounds (exceeds `{bound}`)"),
-            );
+        let beyond = bound.clone() + ib(if upper { 1 } else { -1 });
+        let violated = extremize(e, ctx, !upper).is_some_and(|best| within(&beyond, &best));
+        let what = what();
+        let message = match (violated, upper) {
+            (true, true) => format!("{what} is provably out of bounds (exceeds `{bound}`)"),
+            (true, false) => format!("{what} is provably negative"),
+            (false, true) => format!("cannot prove {what} stays within `{bound}`"),
+            (false, false) => format!("cannot prove {what} is non-negative"),
+        };
+        if violated {
+            self.diag("V101", Severity::Error, a, message);
         } else {
-            self.diag(
-                "V102",
-                Severity::Warning,
-                path,
-                buf,
-                format!("cannot prove {what} stays within `{bound}`"),
-            );
-        }
-    }
-
-    /// Proves `min(e) >= 0`; on failure distinguishes provably negative
-    /// from unprovable.
-    fn check_ge_zero(&mut self, e: &Expr, path: &[Step], ctx: &Context, buf: &Sym, what: &str) {
-        if let Some(mn) = extremize(e, ctx, false) {
-            if prove_le(&ib(0), &mn, ctx) {
-                return;
-            }
-        }
-        let proven_neg = extremize(e, ctx, true)
-            .map(|mx| prove_le(&(mx + ib(1)), &ib(0), ctx))
-            .unwrap_or(false);
-        if proven_neg {
-            self.diag(
-                "V101",
-                Severity::Error,
-                path,
-                buf,
-                format!("{what} is provably negative"),
-            );
-        } else {
-            self.diag(
-                "V102",
-                Severity::Warning,
-                path,
-                buf,
-                format!("cannot prove {what} is non-negative"),
-            );
+            self.diag("V102", Severity::Warning, a, message);
         }
     }
 
@@ -847,16 +665,15 @@ impl Checker<'_> {
         &mut self,
         code: &'static str,
         severity: Severity,
-        path: &[Step],
-        buf: &Sym,
+        a: &Access<'_, '_>,
         message: String,
     ) {
         self.diags.push(Diagnostic {
             code,
             severity,
             message,
-            path: path.to_vec(),
-            buf: Some(buf.clone()),
+            path: a.at.path.clone(),
+            buf: Some(a.name.clone()),
         });
     }
 }

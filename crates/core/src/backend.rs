@@ -4,7 +4,7 @@
 use crate::error::SchedError;
 use crate::helpers::{stmt_path_of, IntoCursor};
 use crate::{stats, Result};
-use exo_analysis::{loop_is_parallelizable, Context, Effects};
+use exo_analysis::{parallel_loop_is_safe, Context};
 use exo_cursors::{Cursor, ProcHandle, Rewrite};
 use exo_ir::{ArgKind, DataType, Mem, Stmt, Sym};
 
@@ -183,14 +183,7 @@ pub fn parallelize_loop_where(
     };
     let path = stmt_path_of(&c)?;
     let ctx = Context::at(p.proc(), &path);
-    let eff = Effects::of_stmts(body.iter());
-    // Either certificate suffices: index-level commutativity (rejects
-    // bodies with calls outright) or region-level cross-iteration
-    // disjointness (certifies vectorized bodies through their
-    // instruction-call window footprints).
-    if !loop_is_parallelizable(&iter, &eff, &ctx)
-        && !exo_analysis::loop_is_threadable_where(&iter, body.iter(), callee_writes)
-    {
+    if !parallel_loop_is_safe(&iter, body.iter(), &ctx, callee_writes) {
         return Err(SchedError::scheduling(format!(
             "loop over `{iter}` has loop-carried dependencies and cannot be parallelized"
         )));

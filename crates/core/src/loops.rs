@@ -385,14 +385,15 @@ fn per_iteration_private(iter: &Sym, eff: &Effects, buf: &Sym) -> bool {
 
 /// Whether splitting a loop body into `s1; s2` across two loops preserves
 /// semantics: every buffer shared between the halves must be touched
-/// per-iteration-privately, and `s2` must not use buffers allocated in `s1`.
+/// per-iteration-privately, and `s2` must not use buffers allocated, or
+/// window aliases declared, in `s1`.
 fn fission_safe(iter: &Sym, s1: &[Stmt], s2: &[Stmt]) -> std::result::Result<(), String> {
     let e1 = Effects::of_stmts(s1);
     let e2 = Effects::of_stmts(s2);
-    for alloc in &e1.allocs {
-        if e2.touches(alloc) {
+    for declared in e1.allocs.iter().chain(&e1.aliases) {
+        if e2.touches(declared) {
             return Err(format!(
-                "statements after the gap use allocation `{alloc}` from before it"
+                "statements after the gap use `{declared}`, declared before it"
             ));
         }
     }

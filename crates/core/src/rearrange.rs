@@ -83,8 +83,8 @@ pub fn reorder_stmts(p: &ProcHandle, stmts: impl IntoCursor) -> Result<ProcHandl
         }
     };
     let ctx = Context::at(p.proc(), &path);
-    let e1 = Effects::of_stmt(&pair.0);
-    let e2 = Effects::of_stmt(&pair.1);
+    let e1 = Effects::of_stmts_in(&ctx, [&pair.0]);
+    let e2 = Effects::of_stmts_in(&ctx, [&pair.1]);
     if !stmts_commute(&e1, &e2, &ctx) {
         return Err(SchedError::scheduling(
             "cannot prove the two statements commute; reorder_stmts would change semantics",

@@ -181,8 +181,8 @@ fn check_fusion_safety(
     body1: &[Stmt],
     body2: &[Stmt],
 ) -> Result<()> {
-    let e1 = Effects::of_stmts(body1);
-    let e2 = Effects::of_stmts(body2);
+    let e1 = Effects::of_stmts_in(base_ctx, body1);
+    let e2 = Effects::of_stmts_in(base_ctx, body2);
     // Anti-dependence: the second body must not write what the first reads
     // or writes (otherwise later iterations of body1 would see new values).
     for buf in e2.buffers_written() {

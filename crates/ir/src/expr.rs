@@ -218,7 +218,7 @@ impl Expr {
     /// (as a variable, buffer, stride or config reference).
     pub fn mentions(&self, sym: &Sym) -> bool {
         struct Mentions<'a>(&'a Sym, bool);
-        impl Visit for Mentions<'_> {
+        impl Visit<'_> for Mentions<'_> {
             fn visit_sym(&mut self, s: &Sym) {
                 self.1 |= s == self.0;
             }
@@ -236,7 +236,7 @@ impl Expr {
     /// Collects every buffer symbol read anywhere in this expression.
     pub fn buffers_read(&self) -> Vec<Sym> {
         struct Buffers(Vec<Sym>);
-        impl Visit for Buffers {
+        impl Visit<'_> for Buffers {
             fn visit_expr(&mut self, e: &Expr) {
                 if let Expr::Read { buf, .. } | Expr::Window { buf, .. } = e {
                     self.0.push(buf.clone());

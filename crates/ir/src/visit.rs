@@ -12,24 +12,24 @@ use crate::stmt::{Block, Stmt};
 use crate::sym::Sym;
 
 macro_rules! define_traversal {
-    ($(#[$doc:meta])* $Trait:ident, $walk_expr:ident, $walk_stmt:ident, $walk_stmts:ident,
+    ($(#[$doc:meta])* $Trait:ident $(<$lt:lifetime>)?, $walk_expr:ident, $walk_stmt:ident, $walk_stmts:ident,
      $stmts:ident $(, $m:ident)?) => {
         $(#[$doc])*
-        pub trait $Trait {
+        pub trait $Trait $(<$lt>)? {
             /// Every symbol occurrence: uses (variables, buffers, stride
             /// and config targets) and binding sites alike.
-            fn visit_sym(&mut self, _sym: &$($m)? Sym) {}
+            fn visit_sym(&mut self, _sym: &$($lt)? $($m)? Sym) {}
 
             /// Every expression position. The default recurses into the
             /// children; an override that does not call the walker prunes
             /// the subtree.
-            fn visit_expr(&mut self, e: &$($m)? Expr) {
+            fn visit_expr(&mut self, e: &$($lt)? $($m)? Expr) {
                 $walk_expr(self, e)
             }
 
             /// Every statement. The default visits the statement's own
             /// symbols and expressions, then its child blocks.
-            fn visit_stmt(&mut self, s: &$($m)? Stmt) {
+            fn visit_stmt(&mut self, s: &$($lt)? $($m)? Stmt) {
                 $walk_stmt(self, s)
             }
 
@@ -39,13 +39,19 @@ macro_rules! define_traversal {
             /// or a window alias. Returning `false` leaves that scope
             /// unvisited — how a client says the name it rewrites is
             /// shadowed there.
-            fn enter(&mut self, _binder: &Sym) -> bool {
+            fn enter(&mut self, _binder: &$($lt)? Sym) -> bool {
                 true
             }
+
+            /// Called once per binder whose scope was entered, after the
+            /// last statement of that scope: the end of a `for` body, or
+            /// the end of the block an `alloc` or window alias sits in
+            /// (innermost binder first).
+            fn exit(&mut self, _binder: &$($lt)? Sym) {}
         }
 
         /// Visits the symbols and child expressions of `e`.
-        pub fn $walk_expr<V: $Trait + ?Sized>(v: &mut V, e: &$($m)? Expr) {
+        pub fn $walk_expr<$($lt,)? V: $Trait $(<$lt>)? + ?Sized>(v: &mut V, e: &$($lt)? $($m)? Expr) {
             match e {
                 Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) => {}
                 Expr::Var(s) | Expr::Stride { buf: s, .. } | Expr::ReadConfig { config: s, .. } => {
@@ -79,7 +85,7 @@ macro_rules! define_traversal {
 
         /// Visits the symbols and expressions of `s`, then its child
         /// blocks (a loop body only if `enter` allows).
-        pub fn $walk_stmt<V: $Trait + ?Sized>(v: &mut V, s: &$($m)? Stmt) {
+        pub fn $walk_stmt<$($lt,)? V: $Trait $(<$lt>)? + ?Sized>(v: &mut V, s: &$($lt)? $($m)? Stmt) {
             match s {
                 Stmt::Assign { buf, idx, rhs } | Stmt::Reduce { buf, idx, rhs } => {
                     v.visit_sym(buf);
@@ -100,6 +106,7 @@ macro_rules! define_traversal {
                     v.visit_expr(hi);
                     if v.enter(iter) {
                         $walk_stmts(v, body.$stmts());
+                        v.exit(iter);
                     }
                 }
                 Stmt::If { cond, then_body, else_body } => {
@@ -125,14 +132,22 @@ macro_rules! define_traversal {
         }
 
         /// Visits sibling statements in order, stopping after an `alloc`
-        /// or window alias whose scope the client declines to `enter`.
-        pub fn $walk_stmts<V: $Trait + ?Sized>(v: &mut V, stmts: &$($m)? [Stmt]) {
-            for s in stmts {
+        /// or window alias whose scope the client declines to `enter`, then
+        /// `exit`s the scopes that were entered.
+        pub fn $walk_stmts<$($lt,)? V: $Trait $(<$lt>)? + ?Sized>(v: &mut V, stmts: &$($lt)? $($m)? [Stmt]) {
+            let mut visited = 0;
+            for s in &$($m)? *stmts {
                 v.visit_stmt(s);
                 if let Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } = &*s {
                     if !v.enter(name) {
                         break;
                     }
+                }
+                visited += 1;
+            }
+            for s in stmts[..visited].iter().rev() {
+                if let Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } = s {
+                    v.exit(name);
                 }
             }
         }
@@ -140,8 +155,11 @@ macro_rules! define_traversal {
 }
 
 define_traversal!(
-    /// A read-only pass over statements and expressions.
-    Visit, walk_expr, walk_stmt, walk_stmts, stmts
+    /// A read-only pass over statements and expressions. Every node is
+    /// handed over for the lifetime of the tree, so a client may keep
+    /// references into it (enclosing loops, the callee of the call whose
+    /// arguments it is visiting) instead of cloning.
+    Visit<'ast>, walk_expr, walk_stmt, walk_stmts, stmts
 );
 define_traversal!(
     /// An in-place rewriting pass over statements and expressions. Walking
@@ -219,7 +237,7 @@ pub fn rename_expr(mut e: Expr, old: &Sym, new: &Sym) -> Expr {
 
 struct EachExpr<F>(F);
 
-impl<F: FnMut(&Expr)> Visit for EachExpr<F> {
+impl<F: FnMut(&Expr)> Visit<'_> for EachExpr<F> {
     fn visit_expr(&mut self, e: &Expr) {
         (self.0)(e);
         walk_expr(self, e);
@@ -234,7 +252,7 @@ pub fn for_each_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
 
 struct EachStmt<F>(F);
 
-impl<F: FnMut(&Stmt)> Visit for EachStmt<F> {
+impl<F: FnMut(&Stmt)> Visit<'_> for EachStmt<F> {
     fn visit_stmt(&mut self, s: &Stmt) {
         (self.0)(s);
         walk_stmt(self, s);
@@ -249,35 +267,9 @@ pub fn for_each_stmt(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
     EachStmt(f).visit_stmt(stmt);
 }
 
-/// Collects every `(buffer, index)` pair read anywhere under `stmt`.
-/// Window arguments to calls are treated as both reads and writes by the
-/// effect analysis; here they are reported as reads.
-pub fn collect_reads(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
-    let mut out = Vec::new();
-    for_each_expr(stmt, &mut |e| {
-        if let Expr::Read { buf, idx } = e {
-            out.push((buf.clone(), idx.clone()));
-        }
-    });
-    out
-}
-
-/// Collects every `(buffer, index)` pair written (assigned or reduced)
-/// anywhere under `stmt`.
-pub fn collect_writes(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
-    let mut out = Vec::new();
-    for_each_stmt(stmt, &mut |s| match s {
-        Stmt::Assign { buf, idx, .. } | Stmt::Reduce { buf, idx, .. } => {
-            out.push((buf.clone(), idx.clone()))
-        }
-        _ => {}
-    });
-    out
-}
-
 struct SymNames(std::collections::BTreeSet<String>);
 
-impl Visit for SymNames {
+impl Visit<'_> for SymNames {
     fn visit_sym(&mut self, sym: &Sym) {
         self.0.insert(sym.name().to_string());
     }
@@ -307,6 +299,17 @@ mod tests {
     use super::*;
     use crate::expr::{ib, read, var};
 
+    /// Every `(buffer, index)` pair read anywhere under `stmt`.
+    fn reads(stmt: &Stmt) -> Vec<(Sym, Vec<Expr>)> {
+        let mut out = Vec::new();
+        for_each_expr(stmt, &mut |e| {
+            if let Expr::Read { buf, idx } = e {
+                out.push((buf.clone(), idx.clone()));
+            }
+        });
+        out
+    }
+
     fn loop_stmt() -> Stmt {
         Stmt::For {
             iter: Sym::new("i"),
@@ -329,8 +332,7 @@ mod tests {
         assert_eq!(s, s2);
         // Substituting `j` rewrites the body.
         let s3 = substitute_var(s, &Sym::new("j"), &ib(3));
-        let reads = collect_reads(&s3);
-        assert!(reads
+        assert!(reads(&s3)
             .iter()
             .any(|(b, idx)| b == &Sym::new("x") && idx == &vec![ib(3)]));
     }
@@ -349,26 +351,61 @@ mod tests {
     fn rename_buffer_everywhere() {
         let s = loop_stmt();
         let s2 = rename_sym(s, &Sym::new("x"), &Sym::new("x_vec"));
-        let reads = collect_reads(&s2);
+        let reads = reads(&s2);
         assert!(reads.iter().any(|(b, _)| b == &Sym::new("x_vec")));
         assert!(!reads.iter().any(|(b, _)| b == &Sym::new("x")));
     }
 
     #[test]
-    fn collect_reads_and_writes() {
+    fn for_each_stmt_and_expr_visit_nested() {
         let s = loop_stmt();
-        let reads = collect_reads(&s);
-        assert_eq!(reads.len(), 2);
-        let writes = collect_writes(&s);
-        assert_eq!(writes.len(), 1);
-        assert_eq!(writes[0].0, Sym::new("y"));
+        let mut written = Vec::new();
+        let mut n = 0;
+        for_each_stmt(&s, &mut |s| {
+            n += 1;
+            if let Stmt::Assign { buf, .. } | Stmt::Reduce { buf, .. } = s {
+                written.push(buf.clone());
+            }
+        });
+        assert_eq!(n, 2);
+        assert_eq!(written, vec![Sym::new("y")]);
+        let read: Vec<Sym> = reads(&s).into_iter().map(|(b, _)| b).collect();
+        assert_eq!(read, vec![Sym::new("A"), Sym::new("x")]);
     }
 
     #[test]
-    fn for_each_stmt_visits_nested() {
-        let s = loop_stmt();
-        let mut n = 0;
-        for_each_stmt(&s, &mut |_| n += 1);
-        assert_eq!(n, 2);
+    fn every_entered_scope_is_exited_innermost_first() {
+        #[derive(Default)]
+        struct Scopes(Vec<String>);
+        impl Visit<'_> for Scopes {
+            fn enter(&mut self, binder: &Sym) -> bool {
+                self.0.push(format!("+{binder}"));
+                binder.name() != "skipped"
+            }
+            fn exit(&mut self, binder: &Sym) {
+                self.0.push(format!("-{binder}"));
+            }
+        }
+        let alloc = |name: &str| Stmt::Alloc {
+            name: Sym::new(name),
+            ty: crate::DataType::F32,
+            dims: vec![],
+            mem: crate::Mem::Dram,
+        };
+        let block = [
+            alloc("a"),
+            Stmt::For {
+                iter: Sym::new("i"),
+                lo: ib(0),
+                hi: ib(4),
+                body: Block::from_stmts(vec![alloc("b"), Stmt::Pass]),
+                parallel: false,
+            },
+            alloc("skipped"),
+            alloc("unreached"),
+        ];
+        let mut scopes = Scopes::default();
+        walk_stmts(&mut scopes, &block);
+        assert_eq!(scopes.0, ["+a", "+i", "+b", "-b", "-i", "+skipped", "-a"]);
     }
 }
