@@ -17,8 +17,8 @@
 
 use crate::accesses::{walk_accesses, Access, AccessSink, Dim, Shape, Touch};
 use crate::context::Context;
+use crate::linear::extremize;
 use crate::simplify::simplify_expr;
-use crate::verify::extremize;
 use exo_ir::{ib, Expr, Stmt, Sym};
 
 /// The inferred access window of a buffer within a scope.
@@ -63,6 +63,16 @@ pub enum BoundsFailure {
         /// The dimension it indexes.
         dim: usize,
     },
+    /// Two accesses end (or start) at bounds the facts do not order, so
+    /// neither is known to cover the other (`x[0:N]` and `x[0:M]`).
+    Incomparable {
+        /// The dimension both index.
+        dim: usize,
+        /// One bound, as printed.
+        a: String,
+        /// The other.
+        b: String,
+    },
 }
 
 impl std::fmt::Display for BoundsFailure {
@@ -81,6 +91,11 @@ impl std::fmt::Display for BoundsFailure {
                 f,
                 "index `{index}` (dimension {dim}) is not provably monotone in the loops of the \
                  scope, so their endpoints do not bound it"
+            ),
+            BoundsFailure::Incomparable { dim, a, b } => write!(
+                f,
+                "two accesses reach `{a}` and `{b}` in dimension {dim}, and neither bound is \
+                 provably the wider"
             ),
         }
     }
@@ -136,14 +151,25 @@ impl Hull<'_> {
                 }
                 Dim::Interval(lo, hi) => (extreme(lo, false)?, extreme(hi, true)?),
             };
+            let incomparable = |a: &Expr, b: &Expr| BoundsFailure::Incomparable {
+                dim,
+                a: a.to_string(),
+                b: b.to_string(),
+            };
             match dims.get_mut(dim) {
-                // An undecidable comparison keeps the earlier bound.
+                // The wider of each pair of ends; an undecidable comparison
+                // is a failure, not a reason to keep the earlier bound.
                 Some((prev_lo, prev_hi)) => {
-                    if !le(prev_lo, &lo) && le(&lo, prev_lo) {
+                    if !le(prev_lo, &lo) {
+                        if !le(&lo, prev_lo) {
+                            return Err(incomparable(prev_lo, &lo));
+                        }
                         *prev_lo = lo;
                     }
                     if le(prev_hi, &hi) {
                         *prev_hi = hi;
+                    } else if !le(&hi, prev_hi) {
+                        return Err(incomparable(prev_hi, &hi));
                     }
                 }
                 None => dims.push((lo, hi)),
@@ -173,8 +199,9 @@ impl<'a> AccessSink<'a> for Hull<'_> {
 ///
 /// Returns a [`BoundsFailure`] describing why inference gave up when it
 /// does (never silently): the iterators bound inside `scope` are
-/// eliminated by the verifier's monotonicity-checked [`extremize`], and an
-/// index it cannot prove monotone is a failure, not a guess.
+/// eliminated by the monotonicity-checked [`extremize`], and an index it
+/// cannot prove monotone, or two bounds the facts do not order, are
+/// failures, not guesses.
 pub fn infer_bounds(scope: &Stmt, buf: &Sym, ctx: &Context) -> Result<BufferBounds, BoundsFailure> {
     let mut hull = Hull {
         buf,

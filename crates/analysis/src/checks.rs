@@ -22,27 +22,13 @@ fn diff_provably_nonzero(diff: &LinExpr, ctx: &Context) -> bool {
     }
     // Residue class: diff = g·(...) + c with c % g != 0 is never zero.
     // This proves `a[2*i]` and `a[2*i + 1]` disjoint for *all* i, i'.
-    let g = diff.terms.values().fold(0i64, |acc, c| gcd(acc, c.abs()));
+    let g = diff.terms().fold(0i64, |acc, (_, c)| gcd(acc, c.abs()));
     if g > 1 && diff.constant % g != 0 {
         return true;
     }
     // Interval: every atom has known constant bounds and 0 is outside.
-    let bound = |lower: bool| -> Option<i64> {
-        let mut acc = diff.constant;
-        for (atom, coeff) in &diff.terms {
-            let crate::linear::Atom::Var(s) = atom else {
-                return None;
-            };
-            let b = if (*coeff > 0) == lower {
-                ctx.lower_bound(s)?
-            } else {
-                ctx.upper_bound(s)?
-            };
-            acc += coeff * b;
-        }
-        Some(acc)
-    };
-    matches!(bound(true), Some(lo) if lo > 0) || matches!(bound(false), Some(hi) if hi < 0)
+    matches!(diff.bound(ctx, true), Some(lo) if lo > 0)
+        || matches!(diff.bound(ctx, false), Some(hi) if hi < 0)
 }
 
 fn gcd(a: i64, b: i64) -> i64 {
@@ -164,8 +150,8 @@ fn iteration_disjoint(iter: &Sym, a: &Access, b: &Access, ctx: &Context) -> bool
             continue;
         }
         let mut delta = la.sub(&lb);
-        delta.terms.remove(&crate::linear::Atom::Var(iter.clone()));
-        // `iter` must not survive inside an opaque term of the residual.
+        delta.remove_var(iter);
+        // `iter` must not survive inside an atom of the residual.
         if delta.mentions(iter) {
             continue;
         }
@@ -338,9 +324,7 @@ fn hull(at: &Place<'_>, (mut lo, mut hi): (LinExpr, LinExpr)) -> (LinExpr, LinEx
                 .checked_mul(value)
                 .and_then(|v| bound.constant.checked_add(v))
             {
-                bound
-                    .terms
-                    .remove(&crate::linear::Atom::Var(l.iter.clone()));
+                bound.remove_var(l.iter);
                 bound.constant = constant;
             }
         }
@@ -428,7 +412,7 @@ fn region_disjoint_across(iter: &Sym, a: &Region, b: &Region) -> bool {
             continue;
         }
         let mut delta = alo.sub(blo);
-        delta.terms.remove(&crate::linear::Atom::Var(iter.clone()));
+        delta.remove_var(iter);
         if delta.mentions(iter) {
             continue;
         }

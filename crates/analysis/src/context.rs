@@ -29,7 +29,7 @@ pub struct IterRange {
 /// Facts available at a given point in a procedure.
 #[derive(Clone, Debug, Default)]
 pub struct Context {
-    /// `expr % k == 0` facts, keyed by the printed form of the expression.
+    /// `expr % k == 0` facts.
     divisibility: Vec<(LinExpr, i64)>,
     /// Known constant lower bounds per symbol (inclusive).
     lower_bounds: HashMap<Sym, i64>,
@@ -269,7 +269,9 @@ impl Context {
             }
             // expr - m*fact divisible by k for some small m?
             for m in [-4i64, -3, -2, -1, 1, 2, 3, 4] {
-                if lin.sub(&fact.scale(m)).divisible_by(k) {
+                let mut rest = lin.clone();
+                rest.add_scaled(fact, -m);
+                if rest.divisible_by(k) {
                     return true;
                 }
             }
@@ -277,49 +279,24 @@ impl Context {
         false
     }
 
-    /// Whether the loop `for iter in seq(lo, hi)` is provably non-empty.
+    /// Whether the loop `for iter in seq(lo, hi)` is provably non-empty:
+    /// `hi - lo` is a positive constant, or a non-negative constant plus
+    /// one positively-weighted symbol whose lower bound makes it positive.
     pub fn loop_nonempty(&self, lo: &Expr, hi: &Expr) -> bool {
         let diff = LinExpr::from_expr(hi).sub(&LinExpr::from_expr(lo));
-        if let Some(c) = diff.as_constant() {
-            return c > 0;
-        }
-        // `hi - lo` reduces to a single positive-lower-bounded symbol.
-        if diff.constant >= 0 && diff.terms.len() == 1 {
-            if let Some((crate::linear::Atom::Var(s), coeff)) =
-                diff.terms.iter().next().map(|(a, c)| (a.clone(), *c))
-            {
-                if coeff > 0 {
-                    if let Some(lb) = self.lower_bound(&s) {
-                        return coeff * lb + diff.constant > 0;
-                    }
-                }
-            }
-        }
-        false
+        diff.constant >= 0
+            && diff.terms().count() <= 1
+            && diff.terms().all(|(_, coeff)| coeff > 0)
+            && diff.bound(self, true).is_some_and(|least| least > 0)
     }
 
-    /// Whether `a <= b` is provable.
+    /// Whether `a <= b` is provable: `b - a` is a constant, or a constant
+    /// plus a single symbol with a known bound. The one-term guard is what
+    /// separates this prover from [`prove_le`](crate::prove_le), which
+    /// builds its forms under the context instead and has no such guard.
     pub fn proves_le(&self, a: &Expr, b: &Expr) -> bool {
         let diff = LinExpr::from_expr(b).sub(&LinExpr::from_expr(a));
-        if let Some(c) = diff.as_constant() {
-            return c >= 0;
-        }
-        // Single symbol with a known bound.
-        if diff.terms.len() == 1 {
-            let Some((atom, coeff)) = diff.terms.iter().next().map(|(a, c)| (a.clone(), *c)) else {
-                return false;
-            };
-            if let crate::linear::Atom::Var(s) = atom {
-                if coeff > 0 {
-                    if let Some(lb) = self.lower_bound(&s) {
-                        return coeff * lb + diff.constant >= 0;
-                    }
-                } else if let Some(ub) = self.upper_bound(&s) {
-                    return coeff * ub + diff.constant >= 0;
-                }
-            }
-        }
-        false
+        diff.terms().count() <= 1 && diff.bound(self, true).is_some_and(|least| least >= 0)
     }
 }
 

@@ -7,8 +7,12 @@
 //! conservative symbolic engine instead (see `DESIGN.md` §1 for the
 //! substitution rationale):
 //!
-//! * [`LinExpr`] — affine normal forms over symbols, with non-affine
-//!   sub-expressions treated as opaque atoms,
+//! * [`LinExpr`] — the one affine normal form, `constant + Σ coeff·atom`
+//!   over structural atoms (a symbol, `E / k`, `E % k`, anything else),
+//!   with its two constructors (`from_expr`, context-free, which the
+//!   primitives' checks use; the context-aware one behind [`prove_le`],
+//!   which sees through division and modulo), its constant bound and its
+//!   way back to an expression,
 //! * [`Context`] — facts harvested from procedure assertions (divisibility,
 //!   bounds), enclosing loop ranges and the window aliases in scope,
 //! * the access walk (`accesses.rs`, crate-private) — the one pass over
@@ -67,6 +71,6 @@ pub use checks::{
 };
 pub use context::Context;
 pub use effects::{Access, Effects};
-pub use linear::{provably_equal, LinExpr};
+pub use linear::{provably_equal, prove_le, LinExpr};
 pub use simplify::{simplify_expr, simplify_predicate, simplify_with_binding};
-pub use verify::{check_proc, check_proc_where, prove_le, unproven_buffers, Diagnostic, Severity};
+pub use verify::{check_proc, check_proc_where, unproven_buffers, Diagnostic, Severity};

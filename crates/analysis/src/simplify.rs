@@ -92,30 +92,10 @@ pub fn simplify_expr(e: &Expr, ctx: &Context) -> Expr {
     simplified
 }
 
-fn rebuild_linear(lin: &LinExpr) -> Option<Expr> {
-    // Only rebuild when every atom is a plain variable.
-    let mut expr: Option<Expr> = None;
-    for (atom, coeff) in &lin.terms {
-        let crate::linear::Atom::Var(s) = atom else {
-            return None;
-        };
-        let term = if *coeff == 1 {
-            Expr::Var(s.clone())
-        } else {
-            Expr::Int(*coeff) * Expr::Var(s.clone())
-        };
-        expr = Some(match expr {
-            None => term,
-            Some(prev) => prev + term,
-        });
-    }
-    let out = match (expr, lin.constant) {
-        (None, c) => Expr::Int(c),
-        (Some(e), 0) => e,
-        (Some(e), c) if c > 0 => e + Expr::Int(c),
-        (Some(e), c) => e - Expr::Int(-c),
-    };
-    Some(out)
+/// The canonical expression of a form that is purely linear in variables;
+/// one with other atoms is left as written.
+fn linear_in_vars(lin: &LinExpr) -> Option<Expr> {
+    lin.vars_only().then(|| lin.to_expr())
 }
 
 fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
@@ -196,16 +176,14 @@ fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
     // Affine normalization for + and - over integer-like expressions,
     // rebuilding a canonical form when it is purely linear in variables.
     if matches!(op, Add | Sub) {
-        let lin = match op {
-            Add => LinExpr::from_expr(&l).add(&LinExpr::from_expr(&r)),
-            _ => LinExpr::from_expr(&l).sub(&LinExpr::from_expr(&r)),
-        };
+        let mut lin = LinExpr::from_expr(&l);
+        lin.add_scaled(&LinExpr::from_expr(&r), if op == Add { 1 } else { -1 });
         if let Some(c) = lin.as_constant() {
             if !matches!((&l, &r), (Expr::Float(_), _) | (_, Expr::Float(_))) {
                 return Expr::Int(c);
             }
         }
-        if let Some(e) = rebuild_linear(&lin) {
+        if let Some(e) = linear_in_vars(&lin) {
             return e;
         }
     }
@@ -217,11 +195,11 @@ fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
             // Split the numerator into a part divisible by k and a residue.
             let mut divisible = LinExpr::zero();
             let mut residue = LinExpr::zero();
-            for (atom, coeff) in &lin.terms {
+            for (atom, coeff) in lin.terms() {
                 if coeff % k == 0 {
-                    divisible.terms.insert(atom.clone(), *coeff);
+                    divisible.add_term(atom.clone(), coeff);
                 } else {
-                    residue.terms.insert(atom.clone(), *coeff);
+                    residue.add_term(atom.clone(), coeff);
                 }
             }
             if lin.constant % k == 0 {
@@ -229,7 +207,7 @@ fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
             } else {
                 residue.constant = lin.constant;
             }
-            let residue_expr = rebuild_linear(&residue);
+            let residue_expr = linear_in_vars(&residue);
             let residue_range = residue_expr
                 .as_ref()
                 .and_then(|e| const_range(e, ctx))
@@ -244,7 +222,7 @@ fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
                 if rlo >= 0 && rhi < k {
                     match op {
                         Div => {
-                            if let Some(d) = rebuild_linear(&divisible.scale_div(k)) {
+                            if let Some(d) = linear_in_vars(&divisible.scale_div(k)) {
                                 return d;
                             }
                         }
@@ -268,17 +246,6 @@ fn simplify_bin(op: BinOp, l: Expr, r: Expr, ctx: &Context) -> Expr {
         op,
         lhs: Box::new(l),
         rhs: Box::new(r),
-    }
-}
-
-impl LinExpr {
-    /// Divides every coefficient and the constant by `k`; only meaningful
-    /// when [`LinExpr::divisible_by`] holds.
-    pub(crate) fn scale_div(&self, k: i64) -> LinExpr {
-        LinExpr {
-            terms: self.terms.iter().map(|(a, c)| (a.clone(), c / k)).collect(),
-            constant: self.constant / k,
-        }
     }
 }
 

@@ -12,23 +12,11 @@
 //!   [`parallel_loop_is_safe`](crate::parallel_loop_is_safe), the test
 //!   `parallelize_loop` applies.
 //!
-//! The bounds prover works over [`VLin`], a linear normal form that —
-//! unlike [`LinExpr`], which treats `E / k` and `E % k` as opaque strings —
-//! keeps floor-division and modulo atoms *structured*, so it can apply the
-//! two rewrites the scheduled-code shapes demand:
-//!
-//! 1. **Recombination**: `k·(E/k) + (E%k) → E` (exact, no side
-//!    conditions). This discharges the cut-tail shapes
-//!    `buf[k*(hi/k) + tail_iter]` with `tail_iter < hi % k` that
-//!    `divide_loop`'s `Cut` strategy produces.
-//! 2. **Divisibility elimination**: `c·(E/k) → (c/k)·E` when `k | c` and
-//!    the context proves `E % k == 0`. This discharges the perfect-tiling
-//!    shapes `k*(N/k) ≤ N` under `assert N % k == 0`.
-//!
-//! Loop iterators are eliminated innermost-first by substituting the range
-//! endpoint that extremizes the (monotone) index expression; substituting
-//! innermost-first is what makes triangular nests (`for j in seq(0, i+1)`)
-//! resolve, because an inner bound may mention outer iterators.
+//! Each obligation is discharged by the arithmetic of [`crate::linear`]:
+//! the enclosing loop iterators are eliminated innermost-first by
+//! `extremize`, and the resulting inequality is put to [`prove_le`], which
+//! builds its forms under the [`Context`] and so sees through the
+//! floor-division and modulo atoms that scheduled code is full of.
 //!
 //! The verdict is three-valued: an access is *proved in-bounds* (no
 //! diagnostic), *provably out-of-bounds* ([`Severity::Error`], code V101),
@@ -40,9 +28,10 @@
 use crate::accesses::{walk_accesses, Access, AccessSink, Dim, Place, Scope, Shape};
 use crate::checks::parallel_loop_is_safe;
 use crate::context::Context;
+use crate::linear::{extremize, prove_le};
 use crate::simplify::simplify_expr;
-use exo_ir::{ib, substitute_expr, ArgKind, BinOp, Expr, Proc, Step, Sym, WAccess};
-use std::collections::{BTreeMap, BTreeSet};
+use exo_ir::{ib, ArgKind, Expr, Proc, Step, Sym, WAccess};
+use std::collections::BTreeSet;
 
 /// How severe a diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,389 +68,6 @@ impl std::fmt::Display for Diagnostic {
         write!(f, "{sev}[{}]: {}", self.code, self.message)
     }
 }
-
-// ---------------------------------------------------------------------------
-// VLin: linear normal form with structured div/mod atoms.
-// ---------------------------------------------------------------------------
-
-/// An atom of a [`VLin`]: unlike [`crate::LinExpr`]'s opaque strings, the
-/// division and modulo atoms keep their numerator as a canonicalized
-/// expression so rewrites can see through them.
-#[derive(Clone, Debug)]
-enum VAtom {
-    Var(Sym),
-    /// `expr / k` with `k > 0` (floor division).
-    Div(Expr, i64),
-    /// `expr % k` with `k > 0` (always in `[0, k)`).
-    Mod(Expr, i64),
-    /// Anything else (non-affine product, buffer read, ...).
-    Other(Expr),
-}
-
-impl VAtom {
-    fn to_expr(&self) -> Expr {
-        match self {
-            VAtom::Var(s) => Expr::Var(s.clone()),
-            VAtom::Div(e, k) => e.clone() / ib(*k),
-            VAtom::Mod(e, k) => e.clone() % ib(*k),
-            VAtom::Other(e) => e.clone(),
-        }
-    }
-
-    /// Canonical key used to merge structurally identical atoms.
-    fn key(&self) -> String {
-        self.to_expr().to_string()
-    }
-
-    fn mentions(&self, sym: &Sym) -> bool {
-        match self {
-            VAtom::Var(s) => s == sym,
-            VAtom::Div(e, _) | VAtom::Mod(e, _) | VAtom::Other(e) => e.mentions(sym),
-        }
-    }
-}
-
-/// `constant + Σ coeff·atom` with structured atoms, keyed canonically.
-#[derive(Clone, Debug, Default)]
-struct VLin {
-    terms: BTreeMap<String, (VAtom, i64)>,
-    constant: i64,
-}
-
-impl VLin {
-    fn constant(c: i64) -> VLin {
-        VLin {
-            terms: BTreeMap::new(),
-            constant: c,
-        }
-    }
-
-    fn add_term(&mut self, atom: VAtom, coeff: i64) {
-        if coeff == 0 {
-            return;
-        }
-        let key = atom.key();
-        let entry = self.terms.entry(key.clone()).or_insert((atom, 0));
-        entry.1 += coeff;
-        if entry.1 == 0 {
-            self.terms.remove(&key);
-        }
-    }
-
-    fn add(&mut self, other: &VLin, scale: i64) {
-        self.constant += other.constant * scale;
-        for (atom, coeff) in other.terms.values() {
-            self.add_term(atom.clone(), coeff * scale);
-        }
-    }
-
-    fn as_constant(&self) -> Option<i64> {
-        self.terms.is_empty().then_some(self.constant)
-    }
-
-    fn mentions(&self, sym: &Sym) -> bool {
-        self.terms.values().any(|(a, _)| a.mentions(sym))
-    }
-
-    fn coeff_of_var(&self, sym: &Sym) -> i64 {
-        self.terms
-            .values()
-            .find_map(|(a, c)| match a {
-                VAtom::Var(s) if s == sym => Some(*c),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Rebuilds an [`Expr`] equal to this normal form.
-    fn to_expr(&self) -> Expr {
-        let mut out: Option<Expr> = None;
-        for (atom, coeff) in self.terms.values() {
-            let base = atom.to_expr();
-            let term = if *coeff == 1 { base } else { ib(*coeff) * base };
-            out = Some(match out {
-                None => term,
-                Some(prev) => prev + term,
-            });
-        }
-        match (out, self.constant) {
-            (None, c) => ib(c),
-            (Some(e), 0) => e,
-            (Some(e), c) if c > 0 => e + ib(c),
-            (Some(e), c) => e - ib(-c),
-        }
-    }
-}
-
-/// Builds the [`VLin`] normal form of `e`, canonicalizing div/mod
-/// numerators recursively and applying the recombination and divisibility
-/// rewrites until fixpoint.
-fn vnorm(e: &Expr, ctx: &Context) -> VLin {
-    let mut v = vnorm_raw(e, ctx);
-    reduce(&mut v, ctx);
-    v
-}
-
-fn vnorm_raw(e: &Expr, ctx: &Context) -> VLin {
-    match e {
-        Expr::Int(v) => VLin::constant(*v),
-        Expr::Bool(b) => VLin::constant(i64::from(*b)),
-        Expr::Var(s) => {
-            let mut v = VLin::default();
-            v.add_term(VAtom::Var(s.clone()), 1);
-            v
-        }
-        Expr::Bin { op, lhs, rhs } => match op {
-            BinOp::Add | BinOp::Sub => {
-                let mut v = vnorm_raw(lhs, ctx);
-                let r = vnorm_raw(rhs, ctx);
-                v.add(&r, if *op == BinOp::Add { 1 } else { -1 });
-                v
-            }
-            BinOp::Mul => {
-                let l = vnorm_raw(lhs, ctx);
-                let r = vnorm_raw(rhs, ctx);
-                if let Some(c) = l.as_constant() {
-                    let mut v = VLin::default();
-                    v.add(&r, c);
-                    v
-                } else if let Some(c) = r.as_constant() {
-                    let mut v = VLin::default();
-                    v.add(&l, c);
-                    v
-                } else {
-                    opaque(e)
-                }
-            }
-            BinOp::Div => div_mod_atom(lhs, rhs, ctx, true, e),
-            BinOp::Mod => div_mod_atom(lhs, rhs, ctx, false, e),
-            _ => opaque(e),
-        },
-        Expr::Un {
-            op: exo_ir::UnOp::Neg,
-            arg,
-        } => {
-            let mut v = VLin::default();
-            v.add(&vnorm_raw(arg, ctx), -1);
-            v
-        }
-        other => opaque(other),
-    }
-}
-
-fn opaque(e: &Expr) -> VLin {
-    let mut v = VLin::default();
-    v.add_term(VAtom::Other(e.clone()), 1);
-    v
-}
-
-fn div_mod_atom(num: &Expr, den: &Expr, ctx: &Context, is_div: bool, whole: &Expr) -> VLin {
-    let Some(k) = den.as_int().filter(|k| *k > 0) else {
-        return opaque(whole);
-    };
-    // Canonicalize the numerator first, so `(4*(N/4 - 1) + 4) / 8`
-    // becomes `N / 8` before the atom is formed.
-    let num_v = vnorm(num, ctx);
-    if let Some(c) = num_v.as_constant() {
-        return VLin::constant(if is_div {
-            c.div_euclid(k)
-        } else {
-            c.rem_euclid(k)
-        });
-    }
-    let num_e = num_v.to_expr();
-    // Exact division: every coefficient (and the constant) divisible.
-    let all_div = num_v.constant % k == 0 && num_v.terms.values().all(|(_, c)| c % k == 0);
-    if all_div {
-        let mut v = VLin::default();
-        if is_div {
-            v.constant = num_v.constant / k;
-            for (atom, coeff) in num_v.terms.values() {
-                v.add_term(atom.clone(), coeff / k);
-            }
-        }
-        return v;
-    }
-    if !is_div && ctx.divides(&num_e, k) {
-        return VLin::constant(0);
-    }
-    let mut v = VLin::default();
-    v.add_term(
-        if is_div {
-            VAtom::Div(num_e, k)
-        } else {
-            VAtom::Mod(num_e, k)
-        },
-        1,
-    );
-    v
-}
-
-/// Applies the recombination and divisibility rewrites until fixpoint.
-fn reduce(v: &mut VLin, ctx: &Context) {
-    for _ in 0..8 {
-        let mut changed = false;
-        // Recombination: a·(E/k) + b·(E%k) with a == k·b  →  b·E.
-        let keys: Vec<String> = v.terms.keys().cloned().collect();
-        'outer: for key in &keys {
-            let Some((VAtom::Mod(e, k), b)) = v.terms.get(key).cloned() else {
-                continue;
-            };
-            let div_key = VAtom::Div(e.clone(), k).key();
-            let Some((VAtom::Div(de, dk), a)) = v.terms.get(&div_key).cloned() else {
-                continue;
-            };
-            if dk == k && a == k * b {
-                v.terms.remove(key);
-                v.terms.remove(&div_key);
-                let inner = vnorm_raw(&de, ctx);
-                v.add(&inner, b);
-                changed = true;
-                break 'outer;
-            }
-        }
-        // Divisibility elimination: c·(E/k) → (c/k)·E when k|c and E%k==0.
-        if !changed {
-            let keys: Vec<String> = v.terms.keys().cloned().collect();
-            for key in &keys {
-                let Some((VAtom::Div(e, k), c)) = v.terms.get(key).cloned() else {
-                    continue;
-                };
-                if c % k == 0 && ctx.divides(&e, k) {
-                    v.terms.remove(key);
-                    let inner = vnorm_raw(&e, ctx);
-                    v.add(&inner, c / k);
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The inequality prover.
-// ---------------------------------------------------------------------------
-
-/// Conservative constant lower/upper bound of a [`VLin`] under `ctx`.
-fn vlin_const_bound(v: &VLin, ctx: &Context, lower: bool) -> Option<i64> {
-    let mut acc = v.constant;
-    for (atom, coeff) in v.terms.values() {
-        // A positive coefficient needs the atom's bound in the same
-        // direction; a negative coefficient needs the opposite one.
-        let want_lower = (*coeff > 0) == lower;
-        let b = atom_bound(atom, ctx, want_lower)?;
-        acc += coeff * b;
-    }
-    Some(acc)
-}
-
-fn atom_bound(atom: &VAtom, ctx: &Context, lower: bool) -> Option<i64> {
-    match atom {
-        VAtom::Var(s) => {
-            if lower {
-                ctx.lower_bound(s)
-            } else {
-                ctx.upper_bound(s)
-            }
-        }
-        VAtom::Mod(_, k) => Some(if lower { 0 } else { k - 1 }),
-        VAtom::Div(e, k) => {
-            let inner = vnorm(e, ctx);
-            let b = vlin_const_bound(&inner, ctx, lower)?;
-            Some(b.div_euclid(*k))
-        }
-        VAtom::Other(_) => None,
-    }
-}
-
-/// Whether `a <= b` is provable under `ctx`. This is the verifier's
-/// workhorse: it subsumes [`Context::proves_le`] by seeing through
-/// floor-division/modulo atoms (recombination, divisibility elimination,
-/// interval bounds).
-pub fn prove_le(a: &Expr, b: &Expr, ctx: &Context) -> bool {
-    let mut diff = vnorm(b, ctx);
-    let va = vnorm(a, ctx);
-    diff.add(&va, -1);
-    reduce(&mut diff, ctx);
-    if let Some(c) = diff.as_constant() {
-        return c >= 0;
-    }
-    matches!(vlin_const_bound(&diff, ctx, true), Some(lo) if lo >= 0)
-}
-
-/// Substitutes every enclosing loop iterator (innermost first) by the
-/// range endpoint that extremizes `e`, returning the extremized expression
-/// — or `None` when some occurrence is not provably monotone in the
-/// iterator (e.g. under a bare `%` with no recombinable partner).
-pub(crate) fn extremize(e: &Expr, ctx: &Context, maximize: bool) -> Option<Expr> {
-    let mut cur = simplify_expr(e, ctx);
-    let iters = ctx.iterators();
-    for iter in iters.iter().rev() {
-        let v = vnorm(&cur, ctx);
-        if !v.mentions(iter) {
-            continue;
-        }
-        // Rebuild from the reduced form: recombination may already have
-        // eliminated a non-monotone `%` occurrence.
-        cur = v.to_expr();
-        let lin_c = v.coeff_of_var(iter);
-        // `take_hi`: substitute `hi - 1` (true) or `lo` (false).
-        let mut dir: Option<bool> = match lin_c.cmp(&0) {
-            std::cmp::Ordering::Greater => Some(maximize),
-            std::cmp::Ordering::Less => Some(!maximize),
-            std::cmp::Ordering::Equal => None,
-        };
-        for (atom, coeff) in v.terms.values() {
-            let in_atom = match atom {
-                VAtom::Var(_) => false,
-                other => other.mentions(iter),
-            };
-            if !in_atom {
-                continue;
-            }
-            // Only `E / k` atoms with `E` linear and monotone in the
-            // iterator are handled; `%` and opaque occurrences are not
-            // provably monotone.
-            let VAtom::Div(inner, _) = atom else {
-                return None;
-            };
-            let iv = vnorm(inner, ctx);
-            let inner_c = iv.coeff_of_var(iter);
-            let only_linear = inner_c != 0
-                && !iv.terms.values().any(|(a, _)| match a {
-                    VAtom::Var(_) => false,
-                    other => other.mentions(iter),
-                });
-            if !only_linear {
-                return None;
-            }
-            let increasing = (inner_c > 0) == (*coeff > 0);
-            let want_hi = increasing == maximize;
-            match dir {
-                None => dir = Some(want_hi),
-                Some(d) if d == want_hi => {}
-                Some(_) => return None,
-            }
-        }
-        let take_hi = dir?;
-        let range = ctx.iter_range(iter)?;
-        let value = if take_hi {
-            range.hi.clone() - ib(1)
-        } else {
-            range.lo.clone()
-        };
-        cur = simplify_expr(&substitute_expr(cur, iter, &value), ctx);
-    }
-    Some(cur)
-}
-
-// ---------------------------------------------------------------------------
-// The whole-proc driver.
-// ---------------------------------------------------------------------------
 
 struct Checker<'p> {
     /// Facts at the statement being visited.
@@ -681,31 +287,7 @@ impl Report<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_ir::{var, DataType, Mem, ProcBuilder};
-
-    fn ctx_with(f: impl FnOnce(&mut Context)) -> Context {
-        let mut ctx = Context::new();
-        f(&mut ctx);
-        ctx
-    }
-
-    #[test]
-    fn prove_le_sees_through_perfect_tiling() {
-        // 8 * (n / 8) <= n  under  n % 8 == 0.
-        let ctx = ctx_with(|c| {
-            c.add_fact(&Expr::eq_(Expr::modulo(var("n"), ib(8)), ib(0)));
-        });
-        let e = ib(8) * (var("n") / ib(8));
-        assert!(prove_le(&e, &var("n"), &ctx));
-        assert!(prove_le(&var("n"), &e, &ctx));
-        // Without the fact the floor bound still gives `8*(n/8) <= n`...
-        let bare = Context::new();
-        // ...but not through the equality path; the conservative answer is
-        // allowed to be `false` here.
-        let _ = prove_le(&e, &var("n"), &bare);
-        // The reverse is definitely not provable without divisibility.
-        assert!(!prove_le(&var("n"), &e, &bare));
-    }
+    use exo_ir::{var, BinOp, DataType, Mem, ProcBuilder};
 
     #[test]
     fn divmod_recombination() {

@@ -404,3 +404,59 @@ fn an_index_that_wraps_is_not_bounded_by_the_loop_endpoints() {
         "the refusal names the index and the dimension: {why}"
     );
 }
+
+#[test]
+fn two_bounds_the_facts_do_not_order_are_not_a_hull() {
+    let registry = ProcRegistry::new();
+    let copy_up_to = |b: &mut BlockBuilder, iter: &str, hi: &str, reduce: bool| {
+        b.for_(iter, ib(0), var(hi), |b| {
+            let cell = read("x", vec![var(iter)]);
+            match reduce {
+                false => b.assign("y", vec![var(iter)], cell),
+                true => b.reduce("y", vec![var(iter)], cell),
+            };
+        });
+    };
+    // `x` is read on [0, N) and on [0, M), and nothing orders N and M:
+    // neither window is the hull.
+    let mut both = BlockBuilder::new();
+    copy_up_to(&mut both, "i", "N", false);
+    copy_up_to(&mut both, "j", "M", true);
+    let scope = Stmt::If {
+        cond: Expr::Bool(true),
+        then_body: both.build(),
+        else_body: Block::new(),
+    };
+    match infer_bounds(&scope, &Sym::new("x"), &Context::new()) {
+        Ok(bounds) => panic!("neither [0, N) nor [0, M) covers both loops: {bounds:?}"),
+        Err(why) => {
+            let why = why.to_string();
+            assert!(
+                why.contains("`N`") && why.contains("`M`") && why.contains("dimension 0"),
+                "the refusal names both bounds and the dimension: {why}"
+            );
+        }
+    }
+    // The same two loops with n = 2 and m = 6: staging `x` through [0, n)
+    // would leave the m-loop reading six cells of a two-cell buffer.
+    let p = kernel(|b| {
+        b.for_("n", ib(2), ib(3), |b| {
+            b.for_("m", ib(6), ib(7), |b| {
+                copy_up_to(b, "i", "n", false);
+                copy_up_to(b, "j", "m", true);
+            });
+        });
+    });
+    let loops = p.find_loop("m").expect("the m loop").body_block();
+    let staged = stage_mem(
+        &p,
+        loops.expect("its body"),
+        "x",
+        &[(ib(0), var("n"))],
+        "xs",
+    );
+    assert!(
+        !refuses_or_preserves("x[0:m] outside [0, n)", &p, staged, &registry),
+        "`x[j]` for j < m is not inside the staged window [0, n):\n{p}"
+    );
+}
