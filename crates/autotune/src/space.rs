@@ -165,10 +165,7 @@ fn repeat_is_noop(base: &ProcHandle, step: &SchedStep, machine: &MachineModel) -
         exo_lib::apply_script(base, &once, machine),
         exo_lib::apply_script(base, &twice, machine),
     ) {
-        (Ok(a), Ok(b)) => {
-            let twice = b.proc().to_string();
-            twice == a.proc().to_string() || twice == base.proc().to_string()
-        }
+        (Ok(a), Ok(b)) => b.proc() == a.proc() || b.proc() == base.proc(),
         _ => false,
     }
 }

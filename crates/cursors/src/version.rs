@@ -288,29 +288,25 @@ impl ProcHandle {
         Ok(Cursor::new(self.clone(), path))
     }
 
+    /// The procedures of this handle's provenance chain, this version
+    /// first and the root last.
+    pub fn versions(&self) -> impl Iterator<Item = &Proc> {
+        std::iter::successors(Some(&self.inner), |v| v.prev.as_ref()).map(|v| &v.proc)
+    }
+
     /// Estimated heap bytes retained by this version's whole provenance
     /// chain, counting storage shared between versions once.
     pub fn chain_retained_bytes(&self) -> usize {
         let mut seen = std::collections::HashSet::new();
-        let mut total = 0usize;
-        let mut v = Some(&self.inner);
-        while let Some(version) = v {
-            total += exo_ir::proc_retained_bytes(&version.proc, &mut seen);
-            v = version.prev.as_ref();
-        }
-        total
+        self.versions()
+            .map(|proc| exo_ir::proc_retained_bytes(proc, &mut seen))
+            .sum()
     }
 
     /// Number of versions in this handle's provenance chain (this version
     /// included).
     pub fn chain_len(&self) -> usize {
-        let mut n = 0usize;
-        let mut v = Some(&self.inner);
-        while let Some(version) = v {
-            n += 1;
-            v = version.prev.as_ref();
-        }
-        n
+        self.versions().count()
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::sym::Sym;
 use crate::visit::{walk_expr, Visit};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops;
 
 /// Binary operators available in index and value expressions.
@@ -95,7 +96,7 @@ pub enum UnOp {
 ///
 /// Windows appear as arguments to instruction calls, e.g.
 /// `mm512_loadu_ps(dst[0:16], src[i, 0:16])`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum WAccess {
     /// A point access along this dimension (the dimension is dropped from
     /// the window's shape).
@@ -161,6 +162,45 @@ pub enum Expr {
         /// Field name.
         field: String,
     },
+}
+
+/// By hand only because `f64` is not `Hash`: a float literal hashes by
+/// bit pattern, everything else as a derive would.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Int(v) => v.hash(state),
+            Expr::Float(v) => v.to_bits().hash(state),
+            Expr::Bool(v) => v.hash(state),
+            Expr::Var(sym) => sym.hash(state),
+            Expr::Read { buf, idx } => {
+                buf.hash(state);
+                idx.hash(state);
+            }
+            Expr::Window { buf, idx } => {
+                buf.hash(state);
+                idx.hash(state);
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                op.hash(state);
+                lhs.hash(state);
+                rhs.hash(state);
+            }
+            Expr::Un { op, arg } => {
+                op.hash(state);
+                arg.hash(state);
+            }
+            Expr::Stride { buf, dim } => {
+                buf.hash(state);
+                dim.hash(state);
+            }
+            Expr::ReadConfig { config, field } => {
+                config.hash(state);
+                field.hash(state);
+            }
+        }
+    }
 }
 
 impl Expr {

@@ -29,7 +29,9 @@
 //! * a Python-like pretty printer (`Display` on [`Proc`]),
 //! * path-based navigation and editing ([`Step`], [`NodeRef`], splicing
 //!   helpers) used by the cursor machinery in `exo-cursors`,
-//! * structural visitors and substitution utilities.
+//! * structural visitors and substitution utilities,
+//! * structural content hashing ([`Proc::content_hash`], cached on shared
+//!   [`Block`] nodes; [`ContentHasher`]).
 //!
 //! Scheduling (rewriting procedures while preserving semantics) lives in
 //! `exo-core`; this crate is purely the data model.
@@ -70,6 +72,7 @@
 
 mod builder;
 mod expr;
+mod hash;
 mod path;
 mod print;
 mod proc;
@@ -81,6 +84,7 @@ mod visit;
 
 pub use builder::{BlockBuilder, ProcBuilder};
 pub use expr::{fb, format_float, ib, read, var, BinOp, Expr, UnOp, WAccess};
+pub use hash::ContentHasher;
 pub use path::{
     for_each_stmt_paths, for_each_stmt_paths_under, for_each_stmt_paths_until, resolve_block,
     resolve_block_mut, resolve_container, resolve_container_mut, resolve_expr, resolve_stmt,

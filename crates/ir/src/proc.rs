@@ -1,12 +1,15 @@
 //! Procedures: the top-level unit of the object language.
 
 use crate::expr::Expr;
+use crate::hash::ContentHasher;
 use crate::stmt::Block;
 use crate::sym::Sym;
 use crate::types::{DataType, Mem};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The kind of a procedure argument.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum ArgKind {
     /// A `size` argument: a positive integer known at call time, usable in
     /// dimension expressions and assertions.
@@ -31,7 +34,7 @@ pub enum ArgKind {
 }
 
 /// A single procedure argument.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ProcArg {
     /// Argument name.
     pub name: Sym,
@@ -46,7 +49,7 @@ pub struct ProcArg {
 /// The cost model in `exo-machine` uses `cost_class` to charge cycles, and
 /// `replace` (in `exo-core`) unifies statements against the instruction's
 /// body to substitute calls for loop nests.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct InstrInfo {
     /// Cost-model class, e.g. `"avx512_fma"`, `"gemmini_ld_block"`.
     pub cost_class: String,
@@ -60,12 +63,21 @@ pub struct InstrInfo {
 /// A procedure has a name, typed arguments, a list of assertion
 /// preconditions (available to the scheduling-time analysis), and a body.
 /// Instruction procedures additionally carry [`InstrInfo`].
-#[derive(Clone, PartialEq, Debug)]
+///
+/// A clone is two reference-count bumps: the header (everything but the
+/// body) sits behind one `Arc`, copied when one of its fields is edited,
+/// and the body is a shared [`Block`].
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Proc {
+    head: Arc<Head>,
+    body: Block,
+}
+
+#[derive(Clone, PartialEq, Hash, Debug)]
+struct Head {
     name: String,
     args: Vec<ProcArg>,
     preds: Vec<Expr>,
-    body: Block,
     instr: Option<InstrInfo>,
 }
 
@@ -74,51 +86,70 @@ impl Proc {
     /// [`crate::ProcBuilder`] instead.
     pub fn new(name: impl Into<String>, args: Vec<ProcArg>, preds: Vec<Expr>, body: Block) -> Self {
         Proc {
-            name: name.into(),
-            args,
-            preds,
+            head: Arc::new(Head {
+                name: name.into(),
+                args,
+                preds,
+                instr: None,
+            }),
             body,
-            instr: None,
         }
+    }
+
+    /// The header for editing, copied first if a clone shares it.
+    fn head_mut(&mut self) -> &mut Head {
+        Arc::make_mut(&mut self.head)
+    }
+
+    /// Structural hash of the whole procedure: equal procedures hash
+    /// equal, and every field `==` compares — names, argument kinds and
+    /// memories, assertions, instruction metadata, the shape of every
+    /// expression — reaches it. The header is hashed on each call; the
+    /// body's share comes from the hash its blocks cache, so for a version
+    /// produced by an edit only the copied spine is hashed anew.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = ContentHasher::new();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Name of the procedure.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.head.name
     }
 
     /// Renames the procedure (the `rename` scheduling operator).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
+        self.head_mut().name = name.into();
         self
     }
 
     /// The procedure's arguments.
     pub fn args(&self) -> &[ProcArg] {
-        &self.args
+        &self.head.args
     }
 
     /// Mutable access to the arguments (used by `set_memory` /
     /// `set_precision` when they target arguments).
     pub fn args_mut(&mut self) -> &mut Vec<ProcArg> {
-        &mut self.args
+        &mut self.head_mut().args
     }
 
     /// Looks up an argument by name.
     pub fn arg(&self, name: &str) -> Option<&ProcArg> {
-        self.args.iter().find(|a| a.name == *name)
+        self.args().iter().find(|a| a.name == *name)
     }
 
     /// The assertion preconditions (`assert M % 8 == 0`, ...).
     pub fn preds(&self) -> &[Expr] {
-        &self.preds
+        &self.head.preds
     }
 
     /// Adds an assertion precondition, returning the new procedure
     /// (the `add_assertion` operator from the paper's Appendix C).
     pub fn add_assertion(&self, pred: Expr) -> Proc {
         let mut p = self.clone();
-        p.preds.push(pred);
+        p.head_mut().preds.push(pred);
         p
     }
 
@@ -140,18 +171,18 @@ impl Proc {
 
     /// Instruction metadata, if this is an instruction procedure.
     pub fn instr(&self) -> Option<&InstrInfo> {
-        self.instr.as_ref()
+        self.head.instr.as_ref()
     }
 
     /// Marks this procedure as an instruction procedure.
     pub fn with_instr(mut self, info: InstrInfo) -> Self {
-        self.instr = Some(info);
+        self.head_mut().instr = Some(info);
         self
     }
 
     /// Returns `true` if this is an instruction procedure.
     pub fn is_instr(&self) -> bool {
-        self.instr.is_some()
+        self.head.instr.is_some()
     }
 
     /// The element type of a tensor or scalar argument, if present.
@@ -173,7 +204,7 @@ impl Proc {
 
     /// Names of all size arguments.
     pub fn size_args(&self) -> Vec<Sym> {
-        self.args
+        self.args()
             .iter()
             .filter(|a| matches!(a.kind, ArgKind::Size))
             .map(|a| a.name.clone())
@@ -194,7 +225,7 @@ impl Proc {
     /// lowering pass relies on: `exo_interp::lower` assigns one dense
     /// frame slot per binding site in this same pre-order.
     pub fn binding_site_count(&self) -> usize {
-        let mut n = self.args.len();
+        let mut n = self.args().len();
         for stmt in self.body.iter() {
             crate::visit::for_each_stmt(stmt, &mut |s| {
                 if matches!(
@@ -247,18 +278,19 @@ impl Proc {
         let mut p = self.clone();
         for (name, value) in bindings {
             let sym = Sym::new(*name);
-            p.args
+            let head = p.head_mut();
+            head.args
                 .retain(|a| a.name != sym || !matches!(a.kind, ArgKind::Size));
             let val = Expr::Int(*value);
             // Substitute in argument dimensions.
-            for arg in &mut p.args {
+            for arg in &mut head.args {
                 if let ArgKind::Tensor { dims, .. } = &mut arg.kind {
                     for d in dims {
                         *d = substitute_expr(d.clone(), &sym, &val);
                     }
                 }
             }
-            for pred in &mut p.preds {
+            for pred in &mut head.preds {
                 *pred = substitute_expr(pred.clone(), &sym, &val);
             }
             p.body = substitute_block(std::mem::take(&mut p.body), &sym, &val);

@@ -15,7 +15,7 @@
 
 use crate::expr::{Expr, WAccess};
 use crate::proc::{ArgKind, Proc, ProcArg};
-use crate::stmt::{Block, Stmt};
+use crate::stmt::{Block, Stmt, NODE_BYTES};
 use crate::sym::Sym;
 use std::collections::HashSet;
 use std::mem::size_of;
@@ -86,7 +86,8 @@ pub fn block_bytes(block: &Block, seen: &mut HashSet<usize>) -> usize {
     if !seen.insert(block.storage_id()) {
         return 0;
     }
-    block.len() * size_of::<Stmt>()
+    NODE_BYTES
+        + block.len() * size_of::<Stmt>()
         + block
             .iter()
             .map(|s| stmt_heap_bytes(s, seen))

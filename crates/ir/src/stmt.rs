@@ -1,8 +1,13 @@
 //! Statements and statement blocks of the object language.
 
 use crate::expr::Expr;
+use crate::hash::ContentHasher;
 use crate::sym::Sym;
 use crate::types::{DataType, Mem};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A sequence of statements (the body of a procedure, loop or branch).
@@ -14,60 +19,99 @@ use std::sync::Arc;
 /// scheduling layer near-free — committing an edit copies only the spine
 /// of blocks from the root to the edit site, while every unchanged sibling
 /// subtree stays shared across versions.
-#[derive(Clone, Debug)]
-pub struct Block(Arc<Vec<Stmt>>);
+///
+/// The shared node also caches the block's structural hash (its `Hash`
+/// impl feeds that one word), computed on first use. [`Block::stmts_mut`]
+/// is the only `&mut` route to a node's statements — reaching a nested
+/// block mutably goes through it at every enclosing block — so clearing
+/// the word there invalidates exactly the spine an edit copies, and the
+/// subtrees two versions share are hashed once for both.
+#[derive(Clone, Default)]
+pub struct Block(Arc<Node>);
+
+#[derive(Default)]
+struct Node {
+    stmts: Vec<Stmt>,
+    /// Structural hash of `stmts`; 0 = not computed (a computed 0 is
+    /// stored as 1). `Relaxed` throughout: the word publishes no other
+    /// data, and racing readers of one immutable node compute the same
+    /// value.
+    hash: AtomicU64,
+}
+
+impl Clone for Node {
+    /// The copy `Arc::make_mut` hands to an editor: its hash starts clear.
+    fn clone(&self) -> Self {
+        Node {
+            stmts: self.stmts.clone(),
+            hash: AtomicU64::new(0),
+        }
+    }
+}
+
+/// Heap bytes of one block node besides its statements: the two `Arc`
+/// counts, the vector header and the cached hash.
+pub(crate) const NODE_BYTES: usize = 2 * size_of::<usize>() + size_of::<Node>();
 
 impl Block {
     /// Creates an empty block.
     pub fn new() -> Self {
-        Block(Arc::new(Vec::new()))
+        Block::default()
     }
 
     /// Creates a block from statements.
     pub fn from_stmts(stmts: Vec<Stmt>) -> Self {
-        Block(Arc::new(stmts))
+        Block(Arc::new(Node {
+            stmts,
+            hash: AtomicU64::new(0),
+        }))
     }
 
     /// The statements of this block.
     pub fn stmts(&self) -> &[Stmt] {
-        &self.0
+        &self.0.stmts
     }
 
     /// Mutable access to the statement vector. If the block is shared with
     /// other clones, the vector is copied first (copy-on-write); the other
     /// clones keep observing the old contents.
     pub fn stmts_mut(&mut self) -> &mut Vec<Stmt> {
-        Arc::make_mut(&mut self.0)
+        let node = Arc::make_mut(&mut self.0);
+        *node.hash.get_mut() = 0;
+        &mut node.stmts
     }
 
     /// Extracts the statement vector, cloning only if the block is shared.
     pub fn into_stmts(self) -> Vec<Stmt> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
+        match Arc::try_unwrap(self.0) {
+            Ok(node) => node.stmts,
+            Err(shared) => shared.stmts.clone(),
+        }
     }
 
     /// The statement at `i`, if in bounds.
     pub fn get(&self, i: usize) -> Option<&Stmt> {
-        self.0.get(i)
+        self.stmts().get(i)
     }
 
     /// Number of statements directly in this block.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.stmts().len()
     }
 
     /// Whether this block has no statements.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.stmts().is_empty()
     }
 
     /// Iterates over direct statements.
     pub fn iter(&self) -> std::slice::Iter<'_, Stmt> {
-        self.0.iter()
+        self.stmts().iter()
     }
 
     /// Total number of statements in this block, counted recursively.
     pub fn count_recursive(&self) -> usize {
-        self.0.iter().map(|s| s.count_recursive()).sum()
+        self.iter().map(|s| s.count_recursive()).sum()
     }
 
     /// Whether two blocks share the same underlying statement storage
@@ -83,9 +127,9 @@ impl Block {
     }
 }
 
-impl Default for Block {
-    fn default() -> Self {
-        Block::new()
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Block").field(&self.0.stmts).finish()
     }
 }
 
@@ -96,14 +140,32 @@ impl PartialEq for Block {
         // literal the deep comparison is non-reflexive (NaN != NaN) while
         // the pointer fast path reports shared clones equal — the object
         // language never produces NaN literals, so this stays theoretical.
-        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+        // (`Hash` errs the other way at signed zeros: `0.0 == -0.0`, yet
+        // the two literals hash apart.)
+        Arc::ptr_eq(&self.0, &other.0) || self.0.stmts == other.0.stmts
+    }
+}
+
+impl Hash for Block {
+    /// Feeds the structural hash of the statements, from the node's cache
+    /// when a clone of this block has been hashed before.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let node = &*self.0;
+        let mut hash = node.hash.load(Ordering::Relaxed);
+        if hash == 0 {
+            let mut h = ContentHasher::new();
+            node.stmts.hash(&mut h);
+            hash = h.finish().max(1);
+            node.hash.store(hash, Ordering::Relaxed);
+        }
+        state.write_u64(hash);
     }
 }
 
 impl std::ops::Index<usize> for Block {
     type Output = Stmt;
     fn index(&self, i: usize) -> &Stmt {
-        &self.0[i]
+        &self.0.stmts[i]
     }
 }
 
@@ -128,7 +190,7 @@ impl<'a> IntoIterator for &'a Block {
 }
 
 /// A statement of the object language.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Stmt {
     /// `buf[idx...] = rhs` — overwrite a buffer element (or scalar when
     /// `idx` is empty).

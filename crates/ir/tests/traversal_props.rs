@@ -6,10 +6,15 @@
 //!
 //! The oracle is the pretty printer, a separate hand-written walk: marker
 //! and replacement occurrences are counted in the printed text.
+//!
+//! The same trees check that no `&mut` route into a procedure leaves a
+//! stale structural hash behind: a cached hash that survived an edit would
+//! be a wrong cache hit in `exo-serve`.
 
 use exo_ir::{
-    for_each_expr, for_each_stmt, rename_sym, substitute_var, BinOp, Block, DataType, Expr, Mem,
-    Proc, Stmt, Sym, UnOp, WAccess,
+    deep_unshare, for_each_expr, for_each_stmt, rename_sym, substitute_var, walk_expr_mut,
+    walk_stmts_mut, ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, ProcArg, Stmt, Sym, UnOp,
+    VisitMut, WAccess,
 };
 use proptest::prelude::*;
 
@@ -242,8 +247,82 @@ fn occurrences(stmt: Stmt, needle: &str) -> usize {
     proc.to_string().matches(needle).count()
 }
 
+/// Walks down from `block` — to a loop body or branch arm reached through
+/// the statement's own fields, or through `child_blocks_mut` — and appends
+/// a `pass` to the block where `pick` says to stop.
+fn push_pass_below(block: &mut Block, pick: u64, via_child_blocks: bool) {
+    let stmts = block.stmts_mut();
+    let n = stmts.len() as u64;
+    let child = match &mut stmts[(pick % n) as usize] {
+        s if via_child_blocks => s.child_blocks_mut().into_iter().next(),
+        Stmt::For { body, .. } => Some(body),
+        Stmt::If { then_body, .. } => Some(then_body),
+        _ => None,
+    };
+    match child {
+        Some(child) if !(pick / n).is_multiple_of(4) => {
+            push_pass_below(child, pick / n / 4, via_child_blocks)
+        }
+        _ => stmts.push(Stmt::Pass),
+    }
+}
+
+/// Replaces every variable, in place.
+struct Constants;
+
+impl VisitMut for Constants {
+    fn visit_expr(&mut self, e: &mut Expr) {
+        if e.as_var().is_some() {
+            *e = Expr::Int(VALUE);
+        } else {
+            walk_expr_mut(self, e);
+        }
+    }
+}
+
+/// One edit through each `&mut` route a procedure offers.
+const ROUTES: u64 = 5;
+
+fn edit(q: &mut Proc, route: u64, pick: u64) {
+    match route {
+        0 => push_pass_below(q.body_mut(), pick, false),
+        1 => push_pass_below(q.body_mut(), pick, true),
+        2 => *q.body_mut() = q.body().iter().cloned().chain([Stmt::Pass]).collect(),
+        3 => q.args_mut().push(ProcArg {
+            name: Sym::new("n"),
+            kind: ArgKind::Size,
+        }),
+        _ => walk_stmts_mut(&mut Constants, q.body_mut().stmts_mut()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn no_edit_leaves_a_stale_hash(
+        tree in Trees,
+        route in 0..ROUTES,
+        pick in any::<u64>(),
+        shared in any::<bool>(),
+    ) {
+        let mut q = Proc::new("p", Vec::new(), Vec::new(), Block::from_stmts(vec![tree.root]));
+        // Read first: every block of `q` now holds its hash.
+        let before = q.content_hash();
+        let original = deep_unshare(&q);
+        // With another version alive the edit copies the spine it touches;
+        // without one it happens in place, on the blocks just hashed.
+        let kept = shared.then(|| q.clone());
+        edit(&mut q, route, pick);
+        // A copy rebuilt from fresh storage has nothing cached.
+        prop_assert_eq!(q.content_hash(), deep_unshare(&q).content_hash());
+        prop_assert_eq!(q == original, q.content_hash() == before);
+        if let Some(p) = kept {
+            prop_assert_eq!(&p, &original);
+            prop_assert_eq!(p.content_hash(), before);
+        }
+        prop_assert_eq!(original.content_hash(), before);
+    }
 
     #[test]
     fn rename_reaches_every_symbol_position(tree in Trees) {

@@ -52,7 +52,7 @@ pub fn instruction_writes(machine: &MachineModel) -> BTreeMap<String, Vec<bool>>
 /// Addresses a loop by iterator name and occurrence index (textual
 /// order), so kernels with repeated iterator names — the two `x` loops of
 /// `blur2d`, or the clones a `Cut` tail introduces — stay addressable.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LoopSel {
     /// Iterator name of the loop.
     pub name: String,
@@ -99,7 +99,7 @@ impl fmt::Display for LoopSel {
 /// One reified scheduling decision. Each variant maps onto exactly one
 /// `exo-core` primitive (or user-library operator built from them), so
 /// applying a step can fail only the way the primitive can fail.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum SchedStep {
     /// Interchange the selected loop with its immediate inner loop
     /// (`reorder_loops`).
@@ -170,7 +170,7 @@ impl fmt::Display for SchedStep {
 }
 
 /// A replayable schedule: an ordered sequence of [`SchedStep`]s.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct ScheduleScript {
     /// The steps, applied first to last.
     pub steps: Vec<SchedStep>,

@@ -1,11 +1,17 @@
 //! Content-addressed result cache with single-flight deduplication and
 //! TTL'd negative caching.
 //!
-//! Keys are a stable FNV-1a hash of the request *content* — the
-//! pretty-printed kernel, the canonical schedule-script text, the target
-//! name and the response-shaping options — so identical traffic hits
-//! the cache regardless of which handle submitted it (the deterministic
-//! fresh-name work makes pretty-printed procs a sound content address).
+//! Keys are [`crate::request_key`]: a 64-bit structural hash of the
+//! request *content* — the kernel ([`exo_ir::Proc::content_hash`]: every
+//! field `==` compares, the body's share read from the hash its shared
+//! blocks cache), the schedule script's steps, the target and the
+//! response-shaping options — so identical traffic hits the cache
+//! regardless of which handle submitted it, and nothing is printed to
+//! find that out. Two requests `==` tells apart get different keys short
+//! of a 64-bit collision (about 2⁻⁶⁴ a pair over honest traffic, as with
+//! the FNV-1a of printed text this replaces; neither withstands crafted
+//! input). The printed text is *not* such an address: the printer drops
+//! the grouping of right-nested `+` / `*` and omits instruction metadata.
 //!
 //! Three entry states:
 //!
@@ -14,88 +20,37 @@
 //!   the one computation (single-flight: N concurrent identical
 //!   requests perform exactly one compilation).
 //! * **Ready** — a cached success, stored with a checksum over its
-//!   payload. Every hit re-validates the checksum; a mismatch
-//!   (bit rot, or the injected `cache-corruption` fault) quarantines the
-//!   entry and recomputes instead of serving corrupt data.
+//!   payload. Every hit re-validates the checksum over the whole
+//!   payload; a mismatch (bit rot, or the injected `cache-corruption`
+//!   fault) quarantines the entry and recomputes instead of serving
+//!   corrupt data.
 //! * **Failed** — a cached failure with a timestamp. Within
 //!   [`ResultCache::negative_ttl`] identical requests are answered from
 //!   the cache (a bad request cannot stampede the compiler); after the
 //!   TTL the entry expires and the next request retries for real.
 
 use crate::types::{CacheStatus, Delivery, ServeError, ServeOk, ServeResult};
+use exo_ir::ContentHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::mpsc::Sender;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Streaming FNV-1a hasher for building stable content keys.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-}
-
-impl Fnv {
-    /// A fresh hasher.
-    pub fn new() -> Self {
-        Fnv::default()
-    }
-
-    /// Folds bytes into the state.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Folds a string plus a field separator (so `("ab","c")` and
-    /// `("a","bc")` hash differently).
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write(s.as_bytes()).write(&[0xFF])
-    }
-
-    /// Folds a little-endian u64.
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Checksum a cached success payload. Validated on every hit; the
 /// injected `cache-corruption` fault flips it to simulate bit rot.
-pub fn payload_checksum(ok: &ServeOk) -> u64 {
-    let mut h = Fnv::new();
-    h.write_str(&ok.kernel)
-        .write_str(ok.tier.name())
-        .write_str(&ok.scheduled_ir);
-    for d in &ok.diagnostics {
-        h.write_str(d);
-    }
+pub(crate) fn payload_checksum(ok: &ServeOk) -> u64 {
+    let mut h = ContentHasher::new();
+    ok.kernel.hash(&mut h);
+    ok.tier.hash(&mut h);
+    ok.scheduled_ir.hash(&mut h);
+    ok.diagnostics.hash(&mut h);
+    h.write_usize(ok.degraded.len());
     for d in &ok.degraded {
-        h.write_str(d.from.name())
-            .write_str(d.to.name())
-            .write_str(d.reason.name());
+        (d.from, d.to, d.reason).hash(&mut h);
     }
-    if let Some(c) = &ok.c_code {
-        h.write_str(c);
-    }
-    if let Some(e) = &ok.exec {
-        h.write_u64(e.elems as u64).write_u64(e.checksum);
-    }
+    ok.c_code.hash(&mut h);
+    ok.exec.hash(&mut h);
     h.finish()
 }
 
@@ -372,14 +327,5 @@ mod tests {
             matches!(cache.admit(4, tx), Admission::Compute { .. }),
             "rejected keys must not be negatively cached"
         );
-    }
-
-    #[test]
-    fn fnv_separates_fields() {
-        let mut a = Fnv::new();
-        a.write_str("ab").write_str("c");
-        let mut b = Fnv::new();
-        b.write_str("a").write_str("bc");
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -21,6 +21,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod cache;
 pub mod fault;
@@ -34,9 +45,7 @@ mod types;
 pub use exo_guard as proc_guard;
 
 pub use fault::{Fault, FaultPlan};
-pub use service::{
-    request_key, response_checksum, KernelService, ServeConfig, ServeStats, StatsSnapshot, Ticket,
-};
+pub use service::{request_key, KernelService, ServeConfig, ServeStats, StatsSnapshot, Ticket};
 pub use types::{
     CacheStatus, Degradation, DegradeReason, Delivery, ExecSummary, RequestTrace, ServeError,
     ServeOk, ServeOptions, ServeRequest, ServeResult, Tier, TraceStep,

@@ -18,7 +18,7 @@
 //!   service steps down the ladder native-run → compile-only → interp →
 //!   verified-IR, recording every step and its reason in the response.
 
-use crate::cache::{payload_checksum, Admission, Fnv, ResultCache};
+use crate::cache::{Admission, ResultCache};
 use crate::fault::{Fault, FaultPlan};
 use crate::types::{
     CacheStatus, Degradation, DegradeReason, Delivery, ExecSummary, RequestTrace, ServeError,
@@ -33,10 +33,12 @@ use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, GuardConfig};
 use exo_interp::ProcRegistry;
+use exo_ir::ContentHasher;
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -400,18 +402,17 @@ impl Drop for KernelService {
     }
 }
 
-/// Stable content key of a request: FNV-1a over the pretty-printed
-/// kernel, the canonical script text, the target name, and every
-/// response-shaping option.
+/// Content key of a request: the kernel's structural hash, then the
+/// script's steps, the target and every response-shaping option through
+/// their derived `Hash`. Requests that differ in any of these get
+/// different keys (up to a 64-bit collision); the value is stable within
+/// a build, not across toolchains.
 pub fn request_key(request: &ServeRequest) -> u64 {
-    let mut h = Fnv::new();
-    h.write_str(&request.proc.to_string())
-        .write_str(&request.script.key())
-        .write_str(machine_for(request.target).name)
-        .write_str(request.options.tier.name())
-        .write_u64(u64::from(request.options.debug_bounds))
-        .write_u64(u64::from(request.options.want_c))
-        .write_u64(request.options.input_seed);
+    let mut h = ContentHasher::new();
+    h.write_u64(request.proc.content_hash());
+    request.script.hash(&mut h);
+    request.target.hash(&mut h);
+    request.options.hash(&mut h);
     h.finish()
 }
 
@@ -550,9 +551,9 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     let _req = exo_obs::span!("serve:request", "{}", job.request.proc.name());
     ServeStats::bump(&inner.stats.computed);
     if matches!(job.fault, Some(Fault::WorkerPanic)) {
-        // Injected via `panic_any` (not the `panic!` macro: library
-        // paths in this crate are lint-guarded panic-free; this is the
-        // fault simulator, the one place a panic is the point).
+        // Library paths in this crate are panic-free by lint (lib.rs);
+        // this is the fault simulator, the one place a panic is the point.
+        #[allow(clippy::panic)]
         std::panic::panic_any(format!(
             "injected worker panic at request index {}",
             job.index
@@ -780,19 +781,22 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     })
 }
 
+/// [`ExecSummary::checksum`] is byte-wise FNV-1a by contract (clients
+/// recompute it from reference outputs), whatever the cache hashes with.
 fn summarize(buffers: &[Vec<f64>]) -> ExecSummary {
-    let mut h = Fnv::new();
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x100_0000_01b3;
+    let mut checksum = OFFSET_BASIS;
     let mut elems = 0usize;
     for buffer in buffers {
         for v in buffer {
-            h.write_u64(v.to_bits());
+            for byte in v.to_bits().to_le_bytes() {
+                checksum = (checksum ^ u64::from(byte)).wrapping_mul(PRIME);
+            }
             elems += 1;
         }
     }
-    ExecSummary {
-        elems,
-        checksum: h.finish(),
-    }
+    ExecSummary { elems, checksum }
 }
 
 /// The serving step's outcome for a tier that asked the toolchain for a
@@ -900,11 +904,4 @@ fn run_binary_guarded(
         }
         Err(err) => Err((DegradeReason::BinaryFailed, err.message)),
     }
-}
-
-// `payload_checksum` is validated on every cache hit; re-export the
-// checksum for response-integrity tests.
-#[doc(hidden)]
-pub fn response_checksum(ok: &ServeOk) -> u64 {
-    payload_checksum(ok)
 }

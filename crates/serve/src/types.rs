@@ -1,9 +1,10 @@
 //! Request/response vocabulary of the service.
 //!
-//! Everything that crosses the submit/worker boundary is plain data
-//! (`Proc` and `ScheduleScript` are `Arc`-backed value types), and every
-//! way a request can end is a *variant*, not a panic: the soak harness
-//! asserts that 100% of responses fall into this taxonomy.
+//! Everything that crosses the submit/worker boundary is plain data — a
+//! `Proc` is two `Arc`s (header and body), so cloning a request copies
+//! only the `ScheduleScript`'s steps — and every way a request can end is
+//! a *variant*, not a panic: the soak harness asserts that 100% of
+//! responses fall into this taxonomy.
 
 use exo_lib::ScheduleScript;
 use exo_machine::MachineKind;
@@ -14,7 +15,7 @@ use std::sync::Arc;
 /// wants; the service degrades down the ladder when a tier's
 /// prerequisites fail (no C compiler, a timeout, a retry budget
 /// exhausted) and reports each step it took.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Tier {
     /// Compile the emitted C natively and run the result.
     NativeRun,
@@ -45,7 +46,7 @@ impl fmt::Display for Tier {
 }
 
 /// Why the service stepped down from a tier.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DegradeReason {
     /// The C compiler could not be spawned (missing, or transient spawn
     /// failures exhausted the retry budget).
@@ -164,8 +165,9 @@ impl fmt::Display for RequestTrace {
     }
 }
 
-/// Per-request options.
-#[derive(Clone, Debug)]
+/// Per-request options. Every field shapes the response, so every field
+/// is part of the request's cache key (the derived `Hash`).
+#[derive(Clone, Hash, Debug)]
 pub struct ServeOptions {
     /// Highest tier the caller wants (the service may degrade below it,
     /// never above it).
@@ -205,7 +207,7 @@ pub struct ServeRequest {
 
 /// Summary of an execution (native or interpreted): enough to compare
 /// runs without caching whole tensors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ExecSummary {
     /// Total tensor elements produced.
     pub elems: usize,

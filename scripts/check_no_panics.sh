@@ -3,19 +3,19 @@
 # autotuner replay can reach: no
 # panic!/unreachable!/todo!/unwrap()/expect()
 # on any library path of the exo-cursors, exo-core, exo-codegen,
-# exo-autotune, exo-guard, exo-serve and exo-obs crates (every file under
-# their `src/`, so a new file is guarded by default), of
+# exo-autotune, exo-guard and exo-obs crates (every file under their
+# `src/`, so a new file is guarded by default), of
 # machine::{isa,cache,hostcaps}, and of the two exo-lib modules request
 # scripts reach (record, vectorize). Only the library portion of each file
 # is scanned (everything outside its `#[cfg(test)]` module); doc-comment
-# and comment lines are ignored. exo-analysis and exo-ir are not listed:
-# they carry the same contract as `#![deny(clippy::unwrap_used, ...)]` in
-# their lib.rs, which `cargo clippy -- -D warnings` enforces.
+# and comment lines are ignored. exo-analysis, exo-ir and exo-serve are not
+# listed: they carry the same contract as `#![deny(clippy::unwrap_used,
+# ...)]` in their lib.rs, which `cargo clippy -- -D warnings` enforces.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FILES=(
-  crates/{cursors,core,codegen,autotune,guard,serve,obs}/src/*.rs
+  crates/{cursors,core,codegen,autotune,guard,obs}/src/*.rs
   crates/machine/src/{isa,cache,hostcaps}.rs
   crates/lib/src/{record,vectorize}.rs
 )
@@ -60,4 +60,4 @@ if [ "$status" -ne 0 ]; then
   echo "error: panicking constructs found on library paths (see above)" >&2
   exit 1
 fi
-echo "ok: no panic!/unwrap/expect on library paths in ${#FILES[@]} files (cursors, core, codegen, autotune, guard, serve, obs, machine::{isa,cache,hostcaps}, lib::{record,vectorize})"
+echo "ok: no panic!/unwrap/expect on library paths in ${#FILES[@]} files (cursors, core, codegen, autotune, guard, obs, machine::{isa,cache,hostcaps}, lib::{record,vectorize})"
