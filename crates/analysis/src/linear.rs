@@ -85,11 +85,6 @@ impl LinExpr {
         }
     }
 
-    /// A single variable with coefficient 1.
-    pub fn var(sym: impl Into<Sym>) -> Self {
-        LinExpr::atom(Atom::Var(sym.into()))
-    }
-
     fn atom(atom: Atom) -> Self {
         LinExpr {
             terms: vec![(atom, 1)],
@@ -192,13 +187,6 @@ impl LinExpr {
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
         let mut out = self.clone();
         out.add_scaled(other, -1);
-        out
-    }
-
-    /// Scales every coefficient and the constant by `k`.
-    pub fn scale(&self, k: i64) -> LinExpr {
-        let mut out = LinExpr::zero();
-        out.add_scaled(self, k);
         out
     }
 

@@ -85,9 +85,9 @@ fn reps_for(cycles: u64) -> u64 {
 ///
 /// With `native`, the unit is emitted in machine-intrinsic mode and
 /// timed as such whenever the host toolchain and CPU can build and run
-/// it ([`exo_machine::HostCaps`]); otherwise — non-stock intrinsics, a
-/// CPU without the `-m` features — it falls back to the portable scalar
-/// unit, so a batch never fails just because the host is modest.
+/// it ([`exo_machine::HostCaps`]); otherwise — a CPU without the `-m`
+/// features — it falls back to the portable scalar unit, so a batch
+/// never fails just because the host is modest.
 fn measure_one(
     toolchain: &Toolchain,
     proc: &Proc,
@@ -101,9 +101,7 @@ fn measure_one(
     if native {
         let n = emit_c(proc, registry, &CodegenOptions::native())
             .map_err(|e| format!("emitting `{}` (native): {e}", proc.name()))?;
-        if n.stock_toolchain
-            && (n.cflags.is_empty() || exo_machine::HostCaps::detect().supports_cflags(&n.cflags))
-        {
+        if n.cflags.is_empty() || exo_machine::HostCaps::detect().supports_cflags(&n.cflags) {
             unit = Some(n);
         }
     }

@@ -33,11 +33,6 @@ fn paper_kernels_match_their_golden_c() {
         let unit = emit_c(&w.proc, &w.registry, &CodegenOptions::native())
             .unwrap_or_else(|e| panic!("emitting `{}`: {e}", w.name));
         common::assert_matches_golden(w.name, &unit.code, &golden_c_path(file));
-        assert!(
-            unit.stock_toolchain,
-            "golden `{}` must be stock-compilable",
-            w.name
-        );
         if cc_available() {
             compile_check(&unit, w.name)
                 .unwrap_or_else(|e| panic!("golden `{}` does not compile: {e}", w.name));
@@ -66,7 +61,6 @@ fn every_scheduled_workload_emits_portable_c_that_agrees_with_the_interpreter() 
             "portable `{}` needs no cflags",
             w.name
         );
-        assert!(unit.stock_toolchain);
         if !cc_available() {
             continue;
         }

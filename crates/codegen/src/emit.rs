@@ -1,5 +1,5 @@
 //! The C emitter: from `exo_interp::lower`'s slot-indexed instruction
-//! vector to a self-contained C99 translation unit.
+//! tree to a self-contained C99 translation unit.
 //!
 //! The emitter deliberately consumes the **same lowered form the
 //! interpreter executes** rather than the statement tree: symbol
@@ -7,9 +7,8 @@
 //! and window pre-lowering are done once in `exo-interp::lower` and
 //! shared by both backends, so the C code indexes buffers with exactly
 //! the `AccessPlan`-style precomputed strides the slot executor uses.
-//! The flat `Loop`/`EndLoop` + `Branch`/`Jump` encoding is
-//! block-structured by construction, which lets the emitter re-emit
-//! structured `for`/`if` source from the flat vector.
+//! A lowered `Loop` or `If` owns its bodies, so each one emits as one
+//! `for` or `if` around its emitted bodies.
 
 use crate::mangle::{is_c_identifier, is_c_reserved, sanitize};
 use crate::{CUnit, CodegenError, CodegenOptions, Result};
@@ -194,7 +193,6 @@ pub(crate) struct UnitEmitter<'a> {
     need_string: bool,
     need_bool: bool,
     need_bound: bool,
-    stock_toolchain: bool,
 }
 
 impl<'a> UnitEmitter<'a> {
@@ -218,7 +216,6 @@ impl<'a> UnitEmitter<'a> {
             need_string: false,
             need_bool: false,
             need_bound: false,
-            stock_toolchain: true,
         }
     }
 
@@ -310,7 +307,7 @@ impl<'a> UnitEmitter<'a> {
             }
         }
         let mut callees: Vec<String> = Vec::new();
-        for inst in lowered.code() {
+        for inst in lowered.insts() {
             match inst {
                 LInst::Alloc { slot, dims, .. } => {
                     facts[*slot as usize] = Some(StrideFact {
@@ -376,7 +373,7 @@ impl<'a> UnitEmitter<'a> {
         self.emitting.push(name.clone());
         let lowered = lower(proc);
         // Emit callees first, in order of first appearance.
-        for inst in lowered.code() {
+        for inst in lowered.insts() {
             if let LInst::Call { callee, .. } = inst {
                 let callee_proc = self
                     .registry
@@ -507,7 +504,6 @@ impl<'a> UnitEmitter<'a> {
             name: root.to_string(),
             code: out,
             cflags: self.cflags.into_iter().collect(),
-            stock_toolchain: self.stock_toolchain,
         }
     }
 }
@@ -722,10 +718,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
 
     /// Fills in local slot representations (allocations, iterators,
     /// aliases) and records which dense arguments need stride constants.
-    /// The lowered code is in execution order, so every slot's binding
+    /// The pre-order walk is source order, so every slot's binding
     /// instruction precedes its uses.
     fn prepass(&mut self) -> Result<()> {
-        for inst in self.lp.code() {
+        for inst in self.lp.insts() {
             match inst {
                 LInst::Alloc { slot, ty, dims, .. } => {
                     if dims.is_empty() {
@@ -765,7 +761,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         // Second pass: which tensors are accessed by index or passed as
         // windows (and therefore need their strides)?
         let mut mark = Vec::new();
-        for inst in self.lp.code() {
+        for inst in self.lp.insts() {
             match inst {
                 LInst::Assign { buf, idx, rhs } | LInst::Reduce { buf, idx, rhs } => {
                     if !idx.is_empty() {
@@ -787,7 +783,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     mark_expr_strides(lo, &mut mark);
                     mark_expr_strides(hi, &mut mark);
                 }
-                LInst::Branch { cond, .. } => mark_expr_strides(cond, &mut mark),
+                LInst::If { cond, .. } => mark_expr_strides(cond, &mut mark),
                 LInst::WriteConfig { value, .. } => mark_expr_strides(value, &mut mark),
                 LInst::Call { args, .. } => {
                     for a in args.iter() {
@@ -1291,13 +1287,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         self.body.push('\n');
     }
 
-    /// Emits the half-open instruction range `[from, to)`, which is a
-    /// complete, balanced block by the lowering's construction.
-    fn emit_range(&mut self, from: usize, to: usize) -> Result<()> {
-        let code = self.lp.code();
-        let mut pc = from;
-        while pc < to {
-            match &code[pc] {
+    /// Emits one lowered block, recursing into loop and branch bodies.
+    fn emit_block(&mut self, block: &[LInst]) -> Result<()> {
+        for inst in block {
+            match inst {
                 LInst::Assign { buf, idx, rhs } => {
                     let slot = self.tensor_or_scalar_store(buf)?;
                     let rendered: Vec<CExpr> =
@@ -1305,7 +1298,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     let lhs = self.element(slot, &rendered)?;
                     let rhs = self.expr(rhs)?;
                     self.line(&format!("{lhs} = {};", rhs.s));
-                    pc += 1;
                 }
                 LInst::Reduce { buf, idx, rhs } => {
                     let slot = self.tensor_or_scalar_store(buf)?;
@@ -1314,7 +1306,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     let lhs = self.element(slot, &rendered)?;
                     let rhs = self.expr(rhs)?;
                     self.line(&format!("{lhs} += {};", rhs.s));
-                    pc += 1;
                 }
                 LInst::Alloc { slot, ty, dims, .. } => {
                     let name = self.names[*slot as usize].clone();
@@ -1336,13 +1327,12 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         self.line(&format!("{} {name}[{len}];", c_type(*ty)));
                         self.line(&format!("memset({name}, 0, sizeof {name});"));
                     }
-                    pc += 1;
                 }
                 LInst::Loop {
                     iter,
                     lo,
                     hi,
-                    end,
+                    body,
                     parallel,
                 } => {
                     let it = self.names[*iter as usize].clone();
@@ -1371,10 +1361,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     if hoist {
                         self.line("{");
                         self.indent += 1;
-                        self.line(&format!("const int64_t exo_hi_{pc} = {};", hi_c.s));
+                        self.line(&format!("const int64_t exo_hi_{iter} = {};", hi_c.s));
                     }
                     let bound = if hoist {
-                        format!("exo_hi_{pc}")
+                        format!("exo_hi_{iter}")
                     } else {
                         hi_c.at(61)
                     };
@@ -1392,63 +1382,37 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         lo_c.s
                     ));
                     self.indent += 1;
-                    self.emit_range(pc + 1, *end as usize)?;
+                    self.emit_block(body)?;
                     self.indent -= 1;
                     self.line("}");
                     if hoist {
                         self.indent -= 1;
                         self.line("}");
                     }
-                    pc = *end as usize + 1;
                 }
-                LInst::EndLoop { .. } => {
-                    return Err(CodegenError::Unsupported(
-                        "unbalanced loop in lowered code".to_string(),
-                    ))
-                }
-                LInst::Branch { cond, else_start } => {
+                LInst::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
                     let cond = self.expr(cond)?;
-                    let else_start = *else_start as usize;
-                    if else_start == 0 || else_start > code.len() {
-                        return Err(CodegenError::Unsupported(
-                            "malformed branch in lowered code".to_string(),
-                        ));
-                    }
-                    // The instruction before the else-branch is the jump
-                    // past it; its target closes the whole if.
-                    let LInst::Jump { to } = &code[else_start - 1] else {
-                        return Err(CodegenError::Unsupported(
-                            "malformed branch in lowered code".to_string(),
-                        ));
-                    };
-                    let end = *to as usize;
                     self.line(&format!("if ({}) {{", cond.s));
                     self.indent += 1;
-                    self.emit_range(pc + 1, else_start - 1)?;
+                    self.emit_block(then_body)?;
                     self.indent -= 1;
-                    if else_start < end {
+                    if !else_body.is_empty() {
                         self.line("} else {");
                         self.indent += 1;
-                        self.emit_range(else_start, end)?;
+                        self.emit_block(else_body)?;
                         self.indent -= 1;
                     }
                     self.line("}");
-                    pc = end;
-                }
-                LInst::Jump { .. } => {
-                    return Err(CodegenError::Unsupported(
-                        "malformed jump in lowered code".to_string(),
-                    ))
                 }
                 LInst::Call { callee, args } => {
                     let call = self.render_call(callee, args)?;
                     self.line(&call);
-                    pc += 1;
                 }
-                LInst::Pass => {
-                    self.line(";");
-                    pc += 1;
-                }
+                LInst::Pass => self.line(";"),
                 LInst::WriteConfig {
                     config,
                     field,
@@ -1457,7 +1421,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     let value = self.expr(value)?;
                     let var = self.config_var(config, field);
                     self.line(&format!("{var} = {};", value.s));
-                    pc += 1;
                 }
                 LInst::WindowBind { slot, rhs } => {
                     let (elem, rank) = self.window_shape(rhs)?;
@@ -1465,7 +1428,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     let lit = self.window_literal(rhs, rank, elem)?;
                     let sname = self.unit.win_struct(rank, elem);
                     self.line(&format!("struct {sname} {name} = {lit};"));
-                    pc += 1;
                 }
             }
         }
@@ -1760,9 +1722,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             for flag in &intr.cflags {
                 self.unit.cflags.insert(flag.clone());
             }
-            if !intr.stock_toolchain {
-                self.unit.stock_toolchain = false;
-            }
             let mut b = String::from(
                 "    /* machine intrinsic lowering (windows assumed unit-stride \
                  in the last dimension) */\n",
@@ -1774,7 +1733,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             }
             b
         } else {
-            self.emit_range(0, self.lp.code().len())?;
+            self.emit_block(self.lp.code())?;
             // Hoist the stride constants of indexed dense arguments — the
             // emitted mirror of the executor's `AccessPlan`. Only the
             // constants the body actually references are declared: a

@@ -43,6 +43,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod emit;
 mod mangle;
@@ -136,9 +147,6 @@ pub struct CUnit {
     pub code: String,
     /// Extra compiler flags the unit needs (`-mavx512f`, ...), sorted.
     pub cflags: Vec<String>,
-    /// Whether a stock C toolchain can compile the unit (false once a
-    /// non-stock intrinsic such as a Gemmini ROCC macro is emitted).
-    pub stock_toolchain: bool,
 }
 
 /// Errors raised by C emission.

@@ -31,8 +31,8 @@
 //!
 //! The crate is deliberately free of external dependencies (its only
 //! workspace dependency is the equally dependency-free `exo-obs`
-//! tracing substrate) and panic-free on all library paths
-//! (`scripts/check_no_panics.sh` enforces the latter).
+//! tracing substrate) and panic-free on all library paths (the clippy
+//! deny below enforces the latter).
 //! `exo-serve` re-exports it as `exo_serve::proc_guard`; `exo-codegen`'s
 //! differential harness and `exo-autotune`'s measurement workers consume
 //! it directly.
@@ -45,6 +45,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::any::Any;
 use std::fmt;

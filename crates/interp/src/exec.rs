@@ -3,10 +3,11 @@
 //! Two execution paths share one set of value/binding types:
 //!
 //! * [`Interpreter::run`] — the default, **lowered** path: the procedure
-//!   is first flattened by [`crate::lower::lower`] into a slot-indexed
-//!   instruction vector, then executed against dense `Vec`-backed frames
-//!   (no hashing, no `Sym` cloning, no reverse scope scans, no callee AST
-//!   clones). Lowered callees are cached inside the [`ProcRegistry`].
+//!   is first resolved by [`crate::lower::lower`] into a slot-indexed
+//!   instruction tree, then executed by one recursive walk over it
+//!   against dense `Vec`-backed frames (no hashing, no `Sym` cloning, no
+//!   reverse scope scans, no callee AST clones). Lowered callees are
+//!   cached inside the [`ProcRegistry`].
 //! * [`Interpreter::run_reference`] — the original tree-walking path with
 //!   a `HashMap`-scoped environment, kept as the semantic baseline for
 //!   differential tests.
@@ -144,14 +145,6 @@ struct BindStorage {
 /// Bound on the pooled callee frames and on the pooled binding storage.
 const POOL_CAP: usize = 64;
 
-/// One entry of the lowered executor's loop stack.
-struct LoopState {
-    cur: i64,
-    hi: i64,
-    iter: u32,
-    parallel: bool,
-}
-
 /// Tensor ranks up to this size evaluate their index vectors in stack
 /// storage on the hot access path; higher ranks (unseen in practice)
 /// fall back to a heap vector.
@@ -164,35 +157,38 @@ struct IndexBuf {
     heap: Vec<i64>,
 }
 
-/// Lexically-scoped environment (reference path only).
+/// Lexically-scoped environment (reference path only): the innermost
+/// scope, and the enclosing ones innermost last. Never without a scope
+/// to bind into.
 struct Env {
-    scopes: Vec<HashMap<Sym, Binding>>,
+    top: HashMap<Sym, Binding>,
+    outer: Vec<HashMap<Sym, Binding>>,
 }
 
 impl Env {
     fn new() -> Self {
         Env {
-            scopes: vec![HashMap::new()],
+            top: HashMap::new(),
+            outer: Vec::new(),
         }
     }
 
     fn push(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.outer.push(std::mem::take(&mut self.top));
     }
 
     fn pop(&mut self) {
-        self.scopes.pop();
+        self.top = self.outer.pop().unwrap_or_default();
     }
 
     fn bind(&mut self, sym: Sym, b: Binding) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(sym, b);
+        self.top.insert(sym, b);
     }
 
     fn lookup(&self, sym: &Sym) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(sym))
+        std::iter::once(&self.top)
+            .chain(self.outer.iter().rev())
+            .find_map(|s| s.get(sym))
     }
 }
 
@@ -206,15 +202,13 @@ pub struct InstProfile {
 }
 
 impl InstProfile {
-    const CLASSES: usize = 11;
+    const CLASSES: usize = 9;
     const NAMES: [&'static str; InstProfile::CLASSES] = [
         "assign",
         "reduce",
         "alloc",
         "loop",
-        "end-loop",
         "branch",
-        "jump",
         "call",
         "pass",
         "write-config",
@@ -227,13 +221,11 @@ impl InstProfile {
             LInst::Reduce { .. } => 1,
             LInst::Alloc { .. } => 2,
             LInst::Loop { .. } => 3,
-            LInst::EndLoop { .. } => 4,
-            LInst::Branch { .. } => 5,
-            LInst::Jump { .. } => 6,
-            LInst::Call { .. } => 7,
-            LInst::Pass => 8,
-            LInst::WriteConfig { .. } => 9,
-            LInst::WindowBind { .. } => 10,
+            LInst::If { .. } => 4,
+            LInst::Call { .. } => 5,
+            LInst::Pass => 6,
+            LInst::WriteConfig { .. } => 7,
+            LInst::WindowBind { .. } => 8,
         }
     }
 
@@ -243,7 +235,8 @@ impl InstProfile {
     }
 
     /// The count for one instruction class (stable lower-case name,
-    /// e.g. `"assign"`, `"end-loop"`); 0 for unknown names.
+    /// e.g. `"assign"`, `"loop"` once per loop executed, `"branch"` once
+    /// per `if` executed); 0 for unknown names.
     pub fn count(&self, class: &str) -> u64 {
         InstProfile::NAMES
             .iter()
@@ -319,8 +312,6 @@ pub struct Interpreter<'a> {
     loop_seq: u64,
     frame_pool: Vec<Frame>,
     bind_pool: Vec<BindStorage>,
-    /// Loop stack of the lowered executor, shared by nested bodies.
-    loops: Vec<LoopState>,
     /// Opt-in per-instruction-class counters; `None` keeps the counting
     /// branch off the hot loop.
     profile: Option<Box<InstProfile>>,
@@ -337,7 +328,6 @@ impl<'a> Interpreter<'a> {
             loop_seq: 0,
             frame_pool: Vec::new(),
             bind_pool: Vec::new(),
-            loops: Vec::new(),
             profile: None,
         }
     }
@@ -358,7 +348,7 @@ impl<'a> Interpreter<'a> {
 
     /// Runs `proc` with the given arguments, reporting events to `monitor`.
     ///
-    /// The procedure is lowered to a slot-indexed instruction vector first
+    /// The procedure is lowered to a slot-indexed instruction tree first
     /// (reusing the registry's cached lowering when `proc` is registered
     /// under its own name), then executed by the dense-frame executor.
     /// Generic over the monitor, so a concrete monitor's hooks inline into
@@ -399,7 +389,7 @@ impl<'a> Interpreter<'a> {
                 return Err(InterpError::AssertFailed(pred_str.clone()));
             }
         }
-        self.exec_lowered(&lowered, &mut frame, monitor)
+        self.exec_body(&lowered, &lowered.code, &mut frame, monitor)
     }
 
     /// Read access to the accumulated configuration-register state
@@ -504,33 +494,16 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Executes a lowered body against its frame. The loop stack is the
-    /// interpreter's own, shared by nested bodies: this body's entries sit
-    /// above `base` and are dropped on every way out.
-    fn exec_lowered<M: Monitor + ?Sized>(
+    /// Executes one lowered block against `lp`'s frame, recursing into
+    /// the bodies of loops and branches.
+    fn exec_body<M: Monitor + ?Sized>(
         &mut self,
         lp: &LoweredProc,
+        block: &[LInst],
         frame: &mut Frame,
         mon: &mut M,
     ) -> Result<()> {
-        let base = self.loops.len();
-        self.loops.reserve(lp.max_loop_depth);
-        let result = self.exec_code(lp, frame, mon, base);
-        self.loops.truncate(base);
-        result
-    }
-
-    /// The program-counter loop of [`Interpreter::exec_lowered`].
-    fn exec_code<M: Monitor + ?Sized>(
-        &mut self,
-        lp: &LoweredProc,
-        frame: &mut Frame,
-        mon: &mut M,
-        base: usize,
-    ) -> Result<()> {
-        let code = &lp.code;
-        let mut pc = 0usize;
-        while let Some(inst) = code.get(pc) {
+        for inst in block {
             if let Some(profile) = self.profile.as_deref_mut() {
                 profile.bump(inst);
             }
@@ -541,7 +514,6 @@ impl<'a> Interpreter<'a> {
                     }
                     let value = self.eval_l(lp, rhs, frame, mon)?.as_float();
                     self.store_l(lp, buf, idx, value, frame, mon)?;
-                    pc += 1;
                 }
                 LInst::Reduce { buf, idx, rhs } => {
                     if self.suppress == 0 {
@@ -553,7 +525,6 @@ impl<'a> Interpreter<'a> {
                         mon.on_scalar_op(BinOp::Add, DataType::F64);
                     }
                     self.store_l(lp, buf, idx, old + add, frame, mon)?;
-                    pc += 1;
                 }
                 LInst::Alloc {
                     slot,
@@ -577,13 +548,12 @@ impl<'a> Interpreter<'a> {
                     }
                     let view = self.alloc_buffer(sizes, *ty, mem.clone());
                     self.bind_tensor(frame, *slot, TensorBind::planned(view));
-                    pc += 1;
                 }
                 LInst::Loop {
                     iter,
                     lo,
                     hi,
-                    end,
+                    body,
                     parallel,
                 } => {
                     if self.suppress == 0 {
@@ -591,61 +561,36 @@ impl<'a> Interpreter<'a> {
                     }
                     let lo = self.eval_index(lp, lo, frame, mon)?;
                     let hi = self.eval_index(lp, hi, frame, mon)?;
-                    if lo < hi {
+                    for v in lo..hi {
                         if self.suppress == 0 {
                             mon.on_loop_iter(*parallel);
                         }
-                        frame[*iter as usize] = Some(Binding::Scalar(Value::Int(lo)));
-                        self.loops.push(LoopState {
-                            cur: lo,
-                            hi,
-                            iter: *iter,
-                            parallel: *parallel,
-                        });
-                        pc += 1;
-                    } else {
-                        pc = *end as usize + 1;
+                        frame[*iter as usize] = Some(Binding::Scalar(Value::Int(v)));
+                        self.exec_body(lp, body, frame, mon)?;
                     }
                 }
-                LInst::EndLoop { start } => {
-                    let Some(st) = self.loops.get_mut(base..).and_then(|own| own.last_mut()) else {
-                        return Err(InterpError::Malformed(
-                            "unbalanced loop in lowered code".into(),
-                        ));
-                    };
-                    st.cur += 1;
-                    if st.cur < st.hi {
-                        if self.suppress == 0 {
-                            mon.on_loop_iter(st.parallel);
-                        }
-                        frame[st.iter as usize] = Some(Binding::Scalar(Value::Int(st.cur)));
-                        pc = *start as usize + 1;
-                    } else {
-                        self.loops.pop();
-                        pc += 1;
-                    }
-                }
-                LInst::Branch { cond, else_start } => {
+                LInst::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
                     if self.suppress == 0 {
                         mon.on_stmt();
                         mon.on_branch();
                     }
                     let c = self.eval_l(lp, cond, frame, mon)?.as_bool()?;
-                    pc = if c { pc + 1 } else { *else_start as usize };
+                    self.exec_body(lp, if c { then_body } else { else_body }, frame, mon)?;
                 }
-                LInst::Jump { to } => pc = *to as usize,
                 LInst::Call { callee, args } => {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
                     self.exec_call_l(callee, args, lp, frame, mon)?;
-                    pc += 1;
                 }
                 LInst::Pass => {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
-                    pc += 1;
                 }
                 LInst::WriteConfig {
                     config,
@@ -660,7 +605,6 @@ impl<'a> Interpreter<'a> {
                         mon.on_config_write(config, field);
                     }
                     self.set_config(config, field, v);
-                    pc += 1;
                 }
                 LInst::WindowBind { slot, rhs } => {
                     if self.suppress == 0 {
@@ -668,13 +612,16 @@ impl<'a> Interpreter<'a> {
                     }
                     let t = self.bind_window(lp, rhs, frame, mon)?;
                     self.bind_tensor(frame, *slot, t);
-                    pc += 1;
                 }
             }
         }
         Ok(())
     }
 
+    /// Kept out of line: inlined into [`Interpreter::exec_body`], the
+    /// argument binding would enlarge the frame that every loop
+    /// iteration's recursive call sets up.
+    #[inline(never)]
     fn exec_call_l<M: Monitor + ?Sized>(
         &mut self,
         name: &str,
@@ -767,7 +714,7 @@ impl<'a> Interpreter<'a> {
                 )));
             }
         }
-        self.exec_lowered(lowered, frame, mon)
+        self.exec_body(lowered, &lowered.code, frame, mon)
     }
 
     /// Evaluates a lowered expression used as a tensor argument and plans
@@ -1615,8 +1562,7 @@ mod tests {
             (m * n) as u64,
             "one Reduce per inner iteration"
         );
-        assert!(profile.count("loop") >= m as u64, "{profile:?}");
-        assert!(profile.count("end-loop") >= (m * n) as u64, "{profile:?}");
+        assert_eq!(profile.count("loop"), 1 + m as u64, "{profile:?}");
         assert_eq!(profile.count("no-such-class"), 0);
         assert_eq!(
             profile.total(),

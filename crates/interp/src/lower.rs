@@ -1,5 +1,5 @@
-//! Lowering: from the `exo_ir` statement tree to a flat, slot-indexed
-//! instruction vector.
+//! Lowering: from the `exo_ir` statement tree to a slot-indexed
+//! instruction tree.
 //!
 //! The tree-walking interpreter resolved every [`exo_ir::Sym`] occurrence
 //! at run time by scanning a stack of `HashMap<Sym, Binding>` scopes —
@@ -7,9 +7,10 @@
 //! loop iteration. Lowering performs that resolution **once**: a single
 //! pre-order walk over a [`Proc`] assigns every *binding site* (argument,
 //! allocation, loop iterator, window alias) a dense frame slot, rewrites
-//! every symbol occurrence to its slot index, and flattens control flow
-//! into a linear [`LInst`] vector executed by a program counter (loops
-//! become `Loop`/`EndLoop` pairs, branches become `Branch`/`Jump`).
+//! every symbol occurrence to its slot index, and keeps the source's
+//! structure: an [`LInst::Loop`] or [`LInst::If`] owns its bodies. The
+//! executor and the C emitter both walk this one tree; neither needs a
+//! flat encoding of it.
 //!
 //! Because resolution is purely lexical and each binding site re-executes
 //! before any use on every loop iteration, a slot-indexed environment is
@@ -175,11 +176,9 @@ pub struct LArg {
     pub kind: LParamKind,
 }
 
-/// One flat instruction. `Loop`/`EndLoop` and `Branch`/`Jump` encode the
-/// structured control flow with absolute instruction indices. The
-/// encoding is block-structured by construction — every `Loop`'s body is
-/// the contiguous range `(loop_pc, end)` — which is what lets the C
-/// backend re-emit structured source from the flat vector.
+/// One lowered statement. Control flow is block-structured: a `Loop` or
+/// an `If` owns its bodies, so every consumer walks the same tree the
+/// source had, with symbols already resolved to slots.
 #[derive(Clone, Debug)]
 pub enum LInst {
     /// `buf[idx...] = rhs`.
@@ -211,8 +210,8 @@ pub enum LInst {
         /// Memory space.
         mem: Mem,
     },
-    /// Evaluates the bounds and either enters the body (next instruction)
-    /// or jumps past the matching `EndLoop` at index `end`.
+    /// Evaluates the bounds once, then runs `body` with the iterator bound
+    /// to each value of `lo..hi` in turn.
     Loop {
         /// Slot of the iterator.
         iter: u32,
@@ -220,29 +219,19 @@ pub enum LInst {
         lo: LExpr,
         /// Exclusive upper bound.
         hi: LExpr,
-        /// Index of the matching [`LInst::EndLoop`].
-        end: u32,
+        /// The loop body.
+        body: Box<[LInst]>,
         /// Whether iterations may execute in parallel.
         parallel: bool,
     },
-    /// Advances the innermost loop; jumps back to `start + 1` while
-    /// iterations remain.
-    EndLoop {
-        /// Index of the matching [`LInst::Loop`].
-        start: u32,
-    },
-    /// Falls through into the then-branch on true, jumps to `else_start`
-    /// on false.
-    Branch {
+    /// Runs `then_body` if `cond` holds, `else_body` otherwise.
+    If {
         /// Branch condition.
         cond: LExpr,
-        /// First instruction of the else-branch.
-        else_start: u32,
-    },
-    /// Unconditional jump (closes a then-branch).
-    Jump {
-        /// Jump target.
-        to: u32,
+        /// Statements run on true.
+        then_body: Box<[LInst]>,
+        /// Statements run on false (empty when the source had no else).
+        else_body: Box<[LInst]>,
     },
     /// A call to another procedure.
     Call {
@@ -271,9 +260,8 @@ pub enum LInst {
     },
 }
 
-/// A procedure lowered to a flat instruction vector with slot-resolved
-/// operands. Obtained from [`lower`]; executed by
-/// [`crate::Interpreter::run`].
+/// A procedure lowered to a tree of slot-resolved instructions. Obtained
+/// from [`lower`]; executed by [`crate::Interpreter::run`].
 #[derive(Clone, Debug)]
 pub struct LoweredProc {
     pub(crate) name: String,
@@ -282,10 +270,9 @@ pub struct LoweredProc {
     /// Precondition expressions paired with their source rendering (used
     /// verbatim in `AssertFailed` messages).
     pub(crate) preds: Vec<(LExpr, String)>,
-    pub(crate) code: Vec<LInst>,
+    pub(crate) code: Box<[LInst]>,
     /// Source name of each slot, for error messages.
     pub(crate) slot_names: Vec<String>,
-    pub(crate) max_loop_depth: usize,
 }
 
 impl LoweredProc {
@@ -300,14 +287,43 @@ impl LoweredProc {
         self.frame_size
     }
 
-    /// Number of flat instructions (including loop/branch bookkeeping).
+    /// Number of instructions at every depth: one per source statement.
     pub fn code_len(&self) -> usize {
-        self.code.len()
+        self.insts().count()
     }
 
-    /// The flat instruction vector.
+    /// The top-level body; loops and branches own their nested bodies.
     pub fn code(&self) -> &[LInst] {
         &self.code
+    }
+
+    /// Every instruction at every depth, in pre-order: a `Loop` before
+    /// its body, an `If` before its then-body, then its else-body. That
+    /// is source order, so each slot's binding instruction precedes its
+    /// uses.
+    pub fn insts(&self) -> impl Iterator<Item = &LInst> + '_ {
+        // Deep enough for every shipped nest: a walk allocates once.
+        let mut stack = Vec::with_capacity(8);
+        stack.push(self.code.iter());
+        std::iter::from_fn(move || loop {
+            let Some(inst) = stack.last_mut()?.next() else {
+                stack.pop();
+                continue;
+            };
+            match inst {
+                LInst::Loop { body, .. } => stack.push(body.iter()),
+                LInst::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    stack.push(else_body.iter());
+                    stack.push(then_body.iter());
+                }
+                _ => {}
+            }
+            return Some(inst);
+        })
     }
 
     /// The lowered parameters, in declaration order.
@@ -327,11 +343,6 @@ impl LoweredProc {
     pub fn slot_names(&self) -> &[String] {
         &self.slot_names
     }
-
-    /// Maximum loop nesting depth of the body.
-    pub fn max_loop_depth(&self) -> usize {
-        self.max_loop_depth
-    }
 }
 
 /// Lowers a procedure. Lowering never fails: symbols that are not in
@@ -342,9 +353,6 @@ pub fn lower(proc: &Proc) -> LoweredProc {
         slot_names: Vec::with_capacity(proc.binding_site_count()),
         scope: Vec::new(),
         marks: Vec::new(),
-        code: Vec::new(),
-        depth: 0,
-        max_depth: 0,
     };
     let mut args = Vec::with_capacity(proc.args().len());
     for arg in proc.args() {
@@ -361,7 +369,7 @@ pub fn lower(proc: &Proc) -> LoweredProc {
         .iter()
         .map(|p| (lw.lower_expr(p), p.to_string()))
         .collect();
-    lw.lower_block(proc.body().stmts());
+    let code = lw.lower_block(proc.body().stmts());
     debug_assert_eq!(
         lw.slot_names.len(),
         proc.binding_site_count(),
@@ -372,9 +380,8 @@ pub fn lower(proc: &Proc) -> LoweredProc {
         frame_size: lw.slot_names.len(),
         args,
         preds,
-        code: lw.code,
+        code,
         slot_names: lw.slot_names,
-        max_loop_depth: lw.max_depth,
     }
 }
 
@@ -384,9 +391,6 @@ struct Lowerer {
     scope: Vec<(Sym, u32)>,
     /// Scope boundaries (indices into `scope`).
     marks: Vec<usize>,
-    code: Vec<LInst>,
-    depth: usize,
-    max_depth: usize,
 }
 
 impl Lowerer {
@@ -485,32 +489,25 @@ impl Lowerer {
         }
     }
 
-    fn lower_block(&mut self, stmts: &[Stmt]) {
+    fn lower_block(&mut self, stmts: &[Stmt]) -> Box<[LInst]> {
         self.push_scope();
-        for s in stmts {
-            self.lower_stmt(s);
-        }
+        let block = stmts.iter().map(|s| self.lower_stmt(s)).collect();
         self.pop_scope();
+        block
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) {
+    fn lower_stmt(&mut self, stmt: &Stmt) -> LInst {
         match stmt {
-            Stmt::Assign { buf, idx, rhs } => {
-                let inst = LInst::Assign {
-                    buf: self.resolve(buf),
-                    idx: idx.iter().map(|i| self.lower_expr(i)).collect(),
-                    rhs: self.lower_expr(rhs),
-                };
-                self.code.push(inst);
-            }
-            Stmt::Reduce { buf, idx, rhs } => {
-                let inst = LInst::Reduce {
-                    buf: self.resolve(buf),
-                    idx: idx.iter().map(|i| self.lower_expr(i)).collect(),
-                    rhs: self.lower_expr(rhs),
-                };
-                self.code.push(inst);
-            }
+            Stmt::Assign { buf, idx, rhs } => LInst::Assign {
+                buf: self.resolve(buf),
+                idx: idx.iter().map(|i| self.lower_expr(i)).collect(),
+                rhs: self.lower_expr(rhs),
+            },
+            Stmt::Reduce { buf, idx, rhs } => LInst::Reduce {
+                buf: self.resolve(buf),
+                idx: idx.iter().map(|i| self.lower_expr(i)).collect(),
+                rhs: self.lower_expr(rhs),
+            },
             Stmt::Alloc {
                 name,
                 ty,
@@ -520,13 +517,12 @@ impl Lowerer {
                 // Dimensions resolve before the name is bound, so a
                 // self-referential allocation sees the outer binding.
                 let dims: Box<[LExpr]> = dims.iter().map(|d| self.lower_expr(d)).collect();
-                let slot = self.bind(name);
-                self.code.push(LInst::Alloc {
-                    slot,
+                LInst::Alloc {
+                    slot: self.bind(name),
                     ty: *ty,
                     dims,
                     mem: mem.clone(),
-                });
+                }
             }
             Stmt::For {
                 iter,
@@ -539,82 +535,52 @@ impl Lowerer {
                 let lo = self.lower_expr(lo);
                 let hi = self.lower_expr(hi);
                 self.push_scope();
-                let islot = self.bind(iter);
-                let loop_pc = self.code.len();
-                self.code.push(LInst::Loop {
-                    iter: islot,
+                let iter = self.bind(iter);
+                let body = self.lower_block(body.stmts());
+                self.pop_scope();
+                LInst::Loop {
+                    iter,
                     lo,
                     hi,
-                    end: 0, // patched below
+                    body,
                     parallel: *parallel,
-                });
-                self.depth += 1;
-                self.max_depth = self.max_depth.max(self.depth);
-                self.lower_block(body.stmts());
-                self.depth -= 1;
-                let end_pc = self.code.len();
-                self.code.push(LInst::EndLoop {
-                    start: loop_pc as u32,
-                });
-                if let LInst::Loop { end, .. } = &mut self.code[loop_pc] {
-                    *end = end_pc as u32;
                 }
-                self.pop_scope();
             }
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
-            } => {
-                let cond = self.lower_expr(cond);
-                let branch_pc = self.code.len();
-                self.code.push(LInst::Branch {
-                    cond,
-                    else_start: 0, // patched below
-                });
-                self.lower_block(then_body.stmts());
-                let jump_pc = self.code.len();
-                self.code.push(LInst::Jump { to: 0 }); // patched below
-                let else_start = self.code.len() as u32;
-                if let LInst::Branch { else_start: e, .. } = &mut self.code[branch_pc] {
-                    *e = else_start;
-                }
-                self.lower_block(else_body.stmts());
-                let end = self.code.len() as u32;
-                if let LInst::Jump { to } = &mut self.code[jump_pc] {
-                    *to = end;
-                }
-            }
-            Stmt::Call { proc, args } => {
-                let args: Box<[LCallArg]> = args
+            } => LInst::If {
+                cond: self.lower_expr(cond),
+                then_body: self.lower_block(then_body.stmts()),
+                else_body: self.lower_block(else_body.stmts()),
+            },
+            Stmt::Call { proc, args } => LInst::Call {
+                callee: proc.as_str().into(),
+                args: args
                     .iter()
                     .map(|a| LCallArg {
                         scalar: self.lower_expr(a),
                         window: self.lower_window(a),
                     })
-                    .collect();
-                self.code.push(LInst::Call {
-                    callee: proc.as_str().into(),
-                    args,
-                });
-            }
-            Stmt::Pass => self.code.push(LInst::Pass),
+                    .collect(),
+            },
+            Stmt::Pass => LInst::Pass,
             Stmt::WriteConfig {
                 config,
                 field,
                 value,
-            } => {
-                let inst = LInst::WriteConfig {
-                    config: config.name().into(),
-                    field: field.as_str().into(),
-                    value: self.lower_expr(value),
-                };
-                self.code.push(inst);
-            }
+            } => LInst::WriteConfig {
+                config: config.name().into(),
+                field: field.as_str().into(),
+                value: self.lower_expr(value),
+            },
             Stmt::WindowStmt { name, rhs } => {
                 let rhs = self.lower_window(rhs);
-                let slot = self.bind(name);
-                self.code.push(LInst::WindowBind { slot, rhs });
+                LInst::WindowBind {
+                    slot: self.bind(name),
+                    rhs,
+                }
             }
         }
     }
@@ -648,39 +614,55 @@ mod tests {
     }
 
     #[test]
-    fn loops_lower_to_balanced_loop_endloop_pairs() {
+    fn loops_own_their_bodies() {
         let lp = lower(&sample());
-        let loops = lp
-            .code
-            .iter()
-            .filter(|i| matches!(i, LInst::Loop { .. }))
-            .count();
-        let ends = lp
-            .code
-            .iter()
-            .filter(|i| matches!(i, LInst::EndLoop { .. }))
-            .count();
-        assert_eq!(loops, 1);
-        assert_eq!(ends, 1);
-        assert_eq!(lp.max_loop_depth, 1);
-        // The Loop's `end` field points at the EndLoop.
-        let end = lp
-            .code
-            .iter()
-            .position(|i| matches!(i, LInst::EndLoop { .. }))
-            .expect("has an EndLoop");
-        let start = lp
-            .code
-            .iter()
-            .position(|i| matches!(i, LInst::Loop { .. }))
-            .expect("has a Loop");
-        match (&lp.code[start], &lp.code[end]) {
-            (LInst::Loop { end: e, .. }, LInst::EndLoop { start: s }) => {
-                assert_eq!(*e as usize, end);
-                assert_eq!(*s as usize, start);
-            }
-            other => panic!("expected matching Loop/EndLoop, got {other:?}"),
-        }
+        let [LInst::Loop { iter, body, .. }] = lp.code() else {
+            panic!("expected one top-level loop, got {:?}", lp.code());
+        };
+        assert_eq!(lp.slot_names()[*iter as usize], "i");
+        assert!(matches!(
+            &body[..],
+            [
+                LInst::Alloc { .. },
+                LInst::Assign { .. },
+                LInst::Assign { .. }
+            ]
+        ));
+        // One instruction per source statement, in pre-order.
+        assert_eq!(lp.code_len(), 4);
+        assert!(matches!(lp.insts().next(), Some(LInst::Loop { .. })));
+    }
+
+    #[test]
+    fn branches_walk_then_before_else() {
+        let p = ProcBuilder::new("p")
+            .size_arg("n")
+            .tensor_arg("x", DataType::F32, vec![ib(2)], Mem::Dram)
+            .with_body(|b| {
+                b.if_else(
+                    Expr::lt(var("n"), ib(1)),
+                    |t| {
+                        t.assign("x", vec![ib(0)], fb(1.0));
+                    },
+                    |e| {
+                        e.assign("x", vec![ib(1)], fb(2.0));
+                        e.pass();
+                    },
+                );
+            })
+            .build();
+        let lp = lower(&p);
+        let kinds: Vec<&str> = lp
+            .insts()
+            .map(|i| match i {
+                LInst::If { .. } => "if",
+                LInst::Assign { .. } => "assign",
+                LInst::Pass => "pass",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(kinds, ["if", "assign", "assign", "pass"]);
+        assert_eq!(lp.code_len(), 4);
     }
 
     #[test]
@@ -722,8 +704,7 @@ mod tests {
         };
         let lp = lower(&p);
         let iters: Vec<u32> = lp
-            .code
-            .iter()
+            .insts()
             .filter_map(|i| match i {
                 LInst::Loop { iter, .. } => Some(*iter),
                 _ => None,
@@ -733,8 +714,7 @@ mod tests {
         assert_ne!(iters[0], iters[1], "each loop gets its own slot");
         // Each body's store index uses the matching iterator slot.
         let idx_slots: Vec<u32> = lp
-            .code
-            .iter()
+            .insts()
             .filter_map(|i| match i {
                 LInst::Assign { idx, .. } => match &idx[0] {
                     LExpr::Var(LBufRef::Slot(s)) => Some(*s),

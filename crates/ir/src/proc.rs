@@ -244,13 +244,12 @@ impl Proc {
     /// Returns a symbol `{base}_{n}` that does not occur anywhere in this
     /// procedure, choosing the smallest such `n ≥ 0`.
     ///
-    /// Unlike [`Sym::fresh`], which draws suffixes from a process-global
-    /// counter (so generated names depend on everything else the process
-    /// has scheduled), this is a pure function of the procedure: the same
-    /// procedure always yields the same fresh name. Scheduling libraries
-    /// use it (via `ProcHandle::fresh_name` in `exo-cursors`) so golden
-    /// pretty-print and golden `.c` files are independent of test order
-    /// and of how many schedules ran earlier in the process.
+    /// This is a pure function of the procedure: the same procedure
+    /// always yields the same fresh name, whatever else the process has
+    /// scheduled. Scheduling libraries use it (via
+    /// `ProcHandle::fresh_name` in `exo-cursors`) so golden pretty-print
+    /// and golden `.c` files are independent of test order and of how
+    /// many schedules ran earlier in the process.
     ///
     /// Callers that mint several names before inserting any of them must
     /// use distinct `base`s (the scheduling libraries do), since the
@@ -374,9 +373,7 @@ mod tests {
     #[test]
     fn fresh_sym_is_deterministic_and_collision_free() {
         let p = gemv();
-        // Same proc, same answer — independent of any global counter state.
-        Sym::fresh("noise");
-        Sym::fresh("noise");
+        // Same proc, same answer.
         assert_eq!(p.fresh_sym("tmp"), Sym::new("tmp_0"));
         assert_eq!(p.fresh_sym("tmp"), Sym::new("tmp_0"));
         // Occupied suffixes are skipped.

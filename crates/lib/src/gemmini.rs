@@ -99,7 +99,9 @@ pub fn gemmini_schedule(p: &ProcHandle) -> Result<ProcHandle> {
     let matmul = instrs
         .iter()
         .find(|i| i.name() == "do_matmul_acc_i8")
-        .expect("gemmini instruction set contains do_matmul_acc_i8");
+        .ok_or_else(|| {
+            SchedError::scheduling("no `do_matmul_acc_i8` among the Gemmini instructions")
+        })?;
     let ii = p.find_loop("ii")?;
     replace(&p, &ii, matmul)
 }

@@ -51,9 +51,14 @@ pub fn optimize_all_level_1(
         .iter()
         .map(|k| {
             let p = ProcHandle::new((k.build)(precision));
-            let loop_ = p.find_loop("i").expect("level-1 kernels have an i loop");
-            let opt = optimize_level_1(&p, &loop_, precision.dtype(), machine, 2)
-                .expect("optimize_level_1 never fails (it falls back to scalar)");
+            // Every level-1 kernel has an `i` loop, and `optimize_level_1`
+            // falls back to the scalar loop; either failing lists the
+            // kernel unscheduled.
+            let opt = p
+                .find_loop("i")
+                .ok()
+                .and_then(|loop_| optimize_level_1(&p, &loop_, precision.dtype(), machine, 2).ok())
+                .unwrap_or_else(|| p.clone());
             (p.name().to_string(), opt)
         })
         .collect()

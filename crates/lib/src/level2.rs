@@ -55,9 +55,13 @@ pub fn optimize_all_level_2(
         .iter()
         .map(|k| {
             let p = ProcHandle::new((k.build)(precision));
-            let outer = p.find_loop("i").expect("level-2 kernels have an i loop");
-            let opt = optimize_level_2_general(&p, &outer, precision.dtype(), machine, 4, 2)
-                .unwrap_or_else(|_| p.clone());
+            let opt = p
+                .find_loop("i")
+                .ok()
+                .and_then(|outer| {
+                    optimize_level_2_general(&p, &outer, precision.dtype(), machine, 4, 2).ok()
+                })
+                .unwrap_or_else(|| p.clone());
             (p.name().to_string(), opt)
         })
         .collect()

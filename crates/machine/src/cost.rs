@@ -189,6 +189,7 @@ impl Monitor for CostMonitor {
 /// # Panics
 /// Panics if interpretation fails (the benchmark harness treats a failing
 /// kernel as a bug, not a measurable outcome).
+#[allow(clippy::panic)]
 pub fn simulate(proc: &Proc, registry: &ProcRegistry, args: Vec<ArgValue>) -> SimReport {
     let mut monitor = CostMonitor::new(CostModel::default());
     let mut interp = Interpreter::new(registry);

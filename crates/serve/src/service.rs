@@ -622,10 +622,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     if chosen_flags.is_empty() {
         // The native unit's own flags decide, not the target's usual
         // ones: an AVX-512 unit on an AVX2-only host would die of SIGILL.
-        let fallback = if !unit.stock_toolchain {
-            // Intrinsics this toolchain cannot even compile (e.g. Gemmini).
-            Some("native unit needs a non-stock toolchain".to_string())
-        } else if !caps.supports_cflags(&unit.cflags) {
+        let fallback = if !caps.supports_cflags(&unit.cflags) {
             let missing: Vec<&str> = unit
                 .cflags
                 .iter()

@@ -3,9 +3,8 @@
 //! [`RequestTrace`] names every pipeline step with its outcome —
 //! including the full ladder native-run → compile-only → interp →
 //! verified-ir. With `exo-obs` capturing, the same requests export a
-//! valid Chrome trace, and capturing costs under 5 % of wall time.
+//! valid Chrome trace.
 
-use exo_codegen::difftest::{interp_outputs, synth_inputs};
 use exo_ir::{ib, var, Expr};
 use exo_kernels::{axpy, gemv, scal, Precision};
 use exo_lib::ScheduleScript;
@@ -16,7 +15,7 @@ use exo_serve::{
     ServeRequest, Tier,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -433,25 +432,24 @@ fn full_ladder_trace_walks_every_tier() {
 }
 
 /// The full-ladder request of [`full_ladder_trace_walks_every_tier`]
-/// followed by interpreter-tier requests on `seeds`, on a fresh service
-/// whose compiler is missing. Returns the latency summary at quiescence.
-fn ladder_and_interp_requests(seeds: std::ops::RangeInclusive<u64>) -> exo_obs::HistSummary {
+/// followed by one interpreter-tier request per kernel, on a fresh
+/// service whose compiler is missing. Returns the latency summary at
+/// quiescence.
+fn ladder_and_interp_requests() -> exo_obs::HistSummary {
     let service = service_with(Fault::CcMissing);
     let mut ladder = native_request();
     ladder.proc = ladder.proc.add_assertion(Expr::eq_(var("n"), ib(3)));
     assert_eq!(serve(&service, ladder).tier, Tier::VerifiedIr);
-    for seed in seeds {
-        for proc in [
-            gemv(Precision::Single, false),
-            axpy(Precision::Single),
-            scal(Precision::Single),
-        ] {
-            let mut req = native_request();
-            req.proc = proc;
-            req.options.tier = Tier::Interp;
-            req.options.input_seed = seed;
-            assert_eq!(serve(&service, req).tier, Tier::Interp);
-        }
+    for proc in [
+        gemv(Precision::Single, false),
+        axpy(Precision::Single),
+        scal(Precision::Single),
+    ] {
+        let mut req = native_request();
+        req.proc = proc;
+        req.options.tier = Tier::Interp;
+        req.options.input_seed = 1;
+        assert_eq!(serve(&service, req).tier, Tier::Interp);
     }
     service.stats().latency
 }
@@ -459,7 +457,7 @@ fn ladder_and_interp_requests(seeds: std::ops::RangeInclusive<u64>) -> exo_obs::
 #[test]
 fn traced_requests_export_a_valid_nested_chrome_trace() {
     let session = exo_obs::session();
-    let latency = ladder_and_interp_requests(1..=1);
+    let latency = ladder_and_interp_requests();
     let trace = session.finish();
     let check = exo_obs::validate_chrome_trace(&exo_obs::chrome_trace(&trace))
         .expect("the exported Chrome trace is valid JSON with well-nested spans");
@@ -481,52 +479,4 @@ fn traced_requests_export_a_valid_nested_chrome_trace() {
         latency.count >= 4 && latency.p50 <= latency.p99,
         "request latencies must aggregate monotonically: {latency:?}"
     );
-}
-
-/// Wall-clock gate (CI runs it alone, in release mode, with
-/// `cargo test --release -- --ignored`): capturing a trace costs under
-/// 5 % on the interpreter and on the service. Rounds alternate tracing
-/// off and on, so drift hits both states equally, and the fastest round
-/// of each state is compared: on a shared host noise only adds time.
-#[test]
-#[ignore = "wall-clock gate: run in release mode, not beside the parallel debug tests"]
-fn tracing_overhead_stays_under_five_percent() {
-    const ROUNDS: usize = 7;
-    let overhead_percent = |work: &mut dyn FnMut()| -> f64 {
-        work();
-        let (mut off, mut on) = (Vec::new(), Vec::new());
-        for _ in 0..ROUNDS {
-            exo_obs::disable();
-            let t = Instant::now();
-            work();
-            off.push(t.elapsed());
-            let session = exo_obs::session();
-            let t = Instant::now();
-            work();
-            on.push(t.elapsed());
-            drop(session.finish());
-        }
-        let fastest = |rounds: &[Duration]| rounds.iter().min().expect("rounds ran").as_secs_f64();
-        (fastest(&on) - fastest(&off)) / fastest(&off) * 100.0
-    };
-
-    let registry = exo_interp::ProcRegistry::new();
-    let interp = overhead_percent(&mut || {
-        for proc in [
-            gemv(Precision::Single, false),
-            axpy(Precision::Single),
-            scal(Precision::Single),
-        ] {
-            let inputs = synth_inputs(&proc, 1).expect("inputs synthesize");
-            for _ in 0..100 {
-                interp_outputs(&proc, &registry, &inputs).expect("the interpreter runs");
-            }
-        }
-    });
-    let serve = overhead_percent(&mut || {
-        ladder_and_interp_requests(1..=16);
-    });
-    eprintln!("tracing overhead: interp {interp:+.2}%, serve {serve:+.2}%");
-    assert!(interp < 5.0, "interp tracing overhead {interp:.2}% >= 5%");
-    assert!(serve < 5.0, "serve tracing overhead {serve:.2}% >= 5%");
 }
