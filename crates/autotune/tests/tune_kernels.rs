@@ -162,3 +162,40 @@ fn cost_only_fallback_reports_no_measurements() {
     assert!(report.fidelity.is_none());
     assert!(report.candidates.iter().all(|c| c.measured_ns.is_none()));
 }
+
+#[test]
+fn cost_only_funnels_and_cycle_sums_are_pinned() {
+    // The simulator's exactness as a workspace gate: for two tune seeds,
+    // how the search funnel splits and what the survivors simulate to.
+    // The numbers were computed by the per-element executor, before loops
+    // ran as strips; any change to what the executor reports moves them.
+    let pinned: [(u64, &str, [usize; 4], u64); 6] = [
+        (1, "sgemm", [200, 23, 133, 44], 33_243_868),
+        (1, "sgemv_n", [200, 58, 120, 20], 587_440),
+        (1, "blur2d", [200, 14, 137, 49], 3_588_228),
+        (2, "sgemm", [200, 28, 129, 43], 33_486_756),
+        (2, "sgemv_n", [200, 58, 119, 23], 677_152),
+        (2, "blur2d", [200, 15, 136, 49], 3_588_228),
+    ];
+    for (seed, name, funnel, cycles) in pinned {
+        let kernel = match name {
+            "sgemm" => sgemm(),
+            "sgemv_n" => gemv(Precision::Single, false),
+            _ => blur2d(),
+        };
+        let task = TuneTask::new(kernel, MachineModel::avx2(), 0.0);
+        let config = TuneConfig {
+            seed,
+            ..cost_only()
+        };
+        let report = tune(&task, &config).expect("the kernel tunes");
+        let got = [
+            report.sampled,
+            report.static_rejected,
+            report.illegal,
+            report.candidates.len(),
+        ];
+        let sum: u64 = report.candidates.iter().map(|c| c.cycles).sum();
+        assert_eq!((got, sum), (funnel, cycles), "`{name}` at tune seed {seed}");
+    }
+}

@@ -1334,6 +1334,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     hi,
                     body,
                     parallel,
+                    ..
                 } => {
                     let it = self.names[*iter as usize].clone();
                     let lo_c = self.expr(lo)?;

@@ -247,6 +247,17 @@ impl View {
         Some(buf.base_addr + lin as u64 * buf.elem_bytes())
     }
 
+    /// The element stride of the view's `dim`-th dimension: that of the
+    /// underlying dimension it exposes. 1 past the view's rank, like the
+    /// emitted C.
+    pub(crate) fn stride(&self, dim: usize) -> i64 {
+        let Some(&under) = self.kept.get(dim) else {
+            return 1;
+        };
+        let stride: usize = self.buf.borrow().dims.iter().skip(under + 1).product();
+        stride.max(1) as i64
+    }
+
     /// The memory space of the underlying buffer.
     pub fn mem(&self) -> Mem {
         self.buf.borrow().mem.clone()

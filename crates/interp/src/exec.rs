@@ -14,11 +14,21 @@
 //!
 //! Both paths are observationally identical: same buffer contents, same
 //! [`Monitor`] event sequence, same errors.
+//!
+//! A loop that lowering planned as a [`Strip`] runs as one pass: its accesses
+//! are resolved at the first and the last iteration with the same fold
+//! and plan every access uses, and the elements in between are reached
+//! by one offset step per access, with the per-element events, counts and
+//! results. When an endpoint does not resolve the loop runs element by
+//! element from its first iteration, which reports whatever is wrong
+//! exactly as it always did; the strip has executed and emitted nothing
+//! by then.
 
 use crate::buffer::{AccessPlan, ArgValue, BufferData, PlanDim, View, WindowDim};
 use crate::error::InterpError;
 use crate::lower::{
-    lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc,
+    lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
+    StripAccess, StripOp, MAX_STRIP_OPERANDS,
 };
 use crate::monitor::Monitor;
 use crate::registry::ProcRegistry;
@@ -231,7 +241,12 @@ impl InstProfile {
 
     #[inline]
     fn bump(&mut self, inst: &LInst) {
-        self.counts[InstProfile::class_of(inst)] += 1;
+        self.bump_by(inst, 1);
+    }
+
+    #[inline]
+    fn bump_by(&mut self, inst: &LInst, n: u64) {
+        self.counts[InstProfile::class_of(inst)] += n;
     }
 
     /// The count for one instruction class (stable lower-case name,
@@ -297,6 +312,100 @@ fn fold_index(expr: &LExpr, frame: &Frame) -> Option<i64> {
         }
         _ => None,
     }
+}
+
+/// One access of a running strip: its buffer, its element offset at the
+/// current iteration, and how far that offset moves per iteration.
+#[derive(Clone, Copy)]
+struct Cursor<'f> {
+    buf: &'f RefCell<BufferData>,
+    off: usize,
+    step: isize,
+}
+
+impl Cursor<'_> {
+    /// Reads the current element, reporting it like the per-element path.
+    #[inline]
+    fn read<M: Monitor + ?Sized>(&self, emit: bool, mon: &mut M) -> f64 {
+        let b = self.buf.borrow();
+        let value = b.data[self.off];
+        if emit {
+            let addr = b.base_addr + self.off as u64 * b.elem_bytes();
+            mon.on_read(&b.mem, addr, b.elem.size_bytes());
+        }
+        value
+    }
+
+    /// Writes the current element, reporting it like the per-element path.
+    #[inline]
+    fn write<M: Monitor + ?Sized>(&self, value: f64, emit: bool, mon: &mut M) {
+        let mut b = self.buf.borrow_mut();
+        if emit {
+            let addr = b.base_addr + self.off as u64 * b.elem_bytes();
+            mon.on_write(&b.mem, addr, b.elem.size_bytes());
+        }
+        b.data[self.off] = value;
+    }
+}
+
+/// The tensor a strip access names and its element offset at the
+/// iterator value `frame` binds; `None` for an unbound or unplanned
+/// tensor, an index the fold cannot settle, an arity mismatch or an
+/// out-of-bounds element.
+fn strip_offset<'f>(access: &StripAccess, frame: &'f Frame) -> Option<(&'f TensorBind, usize)> {
+    let Some(Binding::Tensor(t)) = &frame[access.buf as usize] else {
+        return None;
+    };
+    let mut scratch = [0; MAX_INLINE_RANK];
+    let idx = scratch.get_mut(..access.idx.len())?;
+    for (v, e) in idx.iter_mut().zip(access.idx.iter()) {
+        *v = fold_index(e, frame)?;
+    }
+    let lin = t.plan.as_ref()?.lin(idx)?;
+    (lin < t.view.buf.borrow().data.len()).then_some((t, lin))
+}
+
+/// The cursors of `strip`'s accesses over the iterations `first..=last`
+/// of slot `iter`, or `None` when an endpoint does not resolve (see
+/// [`strip_offset`]). Leaves `iter` bound to `first`.
+fn strip_cursors<'f>(
+    strip: &Strip,
+    iter: u32,
+    first: i64,
+    last: i64,
+    frame: &'f mut Frame,
+) -> Option<[Cursor<'f>; MAX_STRIP_OPERANDS]> {
+    frame[iter as usize] = Some(Binding::Scalar(Value::Int(last)));
+    let mut ends = [0; MAX_STRIP_OPERANDS];
+    for (end, access) in ends.iter_mut().zip(strip.accesses.iter()) {
+        *end = strip_offset(access, frame)?.1;
+    }
+    frame[iter as usize] = Some(Binding::Scalar(Value::Int(first)));
+    let frame: &'f Frame = frame;
+    let steps = last - first;
+    let cursor = |k: usize| {
+        let (t, off) = strip_offset(&strip.accesses[k], frame)?;
+        // Offsets are linear in the iterator, so the step divides exactly.
+        let step = match steps {
+            0 => 0,
+            _ => (ends[k] as i64 - off as i64) / steps,
+        };
+        Some(Cursor {
+            buf: &t.view.buf,
+            off,
+            step: step as isize,
+        })
+    };
+    let mut cursors = [cursor(0)?; MAX_STRIP_OPERANDS];
+    for (k, c) in cursors
+        .iter_mut()
+        .enumerate()
+        .take(strip.accesses.len())
+        .skip(1)
+    {
+        *c = cursor(k)?;
+    }
+    Some(cursors)
 }
 
 /// Executes object-language procedures against concrete buffers, reporting
@@ -373,9 +482,13 @@ impl<'a> Interpreter<'a> {
                 args.len()
             )));
         }
+        let unregistered;
         let lowered = match self.registry.lowered_if_registered(proc) {
             Some(lp) => lp,
-            None => Rc::new(lower(proc)),
+            None => {
+                unregistered = lower(proc);
+                &unregistered
+            }
         };
         let mut frame: Frame = vec![None; lowered.frame_size];
         for ((arg, value), larg) in proc.args().iter().zip(args).zip(&lowered.args) {
@@ -384,12 +497,12 @@ impl<'a> Interpreter<'a> {
         }
         // Check assertion preconditions.
         for (pred, pred_str) in &lowered.preds {
-            let v = self.eval_l(&lowered, pred, &frame, monitor)?;
+            let v = self.eval_l(lowered, pred, &frame, monitor)?;
             if !v.as_bool()? {
                 return Err(InterpError::AssertFailed(pred_str.clone()));
             }
         }
-        self.exec_body(&lowered, &lowered.code, &mut frame, monitor)
+        self.exec_body(lowered, &lowered.code, &mut frame, monitor)
     }
 
     /// Read access to the accumulated configuration-register state
@@ -555,12 +668,18 @@ impl<'a> Interpreter<'a> {
                     hi,
                     body,
                     parallel,
+                    strip,
                 } => {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
                     let lo = self.eval_index(lp, lo, frame, mon)?;
                     let hi = self.eval_index(lp, hi, frame, mon)?;
+                    if let Some(strip) = strip {
+                        if self.exec_strip(strip, body, *iter, lo..hi, *parallel, frame, mon) {
+                            continue;
+                        }
+                    }
                     for v in lo..hi {
                         if self.suppress == 0 {
                             mon.on_loop_iter(*parallel);
@@ -618,6 +737,102 @@ impl<'a> Interpreter<'a> {
         Ok(())
     }
 
+    /// Runs a loop planned as a [`Strip`] over `iters` as one pass, with
+    /// the events, instruction counts and buffer contents of the
+    /// per-element loop. Both endpoints of every access are resolved first
+    /// with the ordinary fold and plan; affinity puts every index's
+    /// extremes there, so the offsets in between are in bounds and step
+    /// evenly. Returns `false`, having executed and emitted nothing, when
+    /// an endpoint does not resolve, a scalar is not a float, or the loop
+    /// runs no iteration: the caller then runs the per-element loop,
+    /// which reports whatever went wrong exactly as before.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn exec_strip<M: Monitor + ?Sized>(
+        &mut self,
+        strip: &Strip,
+        body: &[LInst],
+        iter: u32,
+        iters: std::ops::Range<i64>,
+        parallel: bool,
+        frame: &mut Frame,
+        mon: &mut M,
+    ) -> bool {
+        let Some(trips) = iters.end.checked_sub(iters.start).filter(|&t| t > 0) else {
+            return false;
+        };
+        let mut scalars = [0.0; MAX_STRIP_OPERANDS];
+        for (value, &slot) in scalars.iter_mut().zip(strip.scalars.iter()) {
+            match frame[slot as usize] {
+                Some(Binding::Scalar(Value::Float(v))) => *value = v,
+                _ => return false,
+            }
+        }
+        let Some(mut cursors) = strip_cursors(strip, iter, iters.start, iters.end - 1, frame)
+        else {
+            return false;
+        };
+        let n = strip.accesses.len();
+        if let Some(profile) = self.profile.as_deref_mut() {
+            profile.bump_by(&body[0], trips as u64);
+        }
+        let emit = self.suppress == 0;
+        let cursors = &mut cursors[..n];
+        for _ in 0..trips {
+            if emit {
+                mon.on_loop_iter(parallel);
+                mon.on_stmt();
+            }
+            let mut stack = [0.0; MAX_STRIP_OPERANDS];
+            let mut sp = 0;
+            for op in strip.rhs.iter() {
+                match *op {
+                    StripOp::Read(k) => {
+                        stack[sp] = cursors[k].read(emit, mon);
+                        sp += 1;
+                    }
+                    StripOp::Float(v) => {
+                        stack[sp] = v;
+                        sp += 1;
+                    }
+                    StripOp::Scalar(k) => {
+                        stack[sp] = scalars[k];
+                        sp += 1;
+                    }
+                    StripOp::Neg => stack[sp - 1] = -stack[sp - 1],
+                    StripOp::Bin(op) => {
+                        sp -= 1;
+                        if emit {
+                            mon.on_scalar_op(op, DataType::F64);
+                        }
+                        let (a, b) = (stack[sp - 1], stack[sp]);
+                        stack[sp - 1] = match op {
+                            BinOp::Add => a + b,
+                            BinOp::Sub => a - b,
+                            BinOp::Mul => a * b,
+                            _ => a / b,
+                        };
+                    }
+                }
+            }
+            let dest = &cursors[n - 1];
+            let value = if strip.reduce {
+                let old = dest.read(emit, mon);
+                if emit {
+                    mon.on_scalar_op(BinOp::Add, DataType::F64);
+                }
+                old + stack[0]
+            } else {
+                stack[0]
+            };
+            dest.write(value, emit, mon);
+            for c in cursors.iter_mut() {
+                c.off = c.off.wrapping_add_signed(c.step);
+            }
+        }
+        true
+    }
+
     /// Kept out of line: inlined into [`Interpreter::exec_body`], the
     /// argument binding would enlarge the frame that every loop
     /// iteration's recursive call sets up.
@@ -631,10 +846,7 @@ impl<'a> Interpreter<'a> {
         mon: &mut M,
     ) -> Result<()> {
         let registry: &'a ProcRegistry = self.registry;
-        let callee = registry
-            .get(name)
-            .ok_or_else(|| InterpError::UnknownProc(name.to_string()))?;
-        let Some(lowered) = registry.lowered_for(name) else {
+        let Some((callee, lowered)) = registry.lowered_for(name) else {
             return Err(InterpError::UnknownProc(name.to_string()));
         };
         if args.len() != lowered.args.len() {
@@ -653,7 +865,7 @@ impl<'a> Interpreter<'a> {
             self.suppress += 1;
         }
         let mut frame = self.take_frame(lowered.frame_size);
-        let result = self.call_body_l(name, &lowered, args, caller, caller_frame, &mut frame, mon);
+        let result = self.call_body_l(name, lowered, args, caller, caller_frame, &mut frame, mon);
         self.release_frame(frame);
         if suppress_inner {
             self.suppress -= 1;
@@ -965,10 +1177,7 @@ impl<'a> Interpreter<'a> {
                 }
             }
             LExpr::Stride { buf, dim } => {
-                let t = tensor_at(lp, buf, frame)?;
-                let b = t.view.buf.borrow();
-                let stride: usize = b.dims.iter().skip(dim + 1).product();
-                Ok(Value::Int(stride.max(1) as i64))
+                Ok(Value::Int(tensor_at(lp, buf, frame)?.view.stride(*dim)))
             }
             LExpr::ReadConfig { config, field } => {
                 Ok(Value::Float(self.config(config, field).unwrap_or(0.0)))
@@ -1369,15 +1578,10 @@ impl<'a> Interpreter<'a> {
                     UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
                 }
             }
-            Expr::Stride { buf, dim } => {
-                let view = match env.lookup(buf) {
-                    Some(Binding::Tensor(t)) => t.view.clone(),
-                    _ => return Err(InterpError::Unbound(buf.name().to_string())),
-                };
-                let b = view.buf.borrow();
-                let stride: usize = b.dims.iter().skip(dim + 1).product();
-                Ok(Value::Int(stride.max(1) as i64))
-            }
+            Expr::Stride { buf, dim } => match env.lookup(buf) {
+                Some(Binding::Tensor(t)) => Ok(Value::Int(t.view.stride(*dim))),
+                _ => Err(InterpError::Unbound(buf.name().to_string())),
+            },
             Expr::ReadConfig { config, field } => Ok(Value::Float(
                 self.config(config.name(), field).unwrap_or(0.0),
             )),
@@ -1748,6 +1952,40 @@ mod tests {
         // A different body under the same name must not reuse the cache.
         let other = ProcBuilder::new("gemv").size_arg("M").build();
         assert!(registry.lowered_if_registered(&other).is_none());
+    }
+
+    #[test]
+    fn a_re_registered_name_runs_its_new_body() {
+        let fill = |value: f64| {
+            ProcBuilder::new("fill")
+                .tensor_arg("x", DataType::F32, vec![ib(1)], Mem::Dram)
+                .with_body(|b| {
+                    b.assign("x", vec![ib(0)], fb(value));
+                })
+                .build()
+        };
+        let caller = ProcBuilder::new("caller")
+            .tensor_arg("x", DataType::F32, vec![ib(1)], Mem::Dram)
+            .with_body(|b| {
+                b.call("fill", vec![var("x")]);
+            })
+            .build();
+        let mut registry = ProcRegistry::new();
+        registry.register(fill(1.0)).register(caller.clone());
+        let run = |registry: &ProcRegistry, p: &Proc| {
+            let (x, x_arg) = ArgValue::zeros(vec![1], DataType::F32);
+            Interpreter::new(registry)
+                .run(p, vec![x_arg], &mut NullMonitor)
+                .unwrap();
+            let value = x.borrow().data[0];
+            value
+        };
+        // Both a call and a top-level run lower (and cache) the first body.
+        assert_eq!(run(&registry, &caller), 1.0);
+        assert_eq!(run(&registry, &fill(1.0)), 1.0);
+        registry.register(fill(2.0));
+        assert_eq!(run(&registry, &caller), 2.0);
+        assert_eq!(run(&registry, &fill(2.0)), 2.0);
     }
 
     #[test]

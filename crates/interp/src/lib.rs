@@ -46,7 +46,7 @@ pub use buffer::{ArgValue, BufRef, BufferData, View};
 pub use error::InterpError;
 pub use exec::{InstProfile, Interpreter};
 pub use lower::{
-    lower, LArg, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc,
+    lower, LArg, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
 };
 pub use monitor::{CountingMonitor, Monitor, NullMonitor};
 pub use registry::ProcRegistry;

@@ -19,6 +19,13 @@
 //! [`LBufRef::Unbound`] marker that raises [`crate::InterpError::Unbound`]
 //! only if it is actually evaluated, preserving error timing.
 //!
+//! Lowering also decides, once per loop, whether the executor may run it
+//! as a [`Strip`]: an innermost loop whose one statement's indices are
+//! affine in the iterator and whose right-hand side is float-only. The
+//! plan rides on [`LInst::Loop`] as a field, so the tree keeps one
+//! instruction per source statement and the emitter, which ignores it,
+//! prints the same C.
+//!
 //! Lowered procedures are cached per callee name inside
 //! [`crate::ProcRegistry`] (see [`crate::ProcRegistry::register`] for the
 //! invalidation contract), so the hot instruction procedures of a kernel
@@ -223,6 +230,10 @@ pub enum LInst {
         body: Box<[LInst]>,
         /// Whether iterations may execute in parallel.
         parallel: bool,
+        /// Set when the body is one affine float statement (see
+        /// [`Strip`]); the executor then runs the loop as one pass.
+        /// Backends that emit code ignore it.
+        strip: Option<Box<Strip>>,
     },
     /// Runs `then_body` if `cond` holds, `else_body` otherwise.
     If {
@@ -258,6 +269,193 @@ pub enum LInst {
         /// The window it aliases.
         rhs: LWindow,
     },
+}
+
+/// Most buffer accesses (the destination included), most scalar
+/// variables, and most values held at once by one strip's evaluation.
+pub(crate) const MAX_STRIP_OPERANDS: usize = 8;
+
+/// The plan of a loop whose body runs as one resolved pass: an innermost
+/// loop whose body is one `Assign` or `Reduce` with
+///
+/// * every index *affine in the iterator*: built from integer literals,
+///   slot variables, `+`, `-`, and `*` with at most one side mentioning
+///   the iterator; `/` and `%` only over subterms that do not mention it;
+///   no `Read`;
+/// * a *float-only* right-hand side: reads, float literals, scalar
+///   variables, `+ - * /` and unary `-`.
+///
+/// Every subterm of such an index is then a linear function of the
+/// iterator, so an access's element offset is too, and its extremes (and
+/// any overflow or out-of-bounds index) fall at the first or the last
+/// iteration. The executor checks both endpoints with the ordinary fold
+/// and plan and, if both resolve, steps one offset per access instead of
+/// re-evaluating indices per element. Anything the endpoints cannot
+/// settle runs the loop element by element instead.
+#[derive(Clone, Debug)]
+pub struct Strip {
+    /// Every buffer access of the body in evaluation order: the
+    /// right-hand side's reads, then the destination.
+    pub(crate) accesses: Box<[StripAccess]>,
+    /// Frame slots of the scalar variables the right-hand side reads.
+    pub(crate) scalars: Box<[u32]>,
+    /// The right-hand side in postfix order.
+    pub(crate) rhs: Box<[StripOp]>,
+    /// Whether the body is a `Reduce`.
+    pub(crate) reduce: bool,
+}
+
+/// One buffer access of a strip.
+#[derive(Clone, Debug)]
+pub(crate) struct StripAccess {
+    /// Frame slot of the buffer.
+    pub(crate) buf: u32,
+    /// One index expression per dimension, affine in the iterator.
+    pub(crate) idx: Box<[LExpr]>,
+}
+
+/// One step of a strip's postfix right-hand side.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum StripOp {
+    /// Pushes the element of access `k` at the current iteration.
+    Read(usize),
+    /// Pushes a float literal.
+    Float(f64),
+    /// Pushes scalar variable `k` of [`Strip::scalars`].
+    Scalar(usize),
+    /// Pops two values, pushes `lhs op rhs`: one of `+ - * /`.
+    Bin(BinOp),
+    /// Negates the top value.
+    Neg,
+}
+
+impl Strip {
+    /// The plan of a loop over slot `iter` with `body`, if it is a strip.
+    fn of(iter: u32, body: &[LInst]) -> Option<Box<Strip>> {
+        let ([LInst::Assign { buf, idx, rhs }] | [LInst::Reduce { buf, idx, rhs }]) = body else {
+            return None;
+        };
+        let mut b = StripBuilder {
+            iter,
+            accesses: Vec::with_capacity(MAX_STRIP_OPERANDS),
+            scalars: Vec::new(),
+            rhs: Vec::with_capacity(2 * MAX_STRIP_OPERANDS),
+            depth: 0,
+        };
+        b.value(rhs)?;
+        b.access(buf, idx)?;
+        Some(Box::new(Strip {
+            // The indices are copied only once the loop is known to be one.
+            accesses: b
+                .accesses
+                .iter()
+                .map(|&(buf, idx)| StripAccess {
+                    buf,
+                    idx: idx.into(),
+                })
+                .collect(),
+            scalars: b.scalars.as_slice().into(),
+            rhs: b.rhs.as_slice().into(),
+            reduce: matches!(body, [LInst::Reduce { .. }]),
+        }))
+    }
+}
+
+struct StripBuilder<'a> {
+    iter: u32,
+    /// Buffer slot and indices of each access, in evaluation order.
+    accesses: Vec<(u32, &'a [LExpr])>,
+    scalars: Vec<u32>,
+    rhs: Vec<StripOp>,
+    /// Values the postfix code holds after the steps so far.
+    depth: usize,
+}
+
+impl<'a> StripBuilder<'a> {
+    fn push(&mut self, op: StripOp) -> Option<()> {
+        match op {
+            StripOp::Bin(_) => self.depth -= 1,
+            StripOp::Neg => {}
+            _ => {
+                self.depth += 1;
+                if self.depth > MAX_STRIP_OPERANDS {
+                    return None;
+                }
+            }
+        }
+        self.rhs.push(op);
+        Some(())
+    }
+
+    /// Appends the postfix code of a float-only value.
+    fn value(&mut self, e: &'a LExpr) -> Option<()> {
+        match e {
+            LExpr::Float(v) => self.push(StripOp::Float(*v)),
+            LExpr::Var(LBufRef::Slot(s)) if *s != self.iter => {
+                let k = match self.scalars.iter().position(|t| t == s) {
+                    Some(k) => k,
+                    None if self.scalars.len() < MAX_STRIP_OPERANDS => {
+                        self.scalars.push(*s);
+                        self.scalars.len() - 1
+                    }
+                    None => return None,
+                };
+                self.push(StripOp::Scalar(k))
+            }
+            LExpr::Read { buf, idx } => {
+                self.access(buf, idx)?;
+                self.push(StripOp::Read(self.accesses.len() - 1))
+            }
+            LExpr::Bin {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
+                lhs,
+                rhs,
+            } => {
+                self.value(lhs)?;
+                self.value(rhs)?;
+                self.push(StripOp::Bin(*op))
+            }
+            LExpr::Un { op: UnOp::Neg, arg } => {
+                self.value(arg)?;
+                self.push(StripOp::Neg)
+            }
+            _ => None,
+        }
+    }
+
+    /// Appends an access whose indices are affine in the iterator.
+    fn access(&mut self, buf: &LBufRef, idx: &'a [LExpr]) -> Option<()> {
+        let LBufRef::Slot(buf) = buf else {
+            return None;
+        };
+        if self.accesses.len() == MAX_STRIP_OPERANDS {
+            return None;
+        }
+        for i in idx {
+            affine_in(i, self.iter)?;
+        }
+        self.accesses.push((*buf, idx));
+        Some(())
+    }
+}
+
+/// Whether `e` mentions slot `iter`, if `e` is affine in it (see
+/// [`Strip`]); `None` otherwise.
+fn affine_in(e: &LExpr, iter: u32) -> Option<bool> {
+    match e {
+        LExpr::Int(_) => Some(false),
+        LExpr::Var(LBufRef::Slot(s)) => Some(*s == iter),
+        LExpr::Bin { op, lhs, rhs } => {
+            let (a, b) = (affine_in(lhs, iter)?, affine_in(rhs, iter)?);
+            match op {
+                BinOp::Add | BinOp::Sub => Some(a || b),
+                BinOp::Mul if !(a && b) => Some(a || b),
+                BinOp::Div | BinOp::Mod if !(a || b) => Some(false),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
 }
 
 /// A procedure lowered to a tree of slot-resolved instructions. Obtained
@@ -542,6 +740,7 @@ impl Lowerer {
                     iter,
                     lo,
                     hi,
+                    strip: Strip::of(iter, &body),
                     body,
                     parallel: *parallel,
                 }

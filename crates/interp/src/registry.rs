@@ -2,9 +2,8 @@
 
 use crate::lower::{lower, LoweredProc};
 use exo_ir::Proc;
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Maps procedure names to their definitions.
 ///
@@ -14,15 +13,26 @@ use std::rc::Rc;
 /// semantics in their bodies, so calling them is no different from calling
 /// ordinary procedures — except that monitors may charge them differently.
 ///
-/// The registry also memoizes the [`LoweredProc`] of each registered
-/// procedure (computed lazily on first call), so the hot instruction
-/// procedures of a kernel are lowered once per registration rather than
-/// re-traversed on every call. Re-registering a name invalidates its
-/// cached lowering.
+/// Each entry also memoizes its procedure's [`LoweredProc`] (computed
+/// lazily on first call), so the hot instruction procedures of a kernel
+/// are lowered once per registration rather than re-traversed on every
+/// call. The lowering lives in the entry it was computed from, so
+/// re-registering a name drops it with the definition it came from.
 #[derive(Clone, Debug, Default)]
 pub struct ProcRegistry {
-    procs: HashMap<String, Proc>,
-    lowered: RefCell<HashMap<String, Rc<LoweredProc>>>,
+    procs: HashMap<String, Entry>,
+}
+
+#[derive(Clone, Debug)]
+struct Entry {
+    proc: Proc,
+    lowered: OnceCell<LoweredProc>,
+}
+
+impl Entry {
+    fn lowered(&self) -> &LoweredProc {
+        self.lowered.get_or_init(|| lower(&self.proc))
+    }
 }
 
 impl ProcRegistry {
@@ -32,11 +42,14 @@ impl ProcRegistry {
     }
 
     /// Registers a procedure under its own name, replacing any previous
-    /// definition with the same name (and dropping that name's cached
-    /// lowering, so calls always execute the latest definition).
+    /// definition with the same name (and that definition's lowering, so
+    /// calls always execute the latest definition).
     pub fn register(&mut self, proc: Proc) -> &mut Self {
-        self.lowered.borrow_mut().remove(proc.name());
-        self.procs.insert(proc.name().to_string(), proc);
+        let entry = Entry {
+            proc,
+            lowered: OnceCell::new(),
+        };
+        self.procs.insert(entry.proc.name().to_string(), entry);
         self
     }
 
@@ -50,7 +63,7 @@ impl ProcRegistry {
 
     /// Looks up a procedure by name.
     pub fn get(&self, name: &str) -> Option<&Proc> {
-        self.procs.get(name)
+        self.procs.get(name).map(|e| &e.proc)
     }
 
     /// Whether a procedure with this name is registered.
@@ -70,34 +83,24 @@ impl ProcRegistry {
 
     /// Iterates over all registered procedures.
     pub fn iter(&self) -> impl Iterator<Item = &Proc> {
-        self.procs.values()
+        self.procs.values().map(|e| &e.proc)
     }
 
-    /// The cached lowering of the procedure registered under `name`,
-    /// lowering it now if this is the first request since registration.
-    /// Returns `None` for unregistered names.
-    pub(crate) fn lowered_for(&self, name: &str) -> Option<Rc<LoweredProc>> {
-        if let Some(lp) = self.lowered.borrow().get(name) {
-            return Some(lp.clone());
-        }
-        let proc = self.procs.get(name)?;
-        let lp = Rc::new(lower(proc));
-        self.lowered
-            .borrow_mut()
-            .insert(name.to_string(), lp.clone());
-        Some(lp)
+    /// The procedure registered under `name` and its lowering, lowering
+    /// it now if this is the first request since registration: one
+    /// lookup per call. Returns `None` for unregistered names.
+    pub(crate) fn lowered_for(&self, name: &str) -> Option<(&Proc, &LoweredProc)> {
+        let entry = self.procs.get(name)?;
+        Some((&entry.proc, entry.lowered()))
     }
 
     /// The cached lowering for a top-level procedure, provided the
     /// identical procedure is registered under its own name (the identity
     /// key: same name *and* structurally equal definition). Lets repeated
     /// `run` calls on a registered kernel skip re-lowering.
-    pub(crate) fn lowered_if_registered(&self, proc: &Proc) -> Option<Rc<LoweredProc>> {
-        let registered = self.procs.get(proc.name())?;
-        if registered != proc {
-            return None;
-        }
-        self.lowered_for(proc.name())
+    pub(crate) fn lowered_if_registered(&self, proc: &Proc) -> Option<&LoweredProc> {
+        let entry = self.procs.get(proc.name())?;
+        (entry.proc == *proc).then(|| entry.lowered())
     }
 }
 

@@ -13,12 +13,18 @@
 //! stream — empty bodies, zero-trip loops, bounds read from a buffer,
 //! shadowed iterators — and holds the lowered tree's executor to the
 //! reference walker event for event, and the emitted C to both.
+//!
+//! A third draws single-statement loops over buffers and windows, most of
+//! them strips (loops the executor runs as one resolved pass), many of
+//! them not quite — and holds the executor to the walker event for event,
+//! error for error, across the fallback to the per-element loop.
 
 use exo_codegen::difftest::{run_differential, DiffOutcome};
-use exo_interp::{ArgValue, Interpreter, Monitor, NullMonitor, ProcRegistry};
+use exo_interp::{lower, ArgValue, Interpreter, LInst, Monitor, NullMonitor, ProcRegistry};
 use exo_ir::{
     fb, ib, read, var, BinOp, Block, DataType, Expr, Mem, Proc, ProcBuilder, Stmt, WAccess,
 };
+use exo_machine::MachineModel;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -359,5 +365,283 @@ fn index_overflow_is_an_error_on_both_paths() {
             "`{e}`"
         );
         assert_eq!(Err(lowered), run(true), "`{e}`");
+    }
+}
+
+/// A tensor a strip program may name, with its rank.
+type Tensor = (&'static str, usize);
+
+/// An index of a strip's access: mostly
+/// affine in the iterator `i` (unit, negative and zero coefficients, the
+/// invariant `j` and `n / 2`), sometimes not (`i * i`, `i % 3`, a `Read`),
+/// sometimes an integer scalar.
+fn gen_strip_index(draw: &mut impl FnMut(u64) -> u64) -> Expr {
+    let at = |draw: &mut dyn FnMut(u64) -> u64| ib(draw(6) as i64);
+    match draw(24) {
+        0 => var("i") * var("i"),
+        1 => read("at", vec![ib(draw(3) as i64)]),
+        2 => var("i") % ib(3),
+        3 => var("n") / ib(2) + var("i"),
+        4 => at(draw) - var("i"),
+        5 => ib(-2) * var("i") + at(draw),
+        6 => var("j") + var("i") * ib(2),
+        7 => var("k"),
+        8 => at(draw),
+        9 => var("j"),
+        // One before, at or after the iterator: out of bounds at the
+        // first iteration, or only at the last one of a full sweep.
+        _ => var("i") + ib(draw(3) as i64 - 1),
+    }
+}
+
+/// An access of one of `tensors`, mostly with its rank's worth of indices.
+fn gen_strip_access(draw: &mut impl FnMut(u64) -> u64, tensors: &[Tensor]) -> (Tensor, Vec<Expr>) {
+    let t = tensors[draw(tensors.len() as u64) as usize];
+    let rank = match draw(24) {
+        0 => t.1 + 1,
+        1 => t.1.saturating_sub(1),
+        _ => t.1,
+    };
+    (t, (0..rank).map(|_| gen_strip_index(draw)).collect())
+}
+
+/// A right-hand side: mostly float-only, sometimes reading an integer
+/// scalar or the iterator.
+fn gen_strip_rhs(draw: &mut impl FnMut(u64) -> u64, depth: u32, tensors: &[Tensor]) -> Expr {
+    if depth == 0 || draw(3) == 0 {
+        return match draw(16) {
+            0 | 1 => fb([0.5, -3.0, 2.0][draw(3) as usize]),
+            2 | 3 => var("f"),
+            4 => var("k"),
+            5 => var("i"),
+            _ => {
+                let ((name, _), idx) = gen_strip_access(draw, tensors);
+                read(name, idx)
+            }
+        };
+    }
+    if draw(6) == 0 {
+        return -gen_strip_rhs(draw, depth - 1, tensors);
+    }
+    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][draw(4) as usize];
+    Expr::bin(
+        op,
+        gen_strip_rhs(draw, depth - 1, tensors),
+        gen_strip_rhs(draw, depth - 1, tensors),
+    )
+}
+
+/// A window on `A` (rank `rank`): each dimension a point or an interval
+/// at a small offset, some of them at the outer iterator `j`.
+fn gen_window(draw: &mut impl FnMut(u64) -> u64, rank: usize) -> (Expr, usize) {
+    let mut kept = 0;
+    let idx = (0..rank)
+        .map(|_| {
+            let lo = if draw(3) == 0 {
+                var("j")
+            } else {
+                ib(draw(2) as i64)
+            };
+            if draw(3) == 0 {
+                WAccess::Point(lo)
+            } else {
+                kept += 1;
+                WAccess::Interval(lo.clone(), lo + ib(3))
+            }
+        })
+        .collect();
+    let w = Expr::Window {
+        buf: "A".into(),
+        idx,
+    };
+    (w, kept)
+}
+
+/// A program around one drawn strip candidate:
+///
+/// ```text
+/// for j in 0..2:
+///     w0 = A[..]; w1 = A[..]      # two aliases of A
+///     for i in lo..hi:
+///         dst[..] (= | +=) rhs
+/// ```
+fn strip_proc(draw: &mut impl FnMut(u64) -> u64, a_dims: &[usize], b_dims: &[usize]) -> Proc {
+    let (w0, w0_rank) = gen_window(draw, a_dims.len());
+    let (w1, w1_rank) = gen_window(draw, a_dims.len());
+    let tensors = [
+        ("A", a_dims.len()),
+        ("B", b_dims.len()),
+        ("w0", w0_rank),
+        ("w1", w1_rank),
+    ];
+    let ((dst, _), dst_idx) = gen_strip_access(draw, &tensors);
+    let mut rhs = gen_strip_rhs(draw, 2, &tensors);
+    if draw(4) == 0 {
+        // The destination read one element along: a carried dependence.
+        let shifted = dst_idx.iter().map(|e| e.clone() + ib(1)).collect();
+        rhs = rhs + read(dst, shifted);
+    }
+    let lo = draw(2) as i64;
+    let hi = match draw(4) {
+        0 => var("n"),
+        _ => ib(lo + draw(6) as i64),
+    };
+    let reduce = draw(2) == 0;
+    let dims = |d: &[usize]| d.iter().map(|&e| ib(e as i64)).collect();
+    ProcBuilder::new("strip")
+        .size_arg("n")
+        .scalar_arg("f", DataType::F32)
+        .scalar_arg("k", DataType::F32)
+        .tensor_arg("A", DataType::F32, dims(a_dims), Mem::Dram)
+        .tensor_arg("B", DataType::F32, dims(b_dims), Mem::Dram)
+        .tensor_arg("at", DataType::F32, vec![ib(3)], Mem::Dram)
+        .for_("j", ib(0), ib(2), |b| {
+            b.push(Stmt::WindowStmt {
+                name: "w0".into(),
+                rhs: w0,
+            });
+            b.push(Stmt::WindowStmt {
+                name: "w1".into(),
+                rhs: w1,
+            });
+            b.for_("i", ib(lo), hi, |b| {
+                if reduce {
+                    b.reduce(dst, dst_idx, rhs);
+                } else {
+                    b.assign(dst, dst_idx, rhs);
+                }
+            });
+        })
+        .build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5000))]
+
+    #[test]
+    fn strips_agree_with_the_walker_event_for_event(seed in 1u64..u64::MAX) {
+        let mut draw = stream(seed);
+        let shape = |draw: &mut dyn FnMut(u64) -> u64| -> Vec<usize> {
+            (0..1 + draw(3)).map(|_| 3 + draw(5) as usize).collect()
+        };
+        let a_dims = shape(&mut draw);
+        let b_dims = shape(&mut draw);
+        let p = strip_proc(&mut draw, &a_dims, &b_dims);
+        let n = draw(7) as i64 - 1;
+        let k = draw(5) as i64 - 1;
+        let f = [1.5, -2.0, 0.25][draw(3) as usize];
+        let registry = ProcRegistry::new();
+        let run = |reference: bool| {
+            let fill = |dims: &[usize], scale: f64| {
+                let len: usize = dims.iter().product();
+                let data = (0..len).map(|v| v as f64 * scale).collect();
+                ArgValue::from_vec(data, dims.to_vec(), DataType::F32)
+            };
+            let (a, a_arg) = fill(&a_dims, 0.5);
+            let (b, b_arg) = fill(&b_dims, -1.0);
+            let (_, at) = ArgValue::from_vec(vec![1.0, 0.0, 2.0], vec![3], DataType::F32);
+            let args = vec![ArgValue::Int(n), ArgValue::Float(f), ArgValue::Int(k), a_arg, b_arg, at];
+            let mut interp = Interpreter::new(&registry);
+            let mut events = Recorder::default();
+            let result = if reference {
+                interp.run_reference(&p, args, &mut events)
+            } else {
+                interp.enable_profile();
+                interp.run(&p, args, &mut events)
+            };
+            let profiled = interp.take_profile().map(|prof| prof.total());
+            // Bit patterns: a division may leave a NaN.
+            let bits = |buf: &exo_interp::BufRef| -> Vec<u64> {
+                buf.borrow().data.iter().map(|v| v.to_bits()).collect()
+            };
+            let outputs = (bits(&a), bits(&b));
+            (result.map_err(|e| e.to_string()), outputs, events.0, profiled)
+        };
+        let (result, outputs, events, profiled) = run(false);
+        let reference = run(true);
+        prop_assert!(
+            (&result, &outputs, &events) == (&reference.0, &reference.1, &reference.2),
+            "n={} k={} f={}\n{}\nlowered {:?}\nreference {:?}",
+            n, k, f, p, (&result, &outputs, &events), reference
+        );
+        let stmts = events.iter().filter(|e| *e == "stmt").count() as u64;
+        prop_assert!(profiled == Some(stmts), "{:?} instructions, {} statements\n{}", profiled, stmts, p);
+    }
+}
+
+/// The loops the executor runs as one pass are the ones that dominate
+/// simulation: every vector instruction's body, and the innermost loop of
+/// an unscheduled kernel.
+#[test]
+fn instruction_bodies_and_scalar_sgemm_lower_to_strips() {
+    for machine in [MachineModel::avx2(), MachineModel::avx512()] {
+        for ty in [DataType::F32, DataType::F64] {
+            for p in machine.instructions(ty) {
+                assert!(
+                    matches!(lower(&p).code(), [LInst::Loop { strip: Some(_), .. }]),
+                    "`{}` on {} is not a strip",
+                    p.name(),
+                    machine.name
+                );
+            }
+        }
+    }
+    let sgemm = lower(&exo_kernels::sgemm());
+    let innermost: Vec<bool> = sgemm
+        .insts()
+        .filter_map(|inst| match inst {
+            LInst::Loop { body, strip, .. }
+                if !body.iter().any(|b| matches!(b, LInst::Loop { .. })) =>
+            {
+                Some(strip.is_some())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(innermost, [true]);
+}
+
+/// `stride(w, d)` of a window is the stride of the `d`-th dimension the
+/// window keeps — what the emitted C computes — not of the underlying
+/// buffer's `d`-th dimension; past the window's rank it is 1.
+#[test]
+fn stride_of_a_window_is_that_of_its_kept_dimension() {
+    let stride = |buf: &str, dim| Expr::Stride {
+        buf: buf.into(),
+        dim,
+    };
+    let p = ProcBuilder::new("p")
+        .tensor_arg("A", DataType::F32, vec![ib(4), ib(8)], Mem::Dram)
+        .tensor_arg("out", DataType::F32, vec![ib(3)], Mem::Dram)
+        .with_body(|b| {
+            b.push(Stmt::WindowStmt {
+                name: "w".into(),
+                rhs: Expr::Window {
+                    buf: "A".into(),
+                    idx: vec![WAccess::Point(ib(1)), WAccess::Interval(ib(0), ib(8))],
+                },
+            });
+            b.assign("out", vec![ib(0)], stride("w", 0));
+            b.assign("out", vec![ib(1)], stride("w", 1));
+            b.assign("out", vec![ib(2)], stride("A", 0));
+        })
+        .build();
+    let registry = ProcRegistry::new();
+    for reference in [false, true] {
+        let (_, a) = ArgValue::zeros(vec![4, 8], DataType::F32);
+        let (out, out_arg) = ArgValue::zeros(vec![3], DataType::F32);
+        let mut interp = Interpreter::new(&registry);
+        let args = vec![a, out_arg];
+        if reference {
+            interp.run_reference(&p, args, &mut NullMonitor)
+        } else {
+            interp.run(&p, args, &mut NullMonitor)
+        }
+        .expect("runs");
+        assert_eq!(out.borrow().data, [1.0, 1.0, 8.0], "reference: {reference}");
+    }
+    match run_differential(&p, &registry, 1) {
+        Ok(DiffOutcome::Agreed { .. } | DiffOutcome::Skipped(_)) => {}
+        Err(e) => panic!("{e}"),
     }
 }
