@@ -460,6 +460,8 @@ pub(crate) fn extremize(e: &Expr, ctx: &Context, maximize: bool) -> Option<Expr>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_ir::gen::int_expr;
+    use exo_ir::rng::Rng;
     use exo_ir::{ib, read, var};
 
     #[test]
@@ -563,57 +565,13 @@ mod tests {
         assert!(!prove_le(&var("n"), &e, &bare));
     }
 
-    /// xorshift64*, as in `tests/simplify_props.rs`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-        fn below(&mut self, n: u64) -> i64 {
-            (self.next() % n) as i64
-        }
-        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
-            from[(self.next() % from.len() as u64) as usize]
-        }
-    }
-
     const SYMS: [&str; 3] = ["io", "ii", "n"];
-
-    /// A random integer expression over `SYMS`: `+`, `-`, negation, `*`
-    /// (mostly by a constant) and `/`, `%` by 2, 4 or 8.
-    fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
-        if depth == 0 || rng.below(4) == 0 {
-            return match rng.below(2) {
-                0 => ib(rng.below(9) - 4),
-                _ => var(rng.pick(&SYMS)),
-            };
-        }
-        let sub = |rng: &mut Rng| random_expr(rng, depth - 1);
-        match rng.below(8) {
-            0 | 1 => sub(rng) + sub(rng),
-            2 => sub(rng) - sub(rng),
-            3 => sub(rng) * ib(rng.pick(&[-2, -1, 2, 4, 8])),
-            4 => sub(rng) * sub(rng),
-            5 => sub(rng) / ib(rng.pick(&[2, 4, 8])),
-            6 => sub(rng) % ib(rng.pick(&[2, 4, 8])),
-            _ => Expr::Un {
-                op: UnOp::Neg,
-                arg: Box::new(sub(rng)),
-            },
-        }
-    }
 
     /// A random context over `SYMS` — two iterator ranges and a positive
     /// `n` with one divisibility fact — and every assignment it admits.
     fn random_ctx(rng: &mut Rng) -> (Context, Vec<[i64; 3]>) {
-        let (io_hi, ii_hi) = (rng.below(4) + 1, rng.pick(&[2, 3, 4, 8]));
-        let k = rng.pick(&[2, 4, 8]);
+        let (io_hi, ii_hi) = (rng.range(1, 4), [2, 3, 4, 8][rng.below(4)]);
+        let k = [2, 4, 8][rng.below(3)];
         let mut ctx = Context::new();
         ctx.add_fact(&Expr::eq_(Expr::modulo(var("n"), ib(k)), ib(0)));
         ctx.add_fact(&Expr::bin(BinOp::Ge, var("n"), ib(k)));
@@ -628,29 +586,15 @@ mod tests {
         (ctx, admitted)
     }
 
-    /// Euclidean `/` and `%`, as the simplifier folds them.
+    /// `e` at an assignment to `SYMS`, with Euclidean `/` and `%` as the
+    /// simplifier folds them.
     fn eval(e: &Expr, env: &[i64; 3]) -> i64 {
-        match e {
-            Expr::Int(v) => *v,
-            Expr::Var(s) => SYMS
-                .iter()
+        let at = |s: &Sym| {
+            SYMS.iter()
                 .position(|name| s.name() == *name)
                 .map(|i| env[i])
-                .unwrap(),
-            Expr::Bin { op, lhs, rhs } => {
-                let (a, b) = (eval(lhs, env), eval(rhs, env));
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a.div_euclid(b),
-                    BinOp::Mod => a.rem_euclid(b),
-                    other => panic!("unexpected operator {other:?}"),
-                }
-            }
-            Expr::Un { op: UnOp::Neg, arg } => -eval(arg, env),
-            other => panic!("unexpected expression {other}"),
-        }
+        };
+        e.eval_int(&at).unwrap()
     }
 
     const SEEDS: std::ops::Range<u64> = 1..385;
@@ -658,9 +602,9 @@ mod tests {
     #[test]
     fn both_constructors_rebuild_an_equal_expression() {
         for seed in SEEDS {
-            let mut rng = Rng(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+            let mut rng = Rng::stream(seed, "prover");
             let (ctx, admitted) = random_ctx(&mut rng);
-            let e = random_expr(&mut rng, 4);
+            let e = int_expr(&mut rng, &SYMS, 4);
             let plain = LinExpr::from_expr(&e).to_expr();
             let reduced = LinExpr::in_context(&e, &ctx).to_expr();
             for env in &admitted {
@@ -682,11 +626,11 @@ mod tests {
     /// A pair `(a, b)` for the inequality provers: unrelated, or `b` a
     /// little above `a` so that a fair share is provable.
     fn random_pair(rng: &mut Rng) -> (Expr, Expr) {
-        let a = random_expr(rng, 3);
+        let a = int_expr(rng, &SYMS, 3);
         let b = match rng.below(3) {
-            0 => random_expr(rng, 3),
-            1 => a.clone() + random_expr(rng, 2),
-            _ => random_expr(rng, 2) + a.clone() + ib(rng.below(4)),
+            0 => int_expr(rng, &SYMS, 3),
+            1 => a.clone() + int_expr(rng, &SYMS, 2),
+            _ => int_expr(rng, &SYMS, 2) + a.clone() + ib(rng.range(0, 3)),
         };
         (a, b)
     }
@@ -695,7 +639,7 @@ mod tests {
     fn prove_le_is_sound_and_subsumes_the_context_prover() {
         let (mut proved, mut subsumed) = (0, 0);
         for seed in SEEDS {
-            let mut rng = Rng(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+            let mut rng = Rng::stream(seed, "prover");
             let (ctx, admitted) = random_ctx(&mut rng);
             let (a, b) = random_pair(&mut rng);
             let strong = prove_le(&a, &b, &ctx);

@@ -4,87 +4,18 @@
 //! facts in the context).
 
 use exo_analysis::{simplify_expr, simplify_predicate, simplify_with_binding, Context};
-use exo_ir::{ib, var, BinOp, Expr, Sym, UnOp};
+use exo_ir::gen::int_expr;
+use exo_ir::rng::Rng;
+use exo_ir::{ib, BinOp, Expr, Sym};
 use proptest::prelude::*;
 
 const VARS: [&str; 3] = ["io", "ii", "j"];
 
-/// Deterministic xorshift64* stream used to derive random trees and
-/// assignments from a single proptest-supplied seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// Random integer expression over `VARS`: +, -, *, negation, and
-/// division/modulo by a positive constant (the shapes the simplifier
-/// targets). Small constants keep evaluation far from i64 overflow.
-fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
-    if depth == 0 || rng.below(4) == 0 {
-        return match rng.below(2) {
-            0 => ib(rng.below(9) as i64 - 4),
-            _ => var(VARS[rng.below(VARS.len() as u64) as usize]),
-        };
-    }
-    match rng.below(6) {
-        0 => random_expr(rng, depth - 1) + random_expr(rng, depth - 1),
-        1 => random_expr(rng, depth - 1) - random_expr(rng, depth - 1),
-        2 => random_expr(rng, depth - 1) * ib(rng.below(5) as i64 - 2),
-        3 => random_expr(rng, depth - 1) / ib(rng.below(7) as i64 + 2),
-        4 => random_expr(rng, depth - 1) % ib(rng.below(7) as i64 + 2),
-        _ => Expr::Un {
-            op: UnOp::Neg,
-            arg: Box::new(random_expr(rng, depth - 1)),
-        },
-    }
-}
-
-/// Evaluate an integer expression under an assignment, with the same
-/// euclidean division/modulo semantics the simplifier folds with.
+/// `e` under an assignment, with the Euclidean `/` and `%` the
+/// simplifier folds with. Every generated expression has a value.
 fn eval(e: &Expr, env: &dyn Fn(&Sym) -> i64) -> i64 {
-    match e {
-        Expr::Int(v) => *v,
-        Expr::Var(s) => env(s),
-        Expr::Bin { op, lhs, rhs } => {
-            let (a, b) = (eval(lhs, env), eval(rhs, env));
-            match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a.div_euclid(b),
-                BinOp::Mod => a.rem_euclid(b),
-                other => panic!("unexpected integer operator {other:?}"),
-            }
-        }
-        Expr::Un { op: UnOp::Neg, arg } => -eval(arg, env),
-        other => panic!("unexpected expression {other}"),
-    }
-}
-
-fn eval_cmp(op: BinOp, a: i64, b: i64) -> bool {
-    match op {
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        other => panic!("unexpected comparison operator {other:?}"),
-    }
+    e.eval_int(&|s| Some(env(s)))
+        .unwrap_or_else(|| panic!("`{e}` has no value"))
 }
 
 proptest! {
@@ -95,12 +26,12 @@ proptest! {
     #[test]
     fn simplify_preserves_value_without_facts(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
-        let e = random_expr(&mut rng, 3);
+        let e = int_expr(&mut rng, &VARS, 3);
         let ctx = Context::new();
         let s = simplify_expr(&e, &ctx);
-        for trial in 0..8u64 {
-            let mut r = Rng::new(seed ^ (trial + 1).wrapping_mul(0x9e3779b97f4a7c15));
-            let vals: Vec<i64> = VARS.iter().map(|_| r.below(17) as i64 - 8).collect();
+        let mut r = Rng::stream(seed, "env");
+        for _ in 0..8 {
+            let vals: Vec<i64> = VARS.iter().map(|_| r.range(-8, 8)).collect();
             let env = |sym: &Sym| -> i64 {
                 VARS.iter().position(|v| sym.name() == *v).map(|i| vals[i]).unwrap()
             };
@@ -117,15 +48,15 @@ proptest! {
     #[test]
     fn simplify_preserves_value_under_range_facts(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
-        let e = random_expr(&mut rng, 3);
+        let e = int_expr(&mut rng, &VARS, 3);
         let mut ctx = Context::new();
         ctx.push_iter(Sym::new("ii"), ib(0), ib(8));
         let s = simplify_expr(&e, &ctx);
-        for trial in 0..8u64 {
-            let mut r = Rng::new(seed ^ (trial + 1).wrapping_mul(0x9e3779b97f4a7c15));
-            let io = r.below(17) as i64 - 8;
-            let ii = r.below(8) as i64; // consistent with the pushed range
-            let j = r.below(17) as i64 - 8;
+        let mut r = Rng::stream(seed, "env");
+        for _ in 0..8 {
+            let io = r.range(-8, 8);
+            let ii = r.range(0, 7); // consistent with the pushed range
+            let j = r.range(-8, 8);
             let env = |sym: &Sym| -> i64 {
                 match sym.name() {
                     "io" => io,
@@ -145,13 +76,13 @@ proptest! {
     #[test]
     fn binding_substitution_preserves_value(seed in any::<u64>(), bound in -8i64..9) {
         let mut rng = Rng::new(seed);
-        let e = random_expr(&mut rng, 3);
+        let e = int_expr(&mut rng, &VARS, 3);
         let ctx = Context::new();
         let s = simplify_with_binding(&e, &Sym::new("ii"), bound, &ctx);
-        for trial in 0..8u64 {
-            let mut r = Rng::new(seed ^ (trial + 1).wrapping_mul(0x9e3779b97f4a7c15));
-            let io = r.below(17) as i64 - 8;
-            let j = r.below(17) as i64 - 8;
+        let mut r = Rng::stream(seed, "env");
+        for _ in 0..8 {
+            let io = r.range(-8, 8);
+            let j = r.range(-8, 8);
             let env = |sym: &Sym| -> i64 {
                 match sym.name() {
                     "io" => io,
@@ -172,34 +103,28 @@ proptest! {
     #[test]
     fn decided_predicates_are_sound(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
-        let lhs = random_expr(&mut rng, 2);
-        let rhs = random_expr(&mut rng, 2);
+        let lhs = int_expr(&mut rng, &VARS, 2);
+        let rhs = int_expr(&mut rng, &VARS, 2);
         let op = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq, BinOp::Ne]
-            [rng.below(6) as usize];
-        let pred = Expr::Bin {
-            op,
-            lhs: Box::new(lhs.clone()),
-            rhs: Box::new(rhs.clone()),
-        };
+            [rng.below(6)];
+        let pred = Expr::bin(op, lhs, rhs);
         let mut ctx = Context::new();
         ctx.push_iter(Sym::new("ii"), ib(0), ib(8));
         ctx.push_iter(Sym::new("io"), ib(0), ib(4));
         ctx.push_iter(Sym::new("j"), ib(0), ib(16));
         if let Some(verdict) = simplify_predicate(&pred, &ctx) {
-            for trial in 0..8u64 {
-                let mut r = Rng::new(seed ^ (trial + 1).wrapping_mul(0x9e3779b97f4a7c15));
-                let io = r.below(4) as i64;
-                let ii = r.below(8) as i64;
-                let j = r.below(16) as i64;
-                let env = |sym: &Sym| -> i64 {
-                    match sym.name() {
-                        "io" => io,
-                        "ii" => ii,
-                        "j" => j,
-                        other => panic!("unexpected symbol {other}"),
-                    }
+            let mut r = Rng::stream(seed, "env");
+            for _ in 0..8 {
+                let io = r.range(0, 3);
+                let ii = r.range(0, 7);
+                let j = r.range(0, 15);
+                let env = |sym: &Sym| match sym.name() {
+                    "io" => Some(io),
+                    "ii" => Some(ii),
+                    "j" => Some(j),
+                    _ => None,
                 };
-                let actual = eval_cmp(op, eval(&lhs, &env), eval(&rhs, &env));
+                let actual = pred.eval_bool(&env).expect("a comparison of valued expressions");
                 prop_assert!(
                     actual == verdict,
                     "{pred} decided {verdict} but evaluates {actual} under io={io} ii={ii} j={j}"

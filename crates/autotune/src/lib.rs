@@ -93,8 +93,6 @@ pub struct TuneConfig {
     pub seed: u64,
     /// Maximum number of unique candidate scripts.
     pub budget: usize,
-    /// How many of the best-ranked candidates to compile and time.
-    pub top_k: usize,
     /// Whether to attempt wall-clock measurement at all (`false` forces
     /// cost-model-only ranking even when `cc` is available).
     pub measure: bool,
@@ -102,25 +100,19 @@ pub struct TuneConfig {
     pub threads: usize,
     /// Seed for input synthesis (shared by simulation and measurement).
     pub input_seed: u64,
-    /// Time candidates as machine-intrinsic (native) units when the host
-    /// toolchain and CPU support them, falling back per candidate to
-    /// portable scalar otherwise. Native timing is what makes the
-    /// fidelity score meaningful: portable scalar wall clock
-    /// systematically penalizes vectorized schedules the cost model
-    /// (correctly) prefers.
-    pub native: bool,
 }
+
+/// How many of the best-ranked candidates are compiled and timed.
+const TOP_K: usize = 8;
 
 impl Default for TuneConfig {
     fn default() -> Self {
         TuneConfig {
             seed: 0xE202,
             budget: 200,
-            top_k: 8,
             measure: true,
             threads: 4,
             input_seed: 1,
-            native: true,
         }
     }
 }
@@ -392,20 +384,14 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     let mut measure_errors: Vec<(usize, String)> = Vec::new();
     let mut fidelity = None;
     if cfg.measure {
-        let k = cfg.top_k.min(survivors.len());
+        let k = TOP_K.min(survivors.len());
         let batch: Vec<(Proc, u64)> = survivors[..k]
             .iter()
             .map(|(_, p, cycles)| (p.proc().clone(), *cycles))
             .collect();
         let times = {
             let _measure = exo_obs::span!("tune:measure", "{} candidates", batch.len());
-            measure::measure_batch(
-                &batch,
-                &task.machine,
-                cfg.input_seed,
-                cfg.threads,
-                cfg.native,
-            )
+            measure::measure_batch(&batch, &task.machine, cfg.input_seed, cfg.threads)
         };
         for (i, (cand, m)) in candidates.iter_mut().zip(&times).enumerate() {
             cand.measured_ns = m.nanos();

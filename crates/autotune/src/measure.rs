@@ -83,32 +83,31 @@ fn reps_for(cycles: u64) -> u64 {
 
 /// Measures one already-scheduled procedure: emit, compile, run, parse.
 ///
-/// With `native`, the unit is emitted in machine-intrinsic mode and
-/// timed as such whenever the host toolchain and CPU can build and run
-/// it ([`exo_machine::HostCaps`]); otherwise — a CPU without the `-m`
+/// The unit is emitted in machine-intrinsic mode and timed as such
+/// whenever the host toolchain and CPU can build and run it
+/// ([`exo_machine::HostCaps`]); otherwise — a CPU without the `-m`
 /// features — it falls back to the portable scalar unit, so a batch
-/// never fails just because the host is modest.
+/// never fails just because the host is modest. Native timing is what
+/// makes the fidelity score meaningful: portable scalar wall clock
+/// systematically penalizes vectorized schedules the cost model
+/// (correctly) prefers.
 fn measure_one(
     toolchain: &Toolchain,
     proc: &Proc,
     registry: &ProcRegistry,
     input_seed: u64,
     cycles: u64,
-    native: bool,
 ) -> Result<(f64, f64), String> {
     let _span = exo_obs::span!("tune:measure-candidate", "{}", proc.name());
-    let mut unit = None;
-    if native {
-        let n = emit_c(proc, registry, &CodegenOptions::native())
-            .map_err(|e| format!("emitting `{}` (native): {e}", proc.name()))?;
-        if n.cflags.is_empty() || exo_machine::HostCaps::detect().supports_cflags(&n.cflags) {
-            unit = Some(n);
-        }
-    }
-    let unit = match unit {
-        Some(u) => u,
-        None => emit_c(proc, registry, &CodegenOptions::portable())
-            .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?,
+    let native = emit_c(proc, registry, &CodegenOptions::native())
+        .map_err(|e| format!("emitting `{}` (native): {e}", proc.name()))?;
+    let unit = if native.cflags.is_empty()
+        || exo_machine::HostCaps::detect().supports_cflags(&native.cflags)
+    {
+        native
+    } else {
+        emit_c(proc, registry, &CodegenOptions::portable())
+            .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?
     };
     let inputs = synth_inputs(proc, input_seed)?;
     toolchain.time_kernel(&unit, proc, &inputs, reps_for(cycles))
@@ -121,8 +120,8 @@ fn measure_one(
 /// compiler is on `PATH`.
 ///
 /// Workers build their own [`ProcRegistry`] from `machine` — the
-/// registry's lowering cache is single-threaded by design (`Rc`). A
-/// candidate whose measurement panics is reported as
+/// registry's lowering cache (a `OnceCell` per entry) is single-threaded
+/// by design. A candidate whose measurement panics is reported as
 /// [`Measurement::Panicked`] (the worker rebuilds its registry, whose
 /// internal cache the unwind may have left mid-update, and continues).
 pub fn measure_batch(
@@ -130,14 +129,13 @@ pub fn measure_batch(
     machine: &MachineModel,
     input_seed: u64,
     threads: usize,
-    native: bool,
 ) -> Vec<Measurement> {
     if !cc_available() || procs.is_empty() {
         return vec![Measurement::Unavailable; procs.len()];
     }
     let toolchain = Toolchain::system();
     measure_batch_impl(procs, machine, threads, &|registry, _i, proc, cycles| {
-        measure_one(&toolchain, proc, registry, input_seed, cycles, native)
+        measure_one(&toolchain, proc, registry, input_seed, cycles)
     })
 }
 

@@ -10,87 +10,12 @@ use exo_codegen::difftest::{interp_outputs, synth_inputs};
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
-use exo_ir::{fb, ib, read, var, DataType, Expr, Mem, Proc, ProcBuilder};
+use exo_ir::gen::affine_kernel;
+use exo_ir::rng::Rng;
+use exo_ir::DataType;
 use exo_lib::apply_script;
 use exo_machine::MachineModel;
 use proptest::prelude::*;
-
-/// Deterministic xorshift64* stream.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// A random affine value over the 2-D inputs: `a[i+r, j+c]`, `b[j+c]`,
-/// small integer-valued float constants, and sums/differences/products,
-/// with bounded depth so every intermediate is exact in f32.
-fn random_value_expr(rng: &mut Rng, depth: usize) -> Expr {
-    if depth == 0 || rng.below(3) == 0 {
-        return match rng.below(3) {
-            0 => read(
-                "a",
-                vec![
-                    var("i") + ib(rng.below(2) as i64),
-                    var("j") + ib(rng.below(2) as i64),
-                ],
-            ),
-            1 => read("b", vec![var("j") + ib(rng.below(2) as i64)]),
-            _ => fb(rng.below(7) as f64 - 3.0),
-        };
-    }
-    let lhs = random_value_expr(rng, depth - 1);
-    let rhs = random_value_expr(rng, depth - 1);
-    match rng.below(3) {
-        0 => lhs + rhs,
-        1 => lhs - rhs,
-        _ => lhs * rhs,
-    }
-}
-
-/// A random doubly-nested affine kernel over padded inputs — enough loop
-/// structure for the genome's interchange/split/vectorize/stage menu to
-/// produce non-trivial scripts.
-fn random_kernel(rng: &mut Rng) -> Proc {
-    let rhs = random_value_expr(rng, 2);
-    let reduce = rng.below(2) == 0;
-    ProcBuilder::new("prop_search_kernel")
-        .size_arg("n")
-        .assert_(Expr::eq_(Expr::modulo(var("n"), ib(8)), ib(0)))
-        .assert_(Expr::bin(exo_ir::BinOp::Ge, var("n"), ib(8)))
-        .tensor_arg(
-            "a",
-            DataType::F32,
-            vec![var("n") + ib(1), var("n") + ib(1)],
-            Mem::Dram,
-        )
-        .tensor_arg("b", DataType::F32, vec![var("n") + ib(1)], Mem::Dram)
-        .tensor_arg("out", DataType::F32, vec![var("n"), var("n")], Mem::Dram)
-        .for_("i", ib(0), var("n"), move |b| {
-            let rhs = rhs.clone();
-            b.for_("j", ib(0), var("n"), move |b| {
-                if reduce {
-                    b.reduce("out", vec![var("i"), var("j")], rhs.clone());
-                } else {
-                    b.assign("out", vec![var("i"), var("j")], rhs.clone());
-                }
-            });
-        })
-        .build()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -101,8 +26,10 @@ proptest! {
         let machine = MachineModel::avx2();
         let registry: ProcRegistry =
             machine.instructions(DataType::F32).into_iter().collect();
-        let base = ProcHandle::new(random_kernel(&mut rng));
-        let candidates = generate_candidates(&base, &machine, seed ^ 0x5EAC, 40);
+        let base = ProcHandle::new(affine_kernel(&mut rng, 2));
+        let sampler_seed = Rng::stream(seed, "candidates").next_u64();
+        let input_seed = Rng::stream(seed, "inputs").next_u64();
+        let candidates = generate_candidates(&base, &machine, sampler_seed, 40);
         prop_assert!(!candidates.is_empty());
         let mut survived = 0usize;
         for script in &candidates {
@@ -111,7 +38,7 @@ proptest! {
             let Ok(scheduled) = apply_script(&base, script, &machine) else {
                 continue;
             };
-            let inputs = match synth_inputs(scheduled.proc(), seed ^ 0x1267) {
+            let inputs = match synth_inputs(scheduled.proc(), input_seed) {
                 Ok(inputs) => inputs,
                 Err(why) => {
                     eprintln!("SKIPPED input synthesis for `{script}`: {why}");

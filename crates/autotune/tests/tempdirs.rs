@@ -26,7 +26,7 @@ fn a_native_batch_leaves_no_build_directory() {
     let scheduled =
         apply_script(&ProcHandle::new(sgemm()), &script, &machine).expect("the record applies");
     let batch = vec![(scheduled.proc().clone(), 30_000); 3];
-    let measured = measure_batch(&batch, &machine, 1, 2, true);
+    let measured = measure_batch(&batch, &machine, 1, 2);
     assert!(
         measured.iter().all(|m| m.nanos().is_some()),
         "native candidates are timed: {measured:?}"

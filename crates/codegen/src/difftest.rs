@@ -32,7 +32,8 @@ use crate::emit::c_type;
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
-use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, UnOp};
+use exo_ir::rng::Rng;
+use exo_ir::{ArgKind, DataType, Proc, Sym};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -90,29 +91,6 @@ pub enum DiffOutcome {
     Skipped(String),
 }
 
-/// Deterministic xorshift64* stream.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // xorshift's one fixed point is the zero state; every other
-        // seed is its own stream (OR-ing a bit in would pair seeds up).
-        Rng(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    /// Uniform integer in `[lo, hi]`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo + 1) as u64) as i64
-    }
-}
-
 /// Whether a C compiler (`cc`) is available on `PATH`. Cached.
 pub fn cc_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
@@ -130,50 +108,9 @@ pub fn cc_available() -> bool {
     })
 }
 
-fn eval_int(e: &Expr, sizes: &BTreeMap<String, i64>) -> Option<i64> {
-    match e {
-        Expr::Int(v) => Some(*v),
-        Expr::Var(s) => sizes.get(s.name()).copied(),
-        Expr::Bin { op, lhs, rhs } => {
-            let l = eval_int(lhs, sizes)?;
-            let r = eval_int(rhs, sizes)?;
-            Some(match op {
-                BinOp::Add => l + r,
-                BinOp::Sub => l - r,
-                BinOp::Mul => l * r,
-                BinOp::Div if r != 0 => l.div_euclid(r),
-                BinOp::Mod if r != 0 => l.rem_euclid(r),
-                _ => return None,
-            })
-        }
-        Expr::Un { op: UnOp::Neg, arg } => Some(-eval_int(arg, sizes)?),
-        _ => None,
-    }
-}
-
-fn eval_pred(e: &Expr, sizes: &BTreeMap<String, i64>) -> Option<bool> {
-    if let Expr::Bin { op, lhs, rhs } = e {
-        if *op == BinOp::And {
-            return Some(eval_pred(lhs, sizes)? && eval_pred(rhs, sizes)?);
-        }
-        if *op == BinOp::Or {
-            return Some(eval_pred(lhs, sizes)? || eval_pred(rhs, sizes)?);
-        }
-        if op.is_predicate() {
-            let l = eval_int(lhs, sizes)?;
-            let r = eval_int(rhs, sizes)?;
-            return Some(match op {
-                BinOp::Lt => l < r,
-                BinOp::Le => l <= r,
-                BinOp::Gt => l > r,
-                BinOp::Ge => l >= r,
-                BinOp::Eq => l == r,
-                BinOp::Ne => l != r,
-                _ => return None,
-            });
-        }
-    }
-    None
+/// The size arguments' values, as [`exo_ir::Expr::eval_int`] reads them.
+fn size_env(sizes: &BTreeMap<String, i64>) -> impl Fn(&Sym) -> Option<i64> + '_ {
+    |s| sizes.get(s.name()).copied()
 }
 
 /// Synthesizes concrete arguments for `proc`: one shared size value that
@@ -195,7 +132,7 @@ pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
         let ok = proc
             .preds()
             .iter()
-            .all(|p| eval_pred(p, &sizes).unwrap_or(false));
+            .all(|p| p.eval_bool(&size_env(&sizes)).unwrap_or(false));
         if ok || proc.preds().is_empty() {
             chosen = Some(sizes);
             break;
@@ -222,7 +159,7 @@ pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
             } => {
                 let mut cdims = Vec::with_capacity(dims.len());
                 for d in dims {
-                    let v = eval_int(d, &sizes).ok_or_else(|| {
+                    let v = d.eval_int(&size_env(&sizes)).ok_or_else(|| {
                         format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
                     })?;
                     if v < 0 {
@@ -285,7 +222,7 @@ pub fn choose_size(proc: &Proc, candidates: &[i64]) -> Result<i64, String> {
             || proc
                 .preds()
                 .iter()
-                .all(|p| eval_pred(p, &sizes).unwrap_or(false))
+                .all(|p| p.eval_bool(&size_env(&sizes)).unwrap_or(false))
         {
             return Ok(*candidate);
         }
@@ -327,7 +264,7 @@ pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
                 }
                 let mut extents = Vec::with_capacity(dims.len());
                 for d in dims {
-                    let v = eval_int(d, &sizes).ok_or_else(|| {
+                    let v = d.eval_int(&size_env(&sizes)).ok_or_else(|| {
                         format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
                     })?;
                     if v < 0 {

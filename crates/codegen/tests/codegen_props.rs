@@ -11,73 +11,12 @@ use exo_codegen::difftest::{cc_available, run_differential, DiffOutcome};
 use exo_core::{divide_loop, simplify, unroll_loop, TailStrategy};
 use exo_cursors::ProcHandle;
 use exo_interp::ProcRegistry;
-use exo_ir::{fb, ib, read, var, DataType, Expr, Mem, Proc, ProcBuilder};
+use exo_ir::gen::affine_kernel;
+use exo_ir::rng::Rng;
+use exo_ir::DataType;
 use exo_lib::vectorize;
 use exo_machine::MachineModel;
 use proptest::prelude::*;
-
-/// Deterministic xorshift64* stream.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// A random affine value expression over `x[i+k]`, `y[i+k]`, small
-/// integer-valued float constants and sums/differences/products. Depth
-/// and magnitudes are bounded so every intermediate stays exactly
-/// representable in f32.
-fn random_value_expr(rng: &mut Rng, depth: usize) -> Expr {
-    if depth == 0 || rng.below(3) == 0 {
-        return match rng.below(3) {
-            0 => read("x", vec![var("i") + ib(rng.below(3) as i64)]),
-            1 => read("y", vec![var("i") + ib(rng.below(3) as i64)]),
-            _ => fb(rng.below(7) as f64 - 3.0),
-        };
-    }
-    let lhs = random_value_expr(rng, depth - 1);
-    let rhs = random_value_expr(rng, depth - 1);
-    match rng.below(3) {
-        0 => lhs + rhs,
-        1 => lhs - rhs,
-        _ => lhs * rhs,
-    }
-}
-
-/// A random single-loop affine kernel over padded inputs:
-/// `for i in seq(0, n): out[i] (=|+=) <affine expr>`.
-fn random_kernel(rng: &mut Rng) -> Proc {
-    let rhs = random_value_expr(rng, 2);
-    let reduce = rng.below(2) == 0;
-    ProcBuilder::new("prop_kernel")
-        .size_arg("n")
-        .assert_(Expr::eq_(Expr::modulo(var("n"), ib(8)), ib(0)))
-        .assert_(Expr::bin(exo_ir::BinOp::Ge, var("n"), ib(8)))
-        .tensor_arg("x", DataType::F32, vec![var("n") + ib(2)], Mem::Dram)
-        .tensor_arg("y", DataType::F32, vec![var("n") + ib(2)], Mem::Dram)
-        .tensor_arg("out", DataType::F32, vec![var("n")], Mem::Dram)
-        .for_("i", ib(0), var("n"), move |b| {
-            if reduce {
-                b.reduce("out", vec![var("i")], rhs.clone());
-            } else {
-                b.assign("out", vec![var("i")], rhs.clone());
-            }
-        })
-        .build()
-}
 
 /// Applies a random sequence of safe scheduling primitives. Every
 /// primitive preserves semantics by construction, so whatever this
@@ -89,7 +28,7 @@ fn random_schedule(rng: &mut Rng, p: ProcHandle, machine: &MachineModel) -> Proc
         let Ok(loop_) = p.find_loop("i") else { break };
         match rng.below(4) {
             0 => {
-                let factor = [2i64, 4, 8][rng.below(3) as usize];
+                let factor = [2i64, 4, 8][rng.below(3)];
                 let io = p.fresh_name("io");
                 let ii = p.fresh_name("ii");
                 if let Ok(divided) = divide_loop(
@@ -137,10 +76,11 @@ proptest! {
         let mut rng = Rng::new(seed);
         let machine = MachineModel::avx2();
         let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
-        let base = ProcHandle::new(random_kernel(&mut rng));
+        let base = ProcHandle::new(affine_kernel(&mut rng, 1));
         let scheduled = random_schedule(&mut rng, base.clone(), &machine);
+        let input_seed = Rng::stream(seed, "inputs").next_u64();
         for proc in [base.proc(), scheduled.proc()] {
-            match run_differential(proc, &registry, seed ^ 0xD1FF) {
+            match run_differential(proc, &registry, input_seed) {
                 Ok(DiffOutcome::Agreed { elems, .. }) => prop_assert!(elems > 0),
                 Ok(DiffOutcome::Skipped(why)) => {
                     eprintln!("SKIPPED codegen property case: {why}");

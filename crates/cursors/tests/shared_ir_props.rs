@@ -12,28 +12,9 @@
 //!    covers every edit path).
 
 use exo_cursors::{with_reference_semantics, ProcHandle, Rewrite};
+use exo_ir::rng::Rng;
 use exo_ir::{fb, for_each_stmt_paths, ib, read, var, DataType, Mem, ProcBuilder, Step, Stmt, Sym};
 use proptest::prelude::*;
-
-/// Deterministic xorshift64* stream (same idiom as the analysis props).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// A starting procedure with nested loops, branches and straight-line code
 /// so every edit kind has targets at several depths.
@@ -83,15 +64,14 @@ fn random_edit(rng: &mut Rng, h: &ProcHandle) -> Option<Edit> {
     if paths.is_empty() {
         return None;
     }
-    let pick =
-        |rng: &mut Rng, paths: &[Vec<Step>]| paths[rng.below(paths.len() as u64) as usize].clone();
+    let pick = |rng: &mut Rng, paths: &[Vec<Step>]| paths[rng.below(paths.len())].clone();
     Some(match rng.below(6) {
         0 => Edit::Insert(pick(rng, &paths)),
         1 => Edit::Delete(pick(rng, &paths)),
         2 => Edit::Replace(pick(rng, &paths)),
         3 => Edit::Wrap(pick(rng, &paths), format!("w{}", rng.below(1000))),
         4 => Edit::Move(pick(rng, &paths), pick(rng, &paths)),
-        _ => Edit::Modify(pick(rng, &paths), rng.below(100) as i64),
+        _ => Edit::Modify(pick(rng, &paths), rng.range(0, 99)),
     })
 }
 

@@ -9,39 +9,19 @@
 //! out-of-bounds (`None`) — never a silently wrapped offset.
 
 use exo_interp::BufferData;
+use exo_ir::rng::Rng;
 use exo_ir::{DataType, Mem};
 use proptest::prelude::*;
-
-/// Deterministic xorshift64* stream (same scheme as the analysis
-/// property tests) used to derive adversarial shapes from one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// An adversarial dimension: tiny, huge, or near an overflow boundary.
 fn adversarial_dim(rng: &mut Rng) -> usize {
     match rng.below(6) {
-        0 => rng.below(5) as usize,                    // 0..4 (incl. empty dims)
-        1 => (rng.below(1 << 20) + 1) as usize,        // ordinary sizes
-        2 => usize::MAX,                               // instant overflow
-        3 => (1usize << 32) + rng.below(17) as usize,  // u32 boundary
-        4 => (1usize << 62) + rng.below(17) as usize,  // near usize::MAX / 2
-        _ => usize::MAX / (rng.below(7) + 1) as usize, // divides the max
+        0 => rng.below(5),                    // 0..4 (incl. empty dims)
+        1 => rng.below(1 << 20) + 1,          // ordinary sizes
+        2 => usize::MAX,                      // instant overflow
+        3 => (1usize << 32) + rng.below(17),  // u32 boundary
+        4 => (1usize << 62) + rng.below(17),  // near usize::MAX / 2
+        _ => usize::MAX / (rng.below(7) + 1), // divides the max
     }
 }
 
@@ -92,7 +72,7 @@ proptest! {
     #[test]
     fn linear_index_never_wraps_on_adversarial_shapes(seed in 1u64..u64::MAX) {
         let mut rng = Rng::new(seed);
-        let ndims = (rng.below(5) + 1) as usize;
+        let ndims = rng.below(5) + 1;
         let dims: Vec<usize> = (0..ndims).map(|_| adversarial_dim(&mut rng)).collect();
         let buf = buffer_with_dims(dims.clone());
         // Indices biased toward the extremes of every dimension.
@@ -103,7 +83,7 @@ proptest! {
                 1 => (d as i64).saturating_sub(1).max(0),
                 2 => -1,
                 3 => d.min(i64::MAX as usize) as i64,
-                _ => (rng.next() as i64).saturating_abs() % (d.max(1).min(i64::MAX as usize) as i64).max(1),
+                _ => (rng.next_u64() as i64).saturating_abs() % (d.max(1).min(i64::MAX as usize) as i64).max(1),
             })
             .collect();
         let got = buf.linear_index(&idx);
@@ -131,14 +111,14 @@ proptest! {
     #[test]
     fn linear_index_rejects_arity_and_sign_mismatches(seed in 1u64..u64::MAX) {
         let mut rng = Rng::new(seed);
-        let ndims = (rng.below(4) + 1) as usize;
-        let dims: Vec<usize> = (0..ndims).map(|_| (rng.below(100) + 1) as usize).collect();
+        let ndims = rng.below(4) + 1;
+        let dims: Vec<usize> = (0..ndims).map(|_| rng.below(100) + 1).collect();
         let buf = buffer_with_dims(dims.clone());
         let short: Vec<i64> = vec![0; ndims - 1];
         prop_assert_eq!(buf.linear_index(&short), None);
         let long: Vec<i64> = vec![0; ndims + 1];
         prop_assert_eq!(buf.linear_index(&long), None);
-        let negative: Vec<i64> = (0..ndims).map(|_| -((rng.below(10) + 1) as i64)).collect();
+        let negative: Vec<i64> = (0..ndims).map(|_| -rng.range(1, 10)).collect();
         prop_assert_eq!(buf.linear_index(&negative), None);
     }
 }

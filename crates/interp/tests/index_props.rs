@@ -21,6 +21,7 @@
 
 use exo_codegen::difftest::{run_differential, DiffOutcome};
 use exo_interp::{lower, ArgValue, Interpreter, LInst, Monitor, NullMonitor, ProcRegistry};
+use exo_ir::rng::Rng;
 use exo_ir::{
     fb, ib, read, var, BinOp, Block, DataType, Expr, Mem, Proc, ProcBuilder, Stmt, WAccess,
 };
@@ -28,42 +29,30 @@ use exo_machine::MachineModel;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The draw stream both properties build their programs from: `draw(k)`
-/// is uniform below `k`.
-fn stream(seed: u64) -> impl FnMut(u64) -> u64 {
-    let mut state = seed;
-    move |below: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % below
-    }
-}
-
-/// A random index expression of depth at most `depth`, drawn from `draw`.
-fn gen_expr(draw: &mut impl FnMut(u64) -> u64, depth: u32) -> Expr {
-    if depth == 0 || draw(4) == 0 {
-        return match draw(12) {
+/// A random index expression of depth at most `depth`, drawn from `rng`.
+fn gen_expr(rng: &mut Rng, depth: u32) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(12) {
             // Small operands of either sign: Euclidean `/` and `%`.
-            0..=3 => ib(draw(9) as i64 - 4),
-            4 => ib([i64::MAX, i64::MIN, i64::MAX - 1, 1 << 62][draw(4) as usize]),
+            0..=3 => ib(rng.range(-4, 4)),
+            4 => ib([i64::MAX, i64::MIN, i64::MAX - 1, 1 << 62][rng.below(4)]),
             5 | 6 => var("n"),
             7 => var("f"),
             8 => var("b"),
             9 => var("nope"),
-            10 => read("at", vec![ib(draw(3) as i64)]),
-            _ => fb([2.0, 2.5, -1.0, 1e30][draw(4) as usize]),
+            10 => read("at", vec![ib(rng.range(0, 2))]),
+            _ => fb([2.0, 2.5, -1.0, 1e30][rng.below(4)]),
         };
     }
-    if draw(8) == 0 {
-        return -gen_expr(draw, depth - 1);
+    if rng.below(8) == 0 {
+        return -gen_expr(rng, depth - 1);
     }
-    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod][draw(5) as usize];
-    Expr::bin(op, gen_expr(draw, depth - 1), gen_expr(draw, depth - 1))
+    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod][rng.below(5)];
+    Expr::bin(op, gen_expr(rng, depth - 1), gen_expr(rng, depth - 1))
 }
 
 /// `e` in one of the index positions, chosen by `position`.
-fn proc_with_index(e: Expr, position: u64) -> Proc {
+fn proc_with_index(e: Expr, position: usize) -> Proc {
     let header = ProcBuilder::new("p")
         .size_arg("n")
         .scalar_arg("f", DataType::F32)
@@ -132,13 +121,13 @@ proptest! {
 
     #[test]
     fn index_positions_agree_between_run_and_run_reference(seed in 1u64..u64::MAX) {
-        let mut draw = stream(seed);
-        let position = draw(7);
-        let e = gen_expr(&mut draw, 3);
+        let mut rng = Rng::new(seed);
+        let position = rng.below(7);
+        let e = gen_expr(&mut rng, 3);
         let p = proc_with_index(e.clone(), position);
-        let n = draw(9) as i64 - 2;
-        let f = [3.0, 0.5, -2.0][draw(3) as usize];
-        let b = draw(2) == 1;
+        let n = rng.range(-2, 6);
+        let f = [3.0, 0.5, -2.0][rng.below(3)];
+        let b = rng.below(2) == 1;
         let registry = registry();
         let run = |reference: bool| {
             let (_, x) = ArgValue::from_vec((0..8).map(f64::from).collect(), vec![8], DataType::F32);
@@ -166,29 +155,31 @@ proptest! {
 
 /// An integer operand of a branch condition: an iterator in scope, the
 /// size, a constant, or a buffer element.
-fn gen_atom(draw: &mut impl FnMut(u64) -> u64, live: &[&'static str]) -> Expr {
-    match draw(4) {
-        0 if !live.is_empty() => var(live[draw(live.len() as u64) as usize]),
+fn gen_atom(rng: &mut Rng, live: &[&'static str]) -> Expr {
+    match rng.below(4) {
+        0 if !live.is_empty() => var(live[rng.below(live.len())]),
         1 => var("n"),
-        2 => read("trips", vec![ib(draw(4) as i64)]),
-        _ => ib(draw(5) as i64 - 1),
+        2 => read("trips", vec![ib(rng.range(0, 3))]),
+        _ => ib(rng.range(-1, 3)),
     }
 }
 
 /// A block of at most two statements nested at most `depth` deep.
 /// `live` holds the iterators in scope, innermost last.
-fn gen_block(draw: &mut impl FnMut(u64) -> u64, depth: u32, live: &mut Vec<&'static str>) -> Block {
-    (0..draw(3)).map(|_| gen_stmt(draw, depth, live)).collect()
+fn gen_block(rng: &mut Rng, depth: u32, live: &mut Vec<&'static str>) -> Block {
+    (0..rng.below(3))
+        .map(|_| gen_stmt(rng, depth, live))
+        .collect()
 }
 
-fn gen_stmt(draw: &mut impl FnMut(u64) -> u64, depth: u32, live: &mut Vec<&'static str>) -> Stmt {
-    match if depth == 0 { 0 } else { draw(3) } {
+fn gen_stmt(rng: &mut Rng, depth: u32, live: &mut Vec<&'static str>) -> Stmt {
+    match if depth == 0 { 0 } else { rng.below(3) } {
         0 => {
             // `%` keeps the index in bounds for any iterator values.
-            let sum = live.iter().fold(ib(draw(4) as i64), |e, it| e + var(*it));
-            let rhs = match draw(3) {
+            let sum = live.iter().fold(ib(rng.range(0, 3)), |e, it| e + var(*it));
+            let rhs = match rng.below(3) {
                 0 => fb(1.0),
-                1 => read("trips", vec![ib(draw(4) as i64)]),
+                1 => read("trips", vec![ib(rng.range(0, 3))]),
                 _ => live.last().map_or(fb(2.0), |it| var(*it)),
             };
             Stmt::Reduce {
@@ -200,17 +191,17 @@ fn gen_stmt(draw: &mut impl FnMut(u64) -> u64, depth: u32, live: &mut Vec<&'stat
         1 => {
             // Two names for three levels: a drawn name already in scope
             // shadows the outer iterator.
-            let iter = ["i", "j"][draw(2) as usize];
-            let lo = ib(draw(4) as i64 - 1);
+            let iter = ["i", "j"][rng.below(2)];
+            let lo = ib(rng.range(-1, 2));
             // Constant bounds at or below `lo` give zero-trip loops; a
             // bound read from a buffer is one the emitter hoists.
-            let hi = match draw(3) {
-                0 => read("trips", vec![ib(draw(4) as i64)]),
+            let hi = match rng.below(3) {
+                0 => read("trips", vec![ib(rng.range(0, 3))]),
                 1 => var("n"),
-                _ => ib(draw(4) as i64),
+                _ => ib(rng.range(0, 3)),
             };
             live.push(iter);
-            let body = gen_block(draw, depth - 1, live);
+            let body = gen_block(rng, depth - 1, live);
             live.pop();
             Stmt::For {
                 iter: iter.into(),
@@ -221,18 +212,18 @@ fn gen_stmt(draw: &mut impl FnMut(u64) -> u64, depth: u32, live: &mut Vec<&'stat
             }
         }
         _ => {
-            let op = [BinOp::Lt, BinOp::Le, BinOp::Eq, BinOp::Ne][draw(4) as usize];
-            let lhs = gen_atom(draw, live);
+            let op = [BinOp::Lt, BinOp::Le, BinOp::Eq, BinOp::Ne][rng.below(4)];
+            let lhs = gen_atom(rng, live);
             // `cc -Werror` refuses a self-comparison.
-            let rhs = match gen_atom(draw, live) {
+            let rhs = match gen_atom(rng, live) {
                 rhs if rhs == lhs => rhs + ib(1),
                 rhs => rhs,
             };
             let cond = Expr::bin(op, lhs, rhs);
             Stmt::If {
                 cond,
-                then_body: gen_block(draw, depth - 1, live),
-                else_body: gen_block(draw, depth - 1, live),
+                then_body: gen_block(rng, depth - 1, live),
+                else_body: gen_block(rng, depth - 1, live),
             }
         }
     }
@@ -291,10 +282,10 @@ proptest! {
 
     #[test]
     fn control_flow_nests_agree_across_run_run_reference_and_c(seed in 1u64..u64::MAX) {
-        let mut draw = stream(seed);
-        let p = nest_proc(gen_block(&mut draw, 3, &mut Vec::new()));
-        let n = draw(5) as i64;
-        let trips: Vec<f64> = (0..4).map(|_| draw(7) as f64 - 2.0).collect();
+        let mut rng = Rng::new(seed);
+        let p = nest_proc(gen_block(&mut rng, 3, &mut Vec::new()));
+        let n = rng.range(0, 4);
+        let trips: Vec<f64> = (0..4).map(|_| rng.range(-2, 4) as f64).collect();
         let registry = ProcRegistry::new();
         let run = |reference: bool| {
             let (_, trips) = ArgValue::from_vec(trips.clone(), vec![4], DataType::F32);
@@ -375,74 +366,74 @@ type Tensor = (&'static str, usize);
 /// affine in the iterator `i` (unit, negative and zero coefficients, the
 /// invariant `j` and `n / 2`), sometimes not (`i * i`, `i % 3`, a `Read`),
 /// sometimes an integer scalar.
-fn gen_strip_index(draw: &mut impl FnMut(u64) -> u64) -> Expr {
-    let at = |draw: &mut dyn FnMut(u64) -> u64| ib(draw(6) as i64);
-    match draw(24) {
+fn gen_strip_index(rng: &mut Rng) -> Expr {
+    let at = |rng: &mut Rng| ib(rng.range(0, 5));
+    match rng.below(24) {
         0 => var("i") * var("i"),
-        1 => read("at", vec![ib(draw(3) as i64)]),
+        1 => read("at", vec![ib(rng.range(0, 2))]),
         2 => var("i") % ib(3),
         3 => var("n") / ib(2) + var("i"),
-        4 => at(draw) - var("i"),
-        5 => ib(-2) * var("i") + at(draw),
+        4 => at(rng) - var("i"),
+        5 => ib(-2) * var("i") + at(rng),
         6 => var("j") + var("i") * ib(2),
         7 => var("k"),
-        8 => at(draw),
+        8 => at(rng),
         9 => var("j"),
         // One before, at or after the iterator: out of bounds at the
         // first iteration, or only at the last one of a full sweep.
-        _ => var("i") + ib(draw(3) as i64 - 1),
+        _ => var("i") + ib(rng.range(-1, 1)),
     }
 }
 
 /// An access of one of `tensors`, mostly with its rank's worth of indices.
-fn gen_strip_access(draw: &mut impl FnMut(u64) -> u64, tensors: &[Tensor]) -> (Tensor, Vec<Expr>) {
-    let t = tensors[draw(tensors.len() as u64) as usize];
-    let rank = match draw(24) {
+fn gen_strip_access(rng: &mut Rng, tensors: &[Tensor]) -> (Tensor, Vec<Expr>) {
+    let t = tensors[rng.below(tensors.len())];
+    let rank = match rng.below(24) {
         0 => t.1 + 1,
         1 => t.1.saturating_sub(1),
         _ => t.1,
     };
-    (t, (0..rank).map(|_| gen_strip_index(draw)).collect())
+    (t, (0..rank).map(|_| gen_strip_index(rng)).collect())
 }
 
 /// A right-hand side: mostly float-only, sometimes reading an integer
 /// scalar or the iterator.
-fn gen_strip_rhs(draw: &mut impl FnMut(u64) -> u64, depth: u32, tensors: &[Tensor]) -> Expr {
-    if depth == 0 || draw(3) == 0 {
-        return match draw(16) {
-            0 | 1 => fb([0.5, -3.0, 2.0][draw(3) as usize]),
+fn gen_strip_rhs(rng: &mut Rng, depth: u32, tensors: &[Tensor]) -> Expr {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(16) {
+            0 | 1 => fb([0.5, -3.0, 2.0][rng.below(3)]),
             2 | 3 => var("f"),
             4 => var("k"),
             5 => var("i"),
             _ => {
-                let ((name, _), idx) = gen_strip_access(draw, tensors);
+                let ((name, _), idx) = gen_strip_access(rng, tensors);
                 read(name, idx)
             }
         };
     }
-    if draw(6) == 0 {
-        return -gen_strip_rhs(draw, depth - 1, tensors);
+    if rng.below(6) == 0 {
+        return -gen_strip_rhs(rng, depth - 1, tensors);
     }
-    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][draw(4) as usize];
+    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][rng.below(4)];
     Expr::bin(
         op,
-        gen_strip_rhs(draw, depth - 1, tensors),
-        gen_strip_rhs(draw, depth - 1, tensors),
+        gen_strip_rhs(rng, depth - 1, tensors),
+        gen_strip_rhs(rng, depth - 1, tensors),
     )
 }
 
 /// A window on `A` (rank `rank`): each dimension a point or an interval
 /// at a small offset, some of them at the outer iterator `j`.
-fn gen_window(draw: &mut impl FnMut(u64) -> u64, rank: usize) -> (Expr, usize) {
+fn gen_window(rng: &mut Rng, rank: usize) -> (Expr, usize) {
     let mut kept = 0;
     let idx = (0..rank)
         .map(|_| {
-            let lo = if draw(3) == 0 {
+            let lo = if rng.below(3) == 0 {
                 var("j")
             } else {
-                ib(draw(2) as i64)
+                ib(rng.range(0, 1))
             };
-            if draw(3) == 0 {
+            if rng.below(3) == 0 {
                 WAccess::Point(lo)
             } else {
                 kept += 1;
@@ -465,28 +456,28 @@ fn gen_window(draw: &mut impl FnMut(u64) -> u64, rank: usize) -> (Expr, usize) {
 ///     for i in lo..hi:
 ///         dst[..] (= | +=) rhs
 /// ```
-fn strip_proc(draw: &mut impl FnMut(u64) -> u64, a_dims: &[usize], b_dims: &[usize]) -> Proc {
-    let (w0, w0_rank) = gen_window(draw, a_dims.len());
-    let (w1, w1_rank) = gen_window(draw, a_dims.len());
+fn strip_proc(rng: &mut Rng, a_dims: &[usize], b_dims: &[usize]) -> Proc {
+    let (w0, w0_rank) = gen_window(rng, a_dims.len());
+    let (w1, w1_rank) = gen_window(rng, a_dims.len());
     let tensors = [
         ("A", a_dims.len()),
         ("B", b_dims.len()),
         ("w0", w0_rank),
         ("w1", w1_rank),
     ];
-    let ((dst, _), dst_idx) = gen_strip_access(draw, &tensors);
-    let mut rhs = gen_strip_rhs(draw, 2, &tensors);
-    if draw(4) == 0 {
+    let ((dst, _), dst_idx) = gen_strip_access(rng, &tensors);
+    let mut rhs = gen_strip_rhs(rng, 2, &tensors);
+    if rng.below(4) == 0 {
         // The destination read one element along: a carried dependence.
         let shifted = dst_idx.iter().map(|e| e.clone() + ib(1)).collect();
         rhs = rhs + read(dst, shifted);
     }
-    let lo = draw(2) as i64;
-    let hi = match draw(4) {
+    let lo = rng.range(0, 1);
+    let hi = match rng.below(4) {
         0 => var("n"),
-        _ => ib(lo + draw(6) as i64),
+        _ => ib(lo + rng.range(0, 5)),
     };
-    let reduce = draw(2) == 0;
+    let reduce = rng.below(2) == 0;
     let dims = |d: &[usize]| d.iter().map(|&e| ib(e as i64)).collect();
     ProcBuilder::new("strip")
         .size_arg("n")
@@ -520,16 +511,16 @@ proptest! {
 
     #[test]
     fn strips_agree_with_the_walker_event_for_event(seed in 1u64..u64::MAX) {
-        let mut draw = stream(seed);
-        let shape = |draw: &mut dyn FnMut(u64) -> u64| -> Vec<usize> {
-            (0..1 + draw(3)).map(|_| 3 + draw(5) as usize).collect()
+        let mut rng = Rng::new(seed);
+        let shape = |rng: &mut Rng| -> Vec<usize> {
+            (0..1 + rng.below(3)).map(|_| 3 + rng.below(5)).collect()
         };
-        let a_dims = shape(&mut draw);
-        let b_dims = shape(&mut draw);
-        let p = strip_proc(&mut draw, &a_dims, &b_dims);
-        let n = draw(7) as i64 - 1;
-        let k = draw(5) as i64 - 1;
-        let f = [1.5, -2.0, 0.25][draw(3) as usize];
+        let a_dims = shape(&mut rng);
+        let b_dims = shape(&mut rng);
+        let p = strip_proc(&mut rng, &a_dims, &b_dims);
+        let n = rng.range(-1, 5);
+        let k = rng.range(-1, 3);
+        let f = [1.5, -2.0, 0.25][rng.below(3)];
         let registry = ProcRegistry::new();
         let run = |reference: bool| {
             let fill = |dims: &[usize], scale: f64| {

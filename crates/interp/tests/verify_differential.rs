@@ -10,40 +10,19 @@
 //!    interpreter must neither trap out-of-bounds nor trip the
 //!    [`ShadowMonitor`] race detector. The verifier may reject safe procs
 //!    (it is conservative) but must never certify an unsafe one.
-//! 2. **Simplifier meaning preservation.** Random affine expressions over
-//!    size arguments — including euclidean `/` and `%` and
+//! 2. **Simplifier meaning preservation.** Random integer expressions
+//!    ([`exo_ir::gen::int_expr`]) over size arguments — including
+//!    products of subterms, euclidean `/` and `%`, and
 //!    divisibility-fact-driven rewrites — evaluate to the same value
 //!    before and after `simplify_expr`, under environments satisfying the
 //!    facts.
 
 use exo_analysis::{check_proc, simplify_expr, Context};
 use exo_interp::{ArgValue, Interpreter, NullMonitor, ProcRegistry, ShadowMonitor};
+use exo_ir::gen::int_expr;
+use exo_ir::rng::Rng;
 use exo_ir::{ib, read, var, DataType, Expr, Mem, Proc, ProcBuilder, Stmt, Sym};
 use proptest::prelude::*;
-
-/// Deterministic xorshift64* stream (same scheme as the buffer property
-/// tests) used to derive random procs/exprs from one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
 
 // ====================================================================
 // Random affine proc generation
@@ -56,21 +35,21 @@ const NBUFS: usize = 2;
 /// small coefficients. Biased toward in-bounds (loop extents are ≤ 8 and
 /// `BUF_DIM` is generous) but able to run out of bounds via the constant.
 fn gen_index(rng: &mut Rng, iters: &[Sym]) -> Expr {
-    let mut e = ib(rng.below(8) as i64);
+    let mut e = ib(rng.range(0, 7));
     for it in iters {
-        let coeff = rng.below(4) as i64;
+        let coeff = rng.range(0, 3);
         if coeff > 0 {
             e = e + ib(coeff) * Expr::Var(it.clone());
         }
     }
     if rng.chance(10) {
         // Occasionally push past the end so the OOB side is exercised.
-        e = e + ib(BUF_DIM - 4 + rng.below(8) as i64);
+        e = e + ib(BUF_DIM - 4 + rng.range(0, 7));
     }
     e
 }
 
-fn buf_name(i: u64) -> String {
+fn buf_name(i: usize) -> String {
     format!("b{i}")
 }
 
@@ -79,7 +58,7 @@ fn gen_stmts(rng: &mut Rng, depth: usize, iters: &mut Vec<Sym>, out: &mut Vec<St
     for _ in 0..nstmts {
         if depth < 3 && rng.chance(55) {
             let iter = Sym::new(format!("i{}", iters.len()));
-            let hi = 2 + rng.below(7) as i64;
+            let hi = rng.range(2, 8);
             let parallel = rng.chance(40);
             iters.push(iter.clone());
             let mut body = Vec::new();
@@ -93,15 +72,15 @@ fn gen_stmts(rng: &mut Rng, depth: usize, iters: &mut Vec<Sym>, out: &mut Vec<St
                 parallel,
             });
         } else {
-            let dst = buf_name(rng.below(NBUFS as u64));
+            let dst = buf_name(rng.below(NBUFS));
             let idx = vec![gen_index(rng, iters)];
             let rhs = if rng.chance(50) {
                 read(
-                    buf_name(rng.below(NBUFS as u64)).as_str(),
+                    buf_name(rng.below(NBUFS)).as_str(),
                     vec![gen_index(rng, iters)],
                 ) + Expr::Float(1.0)
             } else {
-                Expr::Float(rng.below(16) as f64)
+                Expr::Float(rng.range(0, 15) as f64)
             };
             if rng.chance(40) {
                 out.push(Stmt::Reduce {
@@ -128,12 +107,7 @@ fn gen_proc(rng: &mut Rng) -> Proc {
     ProcBuilder::new("p")
         .with_body(|b| {
             for i in 0..NBUFS {
-                b.alloc(
-                    buf_name(i as u64),
-                    DataType::F32,
-                    vec![ib(BUF_DIM)],
-                    Mem::Dram,
-                );
+                b.alloc(buf_name(i), DataType::F32, vec![ib(BUF_DIM)], Mem::Dram);
             }
             for s in stmts.drain(..) {
                 b.push(s.clone());
@@ -211,26 +185,6 @@ fn generator_exercises_both_sides() {
 // Simplifier meaning preservation
 // ====================================================================
 
-/// A random integer expression over `n` and `m` with euclidean `/` and
-/// `%` by positive constants.
-fn gen_expr(rng: &mut Rng, depth: usize) -> Expr {
-    if depth == 0 || rng.chance(30) {
-        return match rng.below(3) {
-            0 => ib(rng.below(17) as i64 - 8),
-            1 => var("n"),
-            _ => var("m"),
-        };
-    }
-    let lhs = gen_expr(rng, depth - 1);
-    match rng.below(5) {
-        0 => lhs + gen_expr(rng, depth - 1),
-        1 => lhs - gen_expr(rng, depth - 1),
-        2 => lhs * ib(rng.below(8) as i64 + 1),
-        3 => lhs / ib(rng.below(8) as i64 + 1),
-        _ => Expr::modulo(lhs, ib(rng.below(8) as i64 + 1)),
-    }
-}
-
 /// Evaluates an integer expression through the interpreter by storing it
 /// into a one-element buffer from a wrapper proc.
 fn interp_eval(e: &Expr, n: i64, m: i64) -> f64 {
@@ -265,12 +219,12 @@ proptest! {
     #[test]
     fn simplify_expr_preserves_meaning(seed in 1u64..u64::MAX) {
         let mut rng = Rng::new(seed);
-        let e = gen_expr(&mut rng, 3);
+        let e = int_expr(&mut rng, &["n", "m"], 3);
         let mut ctx = Context::new();
         ctx.add_fact(&Expr::eq_(Expr::modulo(var("n"), ib(8)), ib(0)));
         let simplified = simplify_expr(&e, &ctx);
-        let n = 8 * (1 + rng.below(8) as i64);
-        let m = 1 + rng.below(63) as i64;
+        let n = 8 * rng.range(1, 8);
+        let m = rng.range(1, 63);
         let got = interp_eval(&simplified, n, m);
         let want = interp_eval(&e, n, m);
         prop_assert!(

@@ -246,6 +246,62 @@ impl Expr {
         }
     }
 
+    /// The value of an integer expression when every variable takes its
+    /// value from `env`, with Euclidean `/` and `%` as the interpreter
+    /// and the simplifier have them. `None` for a variable `env` does not
+    /// bind, a zero divisor, an overflow, or anything but integer
+    /// arithmetic.
+    pub fn eval_int(&self, env: &dyn Fn(&Sym) -> Option<i64>) -> Option<i64> {
+        match self {
+            Expr::Int(v) => Some(*v),
+            Expr::Var(s) => env(s),
+            Expr::Un { op: UnOp::Neg, arg } => arg.eval_int(env)?.checked_neg(),
+            Expr::Bin { op, lhs, rhs } => {
+                let (a, b) = (lhs.eval_int(env)?, rhs.eval_int(env)?);
+                match op {
+                    BinOp::Add => a.checked_add(b),
+                    BinOp::Sub => a.checked_sub(b),
+                    BinOp::Mul => a.checked_mul(b),
+                    BinOp::Div => a.checked_div_euclid(b),
+                    BinOp::Mod => a.checked_rem_euclid(b),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// The truth of a predicate — comparisons of integer expressions
+    /// joined by `and` and `or` — when its operands are evaluated by
+    /// [`Expr::eval_int`] under `env`. `None` when any part has no value.
+    pub fn eval_bool(&self, env: &dyn Fn(&Sym) -> Option<i64>) -> Option<bool> {
+        match self {
+            Expr::Bin {
+                op: BinOp::And,
+                lhs,
+                rhs,
+            } => Some(lhs.eval_bool(env)? && rhs.eval_bool(env)?),
+            Expr::Bin {
+                op: BinOp::Or,
+                lhs,
+                rhs,
+            } => Some(lhs.eval_bool(env)? || rhs.eval_bool(env)?),
+            Expr::Bin { op, lhs, rhs } => {
+                let (a, b) = (lhs.eval_int(env)?, rhs.eval_int(env)?);
+                match op {
+                    BinOp::Lt => Some(a < b),
+                    BinOp::Le => Some(a <= b),
+                    BinOp::Gt => Some(a > b),
+                    BinOp::Ge => Some(a >= b),
+                    BinOp::Eq => Some(a == b),
+                    BinOp::Ne => Some(a != b),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
     /// Returns the variable symbol if this is a bare variable reference.
     pub fn as_var(&self) -> Option<&Sym> {
         match self {

@@ -31,7 +31,9 @@
 //!   helpers) used by the cursor machinery in `exo-cursors`,
 //! * structural visitors and substitution utilities,
 //! * structural content hashing ([`Proc::content_hash`], cached on shared
-//!   [`Block`] nodes; [`ContentHasher`]).
+//!   [`Block`] nodes; [`ContentHasher`]),
+//! * the workspace's one seeded random stream ([`rng::Rng`]) and the random
+//!   programs property tests draw from it ([`gen`]).
 //!
 //! Scheduling (rewriting procedures while preserving semantics) lives in
 //! `exo-core`; this crate is purely the data model.
@@ -72,10 +74,12 @@
 
 mod builder;
 mod expr;
+pub mod gen;
 mod hash;
 mod path;
 mod print;
 mod proc;
+pub mod rng;
 mod size;
 mod stmt;
 mod sym;

@@ -136,6 +136,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_ir::rng::Rng;
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -186,12 +187,9 @@ mod tests {
         len: usize,
         span: u64,
     ) -> Result<(), String> {
-        let mut state = seed | 1;
+        let mut rng = Rng::new(seed);
         for step in 0..len {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let draw = state >> 33;
+            let draw = rng.next_u64() >> 33;
             let addr = if draw.is_multiple_of(16) {
                 draw.wrapping_mul(0x9E37_79B9)
             } else {

@@ -6,10 +6,11 @@
 //! the faulted code path (a cache hit never compiles, so a `CcHang`
 //! planned on it is recorded as planned-but-untriggered). Plans are
 //! either hand-built ([`FaultPlan::with`]) for targeted tests or drawn
-//! from a seeded xorshift stream ([`FaultPlan::seeded`]) for soaks, so
+//! from the seeded stream ([`FaultPlan::seeded`]) for soaks, so
 //! every run of a given seed injects exactly the same faults at exactly
 //! the same indices.
 
+use exo_ir::rng::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -87,21 +88,17 @@ impl FaultPlan {
     }
 
     /// A plan over request indices `0..n` injecting approximately
-    /// `percent`% faults, drawn from a seeded xorshift64* stream and
+    /// `percent`% faults, drawn from the seeded [`Rng`] stream and
     /// cycling the fault kinds so every kind appears. Identical
     /// `(seed, n, percent)` always produce the identical plan.
     pub fn seeded(seed: u64, n: u64, percent: u64) -> Self {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545F4914F6CDD1D)
-        };
+        // `| 1` pairs seeds 2k and 2k + 1; it stays until the next change
+        // of the permutation re-baselines the soak's plans.
+        let mut rng = Rng::new(seed | 1);
         let mut faults = BTreeMap::new();
         let mut kind = 0usize;
         for index in 0..n {
-            if next() % 100 < percent {
+            if rng.chance(percent) {
                 faults.insert(index, Fault::ALL[kind % Fault::ALL.len()]);
                 kind += 1;
             }
