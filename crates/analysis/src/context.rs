@@ -16,6 +16,7 @@
 use crate::linear::LinExpr;
 use exo_ir::{ArgKind, BinOp, Expr, Proc, Step, Stmt, Sym};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A symbolic iterator range `lo <= iter < hi`.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,12 +57,14 @@ impl Context {
         let mut ctx = Context::from_proc(proc);
         // Walk down the path, recording loop iterator ranges and the
         // aliases the earlier siblings at each level declare.
-        let mut stmts: &[Stmt] = proc.body().stmts();
+        let mut stmts: &[Arc<Stmt>] = proc.body().stmts();
         for step in path {
             let idx = step.index();
-            let Some(stmt) = stmts.get(idx) else { break };
+            let Some(stmt) = stmts.get(idx).map(|s| &**s) else {
+                break;
+            };
             for earlier in &stmts[..idx] {
-                match earlier {
+                match &**earlier {
                     Stmt::WindowStmt {
                         name,
                         rhs: Expr::Window { buf, .. },

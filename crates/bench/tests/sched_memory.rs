@@ -5,10 +5,11 @@
 //! must stay far below "one full AST per version" — the budget here is
 //! deliberately tight so reintroducing per-version deep clones (or
 //! breaking copy-on-write) fails immediately. Retained bytes are computed
-//! by `exo_ir::proc_retained_bytes`, which charges each shared block
-//! storage once across the chain, and are fully deterministic: generated
-//! temporaries come from the per-proc `ProcHandle::fresh_name`, so no
-//! global counter state leaks in from tests running on other threads.
+//! by `exo_ir::proc_retained_bytes`, which charges each shared block node
+//! and each shared statement once across the chain, and are fully
+//! deterministic: generated temporaries come from the per-proc
+//! `ProcHandle::fresh_name`, so no global counter state leaks in from
+//! tests running on other threads.
 
 use exo_bench::paper::sgemm_wide;
 use exo_cursors::{with_reference_semantics, ProcHandle};
@@ -35,28 +36,30 @@ fn measure(mk: impl Fn() -> Proc) -> (usize, usize, usize, usize) {
 fn sgemm_chains_stay_within_budget_and_beat_deep_clone() {
     // Paper-size kernel: the chain must beat the deep-clone baseline and
     // stay inside an absolute budget. Measured at introduction: ~76 KB
-    // shared vs ~82 KB deep-clone; the budget leaves < 40% headroom.
+    // shared vs ~82 KB deep-clone; with the statement as the shared unit,
+    // 55 545 B vs 75 331 B. The budget leaves < 40% headroom.
     let (shared, deep, shared_len, deep_len) = measure(exo_kernels::sgemm);
     assert!(
         shared < deep,
         "sharing must retain less than the deep-clone chain: {shared} vs {deep}"
     );
     assert!(
-        shared < 105_000,
+        shared < 77_000,
         "sgemm provenance chain retains {shared} bytes — per-version copying crept back in?"
     );
     assert_eq!(shared_len, deep_len);
 
     // 8 side-by-side loop nests, schedule touches only the first: the
     // other seven must be retained once for the whole chain, not once per
-    // version. Measured at introduction: ~101 KB shared vs ~203 KB deep.
+    // version. Measured at introduction: ~101 KB shared vs ~203 KB deep;
+    // with the statement as the shared unit, 57 548 B vs 205 406 B.
     let (shared, deep, shared_len, deep_len) = measure(|| sgemm_wide(8));
     assert!(
         shared * 3 < deep * 2,
         "expected ≥1.5x retention win on the wide kernel: {shared} vs {deep}"
     );
     assert!(
-        shared < 140_000,
+        shared < 80_000,
         "wide-sgemm chain retains {shared} bytes — untouched nests are being copied"
     );
     assert_eq!(shared_len, deep_len);

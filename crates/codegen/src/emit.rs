@@ -12,9 +12,7 @@
 
 use crate::mangle::{is_c_identifier, is_c_reserved, sanitize};
 use crate::{CUnit, CodegenError, CodegenOptions, Result};
-use exo_interp::{
-    lower, LBufRef, LCallArg, LExpr, LInst, LWSpec, LWindow, LoweredProc, ProcRegistry,
-};
+use exo_interp::{LBufRef, LCallArg, LExpr, LInst, LWSpec, LWindow, LoweredProc, ProcRegistry};
 use exo_ir::{format_float, ArgKind, BinOp, DataType, Expr, Proc, Sym, UnOp};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -290,11 +288,16 @@ impl<'a> UnitEmitter<'a> {
     /// contract of the machine-intrinsic bodies). Such instructions fall
     /// back to their portable scalar bodies in intrinsic mode instead of
     /// emitting silently wrong vector code.
-    fn scalar_fallback_scan(&mut self, proc: &Proc, seen: &mut BTreeSet<String>) {
+    fn scalar_fallback_scan(
+        &mut self,
+        proc: &Proc,
+        lowered: &LoweredProc,
+        seen: &mut BTreeSet<String>,
+    ) {
         if !seen.insert(proc.name().to_string()) {
             return;
         }
-        let lowered = lower(proc);
+        let registry = self.registry;
         let mut facts: Vec<Option<StrideFact>> = vec![None; lowered.slot_names().len()];
         for (arg, larg) in proc.args().iter().zip(lowered.args()) {
             if let ArgKind::Tensor { dims, window, .. } = &arg.kind {
@@ -306,7 +309,7 @@ impl<'a> UnitEmitter<'a> {
                 });
             }
         }
-        let mut callees: Vec<String> = Vec::new();
+        let mut callees = Vec::new();
         for inst in lowered.insts() {
             match inst {
                 LInst::Alloc { slot, dims, .. } => {
@@ -321,30 +324,33 @@ impl<'a> UnitEmitter<'a> {
                 LInst::Call { callee, args } => {
                     // Unknown callees error out of emission before any
                     // verdict matters.
-                    let Some(callee_proc) = self.registry.get(callee).cloned() else {
+                    let Some((callee_proc, callee_lowered)) = registry.lowered_for(callee) else {
                         continue;
                     };
-                    if callee_proc.is_instr() && !args_unit_stride(&facts, &callee_proc, args) {
+                    if callee_proc.is_instr() && !args_unit_stride(&facts, callee_proc, args) {
                         self.scalar_fallback_instrs.insert(callee.to_string());
                     }
-                    callees.push(callee.to_string());
+                    callees.push((callee_proc, callee_lowered));
                 }
                 _ => {}
             }
         }
-        for c in callees {
-            if let Some(p) = self.registry.get(&c).cloned() {
-                self.scalar_fallback_scan(&p, seen);
-            }
+        for (p, l) in callees {
+            self.scalar_fallback_scan(p, l, seen);
         }
     }
 
-    /// Emits `proc` (callees first) and returns nothing; definitions
-    /// accumulate in the unit.
-    pub(crate) fn add_proc(&mut self, proc: &Proc, is_root: bool) -> Result<()> {
+    /// Emits `proc`, given its lowering, callees first; definitions
+    /// accumulate in the unit. A callee's lowering is the registry's memo.
+    pub(crate) fn add_proc(
+        &mut self,
+        proc: &Proc,
+        lowered: &LoweredProc,
+        is_root: bool,
+    ) -> Result<()> {
         if is_root && self.opts.intrinsics {
             let mut seen = BTreeSet::new();
-            self.scalar_fallback_scan(proc, &mut seen);
+            self.scalar_fallback_scan(proc, lowered, &mut seen);
         }
         let name = proc.name().to_string();
         if self.emitted.contains(&name) {
@@ -371,16 +377,14 @@ impl<'a> UnitEmitter<'a> {
             }
         }
         self.emitting.push(name.clone());
-        let lowered = lower(proc);
+        let registry = self.registry;
         // Emit callees first, in order of first appearance.
         for inst in lowered.insts() {
             if let LInst::Call { callee, .. } = inst {
-                let callee_proc = self
-                    .registry
-                    .get(callee)
-                    .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?
-                    .clone();
-                self.add_proc(&callee_proc, false)?;
+                let (callee_proc, callee_lowered) = registry
+                    .lowered_for(callee)
+                    .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?;
+                self.add_proc(callee_proc, callee_lowered, false)?;
             }
         }
         // Instruction procedures may lower to a real machine intrinsic
@@ -401,7 +405,7 @@ impl<'a> UnitEmitter<'a> {
             && self.opts.intrinsics
             && demoted
             && exo_machine::c_intrinsic(proc.name()).is_some();
-        let mut def = FnEmitter::new(self, proc, &lowered)?.emit(is_root, intrinsic)?;
+        let mut def = FnEmitter::new(self, proc, lowered)?.emit(is_root, intrinsic)?;
         if annotate {
             def = format!(
                 "/* `{}`: portable scalar body — a callsite passes a window that is \

@@ -213,7 +213,7 @@ pub type Result<T> = std::result::Result<T, CodegenError>;
 /// backend's subset (the message names the construct).
 pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Result<CUnit> {
     let mut unit = emit::UnitEmitter::new(registry, opts);
-    unit.add_proc(proc, true)?;
+    unit.add_proc(proc, &exo_interp::lower(proc), true)?;
     let mode = if opts.intrinsics {
         "machine intrinsics where mapped, scalar fallback otherwise"
     } else {

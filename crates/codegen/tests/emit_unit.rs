@@ -315,3 +315,43 @@ fn unknown_callees_error() {
         Err(CodegenError::UnknownCallee(_))
     ));
 }
+
+#[test]
+fn re_registering_an_instruction_changes_the_emitted_unit() {
+    // A callee's C comes from the registry's memoized lowering, which
+    // lives in the registry entry: re-registering the name must replace
+    // it along with the definition.
+    let instr = |rhs: f64| {
+        ProcBuilder::new("fill4")
+            .tensor_arg("dst", DataType::F32, vec![ib(4)], Mem::Dram)
+            .for_("i", ib(0), ib(4), |b| {
+                b.assign("dst", vec![var("i")], fb(rhs));
+            })
+            .build()
+            .with_instr(exo_ir::InstrInfo {
+                cost_class: "test".into(),
+                c_template: "fill4({dst})".into(),
+            })
+    };
+    let p = ProcBuilder::new("kernel")
+        .tensor_arg("y", DataType::F32, vec![ib(4)], Mem::Dram)
+        .with_body(|b| {
+            b.call("fill4", vec![var("y")]);
+        })
+        .build();
+    let mut registry = ProcRegistry::new();
+    registry.register(instr(1.0));
+    let first = emit_c(&p, &registry, &portable()).unwrap().code;
+    assert_eq!(emit_c(&p, &registry, &portable()).unwrap().code, first);
+    registry.register(instr(2.0));
+    let second = emit_c(&p, &registry, &portable()).unwrap().code;
+    assert_ne!(first, second);
+    assert!(
+        first.contains("= 1.0") && !first.contains("= 2.0"),
+        "{first}"
+    );
+    assert!(
+        second.contains("= 2.0") && !second.contains("= 1.0"),
+        "{second}"
+    );
+}

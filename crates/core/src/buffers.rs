@@ -16,7 +16,7 @@ use exo_ir::{
 /// Rewrites every indexed access (read, write, window) to `buf` inside a
 /// statement, transforming the index vector with `f`.
 fn map_accesses(stmt: &mut Stmt, buf: &Sym, f: impl Fn(Vec<Expr>) -> Vec<Expr>) -> Result<()> {
-    rewrite_uses(std::slice::from_mut(stmt), buf, |u| {
+    rewrite_uses(stmt, buf, |u| {
         match u {
             Use::Index(_, idx) => *idx = f(std::mem::take(idx)),
             Use::Window(_, widx) => {
@@ -424,7 +424,7 @@ pub fn unroll_buffer(p: &ProcHandle, alloc: impl IntoCursor, dim: usize) -> Resu
     // The replacement put `size` statements where the allocation was; the
     // buffer's scope starts after them.
     for_scope_after(&mut rw, &path, size as usize, &name, |s| {
-        rewrite_uses(std::slice::from_mut(s), &name, |u| {
+        rewrite_uses(s, &name, |u| {
             // Every use must select the unrolled dimension with a constant;
             // it then names the split buffer and drops that dimension.
             let constant =

@@ -140,9 +140,9 @@ pub(crate) fn mk_if(cond: Expr, then_body: Vec<Stmt>) -> Stmt {
     }
 }
 
-/// Substitutes a variable in a whole statement list.
-pub(crate) fn subst_stmts(stmts: &[Stmt], sym: &Sym, value: &Expr) -> Vec<Stmt> {
-    stmts
+/// Substitutes a variable in every statement of a block.
+pub(crate) fn subst_stmts(block: &Block, sym: &Sym, value: &Expr) -> Vec<Stmt> {
+    block
         .iter()
         .cloned()
         .map(|s| exo_ir::substitute_var(s, sym, value))

@@ -8,7 +8,7 @@ use crate::helpers::{
 use crate::{stats, Result};
 use exo_analysis::{body_depends_on, is_idempotent, provably_equal, Context, Effects, LinExpr};
 use exo_cursors::{Cursor, CursorPath, ProcHandle, Rewrite};
-use exo_ir::{ib, rename_sym, var, Expr, Stmt, Sym};
+use exo_ir::{ib, rename_sym, var, Block, Expr, Stmt, Sym};
 
 /// Strategy for handling iterations left over when a loop length does not
 /// divide evenly by the blocking factor (paper: `divide_loop`).
@@ -56,7 +56,7 @@ pub fn divide_loop(
     let io = Sym::new(new_iters[0]);
     let ii = Sym::new(new_iters[1]);
     let point = ib(factor) * var(io.clone()) + var(ii.clone());
-    let main_body = subst_stmts(body.stmts(), &iter, &point);
+    let main_body = subst_stmts(&body, &iter, &point);
 
     let replacement: Vec<Stmt> = match tail {
         TailStrategy::Perfect => {
@@ -107,7 +107,7 @@ pub fn divide_loop(
                 parallel,
             };
             let tail_point = ib(factor) * (hi.clone() / ib(factor)) + var(ii.clone());
-            let tail_body = subst_stmts(body.stmts(), &iter, &tail_point);
+            let tail_body = subst_stmts(&body, &iter, &tail_point);
             let tail_loop = mk_for(ii.clone(), ib(0), hi.clone() % ib(factor), tail_body);
             let tail_stmt = if tail == TailStrategy::CutAndGuard {
                 mk_if(
@@ -174,7 +174,7 @@ pub fn divide_with_recompute(
     let ii = Sym::new(new_iters[1]);
     let point = ib(factor) * var(io.clone()) + var(ii.clone());
     let inner_hi = ib(factor) + hi.clone() - n_outer.clone() * ib(factor);
-    let new_body = subst_stmts(body.stmts(), &iter, &point);
+    let new_body = subst_stmts(&body, &iter, &point);
     let replacement = Stmt::For {
         iter: io,
         lo: ib(0),
@@ -307,7 +307,7 @@ pub fn join_loops(
         .cloned()
         .map(|s| rename_sym(s, &i2, &i1))
         .collect();
-    if renamed != b1.stmts() {
+    if !renamed.iter().eq(b1.iter()) {
         return Err(SchedError::scheduling(
             "join_loops requires identical loop bodies",
         ));
@@ -339,7 +339,7 @@ pub fn shift_loop(p: &ProcHandle, loop_: impl IntoCursor, new_lo: Expr) -> Resul
     }
     // i_old = i_new - new_lo + lo
     let mapping = var(iter.clone()) - new_lo.clone() + lo.clone();
-    let new_body = subst_stmts(body.stmts(), &iter, &mapping);
+    let new_body = subst_stmts(&body, &iter, &mapping);
     let empty_ctx = Context::new();
     let replacement = Stmt::For {
         iter,
@@ -387,7 +387,7 @@ fn per_iteration_private(iter: &Sym, eff: &Effects, buf: &Sym) -> bool {
 /// semantics: every buffer shared between the halves must be touched
 /// per-iteration-privately, and `s2` must not use buffers allocated, or
 /// window aliases declared, in `s1`.
-fn fission_safe(iter: &Sym, s1: &[Stmt], s2: &[Stmt]) -> std::result::Result<(), String> {
+fn fission_safe(iter: &Sym, s1: &Block, s2: &Block) -> std::result::Result<(), String> {
     let e1 = Effects::of_stmts(s1);
     let e2 = Effects::of_stmts(s2);
     for declared in e1.allocs.iter().chain(&e1.aliases) {
@@ -397,7 +397,7 @@ fn fission_safe(iter: &Sym, s1: &[Stmt], s2: &[Stmt]) -> std::result::Result<(),
             ));
         }
     }
-    let combined = Effects::of_stmts(s1.iter().chain(s2.iter()));
+    let combined = Effects::of_stmts(s1.iter().chain(s2));
     let mut shared: Vec<Sym> = Vec::new();
     for buf in e1.buffers_written().iter().chain(e1.buffers_read().iter()) {
         if e2.touches(buf) && !shared.contains(buf) {
@@ -450,8 +450,8 @@ pub fn fission(p: &ProcHandle, gap: &Cursor, n_lifts: usize) -> Result<ProcHandl
         if split_idx == 0 || split_idx >= body.len() {
             return Err(SchedError::scheduling("fission gap is at a block boundary"));
         }
-        let s1: Vec<Stmt> = body.stmts()[..split_idx].to_vec();
-        let s2: Vec<Stmt> = body.stmts()[split_idx..].to_vec();
+        let s1: Block = body.stmts()[..split_idx].iter().cloned().collect();
+        let s2: Block = body.stmts()[split_idx..].iter().cloned().collect();
         fission_safe(&iter, &s1, &s2).map_err(SchedError::scheduling)?;
         // Edit plan chosen for forwarding fidelity: insert a copy of the
         // loop holding the second half *after* the original loop, then
@@ -461,7 +461,7 @@ pub fn fission(p: &ProcHandle, gap: &Cursor, n_lifts: usize) -> Result<ProcHandl
             iter,
             lo,
             hi,
-            body: exo_ir::Block::from_stmts(s2),
+            body: s2,
             parallel,
         };
         let after_loop = sibling(&loop_path, index_in_block(&loop_path)? + 1)?;
@@ -570,7 +570,7 @@ pub fn unroll_loop(p: &ProcHandle, loop_: impl IntoCursor) -> Result<ProcHandle>
     }
     let mut replacement = Vec::new();
     for i in lo..hi {
-        replacement.extend(subst_stmts(body.stmts(), &iter, &ib(i)));
+        replacement.extend(subst_stmts(&body, &iter, &ib(i)));
     }
     let path = stmt_path_of(&c)?;
     let mut rw = Rewrite::new(p);
@@ -581,7 +581,7 @@ pub fn unroll_loop(p: &ProcHandle, loop_: impl IntoCursor) -> Result<ProcHandle>
 
 /// Whether interchanging loops over `outer` and `inner` preserves
 /// semantics for the given (innermost) body.
-pub(crate) fn interchange_safe(outer: &Sym, inner: &Sym, body: &[Stmt]) -> bool {
+pub(crate) fn interchange_safe(outer: &Sym, inner: &Sym, body: &Block) -> bool {
     let eff = Effects::of_stmts(body);
     if eff.has_calls || !eff.config_writes.is_empty() {
         return false;
@@ -632,7 +632,7 @@ pub fn reorder_loops(p: &ProcHandle, outer: impl IntoCursor) -> Result<ProcHandl
             "inner loop bounds depend on the outer iterator `{oi}`"
         )));
     }
-    if !interchange_safe(&oi, &ii, ibody.stmts()) {
+    if !interchange_safe(&oi, &ii, &ibody) {
         return Err(SchedError::scheduling(
             "cannot prove the loop body commutes across iteration pairs",
         ));

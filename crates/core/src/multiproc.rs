@@ -61,7 +61,7 @@ fn bind_argument(mut body: Block, arg: &ProcArg, actual: &Expr) -> Result<Block>
             .map(|s| exo_ir::rename_sym(s, &arg.name, buf))
             .collect()),
         (ArgKind::Tensor { .. }, Expr::Window { buf, idx }) => {
-            inline_window_uses(body.stmts_mut(), &arg.name, buf, idx)?;
+            inline_window_uses(&mut body, &arg.name, buf, idx)?;
             Ok(body)
         }
         (ArgKind::Tensor { .. }, other) => Err(SchedError::scheduling(format!(
@@ -343,14 +343,12 @@ impl Unifier {
         }
     }
 
-    fn unify_stmts(&mut self, instr: &Proc, istmts: &[Stmt], tstmts: &[Stmt]) -> bool {
-        if istmts.len() != tstmts.len() {
-            return false;
-        }
-        istmts
-            .iter()
-            .zip(tstmts.iter())
-            .all(|(i, t)| self.unify_stmt(instr, i, t))
+    fn unify_stmts(&mut self, instr: &Proc, istmts: &Block, tstmts: &Block) -> bool {
+        istmts.len() == tstmts.len()
+            && istmts
+                .iter()
+                .zip(tstmts)
+                .all(|(i, t)| self.unify_stmt(instr, i, t))
     }
 
     fn unify_stmt(&mut self, instr: &Proc, istmt: &Stmt, tstmt: &Stmt) -> bool {
@@ -386,7 +384,7 @@ impl Unifier {
                     return false;
                 }
                 self.iter_map.insert(ii.clone(), ti.clone());
-                self.unify_stmts(instr, ib_.stmts(), tb.stmts())
+                self.unify_stmts(instr, ib_, tb)
             }
             (
                 Stmt::Assign { buf, idx, rhs },
@@ -422,8 +420,8 @@ impl Unifier {
                 },
             ) => {
                 self.unify_expr(instr, cond, tc)
-                    && self.unify_stmts(instr, then_body.stmts(), tt.stmts())
-                    && self.unify_stmts(instr, else_body.stmts(), te.stmts())
+                    && self.unify_stmts(instr, then_body, tt)
+                    && self.unify_stmts(instr, else_body, te)
             }
             (Stmt::Pass, Stmt::Pass) => true,
             _ => false,
@@ -507,7 +505,7 @@ pub fn replace(p: &ProcHandle, target: impl IntoCursor, instr: &Proc) -> Result<
             )));
         }
         let mut u = Unifier::default();
-        if !u.unify_stmts(instr, instr.body().stmts(), std::slice::from_ref(tstmt)) {
+        if !u.unify_stmt(instr, &instr.body()[0], tstmt) {
             return Err(SchedError::scheduling(format!(
                 "statement does not unify with instruction `{}`",
                 instr.name()

@@ -110,7 +110,7 @@ pub fn fuse(p: &ProcHandle, first: impl IntoCursor, second: impl IntoCursor) -> 
                 .map(|s| rename_sym(s, &i2, &i1))
                 .collect();
             let base_ctx = Context::at(p.proc(), &p1);
-            check_fusion_safety(&base_ctx, &i1, &lo1, &hi1, b1.stmts(), &b2_renamed)?;
+            check_fusion_safety(&base_ctx, &i1, &lo1, &hi1, &b1, &b2_renamed)?;
             let mut body = b1.into_stmts();
             body.extend(b2_renamed);
             Stmt::For {
@@ -178,7 +178,7 @@ fn check_fusion_safety(
     iter: &Sym,
     lo: &Expr,
     hi: &Expr,
-    body1: &[Stmt],
+    body1: &Block,
     body2: &[Stmt],
 ) -> Result<()> {
     let e1 = Effects::of_stmts_in(base_ctx, body1);
@@ -203,7 +203,7 @@ fn check_fusion_safety(
         // that same iteration.
         let wrapped1 = Stmt::If {
             cond: Expr::Bool(true),
-            then_body: Block::from_stmts(body1.to_vec()),
+            then_body: body1.clone(),
             else_body: Block::new(),
         };
         let wrapped2 = Stmt::If {
@@ -291,7 +291,7 @@ pub fn lift_scope(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle> 
                     "inner loop bounds depend on the outer iterator `{oi}`"
                 )));
             }
-            if !interchange_safe(&oi, &ii, ibody.stmts()) {
+            if !interchange_safe(&oi, &ii, &ibody) {
                 return Err(SchedError::scheduling(
                     "cannot prove the loop body commutes across iteration pairs",
                 ));

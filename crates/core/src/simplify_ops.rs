@@ -6,37 +6,112 @@ use crate::uses::{for_scope_after, inline_window_uses};
 use crate::{stats, Result};
 use exo_analysis::{provably_equal, simplify_expr, simplify_predicate, Context};
 use exo_cursors::{Cursor, CursorPath, ProcHandle, Rewrite};
-use exo_ir::{
-    resolve_container, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, Expr, Step, Stmt, Sym,
-    VisitMut,
-};
+use exo_ir::{resolve_container, walk_expr_mut, Block, Expr, Step, Stmt, Sym, Visit, VisitMut};
+use std::sync::Arc;
 
 /// Simplifies every expression position under the facts in force there:
-/// the context it starts with plus the range of each enclosing loop.
+/// the context it starts with plus the range of each enclosing loop. It
+/// builds a new statement only where simplification changes something, so
+/// every statement it leaves as it was stays shared with the version it
+/// came from.
 struct Simplifier {
     ctx: Context,
 }
 
-impl VisitMut for Simplifier {
-    // `simplify_expr` rewrites the whole tree itself; no descent here.
-    fn visit_expr(&mut self, e: &mut Expr) {
-        *e = simplify_expr(e, &self.ctx);
+impl Simplifier {
+    /// `s` simplified, or `None` when simplification leaves it as it is.
+    fn stmt(&mut self, s: &Stmt) -> Option<Stmt> {
+        match s {
+            Stmt::For {
+                iter,
+                lo,
+                hi,
+                body,
+                parallel,
+            } => {
+                let new_lo = simplify_expr(lo, &self.ctx);
+                let new_hi = simplify_expr(hi, &self.ctx);
+                let mut inner = self.ctx.clone();
+                inner.push_iter(iter.clone(), new_lo.clone(), new_hi.clone());
+                let outer = std::mem::replace(&mut self.ctx, inner);
+                let new_body = self.block(body);
+                self.ctx = outer;
+                (new_body.is_some() || new_lo != *lo || new_hi != *hi).then(|| Stmt::For {
+                    iter: iter.clone(),
+                    lo: new_lo,
+                    hi: new_hi,
+                    body: new_body.unwrap_or_else(|| body.clone()),
+                    parallel: *parallel,
+                })
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let new_cond = simplify_expr(cond, &self.ctx);
+                let new_then = self.block(then_body);
+                let new_else = self.block(else_body);
+                (new_then.is_some() || new_else.is_some() || new_cond != *cond).then(|| Stmt::If {
+                    cond: new_cond,
+                    then_body: new_then.unwrap_or_else(|| then_body.clone()),
+                    else_body: new_else.unwrap_or_else(|| else_body.clone()),
+                })
+            }
+            leaf => {
+                let mut found = Simplified {
+                    ctx: &self.ctx,
+                    exprs: Vec::new(),
+                    changed: false,
+                };
+                found.visit_stmt(leaf);
+                found.changed.then(|| {
+                    let mut out = leaf.clone();
+                    Place(found.exprs.into_iter()).visit_stmt(&mut out);
+                    out
+                })
+            }
+        }
     }
 
-    fn visit_stmt(&mut self, s: &mut Stmt) {
-        let Stmt::For {
-            iter, lo, hi, body, ..
-        } = s
-        else {
-            return walk_stmt_mut(self, s);
-        };
-        self.visit_expr(lo);
-        self.visit_expr(hi);
-        let mut inner = self.ctx.clone();
-        inner.push_iter(iter.clone(), lo.clone(), hi.clone());
-        let outer = std::mem::replace(&mut self.ctx, inner);
-        walk_stmts_mut(self, body.stmts_mut());
-        self.ctx = outer;
+    /// `block` simplified, or `None` when none of its statements changes.
+    fn block(&mut self, block: &Block) -> Option<Block> {
+        let mut out: Option<Block> = None;
+        for (i, s) in block.iter().enumerate() {
+            if let Some(new) = self.stmt(s) {
+                out.get_or_insert_with(|| block.clone())
+                    .splice(i..i + 1, [new]);
+            }
+        }
+        out
+    }
+}
+
+/// The simplified form of each expression position of a statement without
+/// child blocks, in visiting order, and whether any of them differs.
+struct Simplified<'c> {
+    ctx: &'c Context,
+    exprs: Vec<Expr>,
+    changed: bool,
+}
+
+impl Visit<'_> for Simplified<'_> {
+    // `simplify_expr` rewrites the whole tree itself; no descent here.
+    fn visit_expr(&mut self, e: &Expr) {
+        let simplified = simplify_expr(e, self.ctx);
+        self.changed |= simplified != *e;
+        self.exprs.push(simplified);
+    }
+}
+
+/// Writes [`Simplified`]'s expressions back, in the same visiting order.
+struct Place(std::vec::IntoIter<Expr>);
+
+impl VisitMut for Place {
+    fn visit_expr(&mut self, e: &mut Expr) {
+        if let Some(simplified) = self.0.next() {
+            *e = simplified;
+        }
     }
 }
 
@@ -50,8 +125,10 @@ pub fn simplify(p: &ProcHandle) -> Result<ProcHandle> {
         ctx: Context::from_proc(p.proc()),
     };
     let mut rw = Rewrite::new(p);
-    for i in 0..p.proc().body().len() {
-        rw.modify_stmt(&[Step::Body(i)], |s| simplifier.visit_stmt(s))?;
+    for (i, s) in p.proc().body().iter().enumerate() {
+        if let Some(new) = simplifier.stmt(s) {
+            rw.modify_stmt(&[Step::Body(i)], |s| *s = new)?;
+        }
     }
     stats::record("simplify");
     Ok(rw.commit())
@@ -69,7 +146,9 @@ pub fn simplify_at(p: &ProcHandle, scope: impl IntoCursor) -> Result<ProcHandle>
     let path = stmt_path_of(&c)?;
     let ctx = Context::at(p.proc(), &path);
     let mut rw = Rewrite::new(p);
-    rw.modify_stmt(&path, |s| Simplifier { ctx }.visit_stmt(s))?;
+    if let Some(new) = (Simplifier { ctx }).stmt(c.stmt()?) {
+        rw.modify_stmt(&path, |s| *s = new)?;
+    }
     stats::record("simplify");
     Ok(rw.commit())
 }
@@ -85,7 +164,7 @@ pub fn eliminate_dead_code(p: &ProcHandle, scope: impl IntoCursor) -> Result<Pro
         Stmt::For { lo, hi, .. } => {
             let diff = Expr::bin(exo_ir::BinOp::Le, hi.clone(), lo.clone());
             match simplify_predicate(&diff, &ctx) {
-                Some(true) => vec![Stmt::Pass],
+                Some(true) => vec![Arc::new(Stmt::Pass)],
                 _ => {
                     return Err(SchedError::scheduling(format!(
                         "cannot prove the loop over [{lo}, {hi}) is empty"
@@ -100,14 +179,14 @@ pub fn eliminate_dead_code(p: &ProcHandle, scope: impl IntoCursor) -> Result<Pro
         } => match simplify_predicate(cond, &ctx) {
             Some(true) => {
                 if then_body.is_empty() {
-                    vec![Stmt::Pass]
+                    vec![Arc::new(Stmt::Pass)]
                 } else {
                     then_body.stmts().to_vec()
                 }
             }
             Some(false) => {
                 if else_body.is_empty() {
-                    vec![Stmt::Pass]
+                    vec![Arc::new(Stmt::Pass)]
                 } else {
                     else_body.stmts().to_vec()
                 }
@@ -275,7 +354,7 @@ pub fn inline_window(p: &ProcHandle, window: impl IntoCursor) -> Result<ProcHand
     let path = stmt_path_of(&c)?;
     let mut rw = Rewrite::new(p);
     for_scope_after(&mut rw, &path, 1, &name, |s| {
-        inline_window_uses(std::slice::from_mut(s), &name, &buf, &idx)
+        inline_window_uses(s, &name, &buf, &idx)
     })?;
     rw.delete(&path, 1)?;
     stats::record("inline_window");
@@ -389,6 +468,38 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("= 1.0"), "{s}");
+    }
+
+    #[test]
+    fn simplify_leaves_the_statements_it_does_not_change_shared() {
+        let p = ProcHandle::new(
+            ProcBuilder::new("k")
+                .size_arg("n")
+                .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
+                .with_body(|b| {
+                    b.for_("i", ib(0), var("n"), |b| {
+                        b.assign("x", vec![var("i")], fb(2.0));
+                        b.assign("x", vec![var("i") + ib(0)], fb(1.0));
+                    });
+                    b.assign("x", vec![ib(0)], fb(3.0));
+                })
+                .build(),
+        );
+        let q = simplify(&p).unwrap();
+        assert!(q.to_string().contains("x[i] = 1.0"), "{q}");
+        let (old, new) = (p.proc().body(), q.proc().body());
+        // The top-level assign is untouched, so is the loop's first
+        // statement; the loop itself holds the one that changed.
+        assert!(Arc::ptr_eq(&old.stmts()[1], &new.stmts()[1]));
+        let body = |b: &Block| match &b[0] {
+            Stmt::For { body, .. } => body.clone(),
+            other => panic!("expected a loop, got {}", other.kind()),
+        };
+        assert!(Arc::ptr_eq(&body(old).stmts()[0], &body(new).stmts()[0]));
+        assert!(!Arc::ptr_eq(&body(old).stmts()[1], &body(new).stmts()[1]));
+        // Nothing left to simplify: the next version is the same tree.
+        let r = simplify(&q).unwrap();
+        assert!(r.proc().body().shares_storage_with(q.proc().body()));
     }
 
     #[test]

@@ -12,13 +12,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 thread_local! {
-    static REWRITES: RefCell<BTreeMap<String, u64>> = const { RefCell::new(BTreeMap::new()) };
+    static REWRITES: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
 }
 
 /// Records one application of the named primitive.
-pub fn record(primitive: &str) {
+pub fn record(primitive: &'static str) {
     REWRITES.with(|r| {
-        *r.borrow_mut().entry(primitive.to_string()).or_insert(0) += 1;
+        *r.borrow_mut().entry(primitive).or_insert(0) += 1;
     });
 }
 
@@ -28,7 +28,7 @@ pub fn total() -> u64 {
 }
 
 /// Per-primitive rewrite counts since the last reset.
-pub fn breakdown() -> BTreeMap<String, u64> {
+pub fn breakdown() -> BTreeMap<&'static str, u64> {
     REWRITES.with(|r| r.borrow().clone())
 }
 

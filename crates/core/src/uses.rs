@@ -12,8 +12,8 @@ use crate::helpers::sibling;
 use crate::Result;
 use exo_cursors::Rewrite;
 use exo_ir::{
-    ib, resolve_container, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, Expr, Step, Stmt, Sym,
-    VisitMut, WAccess,
+    ib, resolve_container, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, Block, Expr, Step, Stmt,
+    Sym, Visit, VisitMut, WAccess,
 };
 
 /// One use of the buffer being rewritten.
@@ -66,12 +66,30 @@ impl<F: FnMut(Use<'_>) -> Result<()>> VisitMut for Uses<'_, F> {
     }
 }
 
-/// Hands every use of `buf` in the sibling statements `scope` to `f`,
-/// innermost first, skipping any nested scope that re-binds `buf`. The
-/// first refusal is returned (the statements are then partly rewritten, so
-/// the caller must drop its edit session).
+/// What [`rewrite_uses`] walks: one statement, or the statements of a
+/// block in order (a later sibling that re-binds the name ends the walk).
+pub(crate) trait Scope {
+    fn walk(&mut self, v: &mut impl VisitMut);
+}
+
+impl Scope for Stmt {
+    fn walk(&mut self, v: &mut impl VisitMut) {
+        v.visit_stmt(self);
+    }
+}
+
+impl Scope for Block {
+    fn walk(&mut self, v: &mut impl VisitMut) {
+        walk_stmts_mut(v, self);
+    }
+}
+
+/// Hands every use of `buf` in `scope` to `f`, innermost first, skipping
+/// any nested scope that re-binds `buf`. The first refusal is returned
+/// (the statements are then partly rewritten, so the caller must drop its
+/// edit session).
 pub(crate) fn rewrite_uses(
-    scope: &mut [Stmt],
+    scope: &mut impl Scope,
     buf: &Sym,
     f: impl FnMut(Use<'_>) -> Result<()>,
 ) -> Result<()> {
@@ -80,7 +98,7 @@ pub(crate) fn rewrite_uses(
         f,
         result: Ok(()),
     };
-    walk_stmts_mut(&mut uses, scope);
+    scope.walk(&mut uses);
     uses.result
 }
 
@@ -96,8 +114,11 @@ pub(crate) fn try_modify_stmt(
 }
 
 /// Applies `f`, via statement-local edits, to every statement in the scope
-/// of the `name` bound by the `width` statements at `binder`: the later
-/// statements of that block, up to one that binds `name` again.
+/// of the `name` bound by the `width` statements at `binder` that mentions
+/// `name`: the later statements of that block, up to one that binds `name`
+/// again. `f` must leave a statement that does not mention `name`
+/// unchanged; such a statement is not visited, so it stays shared with the
+/// version the edit started from.
 pub(crate) fn for_scope_after(
     rw: &mut Rewrite,
     binder: &[Step],
@@ -107,9 +128,15 @@ pub(crate) fn for_scope_after(
 ) -> Result<()> {
     let (block, at) = resolve_container(rw.proc(), binder)
         .ok_or_else(|| SchedError::scheduling(format!("scope of `{name}` no longer resolves")))?;
-    for i in at + width..block.len() {
+    let users: Vec<usize> = (at + width..block.len())
+        .filter(|&i| mentions(&block[i], name))
+        .collect();
+    let mut path = sibling(binder, at)?;
+    let last = path.len() - 1;
+    for i in users {
+        path[last] = path[last].with_index(i);
         let mut rebound = false;
-        try_modify_stmt(rw, &sibling(binder, i)?, |s| {
+        try_modify_stmt(rw, &path, |s| {
             rebound = matches!(
                 s,
                 Stmt::Alloc { name: n, .. } | Stmt::WindowStmt { name: n, .. } if n == name
@@ -123,12 +150,25 @@ pub(crate) fn for_scope_after(
     Ok(())
 }
 
+/// Whether `name` occurs anywhere in `stmt`, binding sites included.
+fn mentions(stmt: &Stmt, name: &Sym) -> bool {
+    struct Mentions<'a>(&'a Sym, bool);
+    impl Visit<'_> for Mentions<'_> {
+        fn visit_sym(&mut self, sym: &Sym) {
+            self.1 |= sym == self.0;
+        }
+    }
+    let mut m = Mentions(name, false);
+    m.visit_stmt(stmt);
+    m.1
+}
+
 /// Replaces every use of the window `alias = buf[spec]` in `scope` by the
 /// equivalent use of `buf`: point dimensions of `spec` are re-inserted and
 /// interval dimensions offset. Shared by `inline_window` (a window
 /// statement) and `inline` (a window argument bound to a tensor formal).
 pub(crate) fn inline_window_uses(
-    scope: &mut [Stmt],
+    scope: &mut impl Scope,
     alias: &Sym,
     buf: &Sym,
     spec: &[WAccess],

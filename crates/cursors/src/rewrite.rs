@@ -12,6 +12,7 @@ use crate::error::CursorError;
 use crate::version::{CursorPath, ProcHandle};
 use crate::Result;
 use exo_ir::{resolve_container_mut, resolve_stmt_mut, Block, Proc, Step, Stmt};
+use std::sync::Arc;
 
 /// One atomic edit, recorded for cursor forwarding.
 ///
@@ -301,14 +302,15 @@ impl Rewrite {
             .ok_or_else(|| CursorError::Invalid(format!("path {path:?} does not resolve")))
     }
 
-    /// Inserts statements at a gap (paper: *Insertion*).
-    pub fn insert(&mut self, at: &[Step], stmts: Vec<Stmt>) -> Result<()> {
+    /// Inserts statements at a gap (paper: *Insertion*). The statements
+    /// may be new (`Stmt`) or shared with another version (`Arc<Stmt>`).
+    pub fn insert<S: Into<Arc<Stmt>>>(&mut self, at: &[Step], stmts: Vec<S>) -> Result<()> {
         let count = stmts.len();
         let (block, idx) = self.container_mut(at)?;
         if idx > block.len() {
             return Err(CursorError::Invalid("insertion index out of bounds".into()));
         }
-        block.stmts_mut().splice(idx..idx, stmts);
+        block.splice(idx..idx, stmts);
         self.edits.push(EditRecord::Insert {
             at: at.to_vec(),
             count,
@@ -322,7 +324,7 @@ impl Rewrite {
         if idx + count > block.len() {
             return Err(CursorError::Invalid("deletion range out of bounds".into()));
         }
-        block.stmts_mut().drain(idx..idx + count);
+        block.drain(idx..idx + count);
         self.edits.push(EditRecord::Delete {
             at: at.to_vec(),
             count,
@@ -331,8 +333,13 @@ impl Rewrite {
     }
 
     /// Replaces `old_count` statements starting at `at` with `stmts`
-    /// (paper: *Replacement*).
-    pub fn replace(&mut self, at: &[Step], old_count: usize, stmts: Vec<Stmt>) -> Result<()> {
+    /// (paper: *Replacement*), new or shared as for [`Rewrite::insert`].
+    pub fn replace<S: Into<Arc<Stmt>>>(
+        &mut self,
+        at: &[Step],
+        old_count: usize,
+        stmts: Vec<S>,
+    ) -> Result<()> {
         let new_count = stmts.len();
         let (block, idx) = self.container_mut(at)?;
         if idx + old_count > block.len() {
@@ -340,7 +347,7 @@ impl Rewrite {
                 "replacement range out of bounds".into(),
             ));
         }
-        block.stmts_mut().splice(idx..idx + old_count, stmts);
+        block.splice(idx..idx + old_count, stmts);
         self.edits.push(EditRecord::Replace {
             at: at.to_vec(),
             old_count,
@@ -360,10 +367,7 @@ impl Rewrite {
                 "move source range out of bounds".into(),
             ));
         }
-        let moved: Vec<Stmt> = src_block
-            .stmts_mut()
-            .drain(src_idx..src_idx + count)
-            .collect();
+        let moved = src_block.drain(src_idx..src_idx + count);
 
         // Compute the destination gap in post-removal coordinates.
         let mut dest = to_gap.to_vec();
@@ -372,7 +376,7 @@ impl Rewrite {
             if j > i && j < i + count {
                 // Destination inside the moved range: put things back and bail.
                 let (src_block, src_idx) = self.container_mut(from)?;
-                src_block.stmts_mut().splice(src_idx..src_idx, moved);
+                src_block.splice(src_idx..src_idx, moved);
                 return Err(CursorError::Invalid(
                     "move destination lies inside the moved range".into(),
                 ));
@@ -387,7 +391,7 @@ impl Rewrite {
                 Some(x) => x,
                 None => {
                     let (src_block, src_idx) = self.container_mut(from)?;
-                    src_block.stmts_mut().splice(src_idx..src_idx, moved);
+                    src_block.splice(src_idx..src_idx, moved);
                     return Err(CursorError::Invalid(
                         "move destination does not resolve".into(),
                     ));
@@ -396,7 +400,7 @@ impl Rewrite {
             if dst_idx > dst_block.len() {
                 Err(moved)
             } else {
-                dst_block.stmts_mut().splice(dst_idx..dst_idx, moved);
+                dst_block.splice(dst_idx..dst_idx, moved);
                 Ok(())
             }
         };
@@ -411,7 +415,7 @@ impl Rewrite {
             }
             Err(moved) => {
                 let (src_block, src_idx) = self.container_mut(from)?;
-                src_block.stmts_mut().splice(src_idx..src_idx, moved);
+                src_block.splice(src_idx..src_idx, moved);
                 Err(CursorError::Invalid(
                     "move destination index out of bounds".into(),
                 ))
@@ -440,7 +444,7 @@ impl Rewrite {
         if idx + count > block.len() || count == 0 {
             return Err(CursorError::Invalid("wrap range out of bounds".into()));
         }
-        let inner: Vec<Stmt> = block.stmts_mut().drain(idx..idx + count).collect();
+        let inner = block.drain(idx..idx + count);
         // Rebuild the wrapper with the drained statements as its child
         // block. The validation above restricted it to for/if; on any
         // other shape restore the block and report instead of panicking.
@@ -455,25 +459,25 @@ impl Rewrite {
                 iter,
                 lo,
                 hi,
-                body: Block::from_stmts(inner),
+                body: inner.into_iter().collect(),
                 parallel,
             },
             Stmt::If {
                 cond, else_body, ..
             } => Stmt::If {
                 cond,
-                then_body: Block::from_stmts(inner),
+                then_body: inner.into_iter().collect(),
                 else_body,
             },
             other => {
                 let kind = other.kind();
-                block.stmts_mut().splice(idx..idx, inner);
+                block.splice(idx..idx, inner);
                 return Err(CursorError::Invalid(format!(
                     "wrapper must be a for/if statement, found `{kind}`"
                 )));
             }
         };
-        block.stmts_mut().insert(idx, wrapper);
+        block.insert(idx, wrapper);
         self.edits.push(EditRecord::Wrap {
             at: at.to_vec(),
             count,
@@ -671,7 +675,7 @@ mod tests {
         let h = handle();
         let mut rw = Rewrite::new(&h);
         assert!(rw.delete(&[Step::Body(9)], 1).is_err());
-        assert!(rw.replace(&[Step::Body(2)], 5, vec![]).is_err());
+        assert!(rw.replace(&[Step::Body(2)], 5, Vec::<Stmt>::new()).is_err());
         assert!(rw.wrap(&[Step::Body(0)], 2, Stmt::Pass).is_err());
         assert!(rw
             .move_block(&[Step::Body(0)], 2, &[Step::Body(1)])

@@ -9,12 +9,19 @@
 //!    across the two engines, and
 //! 2. mutating a newer version is never observable through any ancestor
 //!    `ProcHandle` — structural sharing must not alias (copy-on-write
-//!    covers every edit path).
+//!    covers every edit path), and
+//! 3. every statement an edit did not touch is the parent version's own
+//!    statement (`Arc::ptr_eq`): an edit copies only the statements on the
+//!    path to its site and makes only the statements it inserts.
 
 use exo_cursors::{with_reference_semantics, ProcHandle, Rewrite};
 use exo_ir::rng::Rng;
-use exo_ir::{fb, for_each_stmt_paths, ib, read, var, DataType, Mem, ProcBuilder, Step, Stmt, Sym};
+use exo_ir::{
+    fb, for_each_stmt_paths, ib, read, var, Block, DataType, Mem, ProcBuilder, Step, Stmt, Sym,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A starting procedure with nested loops, branches and straight-line code
 /// so every edit kind has targets at several depths.
@@ -75,6 +82,47 @@ fn random_edit(rng: &mut Rng, h: &ProcHandle) -> Option<Edit> {
     })
 }
 
+/// The address of every statement of `block`, at every depth.
+fn stmt_addrs(block: &Block, out: &mut HashSet<*const Stmt>) {
+    for s in block.stmts() {
+        out.insert(Arc::as_ptr(s));
+        for child in s.child_blocks() {
+            stmt_addrs(child, out);
+        }
+    }
+}
+
+/// The statements of `child` that are not statements of `parent`, as
+/// `kind` labels: the ones the edit between them copied or made.
+fn unshared_stmts(parent: &ProcHandle, child: &ProcHandle) -> Vec<&'static str> {
+    let mut old = HashSet::new();
+    stmt_addrs(parent.proc().body(), &mut old);
+    let mut new = Vec::new();
+    for_each_stmt_paths(child.proc(), &mut |path, _| new.push(path.to_vec()));
+    let mut out = Vec::new();
+    for path in new {
+        let (block, i) = exo_ir::resolve_container(child.proc(), &path).expect("resolves");
+        let s = &block.stmts()[i];
+        if !old.contains(&Arc::as_ptr(s)) {
+            out.push(s.kind());
+        }
+    }
+    out
+}
+
+/// How many statements `edit` may copy or make: the ancestors of each site
+/// it writes (their child block changes) plus the statements it inserts
+/// or rewrites. Everything else must stay shared.
+fn touched(edit: &Edit) -> usize {
+    let ancestors = |at: &[Step]| at.len() - 1;
+    match edit {
+        Edit::Insert(at) | Edit::Wrap(at, _) | Edit::Modify(at, _) => ancestors(at) + 1,
+        Edit::Delete(at) => ancestors(at),
+        Edit::Replace(at) => ancestors(at) + 2,
+        Edit::Move(from, to) => ancestors(from) + ancestors(to),
+    }
+}
+
 /// Applies the edit, committing a new version. Returns `Err` with the
 /// error's display string so both engines can be required to fail alike.
 fn apply(h: &ProcHandle, edit: &Edit) -> Result<ProcHandle, String> {
@@ -129,6 +177,14 @@ proptest! {
                 (Ok(s2), Ok(r2)) => {
                     prop_assert_eq!(s2.proc(), r2.proc());
                     prop_assert_eq!(s2.to_string(), r2.to_string());
+                    let copied = unshared_stmts(&shared, &s2);
+                    prop_assert!(
+                        copied.len() <= touched(&edit),
+                        "untouched statements were copied by {:?}: {:?}\n{}",
+                        &edit,
+                        copied,
+                        s2
+                    );
                     retained.push((s2.clone(), s2.to_string()));
                     shared = s2;
                     reference = r2;
@@ -176,6 +232,15 @@ fn sibling_subtrees_stay_shared_across_versions() {
         other => panic!("expected for, got {other:?}"),
     };
     assert!(get_if_body(&h).shares_storage_with(&get_if_body(&h2)));
+    // The untouched siblings on the edit's own path are the old version's
+    // statements, not copies of them.
+    for i in [0, 1, 3] {
+        assert!(Arc::ptr_eq(
+            &h.proc().body().stmts()[i],
+            &h2.proc().body().stmts()[i]
+        ));
+    }
+    assert_eq!(unshared_stmts(&h, &h2), ["for", "pass"]);
     // And the edit itself is invisible in the ancestor.
     assert_eq!(h.proc().stmt_count() + 1, h2.proc().stmt_count());
 }

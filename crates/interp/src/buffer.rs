@@ -4,6 +4,20 @@ use exo_ir::{DataType, Mem};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// `value`, with any NaN replaced by [`f64::NAN`]. Rust leaves the sign and
+/// payload of an arithmetic NaN unspecified, so two evaluation paths the
+/// optimiser folds differently (a strip and the walker) may make different
+/// NaNs of one computation. Every interpreter write stores through this,
+/// so their buffers agree bit for bit.
+#[inline]
+pub(crate) fn canonical_nan(value: f64) -> f64 {
+    if value.is_nan() {
+        f64::NAN
+    } else {
+        value
+    }
+}
+
 /// A concrete, dense, row-major buffer.
 ///
 /// All element types are stored as `f64`; integer types hold exact values
@@ -230,12 +244,13 @@ impl View {
         buf.data.get(lin).copied()
     }
 
-    /// Writes one element through the view.
+    /// Writes one element through the view, any NaN as [`f64::NAN`]
+    /// (see [`canonical_nan`]).
     pub fn write(&self, idx: &[i64], value: f64) -> Option<()> {
         let under = self.translate(idx);
         let mut buf = self.buf.borrow_mut();
         let lin = buf.linear_index(&under)?;
-        *buf.data.get_mut(lin)? = value;
+        *buf.data.get_mut(lin)? = canonical_nan(value);
         Some(())
     }
 

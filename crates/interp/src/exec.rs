@@ -24,7 +24,7 @@
 //! exactly as it always did; the strip has executed and emitted nothing
 //! by then.
 
-use crate::buffer::{AccessPlan, ArgValue, BufferData, PlanDim, View, WindowDim};
+use crate::buffer::{canonical_nan, AccessPlan, ArgValue, BufferData, PlanDim, View, WindowDim};
 use crate::error::InterpError;
 use crate::lower::{
     lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
@@ -33,7 +33,7 @@ use crate::lower::{
 use crate::monitor::Monitor;
 use crate::registry::ProcRegistry;
 use crate::Result;
-use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, Stmt, Sym, UnOp, WAccess};
+use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Proc, Stmt, Sym, UnOp, WAccess};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -336,7 +336,8 @@ impl Cursor<'_> {
         value
     }
 
-    /// Writes the current element, reporting it like the per-element path.
+    /// Writes the current element, reporting and storing it like the
+    /// per-element path.
     #[inline]
     fn write<M: Monitor + ?Sized>(&self, value: f64, emit: bool, mon: &mut M) {
         let mut b = self.buf.borrow_mut();
@@ -344,7 +345,7 @@ impl Cursor<'_> {
             let addr = b.base_addr + self.off as u64 * b.elem_bytes();
             mon.on_write(&b.mem, addr, b.elem.size_bytes());
         }
-        b.data[self.off] = value;
+        b.data[self.off] = canonical_nan(value);
     }
 }
 
@@ -1103,7 +1104,7 @@ impl<'a> Interpreter<'a> {
                             b.elem.size_bytes(),
                         );
                     }
-                    b.data[lin] = value;
+                    b.data[lin] = canonical_nan(value);
                     return Ok(());
                 }
             }
@@ -1222,18 +1223,18 @@ impl<'a> Interpreter<'a> {
                 return Err(InterpError::AssertFailed(pred.to_string()));
             }
         }
-        self.exec_block(proc.body().stmts(), &mut env, monitor)
+        self.exec_block(proc.body(), &mut env, monitor)
     }
 
     fn exec_block(
         &mut self,
-        stmts: &[Stmt],
+        block: &Block,
         env: &mut Env,
         monitor: &mut dyn Monitor,
     ) -> Result<()> {
         env.push();
         let result = (|| {
-            for s in stmts {
+            for s in block {
                 self.exec_stmt(s, env, monitor)?;
             }
             Ok(())
@@ -1304,7 +1305,7 @@ impl<'a> Interpreter<'a> {
                     }
                     env.push();
                     env.bind(iter.clone(), Binding::Scalar(Value::Int(i)));
-                    let r = self.exec_block(body.stmts(), env, monitor);
+                    let r = self.exec_block(body, env, monitor);
                     env.pop();
                     if self.suppress == 0 {
                         monitor.on_loop_exit();
@@ -1323,9 +1324,9 @@ impl<'a> Interpreter<'a> {
                 }
                 let c = self.eval(cond, env, monitor)?.as_bool()?;
                 if c {
-                    self.exec_block(then_body.stmts(), env, monitor)
+                    self.exec_block(then_body, env, monitor)
                 } else {
-                    self.exec_block(else_body.stmts(), env, monitor)
+                    self.exec_block(else_body, env, monitor)
                 }
             }
             Stmt::Call { proc, args } => self.exec_call(proc, args, env, monitor),
@@ -1406,7 +1407,7 @@ impl<'a> Interpreter<'a> {
                     )));
                 }
             }
-            self.exec_block(callee.body().stmts(), &mut callee_env, monitor)
+            self.exec_block(callee.body(), &mut callee_env, monitor)
         })();
         if suppress_inner {
             self.suppress -= 1;

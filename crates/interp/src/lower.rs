@@ -31,7 +31,7 @@
 //! invalidation contract), so the hot instruction procedures of a kernel
 //! are lowered once per registration rather than re-traversed per call.
 
-use exo_ir::{ArgKind, BinOp, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
+use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
 
 /// A reference to a buffer-like operand: either a resolved frame slot or a
 /// symbol that was not in scope at the point of use (which errors only
@@ -567,7 +567,7 @@ pub fn lower(proc: &Proc) -> LoweredProc {
         .iter()
         .map(|p| (lw.lower_expr(p), p.to_string()))
         .collect();
-    let code = lw.lower_block(proc.body().stmts());
+    let code = lw.lower_block(proc.body());
     debug_assert_eq!(
         lw.slot_names.len(),
         proc.binding_site_count(),
@@ -687,9 +687,9 @@ impl Lowerer {
         }
     }
 
-    fn lower_block(&mut self, stmts: &[Stmt]) -> Box<[LInst]> {
+    fn lower_block(&mut self, block: &Block) -> Box<[LInst]> {
         self.push_scope();
-        let block = stmts.iter().map(|s| self.lower_stmt(s)).collect();
+        let block = block.iter().map(|s| self.lower_stmt(s)).collect();
         self.pop_scope();
         block
     }
@@ -734,7 +734,7 @@ impl Lowerer {
                 let hi = self.lower_expr(hi);
                 self.push_scope();
                 let iter = self.bind(iter);
-                let body = self.lower_block(body.stmts());
+                let body = self.lower_block(body);
                 self.pop_scope();
                 LInst::Loop {
                     iter,
@@ -751,8 +751,8 @@ impl Lowerer {
                 else_body,
             } => LInst::If {
                 cond: self.lower_expr(cond),
-                then_body: self.lower_block(then_body.stmts()),
-                else_body: self.lower_block(else_body.stmts()),
+                then_body: self.lower_block(then_body),
+                else_body: self.lower_block(else_body),
             },
             Stmt::Call { proc, args } => LInst::Call {
                 callee: proc.as_str().into(),
@@ -898,7 +898,8 @@ mod tests {
             .build();
         let p = {
             let mut p2 = p.clone();
-            p2.body_mut().stmts_mut().extend(p.body().iter().cloned());
+            let n = p2.body().len();
+            p2.body_mut().splice(n..n, p.body().stmts().iter().cloned());
             p2
         };
         let lp = lower(&p);

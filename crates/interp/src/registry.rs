@@ -1,4 +1,8 @@
-//! A registry of procedures resolvable by call statements.
+//! A registry of procedures resolvable by call statements, and the one
+//! lowering of each: the executor runs a callee's memoized lowering, and
+//! the C emitter (`exo-codegen`) emits from it, so a registered procedure
+//! is lowered once per registration however many calls run it and
+//! however many units emit it.
 
 use crate::lower::{lower, LoweredProc};
 use exo_ir::Proc;
@@ -16,8 +20,10 @@ use std::collections::HashMap;
 /// Each entry also memoizes its procedure's [`LoweredProc`] (computed
 /// lazily on first call), so the hot instruction procedures of a kernel
 /// are lowered once per registration rather than re-traversed on every
-/// call. The lowering lives in the entry it was computed from, so
-/// re-registering a name drops it with the definition it came from.
+/// call, and the C emitter takes every callee's lowering from the same
+/// memo ([`ProcRegistry::lowered_for`]). The lowering lives in the entry
+/// it was computed from, so re-registering a name drops it with the
+/// definition it came from.
 #[derive(Clone, Debug, Default)]
 pub struct ProcRegistry {
     procs: HashMap<String, Entry>,
@@ -88,8 +94,10 @@ impl ProcRegistry {
 
     /// The procedure registered under `name` and its lowering, lowering
     /// it now if this is the first request since registration: one
-    /// lookup per call. Returns `None` for unregistered names.
-    pub(crate) fn lowered_for(&self, name: &str) -> Option<(&Proc, &LoweredProc)> {
+    /// lookup per call. Returns `None` for unregistered names. The
+    /// executor resolves calls through it, and the C emitter takes every
+    /// callee's lowering from it.
+    pub fn lowered_for(&self, name: &str) -> Option<(&Proc, &LoweredProc)> {
         let entry = self.procs.get(name)?;
         Some((&entry.proc, entry.lowered()))
     }

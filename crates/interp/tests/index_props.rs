@@ -560,6 +560,50 @@ proptest! {
     }
 }
 
+/// The strip property's shrunk failure in a release build: `w0 += -(w0 /
+/// w0) + w0` on `A[0] = 0` makes a NaN, and Rust leaves the sign and
+/// payload of an arithmetic NaN unspecified, so the optimiser folded the
+/// strip's arithmetic to `0x7FF8…` and the walker's to `0xFFF8…`. Both
+/// write paths store any NaN as `f64::NAN`.
+#[test]
+fn a_strip_and_the_walker_store_the_same_nan() {
+    let p = ProcBuilder::new("strip")
+        .tensor_arg("A", DataType::F32, vec![ib(4)], Mem::Dram)
+        .for_("j", ib(0), ib(2), |b| {
+            b.push(Stmt::WindowStmt {
+                name: "w0".into(),
+                rhs: Expr::Window {
+                    buf: "A".into(),
+                    idx: vec![WAccess::Point(ib(0))],
+                },
+            });
+            b.for_("i", ib(0), ib(3), |b| {
+                let w0 = || read("w0", vec![]);
+                b.reduce("w0", vec![], -(w0() / w0()) + w0());
+            });
+        })
+        .build();
+    assert!(matches!(
+        lower(&p).code(),
+        [LInst::Loop { body, .. }] if matches!(&body[..], [_, LInst::Loop { strip: Some(_), .. }])
+    ));
+    let registry = ProcRegistry::new();
+    let run = |reference: bool| {
+        let (a, arg) = ArgValue::from_vec(vec![0.0, 0.5, 1.0, 1.5], vec![4], DataType::F32);
+        let mut interp = Interpreter::new(&registry);
+        let result = if reference {
+            interp.run_reference(&p, vec![arg], &mut NullMonitor)
+        } else {
+            interp.run(&p, vec![arg], &mut NullMonitor)
+        };
+        result.expect("runs");
+        let bits = a.borrow().data[0].to_bits();
+        bits
+    };
+    assert_eq!(run(false), f64::NAN.to_bits(), "strip");
+    assert_eq!(run(true), f64::NAN.to_bits(), "walker");
+}
+
 /// The loops the executor runs as one pass are the ones that dominate
 /// simulation: every vector instruction's body, and the innermost loop of
 /// an unscheduled kernel.

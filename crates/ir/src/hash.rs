@@ -191,7 +191,7 @@ mod tests {
         }
         variants.push(window);
         let mut parallel = base.clone();
-        if let crate::Stmt::For { parallel, .. } = &mut parallel.body_mut().stmts_mut()[0] {
+        if let crate::Stmt::For { parallel, .. } = parallel.body_mut().stmt_mut(0).unwrap() {
             *parallel = true;
         }
         variants.push(parallel);

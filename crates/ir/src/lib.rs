@@ -100,7 +100,7 @@ pub use stmt::{Block, Stmt};
 pub use sym::Sym;
 pub use types::{DataType, Mem};
 pub use visit::{
-    collect_sym_names, for_each_expr, for_each_stmt, rename_expr, rename_sym, substitute_block,
-    substitute_expr, substitute_var, walk_expr, walk_expr_mut, walk_stmt, walk_stmt_mut,
-    walk_stmts, walk_stmts_mut, Visit, VisitMut,
+    for_each_expr, for_each_stmt, rename_expr, rename_sym, substitute_block, substitute_expr,
+    substitute_var, walk_expr, walk_expr_mut, walk_stmt, walk_stmt_mut, walk_stmts, walk_stmts_mut,
+    Visit, VisitMut,
 };

@@ -97,14 +97,15 @@ pub fn resolve_stmt<'a>(proc: &'a Proc, path: &[Step]) -> Option<&'a Stmt> {
 
 /// Resolves a statement path against a procedure, mutably.
 ///
-/// Blocks are structurally shared ([`Block`] is copy-on-write), so walking
-/// down mutably un-shares exactly the blocks on the path from the root to
-/// the target — the O(depth) "spine" — while every sibling subtree keeps
-/// its storage shared with other procedure versions.
+/// Blocks and their statements are structurally shared ([`Block`] is
+/// copy-on-write), so walking down mutably un-shares exactly the blocks
+/// and statements on the path from the root to the target — the O(depth)
+/// "spine" — while every sibling statement stays shared with other
+/// procedure versions.
 pub fn resolve_stmt_mut<'a>(proc: &'a mut Proc, path: &[Step]) -> Option<&'a mut Stmt> {
     let (first, rest) = path.split_first()?;
     let mut stmt = match first {
-        Step::Body(i) => proc.body_mut().stmts_mut().get_mut(*i)?,
+        Step::Body(i) => proc.body_mut().stmt_mut(*i)?,
         Step::Else(_) => return None,
     };
     for step in rest {
@@ -124,9 +125,9 @@ fn child_stmt(stmt: &Stmt, step: Step) -> Option<&Stmt> {
 
 fn child_stmt_mut(stmt: &mut Stmt, step: Step) -> Option<&mut Stmt> {
     match (stmt, step) {
-        (Stmt::For { body, .. }, Step::Body(i)) => body.stmts_mut().get_mut(i),
-        (Stmt::If { then_body, .. }, Step::Body(i)) => then_body.stmts_mut().get_mut(i),
-        (Stmt::If { else_body, .. }, Step::Else(i)) => else_body.stmts_mut().get_mut(i),
+        (Stmt::For { body, .. }, Step::Body(i)) => body.stmt_mut(i),
+        (Stmt::If { then_body, .. }, Step::Body(i)) => then_body.stmt_mut(i),
+        (Stmt::If { else_body, .. }, Step::Else(i)) => else_body.stmt_mut(i),
         _ => None,
     }
 }
@@ -330,7 +331,7 @@ pub fn splice_at(proc: &mut Proc, path: &[Step], removed: usize, new_stmts: Vec<
     if idx + removed > block.len() {
         return false;
     }
-    block.stmts_mut().splice(idx..idx + removed, new_stmts);
+    block.splice(idx..idx + removed, new_stmts);
     true
 }
 

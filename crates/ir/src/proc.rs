@@ -255,15 +255,29 @@ impl Proc {
     /// use distinct `base`s (the scheduling libraries do), since the
     /// procedure cannot know about names not yet spliced into it.
     pub fn fresh_sym(&self, base: &str) -> Sym {
-        let used = crate::visit::collect_sym_names(self);
+        use crate::visit::{walk_stmts, Visit};
+        let mut scan = TakenSuffixes {
+            base,
+            taken: Vec::new(),
+        };
+        for arg in self.args() {
+            scan.visit_sym(&arg.name);
+        }
+        for pred in self.preds() {
+            scan.visit_expr(pred);
+        }
+        walk_stmts(&mut scan, self.body());
+        let mut taken = scan.taken;
+        taken.sort_unstable();
+        taken.dedup();
         let mut n: u64 = 0;
-        loop {
-            let candidate = format!("{base}_{n}");
-            if !used.contains(&candidate) {
-                return Sym::new(candidate);
+        for t in taken {
+            if t != n {
+                break;
             }
             n += 1;
         }
+        Sym::new(format!("{base}_{n}"))
     }
 
     /// Partially evaluates size arguments to constants, returning a new
@@ -295,6 +309,33 @@ impl Proc {
             p.body = substitute_block(std::mem::take(&mut p.body), &sym, &val);
         }
         p
+    }
+}
+
+/// The `n` of every symbol spelled `{base}_{n}` in a procedure, where `n`
+/// is written as [`Proc::fresh_sym`] writes it: the canonical decimal of a
+/// `u64` (no sign, no leading zero, no overflow). Any other suffix can
+/// never collide with a name `fresh_sym` returns.
+struct TakenSuffixes<'b> {
+    base: &'b str,
+    taken: Vec<u64>,
+}
+
+impl crate::visit::Visit<'_> for TakenSuffixes<'_> {
+    fn visit_sym(&mut self, sym: &Sym) {
+        let digits = sym
+            .name()
+            .strip_prefix(self.base)
+            .and_then(|rest| rest.strip_prefix('_'));
+        let Some(digits) = digits else {
+            return;
+        };
+        let canonical = !digits.is_empty()
+            && digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        if let (true, Ok(n)) = (canonical, digits.parse()) {
+            self.taken.push(n);
+        }
     }
 }
 

@@ -2,23 +2,25 @@
 //!
 //! [`Block`]s are structurally shared across procedure versions, so the
 //! memory retained by a provenance chain of versions is *not* the sum of
-//! each version's standalone size — shared subtrees are stored once. The
-//! estimator here walks a procedure and charges each distinct block
-//! storage exactly once (tracked by [`Block::storage_id`] in a caller-owned
-//! seen-set, so one set can span a whole version chain).
+//! each version's standalone size — shared blocks and statements are
+//! stored once. The estimator here walks a procedure and charges each
+//! distinct block node and each distinct statement exactly once (tracked
+//! by address in a caller-owned seen-set, so one set can span a whole
+//! version chain).
 //!
-//! [`deep_unshare`] is the inverse knob: it rebuilds every block with
-//! fresh, unshared storage. The deep-clone reference implementation in
-//! `exo-cursors` uses it to reproduce the pre-sharing cost model
-//! (O(|proc|) per edit, one full AST retained per version) for
+//! [`deep_unshare`] is the inverse knob: it rebuilds every block and
+//! every statement with fresh, unshared storage. The deep-clone reference
+//! implementation in `exo-cursors` uses it to reproduce the pre-sharing
+//! cost model (O(|proc|) per edit, one full AST retained per version) for
 //! differential testing and benchmarking.
 
 use crate::expr::{Expr, WAccess};
 use crate::proc::{ArgKind, Proc, ProcArg};
-use crate::stmt::{Block, Stmt, NODE_BYTES};
+use crate::stmt::{Block, Stmt, NODE_BYTES, STMT_BYTES};
 use crate::sym::Sym;
 use std::collections::HashSet;
 use std::mem::size_of;
+use std::sync::Arc;
 
 fn sym_bytes(s: &Sym) -> usize {
     size_of::<Sym>() + s.name().len()
@@ -79,19 +81,28 @@ fn stmt_heap_bytes(s: &Stmt, seen: &mut HashSet<usize>) -> usize {
     }
 }
 
-/// Estimated heap bytes retained by a block, charging storage shared with
-/// an already-seen block zero bytes. `seen` is caller-owned so one set can
-/// deduplicate across many procedures (e.g. a whole provenance chain).
+/// Estimated heap bytes retained by a block, charging a block node or a
+/// statement already in `seen` zero bytes. `seen` is caller-owned so one
+/// set can deduplicate across many procedures (e.g. a whole provenance
+/// chain).
 pub fn block_bytes(block: &Block, seen: &mut HashSet<usize>) -> usize {
     if !seen.insert(block.storage_id()) {
         return 0;
     }
     NODE_BYTES
-        + block.len() * size_of::<Stmt>()
+        + block.len() * size_of::<Arc<Stmt>>()
         + block
+            .stmts()
             .iter()
-            .map(|s| stmt_heap_bytes(s, seen))
+            .map(|s| shared_stmt_bytes(s, seen))
             .sum::<usize>()
+}
+
+fn shared_stmt_bytes(s: &Arc<Stmt>, seen: &mut HashSet<usize>) -> usize {
+    if !seen.insert(Arc::as_ptr(s) as usize) {
+        return 0;
+    }
+    STMT_BYTES + stmt_heap_bytes(s, seen)
 }
 
 fn arg_bytes(arg: &ProcArg) -> usize {
@@ -148,7 +159,7 @@ fn unshare_stmt(s: &Stmt) -> Stmt {
 }
 
 /// Returns a structurally-equal copy of the procedure in which every block
-/// has fresh, unshared storage (a true deep clone, as if structural
+/// and every statement has fresh, unshared storage (a true deep clone, as if structural
 /// sharing did not exist).
 pub fn deep_unshare(proc: &Proc) -> Proc {
     proc.clone().with_body(unshare_block(proc.body()))

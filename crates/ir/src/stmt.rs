@@ -1,4 +1,14 @@
 //! Statements and statement blocks of the object language.
+//!
+//! The statement is the unit procedure versions share. A [`Block`] is an
+//! `Arc` to a node holding `Vec<Arc<Stmt>>` and the block's cached hash:
+//! cloning a block is one count bump, and copying a shared node for an
+//! edit (the spine copy of a rewrite) bumps one count per sibling
+//! statement instead of copying the statements. Every write reaches a
+//! statement through [`Block::stmt_mut`], [`Block::iter_mut`],
+//! [`Block::splice`], [`Block::drain`] or [`Block::insert`], which copy
+//! the node and the one statement written if they are shared, and clear
+//! the cached hash.
 
 use crate::expr::Expr;
 use crate::hash::ContentHasher;
@@ -7,31 +17,33 @@ use crate::types::{DataType, Mem};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A sequence of statements (the body of a procedure, loop or branch).
 ///
 /// Blocks are *structurally shared*: cloning a block is an `Arc` bump, and
-/// two clones share one statement vector until one of them is mutated
-/// through [`Block::stmts_mut`], which copies the vector only if it is
-/// shared (path copying). This is what makes procedure snapshots in the
-/// scheduling layer near-free — committing an edit copies only the spine
-/// of blocks from the root to the edit site, while every unchanged sibling
-/// subtree stays shared across versions.
+/// two clones share one node until one of them is written through a
+/// mutating method, which copies the node only if it is shared (path
+/// copying). The node holds its statements as `Arc<Stmt>`, so that copy
+/// bumps one count per statement and copies only the statement being
+/// written (again only if shared). Committing an edit therefore copies
+/// the spine of blocks and statements from the root to the edit site,
+/// while every statement off that path stays shared across versions.
 ///
 /// The shared node also caches the block's structural hash (its `Hash`
-/// impl feeds that one word), computed on first use. [`Block::stmts_mut`]
-/// is the only `&mut` route to a node's statements — reaching a nested
-/// block mutably goes through it at every enclosing block — so clearing
-/// the word there invalidates exactly the spine an edit copies, and the
-/// subtrees two versions share are hashed once for both.
+/// impl feeds that one word), computed on first use. The mutating methods
+/// are the only `&mut` routes to a node's statements — reaching a nested
+/// block mutably goes through one of them at every enclosing block — and
+/// each clears the word, which invalidates exactly the spine an edit
+/// copies, while the subtrees two versions share are hashed once for both.
 #[derive(Clone, Default)]
 pub struct Block(Arc<Node>);
 
 #[derive(Default)]
 struct Node {
-    stmts: Vec<Stmt>,
+    stmts: Vec<Arc<Stmt>>,
     /// Structural hash of `stmts`; 0 = not computed (a computed 0 is
     /// stored as 1). `Relaxed` throughout: the word publishes no other
     /// data, and racing readers of one immutable node compute the same
@@ -40,7 +52,8 @@ struct Node {
 }
 
 impl Clone for Node {
-    /// The copy `Arc::make_mut` hands to an editor: its hash starts clear.
+    /// The copy `Arc::make_mut` hands to an editor: it shares every
+    /// statement with the original, and its hash starts clear.
     fn clone(&self) -> Self {
         Node {
             stmts: self.stmts.clone(),
@@ -53,6 +66,10 @@ impl Clone for Node {
 /// counts, the vector header and the cached hash.
 pub(crate) const NODE_BYTES: usize = 2 * size_of::<usize>() + size_of::<Node>();
 
+/// Heap bytes of one shared statement: the two `Arc` counts and the
+/// statement itself.
+pub(crate) const STMT_BYTES: usize = 2 * size_of::<usize>() + size_of::<Stmt>();
+
 impl Block {
     /// Creates an empty block.
     pub fn new() -> Self {
@@ -61,52 +78,106 @@ impl Block {
 
     /// Creates a block from statements.
     pub fn from_stmts(stmts: Vec<Stmt>) -> Self {
+        stmts.into_iter().collect()
+    }
+
+    fn from_shared(stmts: Vec<Arc<Stmt>>) -> Self {
         Block(Arc::new(Node {
             stmts,
             hash: AtomicU64::new(0),
         }))
     }
 
-    /// The statements of this block.
-    pub fn stmts(&self) -> &[Stmt] {
+    /// The statements of this block, as the shared handles versions hold.
+    pub fn stmts(&self) -> &[Arc<Stmt>] {
         &self.0.stmts
     }
 
-    /// Mutable access to the statement vector. If the block is shared with
-    /// other clones, the vector is copied first (copy-on-write); the other
-    /// clones keep observing the old contents.
-    pub fn stmts_mut(&mut self) -> &mut Vec<Stmt> {
+    /// The statement vector, for writing: copied first if the node is
+    /// shared with other clones (copy-on-write; the statements themselves
+    /// stay shared), with the cached hash cleared. Private, so every
+    /// write goes through one of the methods below.
+    fn edit(&mut self) -> &mut Vec<Arc<Stmt>> {
         let node = Arc::make_mut(&mut self.0);
         *node.hash.get_mut() = 0;
         &mut node.stmts
     }
 
-    /// Extracts the statement vector, cloning only if the block is shared.
+    /// Mutable access to the statement at `i`, if in bounds. Copies the
+    /// node and that statement if they are shared; the other statements
+    /// stay shared.
+    pub fn stmt_mut(&mut self, i: usize) -> Option<&mut Stmt> {
+        if i >= self.len() {
+            return None;
+        }
+        Some(Arc::make_mut(&mut self.edit()[i]))
+    }
+
+    /// Mutable access to every statement in order. Each statement is
+    /// copied, if shared, when the iterator reaches it.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stmt> {
+        self.edit().iter_mut().map(Arc::make_mut)
+    }
+
+    /// Replaces the statements in `range` with `stmts`.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    pub fn splice<S: Into<Arc<Stmt>>>(
+        &mut self,
+        range: Range<usize>,
+        stmts: impl IntoIterator<Item = S>,
+    ) {
+        self.edit().splice(range, stmts.into_iter().map(Into::into));
+    }
+
+    /// Removes the statements in `range` and returns them, still shared
+    /// with any other version that holds them.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    pub fn drain(&mut self, range: Range<usize>) -> Vec<Arc<Stmt>> {
+        self.edit().drain(range).collect()
+    }
+
+    /// Inserts a statement at `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i > self.len()`.
+    pub fn insert(&mut self, i: usize, stmt: impl Into<Arc<Stmt>>) {
+        self.edit().insert(i, stmt.into());
+    }
+
+    /// Extracts the statements, copying each one that is shared.
     pub fn into_stmts(self) -> Vec<Stmt> {
-        match Arc::try_unwrap(self.0) {
+        let stmts = match Arc::try_unwrap(self.0) {
             Ok(node) => node.stmts,
             Err(shared) => shared.stmts.clone(),
-        }
+        };
+        stmts.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// The statement at `i`, if in bounds.
     pub fn get(&self, i: usize) -> Option<&Stmt> {
-        self.stmts().get(i)
+        self.0.stmts.get(i).map(|s| &**s)
     }
 
     /// Number of statements directly in this block.
     pub fn len(&self) -> usize {
-        self.stmts().len()
+        self.0.stmts.len()
     }
 
     /// Whether this block has no statements.
     pub fn is_empty(&self) -> bool {
-        self.stmts().is_empty()
+        self.0.stmts.is_empty()
     }
 
     /// Iterates over direct statements.
-    pub fn iter(&self) -> std::slice::Iter<'_, Stmt> {
-        self.stmts().iter()
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.stmts.iter())
     }
 
     /// Total number of statements in this block, counted recursively.
@@ -127,6 +198,30 @@ impl Block {
     }
 }
 
+/// The iterator of [`Block::iter`]: a block's statements, in order.
+#[derive(Clone, Debug)]
+pub struct Iter<'a>(std::slice::Iter<'a, Arc<Stmt>>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a Stmt;
+
+    fn next(&mut self) -> Option<&'a Stmt> {
+        self.0.next().map(|s| &**s)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Iter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.0.next_back().map(|s| &**s)
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("Block").field(&self.0.stmts).finish()
@@ -135,14 +230,22 @@ impl fmt::Debug for Block {
 
 impl PartialEq for Block {
     fn eq(&self, other: &Self) -> bool {
-        // Shared storage is equal by construction; fall back to a deep
-        // comparison otherwise. Caveat: for blocks containing a float NaN
-        // literal the deep comparison is non-reflexive (NaN != NaN) while
-        // the pointer fast path reports shared clones equal — the object
-        // language never produces NaN literals, so this stays theoretical.
-        // (`Hash` errs the other way at signed zeros: `0.0 == -0.0`, yet
-        // the two literals hash apart.)
-        Arc::ptr_eq(&self.0, &other.0) || self.0.stmts == other.0.stmts
+        // Shared storage is equal by construction, node by node and
+        // statement by statement; fall back to a deep comparison
+        // otherwise. Caveat: for blocks containing a float NaN literal the
+        // deep comparison is non-reflexive (NaN != NaN) while the pointer
+        // fast paths report shared clones equal — the object language
+        // never produces NaN literals, so this stays theoretical. (`Hash`
+        // errs the other way at signed zeros: `0.0 == -0.0`, yet the two
+        // literals hash apart.)
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return true;
+        }
+        let (a, b) = (&self.0.stmts, &other.0.stmts);
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| Arc::ptr_eq(x, y) || **x == **y)
     }
 }
 
@@ -171,7 +274,14 @@ impl std::ops::Index<usize> for Block {
 
 impl FromIterator<Stmt> for Block {
     fn from_iter<T: IntoIterator<Item = Stmt>>(iter: T) -> Self {
-        Block::from_stmts(iter.into_iter().collect())
+        Block::from_shared(iter.into_iter().map(Arc::new).collect())
+    }
+}
+
+impl FromIterator<Arc<Stmt>> for Block {
+    /// Builds a block that shares the given statements.
+    fn from_iter<T: IntoIterator<Item = Arc<Stmt>>>(iter: T) -> Self {
+        Block::from_shared(iter.into_iter().collect())
     }
 }
 
@@ -183,7 +293,7 @@ impl From<Vec<Stmt>> for Block {
 
 impl<'a> IntoIterator for &'a Block {
     type Item = &'a Stmt;
-    type IntoIter = std::slice::Iter<'a, Stmt>;
+    type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }

@@ -13,7 +13,7 @@ use crate::sym::Sym;
 
 macro_rules! define_traversal {
     ($(#[$doc:meta])* $Trait:ident $(<$lt:lifetime>)?, $walk_expr:ident, $walk_stmt:ident, $walk_stmts:ident,
-     $stmts:ident $(, $m:ident)?) => {
+     $iter:ident $(, $m:ident)?) => {
         $(#[$doc])*
         pub trait $Trait $(<$lt>)? {
             /// Every symbol occurrence: uses (variables, buffers, stride
@@ -105,14 +105,14 @@ macro_rules! define_traversal {
                     v.visit_expr(lo);
                     v.visit_expr(hi);
                     if v.enter(iter) {
-                        $walk_stmts(v, body.$stmts());
+                        $walk_stmts(v, body);
                         v.exit(iter);
                     }
                 }
                 Stmt::If { cond, then_body, else_body } => {
                     v.visit_expr(cond);
-                    $walk_stmts(v, then_body.$stmts());
-                    $walk_stmts(v, else_body.$stmts());
+                    $walk_stmts(v, then_body);
+                    $walk_stmts(v, else_body);
                 }
                 Stmt::Call { args, .. } => {
                     for a in args {
@@ -131,12 +131,12 @@ macro_rules! define_traversal {
             }
         }
 
-        /// Visits sibling statements in order, stopping after an `alloc`
-        /// or window alias whose scope the client declines to `enter`, then
-        /// `exit`s the scopes that were entered.
-        pub fn $walk_stmts<$($lt,)? V: $Trait $(<$lt>)? + ?Sized>(v: &mut V, stmts: &$($lt)? $($m)? [Stmt]) {
+        /// Visits the statements of a block in order, stopping after an
+        /// `alloc` or window alias whose scope the client declines to
+        /// `enter`, then `exit`s the scopes that were entered.
+        pub fn $walk_stmts<$($lt,)? V: $Trait $(<$lt>)? + ?Sized>(v: &mut V, block: &$($lt)? $($m)? Block) {
             let mut visited = 0;
-            for s in &$($m)? *stmts {
+            for s in block.$iter() {
                 v.visit_stmt(s);
                 if let Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } = &*s {
                     if !v.enter(name) {
@@ -145,7 +145,7 @@ macro_rules! define_traversal {
                 }
                 visited += 1;
             }
-            for s in stmts[..visited].iter().rev() {
+            for s in block.iter().take(visited).rev() {
                 if let Stmt::Alloc { name, .. } | Stmt::WindowStmt { name, .. } = s {
                     v.exit(name);
                 }
@@ -159,12 +159,13 @@ define_traversal!(
     /// handed over for the lifetime of the tree, so a client may keep
     /// references into it (enclosing loops, the callee of the call whose
     /// arguments it is visiting) instead of cloning.
-    Visit<'ast>, walk_expr, walk_stmt, walk_stmts, stmts
+    Visit<'ast>, walk_expr, walk_stmt, walk_stmts, iter
 );
 define_traversal!(
     /// An in-place rewriting pass over statements and expressions. Walking
-    /// a block mutably un-shares it (see [`Block::stmts_mut`]).
-    VisitMut, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, stmts_mut, mut
+    /// a block mutably un-shares it and each statement visited (see
+    /// [`Block::iter_mut`]).
+    VisitMut, walk_expr_mut, walk_stmt_mut, walk_stmts_mut, iter_mut, mut
 );
 
 struct Subst<'a> {
@@ -205,7 +206,7 @@ pub fn substitute_var(mut stmt: Stmt, sym: &Sym, val: &Expr) -> Stmt {
 
 /// Substitutes within every statement of a block.
 pub fn substitute_block(mut block: Block, sym: &Sym, val: &Expr) -> Block {
-    walk_stmts_mut(&mut Subst { sym, val }, block.stmts_mut());
+    walk_stmts_mut(&mut Subst { sym, val }, &mut block);
     block
 }
 
@@ -265,33 +266,6 @@ impl<F: FnMut(&Stmt)> Visit<'_> for EachStmt<F> {
 /// `stmt` itself).
 pub fn for_each_stmt(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
     EachStmt(f).visit_stmt(stmt);
-}
-
-struct SymNames(std::collections::BTreeSet<String>);
-
-impl Visit<'_> for SymNames {
-    fn visit_sym(&mut self, sym: &Sym) {
-        self.0.insert(sym.name().to_string());
-    }
-}
-
-/// Collects the textual name of every symbol occurring anywhere in the
-/// procedure: arguments, assertion mentions, allocation / iterator /
-/// window-alias binding sites, and every buffer, variable, stride or
-/// config occurrence in statements and expressions.
-///
-/// This is the "used names" set that [`crate::Proc::fresh_sym`] keeps
-/// fresh names disjoint from.
-pub fn collect_sym_names(proc: &crate::proc::Proc) -> std::collections::BTreeSet<String> {
-    let mut names = SymNames(Default::default());
-    for arg in proc.args() {
-        names.visit_sym(&arg.name);
-    }
-    for pred in proc.preds() {
-        names.visit_expr(pred);
-    }
-    walk_stmts(&mut names, proc.body().stmts());
-    names.0
 }
 
 #[cfg(test)]
@@ -392,7 +366,7 @@ mod tests {
             dims: vec![],
             mem: crate::Mem::Dram,
         };
-        let block = [
+        let block = Block::from_stmts(vec![
             alloc("a"),
             Stmt::For {
                 iter: Sym::new("i"),
@@ -403,7 +377,7 @@ mod tests {
             },
             alloc("skipped"),
             alloc("unreached"),
-        ];
+        ]);
         let mut scopes = Scopes::default();
         walk_stmts(&mut scopes, &block);
         assert_eq!(scopes.0, ["+a", "+i", "+b", "-b", "-i", "+skipped", "-a"]);

@@ -248,23 +248,26 @@ fn occurrences(stmt: Stmt, needle: &str) -> usize {
 }
 
 /// Walks down from `block` — to a loop body or branch arm reached through
-/// the statement's own fields, or through `child_blocks_mut` — and appends
-/// a `pass` to the block where `pick` says to stop.
-fn push_pass_below(block: &mut Block, pick: u64, via_child_blocks: bool) {
-    let stmts = block.stmts_mut();
-    let n = stmts.len() as u64;
-    let child = match &mut stmts[(pick % n) as usize] {
+/// the statement's own fields, or through `child_blocks_mut` — and applies
+/// `write` to the block where `pick` says to stop.
+fn write_below(block: &mut Block, pick: u64, via_child_blocks: bool, write: fn(&mut Block)) {
+    let n = block.len() as u64;
+    let i = (pick % n) as usize;
+    if block[i].child_blocks().is_empty() || (pick / n).is_multiple_of(4) {
+        return write(block);
+    }
+    let child = match block.stmt_mut(i).expect("in bounds") {
         s if via_child_blocks => s.child_blocks_mut().into_iter().next(),
         Stmt::For { body, .. } => Some(body),
         Stmt::If { then_body, .. } => Some(then_body),
         _ => None,
     };
-    match child {
-        Some(child) if !(pick / n).is_multiple_of(4) => {
-            push_pass_below(child, pick / n / 4, via_child_blocks)
-        }
-        _ => stmts.push(Stmt::Pass),
-    }
+    write_below(
+        child.expect("a child block"),
+        pick / n / 4,
+        via_child_blocks,
+        write,
+    );
 }
 
 /// Replaces every variable, in place.
@@ -281,18 +284,25 @@ impl VisitMut for Constants {
 }
 
 /// One edit through each `&mut` route a procedure offers.
-const ROUTES: u64 = 5;
+const ROUTES: u64 = 8;
 
 fn edit(q: &mut Proc, route: u64, pick: u64) {
     match route {
-        0 => push_pass_below(q.body_mut(), pick, false),
-        1 => push_pass_below(q.body_mut(), pick, true),
-        2 => *q.body_mut() = q.body().iter().cloned().chain([Stmt::Pass]).collect(),
-        3 => q.args_mut().push(ProcArg {
+        0 => write_below(q.body_mut(), pick, false, |b| b.insert(0, Stmt::Pass)),
+        1 => write_below(q.body_mut(), pick, true, |b| b.insert(b.len(), Stmt::Pass)),
+        2 => write_below(q.body_mut(), pick, false, |b| b.splice(0..0, [Stmt::Pass])),
+        3 => write_below(q.body_mut(), pick, true, |b| {
+            b.drain(0..1);
+        }),
+        4 => write_below(q.body_mut(), pick, false, |b| {
+            *b.stmt_mut(0).expect("non-empty") = Stmt::Pass
+        }),
+        5 => *q.body_mut() = q.body().iter().cloned().chain([Stmt::Pass]).collect(),
+        6 => q.args_mut().push(ProcArg {
             name: Sym::new("n"),
             kind: ArgKind::Size,
         }),
-        _ => walk_stmts_mut(&mut Constants, q.body_mut().stmts_mut()),
+        _ => walk_stmts_mut(&mut Constants, q.body_mut()),
     }
 }
 

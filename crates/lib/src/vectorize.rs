@@ -200,7 +200,9 @@ pub fn vectorize(
             Ok(parent) => parent.find_all(&lane_pattern).unwrap_or_default(),
             Err(_) => p.find_loop_many(&lane).unwrap_or_default(),
         };
-        let Some(multi) = lane_loops.into_iter().find(|l| l.body().len() > 1) else {
+        let has_more =
+            |l: &Cursor| matches!(l.stmt(), Ok(Stmt::For { body, .. }) if body.len() > 1);
+        let Some(multi) = lane_loops.into_iter().find(has_more) else {
             break;
         };
         let gap = multi.body()[0].after().map_err(SchedError::from)?;
