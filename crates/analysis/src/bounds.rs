@@ -193,13 +193,13 @@ impl<'a> AccessSink<'a> for Hull<'_> {
 }
 
 /// Infers the access bounds of `buf` within the statement `scope`: the
-/// hull of every access the walk of [`crate::accesses`] reports — point
+/// hull of every access the crate's one access walk reports — point
 /// reads and writes, windows (`[lo, hi)` as written), at every expression
 /// position including loop bounds, allocation sizes and call arguments.
 ///
 /// Returns a [`BoundsFailure`] describing why inference gave up when it
 /// does (never silently): the iterators bound inside `scope` are
-/// eliminated by the monotonicity-checked [`extremize`], and an index it
+/// eliminated by a monotonicity-checked extremization, and an index it
 /// cannot prove monotone, or two bounds the facts do not order, are
 /// failures, not guesses.
 pub fn infer_bounds(scope: &Stmt, buf: &Sym, ctx: &Context) -> Result<BufferBounds, BoundsFailure> {

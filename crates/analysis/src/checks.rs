@@ -173,7 +173,7 @@ fn iteration_disjoint(iter: &Sym, a: &Access, b: &Access, ctx: &Context) -> bool
 /// parallel-loop race check.
 ///
 /// The test is index-level: two accesses to the same buffer are fine when
-/// [`iteration_disjoint`] proves distinct iterations touch distinct
+/// the index-disjointness test proves distinct iterations touch distinct
 /// elements (e.g. `C[i, j]` over `i`, or the strided pair `a[2*i]` /
 /// `a[2*i + 1]`). Buffers whose every access in the body is a *reduce* are
 /// always fine: reductions commute, so the loop is parallelizable as a

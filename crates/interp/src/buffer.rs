@@ -156,16 +156,14 @@ impl View {
 
     /// Precomputes a dense access plan for this view: the linear base
     /// offset plus one `(offset, extent, stride)` triple per exposed
-    /// dimension, written into `dims`' storage (callers on the call path
-    /// hand back the vector of a released binding). Returns `None` when
-    /// the plan cannot be proven safe up front (stride products
-    /// overflowing `usize`, or a dropped dimension pinned out of bounds) —
-    /// callers then fall back to the checked [`View::read`]/[`View::write`]
-    /// path, which reports the identical error the tree interpreter would
-    /// have.
-    pub(crate) fn plan_into(&self, mut dims: Vec<PlanDim>) -> Option<AccessPlan> {
+    /// dimension. Returns `None` when the plan cannot be proven safe up
+    /// front (stride products overflowing `usize`, or a dropped dimension
+    /// pinned out of bounds) — callers then fall back to the checked
+    /// [`View::read`]/[`View::write`] path, which reports the identical
+    /// error the tree interpreter would have.
+    pub(crate) fn plan(&self) -> Option<AccessPlan> {
         let buf = self.buf.borrow();
-        dims.clear();
+        let mut dims = Vec::with_capacity(self.kept.len());
         let mut base = 0usize;
         // Innermost dimension first, so the running product is the
         // row-major stride. Its final value is the total element count:
@@ -184,10 +182,7 @@ impl View {
                 });
             } else {
                 // Dropped dimension: pinned at its offset for every access.
-                if off < 0 || off as u64 >= extent as u64 {
-                    return None;
-                }
-                base = base.checked_add((off as usize).checked_mul(stride)?)?;
+                base = base.checked_add(pinned(off, extent)?.checked_mul(stride)?)?;
             }
             stride = stride.checked_mul(extent)?;
         }
@@ -198,24 +193,13 @@ impl View {
     /// Narrows this view by a further window: `spec` gives, per exposed
     /// dimension, either a point (drop the dimension) or an interval start
     /// (keep the dimension with an extra offset).
-    pub fn narrow(&self, spec: &[WindowDim]) -> View {
-        self.narrow_into(spec.iter().copied(), Vec::new(), Vec::new())
-    }
-
-    /// [`View::narrow`] into the storage of two vectors the caller already
-    /// owns (their contents are discarded).
-    pub(crate) fn narrow_into(
-        &self,
-        spec: impl ExactSizeIterator<Item = WindowDim>,
-        mut offsets: Vec<i64>,
-        mut kept: Vec<usize>,
-    ) -> View {
-        offsets.clear();
-        offsets.extend_from_slice(&self.offsets);
-        kept.clear();
-        let narrowed = spec.len();
-        for (k, w) in spec.enumerate() {
+    pub fn narrow(&self, spec: impl IntoIterator<Item = WindowDim>) -> View {
+        let mut offsets = self.offsets.clone();
+        let mut kept = Vec::with_capacity(self.kept.len());
+        let mut narrowed = 0;
+        for (k, w) in spec.into_iter().enumerate() {
             let dim = self.kept[k];
+            narrowed = k + 1;
             // Saturating, like `translate`: an offset extreme enough to
             // overflow cannot wrap back into bounds, so it surfaces as an
             // ordinary out-of-bounds access instead of a wrong element.
@@ -244,8 +228,10 @@ impl View {
         buf.data.get(lin).copied()
     }
 
-    /// Writes one element through the view, any NaN as [`f64::NAN`]
-    /// (see [`canonical_nan`]).
+    /// Writes one element through the view, any NaN as [`f64::NAN`]: Rust
+    /// leaves an arithmetic NaN's sign and payload unspecified, so two
+    /// paths that fold one computation differently still store the same
+    /// bits.
     pub fn write(&self, idx: &[i64], value: f64) -> Option<()> {
         let under = self.translate(idx);
         let mut buf = self.buf.borrow_mut();
@@ -296,38 +282,51 @@ pub(crate) struct AccessPlan {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct PlanDim {
+struct PlanDim {
     off: i64,
     extent: usize,
     stride: usize,
 }
 
-impl AccessPlan {
-    /// Gives the plan's vector back for the next [`View::plan_into`].
-    pub(crate) fn into_dims(self) -> Vec<PlanDim> {
-        self.dims
-    }
+/// `off` as an element index along a dimension of `extent`, if in bounds.
+#[inline]
+fn pinned(off: i64, extent: usize) -> Option<usize> {
+    (off >= 0 && (off as u64) < extent as u64).then_some(off as usize)
+}
 
+impl AccessPlan {
     /// Linear element offset of `idx`, or `None` when the access is out of
     /// bounds or has the wrong arity (callers fall back to the slow,
     /// fully-checked path to produce the canonical error or to reproduce
     /// the tree interpreter's lenient arity handling).
     #[inline]
     pub(crate) fn lin(&self, idx: &[i64]) -> Option<usize> {
-        if idx.len() != self.dims.len() {
-            return None;
-        }
+        self.lin_narrowed(&[], idx)
+    }
+
+    /// What `lin(idx)` is on the plan of this view narrowed by `spec`
+    /// (`View::narrow`, then `View::plan`), without building either: a
+    /// point pins its dimension, an interval start shifts it, both
+    /// saturating as `narrow` does, and `idx` indexes the intervals and
+    /// the dimensions past `spec` in order. `None` exactly where that
+    /// plan does not exist or its `lin` is `None`.
+    #[inline]
+    pub(crate) fn lin_narrowed(&self, spec: &[WindowDim], idx: &[i64]) -> Option<usize> {
+        let mut idx = idx.iter();
         let mut lin = self.base;
-        for (d, &i) in self.dims.iter().zip(idx) {
-            let v = i.checked_add(d.off)?;
-            if v < 0 || v as u64 >= d.extent as u64 {
-                return None;
-            }
+        for (k, d) in self.dims.iter().enumerate() {
+            let at = match spec.get(k) {
+                Some(WindowDim::Point(p)) => d.off.saturating_add(*p),
+                Some(WindowDim::Interval(lo)) => {
+                    idx.next()?.checked_add(d.off.saturating_add(*lo))?
+                }
+                None => idx.next()?.checked_add(d.off)?,
+            };
             // In range: `base + Σ (extent-1)·stride < len`, proven at plan
             // construction, so unchecked addition cannot overflow.
-            lin += v as usize * d.stride;
+            lin += pinned(at, d.extent)? * d.stride;
         }
-        Some(lin)
+        (spec.len() <= self.dims.len() && idx.next().is_none()).then_some(lin)
     }
 }
 
@@ -407,7 +406,7 @@ mod tests {
         let full = View::full(buf.clone());
         assert_eq!(full.read(&[1, 2]), Some(6.0));
         // Narrow to row 1, columns 1..4 -> a 1-D view of length 3.
-        let row = full.narrow(&[WindowDim::Point(1), WindowDim::Interval(1)]);
+        let row = full.narrow([WindowDim::Point(1), WindowDim::Interval(1)]);
         assert_eq!(row.kept.len(), 1);
         assert_eq!(row.read(&[0]), Some(5.0));
         assert_eq!(row.read(&[2]), Some(7.0));
@@ -422,8 +421,8 @@ mod tests {
             DataType::F32,
             Mem::Dram,
         )));
-        let v1 = View::full(buf.clone()).narrow(&[WindowDim::Interval(2), WindowDim::Interval(2)]);
-        let v2 = v1.narrow(&[WindowDim::Interval(1), WindowDim::Point(3)]);
+        let v1 = View::full(buf.clone()).narrow([WindowDim::Interval(2), WindowDim::Interval(2)]);
+        let v2 = v1.narrow([WindowDim::Interval(1), WindowDim::Point(3)]);
         // v2 index [0] maps to underlying [3, 5].
         v2.write(&[0], 7.0).unwrap();
         assert_eq!(buf.borrow().data[3 * 8 + 5], 7.0);
@@ -439,28 +438,19 @@ mod tests {
         let full = View::full(buf.clone());
         let views = [
             full.clone(),
-            full.narrow(&[WindowDim::Interval(1), WindowDim::Point(2)]),
-            full.narrow(&[WindowDim::Point(2), WindowDim::Interval(1)])
-                .narrow(&[WindowDim::Interval(1), WindowDim::Point(4)]),
-            full.narrow(&[
+            full.narrow([WindowDim::Interval(1), WindowDim::Point(2)]),
+            full.narrow([WindowDim::Point(2), WindowDim::Interval(1)])
+                .narrow([WindowDim::Interval(1), WindowDim::Point(4)]),
+            full.narrow([
                 WindowDim::Point(0),
                 WindowDim::Point(3),
                 WindowDim::Point(4),
             ]),
             // A pinned dimension out of bounds: no plan, checked path only.
-            full.narrow(&[WindowDim::Point(3)]),
+            full.narrow([WindowDim::Point(3)]),
         ];
         for view in &views {
-            // The recycled vector's old contents must not leak into the plan.
-            let stale = vec![
-                PlanDim {
-                    off: 9,
-                    extent: 9,
-                    stride: 9
-                };
-                4
-            ];
-            let Some(plan) = view.plan_into(stale) else {
+            let Some(plan) = view.plan() else {
                 assert!(view.read(&vec![0; view.kept.len()]).is_none());
                 continue;
             };
@@ -474,6 +464,60 @@ mod tests {
                 };
                 idx[k] += 1;
                 idx[..k].fill(-1);
+            }
+        }
+    }
+
+    #[test]
+    fn narrowed_offsets_agree_with_narrowing_then_planning() {
+        let buf = Rc::new(RefCell::new(BufferData::zeros(
+            vec![3, 4, 5],
+            DataType::F32,
+            Mem::Dram,
+        )));
+        let full = View::full(buf);
+        let views = [
+            full.clone(),
+            full.narrow([WindowDim::Point(1)]),
+            full.narrow([WindowDim::Interval(1), WindowDim::Point(3)]),
+        ];
+        let starts = [-1, 0, 1, 2, 4, i64::MAX, i64::MIN];
+        for view in &views {
+            let plan = view.plan().expect("in bounds");
+            let rank = view.kept.len();
+            for len in 0..=rank + 1 {
+                for pick in 0..4usize.pow(len as u32) {
+                    let spec: Vec<WindowDim> = (0..len)
+                        .map(|k| {
+                            let at = starts[(pick >> (2 * k)) % starts.len()];
+                            if (pick >> (2 * k)) % 2 == 0 {
+                                WindowDim::Interval(at)
+                            } else {
+                                WindowDim::Point(at)
+                            }
+                        })
+                        .collect();
+                    // `narrow` indexes the view's dimensions by the spec.
+                    let narrowed = (len <= rank).then(|| view.narrow(spec.iter().copied()));
+                    for idx in [
+                        vec![],
+                        vec![0],
+                        vec![2],
+                        vec![0, 1],
+                        vec![-1, 3],
+                        vec![1, 1, 1],
+                    ] {
+                        let want = narrowed
+                            .as_ref()
+                            .and_then(|v| v.plan())
+                            .and_then(|p| p.lin(&idx));
+                        assert_eq!(
+                            plan.lin_narrowed(&spec, &idx),
+                            want,
+                            "{spec:?} {idx:?} through {view:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -22,18 +22,20 @@
 //! results. When an endpoint does not resolve the loop runs element by
 //! element from its first iteration, which reports whatever is wrong
 //! exactly as it always did; the strip has executed and emitted nothing
-//! by then.
+//! by then. A call to a lane instruction (see [`Lanes`]) runs the
+//! callee's strip the same way, its accesses resolved through the
+//! caller's window arguments, with the general call as its fallback.
 
-use crate::buffer::{canonical_nan, AccessPlan, ArgValue, BufferData, PlanDim, View, WindowDim};
+use crate::buffer::{canonical_nan, AccessPlan, ArgValue, BufferData, View, WindowDim};
 use crate::error::InterpError;
 use crate::lower::{
-    lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
-    StripAccess, StripOp, MAX_STRIP_OPERANDS,
+    lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LaneAccess, Lanes,
+    LoweredProc, Strip, StripAccess, StripOp, MAX_STRIP_OPERANDS,
 };
 use crate::monitor::Monitor;
 use crate::registry::ProcRegistry;
 use crate::Result;
-use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Proc, Stmt, Sym, UnOp, WAccess};
+use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -117,12 +119,7 @@ struct TensorBind {
 impl TensorBind {
     /// Binds a view with a precomputed stride plan (lowered path).
     fn planned(view: View) -> Self {
-        TensorBind::planned_in(view, Vec::new())
-    }
-
-    /// [`TensorBind::planned`], the plan built in `dims`' storage.
-    fn planned_in(view: View, dims: Vec<PlanDim>) -> Self {
-        let plan = view.plan_into(dims);
+        let plan = view.plan();
         TensorBind { view, plan }
     }
 
@@ -142,19 +139,6 @@ enum Binding {
 /// One dense activation record of the lowered executor.
 type Frame = Vec<Option<Binding>>;
 
-/// The vectors of one released tensor binding (a view's offsets and kept
-/// dimensions, a plan's dimensions), kept so that binding the next window
-/// argument allocates nothing.
-#[derive(Default)]
-struct BindStorage {
-    offsets: Vec<i64>,
-    kept: Vec<usize>,
-    dims: Vec<PlanDim>,
-}
-
-/// Bound on the pooled callee frames and on the pooled binding storage.
-const POOL_CAP: usize = 64;
-
 /// Tensor ranks up to this size evaluate their index vectors in stack
 /// storage on the hot access path; higher ranks (unseen in practice)
 /// fall back to a heap vector.
@@ -165,6 +149,18 @@ const MAX_INLINE_RANK: usize = 8;
 struct IndexBuf {
     inline: [i64; MAX_INLINE_RANK],
     heap: Vec<i64>,
+}
+
+impl IndexBuf {
+    /// Room for `len` indices, on the stack up to [`MAX_INLINE_RANK`].
+    fn of_len(&mut self, len: usize) -> &mut [i64] {
+        if len <= MAX_INLINE_RANK {
+            &mut self.inline[..len]
+        } else {
+            self.heap.resize(len, 0);
+            &mut self.heap
+        }
+    }
 }
 
 /// Lexically-scoped environment (reference path only): the innermost
@@ -409,6 +405,144 @@ fn strip_cursors<'f>(
     Some(cursors)
 }
 
+/// The caller's tensor that a window argument names, and the narrowing
+/// the argument applies to it written into `spec` (its length is
+/// returned), folded without an event; `None` for an unbound name, an
+/// index the fold cannot settle, a rank above [`MAX_INLINE_RANK`] or an
+/// expression that is no tensor.
+fn fold_window<'f>(
+    w: &LWindow,
+    frame: &'f Frame,
+    spec: &mut [WindowDim; MAX_INLINE_RANK],
+) -> Option<(&'f TensorBind, usize)> {
+    let (buf, n) = match w {
+        LWindow::Var { buf } => (buf, 0),
+        LWindow::PointRead { buf, idx } => {
+            for (d, e) in spec.get_mut(..idx.len())?.iter_mut().zip(idx.iter()) {
+                *d = WindowDim::Point(fold_index(e, frame)?);
+            }
+            (buf, idx.len())
+        }
+        LWindow::Window { buf, spec: dims } => {
+            for (d, w) in spec.get_mut(..dims.len())?.iter_mut().zip(dims.iter()) {
+                *d = match w {
+                    LWSpec::Point(e) => WindowDim::Point(fold_index(e, frame)?),
+                    LWSpec::Interval { lo, .. } => WindowDim::Interval(fold_index(lo, frame)?),
+                };
+            }
+            (buf, dims.len())
+        }
+        LWindow::NotATensor { .. } => return None,
+    };
+    let LBufRef::Slot(s) = buf else {
+        return None;
+    };
+    match &frame[*s as usize] {
+        Some(Binding::Tensor(t)) => Some((t, n)),
+        _ => None,
+    }
+}
+
+/// The cursors of a lane instruction's strip accesses, resolved through
+/// the caller's window arguments: each access's first and last lane must
+/// land inside the caller binding's plan (see
+/// [`AccessPlan::lin_narrowed`]), which puts every lane between them in
+/// bounds too. `None` where that cannot be settled without the general
+/// call.
+fn lane_cursors<'f>(
+    lanes: &Lanes,
+    args: &[LCallArg],
+    frame: &'f Frame,
+) -> Option<[Cursor<'f>; MAX_STRIP_OPERANDS]> {
+    let cursor = |access: &LaneAccess| {
+        let mut spec = [WindowDim::Point(0); MAX_INLINE_RANK];
+        let (t, n) = fold_window(&args.get(access.param)?.window, frame, &mut spec)?;
+        let plan = t.plan.as_ref()?;
+        let len = t.view.buf.borrow().data.len();
+        let at = |idx: &[i64]| plan.lin_narrowed(&spec[..n], idx).filter(|&lin| lin < len);
+        let (first, last) = (at(&access.first)?, at(&access.last)?);
+        // Offsets are linear in the lane, so the step divides exactly.
+        let step = match lanes.trips {
+            1 => 0,
+            trips => (last as i64 - first as i64) / (trips - 1),
+        };
+        Some(Cursor {
+            buf: &t.view.buf,
+            off: first,
+            step: step as isize,
+        })
+    };
+    let mut cursors = [cursor(lanes.accesses.first()?)?; MAX_STRIP_OPERANDS];
+    for (c, access) in cursors.iter_mut().zip(lanes.accesses.iter()).skip(1) {
+        *c = cursor(access)?;
+    }
+    Some(cursors)
+}
+
+/// A lane instruction's scalar argument: a value the caller holds, or an
+/// element the call reads (and reports) once it has begun.
+#[derive(Clone, Copy)]
+enum LaneScalar<'f> {
+    Value(f64),
+    Read(Cursor<'f>),
+}
+
+/// The scalar arguments of a lane call, in parameter order: a float
+/// literal, a float variable, or an element read whose index folds into
+/// the caller binding's plan. `None` for anything else — a 0-dim buffer
+/// passed by reference or a non-float value among them — which the
+/// general call binds.
+fn lane_scalars<'f>(
+    lanes: &Lanes,
+    args: &[LCallArg],
+    frame: &'f Frame,
+) -> Option<[LaneScalar<'f>; MAX_STRIP_OPERANDS]> {
+    let mut out = [LaneScalar::Value(0.0); MAX_STRIP_OPERANDS];
+    for (slot, &(param, _)) in out.iter_mut().zip(lanes.scalars.iter()) {
+        let arg = args.get(param)?;
+        let by_ref = match &arg.window {
+            LWindow::Var {
+                buf: LBufRef::Slot(s),
+            } => matches!(frame[*s as usize], Some(Binding::Tensor(_))),
+            _ => false,
+        };
+        if by_ref {
+            return None;
+        }
+        *slot = match &arg.scalar {
+            LExpr::Float(v) => LaneScalar::Value(*v),
+            LExpr::Var(LBufRef::Slot(s)) => match frame[*s as usize] {
+                Some(Binding::Scalar(Value::Float(v))) => LaneScalar::Value(v),
+                _ => return None,
+            },
+            LExpr::Read {
+                buf: LBufRef::Slot(s),
+                idx,
+            } => {
+                let Some(Binding::Tensor(t)) = &frame[*s as usize] else {
+                    return None;
+                };
+                let mut scratch = [0; MAX_INLINE_RANK];
+                let at = scratch.get_mut(..idx.len())?;
+                for (v, e) in at.iter_mut().zip(idx.iter()) {
+                    *v = fold_index(e, frame)?;
+                }
+                let lin = t.plan.as_ref()?.lin(at)?;
+                if lin >= t.view.buf.borrow().data.len() {
+                    return None;
+                }
+                LaneScalar::Read(Cursor {
+                    buf: &t.view.buf,
+                    off: lin,
+                    step: 0,
+                })
+            }
+            _ => return None,
+        };
+    }
+    Some(out)
+}
+
 /// Executes object-language procedures against concrete buffers, reporting
 /// events to a [`Monitor`].
 pub struct Interpreter<'a> {
@@ -420,8 +554,6 @@ pub struct Interpreter<'a> {
     /// Monotone counter issuing a unique token per loop-statement
     /// execution, reported via `Monitor::on_loop_enter`.
     loop_seq: u64,
-    frame_pool: Vec<Frame>,
-    bind_pool: Vec<BindStorage>,
     /// Opt-in per-instruction-class counters; `None` keeps the counting
     /// branch off the hot loop.
     profile: Option<Box<InstProfile>>,
@@ -436,8 +568,6 @@ impl<'a> Interpreter<'a> {
             next_addr: 0x1000,
             suppress: 0,
             loop_seq: 0,
-            frame_pool: Vec::new(),
-            bind_pool: Vec::new(),
             profile: None,
         }
     }
@@ -550,63 +680,46 @@ impl<'a> Interpreter<'a> {
     fn ensure_addr(&mut self, buf: &Rc<RefCell<BufferData>>) {
         let mut b = buf.borrow_mut();
         if b.base_addr == 0 {
-            b.base_addr = self.next_addr;
-            let bytes = (b.len() as u64 * b.elem_bytes()).max(64);
-            self.next_addr += bytes.div_ceil(64) * 64;
+            b.base_addr = self.bump(&b);
         }
     }
 
-    fn alloc_buffer(&mut self, sizes: Vec<usize>, ty: DataType, mem: exo_ir::Mem) -> View {
-        let mut data = BufferData::zeros(sizes, ty, mem);
-        data.base_addr = self.next_addr;
-        let bytes = (data.len() as u64 * data.elem_bytes()).max(64);
+    /// The next address of the bump allocator, reserved for `b`'s storage
+    /// rounded up to whole 64-byte lines.
+    fn bump(&mut self, b: &BufferData) -> u64 {
+        let addr = self.next_addr;
+        let bytes = (b.len() as u64 * b.elem_bytes()).max(64);
         self.next_addr += bytes.div_ceil(64) * 64;
+        addr
+    }
+
+    fn alloc_buffer(&mut self, sizes: Vec<usize>, ty: DataType, mem: Mem) -> View {
+        let mut data = BufferData::zeros(sizes, ty, mem);
+        data.base_addr = self.bump(&data);
         View::full(Rc::new(RefCell::new(data)))
+    }
+
+    /// Re-executes an `alloc` in the storage of the buffer it made last
+    /// time, if that buffer has the same shape, type and memory and no
+    /// other binding shares it: the storage is zeroed and takes the next
+    /// bump address, so nothing can tell it from a fresh buffer.
+    fn reuse_storage(&mut self, old: &TensorBind, sizes: &[i64], ty: DataType, mem: &Mem) -> bool {
+        if Rc::strong_count(&old.view.buf) != 1 {
+            return false;
+        }
+        let mut b = old.view.buf.borrow_mut();
+        let same_dims = b.dims.iter().map(|&d| d as i64).eq(sizes.iter().copied());
+        if !same_dims || b.elem != ty || b.mem != *mem {
+            return false;
+        }
+        b.data.fill(0.0);
+        b.base_addr = self.bump(&b);
+        true
     }
 
     // ================================================================
     // Lowered (slot-indexed) execution path
     // ================================================================
-
-    fn take_frame(&mut self, size: usize) -> Frame {
-        let mut f = self.frame_pool.pop().unwrap_or_default();
-        f.resize(size, None);
-        f
-    }
-
-    /// Returns a callee frame to the pool, and the vectors of its tensor
-    /// bindings to the storage pool the next call's windows draw from.
-    fn release_frame(&mut self, mut f: Frame) {
-        for binding in f.drain(..) {
-            if let Some(Binding::Tensor(t)) = binding {
-                self.recycle(t);
-            }
-        }
-        if self.frame_pool.len() < POOL_CAP {
-            self.frame_pool.push(f);
-        }
-    }
-
-    fn recycle(&mut self, t: TensorBind) {
-        if self.bind_pool.len() < POOL_CAP {
-            let View { offsets, kept, .. } = t.view;
-            let dims = t.plan.map(AccessPlan::into_dims).unwrap_or_default();
-            self.bind_pool.push(BindStorage {
-                offsets,
-                kept,
-                dims,
-            });
-        }
-    }
-
-    /// Rebinds a tensor slot, recycling the storage of the binding it
-    /// replaces (a window or allocation inside a loop rebinds per
-    /// iteration).
-    fn bind_tensor(&mut self, frame: &mut Frame, slot: u32, t: TensorBind) {
-        if let Some(Binding::Tensor(old)) = frame[slot as usize].replace(Binding::Tensor(t)) {
-            self.recycle(old);
-        }
-    }
 
     /// Executes one lowered block against `lp`'s frame, recursing into
     /// the bodies of loops and branches.
@@ -649,19 +762,26 @@ impl<'a> Interpreter<'a> {
                     if self.suppress == 0 {
                         mon.on_stmt();
                     }
-                    let mut sizes = Vec::with_capacity(dims.len());
-                    for d in dims.iter() {
-                        let v = self.eval_index(lp, d, frame, mon)?;
-                        if v < 0 {
+                    let mut scratch = IndexBuf::default();
+                    let sizes = scratch.of_len(dims.len());
+                    for (size, d) in sizes.iter_mut().zip(dims.iter()) {
+                        *size = self.eval_index(lp, d, frame, mon)?;
+                        if *size < 0 {
                             return Err(InterpError::Malformed(format!(
                                 "negative allocation size for `{}`",
                                 lp.slot_names[*slot as usize]
                             )));
                         }
-                        sizes.push(v as usize);
                     }
-                    let view = self.alloc_buffer(sizes, *ty, mem.clone());
-                    self.bind_tensor(frame, *slot, TensorBind::planned(view));
+                    let reused = match &frame[*slot as usize] {
+                        Some(Binding::Tensor(old)) => self.reuse_storage(old, sizes, *ty, mem),
+                        _ => false,
+                    };
+                    if !reused {
+                        let sizes = sizes.iter().map(|&v| v as usize).collect();
+                        let view = self.alloc_buffer(sizes, *ty, mem.clone());
+                        frame[*slot as usize] = Some(Binding::Tensor(TensorBind::planned(view)));
+                    }
                 }
                 LInst::Loop {
                     iter,
@@ -731,7 +851,7 @@ impl<'a> Interpreter<'a> {
                         mon.on_stmt();
                     }
                     let t = self.bind_window(lp, rhs, frame, mon)?;
-                    self.bind_tensor(frame, *slot, t);
+                    frame[*slot as usize] = Some(Binding::Tensor(t));
                 }
             }
         }
@@ -774,11 +894,38 @@ impl<'a> Interpreter<'a> {
             return false;
         };
         let n = strip.accesses.len();
+        self.run_strip(
+            strip,
+            body,
+            &mut cursors[..n],
+            &scalars,
+            trips,
+            parallel,
+            mon,
+        );
+        true
+    }
+
+    /// Runs `trips` iterations of `strip` from `cursors` (one per access,
+    /// at the first iteration) with the per-element loop's events and
+    /// instruction counts: the loop body of [`Interpreter::exec_strip`]
+    /// and of a lane call alike.
+    #[allow(clippy::too_many_arguments)]
+    fn run_strip<M: Monitor + ?Sized>(
+        &mut self,
+        strip: &Strip,
+        body: &[LInst],
+        cursors: &mut [Cursor<'_>],
+        scalars: &[f64; MAX_STRIP_OPERANDS],
+        trips: i64,
+        parallel: bool,
+        mon: &mut M,
+    ) {
         if let Some(profile) = self.profile.as_deref_mut() {
             profile.bump_by(&body[0], trips as u64);
         }
         let emit = self.suppress == 0;
-        let cursors = &mut cursors[..n];
+        let n = cursors.len();
         for _ in 0..trips {
             if emit {
                 mon.on_loop_iter(parallel);
@@ -831,6 +978,76 @@ impl<'a> Interpreter<'a> {
                 c.off = c.off.wrapping_add_signed(c.step);
             }
         }
+    }
+
+    /// Runs a call to a lane instruction (see [`Lanes`]) as its strip on
+    /// the caller's buffers: each access is resolved at the first and
+    /// the last lane through the caller's window argument and the caller
+    /// binding's plan, exactly where the general call would bind a view
+    /// and plan it. The events are the general call's, in its order:
+    /// `enter_call`, the scalar arguments' reads, the callee loop's
+    /// statement, the lanes, `exit_call`. Returns `false`, having emitted
+    /// nothing, where an argument does not resolve: the general call
+    /// then runs and reports whatever is wrong as it always did.
+    #[allow(clippy::too_many_arguments)]
+    fn call_lanes<M: Monitor + ?Sized>(
+        &mut self,
+        callee: &Proc,
+        lowered: &LoweredProc,
+        lanes: &Lanes,
+        args: &[LCallArg],
+        frame: &Frame,
+        mon: &mut M,
+    ) -> bool {
+        let [inst @ LInst::Loop {
+            body,
+            parallel,
+            strip: Some(strip),
+            ..
+        }] = &*lowered.code
+        else {
+            return false;
+        };
+        let Some(mut cursors) = lane_cursors(lanes, args, frame) else {
+            return false;
+        };
+        let Some(reads) = lane_scalars(lanes, args, frame) else {
+            return false;
+        };
+        let suppress_inner = self.suppress == 0 && mon.enter_call(callee);
+        if suppress_inner {
+            self.suppress += 1;
+        }
+        let mut scalars = [0.0; MAX_STRIP_OPERANDS];
+        for (&(_, k), read) in lanes.scalars.iter().zip(&reads) {
+            scalars[k] = match read {
+                LaneScalar::Value(v) => *v,
+                LaneScalar::Read(c) => c.read(self.suppress == 0, mon),
+            };
+        }
+        if let Some(profile) = self.profile.as_deref_mut() {
+            profile.bump(inst);
+        }
+        if self.suppress == 0 {
+            mon.on_stmt();
+        }
+        let n = lanes.accesses.len();
+        let trips = lanes.trips;
+        self.run_strip(
+            strip,
+            body,
+            &mut cursors[..n],
+            &scalars,
+            trips,
+            *parallel,
+            mon,
+        );
+        if suppress_inner {
+            self.suppress -= 1;
+        }
+        if self.suppress == 0 {
+            mon.exit_call(callee);
+        }
         true
     }
 
@@ -857,6 +1074,11 @@ impl<'a> Interpreter<'a> {
                 lowered.args.len()
             )));
         }
+        if let Some(lanes) = &lowered.lanes {
+            if self.call_lanes(callee, lowered, lanes, args, caller_frame, mon) {
+                return Ok(());
+            }
+        }
         let suppress_inner = if self.suppress == 0 {
             mon.enter_call(callee)
         } else {
@@ -865,9 +1087,8 @@ impl<'a> Interpreter<'a> {
         if suppress_inner {
             self.suppress += 1;
         }
-        let mut frame = self.take_frame(lowered.frame_size);
+        let mut frame: Frame = vec![None; lowered.frame_size];
         let result = self.call_body_l(name, lowered, args, caller, caller_frame, &mut frame, mon);
-        self.release_frame(frame);
         if suppress_inner {
             self.suppress -= 1;
         }
@@ -931,7 +1152,7 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Evaluates a lowered expression used as a tensor argument and plans
-    /// the resulting view, in vectors drawn from the storage pool.
+    /// the resulting view.
     fn bind_window<M: Monitor + ?Sized>(
         &mut self,
         lp: &LoweredProc,
@@ -967,9 +1188,7 @@ impl<'a> Interpreter<'a> {
             Some(LWSpec::Interval { .. }) => WindowDim::Interval(v),
             _ => WindowDim::Point(v),
         });
-        let storage = self.bind_pool.pop().unwrap_or_default();
-        let view = t.view.narrow_into(narrowing, storage.offsets, storage.kept);
-        Ok(TensorBind::planned_in(view, storage.dims))
+        Ok(TensorBind::planned(t.view.narrow(narrowing)))
     }
 
     /// Evaluates an index vector into `scratch`: element accesses are the
@@ -983,19 +1202,11 @@ impl<'a> Interpreter<'a> {
         mon: &mut M,
         scratch: &'s mut IndexBuf,
     ) -> Result<&'s [i64]> {
-        let rank = idx.len();
-        if rank <= MAX_INLINE_RANK {
-            for (k, e) in idx.enumerate() {
-                scratch.inline[k] = self.eval_index(lp, e, frame, mon)?;
-            }
-            Ok(&scratch.inline[..rank])
-        } else {
-            scratch.heap.clear();
-            for e in idx {
-                scratch.heap.push(self.eval_index(lp, e, frame, mon)?);
-            }
-            Ok(&scratch.heap)
+        let out = scratch.of_len(idx.len());
+        for (v, e) in out.iter_mut().zip(idx) {
+            *v = self.eval_index(lp, e, frame, mon)?;
         }
+        Ok(out)
     }
 
     /// Evaluates an expression in index position (an access index, a loop
@@ -1448,7 +1659,7 @@ impl<'a> Interpreter<'a> {
                 for e in idx {
                     spec.push(WindowDim::Point(self.eval(e, env, monitor)?.as_int()?));
                 }
-                Ok(view.narrow(&spec))
+                Ok(view.narrow(spec))
             }
             Expr::Window { buf, idx } => {
                 let view = match env.lookup(buf) {
@@ -1466,7 +1677,7 @@ impl<'a> Interpreter<'a> {
                         }
                     }
                 }
-                Ok(view.narrow(&spec))
+                Ok(view.narrow(spec))
             }
             other => Err(InterpError::BadCall(format!(
                 "expression `{other}` cannot be passed as a tensor argument"

@@ -458,6 +458,116 @@ fn affine_in(e: &LExpr, iter: u32) -> Option<bool> {
     }
 }
 
+/// How a call runs a *lane instruction* — a procedure without
+/// preconditions whose body is one [`LInst::Loop`] with literal bounds
+/// that carries a [`Strip`], every parameter of which is a tensor the
+/// strip accesses or a scalar it reads. All of `exo-machine`'s vector
+/// instruction procedures have this form. Decided once, when the callee
+/// is lowered: a call to one resolves each strip access through the
+/// caller's window argument and runs the strip on the caller's buffers,
+/// with no callee frame (see `Interpreter::call_lanes`).
+#[derive(Clone, Debug)]
+pub(crate) struct Lanes {
+    /// Per strip access, in the strip's order: the parameter it names and
+    /// its index at the first and at the last lane.
+    pub(crate) accesses: Box<[LaneAccess]>,
+    /// Per scalar parameter, in parameter order: its position among the
+    /// parameters and among [`Strip::scalars`].
+    pub(crate) scalars: Box<[(usize, usize)]>,
+    /// Iterations of the loop, at least one.
+    pub(crate) trips: i64,
+}
+
+/// One strip access of a lane instruction.
+#[derive(Clone, Debug)]
+pub(crate) struct LaneAccess {
+    /// Position of the tensor parameter it names.
+    pub(crate) param: usize,
+    /// Its index at the first lane and at the last.
+    pub(crate) first: Box<[i64]>,
+    pub(crate) last: Box<[i64]>,
+}
+
+impl Lanes {
+    /// The lane plan of a procedure with these parameters, preconditions
+    /// and body, if it is a lane instruction.
+    fn of(args: &[LArg], preds: &[(LExpr, String)], code: &[LInst]) -> Option<Box<Lanes>> {
+        let [LInst::Loop {
+            iter,
+            lo: LExpr::Int(lo),
+            hi: LExpr::Int(hi),
+            strip: Some(strip),
+            ..
+        }] = code
+        else {
+            return None;
+        };
+        let trips = hi.checked_sub(*lo).filter(|&t| t > 0)?;
+        if !preds.is_empty() {
+            return None;
+        }
+        let param = |slot: u32, kind: LParamKind| {
+            args.iter().position(|a| a.slot == slot && a.kind == kind)
+        };
+        let at = |idx: &[LExpr], v: i64| -> Option<Box<[i64]>> {
+            idx.iter().map(|e| fold_at(e, *iter, v)).collect()
+        };
+        let accesses: Box<[LaneAccess]> = strip
+            .accesses
+            .iter()
+            .map(|a| {
+                Some(LaneAccess {
+                    param: param(a.buf, LParamKind::Tensor)?,
+                    first: at(&a.idx, *lo)?,
+                    last: at(&a.idx, hi - 1)?,
+                })
+            })
+            .collect::<Option<_>>()?;
+        let scalars: Box<[(usize, usize)]> = args
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.kind == LParamKind::Scalar)
+            .map(|(p, a)| Some((p, strip.scalars.iter().position(|&s| s == a.slot)?)))
+            .collect::<Option<_>>()?;
+        // Every parameter is read, so resolving the accesses and the
+        // scalars resolves every argument the general call binds.
+        let tensors_read = args
+            .iter()
+            .enumerate()
+            .all(|(p, a)| a.kind != LParamKind::Tensor || accesses.iter().any(|x| x.param == p));
+        let sized = args.iter().any(|a| a.kind == LParamKind::Size);
+        (tensors_read && !sized && scalars.len() == strip.scalars.len()).then(|| {
+            Box::new(Lanes {
+                accesses,
+                scalars,
+                trips,
+            })
+        })
+    }
+}
+
+/// The value of an index built from integer literals and slot `iter`
+/// bound to `v`, folded as the executor folds indices; `None` for any
+/// other slot, a zero divisor or an overflow.
+fn fold_at(e: &LExpr, iter: u32, v: i64) -> Option<i64> {
+    match e {
+        LExpr::Int(c) => Some(*c),
+        LExpr::Var(LBufRef::Slot(s)) if *s == iter => Some(v),
+        LExpr::Bin { op, lhs, rhs } => {
+            let (a, b) = (fold_at(lhs, iter, v)?, fold_at(rhs, iter, v)?);
+            match op {
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div => a.checked_div_euclid(b),
+                BinOp::Mod => a.checked_rem_euclid(b),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
 /// A procedure lowered to a tree of slot-resolved instructions. Obtained
 /// from [`lower`]; executed by [`crate::Interpreter::run`].
 #[derive(Clone, Debug)]
@@ -471,6 +581,8 @@ pub struct LoweredProc {
     pub(crate) code: Box<[LInst]>,
     /// Source name of each slot, for error messages.
     pub(crate) slot_names: Vec<String>,
+    /// Set when the procedure is a lane instruction.
+    pub(crate) lanes: Option<Box<Lanes>>,
 }
 
 impl LoweredProc {
@@ -562,7 +674,7 @@ pub fn lower(proc: &Proc) -> LoweredProc {
         let slot = lw.bind(&arg.name);
         args.push(LArg { slot, kind });
     }
-    let preds = proc
+    let preds: Vec<_> = proc
         .preds()
         .iter()
         .map(|p| (lw.lower_expr(p), p.to_string()))
@@ -576,6 +688,7 @@ pub fn lower(proc: &Proc) -> LoweredProc {
     LoweredProc {
         name: proc.name().to_string(),
         frame_size: lw.slot_names.len(),
+        lanes: Lanes::of(&args, &preds, &code),
         args,
         preds,
         code,
@@ -885,6 +998,28 @@ mod tests {
             } => assert_eq!(&**name, "ghost"),
             other => panic!("expected unbound read, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn vector_instructions_are_lane_instructions() {
+        use exo_machine::MachineModel;
+        let mut count = 0;
+        for machine in [MachineModel::avx2(), MachineModel::avx512()] {
+            for ty in [DataType::F32, DataType::F64] {
+                for p in machine.instructions(ty) {
+                    let lanes = lower(&p).lanes.expect("a lane instruction");
+                    assert_eq!(lanes.accesses.len() + lanes.scalars.len(), p.args().len());
+                    // A precondition makes it an ordinary callee.
+                    assert!(lower(&p.add_assertion(Expr::eq_(ib(0), ib(0))))
+                        .lanes
+                        .is_none());
+                    count += 1;
+                }
+            }
+        }
+        assert_eq!(count, 44);
+        // Not the other procedures: a scalar kernel, a `size` parameter.
+        assert!(lower(&sample()).lanes.is_none());
     }
 
     #[test]

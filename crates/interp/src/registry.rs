@@ -8,6 +8,33 @@ use crate::lower::{lower, LoweredProc};
 use exo_ir::Proc;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FNV-1a over a name's bytes: every call looks its callee up by name,
+/// and names are short, so a fixed multiply per byte beats SipHash's
+/// per-process keyed rounds. The keys are the program's own procedure
+/// names (a machine's instruction set, the procs a caller registers),
+/// so there is no colliding input to defend against. No seed, so
+/// iteration order is the same in every process.
+struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> Self {
+        NameHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Maps procedure names to their definitions.
 ///
@@ -26,7 +53,7 @@ use std::collections::HashMap;
 /// definition it came from.
 #[derive(Clone, Debug, Default)]
 pub struct ProcRegistry {
-    procs: HashMap<String, Entry>,
+    procs: HashMap<String, Entry, BuildHasherDefault<NameHasher>>,
 }
 
 #[derive(Clone, Debug)]

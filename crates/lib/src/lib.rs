@@ -8,7 +8,7 @@
 //!
 //! * [`inspect`] — the inspection library (`get_inner_loop`, loop-nest
 //!   queries, post-order traversal `lrn`).
-//! * [`vectorize`] — the target-parameterized vectorizer of §6.1.1,
+//! * [`mod@vectorize`] — the target-parameterized vectorizer of §6.1.1,
 //!   including the FMA-staging hook of Figure 4.
 //! * [`level1`] — `optimize_level_1` (§6.2.1 / Appendix D.1).
 //! * [`level2`] — `optimize_level_2_general` (§6.2.2 / Appendix D.2).

@@ -9,7 +9,7 @@
 //! 2. **No contention when enabled.** Each thread records into its own
 //!    buffer and flushes to the global collector in chunks (and whenever
 //!    its span stack returns to depth zero), so the collector mutex is
-//!    taken once per ~[`FLUSH_CHUNK`] records, not once per span.
+//!    taken once per `FLUSH_CHUNK` records, not once per span.
 //! 3. **Bounded memory.** The collector is a ring: past its capacity the
 //!    oldest records are dropped and counted, never unbounded growth.
 //!
