@@ -8,6 +8,9 @@
 //! - `tune_search`'s counts of its first sweep at `--seed 7`: the
 //!   cost-only tuner over the three kernels of record on the AVX2 model,
 //!   at the benchmark's budget of 200 scripts per kernel.
+//! - The cache traffic of that sweep's survivors: each survivor's script
+//!   replayed and simulated again on the tuner's inputs, with its L1
+//!   accesses, L1 misses and L2 misses summed.
 //!
 //! A change that means to move a number edits `ledger.txt` in the same
 //! diff and says why. On drift the test prints every row.
@@ -16,11 +19,14 @@ mod common;
 
 use common::Library;
 use exo2::analysis::{check_proc, Severity};
+use exo2::codegen::difftest::{synth_inputs, SynthArg};
 use exo2::codegen::{emit_c, CodegenOptions};
-use exo2::interp::ProcRegistry;
-use exo2::ir::DataType;
+use exo2::cursors::ProcHandle;
+use exo2::interp::{ArgValue, ProcRegistry};
+use exo2::ir::{DataType, Proc};
 use exo2::kernels::{self, Precision};
-use exo2::machine::MachineModel;
+use exo2::lib::apply_script;
+use exo2::machine::{try_simulate, MachineModel, SimReport};
 use exo_autotune::{tune, TuneConfig, TuneTask};
 
 /// SplitMix64, as `benchmark/` derives a run's seeds from `--seed`.
@@ -80,6 +86,23 @@ fn library_rows(rows: &mut Vec<(String, u64)>) {
     }
 }
 
+/// Simulates `proc` on the inputs the tuner synthesizes for it.
+fn simulate_on_tuner_inputs(proc: &Proc, registry: &ProcRegistry, seed: u64) -> SimReport {
+    let args = synth_inputs(proc, seed)
+        .expect("a survivor's inputs synthesize")
+        .into_iter()
+        .map(|input| match input {
+            SynthArg::Size(v) | SynthArg::Int(v) => ArgValue::Int(v),
+            SynthArg::Float(v) => ArgValue::Float(v),
+            SynthArg::Bool(b) => ArgValue::Bool(b),
+            SynthArg::Tensor {
+                dims, data, elem, ..
+            } => ArgValue::from_vec(data, dims, elem).1,
+        })
+        .collect();
+    try_simulate(proc, registry, args).expect("a survivor simulates")
+}
+
 fn tuner_rows(rows: &mut Vec<(String, u64)>) {
     let machine = MachineModel::avx2();
     let config = TuneConfig {
@@ -91,13 +114,24 @@ fn tuner_rows(rows: &mut Vec<(String, u64)>) {
     };
     let (mut sampled, mut static_rejected, mut illegal, mut survivors) = (0, 0, 0, 0);
     let mut simulated = 0;
+    let (mut l1_accesses, mut l1_misses, mut l2_misses) = (0, 0, 0);
+    let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
     for (name, kernel) in [
         ("sgemm", kernels::sgemm()),
         ("sgemv_n", kernels::gemv(Precision::Single, false)),
         ("blur2d", kernels::blur2d()),
     ] {
+        let base = ProcHandle::new(kernel.clone());
         let task = TuneTask::new(kernel, machine.clone(), 0.0);
         let report = tune(&task, &config).expect("a record kernel tunes");
+        for c in &report.candidates {
+            let scheduled = apply_script(&base, &c.script, &machine).expect("a survivor replays");
+            let sim = simulate_on_tuner_inputs(scheduled.proc(), &registry, config.input_seed);
+            assert_eq!(sim.cycles, c.cycles, "`{name}` survivor `{}`", c.script);
+            l1_accesses += sim.l1.accesses;
+            l1_misses += sim.l1.misses;
+            l2_misses += sim.l2.misses;
+        }
         sampled += report.sampled as u64;
         static_rejected += report.static_rejected as u64;
         illegal += report.illegal as u64;
@@ -112,6 +146,9 @@ fn tuner_rows(rows: &mut Vec<(String, u64)>) {
         ("autotune.illegal", illegal),
         ("autotune.survivors", survivors),
         ("machine.simulated_cycles", simulated),
+        ("machine.l1_accesses", l1_accesses),
+        ("machine.l1_misses", l1_misses),
+        ("machine.l2_misses", l2_misses),
     ] {
         rows.push((name.to_string(), value));
     }
