@@ -23,7 +23,10 @@
 //!    before a simulation is paid for ([`prune::proven_violation`]).
 //! 4. **Rank** — price survivors with the cycle-cost simulator
 //!    ([`exo_machine::try_simulate`]) on inputs synthesized by the
-//!    differential harness.
+//!    differential harness. A survivor equal to a proc already priced in
+//!    this call (the unscheduled kernel included) is not simulated again,
+//!    and one whose output buffers differ by a bit from the unscheduled
+//!    kernel's on the same inputs is counted as diverged, never ranked.
 //! 5. **Measure** — compile the top-K with the C backend and time them in
 //!    parallel worker threads ([`measure::measure_batch`]); without a C
 //!    compiler the tuner degrades to cost-model-only ranking.
@@ -54,7 +57,7 @@ pub mod prune;
 pub mod space;
 
 use exo_cursors::ProcHandle;
-use exo_interp::{ArgValue, ProcRegistry};
+use exo_interp::{ArgValue, BufRef, ProcRegistry};
 use exo_ir::{DataType, Proc};
 use exo_lib::{apply_script, schedule_of_record, ScheduleScript};
 use exo_machine::{try_simulate, MachineModel};
@@ -152,6 +155,10 @@ pub struct TuneReport {
     pub verify_rejected: usize,
     /// Candidates rejected by the simulator (interpreter trap).
     pub trapped: usize,
+    /// Candidates whose output buffers differ from the unscheduled
+    /// kernel's on the same inputs: a schedule that changed the result.
+    /// They are not ranked.
+    pub diverged: usize,
     /// Survivors, ranked by simulated cycles (ascending). The identity
     /// script is always in the input set, so this is non-empty whenever
     /// the kernel itself simulates.
@@ -207,11 +214,12 @@ impl TuneReport {
 
 /// Synthesizes interpreter argument values with the differential
 /// harness's generator (shared sizes satisfying the kernel's assertions,
-/// integer-valued data).
-fn synth_argvalues(proc: &Proc, seed: u64) -> Result<Vec<ArgValue>, String> {
+/// integer-valued data), and the tensors among them.
+fn synth_argvalues(proc: &Proc, seed: u64) -> Result<(Vec<ArgValue>, Vec<BufRef>), String> {
     use exo_codegen::difftest::{synth_inputs, SynthArg};
     let inputs = synth_inputs(proc, seed)?;
     let mut args = Vec::with_capacity(inputs.len());
+    let mut tensors = Vec::new();
     for input in inputs {
         match input {
             SynthArg::Size(v) | SynthArg::Int(v) => args.push(ArgValue::Int(v)),
@@ -220,12 +228,13 @@ fn synth_argvalues(proc: &Proc, seed: u64) -> Result<Vec<ArgValue>, String> {
             SynthArg::Tensor {
                 dims, data, elem, ..
             } => {
-                let (_, arg) = ArgValue::from_vec(data, dims, elem);
+                let (buf, arg) = ArgValue::from_vec(data, dims, elem);
                 args.push(arg);
+                tensors.push(buf);
             }
         }
     }
-    Ok(args)
+    Ok((args, tensors))
 }
 
 /// The concrete size values the harness synthesized for `proc` (one per
@@ -242,12 +251,78 @@ pub fn synth_sizes(proc: &Proc, seed: u64) -> Result<Vec<i64>, String> {
         .collect())
 }
 
-/// Simulated cycles of one scheduled proc, or the reason it cannot run.
-fn cost_of(proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Result<u64, String> {
-    let args = synth_argvalues(proc, input_seed)?;
-    try_simulate(proc, registry, args)
-        .map(|r| r.cycles)
-        .map_err(|e| e.to_string())
+/// One run of a proc on the tuner's inputs: its simulated cycles and
+/// its tensor arguments afterwards.
+struct Run {
+    cycles: u64,
+    tensors: Vec<BufRef>,
+}
+
+impl Run {
+    /// Simulates `proc`, or says why it cannot run.
+    fn of(proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Result<Run, String> {
+        let (args, tensors) = synth_argvalues(proc, input_seed)?;
+        let report = try_simulate(proc, registry, args).map_err(|e| e.to_string())?;
+        Ok(Run {
+            cycles: report.cycles,
+            tensors,
+        })
+    }
+
+    /// Whether every tensor holds the same bits as `other`'s.
+    fn agrees_with(&self, other: &Run) -> bool {
+        self.tensors.len() == other.tensors.len()
+            && self.tensors.iter().zip(&other.tensors).all(|(a, b)| {
+                let (a, b) = (a.borrow(), b.borrow());
+                let bits = |v: &f64| v.to_bits();
+                a.data.iter().map(bits).eq(b.data.iter().map(bits))
+            })
+    }
+}
+
+/// What simulating a survivor decided: its cycles when its outputs agree
+/// with the unscheduled kernel's, or that they do not, or that it trapped.
+#[derive(Clone, Copy)]
+enum Priced {
+    Cycles(u64),
+    Diverged,
+    Trapped,
+}
+
+/// The survivors one [`tune`] call has priced, by content: a survivor
+/// equal to one priced before (the unscheduled kernel is the first) costs
+/// a hash and a comparison instead of a simulation.
+struct Prices {
+    seen: Vec<(u64, Proc, Priced)>,
+    reference: Run,
+}
+
+impl Prices {
+    /// The prices of one call, seeded with the unscheduled kernel's run.
+    fn new(base: &Proc, reference: Run) -> Prices {
+        let cycles = Priced::Cycles(reference.cycles);
+        Prices {
+            seen: vec![(base.content_hash(), base.clone(), cycles)],
+            reference,
+        }
+    }
+
+    fn price(&mut self, proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Priced {
+        let hash = proc.content_hash();
+        if let Some((_, _, priced)) = self.seen.iter().find(|(h, p, _)| *h == hash && p == proc) {
+            return *priced;
+        }
+        let priced = {
+            let _sim = exo_obs::span!("tune:simulate");
+            match Run::of(proc, registry, input_seed) {
+                Ok(run) if run.agrees_with(&self.reference) => Priced::Cycles(run.cycles),
+                Ok(_) => Priced::Diverged,
+                Err(_) => Priced::Trapped,
+            }
+        };
+        self.seen.push((hash, proc.clone(), priced));
+        priced
+    }
 }
 
 /// Spearman rank correlation between two equal-length samples (no tie
@@ -306,8 +381,10 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
         .into_iter()
         .collect();
     let base = ProcHandle::new(task.proc.clone());
-    let baseline_cycles = cost_of(base.proc(), &registry, cfg.input_seed)
+    let reference = Run::of(base.proc(), &registry, cfg.input_seed)
         .map_err(|e| format!("`{}` baseline does not simulate: {e}", task.name))?;
+    let baseline_cycles = reference.cycles;
+    let mut prices = Prices::new(base.proc(), reference);
 
     let scripts = {
         let _gen = exo_obs::span!("tune:generate", "{}", task.name);
@@ -318,6 +395,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     let mut illegal = 0usize;
     let mut verify_rejected = 0usize;
     let mut trapped = 0usize;
+    let mut diverged = 0usize;
     let mut survivors: Vec<(ScheduleScript, ProcHandle, u64)> = Vec::new();
     for script in scripts {
         let pruned = {
@@ -347,13 +425,10 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
             verify_rejected += 1;
             continue;
         }
-        let simulated = {
-            let _sim = exo_obs::span!("tune:simulate");
-            cost_of(scheduled.proc(), &registry, cfg.input_seed)
-        };
-        match simulated {
-            Ok(cycles) => survivors.push((script, scheduled, cycles)),
-            Err(_) => trapped += 1,
+        match prices.price(scheduled.proc(), &registry, cfg.input_seed) {
+            Priced::Cycles(cycles) => survivors.push((script, scheduled, cycles)),
+            Priced::Diverged => diverged += 1,
+            Priced::Trapped => trapped += 1,
         }
     }
     let replayed = sampled - static_rejected;
@@ -425,6 +500,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
         illegal,
         verify_rejected,
         trapped,
+        diverged,
         candidates,
         baseline_cycles,
         record_cycles,
@@ -435,4 +511,33 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
         throughput: sampled as f64 / elapsed_secs.max(1e-9),
         elapsed_secs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exo_kernels::{copy, scal, Precision};
+
+    #[test]
+    fn a_survivor_is_simulated_once_and_checked_against_the_unscheduled_kernel() {
+        let registry = ProcRegistry::new();
+        let base = copy(Precision::Single);
+        let reference = Run::of(&base, &registry, 1).expect("the kernel simulates");
+        let cycles = reference.cycles;
+        let mut prices = Prices::new(&base, reference);
+        // The unscheduled kernel is priced already.
+        let again = prices.price(&base.clone(), &registry, 1);
+        assert!(matches!(again, Priced::Cycles(c) if c == cycles));
+        assert_eq!(prices.seen.len(), 1);
+        // A kernel with the same arguments that computes something else
+        // diverges, and is simulated once.
+        let other = scal(Precision::Single);
+        for _ in 0..2 {
+            assert!(matches!(
+                prices.price(&other, &registry, 1),
+                Priced::Diverged
+            ));
+        }
+        assert_eq!(prices.seen.len(), 2);
+    }
 }

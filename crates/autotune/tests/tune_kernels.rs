@@ -4,15 +4,17 @@
 //! paths that used to dead-end in `Unsupported` (by-reference scalar
 //! write-back, debug-mode bounds checks).
 
+use exo_autotune::prune::{proven_violation, statically_illegal};
+use exo_autotune::space::generate_candidates;
 use exo_autotune::{tune, TuneConfig, TuneTask};
-use exo_codegen::difftest::{run_differential_with, DiffOutcome};
+use exo_codegen::difftest::{run_differential_with, synth_inputs, DiffOutcome, SynthArg};
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
-use exo_interp::ProcRegistry;
-use exo_ir::DataType;
+use exo_interp::{ArgValue, ProcRegistry};
+use exo_ir::{DataType, Proc};
 use exo_kernels::{blur2d, gemv, sgemm, Precision};
 use exo_lib::{apply_script, schedule_of_record};
-use exo_machine::MachineModel;
+use exo_machine::{try_simulate, MachineModel};
 
 fn cost_only() -> TuneConfig {
     TuneConfig {
@@ -38,8 +40,14 @@ fn autotuner_rediscovers_the_sgemm_schedule() {
     assert!(report.replayed < report.sampled);
     assert_eq!(
         report.replayed,
-        report.illegal + report.verify_rejected + report.trapped + report.candidates.len()
+        report.illegal
+            + report.verify_rejected
+            + report.trapped
+            + report.diverged
+            + report.candidates.len()
     );
+    // Every survivor computes what the unscheduled kernel computes.
+    assert_eq!(report.diverged, 0);
     // The search is seeded with the incumbent: the register-blocked
     // schedule of record is candidate zero, inside the budget, so the best
     // found cannot be worse than it. (No three-step script reaches it.)
@@ -189,6 +197,7 @@ fn cost_only_funnels_and_cycle_sums_are_pinned() {
             ..cost_only()
         };
         let report = tune(&task, &config).expect("the kernel tunes");
+        assert_eq!(report.diverged, 0, "`{name}` at tune seed {seed}");
         let got = [
             report.sampled,
             report.static_rejected,
@@ -197,5 +206,76 @@ fn cost_only_funnels_and_cycle_sums_are_pinned() {
         ];
         let sum: u64 = report.candidates.iter().map(|c| c.cycles).sum();
         assert_eq!((got, sum), (funnel, cycles), "`{name}` at tune seed {seed}");
+    }
+}
+
+fn record_kernel(name: &str) -> Proc {
+    match name {
+        "sgemm" => sgemm(),
+        "sgemv_n" => gemv(Precision::Single, false),
+        _ => blur2d(),
+    }
+}
+
+/// The simulated cycles of `proc` on the tuner's inputs for `seed`.
+fn simulate_on_inputs(proc: &Proc, registry: &ProcRegistry, seed: u64) -> Option<u64> {
+    let args = synth_inputs(proc, seed)
+        .ok()?
+        .into_iter()
+        .map(|input| match input {
+            SynthArg::Size(v) | SynthArg::Int(v) => ArgValue::Int(v),
+            SynthArg::Float(v) => ArgValue::Float(v),
+            SynthArg::Bool(b) => ArgValue::Bool(b),
+            SynthArg::Tensor {
+                dims, data, elem, ..
+            } => ArgValue::from_vec(data, dims, elem).1,
+        })
+        .collect();
+    try_simulate(proc, registry, args).ok().map(|r| r.cycles)
+}
+
+#[test]
+fn the_tuner_ranks_what_simulating_every_survivor_ranks() {
+    // `tune` simulates each distinct survivor once and checks its outputs;
+    // the stage walk here simulates every survivor. Both must rank the
+    // same candidates at the same cycles, in the same order.
+    let machine = MachineModel::avx2();
+    let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
+    for seed in [7, 8] {
+        for name in ["sgemm", "sgemv_n", "blur2d"] {
+            let config = TuneConfig {
+                seed,
+                ..cost_only()
+            };
+            let task = TuneTask::new(record_kernel(name), machine.clone(), 0.0);
+            let report = tune(&task, &config).expect("the kernel tunes");
+            assert_eq!(report.diverged, 0, "`{name}` at tune seed {seed}");
+            let base = ProcHandle::new(record_kernel(name));
+            let mut walked: Vec<_> = generate_candidates(&base, &machine, seed, config.budget)
+                .into_iter()
+                .filter(|script| !statically_illegal(&base, script))
+                .filter_map(|script| {
+                    let scheduled = apply_script(&base, &script, &machine).ok()?;
+                    if proven_violation(scheduled.proc()).is_some() {
+                        return None;
+                    }
+                    let cycles =
+                        simulate_on_inputs(scheduled.proc(), &registry, config.input_seed)?;
+                    Some((script, cycles))
+                })
+                .collect();
+            walked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.key().cmp(&b.0.key())));
+            let ranked: Vec<_> = report
+                .candidates
+                .iter()
+                .map(|c| (c.script.clone(), c.cycles))
+                .collect();
+            assert_eq!(ranked, walked, "`{name}` at tune seed {seed}");
+            assert_eq!(
+                report.baseline_cycles,
+                simulate_on_inputs(base.proc(), &registry, config.input_seed).expect("simulates"),
+                "`{name}` at tune seed {seed}"
+            );
+        }
     }
 }

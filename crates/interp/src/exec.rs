@@ -18,8 +18,11 @@
 //! A loop that lowering planned as a [`Strip`] runs as one pass: its accesses
 //! are resolved at the first and the last iteration with the same fold
 //! and plan every access uses, and the elements in between are reached
-//! by one offset step per access, with the per-element events, counts and
-//! results. When an endpoint does not resolve the loop runs element by
+//! by one offset step per access, with the per-element counts and
+//! results. Its events go to the monitor once, as one
+//! [`crate::StripTrace`] for all of its trips, before the data loop, which
+//! reports nothing; a monitor that does not override
+//! [`Monitor::on_strip`] sees them element by element. When an endpoint does not resolve the loop runs element by
 //! element from its first iteration, which reports whatever is wrong
 //! exactly as it always did; the strip has executed and emitted nothing
 //! by then. A call to a lane instruction (see [`Lanes`]) runs the
@@ -32,7 +35,7 @@ use crate::lower::{
     lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LaneAccess, Lanes,
     LoweredProc, Strip, StripAccess, StripOp, MAX_STRIP_OPERANDS,
 };
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, StripCursor, StripTrace};
 use crate::registry::ProcRegistry;
 use crate::Result;
 use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
@@ -310,38 +313,25 @@ fn fold_index(expr: &LExpr, frame: &Frame) -> Option<i64> {
     }
 }
 
-/// One access of a running strip: its buffer, its element offset at the
-/// current iteration, and how far that offset moves per iteration.
-#[derive(Clone, Copy)]
-struct Cursor<'f> {
-    buf: &'f RefCell<BufferData>,
-    off: usize,
-    step: isize,
-}
-
-impl Cursor<'_> {
-    /// Reads the current element, reporting it like the per-element path.
+/// A running strip access's element at its current offset: `get` and
+/// `set` move data only, the strip's events having been reported once
+/// for all of its trips (see [`Monitor::on_strip`]).
+impl StripCursor<'_> {
     #[inline]
-    fn read<M: Monitor + ?Sized>(&self, emit: bool, mon: &mut M) -> f64 {
-        let b = self.buf.borrow();
-        let value = b.data[self.off];
-        if emit {
-            let addr = b.base_addr + self.off as u64 * b.elem_bytes();
-            mon.on_read(&b.mem, addr, b.elem.size_bytes());
-        }
-        value
+    fn get(&self) -> f64 {
+        self.buf.borrow().data[self.off]
     }
 
-    /// Writes the current element, reporting and storing it like the
-    /// per-element path.
     #[inline]
-    fn write<M: Monitor + ?Sized>(&self, value: f64, emit: bool, mon: &mut M) {
-        let mut b = self.buf.borrow_mut();
-        if emit {
-            let addr = b.base_addr + self.off as u64 * b.elem_bytes();
-            mon.on_write(&b.mem, addr, b.elem.size_bytes());
-        }
-        b.data[self.off] = canonical_nan(value);
+    fn set(&self, value: f64) {
+        self.buf.borrow_mut().data[self.off] = canonical_nan(value);
+    }
+
+    /// Reports a read of the current element, like the per-element path.
+    fn report_read<M: Monitor + ?Sized>(&self, mon: &mut M) {
+        let b = self.buf.borrow();
+        let addr = b.base_addr + self.off as u64 * b.elem_bytes();
+        mon.on_read(&b.mem, addr, b.elem_bytes());
     }
 }
 
@@ -371,7 +361,7 @@ fn strip_cursors<'f>(
     first: i64,
     last: i64,
     frame: &'f mut Frame,
-) -> Option<[Cursor<'f>; MAX_STRIP_OPERANDS]> {
+) -> Option<[StripCursor<'f>; MAX_STRIP_OPERANDS]> {
     frame[iter as usize] = Some(Binding::Scalar(Value::Int(last)));
     let mut ends = [0; MAX_STRIP_OPERANDS];
     for (end, access) in ends.iter_mut().zip(strip.accesses.iter()) {
@@ -387,11 +377,7 @@ fn strip_cursors<'f>(
             0 => 0,
             _ => (ends[k] as i64 - off as i64) / steps,
         };
-        Some(Cursor {
-            buf: &t.view.buf,
-            off,
-            step: step as isize,
-        })
+        Some(StripCursor::new(&t.view.buf, off, step as isize))
     };
     let mut cursors = [cursor(0)?; MAX_STRIP_OPERANDS];
     for (k, c) in cursors
@@ -453,7 +439,7 @@ fn lane_cursors<'f>(
     lanes: &Lanes,
     args: &[LCallArg],
     frame: &'f Frame,
-) -> Option<[Cursor<'f>; MAX_STRIP_OPERANDS]> {
+) -> Option<[StripCursor<'f>; MAX_STRIP_OPERANDS]> {
     let cursor = |access: &LaneAccess| {
         let mut spec = [WindowDim::Point(0); MAX_INLINE_RANK];
         let (t, n) = fold_window(&args.get(access.param)?.window, frame, &mut spec)?;
@@ -466,11 +452,7 @@ fn lane_cursors<'f>(
             1 => 0,
             trips => (last as i64 - first as i64) / (trips - 1),
         };
-        Some(Cursor {
-            buf: &t.view.buf,
-            off: first,
-            step: step as isize,
-        })
+        Some(StripCursor::new(&t.view.buf, first, step as isize))
     };
     let mut cursors = [cursor(lanes.accesses.first()?)?; MAX_STRIP_OPERANDS];
     for (c, access) in cursors.iter_mut().zip(lanes.accesses.iter()).skip(1) {
@@ -484,7 +466,7 @@ fn lane_cursors<'f>(
 #[derive(Clone, Copy)]
 enum LaneScalar<'f> {
     Value(f64),
-    Read(Cursor<'f>),
+    Read(StripCursor<'f>),
 }
 
 /// The scalar arguments of a lane call, in parameter order: a float
@@ -531,11 +513,7 @@ fn lane_scalars<'f>(
                 if lin >= t.view.buf.borrow().data.len() {
                     return None;
                 }
-                LaneScalar::Read(Cursor {
-                    buf: &t.view.buf,
-                    off: lin,
-                    step: 0,
-                })
+                LaneScalar::Read(StripCursor::new(&t.view.buf, lin, 0))
             }
             _ => return None,
         };
@@ -907,15 +885,16 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Runs `trips` iterations of `strip` from `cursors` (one per access,
-    /// at the first iteration) with the per-element loop's events and
-    /// instruction counts: the loop body of [`Interpreter::exec_strip`]
-    /// and of a lane call alike.
+    /// at the first iteration) with the per-element loop's instruction
+    /// counts and results, reporting all of its events to
+    /// [`Monitor::on_strip`] first: the loop body of
+    /// [`Interpreter::exec_strip`] and of a lane call alike.
     #[allow(clippy::too_many_arguments)]
     fn run_strip<M: Monitor + ?Sized>(
         &mut self,
         strip: &Strip,
         body: &[LInst],
-        cursors: &mut [Cursor<'_>],
+        cursors: &mut [StripCursor<'_>],
         scalars: &[f64; MAX_STRIP_OPERANDS],
         trips: i64,
         parallel: bool,
@@ -924,19 +903,22 @@ impl<'a> Interpreter<'a> {
         if let Some(profile) = self.profile.as_deref_mut() {
             profile.bump_by(&body[0], trips as u64);
         }
-        let emit = self.suppress == 0;
+        if self.suppress == 0 {
+            mon.on_strip(&StripTrace::new(
+                &strip.events,
+                cursors,
+                trips as u64,
+                parallel,
+            ));
+        }
         let n = cursors.len();
         for _ in 0..trips {
-            if emit {
-                mon.on_loop_iter(parallel);
-                mon.on_stmt();
-            }
             let mut stack = [0.0; MAX_STRIP_OPERANDS];
             let mut sp = 0;
             for op in strip.rhs.iter() {
                 match *op {
                     StripOp::Read(k) => {
-                        stack[sp] = cursors[k].read(emit, mon);
+                        stack[sp] = cursors[k].get();
                         sp += 1;
                     }
                     StripOp::Float(v) => {
@@ -950,9 +932,6 @@ impl<'a> Interpreter<'a> {
                     StripOp::Neg => stack[sp - 1] = -stack[sp - 1],
                     StripOp::Bin(op) => {
                         sp -= 1;
-                        if emit {
-                            mon.on_scalar_op(op, DataType::F64);
-                        }
                         let (a, b) = (stack[sp - 1], stack[sp]);
                         stack[sp - 1] = match op {
                             BinOp::Add => a + b,
@@ -965,15 +944,11 @@ impl<'a> Interpreter<'a> {
             }
             let dest = &cursors[n - 1];
             let value = if strip.reduce {
-                let old = dest.read(emit, mon);
-                if emit {
-                    mon.on_scalar_op(BinOp::Add, DataType::F64);
-                }
-                old + stack[0]
+                dest.get() + stack[0]
             } else {
                 stack[0]
             };
-            dest.write(value, emit, mon);
+            dest.set(value);
             for c in cursors.iter_mut() {
                 c.off = c.off.wrapping_add_signed(c.step);
             }
@@ -1022,7 +997,12 @@ impl<'a> Interpreter<'a> {
         for (&(_, k), read) in lanes.scalars.iter().zip(&reads) {
             scalars[k] = match read {
                 LaneScalar::Value(v) => *v,
-                LaneScalar::Read(c) => c.read(self.suppress == 0, mon),
+                LaneScalar::Read(c) => {
+                    if self.suppress == 0 {
+                        c.report_read(mon);
+                    }
+                    c.get()
+                }
             };
         }
         if let Some(profile) = self.profile.as_deref_mut() {

@@ -48,7 +48,9 @@ pub use exec::{InstProfile, Interpreter};
 pub use lower::{
     lower, LArg, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
 };
-pub use monitor::{CountingMonitor, Monitor, NullMonitor};
+pub use monitor::{
+    CountingMonitor, Monitor, NullMonitor, StripCursor, StripEvent, StripTrace, TracedAccess,
+};
 pub use registry::ProcRegistry;
 pub use shadow::{Race, ShadowMonitor};
 

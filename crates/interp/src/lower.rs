@@ -31,6 +31,7 @@
 //! invalidation contract), so the hot instruction procedures of a kernel
 //! are lowered once per registration rather than re-traversed per call.
 
+use crate::monitor::StripEvent;
 use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
 
 /// A reference to a buffer-like operand: either a resolved frame slot or a
@@ -303,6 +304,10 @@ pub struct Strip {
     pub(crate) rhs: Box<[StripOp]>,
     /// Whether the body is a `Reduce`.
     pub(crate) reduce: bool,
+    /// What one trip reports after its loop iteration and statement:
+    /// the right-hand side's reads and operations, the reduction's read
+    /// and add, the write.
+    pub(crate) events: Box<[StripEvent]>,
 }
 
 /// One buffer access of a strip.
@@ -344,6 +349,21 @@ impl Strip {
         };
         b.value(rhs)?;
         b.access(buf, idx)?;
+        let reduce = matches!(body, [LInst::Reduce { .. }]);
+        let dest = b.accesses.len() - 1;
+        let reported = |op: &StripOp| match *op {
+            StripOp::Read(k) => Some(StripEvent::Read(k)),
+            StripOp::Bin(op) => Some(StripEvent::Op(op)),
+            _ => None,
+        };
+        // Sized exactly, so the box takes the vector's storage as it is.
+        let len = b.rhs.iter().filter_map(reported).count() + 1 + 2 * usize::from(reduce);
+        let mut events = Vec::with_capacity(len);
+        events.extend(b.rhs.iter().filter_map(reported));
+        if reduce {
+            events.extend([StripEvent::Read(dest), StripEvent::Op(BinOp::Add)]);
+        }
+        events.push(StripEvent::Write(dest));
         Some(Box::new(Strip {
             // The indices are copied only once the loop is known to be one.
             accesses: b
@@ -356,7 +376,8 @@ impl Strip {
                 .collect(),
             scalars: b.scalars.as_slice().into(),
             rhs: b.rhs.as_slice().into(),
-            reduce: matches!(body, [LInst::Reduce { .. }]),
+            reduce,
+            events: events.into(),
         }))
     }
 }

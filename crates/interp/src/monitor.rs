@@ -1,12 +1,15 @@
 //! Execution monitors: hooks the interpreter reports events to.
 
+use crate::buffer::BufferData;
 use exo_ir::{BinOp, DataType, Mem, Proc};
+use std::cell::{Ref, RefCell};
 
 /// Observes interpreter events. `exo-machine` implements a monitor that
 /// turns these events into simulated cycles and cache traffic.
 ///
-/// All methods have empty default implementations so simple monitors only
-/// override what they need.
+/// Every method has a default, empty but for [`Monitor::on_strip`]'s
+/// element-by-element replay, so simple monitors only override what they
+/// need.
 pub trait Monitor {
     /// A call is about to be executed. Returning `true` asks the
     /// interpreter to *still execute the callee's body* but to suppress
@@ -62,13 +65,167 @@ pub trait Monitor {
 
     /// A statement was executed (any kind).
     fn on_stmt(&mut self) {}
+
+    /// A loop ran as a strip (see [`crate::Strip`]): every trip's
+    /// events at once, reported before the strip touches its data. The
+    /// default replays them element by element, in the per-element
+    /// loop's order ([`StripTrace::replay`]); a monitor that can charge
+    /// a whole strip at once overrides it.
+    fn on_strip(&mut self, strip: &StripTrace<'_>) {
+        strip.replay(self);
+    }
+}
+
+/// One event of a strip's trip, after the trip's loop iteration and
+/// statement, in the order the per-element loop reports them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StripEvent {
+    /// Access `k` of the strip is read.
+    Read(usize),
+    /// A scalar operation is evaluated (reported on [`DataType::F64`]).
+    Op(BinOp),
+    /// Access `k` of the strip is written.
+    Write(usize),
+}
+
+/// One access of a strip: its buffer, its element offset at the first
+/// trip, and how far that offset moves per trip.
+#[derive(Clone, Copy, Debug)]
+pub struct StripCursor<'a> {
+    pub(crate) buf: &'a RefCell<BufferData>,
+    pub(crate) off: usize,
+    pub(crate) step: isize,
+}
+
+impl<'a> StripCursor<'a> {
+    /// An access of `buf` at element `off` that moves `step` elements
+    /// per trip.
+    pub fn new(buf: &'a RefCell<BufferData>, off: usize, step: isize) -> Self {
+        StripCursor { buf, off, step }
+    }
+}
+
+/// A strip as a monitor sees it: `trips` repetitions of one event
+/// program over a few accesses. Addresses are formed only when asked
+/// for, so a monitor that ignores strips pays nothing for one.
+#[derive(Clone, Copy, Debug)]
+pub struct StripTrace<'a> {
+    events: &'a [StripEvent],
+    cursors: &'a [StripCursor<'a>],
+    trips: u64,
+    parallel: bool,
+}
+
+impl<'a> StripTrace<'a> {
+    /// `trips` trips of `events` over `cursors`, the accesses the events
+    /// name, each at its first trip.
+    pub fn new(
+        events: &'a [StripEvent],
+        cursors: &'a [StripCursor<'a>],
+        trips: u64,
+        parallel: bool,
+    ) -> Self {
+        StripTrace {
+            events,
+            cursors,
+            trips,
+            parallel,
+        }
+    }
+
+    /// Number of trips.
+    pub fn trips(&self) -> u64 {
+        self.trips
+    }
+
+    /// Whether the loop is parallel.
+    pub fn parallel(&self) -> bool {
+        self.parallel
+    }
+
+    /// The events of one trip.
+    pub fn events(&self) -> &'a [StripEvent] {
+        self.events
+    }
+
+    /// Access `k`, with its buffer borrowed for reading.
+    ///
+    /// # Panics
+    /// Panics if there is no access `k`.
+    pub fn access(&self, k: usize) -> TracedAccess<'a> {
+        let c = self.cursors[k];
+        TracedAccess {
+            data: c.buf.borrow(),
+            off: c.off,
+            step: c.step,
+        }
+    }
+
+    /// Reports every trip's events to `mon` one by one, exactly as the
+    /// per-element loop does: the loop iteration, the statement, then
+    /// [`StripTrace::events`] with each access at that trip's address.
+    pub fn replay<M: Monitor + ?Sized>(&self, mon: &mut M) {
+        for trip in 0..self.trips {
+            mon.on_loop_iter(self.parallel);
+            mon.on_stmt();
+            for event in self.events {
+                match *event {
+                    StripEvent::Read(k) => {
+                        let a = self.access(k);
+                        mon.on_read(a.mem(), a.addr(trip), a.bytes());
+                    }
+                    StripEvent::Op(op) => mon.on_scalar_op(op, DataType::F64),
+                    StripEvent::Write(k) => {
+                        let a = self.access(k);
+                        mon.on_write(a.mem(), a.addr(trip), a.bytes());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One access of a [`StripTrace`], its buffer borrowed for reading.
+#[derive(Debug)]
+pub struct TracedAccess<'a> {
+    data: Ref<'a, BufferData>,
+    off: usize,
+    step: isize,
+}
+
+impl TracedAccess<'_> {
+    /// The memory space of the buffer.
+    pub fn mem(&self) -> &Mem {
+        &self.data.mem
+    }
+
+    /// Bytes per element.
+    pub fn bytes(&self) -> u64 {
+        self.data.elem_bytes()
+    }
+
+    /// The byte address the access touches at trip `trip`.
+    pub fn addr(&self, trip: u64) -> u64 {
+        let off = self
+            .off
+            .wrapping_add_signed(self.step.wrapping_mul(trip as isize));
+        self.data.base_addr + off as u64 * self.data.elem_bytes()
+    }
+
+    /// How far the address moves per trip, in bytes.
+    pub fn stride(&self) -> i64 {
+        (self.step as i64).wrapping_mul(self.data.elem_bytes() as i64)
+    }
 }
 
 /// A monitor that ignores every event.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullMonitor;
 
-impl Monitor for NullMonitor {}
+impl Monitor for NullMonitor {
+    #[inline]
+    fn on_strip(&mut self, _strip: &StripTrace<'_>) {}
+}
 
 /// A monitor that counts events; useful in tests and as a simple
 /// instruction-mix profiler.

@@ -62,18 +62,33 @@ impl CacheStats {
 }
 
 /// One set-associative cache level with LRU replacement.
-#[derive(Clone, Debug)]
+///
+/// Each way holds a line and the access count at its last use, its
+/// *stamp*: a hit stores the stamp, a miss fills the way with the least
+/// one. Lines never move between ways, so a way found once can be
+/// touched again without a search ([`Cache::touch`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct Cache {
     hit_latency: u64,
     line: u64,
     ways: usize,
-    /// Every set's lines in one array, `ways` slots per set, each set's
-    /// resident lines at the front of its slots in most-recently-used
-    /// order.
-    lines: Vec<u64>,
-    /// Resident lines per set.
-    lens: Vec<usize>,
+    sets: u64,
+    /// `log2` of the line size and `sets - 1` where those are powers of
+    /// two (every shipped configuration), so that finding a line's set
+    /// takes no division.
+    line_shift: Option<u32>,
+    set_mask: Option<u64>,
+    /// Every set's ways in one array, `ways` per set.
+    slots: Vec<Way>,
     stats: CacheStats,
+}
+
+/// One way of a set: the line it holds and the stamp of its last use,
+/// zero while it has held none.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Way {
+    line: u64,
+    stamp: u64,
 }
 
 impl Cache {
@@ -84,42 +99,85 @@ impl Cache {
         let line = config.line.max(1);
         let total_lines = (config.capacity / line).max(1);
         let ways = (config.ways.max(1) as u64).min(total_lines);
-        let n_sets = total_lines / ways;
+        let sets = total_lines / ways;
         Cache {
             hit_latency: config.hit_latency,
             line,
             ways: ways as usize,
-            lines: vec![0; (n_sets * ways) as usize],
-            lens: vec![0; n_sets as usize],
+            sets,
+            line_shift: line.is_power_of_two().then(|| line.trailing_zeros()),
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            slots: vec![Way::default(); (sets * ways) as usize],
             stats: CacheStats::default(),
         }
     }
 
     /// Accesses `addr`; returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
+        self.lookup(addr).0
+    }
+
+    /// Accesses `addr`; returns whether it hit and the slot that now
+    /// holds its line, for [`Cache::touch`].
+    pub fn lookup(&mut self, addr: u64) -> (bool, usize) {
         self.stats.accesses += 1;
-        let line = addr / self.line;
-        let set_idx = (line % self.lens.len() as u64) as usize;
-        let len = &mut self.lens[set_idx];
-        let set = &mut self.lines[set_idx * self.ways..][..self.ways];
-        let hit = set[..*len].iter().position(|&l| l == line);
-        let pos = match hit {
-            Some(pos) => pos,
+        let stamp = self.stats.accesses;
+        let line = match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.line,
+        };
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        };
+        let first = set as usize * self.ways;
+        let set = &mut self.slots[first..][..self.ways];
+        let (hit, way) = match set.iter().position(|w| w.line == line && w.stamp != 0) {
+            Some(way) => (true, way),
             None => {
                 self.stats.misses += 1;
-                // The least recently used line falls off a full set.
-                *len = (*len + 1).min(self.ways);
-                *len - 1
+                // The least recently used way takes the line: the first
+                // empty one while the set has room.
+                let mut victim = 0;
+                for (i, w) in set.iter().enumerate().skip(1) {
+                    if w.stamp < set[victim].stamp {
+                        victim = i;
+                    }
+                }
+                set[victim].line = line;
+                (false, victim)
             }
         };
-        // LRU: the accessed line moves to the front, the ones that were
-        // ahead of it move back one slot. (Most hits are on the front
-        // line already and move nothing.)
-        if pos > 0 {
-            set.copy_within(..pos, 1);
+        set[way].stamp = stamp;
+        (hit, first + way)
+    }
+
+    /// Accesses the line held in `slot`, which the caller knows to be
+    /// the line it wants and still resident: a hit, charged without a
+    /// search.
+    #[inline]
+    pub fn touch(&mut self, slot: usize) {
+        self.stats.accesses += 1;
+        self.slots[slot].stamp = self.stats.accesses;
+    }
+
+    /// Line size in bytes.
+    pub fn line(&self) -> u64 {
+        self.line
+    }
+
+    /// The first address of the line holding `addr`.
+    #[inline]
+    pub fn line_start(&self, addr: u64) -> u64 {
+        match self.line_shift {
+            Some(_) => addr & !(self.line - 1),
+            None => addr - addr % self.line,
         }
-        set[0] = line;
-        hit.is_some()
+    }
+
+    /// Ways per set.
+    pub fn ways(&self) -> usize {
+        self.ways
     }
 
     /// Hit latency of this level.
@@ -140,8 +198,8 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    /// The per-set `VecDeque` LRU the flat array replaced, kept here as
-    /// the specification [`Cache`] is checked against.
+    /// A per-set `VecDeque` LRU in most-recently-used order, kept here
+    /// as the specification the stamped [`Cache`] is checked against.
     struct NaiveLru {
         line: u64,
         ways: usize,

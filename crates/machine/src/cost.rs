@@ -2,7 +2,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::isa::instruction_cost_class;
-use exo_interp::{ArgValue, Interpreter, Monitor, ProcRegistry};
+use exo_interp::{ArgValue, Interpreter, Monitor, ProcRegistry, StripEvent, StripTrace};
 use exo_ir::{BinOp, DataType, Mem, Proc};
 
 /// Per-event cycle costs of the modelled core.
@@ -43,7 +43,7 @@ impl Default for CostModel {
 }
 
 /// The simulation report: total cycles plus the event breakdown.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// Total simulated cycles.
     pub cycles: u64,
@@ -99,24 +99,62 @@ impl CostMonitor {
         self.report
     }
 
+    /// The L1 and L2 caches as they stand.
+    pub fn caches(&self) -> (&Cache, &Cache) {
+        (&self.l1, &self.l2)
+    }
+
     #[inline]
     fn charge_memory(&mut self, mem: &Mem, addr: u64) {
-        if mem.is_dram() {
-            let cost = if self.l1.access(addr) {
-                self.l1.hit_latency()
-            } else if self.l2.access(addr) {
-                self.l2.hit_latency()
-            } else {
-                self.model.mem_latency
-            };
-            self.report.memory_cycles += cost;
-            self.report.cycles += cost;
+        let cost = if mem.is_dram() {
+            self.dram_access(addr).0
         } else {
             // Vector registers / accelerator memories.
-            self.report.memory_cycles += self.model.register_access;
-            self.report.cycles += self.model.register_access;
-        }
+            self.model.register_access
+        };
+        self.report.memory_cycles += cost;
+        self.report.cycles += cost;
     }
+
+    /// Looks a strip position up in full, remembering where its line is;
+    /// returns the latency.
+    #[inline]
+    fn look_up(&mut self, p: &mut Position) -> u64 {
+        let (cost, slot) = self.dram_access(p.addr);
+        (p.line, p.slot) = (self.l1.line_start(p.addr), slot);
+        cost
+    }
+
+    /// Looks `addr` up in L1, then L2; returns its latency and the L1
+    /// slot that now holds its line.
+    #[inline]
+    fn dram_access(&mut self, addr: u64) -> (u64, usize) {
+        let (hit, slot) = self.l1.lookup(addr);
+        let cost = if hit {
+            self.l1.hit_latency()
+        } else if self.l2.access(addr) {
+            self.l2.hit_latency()
+        } else {
+            self.model.mem_latency
+        };
+        (cost, slot)
+    }
+}
+
+/// Most DRAM accesses per trip that [`CostMonitor::on_strip`] charges by
+/// line. The interpreter's strips make at most nine; a longer trip, which
+/// only a hand-built trace has, is charged element by element.
+const STRIP_POSITIONS: usize = 16;
+
+/// One DRAM access of a strip's trip as [`CostMonitor::on_strip`] walks
+/// it: its address at the current trip, how far that moves per trip, and
+/// the start of the line it last touched with the L1 slot holding it.
+#[derive(Clone, Copy, Default)]
+struct Position {
+    addr: u64,
+    stride: u64,
+    line: u64,
+    slot: usize,
 }
 
 impl Monitor for CostMonitor {
@@ -181,6 +219,70 @@ impl Monitor for CostMonitor {
     fn on_config_write(&mut self, _config: &str, _field: &str) {
         self.report.instr_cycles += self.model.config_write;
         self.report.cycles += self.model.config_write;
+    }
+
+    /// Charges a strip as its per-element events would be, but per line:
+    /// a trip's loop, operation and register costs once times `trips`,
+    /// then its DRAM accesses in order. Access `j` of a trip that lands
+    /// on the line it touched one trip earlier is an L1 hit when a trip
+    /// makes no more DRAM accesses than L1 has ways (only the trip's
+    /// other accesses came in between, and a set evicts a line only
+    /// after as many newer ones as it has ways), and lines never move
+    /// between ways: the hit only stores its stamp in the remembered
+    /// slot. Every other access is looked up in full.
+    fn on_strip(&mut self, strip: &StripTrace<'_>) {
+        let trips = strip.trips();
+        if trips == 0 {
+            return;
+        }
+        let mut positions = [Position::default(); STRIP_POSITIONS];
+        let (mut m, mut registers, mut ops) = (0, 0, 0);
+        for event in strip.events() {
+            let (StripEvent::Read(k) | StripEvent::Write(k)) = *event else {
+                ops += 1;
+                continue;
+            };
+            let access = strip.access(k);
+            if !access.mem().is_dram() {
+                registers += 1;
+            } else if m == STRIP_POSITIONS {
+                drop(access);
+                return strip.replay(self);
+            } else {
+                positions[m].addr = access.addr(0);
+                positions[m].stride = access.stride() as u64;
+                m += 1;
+            }
+        }
+        let loop_cost = if strip.parallel() {
+            self.model.loop_overhead / 2
+        } else {
+            self.model.loop_overhead
+        };
+        let control = loop_cost * trips;
+        let scalar = ops * self.model.scalar_op * trips;
+        let mut memory = registers * self.model.register_access * trips;
+        let (line, l1_hit) = (self.l1.line(), self.l1.hit_latency());
+        let stationary = m <= self.l1.ways();
+        let positions = &mut positions[..m];
+        for p in positions.iter_mut() {
+            memory += self.look_up(p);
+        }
+        for _ in 1..trips {
+            for p in positions.iter_mut() {
+                p.addr = p.addr.wrapping_add(p.stride);
+                if stationary && p.addr.wrapping_sub(p.line) < line {
+                    self.l1.touch(p.slot);
+                    memory += l1_hit;
+                } else {
+                    memory += self.look_up(p);
+                }
+            }
+        }
+        self.report.control_cycles += control;
+        self.report.scalar_cycles += scalar;
+        self.report.memory_cycles += memory;
+        self.report.cycles += control + scalar + memory;
     }
 }
 
