@@ -33,9 +33,9 @@ use crate::buffer::{canonical_nan, AccessPlan, ArgValue, BufferData, View, Windo
 use crate::error::InterpError;
 use crate::lower::{
     lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LaneAccess, Lanes,
-    LoweredProc, Strip, StripAccess, StripOp, MAX_STRIP_OPERANDS,
+    LoweredProc, Strip, StripAccess, MAX_STRIP_OPERANDS,
 };
-use crate::monitor::{Monitor, StripCursor, StripTrace};
+use crate::monitor::{Monitor, StripCursor, StripStep, StripTrace};
 use crate::registry::ProcRegistry;
 use crate::Result;
 use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
@@ -905,32 +905,31 @@ impl<'a> Interpreter<'a> {
         }
         if self.suppress == 0 {
             mon.on_strip(&StripTrace::new(
-                &strip.events,
+                &strip.program,
                 cursors,
                 trips as u64,
                 parallel,
             ));
         }
-        let n = cursors.len();
         for _ in 0..trips {
             let mut stack = [0.0; MAX_STRIP_OPERANDS];
             let mut sp = 0;
-            for op in strip.rhs.iter() {
-                match *op {
-                    StripOp::Read(k) => {
+            for step in strip.program.iter() {
+                match *step {
+                    StripStep::Read(k) => {
                         stack[sp] = cursors[k].get();
                         sp += 1;
                     }
-                    StripOp::Float(v) => {
+                    StripStep::Float(v) => {
                         stack[sp] = v;
                         sp += 1;
                     }
-                    StripOp::Scalar(k) => {
+                    StripStep::Scalar(k) => {
                         stack[sp] = scalars[k];
                         sp += 1;
                     }
-                    StripOp::Neg => stack[sp - 1] = -stack[sp - 1],
-                    StripOp::Bin(op) => {
+                    StripStep::Neg => stack[sp - 1] = -stack[sp - 1],
+                    StripStep::Op(op) => {
                         sp -= 1;
                         let (a, b) = (stack[sp - 1], stack[sp]);
                         stack[sp - 1] = match op {
@@ -940,15 +939,12 @@ impl<'a> Interpreter<'a> {
                             _ => a / b,
                         };
                     }
+                    StripStep::Write(k) => {
+                        sp -= 1;
+                        cursors[k].set(stack[sp]);
+                    }
                 }
             }
-            let dest = &cursors[n - 1];
-            let value = if strip.reduce {
-                dest.get() + stack[0]
-            } else {
-                stack[0]
-            };
-            dest.set(value);
             for c in cursors.iter_mut() {
                 c.off = c.off.wrapping_add_signed(c.step);
             }

@@ -49,7 +49,7 @@ pub use lower::{
     lower, LArg, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LoweredProc, Strip,
 };
 pub use monitor::{
-    CountingMonitor, Monitor, NullMonitor, StripCursor, StripEvent, StripTrace, TracedAccess,
+    CountingMonitor, Monitor, NullMonitor, StripCursor, StripStep, StripTrace, TracedAccess,
 };
 pub use registry::ProcRegistry;
 pub use shadow::{Race, ShadowMonitor};

@@ -31,7 +31,7 @@
 //! invalidation contract), so the hot instruction procedures of a kernel
 //! are lowered once per registration rather than re-traversed per call.
 
-use crate::monitor::StripEvent;
+use crate::monitor::StripStep;
 use exo_ir::{ArgKind, BinOp, Block, DataType, Expr, Mem, Proc, Stmt, Sym, UnOp, WAccess};
 
 /// A reference to a buffer-like operand: either a resolved frame slot or a
@@ -300,14 +300,11 @@ pub struct Strip {
     pub(crate) accesses: Box<[StripAccess]>,
     /// Frame slots of the scalar variables the right-hand side reads.
     pub(crate) scalars: Box<[u32]>,
-    /// The right-hand side in postfix order.
-    pub(crate) rhs: Box<[StripOp]>,
-    /// Whether the body is a `Reduce`.
-    pub(crate) reduce: bool,
-    /// What one trip reports after its loop iteration and statement:
-    /// the right-hand side's reads and operations, the reduction's read
-    /// and add, the write.
-    pub(crate) events: Box<[StripEvent]>,
+    /// One trip, on a value stack: the right-hand side in postfix order,
+    /// a `Reduce`'s read and add of the destination, the write. The data
+    /// loop runs it, and a monitor is handed it (see
+    /// [`crate::StripTrace`]).
+    pub(crate) program: Box<[StripStep]>,
 }
 
 /// One buffer access of a strip.
@@ -319,21 +316,6 @@ pub(crate) struct StripAccess {
     pub(crate) idx: Box<[LExpr]>,
 }
 
-/// One step of a strip's postfix right-hand side.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum StripOp {
-    /// Pushes the element of access `k` at the current iteration.
-    Read(usize),
-    /// Pushes a float literal.
-    Float(f64),
-    /// Pushes scalar variable `k` of [`Strip::scalars`].
-    Scalar(usize),
-    /// Pops two values, pushes `lhs op rhs`: one of `+ - * /`.
-    Bin(BinOp),
-    /// Negates the top value.
-    Neg,
-}
-
 impl Strip {
     /// The plan of a loop over slot `iter` with `body`, if it is a strip.
     fn of(iter: u32, body: &[LInst]) -> Option<Box<Strip>> {
@@ -342,42 +324,31 @@ impl Strip {
         };
         let mut b = StripBuilder {
             iter,
-            accesses: Vec::with_capacity(MAX_STRIP_OPERANDS),
+            accesses: [(0, &[]); MAX_STRIP_OPERANDS],
+            n_accesses: 0,
             scalars: Vec::new(),
-            rhs: Vec::with_capacity(2 * MAX_STRIP_OPERANDS),
+            program: Vec::with_capacity(2 * MAX_STRIP_OPERANDS),
             depth: 0,
         };
         b.value(rhs)?;
         b.access(buf, idx)?;
-        let reduce = matches!(body, [LInst::Reduce { .. }]);
-        let dest = b.accesses.len() - 1;
-        let reported = |op: &StripOp| match *op {
-            StripOp::Read(k) => Some(StripEvent::Read(k)),
-            StripOp::Bin(op) => Some(StripEvent::Op(op)),
-            _ => None,
-        };
-        // Sized exactly, so the box takes the vector's storage as it is.
-        let len = b.rhs.iter().filter_map(reported).count() + 1 + 2 * usize::from(reduce);
-        let mut events = Vec::with_capacity(len);
-        events.extend(b.rhs.iter().filter_map(reported));
-        if reduce {
-            events.extend([StripEvent::Read(dest), StripEvent::Op(BinOp::Add)]);
+        let dest = b.n_accesses - 1;
+        if let [LInst::Reduce { .. }] = body {
+            b.push(StripStep::Read(dest))?;
+            b.push(StripStep::Op(BinOp::Add))?;
         }
-        events.push(StripEvent::Write(dest));
+        b.push(StripStep::Write(dest))?;
         Some(Box::new(Strip {
             // The indices are copied only once the loop is known to be one.
-            accesses: b
-                .accesses
+            accesses: b.accesses[..b.n_accesses]
                 .iter()
                 .map(|&(buf, idx)| StripAccess {
                     buf,
                     idx: idx.into(),
                 })
                 .collect(),
-            scalars: b.scalars.as_slice().into(),
-            rhs: b.rhs.as_slice().into(),
-            reduce,
-            events: events.into(),
+            scalars: b.scalars.into_boxed_slice(),
+            program: b.program.into_boxed_slice(),
         }))
     }
 }
@@ -385,33 +356,34 @@ impl Strip {
 struct StripBuilder<'a> {
     iter: u32,
     /// Buffer slot and indices of each access, in evaluation order.
-    accesses: Vec<(u32, &'a [LExpr])>,
+    accesses: [(u32, &'a [LExpr]); MAX_STRIP_OPERANDS],
+    n_accesses: usize,
     scalars: Vec<u32>,
-    rhs: Vec<StripOp>,
-    /// Values the postfix code holds after the steps so far.
+    program: Vec<StripStep>,
+    /// Values the program holds after the steps so far.
     depth: usize,
 }
 
 impl<'a> StripBuilder<'a> {
-    fn push(&mut self, op: StripOp) -> Option<()> {
-        match op {
-            StripOp::Bin(_) => self.depth -= 1,
-            StripOp::Neg => {}
-            _ => {
+    fn push(&mut self, step: StripStep) -> Option<()> {
+        match step {
+            StripStep::Op(_) | StripStep::Write(_) => self.depth -= 1,
+            StripStep::Neg => {}
+            StripStep::Read(_) | StripStep::Float(_) | StripStep::Scalar(_) => {
                 self.depth += 1;
                 if self.depth > MAX_STRIP_OPERANDS {
                     return None;
                 }
             }
         }
-        self.rhs.push(op);
+        self.program.push(step);
         Some(())
     }
 
     /// Appends the postfix code of a float-only value.
     fn value(&mut self, e: &'a LExpr) -> Option<()> {
         match e {
-            LExpr::Float(v) => self.push(StripOp::Float(*v)),
+            LExpr::Float(v) => self.push(StripStep::Float(*v)),
             LExpr::Var(LBufRef::Slot(s)) if *s != self.iter => {
                 let k = match self.scalars.iter().position(|t| t == s) {
                     Some(k) => k,
@@ -421,11 +393,11 @@ impl<'a> StripBuilder<'a> {
                     }
                     None => return None,
                 };
-                self.push(StripOp::Scalar(k))
+                self.push(StripStep::Scalar(k))
             }
             LExpr::Read { buf, idx } => {
                 self.access(buf, idx)?;
-                self.push(StripOp::Read(self.accesses.len() - 1))
+                self.push(StripStep::Read(self.n_accesses - 1))
             }
             LExpr::Bin {
                 op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
@@ -434,11 +406,11 @@ impl<'a> StripBuilder<'a> {
             } => {
                 self.value(lhs)?;
                 self.value(rhs)?;
-                self.push(StripOp::Bin(*op))
+                self.push(StripStep::Op(*op))
             }
             LExpr::Un { op: UnOp::Neg, arg } => {
                 self.value(arg)?;
-                self.push(StripOp::Neg)
+                self.push(StripStep::Neg)
             }
             _ => None,
         }
@@ -449,13 +421,14 @@ impl<'a> StripBuilder<'a> {
         let LBufRef::Slot(buf) = buf else {
             return None;
         };
-        if self.accesses.len() == MAX_STRIP_OPERANDS {
+        if self.n_accesses == MAX_STRIP_OPERANDS {
             return None;
         }
         for i in idx {
             affine_in(i, self.iter)?;
         }
-        self.accesses.push((*buf, idx));
+        self.accesses[self.n_accesses] = (*buf, idx);
+        self.n_accesses += 1;
         Some(())
     }
 }

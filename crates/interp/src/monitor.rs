@@ -76,15 +76,25 @@ pub trait Monitor {
     }
 }
 
-/// One event of a strip's trip, after the trip's loop iteration and
-/// statement, in the order the per-element loop reports them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StripEvent {
-    /// Access `k` of the strip is read.
+/// One step of a strip's trip, run on a stack of values: the right-hand
+/// side in postfix order, a reduction's read and add of the
+/// destination, then the write. `Read`, `Op` and `Write` are what the
+/// per-element loop reports, in this order, after the trip's loop
+/// iteration and statement; the other steps only move values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum StripStep {
+    /// Pushes the element of access `k`: a read.
     Read(usize),
-    /// A scalar operation is evaluated (reported on [`DataType::F64`]).
+    /// Pushes a float literal.
+    Float(f64),
+    /// Pushes scalar variable `k` of the strip.
+    Scalar(usize),
+    /// Negates the top value.
+    Neg,
+    /// Pops two values and pushes `lhs op rhs`, one of `+ - * /`: a
+    /// scalar operation (reported on [`DataType::F64`]).
     Op(BinOp),
-    /// Access `k` of the strip is written.
+    /// Pops a value into the element of access `k`: a write.
     Write(usize),
 }
 
@@ -105,28 +115,28 @@ impl<'a> StripCursor<'a> {
     }
 }
 
-/// A strip as a monitor sees it: `trips` repetitions of one event
-/// program over a few accesses. Addresses are formed only when asked
-/// for, so a monitor that ignores strips pays nothing for one.
+/// A strip as a monitor sees it: `trips` repetitions of one program
+/// over a few accesses. Addresses are formed only when asked for, so a
+/// monitor that ignores strips pays nothing for one.
 #[derive(Clone, Copy, Debug)]
 pub struct StripTrace<'a> {
-    events: &'a [StripEvent],
+    program: &'a [StripStep],
     cursors: &'a [StripCursor<'a>],
     trips: u64,
     parallel: bool,
 }
 
 impl<'a> StripTrace<'a> {
-    /// `trips` trips of `events` over `cursors`, the accesses the events
+    /// `trips` trips of `program` over `cursors`, the accesses its steps
     /// name, each at its first trip.
     pub fn new(
-        events: &'a [StripEvent],
+        program: &'a [StripStep],
         cursors: &'a [StripCursor<'a>],
         trips: u64,
         parallel: bool,
     ) -> Self {
         StripTrace {
-            events,
+            program,
             cursors,
             trips,
             parallel,
@@ -143,9 +153,9 @@ impl<'a> StripTrace<'a> {
         self.parallel
     }
 
-    /// The events of one trip.
-    pub fn events(&self) -> &'a [StripEvent] {
-        self.events
+    /// The steps of one trip.
+    pub fn program(&self) -> &'a [StripStep] {
+        self.program
     }
 
     /// Access `k`, with its buffer borrowed for reading.
@@ -163,22 +173,24 @@ impl<'a> StripTrace<'a> {
 
     /// Reports every trip's events to `mon` one by one, exactly as the
     /// per-element loop does: the loop iteration, the statement, then
-    /// [`StripTrace::events`] with each access at that trip's address.
+    /// the reads, operations and write of [`StripTrace::program`], each
+    /// access at that trip's address.
     pub fn replay<M: Monitor + ?Sized>(&self, mon: &mut M) {
         for trip in 0..self.trips {
             mon.on_loop_iter(self.parallel);
             mon.on_stmt();
-            for event in self.events {
-                match *event {
-                    StripEvent::Read(k) => {
+            for step in self.program {
+                match *step {
+                    StripStep::Read(k) => {
                         let a = self.access(k);
                         mon.on_read(a.mem(), a.addr(trip), a.bytes());
                     }
-                    StripEvent::Op(op) => mon.on_scalar_op(op, DataType::F64),
-                    StripEvent::Write(k) => {
+                    StripStep::Op(op) => mon.on_scalar_op(op, DataType::F64),
+                    StripStep::Write(k) => {
                         let a = self.access(k);
                         mon.on_write(a.mem(), a.addr(trip), a.bytes());
                     }
+                    StripStep::Float(_) | StripStep::Scalar(_) | StripStep::Neg => {}
                 }
             }
         }

@@ -66,7 +66,7 @@ impl CacheStats {
 /// Each way holds a line and the access count at its last use, its
 /// *stamp*: a hit stores the stamp, a miss fills the way with the least
 /// one. Lines never move between ways, so a way found once can be
-/// touched again without a search ([`Cache::touch`]).
+/// touched again without a search.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cache {
     hit_latency: u64,
@@ -119,7 +119,7 @@ impl Cache {
 
     /// Accesses `addr`; returns whether it hit and the slot that now
     /// holds its line, for [`Cache::touch`].
-    pub fn lookup(&mut self, addr: u64) -> (bool, usize) {
+    pub(crate) fn lookup(&mut self, addr: u64) -> (bool, usize) {
         self.stats.accesses += 1;
         let stamp = self.stats.accesses;
         let line = match self.line_shift {
@@ -156,19 +156,19 @@ impl Cache {
     /// the line it wants and still resident: a hit, charged without a
     /// search.
     #[inline]
-    pub fn touch(&mut self, slot: usize) {
+    pub(crate) fn touch(&mut self, slot: usize) {
         self.stats.accesses += 1;
         self.slots[slot].stamp = self.stats.accesses;
     }
 
     /// Line size in bytes.
-    pub fn line(&self) -> u64 {
+    pub(crate) fn line(&self) -> u64 {
         self.line
     }
 
     /// The first address of the line holding `addr`.
     #[inline]
-    pub fn line_start(&self, addr: u64) -> u64 {
+    pub(crate) fn line_start(&self, addr: u64) -> u64 {
         match self.line_shift {
             Some(_) => addr & !(self.line - 1),
             None => addr - addr % self.line,
@@ -176,7 +176,7 @@ impl Cache {
     }
 
     /// Ways per set.
-    pub fn ways(&self) -> usize {
+    pub(crate) fn ways(&self) -> usize {
         self.ways
     }
 

@@ -2,7 +2,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::isa::instruction_cost_class;
-use exo_interp::{ArgValue, Interpreter, Monitor, ProcRegistry, StripEvent, StripTrace};
+use exo_interp::{ArgValue, Interpreter, Monitor, ProcRegistry, StripStep, StripTrace};
 use exo_ir::{BinOp, DataType, Mem, Proc};
 
 /// Per-event cycle costs of the modelled core.
@@ -237,10 +237,14 @@ impl Monitor for CostMonitor {
         }
         let mut positions = [Position::default(); STRIP_POSITIONS];
         let (mut m, mut registers, mut ops) = (0, 0, 0);
-        for event in strip.events() {
-            let (StripEvent::Read(k) | StripEvent::Write(k)) = *event else {
-                ops += 1;
-                continue;
+        for step in strip.program() {
+            let k = match *step {
+                StripStep::Read(k) | StripStep::Write(k) => k,
+                StripStep::Op(_) => {
+                    ops += 1;
+                    continue;
+                }
+                StripStep::Float(_) | StripStep::Scalar(_) | StripStep::Neg => continue,
             };
             let access = strip.access(k);
             if !access.mem().is_dram() {

@@ -5,7 +5,7 @@
 //! every way's line and stamp, after the strip and after whatever
 //! accesses follow it.
 
-use exo_interp::{BufferData, Monitor, StripCursor, StripEvent, StripTrace};
+use exo_interp::{BufferData, Monitor, StripCursor, StripStep, StripTrace};
 use exo_ir::rng::Rng;
 use exo_ir::{BinOp, DataType, Mem};
 use exo_machine::{CacheConfig, CostModel, CostMonitor};
@@ -51,7 +51,7 @@ struct Access {
 #[derive(Clone, Debug)]
 struct Strip {
     accesses: Vec<Access>,
-    events: Vec<StripEvent>,
+    program: Vec<StripStep>,
     trips: u64,
     parallel: bool,
 }
@@ -89,7 +89,7 @@ fn agree(model: &CostModel, warm: &[u64], strips: &[(Strip, Vec<u64>)]) -> Resul
             .zip(&strip.accesses)
             .map(|(b, a)| StripCursor::new(b, a.off, a.step))
             .collect();
-        let trace = StripTrace::new(&strip.events, &cursors, strip.trips, strip.parallel);
+        let trace = StripTrace::new(&strip.program, &cursors, strip.trips, strip.parallel);
         by_line.on_strip(&trace);
         by_element.on_strip(&trace);
         if by_line.caches() != by_element.0.caches() {
@@ -134,7 +134,7 @@ fn config(sets: u64, ways: usize, line: u64, hit_latency: u64) -> CacheConfig {
 
 /// A random strip over addresses below `span`: 1–10 DRAM accesses per
 /// trip (the reduction's read and write of a DRAM destination count
-/// two), up to two register reads, a few operations among them; element
+/// two), up to two register reads, operations among them; element
 /// steps of zero, under a line, one line and over a line, either way.
 fn random_strip(rng: &mut Rng, line: u64, span: u64) -> Strip {
     let trips = rng.range(1, 64) as u64;
@@ -184,22 +184,28 @@ fn random_strip(rng: &mut Rng, line: u64, span: u64) -> Strip {
             step: step as isize,
         });
     }
+    // A right-hand side over the reads, with literals, a scalar and
+    // negations among them, which a monitor must pass over.
     let dest = accesses.len() - 1;
-    let mut events = Vec::new();
     let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+    let op = |rng: &mut Rng| StripStep::Op(*rng.pick(&ops).unwrap_or(&BinOp::Mul));
+    let mut program = vec![StripStep::Float(1.5)];
     for k in 0..dest {
-        events.push(StripEvent::Read(k));
-        if k > 0 && rng.chance(60) {
-            events.push(StripEvent::Op(*rng.pick(&ops).unwrap_or(&BinOp::Mul)));
+        program.extend([StripStep::Read(k), op(rng)]);
+        if rng.chance(25) {
+            program.extend([StripStep::Scalar(0), op(rng)]);
+        }
+        if rng.chance(15) {
+            program.push(StripStep::Neg);
         }
     }
     if reduce {
-        events.extend([StripEvent::Read(dest), StripEvent::Op(BinOp::Add)]);
+        program.extend([StripStep::Read(dest), StripStep::Op(BinOp::Add)]);
     }
-    events.push(StripEvent::Write(dest));
+    program.push(StripStep::Write(dest));
     Strip {
         accesses,
-        events,
+        program,
         trips,
         parallel: rng.chance(20),
     }
@@ -281,11 +287,11 @@ fn a_trip_with_more_dram_accesses_than_ways_is_looked_up_in_full() {
     let model = model(config(1, 2, 64, 4), config(1, 16, 64, 14));
     let strip = Strip {
         accesses: vec![dram(0, 0, 0), dram(64, 0, 0), dram(128, 0, 0)],
-        events: vec![
-            StripEvent::Read(0),
-            StripEvent::Read(1),
-            StripEvent::Op(BinOp::Add),
-            StripEvent::Write(2),
+        program: vec![
+            StripStep::Read(0),
+            StripStep::Read(1),
+            StripStep::Op(BinOp::Add),
+            StripStep::Write(2),
         ],
         trips: 8,
         parallel: false,
@@ -301,7 +307,7 @@ fn a_stationary_hit_renews_its_line() {
     let model = model(config(1, 3, 64, 4), config(1, 16, 64, 14));
     let strip = Strip {
         accesses: vec![dram(0, 0, 0), dram(4096, 0, 16)],
-        events: vec![StripEvent::Read(0), StripEvent::Write(1)],
+        program: vec![StripStep::Read(0), StripStep::Write(1)],
         trips: 12,
         parallel: false,
     };
