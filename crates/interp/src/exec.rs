@@ -22,10 +22,10 @@
 //! results. Its events go to the monitor once, as one
 //! [`crate::StripTrace`] for all of its trips, before the data loop, which
 //! reports nothing; a monitor that does not override
-//! [`Monitor::on_strip`] sees them element by element. When an endpoint does not resolve the loop runs element by
-//! element from its first iteration, which reports whatever is wrong
-//! exactly as it always did; the strip has executed and emitted nothing
-//! by then. A call to a lane instruction (see [`Lanes`]) runs the
+//! [`Monitor::on_strip`] sees them element by element. When an endpoint
+//! does not resolve the loop runs element by element from its first
+//! iteration, which reports whatever is wrong exactly as it always did;
+//! the strip has executed and emitted nothing by then. A call to a lane instruction (see [`Lanes`]) runs the
 //! callee's strip the same way, its accesses resolved through the
 //! caller's window arguments, with the general call as its fallback.
 

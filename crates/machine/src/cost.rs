@@ -116,6 +116,18 @@ impl CostMonitor {
         self.report.cycles += cost;
     }
 
+    /// The control cost of one loop iteration. Parallel loops amortize
+    /// their control overhead across cores; the model charges half the
+    /// scalar overhead.
+    #[inline]
+    fn loop_cost(&self, parallel: bool) -> u64 {
+        if parallel {
+            self.model.loop_overhead / 2
+        } else {
+            self.model.loop_overhead
+        }
+    }
+
     /// Looks a strip position up in full, remembering where its line is;
     /// returns the latency.
     #[inline]
@@ -198,13 +210,7 @@ impl Monitor for CostMonitor {
 
     #[inline]
     fn on_loop_iter(&mut self, parallel: bool) {
-        // Parallel loops amortize their control overhead across cores; the
-        // model charges half the scalar overhead.
-        let cost = if parallel {
-            self.model.loop_overhead / 2
-        } else {
-            self.model.loop_overhead
-        };
+        let cost = self.loop_cost(parallel);
         self.report.control_cycles += cost;
         self.report.cycles += cost;
     }
@@ -258,12 +264,7 @@ impl Monitor for CostMonitor {
                 m += 1;
             }
         }
-        let loop_cost = if strip.parallel() {
-            self.model.loop_overhead / 2
-        } else {
-            self.model.loop_overhead
-        };
-        let control = loop_cost * trips;
+        let control = self.loop_cost(strip.parallel()) * trips;
         let scalar = ops * self.model.scalar_op * trips;
         let mut memory = registers * self.model.register_access * trips;
         let (line, l1_hit) = (self.l1.line(), self.l1.hit_latency());
