@@ -5,6 +5,12 @@
 //! - `sched_library`'s counts of one library pass: 72 schedules on the
 //!   AVX2 and AVX-512 models, each verified, lowered and emitted portable
 //!   and native.
+//! - One content hash of every unit those schedules emit in the four
+//!   modes (portable, native, debug bounds, native with OpenMP): a change
+//!   that must not move the C keeps it. Emission does not consult the
+//!   host, so the hash does not depend on it. On drift the test writes
+//!   every unit under `$CARGO_TARGET_TMPDIR/emitted/<machine>/` and prints
+//!   the path, so a diff against a run at the parent names the unit.
 //! - `tune_search`'s counts of its first sweep at `--seed 7`: the
 //!   cost-only tuner over the three kernels of record on the AVX2 model,
 //!   at the benchmark's budget of 200 scripts per kernel.
@@ -15,6 +21,8 @@
 //! A change that means to move a number edits `ledger.txt` in the same
 //! diff and says why. On drift the test prints every row.
 
+use std::hash::{Hash, Hasher};
+
 mod common;
 
 use common::Library;
@@ -23,7 +31,7 @@ use exo2::codegen::difftest::{synth_inputs, SynthArg};
 use exo2::codegen::{emit_c, CodegenOptions};
 use exo2::cursors::ProcHandle;
 use exo2::interp::{ArgValue, ProcRegistry};
-use exo2::ir::{DataType, Proc};
+use exo2::ir::{ContentHasher, DataType, Proc};
 use exo2::kernels::{self, Precision};
 use exo2::lib::apply_script;
 use exo2::machine::{try_simulate, MachineModel, SimReport};
@@ -42,7 +50,22 @@ fn mix(seed: u64, stream: u64) -> u64 {
 /// The benchmark's seed for the rows that depend on one.
 const SEED: u64 = 7;
 
-fn library_rows(rows: &mut Vec<(String, u64)>) {
+/// The four emission modes the unit hash covers, by the name a dumped
+/// unit's file carries.
+fn modes() -> [(&'static str, CodegenOptions); 4] {
+    [
+        ("portable", CodegenOptions::portable()),
+        ("native", CodegenOptions::native()),
+        ("debug", CodegenOptions::debug()),
+        ("native_openmp", CodegenOptions::native_openmp()),
+    ]
+}
+
+/// Every emitted unit as (`<machine>/<kernel>.<mode>.c`, code); a kernel
+/// name that repeats on one machine gets `~2`, `~3`, ... after it.
+type Units = Vec<(String, String)>;
+
+fn library_rows(rows: &mut Vec<(String, u64)>, units: &mut Units) {
     let library = Library::new();
     exo2::core::stats::reset();
     let scheduled: Vec<_> = library
@@ -52,7 +75,9 @@ fn library_rows(rows: &mut Vec<(String, u64)>) {
         .collect();
     let rewrites = exo2::core::stats::total();
     let (mut schedules, mut errors, mut warnings, mut insts, mut bytes) = (0, 0, 0, 0, 0);
+    let mut units_hash = ContentHasher::new();
     for (machine, handles) in &scheduled {
+        let mut kernels_seen: Vec<&str> = Vec::new();
         let registry: ProcRegistry = machine
             .instructions(DataType::F32)
             .into_iter()
@@ -68,9 +93,19 @@ fn library_rows(rows: &mut Vec<(String, u64)>) {
                 }
             }
             insts += exo2::interp::lower(proc).code_len() as u64;
-            for opts in [CodegenOptions::portable(), CodegenOptions::native()] {
+            let repeat = kernels_seen.iter().filter(|&&k| k == proc.name()).count();
+            kernels_seen.push(proc.name());
+            let file = match repeat {
+                0 => proc.name().to_string(),
+                n => format!("{}~{}", proc.name(), n + 1),
+            };
+            for (mode, opts) in modes() {
                 let unit = emit_c(proc, &registry, &opts).expect("a library schedule emits");
-                bytes += unit.code.len() as u64;
+                if matches!(mode, "portable" | "native") {
+                    bytes += unit.code.len() as u64;
+                }
+                (machine.name, proc.name(), mode, &unit.cflags, &unit.code).hash(&mut units_hash);
+                units.push((format!("{}/{file}.{mode}.c", machine.name), unit.code));
             }
         }
     }
@@ -81,6 +116,7 @@ fn library_rows(rows: &mut Vec<(String, u64)>) {
         ("analysis.diag_warnings", warnings),
         ("interp.lowered_insts", insts),
         ("codegen.emitted_bytes", bytes),
+        ("codegen.emitted_units_hash", units_hash.finish()),
     ] {
         rows.push((name.to_string(), value));
     }
@@ -173,11 +209,29 @@ fn parse(text: &str) -> Vec<(String, u64)> {
 #[test]
 fn the_ledger_is_unchanged() {
     let mut got = Vec::new();
-    library_rows(&mut got);
+    let mut units = Units::new();
+    library_rows(&mut got, &mut units);
     tuner_rows(&mut got);
     let want = parse(include_str!("ledger.txt"));
     if got != want {
         let mut diff = String::new();
+        let row = |rows: &[(String, u64)]| {
+            rows.iter()
+                .find(|(n, _)| n == "codegen.emitted_units_hash")
+                .map(|(_, v)| *v)
+        };
+        if row(&got) != row(&want) {
+            let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("emitted");
+            for (file, code) in &units {
+                let path = dir.join(file);
+                let parent = path
+                    .parent()
+                    .expect("a unit's path has a machine directory");
+                std::fs::create_dir_all(parent).expect("the dump directory is writable");
+                std::fs::write(&path, code).expect("a unit is written");
+            }
+            diff.push_str(&format!("every emitted unit is in {}\n", dir.display()));
+        }
         let names = want.iter().chain(&got).map(|(n, _)| n.as_str());
         let mut seen = Vec::new();
         for name in names {
