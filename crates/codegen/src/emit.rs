@@ -392,21 +392,13 @@ impl<'a> UnitEmitter<'a> {
         // generated from its own object code. An instruction with a
         // non-unit-stride callsite is demoted to its scalar body — the
         // intrinsic would read/write the wrong elements.
-        let demoted = self.scalar_fallback_instrs.contains(proc.name());
-        let intrinsic = if proc.is_instr() && self.opts.intrinsics && !demoted {
-            match exo_machine::c_intrinsic(proc.name()) {
-                Some(i) if i.stock_toolchain => Some(i),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let annotate = proc.is_instr()
-            && self.opts.intrinsics
-            && demoted
-            && exo_machine::c_intrinsic(proc.name()).is_some();
+        let intrinsic = (proc.is_instr() && self.opts.intrinsics)
+            .then(|| exo_machine::c_intrinsic(proc.name()))
+            .flatten();
+        let demoted = intrinsic.is_some() && self.scalar_fallback_instrs.contains(proc.name());
+        let intrinsic = intrinsic.filter(|i| i.stock_toolchain && !demoted);
         let mut def = FnEmitter::new(self, proc, lowered)?.emit(is_root, intrinsic)?;
-        if annotate {
+        if demoted {
             def = format!(
                 "/* `{}`: portable scalar body — a callsite passes a window that is \
                  not unit-stride in its last dimension */\n{def}",
@@ -519,8 +511,6 @@ struct FnEmitter<'u, 'a, 'p> {
     lp: &'p LoweredProc,
     names: Vec<String>,
     repr: Vec<SlotRepr>,
-    /// Dense args of rank ≥ 2 that need their stride constants hoisted.
-    needs_strides: BTreeSet<u32>,
     /// Source names of buffers with at least one access the static
     /// verifier could not certify in-bounds (populated only under
     /// `debug_bounds`). Fully-proven buffers skip the `exo_bnd`
@@ -646,7 +636,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             lp,
             names,
             repr,
-            needs_strides: BTreeSet::new(),
             unproven,
             omp_loops,
             body: String::new(),
@@ -668,7 +657,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             }
             let rendered: Vec<String> = dims
                 .iter()
-                .map(|d| this.render_dim_expr(d))
+                .map(|d| this.render_dim(d).map(|c| c.s))
                 .collect::<Result<_>>()?;
             if let SlotRepr::DenseArg {
                 dims: slot_dims, ..
@@ -683,11 +672,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
 
     /// Renders an argument-dimension expression (source `Expr` over size
     /// parameters) as C.
-    fn render_dim_expr(&self, e: &Expr) -> Result<String> {
-        self.render_dim_inner(e).map(|c| c.s)
-    }
-
-    fn render_dim_inner(&self, e: &Expr) -> Result<CExpr> {
+    fn render_dim(&self, e: &Expr) -> Result<CExpr> {
         match e {
             Expr::Int(v) => Ok(CExpr::atom(v.to_string(), CClass::Int)),
             Expr::Var(s) => {
@@ -696,8 +681,8 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             }
             Expr::Bin { op, lhs, rhs } if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) => {
                 let (sym, prec) = c_binop(*op);
-                let l = self.render_dim_inner(lhs)?;
-                let r = self.render_dim_inner(rhs)?;
+                let l = self.render_dim(lhs)?;
+                let r = self.render_dim(rhs)?;
                 Ok(CExpr {
                     s: format!("{} {sym} {}", l.at(prec), r.at(prec + 1)),
                     prec,
@@ -721,9 +706,8 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
     }
 
     /// Fills in local slot representations (allocations, iterators,
-    /// aliases) and records which dense arguments need stride constants.
-    /// The pre-order walk is source order, so every slot's binding
-    /// instruction precedes its uses.
+    /// aliases). The pre-order walk is source order, so every slot's
+    /// binding instruction precedes its uses.
     fn prepass(&mut self) -> Result<()> {
         for inst in self.lp.insts() {
             match inst {
@@ -760,89 +744,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     };
                 }
                 _ => {}
-            }
-        }
-        // Second pass: which tensors are accessed by index or passed as
-        // windows (and therefore need their strides)?
-        let mut mark = Vec::new();
-        for inst in self.lp.insts() {
-            match inst {
-                LInst::Assign { buf, idx, rhs } | LInst::Reduce { buf, idx, rhs } => {
-                    if !idx.is_empty() {
-                        if let LBufRef::Slot(s) = buf {
-                            mark.push(*s);
-                        }
-                    }
-                    mark_expr_strides(rhs, &mut mark);
-                    for e in idx.iter() {
-                        mark_expr_strides(e, &mut mark);
-                    }
-                }
-                LInst::Alloc { dims, .. } => {
-                    for e in dims.iter() {
-                        mark_expr_strides(e, &mut mark);
-                    }
-                }
-                LInst::Loop { lo, hi, .. } => {
-                    mark_expr_strides(lo, &mut mark);
-                    mark_expr_strides(hi, &mut mark);
-                }
-                LInst::If { cond, .. } => mark_expr_strides(cond, &mut mark),
-                LInst::WriteConfig { value, .. } => mark_expr_strides(value, &mut mark),
-                LInst::Call { args, .. } => {
-                    for a in args.iter() {
-                        mark_expr_strides(&a.scalar, &mut mark);
-                        match &a.window {
-                            LWindow::Var { buf }
-                            | LWindow::PointRead { buf, .. }
-                            | LWindow::Window { buf, .. } => {
-                                if let LBufRef::Slot(s) = buf {
-                                    mark.push(*s);
-                                }
-                            }
-                            LWindow::NotATensor { .. } => {}
-                        }
-                        if let LWindow::PointRead { idx, .. } = &a.window {
-                            for e in idx.iter() {
-                                mark_expr_strides(e, &mut mark);
-                            }
-                        }
-                        if let LWindow::Window { spec, .. } = &a.window {
-                            for s in spec.iter() {
-                                match s {
-                                    LWSpec::Point(e) | LWSpec::Interval { lo: e, .. } => {
-                                        mark_expr_strides(e, &mut mark)
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                LInst::WindowBind {
-                    rhs:
-                        LWindow::Var {
-                            buf: LBufRef::Slot(s),
-                        }
-                        | LWindow::PointRead {
-                            buf: LBufRef::Slot(s),
-                            ..
-                        }
-                        | LWindow::Window {
-                            buf: LBufRef::Slot(s),
-                            ..
-                        },
-                    ..
-                } => {
-                    mark.push(*s);
-                }
-                _ => {}
-            }
-        }
-        for s in mark {
-            if let SlotRepr::DenseArg { dims, .. } = &self.repr[s as usize] {
-                if dims.len() >= 2 {
-                    self.needs_strides.insert(s);
-                }
             }
         }
         Ok(())
@@ -928,11 +829,8 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
     /// Per-dimension stride expressions of a tensor slot.
     fn strides(&self, slot: usize) -> Vec<String> {
         match &self.repr[slot] {
-            SlotRepr::DenseArg { dims, .. } => {
-                let hoisted = self.needs_strides.contains(&(slot as u32));
-                dense_strides(&self.names[slot], dims, hoisted)
-            }
-            SlotRepr::AllocN { dims, .. } => dense_strides("", dims, false),
+            SlotRepr::DenseArg { dims, .. } => dense_strides(Some(&self.names[slot]), dims),
+            SlotRepr::AllocN { dims, .. } => dense_strides(None, dims),
             SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } => (0..*rank)
                 .map(|d| format!("{}.strides[{d}]", self.names[slot]))
                 .collect(),
@@ -1296,7 +1194,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         for inst in block {
             match inst {
                 LInst::Assign { buf, idx, rhs } => {
-                    let slot = self.tensor_or_scalar_store(buf)?;
+                    let slot = self.tensor_slot(buf)?;
                     let rendered: Vec<CExpr> =
                         idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
                     let lhs = self.element(slot, &rendered)?;
@@ -1304,7 +1202,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     self.line(&format!("{lhs} = {};", rhs.s));
                 }
                 LInst::Reduce { buf, idx, rhs } => {
-                    let slot = self.tensor_or_scalar_store(buf)?;
+                    let slot = self.tensor_slot(buf)?;
                     let rendered: Vec<CExpr> =
                         idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
                     let lhs = self.element(slot, &rendered)?;
@@ -1437,16 +1335,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             }
         }
         Ok(())
-    }
-
-    fn tensor_or_scalar_store(&self, buf: &LBufRef) -> Result<usize> {
-        self.tensor_slot(buf)
-    }
-
-    /// Base pointer of a window narrowed to rank 0.
-    fn window_ptr0(&mut self, w: &LWindow) -> Result<String> {
-        let (ptr, _strides) = self.window_parts(w)?;
-        Ok(ptr)
     }
 
     /// Resolves a lowered window into `(base pointer, kept strides)`.
@@ -1619,7 +1507,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                             let slot = self.tensor_slot(buf)?;
                             self.data_ptr(slot)
                         }
-                        other => self.window_ptr0(other),
+                        other => Ok(self.window_parts(other)?.0),
                     };
                 }
                 let rank = dims.len();
@@ -1739,24 +1627,21 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             b
         } else {
             self.emit_block(self.lp.code())?;
-            // Hoist the stride constants of indexed dense arguments — the
-            // emitted mirror of the executor's `AccessPlan`. Only the
-            // constants the body actually references are declared: a
-            // window can mark a tensor and then collapse to offset 0 with
-            // unit stride, and an unused `const` trips `-Werror`.
-            for slot in self.needs_strides.clone() {
-                let SlotRepr::DenseArg { dims, .. } = &self.repr[slot as usize] else {
+            // Hoist the stride constants of dense arguments — the emitted
+            // mirror of the executor's `AccessPlan`. Every stride of a
+            // dense argument renders as its reserved constant name; only
+            // the names the body references are declared, in slot order,
+            // since an unused `const` trips `-Werror`.
+            for (slot, repr) in self.repr.iter().enumerate() {
+                let SlotRepr::DenseArg { dims, .. } = repr else {
                     continue;
                 };
-                let dims = dims.clone();
-                let name = self.names[slot as usize].clone();
                 for d in 0..dims.len().saturating_sub(1) {
-                    let cname = format!("{name}_s{d}");
-                    if !ident_used(&self.body, &cname) {
-                        continue;
+                    let cname = format!("{}_s{d}", self.names[slot]);
+                    if ident_used(&self.body, &cname) {
+                        let stride = raw_dense_stride(dims, d);
+                        header.push_str(&format!("    const int64_t {cname} = {stride};\n"));
                     }
-                    let stride = raw_dense_stride(&dims, d);
-                    header.push_str(&format!("    const int64_t {cname} = {stride};\n"));
                 }
             }
             if self.body.is_empty() {
@@ -1877,45 +1762,15 @@ fn dense_product(dims: &[String]) -> String {
         .join(" * ")
 }
 
-/// Per-dimension stride expressions of a dense tensor: hoisted constant
-/// names (`A_s0`) when they were emitted, raw products otherwise.
-fn dense_strides(name: &str, dims: &[String], hoisted: bool) -> Vec<String> {
+/// Per-dimension stride expressions of a dense tensor: the hoisted
+/// constant names (`A_s0`) of a dense argument `name`, raw products for a
+/// local allocation.
+fn dense_strides(name: Option<&str>, dims: &[String]) -> Vec<String> {
     (0..dims.len())
-        .map(|d| {
-            if d + 1 == dims.len() {
-                "1".to_string()
-            } else if hoisted {
-                format!("{name}_s{d}")
-            } else {
-                raw_dense_stride(dims, d)
-            }
+        .map(|d| match name {
+            _ if d + 1 == dims.len() => "1".to_string(),
+            Some(name) => format!("{name}_s{d}"),
+            None => raw_dense_stride(dims, d),
         })
         .collect()
-}
-
-fn mark_expr_strides(e: &LExpr, mark: &mut Vec<u32>) {
-    match e {
-        LExpr::Read { buf, idx } => {
-            if !idx.is_empty() {
-                if let LBufRef::Slot(s) = buf {
-                    mark.push(*s);
-                }
-            }
-            for i in idx.iter() {
-                mark_expr_strides(i, mark);
-            }
-        }
-        LExpr::Stride {
-            buf: LBufRef::Slot(s),
-            ..
-        } => {
-            mark.push(*s);
-        }
-        LExpr::Bin { lhs, rhs, .. } => {
-            mark_expr_strides(lhs, mark);
-            mark_expr_strides(rhs, mark);
-        }
-        LExpr::Un { arg, .. } => mark_expr_strides(arg, mark),
-        _ => {}
-    }
 }

@@ -330,7 +330,6 @@ fn re_registering_an_instruction_changes_the_emitted_unit() {
             .build()
             .with_instr(exo_ir::InstrInfo {
                 cost_class: "test".into(),
-                c_template: "fill4({dst})".into(),
             })
     };
     let p = ProcBuilder::new("kernel")

@@ -605,7 +605,7 @@ mod tests {
         ProcBuilder::new("mm256_loadu_ps")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
-            .instr("avx2_load", "{dst} = _mm256_loadu_ps(&{src});")
+            .instr("avx2_load")
             .with_body(|b| {
                 b.for_("l", ib(0), ib(8), |b| {
                     b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));
@@ -619,7 +619,7 @@ mod tests {
             .window_arg("a", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("b", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("c", DataType::F32, vec![ib(8)], Mem::VecAvx2)
-            .instr("avx2_fma", "{c} = _mm256_fmadd_ps({a}, {b}, {c});")
+            .instr("avx2_fma")
             .with_body(|b| {
                 b.for_("l", ib(0), ib(8), |b| {
                     b.reduce(
@@ -636,7 +636,7 @@ mod tests {
         ProcBuilder::new("mm256_set1_ps")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .scalar_arg("val", DataType::F32)
-            .instr("avx2_broadcast", "{dst} = _mm256_set1_ps({val});")
+            .instr("avx2_broadcast")
             .with_body(|b| {
                 b.for_("l", ib(0), ib(8), |b| {
                     b.assign("dst", vec![var("l")], var("val"));

@@ -2065,7 +2065,7 @@ mod tests {
         let load = ProcBuilder::new("vec_load8")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
-            .instr("avx2_load", "load")
+            .instr("avx2_load")
             .for_("l", ib(0), ib(8), |b| {
                 b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));
             })
@@ -2073,7 +2073,7 @@ mod tests {
         let axpy = ProcBuilder::new("vec_axpy8")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::Dram)
             .window_arg("src", DataType::F32, vec![ib(8)], Mem::VecAvx2)
-            .instr("avx2_fma", "fma")
+            .instr("avx2_fma")
             .for_("l", ib(0), ib(8), |b| {
                 b.reduce(
                     "dst",
@@ -2244,7 +2244,7 @@ mod tests {
         let loadu = ProcBuilder::new("vec_load8")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
-            .instr("avx2_load", "load")
+            .instr("avx2_load")
             .with_body(|b| {
                 b.for_("l", ib(0), ib(8), |b| {
                     b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));

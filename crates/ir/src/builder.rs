@@ -275,10 +275,9 @@ impl ProcBuilder {
     }
 
     /// Marks the procedure as an instruction procedure.
-    pub fn instr(mut self, cost_class: impl Into<String>, c_template: impl Into<String>) -> Self {
+    pub fn instr(mut self, cost_class: impl Into<String>) -> Self {
         self.instr = Some(InstrInfo {
             cost_class: cost_class.into(),
-            c_template: c_template.into(),
         });
         self
     }
@@ -343,7 +342,7 @@ mod tests {
         let p = ProcBuilder::new("mm256_loadu_ps")
             .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
             .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
-            .instr("avx2_load", "{dst} = _mm256_loadu_ps(&{src});")
+            .instr("avx2_load")
             .with_body(|b| {
                 b.for_("i", ib(0), ib(8), |b| {
                     b.assign("dst", vec![var("i")], b.read("src", vec![var("i")]));

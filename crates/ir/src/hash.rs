@@ -173,11 +173,9 @@ mod tests {
             base.add_assertion(Expr::Bool(true)),
             base.clone().with_instr(InstrInfo {
                 cost_class: "c".into(),
-                c_template: "t".into(),
             }),
             base.clone().with_instr(InstrInfo {
-                cost_class: "c".into(),
-                c_template: "u".into(),
+                cost_class: "d".into(),
             }),
         ];
         let mut mem = base.clone();

@@ -48,14 +48,12 @@ pub struct ProcArg {
 ///
 /// The cost model in `exo-machine` uses `cost_class` to charge cycles, and
 /// `replace` (in `exo-core`) unifies statements against the instruction's
-/// body to substitute calls for loop nests.
+/// body to substitute calls for loop nests. The C an instruction lowers to
+/// is `exo_machine::c_intrinsic`'s, looked up by the procedure's name.
 #[derive(Clone, PartialEq, Hash, Debug)]
 pub struct InstrInfo {
     /// Cost-model class, e.g. `"avx512_fma"`, `"gemmini_ld_block"`.
     pub cost_class: String,
-    /// C-like template emitted by the (textual) code generator; purely
-    /// informational in this reproduction.
-    pub c_template: String,
 }
 
 /// A procedure of the object language.
@@ -433,7 +431,6 @@ mod tests {
     fn instr_marker() {
         let p = Proc::new("mm512_loadu_ps", vec![], vec![], Block::new()).with_instr(InstrInfo {
             cost_class: "avx512_load".into(),
-            c_template: "_mm512_loadu_ps(...)".into(),
         });
         assert!(p.is_instr());
         assert_eq!(p.instr().unwrap().cost_class, "avx512_load");

@@ -20,7 +20,7 @@ use exo_core::{
 };
 use exo_cursors::{Cursor, CursorPath, ProcHandle};
 use exo_ir::{var, DataType, Expr, ExprStep, Stmt, Sym};
-use exo_machine::MachineModel;
+use exo_machine::{MachineKind, MachineModel};
 
 /// One staged temporary created by [`stage_compute`].
 struct Staged {
@@ -173,7 +173,9 @@ pub fn vectorize(
     let inner = outer_loop.body().first().cloned().ok_or_else(|| {
         SchedError::scheduling("divide_loop did not produce the expected lane loop")
     })?;
-    let (p, staged) = stage_compute(&p, &inner, precision, machine.has_fma)?;
+    // Only the x86 models' instruction sets have a fused multiply-add.
+    let fma = matches!(machine.kind, MachineKind::Avx2 | MachineKind::Avx512);
+    let (p, staged) = stage_compute(&p, &inner, precision, fma)?;
     // (3) Expand the temporaries across the lanes and lift them out of the
     // lane loop.
     let mut p = p;

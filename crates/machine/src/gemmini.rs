@@ -35,7 +35,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
         out.push(
             ProcBuilder::new(name)
                 .scalar_arg("value", DataType::I32)
-                .instr("gemmini_config", format!("gemmini_{name}({{value}});"))
+                .instr("gemmini_config")
                 .with_body(|b| {
                     b.write_config("gemm_cfg", field, var("value"));
                 })
@@ -50,7 +50,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
             .size_arg("rows")
             .size_arg("cols")
             .window_arg(n, t, d, m)
-            .instr("gemmini_zero", "gemmini_zero_acc(...);")
+            .instr("gemmini_zero")
             .with_body(|b| {
                 b.for_("i", ib(0), var("rows"), |b| {
                     b.for_("j", ib(0), var("cols"), |b| {
@@ -79,7 +79,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
                     vec![var("blocks"), var("rows"), ib(16)],
                     Mem::GemmScratch,
                 )
-                .instr("gemmini_ld_block", "gemmini_mvin_block(...);")
+                .instr("gemmini_ld_block")
                 .with_body(|b| {
                     b.for_("bk", ib(0), var("blocks"), |b| {
                         b.for_("i", ib(0), var("rows"), |b| {
@@ -117,7 +117,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
                 Mem::GemmScratch,
             )
             .window_arg("c", DataType::I32, vec![var("m"), var("n")], Mem::GemmAccum)
-            .instr("gemmini_matmul", "gemmini_compute_preloaded(...);")
+            .instr("gemmini_matmul")
             .with_body(|bb| {
                 bb.for_("i", ib(0), var("m"), |b| {
                     b.for_("j", ib(0), var("n"), |b| {
@@ -155,7 +155,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
                 vec![var("rows"), var("cols")],
                 Mem::Dram,
             )
-            .instr("gemmini_st", "gemmini_mvout(...);")
+            .instr("gemmini_st")
             .with_body(|b| {
                 b.for_("i", ib(0), var("rows"), |b| {
                     b.for_("j", ib(0), var("cols"), |b| {
@@ -176,7 +176,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
             .window_arg("src", DataType::I32, vec![], Mem::Dram)
             .window_arg("dst", DataType::F32, vec![], Mem::Dram)
             .scalar_arg("scale", DataType::F32)
-            .instr("scalar_helper", "{dst} = {src} * {scale};")
+            .instr("scalar_helper")
             .with_body(|b| {
                 b.assign("dst", vec![], b.read("src", vec![]) * var("scale"));
             })
@@ -186,7 +186,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
         ProcBuilder::new("clamp")
             .window_arg("src", DataType::F32, vec![], Mem::Dram)
             .window_arg("dst", DataType::I8, vec![], Mem::Dram)
-            .instr("scalar_helper", "{dst} = clamp_i8({src});")
+            .instr("scalar_helper")
             .with_body(|b| {
                 // Functional model: saturate to [-128, 127] via two selects
                 // expressed with ifs on a temporary.
@@ -209,7 +209,7 @@ pub fn gemmini_instructions() -> Vec<Proc> {
     out.push(
         ProcBuilder::new("relu")
             .window_arg("val", DataType::I8, vec![], Mem::Dram)
-            .instr("scalar_helper", "{val} = max({val}, 0);")
+            .instr("scalar_helper")
             .with_body(|b| {
                 b.if_(
                     Expr::bin(exo_ir::BinOp::Lt, b.read("val", vec![]), exo_ir::fb(0.0)),

@@ -37,10 +37,7 @@ fn vector_instructions(
             ProcBuilder::new(name(op))
                 .window_arg("dst", ty, vec![ib(lanes)], dst_mem)
                 .window_arg("src", ty, vec![ib(lanes)], s_mem)
-                .instr(
-                    cost(class),
-                    format!("{{dst}} = _{}_{op}_{suffix}(&{{src}});", prefix),
-                )
+                .instr(cost(class))
                 .with_body(|b| {
                     b.for_("l", ib(0), ib(lanes), |b| {
                         b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));
@@ -55,10 +52,7 @@ fn vector_instructions(
         ProcBuilder::new(name("set1"))
             .window_arg("dst", ty, vec![ib(lanes)], mem.clone())
             .scalar_arg("val", ty)
-            .instr(
-                cost("broadcast"),
-                format!("{{dst}} = _{}_set1_{suffix}({{val}});", prefix),
-            )
+            .instr(cost("broadcast"))
             .with_body(|b| {
                 b.for_("l", ib(0), ib(lanes), |b| {
                     b.assign("dst", vec![var("l")], var("val"));
@@ -68,23 +62,18 @@ fn vector_instructions(
     );
 
     // Binary lane-wise arithmetic: dst[l] = a[l] op b[l]
-    for (op, sym) in [("add", "+"), ("sub", "-"), ("mul", "*"), ("div", "/")] {
-        let expr_op = match op {
-            "add" => exo_ir::BinOp::Add,
-            "sub" => exo_ir::BinOp::Sub,
-            "mul" => exo_ir::BinOp::Mul,
-            _ => exo_ir::BinOp::Div,
-        };
-        let _ = sym;
+    for (op, expr_op) in [
+        ("add", exo_ir::BinOp::Add),
+        ("sub", exo_ir::BinOp::Sub),
+        ("mul", exo_ir::BinOp::Mul),
+        ("div", exo_ir::BinOp::Div),
+    ] {
         out.push(
             ProcBuilder::new(name(op))
                 .window_arg("dst", ty, vec![ib(lanes)], mem.clone())
                 .window_arg("a", ty, vec![ib(lanes)], mem.clone())
                 .window_arg("b", ty, vec![ib(lanes)], mem.clone())
-                .instr(
-                    cost("alu"),
-                    format!("{{dst}} = _{}_{op}_{suffix}({{a}}, {{b}});", prefix),
-                )
+                .instr(cost("alu"))
                 .with_body(|b| {
                     b.for_("l", ib(0), ib(lanes), |b| {
                         let rhs = exo_ir::Expr::bin(
@@ -104,10 +93,7 @@ fn vector_instructions(
         ProcBuilder::new(name("addacc"))
             .window_arg("acc", ty, vec![ib(lanes)], mem.clone())
             .window_arg("a", ty, vec![ib(lanes)], mem.clone())
-            .instr(
-                cost("alu"),
-                format!("{{acc}} = _{}_add_{suffix}({{acc}}, {{a}});", prefix),
-            )
+            .instr(cost("alu"))
             .with_body(|b| {
                 b.for_("l", ib(0), ib(lanes), |b| {
                     b.reduce("acc", vec![var("l")], b.read("a", vec![var("l")]));
@@ -122,13 +108,7 @@ fn vector_instructions(
             .window_arg("a", ty, vec![ib(lanes)], mem.clone())
             .window_arg("b", ty, vec![ib(lanes)], mem.clone())
             .window_arg("acc", ty, vec![ib(lanes)], mem.clone())
-            .instr(
-                cost("fma"),
-                format!(
-                    "{{acc}} = _{}_fmadd_{suffix}({{a}}, {{b}}, {{acc}});",
-                    prefix
-                ),
-            )
+            .instr(cost("fma"))
             .with_body(|b| {
                 b.for_("l", ib(0), ib(lanes), |b| {
                     b.reduce(
@@ -147,10 +127,7 @@ fn vector_instructions(
         ProcBuilder::new(name("reduce_add_scalar"))
             .window_arg("out", ty, vec![], Mem::Dram)
             .window_arg("a", ty, vec![ib(lanes)], mem.clone())
-            .instr(
-                cost("hreduce"),
-                format!("{{out}} += _{}_reduce_add_{suffix}({{a}});", prefix),
-            )
+            .instr(cost("hreduce"))
             .with_body(|b| {
                 b.for_("l", ib(0), ib(lanes), |b| {
                     b.reduce("out", vec![], b.read("a", vec![var("l")]));

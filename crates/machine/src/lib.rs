@@ -4,9 +4,8 @@
 //! AVX512 vector extensions, and the Gemmini ML accelerator. This crate
 //! provides:
 //!
-//! * [`MachineModel`] — per-target parameters (vector width, FMA support,
-//!   predicated loads/stores) plus the *instruction procedures* the target
-//!   exposes. Instruction procedures are ordinary object-language
+//! * [`MachineModel`] — per-target parameters (vector width, memory
+//!   space) plus the *instruction procedures* the target exposes. Instruction procedures are ordinary object-language
 //!   procedures whose bodies define their semantics; the `replace`
 //!   primitive substitutes matching loop nests with calls to them.
 //! * [`CostModel`] / [`CostMonitor`] — an `exo-interp` [`exo_interp::Monitor`]

@@ -25,11 +25,6 @@ pub struct MachineModel {
     pub kind: MachineKind,
     /// Human-readable name used in reports.
     pub name: &'static str,
-    /// Whether fused multiply-add instructions are available.
-    pub has_fma: bool,
-    /// Whether predicated (masked) vector loads/stores are supported — the
-    /// paper's skinny-matrix schedules require this.
-    pub supports_predication: bool,
 }
 
 impl MachineModel {
@@ -38,8 +33,6 @@ impl MachineModel {
         MachineModel {
             kind: MachineKind::Avx2,
             name: "AVX2",
-            has_fma: true,
-            supports_predication: true,
         }
     }
 
@@ -48,8 +41,6 @@ impl MachineModel {
         MachineModel {
             kind: MachineKind::Avx512,
             name: "AVX512",
-            has_fma: true,
-            supports_predication: true,
         }
     }
 
@@ -58,8 +49,6 @@ impl MachineModel {
         MachineModel {
             kind: MachineKind::Gemmini,
             name: "Gemmini",
-            has_fma: false,
-            supports_predication: false,
         }
     }
 
@@ -68,8 +57,6 @@ impl MachineModel {
         MachineModel {
             kind: MachineKind::Scalar,
             name: "scalar",
-            has_fma: false,
-            supports_predication: false,
         }
     }
 
@@ -170,10 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn prefixes_and_predication() {
+    fn prefixes() {
         assert_eq!(MachineModel::avx2().prefix(), "mm256");
         assert_eq!(MachineModel::avx512().prefix(), "mm512");
-        assert!(MachineModel::avx512().supports_predication);
-        assert!(!MachineModel::gemmini().supports_predication);
     }
 }
