@@ -56,8 +56,9 @@ pub mod measure;
 pub mod prune;
 pub mod space;
 
+use exo_codegen::difftest::{interp_args, synth_inputs, SynthArg};
 use exo_cursors::ProcHandle;
-use exo_interp::{ArgValue, BufRef, ProcRegistry};
+use exo_interp::{BufRef, ProcRegistry};
 use exo_ir::{DataType, Proc};
 use exo_lib::{apply_script, schedule_of_record, ScheduleScript};
 use exo_machine::{try_simulate, MachineModel};
@@ -212,36 +213,10 @@ impl TuneReport {
     }
 }
 
-/// Synthesizes interpreter argument values with the differential
-/// harness's generator (shared sizes satisfying the kernel's assertions,
-/// integer-valued data), and the tensors among them.
-fn synth_argvalues(proc: &Proc, seed: u64) -> Result<(Vec<ArgValue>, Vec<BufRef>), String> {
-    use exo_codegen::difftest::{synth_inputs, SynthArg};
-    let inputs = synth_inputs(proc, seed)?;
-    let mut args = Vec::with_capacity(inputs.len());
-    let mut tensors = Vec::new();
-    for input in inputs {
-        match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => args.push(ArgValue::Int(v)),
-            SynthArg::Float(v) => args.push(ArgValue::Float(v)),
-            SynthArg::Bool(b) => args.push(ArgValue::Bool(b)),
-            SynthArg::Tensor {
-                dims, data, elem, ..
-            } => {
-                let (buf, arg) = ArgValue::from_vec(data, dims, elem);
-                args.push(arg);
-                tensors.push(buf);
-            }
-        }
-    }
-    Ok((args, tensors))
-}
-
 /// The concrete size values the harness synthesized for `proc` (one per
 /// `size` argument, in signature order) — callers use this to compute
 /// the task's flop count on the same shapes the tuner times.
 pub fn synth_sizes(proc: &Proc, seed: u64) -> Result<Vec<i64>, String> {
-    use exo_codegen::difftest::{synth_inputs, SynthArg};
     Ok(synth_inputs(proc, seed)?
         .iter()
         .filter_map(|a| match a {
@@ -261,7 +236,7 @@ struct Run {
 impl Run {
     /// Simulates `proc`, or says why it cannot run.
     fn of(proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Result<Run, String> {
-        let (args, tensors) = synth_argvalues(proc, input_seed)?;
+        let (tensors, args) = interp_args(synth_inputs(proc, input_seed)?);
         let report = try_simulate(proc, registry, args).map_err(|e| e.to_string())?;
         Ok(Run {
             cycles: report.cycles,

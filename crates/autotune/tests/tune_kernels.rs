@@ -7,10 +7,10 @@
 use exo_autotune::prune::{proven_violation, statically_illegal};
 use exo_autotune::space::generate_candidates;
 use exo_autotune::{tune, TuneConfig, TuneTask};
-use exo_codegen::difftest::{run_differential_with, synth_inputs, DiffOutcome, SynthArg};
+use exo_codegen::difftest::{interp_args, run_differential_with, synth_inputs, DiffOutcome};
 use exo_codegen::{emit_c, CodegenOptions};
 use exo_cursors::ProcHandle;
-use exo_interp::{ArgValue, ProcRegistry};
+use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
 use exo_kernels::{blur2d, gemv, sgemm, Precision};
 use exo_lib::{apply_script, schedule_of_record};
@@ -219,18 +219,7 @@ fn record_kernel(name: &str) -> Proc {
 
 /// The simulated cycles of `proc` on the tuner's inputs for `seed`.
 fn simulate_on_inputs(proc: &Proc, registry: &ProcRegistry, seed: u64) -> Option<u64> {
-    let args = synth_inputs(proc, seed)
-        .ok()?
-        .into_iter()
-        .map(|input| match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => ArgValue::Int(v),
-            SynthArg::Float(v) => ArgValue::Float(v),
-            SynthArg::Bool(b) => ArgValue::Bool(b),
-            SynthArg::Tensor {
-                dims, data, elem, ..
-            } => ArgValue::from_vec(data, dims, elem).1,
-        })
-        .collect();
+    let (_, args) = interp_args(synth_inputs(proc, seed).ok()?);
     try_simulate(proc, registry, args).ok().map(|r| r.cycles)
 }
 

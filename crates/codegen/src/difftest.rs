@@ -279,20 +279,21 @@ pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
     Ok(out)
 }
 
-/// Converts synthesized inputs to interpreter arguments; also returns
-/// the buffer behind every tensor argument, in order.
-pub fn interp_args(inputs: &[SynthArg]) -> (Vec<BufRef>, Vec<ArgValue>) {
+/// Converts synthesized inputs to interpreter arguments, moving each
+/// tensor's data into its buffer; also returns the buffer behind every
+/// tensor argument, in order.
+pub fn interp_args(inputs: Vec<SynthArg>) -> (Vec<BufRef>, Vec<ArgValue>) {
     let mut bufs = Vec::new();
     let mut args = Vec::with_capacity(inputs.len());
     for input in inputs {
         match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => args.push(ArgValue::Int(*v)),
-            SynthArg::Float(v) => args.push(ArgValue::Float(*v)),
-            SynthArg::Bool(b) => args.push(ArgValue::Bool(*b)),
+            SynthArg::Size(v) | SynthArg::Int(v) => args.push(ArgValue::Int(v)),
+            SynthArg::Float(v) => args.push(ArgValue::Float(v)),
+            SynthArg::Bool(b) => args.push(ArgValue::Bool(b)),
             SynthArg::Tensor {
                 dims, data, elem, ..
             } => {
-                let (buf, arg) = ArgValue::from_vec(data.clone(), dims.clone(), *elem);
+                let (buf, arg) = ArgValue::from_vec(data, dims, elem);
                 bufs.push(buf);
                 args.push(arg);
             }
@@ -308,7 +309,7 @@ pub fn interp_outputs(
     registry: &ProcRegistry,
     inputs: &[SynthArg],
 ) -> Result<Vec<Vec<f64>>, String> {
-    let (bufs, args) = interp_args(inputs);
+    let (bufs, args) = interp_args(inputs.to_vec());
     let mut interp = Interpreter::new(registry);
     interp
         .run(proc, args, &mut NullMonitor)

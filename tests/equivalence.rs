@@ -101,7 +101,7 @@ fn lowered_executor_matches_reference_on_sgemm_and_blur() {
     for proc in [exo2::kernels::sgemm(), exo2::kernels::blur2d()] {
         let inputs = synth_inputs(&proc, 2).unwrap();
         let run = |reference: bool| {
-            let (bufs, args) = interp_args(&inputs);
+            let (bufs, args) = interp_args(inputs.clone());
             let mut interp = Interpreter::new(&registry);
             let mut mon = CountingMonitor::default();
             if reference {

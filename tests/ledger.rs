@@ -27,10 +27,10 @@ mod common;
 
 use common::Library;
 use exo2::analysis::{check_proc, Severity};
-use exo2::codegen::difftest::{synth_inputs, SynthArg};
+use exo2::codegen::difftest::{interp_args, synth_inputs};
 use exo2::codegen::{emit_c, CodegenOptions};
 use exo2::cursors::ProcHandle;
-use exo2::interp::{ArgValue, ProcRegistry};
+use exo2::interp::ProcRegistry;
 use exo2::ir::{ContentHasher, DataType, Proc};
 use exo2::kernels::{self, Precision};
 use exo2::lib::apply_script;
@@ -124,18 +124,7 @@ fn library_rows(rows: &mut Vec<(String, u64)>, units: &mut Units) {
 
 /// Simulates `proc` on the inputs the tuner synthesizes for it.
 fn simulate_on_tuner_inputs(proc: &Proc, registry: &ProcRegistry, seed: u64) -> SimReport {
-    let args = synth_inputs(proc, seed)
-        .expect("a survivor's inputs synthesize")
-        .into_iter()
-        .map(|input| match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => ArgValue::Int(v),
-            SynthArg::Float(v) => ArgValue::Float(v),
-            SynthArg::Bool(b) => ArgValue::Bool(b),
-            SynthArg::Tensor {
-                dims, data, elem, ..
-            } => ArgValue::from_vec(data, dims, elem).1,
-        })
-        .collect();
+    let (_, args) = interp_args(synth_inputs(proc, seed).expect("a survivor's inputs synthesize"));
     try_simulate(proc, registry, args).expect("a survivor simulates")
 }
 
