@@ -1,4 +1,4 @@
-//! # exo-baselines — comparison points for the evaluation
+//! Comparison points for the evaluation.
 //!
 //! The paper compares Exo 2 against vendor BLAS libraries (MKL, OpenBLAS,
 //! BLIS), expert-written Halide schedules, and schedules written in the
@@ -15,9 +15,6 @@
 //!   schedules: the same transformations spelled out as raw primitive
 //!   calls with no library reuse, used for the lines-of-code and
 //!   rewrite-count comparisons (Fig. 6c, Fig. 9).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use exo_core::{
     bind_expr, divide_loop, expand_dim, fission, lift_alloc, replace_all, set_memory, simplify,

@@ -7,9 +7,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod paper;
 
-use exo_baselines::VendorBaseline;
+use baselines::VendorBaseline;
 use exo_cursors::ProcHandle;
 use exo_interp::{ArgValue, ProcRegistry};
 use exo_ir::{DataType, Proc};

@@ -14,7 +14,7 @@
 //!
 //! Each constructor returns plain, unoptimized object code; the scheduling
 //! libraries in `exo-lib` (and the raw-primitive schedules in
-//! `exo-baselines`) transform it.
+//! `exo_bench::baselines`) transform it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

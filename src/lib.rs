@@ -21,13 +21,11 @@
 //! * [`codegen`] — the C backend: lowers scheduled procedures to C99
 //!   with machine-intrinsic lowering and compile-and-run differential
 //!   testing against the interpreter.
-//! * [`baselines`] — naive, vendor-class and Exo-1-style baselines.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
 //! the experiment-by-experiment reproduction plan and results.
 
 pub use exo_analysis as analysis;
-pub use exo_baselines as baselines;
 pub use exo_codegen as codegen;
 pub use exo_core as core;
 pub use exo_cursors as cursors;
