@@ -56,7 +56,7 @@ pub mod measure;
 pub mod prune;
 pub mod space;
 
-use exo_codegen::difftest::{interp_args, synth_inputs, SynthArg};
+use exo_codegen::difftest::{interp_args, synth_inputs};
 use exo_cursors::ProcHandle;
 use exo_interp::{BufRef, ProcRegistry};
 use exo_ir::{DataType, Proc};
@@ -204,26 +204,6 @@ impl TuneReport {
     pub fn best_by_cycles(&self) -> Option<&Candidate> {
         self.candidates.iter().min_by_key(|c| c.cycles)
     }
-
-    /// Flops per simulated cycle of the model-best candidate — the
-    /// GFLOP-proxy of a tuning report.
-    pub fn best_flops_per_cycle(&self) -> Option<f64> {
-        self.best_by_cycles()
-            .map(|c| self.flops / c.cycles.max(1) as f64)
-    }
-}
-
-/// The concrete size values the harness synthesized for `proc` (one per
-/// `size` argument, in signature order) — callers use this to compute
-/// the task's flop count on the same shapes the tuner times.
-pub fn synth_sizes(proc: &Proc, seed: u64) -> Result<Vec<i64>, String> {
-    Ok(synth_inputs(proc, seed)?
-        .iter()
-        .filter_map(|a| match a {
-            SynthArg::Size(v) => Some(*v),
-            _ => None,
-        })
-        .collect())
 }
 
 /// One run of a proc on the tuner's inputs: its simulated cycles and
@@ -435,9 +415,9 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     let mut fidelity = None;
     if cfg.measure {
         let k = TOP_K.min(survivors.len());
-        let batch: Vec<(Proc, u64)> = survivors[..k]
+        let batch: Vec<Proc> = survivors[..k]
             .iter()
-            .map(|(_, p, cycles)| (p.proc().clone(), *cycles))
+            .map(|(_, p, _)| p.proc().clone())
             .collect();
         let times = {
             let _measure = exo_obs::span!("tune:measure", "{} candidates", batch.len());

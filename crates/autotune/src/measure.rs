@@ -1,14 +1,15 @@
 //! Wall-clock measurement of candidate schedules: the policy around
 //! `exo_codegen::difftest::Toolchain::time_kernel`, which emits the
-//! timing driver, compiles it with the system toolchain and runs it.
+//! data driver that also checks and serves a unit, compiles it with the
+//! system toolchain and runs it in timing mode on an argument block.
 //! One [`Toolchain`] per batch, shared by its workers: the top-K native
 //! candidates pay for parsing `immintrin.h` once, not K times.
 //!
 //! Candidates are timed on the differential harness's synthesized
 //! inputs, so measured kernels run on exactly the input shapes the cost
-//! model was evaluated on. What lives here is the choice of unit
-//! (machine-intrinsic when the host can run it, portable scalar
-//! otherwise), the starting repetition count, and the worker pool.
+//! model was evaluated on. What lives here is the request for the native
+//! unit (which `exo_codegen::emit_runnable` turns into the portable one
+//! on a host that cannot run it) and the worker pool.
 //!
 //! Robustness: timing binaries run under [`exo_guard::run_guarded`]
 //! (hard wall-clock limit, kill-on-timeout), and each candidate is
@@ -18,7 +19,7 @@
 //! whole batch.
 
 use exo_codegen::difftest::{cc_available, synth_inputs, Toolchain};
-use exo_codegen::{emit_c, CodegenOptions};
+use exo_codegen::{emit_runnable, CodegenOptions};
 use exo_guard::panic_message;
 use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
@@ -74,19 +75,12 @@ impl Measurement {
     }
 }
 
-/// Starting repetition count for the driver's calibration loop, matched
-/// to the candidate's simulated cost so cheap kernels skip most of the
-/// doubling and expensive ones start low.
-fn reps_for(cycles: u64) -> u64 {
-    (20_000_000 / cycles.max(1)).clamp(3, 5_000)
-}
-
 /// Measures one already-scheduled procedure: emit, compile, run, parse.
 ///
 /// The unit is emitted in machine-intrinsic mode and timed as such
 /// whenever the host toolchain and CPU can build and run it
-/// ([`exo_machine::HostCaps`]); otherwise — a CPU without the `-m`
-/// features — it falls back to the portable scalar unit, so a batch
+/// ([`emit_runnable`]); otherwise — a CPU without the `-m` features —
+/// it falls back to the portable scalar unit, so a batch
 /// never fails just because the host is modest. Native timing is what
 /// makes the fidelity score meaningful: portable scalar wall clock
 /// systematically penalizes vectorized schedules the cost model
@@ -96,21 +90,13 @@ fn measure_one(
     proc: &Proc,
     registry: &ProcRegistry,
     input_seed: u64,
-    cycles: u64,
 ) -> Result<(f64, f64), String> {
     let _span = exo_obs::span!("tune:measure-candidate", "{}", proc.name());
-    let native = emit_c(proc, registry, &CodegenOptions::native())
-        .map_err(|e| format!("emitting `{}` (native): {e}", proc.name()))?;
-    let unit = if native.cflags.is_empty()
-        || exo_machine::HostCaps::detect().supports_cflags(&native.cflags)
-    {
-        native
-    } else {
-        emit_c(proc, registry, &CodegenOptions::portable())
-            .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?
-    };
+    let caps = exo_machine::HostCaps::detect();
+    let (unit, _) = emit_runnable(proc, registry, &CodegenOptions::native(), caps)
+        .map_err(|e| format!("emitting `{}`: {e}", proc.name()))?;
     let inputs = synth_inputs(proc, input_seed)?;
-    toolchain.time_kernel(&unit, proc, &inputs, reps_for(cycles))
+    toolchain.time_kernel(&unit, proc, &inputs)
 }
 
 /// Measures a batch of scheduled procedures in parallel worker threads
@@ -125,7 +111,7 @@ fn measure_one(
 /// [`Measurement::Panicked`] (the worker rebuilds its registry, whose
 /// internal cache the unwind may have left mid-update, and continues).
 pub fn measure_batch(
-    procs: &[(Proc, u64)],
+    procs: &[Proc],
     machine: &MachineModel,
     input_seed: u64,
     threads: usize,
@@ -134,22 +120,21 @@ pub fn measure_batch(
         return vec![Measurement::Unavailable; procs.len()];
     }
     let toolchain = Toolchain::system();
-    measure_batch_impl(procs, machine, threads, &|registry, _i, proc, cycles| {
-        measure_one(&toolchain, proc, registry, input_seed, cycles)
+    measure_batch_impl(procs, machine, threads, &|registry, _i, proc| {
+        measure_one(&toolchain, proc, registry, input_seed)
     })
 }
 
 /// Per-candidate runner injected into [`measure_batch_impl`]:
-/// `(registry, index, proc, simulated_cycles) -> (median ns, spread)
-/// or error`.
+/// `(registry, index, proc) -> (median ns, spread) or error`.
 pub(crate) type CandidateRunner<'a> =
-    &'a (dyn Fn(&ProcRegistry, usize, &Proc, u64) -> Result<(f64, f64), String> + Sync);
+    &'a (dyn Fn(&ProcRegistry, usize, &Proc) -> Result<(f64, f64), String> + Sync);
 
 /// The worker-pool core of [`measure_batch`] with an injectable
 /// per-candidate runner, so the panic-isolation contract is testable
 /// without a C toolchain.
 pub(crate) fn measure_batch_impl(
-    procs: &[(Proc, u64)],
+    procs: &[Proc],
     machine: &MachineModel,
     threads: usize,
     runner: CandidateRunner<'_>,
@@ -172,9 +157,8 @@ pub(crate) fn measure_batch_impl(
                     if i >= procs.len() {
                         break;
                     }
-                    let (proc, cycles) = &procs[i];
                     let outcome =
-                        catch_unwind(AssertUnwindSafe(|| runner(&registry, i, proc, *cycles)));
+                        catch_unwind(AssertUnwindSafe(|| runner(&registry, i, &procs[i])));
                     let measured = match outcome {
                         Ok(Ok((ns, spread))) => Measurement::Nanos { ns, spread },
                         Ok(Err(e)) => {
@@ -215,8 +199,8 @@ mod tests {
     use exo_kernels::{scal, Precision};
     use exo_machine::MachineModel;
 
-    fn batch_of(n: usize) -> Vec<(Proc, u64)> {
-        (0..n).map(|_| (scal(Precision::Single), 100u64)).collect()
+    fn batch_of(n: usize) -> Vec<Proc> {
+        (0..n).map(|_| scal(Precision::Single)).collect()
     }
 
     #[test]
@@ -225,7 +209,7 @@ mod tests {
         let procs = batch_of(4);
         // Candidate 2 panics; the batch must still yield all four
         // results, with the panic surfaced on exactly that candidate.
-        let results = measure_batch_impl(&procs, &machine, 2, &|_reg, i, _proc, _cycles| {
+        let results = measure_batch_impl(&procs, &machine, 2, &|_reg, i, _proc| {
             if i == 2 {
                 std::panic::panic_any("boom in candidate 2".to_string());
             }
@@ -264,7 +248,7 @@ mod tests {
     fn failures_carry_their_message() {
         let machine = MachineModel::scalar();
         let procs = batch_of(2);
-        let results = measure_batch_impl(&procs, &machine, 1, &|_reg, i, _proc, _cycles| {
+        let results = measure_batch_impl(&procs, &machine, 1, &|_reg, i, _proc| {
             if i == 0 {
                 Err("cc said no".to_string())
             } else {

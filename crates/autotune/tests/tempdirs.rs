@@ -25,7 +25,7 @@ fn a_native_batch_leaves_no_build_directory() {
     let script = schedule_of_record("sgemm", &machine).expect("sgemm record");
     let scheduled =
         apply_script(&ProcHandle::new(sgemm()), &script, &machine).expect("the record applies");
-    let batch = vec![(scheduled.proc().clone(), 30_000); 3];
+    let batch = vec![scheduled.proc().clone(); 3];
     let measured = measure_batch(&batch, &machine, 1, 2);
     assert!(
         measured.iter().all(|m| m.nanos().is_some()),

@@ -16,24 +16,25 @@
 //! This is also the one module that knows how synthesized arguments
 //! reach a compiled kernel — as data ([`emit_data_driver`] reads the
 //! argument block [`encode_args`] writes, so its text depends on the
-//! signature alone and one build serves every input) or as C
-//! declarations ([`emit_driver`] dumps, a one-file reproducer;
-//! [`emit_timing_driver`] times) — what the `cc` command line is and
-//! where it builds ([`cc_command`], [`BuildDir`]), what a compiler has
-//! already parsed and built ([`Toolchain`]: one precompiled prelude per
-//! `cflags` set, so `immintrin.h` is read once per owner instead of once
-//! per compile, and one build per distinct source, so a unit is compiled
-//! once per owner instead of once per request), and how a driver's
-//! `%.17g` lines are run and parsed ([`run_lines`]). The autotuner's
-//! measurement and the compilation service call these; they add only
-//! their own policy.
+//! signature alone and one build checks, serves and, in [`TIMING_MODE`],
+//! times every input) or as C declarations ([`emit_driver`], a one-file
+//! reproducer that dumps) — what the `cc` command line is and where it
+//! builds ([`cc_command`], [`BuildDir`]), what a compiler has already
+//! parsed and built ([`Toolchain`]: one precompiled prelude per `cflags`
+//! set, so `immintrin.h` is read once per owner instead of once per
+//! compile, and one build per distinct source, so a unit is compiled once
+//! per owner instead of once per request), and how a driver's `%.17g`
+//! lines are run and parsed ([`run_lines`]). Which unit a host can run is
+//! decided once, by [`crate::emit_runnable`]. The autotuner's measurement
+//! and the compilation service call these; they add only their own
+//! policy.
 
 use crate::emit::c_type;
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
 use exo_ir::rng::Rng;
-use exo_ir::{ArgKind, DataType, Proc, Sym};
+use exo_ir::{ArgKind, DataType, Expr, Proc, Sym};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -48,7 +49,8 @@ fn compile_guard() -> GuardConfig {
 }
 
 /// Supervision policy for running compiled test binaries: these print a
-/// bounded tensor dump and exit, so a minute of wall clock means a hang.
+/// bounded tensor dump, or time a few hundred milliseconds of batches,
+/// and exit, so a minute of wall clock means a hang.
 fn run_guard() -> GuardConfig {
     GuardConfig::with_timeout(Duration::from_secs(60))
 }
@@ -108,47 +110,42 @@ pub fn cc_available() -> bool {
     })
 }
 
-/// The size arguments' values, as [`exo_ir::Expr::eval_int`] reads them.
-fn size_env(sizes: &BTreeMap<String, i64>) -> impl Fn(&Sym) -> Option<i64> + '_ {
-    |s| sizes.get(s.name()).copied()
+/// Every size argument of `proc` at the one shared value `size`, as
+/// [`exo_ir::Expr::eval_int`] reads them.
+fn size_env(proc: &Proc, size: i64) -> impl Fn(&Sym) -> Option<i64> + '_ {
+    move |s| {
+        proc.args()
+            .iter()
+            .any(|a| matches!(a.kind, ArgKind::Size) && a.name.name() == s.name())
+            .then_some(size)
+    }
+}
+
+/// The concrete extents of tensor argument `name`'s dimensions `dims`
+/// with every size argument of `proc` at `size`.
+fn extents(proc: &Proc, name: &Sym, dims: &[Expr], size: i64) -> Result<Vec<usize>, String> {
+    dims.iter()
+        .map(|d| {
+            let v = d
+                .eval_int(&size_env(proc, size))
+                .ok_or_else(|| format!("cannot evaluate dimension `{d}` of `{name}`"))?;
+            usize::try_from(v).map_err(|_| format!("negative dimension for `{name}`"))
+        })
+        .collect()
 }
 
 /// Synthesizes concrete arguments for `proc`: one shared size value that
-/// satisfies every assertion precondition, and integer-valued random
-/// tensor data small enough that all arithmetic is exact in the
-/// narrowest type involved (i8 data stays in `[-1, 1]` so even length-64
-/// reductions fit an `int8_t` store).
+/// satisfies every assertion precondition ([`choose_size`]), and
+/// integer-valued random tensor data small enough that all arithmetic is
+/// exact in the narrowest type involved (i8 data stays in `[-1, 1]` so
+/// even length-64 reductions fit an `int8_t` store).
 pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
-    let size_names: Vec<String> = proc
-        .args()
-        .iter()
-        .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| a.name.name().to_string())
-        .collect();
-    let mut chosen: Option<BTreeMap<String, i64>> = None;
-    for candidate in [32i64, 16, 64, 96, 8, 48, 4, 2, 1] {
-        let sizes: BTreeMap<String, i64> =
-            size_names.iter().map(|n| (n.clone(), candidate)).collect();
-        let ok = proc
-            .preds()
-            .iter()
-            .all(|p| p.eval_bool(&size_env(&sizes)).unwrap_or(false));
-        if ok || proc.preds().is_empty() {
-            chosen = Some(sizes);
-            break;
-        }
-    }
-    let sizes = chosen.ok_or_else(|| {
-        format!(
-            "no candidate size satisfies the assertions of `{}`",
-            proc.name()
-        )
-    })?;
+    let size = choose_size(proc, &[32, 16, 64, 96, 8, 48, 4, 2, 1])?;
     let mut rng = Rng::new(seed ^ 0x9E3779B97F4A7C15);
     let mut out = Vec::with_capacity(proc.args().len());
     for arg in proc.args() {
         match &arg.kind {
-            ArgKind::Size => out.push(SynthArg::Size(sizes[arg.name.name()])),
+            ArgKind::Size => out.push(SynthArg::Size(size)),
             ArgKind::Scalar { ty } => match ty {
                 DataType::F32 | DataType::F64 => out.push(SynthArg::Float(rng.range(-3, 3) as f64)),
                 DataType::Bool => out.push(SynthArg::Bool(true)),
@@ -157,16 +154,7 @@ pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
             ArgKind::Tensor {
                 ty, dims, window, ..
             } => {
-                let mut cdims = Vec::with_capacity(dims.len());
-                for d in dims {
-                    let v = d.eval_int(&size_env(&sizes)).ok_or_else(|| {
-                        format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
-                    })?;
-                    if v < 0 {
-                        return Err(format!("negative dimension for `{}`", arg.name));
-                    }
-                    cdims.push(v as usize);
-                }
+                let cdims = extents(proc, &arg.name, dims, size)?;
                 let n: usize = cdims.iter().product::<usize>().max(1);
                 let (lo, hi) = match ty {
                     DataType::I8 => (-1, 1),
@@ -202,35 +190,27 @@ pub enum ArgShape {
 
 /// Picks one shared value for every size argument of `proc`: the first
 /// entry of `candidates` that satisfies all assertion preconditions.
-/// The runtime bench uses this with far larger candidates than the
-/// differential harness's defaults (which the interpreter executes too,
-/// and which [`emit_driver`] spells out as static C initializers).
+/// [`synth_inputs`] picks from small sizes, which the interpreter
+/// executes too and which [`emit_driver`] spells out as static C
+/// initializers; the runtime bench picks from far larger ones.
 ///
 /// # Errors
 /// When no candidate satisfies the assertions.
 pub fn choose_size(proc: &Proc, candidates: &[i64]) -> Result<i64, String> {
-    let size_names: Vec<String> = proc
-        .args()
+    candidates
         .iter()
-        .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| a.name.name().to_string())
-        .collect();
-    for candidate in candidates {
-        let sizes: BTreeMap<String, i64> =
-            size_names.iter().map(|n| (n.clone(), *candidate)).collect();
-        if proc.preds().is_empty()
-            || proc
-                .preds()
+        .copied()
+        .find(|&size| {
+            proc.preds()
                 .iter()
-                .all(|p| p.eval_bool(&size_env(&sizes)).unwrap_or(false))
-        {
-            return Ok(*candidate);
-        }
-    }
-    Err(format!(
-        "no candidate size in {candidates:?} satisfies the assertions of `{}`",
-        proc.name()
-    ))
+                .all(|p| p.eval_bool(&size_env(proc, size)).unwrap_or(false))
+        })
+        .ok_or_else(|| {
+            format!(
+                "no candidate size in {candidates:?} satisfies the assertions of `{}`",
+                proc.name()
+            )
+        })
 }
 
 /// Evaluates every argument of `proc` to its concrete [`ArgShape`] under
@@ -241,12 +221,6 @@ pub fn choose_size(proc: &Proc, candidates: &[i64]) -> Result<i64, String> {
 /// struct ABI) and on dimension expressions that do not reduce to a
 /// constant under the size assignment.
 pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
-    let sizes: BTreeMap<String, i64> = proc
-        .args()
-        .iter()
-        .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| (a.name.name().to_string(), size))
-        .collect();
     let mut out = Vec::with_capacity(proc.args().len());
     for arg in proc.args() {
         match &arg.kind {
@@ -262,17 +236,7 @@ pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
                         arg.name
                     ));
                 }
-                let mut extents = Vec::with_capacity(dims.len());
-                for d in dims {
-                    let v = d.eval_int(&size_env(&sizes)).ok_or_else(|| {
-                        format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
-                    })?;
-                    if v < 0 {
-                        return Err(format!("negative dimension for `{}`", arg.name));
-                    }
-                    extents.push(v as usize);
-                }
-                out.push(ArgShape::Tensor(*ty, extents));
+                out.push(ArgShape::Tensor(*ty, extents(proc, &arg.name, dims, size)?));
             }
         }
     }
@@ -314,7 +278,10 @@ pub fn interp_outputs(
     interp
         .run(proc, args, &mut NullMonitor)
         .map_err(|e| format!("interpreter failed on `{}`: {e}", proc.name()))?;
-    Ok(bufs.iter().map(|b| b.borrow().data.clone()).collect())
+    Ok(bufs
+        .iter()
+        .map(|b| std::mem::take(&mut b.borrow_mut().data))
+        .collect())
 }
 
 fn c_literal(elem: DataType, v: f64) -> String {
@@ -342,8 +309,8 @@ fn tensor_arg(var: &str, elem: DataType, window: bool, strides: &[String]) -> St
 
 /// The tail of a dump driver's `main`: one kernel call, then every
 /// tensor — `(variable, length expression)` — printed `%.17g` per line.
-fn call_and_dump(s: &mut String, proc: &Proc, call_args: &[String], tensors: &[(String, String)]) {
-    s.push_str(&format!("    {}({});\n", proc.name(), call_args.join(", ")));
+fn call_and_dump(s: &mut String, call: &str, tensors: &[(String, String)]) {
+    s.push_str(&format!("    {call};\n"));
     for (var, n) in tensors {
         s.push_str(&format!(
             "    for (int64_t exo_i = 0; exo_i < {n}; exo_i++) {{\n        \
@@ -400,7 +367,8 @@ pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
     s.push_str(&unit.code);
     s.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
     let (call_args, dumps) = materialize_args(&mut s, inputs);
-    call_and_dump(&mut s, proc, &call_args, &dumps);
+    let call = format!("{}({})", proc.name(), call_args.join(", "));
+    call_and_dump(&mut s, &call, &dumps);
     s.push_str("    return 0;\n}\n");
     s
 }
@@ -456,20 +424,66 @@ pub fn encode_args(inputs: &[SynthArg]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_ne_bytes()).collect()
 }
 
-/// The decoder every data driver starts with. It is the only code here
-/// that parses bytes it did not write: each read is checked against the
-/// bytes remaining, and a block it cannot accept ends the process with
-/// status 2 and a message naming the field. Everything from here on runs
-/// once over a few kilobytes, so GCC is told not to optimise it: at `-O2`
-/// the driver's own code was 40 of the 105 ms `cc` spent on sgemv_n's
-/// AVX2 unit (69 ms with the pragma, what the embedded-literal driver
-/// costs); the kernel above keeps the command line's level.
-const DECODER: &str = r#"
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
+/// The argument that puts a data driver ([`emit_data_driver`]) in timing
+/// mode: `kernel time <block>` prints [`TIMED_RUNS`] ns-per-call lines
+/// instead of the tensors.
+pub const TIMING_MODE: &str = "time";
 
+/// Timed batches per run of a data driver in timing mode: each batch
+/// times the whole repetition loop and prints its own ns-per-call, so the
+/// summary can take a median instead of trusting one sample of a noisy
+/// timer.
+pub const TIMED_RUNS: usize = 5;
+
+/// Minimum wall-clock span of one timed batch, in nanoseconds (20 ms).
+/// The driver doubles its repetition count from 1 until a calibration
+/// batch reaches this: below it, timer granularity and scheduler noise
+/// drown out sub-microsecond kernels and the measured ranking is
+/// meaningless.
+const MIN_BATCH_NS: f64 = 2e7;
+
+/// `clock_gettime` is POSIX, hidden by `-std=c99` unless this is defined
+/// before the first include — the first line of a data driver and of
+/// the precompiled prelude ([`Toolchain`]), which `-include` puts ahead
+/// of it.
+const POSIX_DEFINE: &str = "#define _POSIX_C_SOURCE 199309L\n";
+
+/// The timer of a data driver, below its kernel, its statics and
+/// `exo_call` (the one kernel call): `exo_time` warms the kernel with two
+/// calls (page faults, frequency ramp), doubles the repetition count
+/// from 1 until one batch spans [`MIN_BATCH_NS`] (or reaches `1 << 20`
+/// calls), then times [`TIMED_RUNS`] batches with `CLOCK_MONOTONIC` and
+/// prints each batch's nanoseconds per call on its own line. It keeps
+/// the command line's optimisation level: it sits above [`DECODER`].
+const TIMER: &str = r#"
+static double exo_batch(long exo_reps) {
+    struct timespec exo_t0, exo_t1;
+    clock_gettime(CLOCK_MONOTONIC, &exo_t0);
+    for (long exo_r = 0; exo_r < exo_reps; exo_r++) exo_call();
+    clock_gettime(CLOCK_MONOTONIC, &exo_t1);
+    return (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);
+}
+
+static void exo_time(void) {
+    exo_call();
+    exo_call();
+    long exo_reps = 1;
+    while (exo_batch(exo_reps) < MIN_BATCH_NS && exo_reps < (1L << 20)) exo_reps *= 2;
+    for (int exo_run = 0; exo_run < TIMED_RUNS; exo_run++) {
+        printf("%.17g\n", exo_batch(exo_reps) / exo_reps);
+    }
+}
+"#;
+
+/// The decoder of every data driver. It is the only code here that
+/// parses bytes it did not write: each read is checked against the bytes
+/// remaining, and a block it cannot accept ends the process with status 2
+/// and a message naming the field. Everything from here on runs once over
+/// a few kilobytes, so GCC is told not to optimise it: at `-O2` the
+/// driver's own code was 40 of the 105 ms `cc` spent on sgemv_n's AVX2
+/// unit (69 ms with the pragma, what the embedded-literal driver costs);
+/// the kernel and [`TIMER`] above keep the command line's level.
+const DECODER: &str = r#"
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize ("O0")
 #endif
@@ -521,53 +535,30 @@ static int64_t exo_tensor(uint64_t rank, uint64_t *dims, int64_t *strides, const
 "#;
 
 /// Appends to an emitted unit a `main(argc, argv)` that reads the
-/// argument block ([`encode_args`]) in the file named by `argv[1]`,
-/// allocates and fills every tensor, calls the kernel once and dumps
-/// every tensor as [`emit_driver`] does. The text is a function of the
-/// procedure's signature only — never of an input — so one build runs
-/// every input of the kernel.
+/// argument block ([`encode_args`]) in the file named by its last
+/// argument, allocates and fills every tensor, then either calls the
+/// kernel once and dumps every tensor as [`emit_driver`] does, or — after
+/// [`TIMING_MODE`] — warms the kernel with two calls, doubles a
+/// repetition count from 1 until one batch spans 20 ms (at most `1 << 20`
+/// calls), and prints the ns per call of [`TIMED_RUNS`] batches, one per
+/// line. The text is a function of the procedure's signature only —
+/// never of an input — so one build checks, serves and times every input
+/// of the kernel.
 pub fn emit_data_driver(unit: &CUnit, proc: &Proc) -> String {
     let args = proc.args();
-    let mut s = String::with_capacity(unit.code.len() + 4096);
-    s.push_str(&unit.code);
-    s.push_str(DECODER);
-    if args
-        .iter()
-        .any(|a| matches!(a.kind, ArgKind::Tensor { .. }))
-    {
-        s.push_str(&TENSOR_DECODER.replace("TAG_TENSOR", &TAG_TENSOR.to_string()));
-    }
-    s.push_str(&format!(
-        r#"
-int main(int argc, char **argv) {{
-    if (argc != 2) exo_bad("command line", "expected the path of one argument block");
-    FILE *exo_file = fopen(argv[1], "rb");
-    if (!exo_file) exo_bad(argv[1], "cannot open");
-    if (fseek(exo_file, 0, SEEK_END) != 0) exo_bad(argv[1], "cannot seek");
-    long exo_size = ftell(exo_file);
-    if (exo_size < 0) exo_bad(argv[1], "cannot tell its size");
-    rewind(exo_file);
-    unsigned char *exo_block = (unsigned char *)malloc((size_t)exo_size + 1);
-    if (!exo_block) exo_bad(argv[1], "allocation failed");
-    if (fread(exo_block, 1, (size_t)exo_size, exo_file) != (size_t)exo_size) exo_bad(argv[1], "cannot read");
-    fclose(exo_file);
-    exo_at = exo_block;
-    exo_left = (uint64_t)exo_size;
-    exo_expect(UINT64_C({ARGS_MAGIC:#x}), "magic", "not an argument block of this host");
-    exo_expect({ARGS_VERSION}, "version", "unsupported");
-    exo_expect({}, "argument count", "differs from the signature's");
-"#,
-        args.len()
-    ));
+    // Decoded arguments live in file-scope statics, so that the call and
+    // the timer can sit above the decoder's pragma.
+    let mut statics = String::new();
+    let mut decode = String::new();
     let mut call_args = Vec::with_capacity(args.len());
     let mut tensors = Vec::new();
     for (k, arg) in args.iter().enumerate() {
         let var = format!("exo_arg_{k}");
         let field = format!("\"argument {k} ({})\"", arg.name);
         let mut scalar = |ctype: &str, tag: u64, what: &str| {
-            s.push_str(&format!(
-                "    {ctype} {var};\n    exo_expect({tag}, {field}, \"not {what}\");\n    \
-                 exo_take(&{var}, 8, {field});\n"
+            statics.push_str(&format!("static {ctype} {var};\n"));
+            decode.push_str(&format!(
+                "    exo_expect({tag}, {field}, \"not {what}\");\n    exo_take(&{var}, 8, {field});\n"
             ));
             call_args.push(var.clone());
         };
@@ -596,10 +587,13 @@ int main(int argc, char **argv) {{
                         "if (!(exo_v >= {range})) exo_bad({field}, \"element outside {celem}\");\n        "
                     )
                 });
-                s.push_str(&format!(
-                    "    uint64_t exo_dims_{k}[{slots}];\n    int64_t exo_str_{k}[{slots}];\n    \
+                statics.push_str(&format!(
+                    "static {celem} *{var};\nstatic int64_t exo_str_{k}[{slots}];\n"
+                ));
+                decode.push_str(&format!(
+                    "    uint64_t exo_dims_{k}[{slots}];\n    \
                      int64_t exo_len_{k} = exo_tensor({rank}, exo_dims_{k}, exo_str_{k}, {field});\n    \
-                     {celem} *{var} = ({celem} *)malloc((size_t)exo_len_{k} * sizeof({celem}));\n    \
+                     {var} = ({celem} *)malloc((size_t)exo_len_{k} * sizeof({celem}));\n    \
                      if (!{var}) exo_bad({field}, \"allocation failed\");\n    \
                      for (int64_t exo_i = 0; exo_i < exo_len_{k}; exo_i++) {{\n        \
                      double exo_v;\n        exo_take(&exo_v, 8, {field});\n        \
@@ -611,72 +605,70 @@ int main(int argc, char **argv) {{
             }
         }
     }
+    let mut s = String::with_capacity(unit.code.len() + 8192);
+    s.push_str(POSIX_DEFINE);
+    s.push_str(&unit.code);
     s.push_str(
-        "    if (exo_left != 0) exo_bad(\"end of block\", \"trailing bytes\");\n    \
-         free(exo_block);\n",
+        "\n#include <stdint.h>\n#include <stdio.h>\n#include <stdlib.h>\n#include <string.h>\n\
+         #include <time.h>\n\n",
     );
-    call_and_dump(&mut s, proc, &call_args, &tensors);
+    s.push_str(&statics);
+    // Through a volatile pointer, so that `cc` inlines the kernel nowhere:
+    // the dump and the timer both run the one out-of-line function, and
+    // the kernel is not optimised once more per call site.
+    s.push_str(&format!(
+        "\nstatic __typeof__({name}) *volatile exo_kernel = {name};\n\n\
+         static void exo_call(void) {{\n    exo_kernel({});\n}}\n",
+        call_args.join(", "),
+        name = proc.name(),
+    ));
+    s.push_str(
+        &TIMER
+            .replace("MIN_BATCH_NS", &format!("{MIN_BATCH_NS:.1}"))
+            .replace("TIMED_RUNS", &TIMED_RUNS.to_string()),
+    );
+    s.push_str(DECODER);
+    if args
+        .iter()
+        .any(|a| matches!(a.kind, ArgKind::Tensor { .. }))
+    {
+        s.push_str(&TENSOR_DECODER.replace("TAG_TENSOR", &TAG_TENSOR.to_string()));
+    }
+    s.push_str(&format!(
+        r#"
+int main(int argc, char **argv) {{
+    if (argc != 2 && argc != 3) exo_bad("command line", "expected [{TIMING_MODE}] and the path of one argument block");
+    if (argc == 3 && strcmp(argv[1], "{TIMING_MODE}") != 0) exo_bad("mode", "not `{TIMING_MODE}`");
+    const char *exo_path = argv[argc - 1];
+    FILE *exo_file = fopen(exo_path, "rb");
+    if (!exo_file) exo_bad(exo_path, "cannot open");
+    if (fseek(exo_file, 0, SEEK_END) != 0) exo_bad(exo_path, "cannot seek");
+    long exo_size = ftell(exo_file);
+    if (exo_size < 0) exo_bad(exo_path, "cannot tell its size");
+    rewind(exo_file);
+    unsigned char *exo_block = (unsigned char *)malloc((size_t)exo_size + 1);
+    if (!exo_block) exo_bad(exo_path, "allocation failed");
+    if (fread(exo_block, 1, (size_t)exo_size, exo_file) != (size_t)exo_size) exo_bad(exo_path, "cannot read");
+    fclose(exo_file);
+    exo_at = exo_block;
+    exo_left = (uint64_t)exo_size;
+    exo_expect(UINT64_C({ARGS_MAGIC:#x}), "magic", "not an argument block of this host");
+    exo_expect({ARGS_VERSION}, "version", "unsupported");
+    exo_expect({}, "argument count", "differs from the signature's");
+{decode}    if (exo_left != 0) exo_bad("end of block", "trailing bytes");
+    free(exo_block);
+    if (argc == 3) {{
+        exo_time();
+        return 0;
+    }}
+"#,
+        args.len()
+    ));
+    call_and_dump(&mut s, "exo_call()", &tensors);
     for (var, _) in &tensors {
         s.push_str(&format!("    free({var});\n"));
     }
     s.push_str("    return 0;\n}\n");
-    s
-}
-
-/// Timed batches per run of a timing driver: each batch times the whole
-/// repetition loop and prints its own ns-per-call, so the summary can
-/// take a median instead of trusting one sample of a noisy timer.
-pub const TIMED_RUNS: usize = 5;
-
-/// Minimum wall-clock span of one timed batch, in nanoseconds (20 ms).
-/// The timing driver doubles its repetition count until a calibration
-/// batch reaches this: below it, timer granularity and scheduler noise
-/// drown out sub-microsecond kernels and the measured ranking is
-/// meaningless.
-const MIN_BATCH_NS: f64 = 2e7;
-
-/// `clock_gettime` is POSIX, hidden by `-std=c99` unless this is defined
-/// before the first include — the first line of a timing driver and of
-/// the precompiled prelude ([`Toolchain`]), which `-include` puts ahead
-/// of it.
-const POSIX_DEFINE: &str = "#define _POSIX_C_SOURCE 199309L\n";
-
-/// Wraps an emitted unit in a `main` that initializes the synthesized
-/// inputs, warms the kernel, calibrates the repetition count (starting
-/// from `reps`, doubling until one batch spans at least 20 ms), then
-/// times [`TIMED_RUNS`] batches with
-/// `CLOCK_MONOTONIC` and prints each batch's nanoseconds per call on its
-/// own line.
-pub fn emit_timing_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg], reps: u64) -> String {
-    let mut s = String::with_capacity(unit.code.len() + 4096);
-    s.push_str(POSIX_DEFINE);
-    s.push_str(&unit.code);
-    s.push_str("\n#include <stdio.h>\n#include <time.h>\n\nint main(void) {\n");
-    let (call_args, _) = materialize_args(&mut s, inputs);
-    let call = format!("{}({})", proc.name(), call_args.join(", "));
-    // Warmup (page faults, frequency ramp), then calibration: simulated
-    // cycles and real ns can be orders of magnitude apart, and a
-    // sub-millisecond batch measures the timer and the scheduler, not
-    // the kernel.
-    s.push_str(&format!("    {call};\n    {call};\n"));
-    s.push_str("    struct timespec exo_t0, exo_t1;\n");
-    s.push_str(&format!("    long exo_reps = {reps};\n"));
-    let batch = format!(
-        "        clock_gettime(CLOCK_MONOTONIC, &exo_t0);\n        \
-         for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{\n            {call};\n        }}\n        \
-         clock_gettime(CLOCK_MONOTONIC, &exo_t1);\n        \
-         double exo_ns = (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + \
-         (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);\n"
-    );
-    s.push_str(&format!(
-        "    for (;;) {{\n{batch}        \
-         if (exo_ns >= {MIN_BATCH_NS:.1} || exo_reps >= (1L << 20)) break;\n        \
-         exo_reps *= 2;\n    }}\n"
-    ));
-    s.push_str(&format!(
-        "    for (int exo_run = 0; exo_run < {TIMED_RUNS}; exo_run++) {{\n{batch}        \
-         printf(\"%.17g\\n\", exo_ns / exo_reps);\n    }}\n    return 0;\n}}\n"
-    ));
     s
 }
 
@@ -1076,21 +1068,24 @@ impl Toolchain {
         }
     }
 
-    /// Compiles `unit` under the timing driver ([`emit_timing_driver`]),
-    /// runs it once and returns `(median ns per call, relative spread)`
-    /// over its [`TIMED_RUNS`] batches.
+    /// Compiles `unit` under its data driver ([`emit_data_driver`]), runs
+    /// it once in [`TIMING_MODE`] on `inputs` and returns `(median ns per
+    /// call, relative spread)` over its [`TIMED_RUNS`] batches. Nothing
+    /// is memoised: every candidate timed is a different unit.
     pub fn time_kernel(
         &self,
         unit: &CUnit,
         proc: &Proc,
         inputs: &[SynthArg],
-        reps: u64,
     ) -> Result<(f64, f64), String> {
-        let driver = emit_timing_driver(unit, proc, inputs, reps);
+        let driver = emit_data_driver(unit, proc);
         let build = self
             .build(&driver, &unit.cflags, proc.name(), Artifact::Executable)
             .map_err(|e| e.to_string())?;
-        let runs = run_driver(&build, proc)?;
+        let mut cmd = Command::new(build.artifact());
+        cmd.arg(TIMING_MODE);
+        let runs = run_data_driver(&mut cmd, &encode_args(inputs), &run_guard())
+            .map_err(|e| format!("driver binary of `{}`: {e}", proc.name()))?;
         summarize_runs(&runs)
             .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
     }
@@ -1124,7 +1119,7 @@ impl Toolchain {
     }
 
     /// Precompiles the include block of a native unit with exactly the
-    /// flags its compiles will use. The text begins with the timing
+    /// flags its compiles will use. The text begins with the data
     /// driver's `_POSIX_C_SOURCE` line: `-include` runs `features.h`
     /// before the driver's own `#define`, and `clock_gettime` would be
     /// gone under `-std=c99`. A failed or killed build leaves nothing
@@ -1160,8 +1155,8 @@ fn system_build(
 
 /// Compiles a self-contained C source with the system `cc` under the
 /// harness's own compile deadline: linked when the text defines
-/// `int main(void)` (as [`emit_driver`]'s and [`emit_timing_driver`]'s
-/// do), an object file otherwise. The error carries the compiler's
+/// `int main(void)` (as [`emit_driver`]'s does), an object file
+/// otherwise. The error carries the compiler's
 /// diagnostics. This is the entry for callers that hold only text; every
 /// path that knows what it emitted names the [`Artifact`] instead.
 pub fn build(source: &str, extra_cflags: &[String], tag: &str) -> Result<BuildDir, String> {
@@ -1251,12 +1246,6 @@ pub fn run_data_driver(
         })?;
     cmd.arg(file.artifact());
     run_lines(cmd, guard)
-}
-
-/// Runs a compiled driver of `proc` and returns the numbers it prints.
-fn run_driver(build: &BuildDir, proc: &Proc) -> Result<Vec<f64>, String> {
-    run_lines(&mut Command::new(build.artifact()), &run_guard())
-        .map_err(|e| format!("driver binary of `{}`: {e}", proc.name()))
 }
 
 /// Tolerance for comparing one element of a buffer of the given type:

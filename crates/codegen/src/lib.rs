@@ -64,6 +64,7 @@ pub use mangle::{is_c_identifier, is_c_reserved, sanitize};
 
 use exo_interp::ProcRegistry;
 use exo_ir::Proc;
+use exo_machine::HostCaps;
 use std::fmt;
 
 /// Options controlling C emission.
@@ -220,4 +221,39 @@ pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Re
         "portable scalar"
     };
     Ok(unit.finish(proc.name(), mode))
+}
+
+/// Emits `proc` with `opts`, or — when `caps` cannot execute what that
+/// unit asks for ([`HostCaps::supports_cflags`]) — the portable unit and
+/// why: `host has no C compiler`, or `host cannot execute <flags>`
+/// naming the flags it lacks. The unit's own flags decide, not the
+/// target's usual ones: an AVX-512 unit on an AVX2-only host would die
+/// of SIGILL. This is the one native-or-portable verdict; the
+/// compilation service and the autotuner's measurement both ask it.
+///
+/// # Errors
+/// As [`emit_c`].
+pub fn emit_runnable(
+    proc: &Proc,
+    registry: &ProcRegistry,
+    opts: &CodegenOptions,
+    caps: &HostCaps,
+) -> Result<(CUnit, Option<String>)> {
+    let unit = emit_c(proc, registry, opts)?;
+    if caps.supports_cflags(&unit.cflags) {
+        return Ok((unit, None));
+    }
+    let missing: Vec<&str> = unit
+        .cflags
+        .iter()
+        .filter(|f| !caps.supports_cflags(std::slice::from_ref(*f)))
+        .map(String::as_str)
+        .collect();
+    let why = if missing.is_empty() {
+        "host has no C compiler".to_string()
+    } else {
+        format!("host cannot execute {}", missing.join(" "))
+    };
+    let portable = emit_c(proc, registry, &CodegenOptions::portable())?;
+    Ok((portable, Some(why)))
 }

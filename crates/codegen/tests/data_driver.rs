@@ -2,16 +2,17 @@
 //! argument block [`encode_args`] writes, and prints exactly what the
 //! self-contained [`emit_driver`] binary prints — bit patterns, not
 //! tolerances — for every kernel the service is benchmarked on and for
-//! every argument kind and element type. Its decoder, the one parser
-//! this repository generates, refuses a hostile block with a message
+//! every argument kind and element type. The same build that checks a
+//! kernel times it. Its decoder, the one parser this repository
+//! generates, refuses a hostile block or an unknown mode with a message
 //! and a non-zero status, also under ASan + UBSan.
 //!
 //! Every check logs a skip where `cc` (or the CPU feature, or the
 //! sanitizer runtime) is missing.
 
 use exo_codegen::difftest::{
-    build, cc_available, emit_data_driver, emit_driver, encode_args, run_data_driver, run_lines,
-    synth_inputs, SynthArg, Toolchain,
+    build, cc_available, emit_data_driver, emit_driver, encode_args, interp_outputs,
+    run_data_driver, run_lines, synth_inputs, SynthArg, Toolchain, TIMED_RUNS, TIMING_MODE,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
@@ -102,6 +103,53 @@ fn data_driver_prints_the_bits_the_embedded_driver_prints() {
             }
         }
     }
+}
+
+/// sgemm under its AVX2 record: one data-driver build dumps what the
+/// interpreter computes, bit for bit (integer-valued data keeps every
+/// sum exact), and the same artifact in timing mode prints
+/// [`TIMED_RUNS`] ns-per-call samples. The timed call sits above the
+/// decoder's `-O0` pragma, so it keeps the command line's level.
+#[test]
+fn one_data_driver_build_checks_and_times() {
+    if !cc_available() || !HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
+        eprintln!("SKIPPED: needs cc and a CPU with AVX2 and FMA");
+        return;
+    }
+    let machine = MachineModel::avx2();
+    let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
+    let script = schedule_of_record("sgemm", &machine).expect("a schedule of record");
+    let proc = apply_script(&ProcHandle::new(sgemm()), &script, &machine)
+        .expect("the record applies")
+        .proc()
+        .clone();
+    let unit = emit_c(&proc, &registry, &CodegenOptions::native()).expect("emits");
+    let driver = emit_data_driver(&unit, &proc);
+    let pragma = driver
+        .find("#pragma GCC optimize")
+        .expect("the decoder is not optimised");
+    for timed in ["static void exo_time(void)", "exo_kernel(exo_arg_0"] {
+        let at = driver.find(timed).expect("the driver times the kernel");
+        assert!(at < pragma, "`{timed}` falls under the decoder's pragma");
+    }
+    let exe = Toolchain::system()
+        .executable(&driver, &unit.cflags, "sgemm")
+        .expect("the data driver builds");
+    let inputs = synth_inputs(&proc, 5).expect("inputs");
+    let want: Vec<f64> = interp_outputs(&proc, &registry, &inputs)
+        .expect("the interpreter runs")
+        .concat();
+    assert_eq!(data_output(exe.artifact(), &inputs), bits(want));
+
+    let mut timed = Command::new(exe.artifact());
+    timed.arg(TIMING_MODE);
+    let runs =
+        run_data_driver(&mut timed, &encode_args(&inputs), &guard()).expect("the same build times");
+    assert_eq!(runs.len(), TIMED_RUNS, "{runs:?}");
+    assert!(
+        runs.iter().all(|ns| ns.is_finite() && *ns > 0.0),
+        "{runs:?}"
+    );
 }
 
 /// One argument of every kind and one tensor of every element type, a
@@ -351,9 +399,23 @@ fn hostile_argument_blocks_are_refused_with_a_message() {
             assert_eq!(stderr.lines().count(), 1, "{leg}, {what}: {stderr}");
             assert!(out.stdout.is_empty(), "{leg}, {what}: the kernel ran");
         }
-        // No argument, and a path that does not exist.
+        // No argument, an unknown mode, and a path that does not exist.
         let out = run_guarded(&mut Command::new(exe.artifact()), &guard()).expect("no hang");
         assert_eq!(out.code, Some(2), "{leg}: {}", out.stderr_lossy());
+        let good_path = dir.join("good.bin");
+        std::fs::write(&good_path, &good).expect("block is written");
+        let out = run_guarded(
+            Command::new(exe.artifact()).arg("fast").arg(&good_path),
+            &guard(),
+        )
+        .expect("no hang");
+        assert_eq!(out.code, Some(2), "{leg}: {}", out.stderr_lossy());
+        assert!(
+            out.stderr_lossy().starts_with("argument block: mode: "),
+            "{leg}: {}",
+            out.stderr_lossy()
+        );
+        assert!(out.stdout.is_empty(), "{leg}: the kernel ran");
         let out = run_guarded(
             Command::new(exe.artifact()).arg(dir.join("no-such-block")),
             &guard(),

@@ -106,14 +106,16 @@ fn vectorized_kernels_differential_run_natively() {
 /// Wall-clock gate (CI runs it alone, in release mode, with
 /// `cargo test --release -- --ignored`): on a host that executes
 /// `-mavx2 -mfma`, the schedule of record's intrinsic build must beat the
-/// unscheduled kernel's portable build by 2x. The register-blocked
-/// record measures 3-4x here; gcc's `-O2` auto-vectorizer is what the
-/// scalar build already gets, so losing the register tile (back to the
-/// 1.2x of `reorder(k); vectorize(j)`) trips the gate.
+/// unscheduled kernel's portable build by 10x. Both are timed as they
+/// are checked and served, by the data driver on heap arguments whose
+/// sizes and aliasing `cc` cannot see, so `-O2` does not vectorize the
+/// scalar build. On a 2-core x86 VM, fastest of three: the
+/// register-blocked record measures 16-19x, and losing the register tile
+/// (`reorder(k); vectorize(j)`) drops to 5.5-6.5x and trips the gate.
 #[test]
 #[ignore = "wall-clock gate: run in release mode, not beside the parallel debug tests"]
 fn avx2_sgemm_beats_portable_scalar() {
-    const MIN_SPEEDUP: f64 = 2.0;
+    const MIN_SPEEDUP: f64 = 10.0;
     let caps = HostCaps::detect();
     if !cc_available() || !caps.supports_cflags(&["-mavx2", "-mfma"]) {
         eprintln!(
@@ -143,7 +145,7 @@ fn avx2_sgemm_beats_portable_scalar() {
     // Fastest of three alternating launches each: noise only ever adds
     // time, and a noisy second on a shared host hits both builds.
     let toolchain = Toolchain::system();
-    let time = |unit, proc| toolchain.time_kernel(unit, proc, &inputs, 1);
+    let time = |unit, proc| toolchain.time_kernel(unit, proc, &inputs);
     let (mut scalar, mut avx2) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
         let (ns, _) = time(&scalar_unit, &base).expect("scalar is timed");

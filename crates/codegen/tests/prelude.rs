@@ -1,6 +1,6 @@
 //! The precompiled prelude of [`Toolchain`]: it saves `cc` the parse of
 //! `immintrin.h` and changes nothing else — same binary, same output,
-//! timing drivers still see `clock_gettime` — it is per `cflags` set, and
+//! data drivers still see `clock_gettime` — it is per `cflags` set, and
 //! a toolchain that cannot build it issues exactly the plain command.
 //!
 //! Every check logs a skip where `cc`, the prelude or the CPU is missing.
@@ -103,11 +103,11 @@ fn prelude_changes_neither_the_binary_nor_its_output() {
     assert_eq!(want, got, "the prelude changed the `%.17g` output");
 }
 
-/// The timing driver's `_POSIX_C_SOURCE` line comes after an `-include`d
+/// The data driver's `_POSIX_C_SOURCE` line comes after an `-include`d
 /// prelude: unless the prelude starts with the same line, `features.h`
 /// has already hidden `clock_gettime` and the build fails.
 #[test]
-fn timing_driver_builds_and_times_through_the_prelude() {
+fn data_driver_builds_and_times_through_the_prelude() {
     if !cc_available() || !can_run_avx2() {
         eprintln!("SKIPPED: needs cc and a CPU with AVX2 and FMA");
         return;
@@ -122,8 +122,8 @@ fn timing_driver_builds_and_times_through_the_prelude() {
         return;
     }
     let (ns, spread) = toolchain
-        .time_kernel(&unit, &proc, &inputs, 1)
-        .expect("the timing driver builds with the prelude and runs");
+        .time_kernel(&unit, &proc, &inputs)
+        .expect("the data driver builds with the prelude and times");
     assert!(ns > 0.0 && spread >= 0.0, "{ns} ns, spread {spread}");
 }
 

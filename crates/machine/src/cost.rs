@@ -63,14 +63,6 @@ pub struct SimReport {
     pub l2: CacheStats,
 }
 
-impl SimReport {
-    /// Cycles per element for a workload of `n` elements (convenience for
-    /// the figure harness).
-    pub fn cycles_per_element(&self, n: u64) -> f64 {
-        self.cycles as f64 / n.max(1) as f64
-    }
-}
-
 /// An [`exo_interp::Monitor`] that charges cycles.
 pub struct CostMonitor {
     model: CostModel,

@@ -234,11 +234,6 @@ impl ResultCache {
             });
         }
     }
-
-    /// Number of entries currently cached (any state).
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
 }
 
 #[cfg(test)]

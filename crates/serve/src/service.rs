@@ -29,7 +29,7 @@ use exo_codegen::difftest::{
     emit_data_driver, encode_args, interp_outputs, run_compiler, run_data_driver, synth_inputs,
     Artifact, BuildError, SharedBuild, SynthArg, Toolchain,
 };
-use exo_codegen::{emit_c, CUnit, CodegenOptions};
+use exo_codegen::{emit_c, emit_runnable, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, GuardConfig};
 use exo_interp::ProcRegistry;
@@ -368,11 +368,6 @@ impl KernelService {
         self.inner.workers_alive.load(Ordering::Relaxed)
     }
 
-    /// Number of cached keys (any state).
-    pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
-    }
-
     fn shutdown_impl(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         let pending: Vec<Job> = {
@@ -597,55 +592,33 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     let caps = inner
         .cfg
         .host_caps
-        .clone()
-        .unwrap_or_else(|| exo_machine::HostCaps::detect().clone());
-    let (opts, mut chosen_flags) = if request.options.debug_bounds {
-        (
-            CodegenOptions::debug(),
-            "portable (debug bounds)".to_string(),
-        )
+        .as_ref()
+        .unwrap_or_else(|| exo_machine::HostCaps::detect());
+    let (opts, portable_why) = if request.options.debug_bounds {
+        (CodegenOptions::debug(), Some("debug bounds".to_string()))
     } else if request.options.tier != Tier::NativeRun {
         (
             CodegenOptions::portable(),
-            format!("portable (tier {})", request.options.tier),
+            Some(format!("tier {}", request.options.tier)),
         )
     } else if caps.openmp {
-        (CodegenOptions::native_openmp(), String::new())
+        (CodegenOptions::native_openmp(), None)
     } else {
-        (CodegenOptions::native(), String::new())
+        (CodegenOptions::native(), None)
     };
-    let emit = |opts: &CodegenOptions| {
+    let (unit, portable_why) = {
         let _span = exo_obs::span!("serve:emit", "{}", proc.name());
-        emit_c(proc, &registry, opts).map_err(|e| ServeError::Codegen(e.to_string()))
+        match portable_why {
+            Some(why) => emit_c(proc, &registry, &opts).map(|unit| (unit, Some(why))),
+            None => emit_runnable(proc, &registry, &opts, caps),
+        }
+        .map_err(|e| ServeError::Codegen(e.to_string()))?
     };
-    let mut unit = emit(&opts)?;
-    if chosen_flags.is_empty() {
-        // The native unit's own flags decide, not the target's usual
-        // ones: an AVX-512 unit on an AVX2-only host would die of SIGILL.
-        let fallback = if !caps.supports_cflags(&unit.cflags) {
-            let missing: Vec<&str> = unit
-                .cflags
-                .iter()
-                .filter(|f| !caps.supports_cflags(std::slice::from_ref(*f)))
-                .map(String::as_str)
-                .collect();
-            Some(if missing.is_empty() {
-                "host has no C compiler".to_string()
-            } else {
-                format!("host cannot execute {}", missing.join(" "))
-            })
-        } else {
-            None
-        };
-        chosen_flags = match fallback {
-            Some(why) => {
-                unit = emit(&CodegenOptions::portable())?;
-                format!("portable ({why})")
-            }
-            None if unit.cflags.is_empty() => "native (no extra flags needed)".to_string(),
-            None => format!("native ({})", unit.cflags.join(" ")),
-        };
-    }
+    let chosen_flags = match portable_why {
+        Some(why) => format!("portable ({why})"),
+        None if unit.cflags.is_empty() => "native (no extra flags needed)".to_string(),
+        None => format!("native ({})", unit.cflags.join(" ")),
+    };
     trace.step("emit", "ok".to_string());
     trace.step("native-flags", chosen_flags);
 
