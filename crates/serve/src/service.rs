@@ -1,6 +1,14 @@
 //! The kernel-compilation service: a bounded queue, a worker pool, and a
-//! per-request pipeline (replay → verify → emit → execute) in which every
-//! external effect is supervised and every failure is a classified value.
+//! per-request pipeline, plan → tier ladder, in which every external
+//! effect is supervised and every failure is a classified value.
+//!
+//! A *plan* is what the request's kernel, script, target, tier and bounds
+//! mode make: the script replayed, the result verified, its C emitted and
+//! its IR printed. The service keeps every plan it succeeds in making, so
+//! a request that differs from one already served only in its input seed
+//! or in whether it wants the C back goes straight to the ladder, which
+//! runs per request: it synthesizes the inputs and executes on the
+//! highest tier that works.
 //!
 //! Robustness is the load-bearing design, in layers:
 //!
@@ -22,28 +30,30 @@ use crate::cache::{Admission, ResultCache};
 use crate::fault::{Fault, FaultPlan};
 use crate::types::{
     CacheStatus, Degradation, DegradeReason, Delivery, ExecSummary, RequestTrace, ServeError,
-    ServeOk, ServeRequest, ServeResult, Tier, TraceStep,
+    ServeOk, ServeOptions, ServeRequest, ServeResult, Tier, TraceStep,
 };
 use exo_analysis::{check_proc, Severity};
 use exo_codegen::difftest::{
-    emit_data_driver, encode_args, interp_outputs, run_compiler, run_data_driver, synth_inputs,
+    emit_data_driver, encode_args, interp_args, run_compiler, run_data_driver, synth_inputs,
     Artifact, BuildError, SharedBuild, SynthArg, Toolchain,
 };
 use exo_codegen::{emit_c, emit_runnable, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, GuardConfig};
-use exo_interp::ProcRegistry;
-use exo_ir::ContentHasher;
+use exo_interp::{Interpreter, NullMonitor, ProcRegistry};
+use exo_ir::{ContentHasher, Proc};
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
-use std::collections::VecDeque;
+use std::cell::Ref;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -94,6 +104,10 @@ pub struct ServeStats {
     pub completed: AtomicU64,
     /// Fresh pipeline executions started by workers.
     pub computed: AtomicU64,
+    /// Computed requests answered by a plan this service already holds:
+    /// no replay, verification or emission ran. One of `computed`, not
+    /// a submission of its own.
+    pub plans_reused: AtomicU64,
     /// Submissions served from a cached success.
     pub cache_hits: AtomicU64,
     /// Submissions served from a TTL-fresh cached failure.
@@ -144,6 +158,8 @@ pub struct StatsSnapshot {
     pub completed: u64,
     /// See [`ServeStats::computed`].
     pub computed: u64,
+    /// See [`ServeStats::plans_reused`].
+    pub plans_reused: u64,
     /// See [`ServeStats::cache_hits`].
     pub cache_hits: u64,
     /// See [`ServeStats::negative_hits`].
@@ -190,6 +206,7 @@ impl ServeStats {
             submitted: get(&self.submitted),
             completed: get(&self.completed),
             computed: get(&self.computed),
+            plans_reused: get(&self.plans_reused),
             cache_hits: get(&self.cache_hits),
             negative_hits: get(&self.negative_hits),
             coalesced: get(&self.coalesced),
@@ -227,6 +244,10 @@ struct ServiceInner {
     /// for the service's lifetime: they go when the last worker has been
     /// joined.
     toolchain: Toolchain,
+    /// Every plan the service has made, by [`plan_key`], for its
+    /// lifetime. Unbounded like the result cache, and never larger: each
+    /// key here is the plan of at least one entry there.
+    plans: Mutex<HashMap<u64, Arc<Plan>>>,
     cfg: ServeConfig,
     workers_alive: AtomicUsize,
 }
@@ -270,6 +291,7 @@ impl KernelService {
             cache: ResultCache::new(cfg.negative_ttl),
             stats: ServeStats::default(),
             toolchain: Toolchain::new("cc", cfg.compile_guard.clone()),
+            plans: Mutex::new(HashMap::new()),
             cfg,
             workers_alive: AtomicUsize::new(0),
         });
@@ -397,17 +419,38 @@ impl Drop for KernelService {
     }
 }
 
-/// Content key of a request: the kernel's structural hash, then the
-/// script's steps, the target and every response-shaping option through
-/// their derived `Hash`. Requests that differ in any of these get
+/// Content key of a request: the key of its plan (the kernel's
+/// structural hash, the script's steps, the target, the tier and the
+/// bounds mode), then the options that only the tier ladder and the
+/// response read. Requests that differ in any response-shaping field get
 /// different keys (up to a 64-bit collision); the value is stable within
 /// a build, not across toolchains.
 pub fn request_key(request: &ServeRequest) -> u64 {
     let mut h = ContentHasher::new();
+    h.write_u64(plan_key(request));
+    request.options.want_c.hash(&mut h);
+    request.options.input_seed.hash(&mut h);
+    h.finish()
+}
+
+/// Content key of a request's plan: the kernel's structural hash, then
+/// the script's steps, the target, the tier and the bounds mode — what
+/// replay, verification and emission read. Every other option is in
+/// [`request_key`] only; the destructuring below fails to compile when
+/// [`crate::ServeOptions`] gains a field that neither key names.
+fn plan_key(request: &ServeRequest) -> u64 {
+    let ServeOptions {
+        tier,
+        debug_bounds,
+        want_c: _,
+        input_seed: _,
+    } = &request.options;
+    let mut h = ContentHasher::new();
     h.write_u64(request.proc.content_hash());
     request.script.hash(&mut h);
     request.target.hash(&mut h);
-    request.options.hash(&mut h);
+    tier.hash(&mut h);
+    debug_bounds.hash(&mut h);
     h.finish()
 }
 
@@ -540,35 +583,77 @@ fn degrade(
     });
 }
 
-/// The per-request pipeline: replay the script, verify the result, emit
-/// C, then walk the tier ladder.
-fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
-    let _req = exo_obs::span!("serve:request", "{}", job.request.proc.name());
-    ServeStats::bump(&inner.stats.computed);
-    if matches!(job.fault, Some(Fault::WorkerPanic)) {
-        // Library paths in this crate are panic-free by lint (lib.rs);
-        // this is the fault simulator, the one place a panic is the point.
-        #[allow(clippy::panic)]
-        std::panic::panic_any(format!(
-            "injected worker panic at request index {}",
-            job.index
-        ));
+/// What replay, verification and emission make of a request — the same
+/// for every request with its [`plan_key`].
+struct Plan {
+    /// The scheduled procedure, without the cursor history that made it.
+    proc: Proc,
+    /// The verifier's findings, formatted; none of them is an error.
+    diagnostics: Vec<String>,
+    unit: CUnit,
+    /// Outcome of the `native-flags` step: which unit was emitted and why.
+    native_flags: String,
+    /// `proc`, printed.
+    scheduled_ir: String,
+    /// The data driver around `unit`, emitted the first time the
+    /// native-run tier is reached with inputs to run it on.
+    driver: OnceLock<String>,
+}
+
+/// The request's plan: the one the service holds for its [`plan_key`],
+/// or a new one, kept if made. A refusal — a script that does not
+/// replay, a verifier error, a unit that cannot be emitted — is returned
+/// and not kept, and neither is a plan whose making panics: those are the
+/// result cache's negative entries. Two workers that miss one key at
+/// once both make the plan; the first to store it wins. Closes the
+/// `replay`, `verify` and `emit` steps of `trace`, with outcome `reused`
+/// on a held plan.
+fn plan(
+    inner: &ServiceInner,
+    request: &ServeRequest,
+    trace: &mut TraceBuilder,
+) -> Result<Arc<Plan>, ServeError> {
+    let key = plan_key(request);
+    let held = inner
+        .plans
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(&key)
+        .cloned();
+    if let Some(plan) = held {
+        ServeStats::bump(&inner.stats.plans_reused);
+        for step in ["replay", "verify", "emit"] {
+            trace.step(step, "reused".to_string());
+        }
+        return Ok(plan);
     }
-    let request = &job.request;
+    let made = Arc::new(make_plan(inner, request, trace)?);
+    let mut plans = inner.plans.lock().unwrap_or_else(|e| e.into_inner());
+    Ok(plans.entry(key).or_insert(made).clone())
+}
+
+/// Replays the script, verifies the result and emits its C.
+fn make_plan(
+    inner: &ServiceInner,
+    request: &ServeRequest,
+    trace: &mut TraceBuilder,
+) -> Result<Plan, ServeError> {
     let machine = machine_for(request.target);
-    let mut trace = TraceBuilder::new();
-    let base = ProcHandle::new(request.proc.clone());
-    let scheduled = {
+    let proc = {
         let _span = exo_obs::span!("serve:replay", "{} steps", request.script.steps.len());
+        // Only the proc is kept: the handles and the cursor history they
+        // hold are freed at the end of this block, inside the replay step.
+        let base = ProcHandle::new(request.proc.clone());
         apply_script(&base, &request.script, &machine)
             .map_err(|e| ServeError::BadSchedule(e.to_string()))?
+            .proc()
+            .clone()
     };
-    let proc = scheduled.proc();
     trace.step("replay", "ok".to_string());
 
     let findings = {
         let _span = exo_obs::span!("serve:verify", "{}", proc.name());
-        check_proc(proc)
+        check_proc(&proc)
     };
     let diagnostics: Vec<String> = findings
         .iter()
@@ -579,10 +664,6 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     }
     trace.step("verify", format!("ok ({} findings)", findings.len()));
 
-    let registry: ProcRegistry = machine
-        .instructions(exo_ir::DataType::F32)
-        .into_iter()
-        .collect();
     // Codegen mode: the native-run tier gets machine intrinsics (and
     // OpenMP work-sharing, which the emitter only applies to loops the
     // verifier certifies race-free) whenever the host can execute what
@@ -608,19 +689,58 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     };
     let (unit, portable_why) = {
         let _span = exo_obs::span!("serve:emit", "{}", proc.name());
+        let registry = registry_for(&machine);
         match portable_why {
-            Some(why) => emit_c(proc, &registry, &opts).map(|unit| (unit, Some(why))),
-            None => emit_runnable(proc, &registry, &opts, caps),
+            Some(why) => emit_c(&proc, &registry, &opts).map(|unit| (unit, Some(why))),
+            None => emit_runnable(&proc, &registry, &opts, caps),
         }
         .map_err(|e| ServeError::Codegen(e.to_string()))?
     };
-    let chosen_flags = match portable_why {
+    let native_flags = match portable_why {
         Some(why) => format!("portable ({why})"),
         None if unit.cflags.is_empty() => "native (no extra flags needed)".to_string(),
         None => format!("native ({})", unit.cflags.join(" ")),
     };
+    let scheduled_ir = proc.to_string();
     trace.step("emit", "ok".to_string());
-    trace.step("native-flags", chosen_flags);
+    Ok(Plan {
+        proc,
+        diagnostics,
+        unit,
+        native_flags,
+        scheduled_ir,
+        driver: OnceLock::new(),
+    })
+}
+
+/// The instructions of `machine` the interpreter and the emitter resolve
+/// calls against.
+fn registry_for(machine: &MachineModel) -> ProcRegistry {
+    machine
+        .instructions(exo_ir::DataType::F32)
+        .into_iter()
+        .collect()
+}
+
+/// The per-request pipeline: the request's plan, then the tier ladder on
+/// inputs of its seed.
+fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
+    let _req = exo_obs::span!("serve:request", "{}", job.request.proc.name());
+    ServeStats::bump(&inner.stats.computed);
+    if matches!(job.fault, Some(Fault::WorkerPanic)) {
+        // Library paths in this crate are panic-free by lint (lib.rs);
+        // this is the fault simulator, the one place a panic is the point.
+        #[allow(clippy::panic)]
+        std::panic::panic_any(format!(
+            "injected worker panic at request index {}",
+            job.index
+        ));
+    }
+    let request = &job.request;
+    let mut trace = TraceBuilder::new();
+    let plan = plan(inner, request, &mut trace)?;
+    let (proc, unit) = (&plan.proc, &plan.unit);
+    trace.step("native-flags", plan.native_flags.clone());
 
     let mut degraded: Vec<Degradation> = Vec::new();
     let mut tier = request.options.tier;
@@ -644,8 +764,8 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                         continue;
                     }
                 };
-                let driver = emit_data_driver(&unit, proc);
-                match compile_guarded(inner, Artifact::Executable, &driver, &unit, job.fault) {
+                let driver = plan.driver.get_or_init(|| emit_data_driver(unit, proc));
+                match compile_guarded(inner, Artifact::Executable, driver, unit, job.fault) {
                     Ok(exe) => match run_binary_guarded(inner, &exe, &inputs, job.fault) {
                         Ok(summary) => {
                             served = build_outcome(&exe);
@@ -680,7 +800,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                 }
             }
             Tier::CompileOnly => {
-                match compile_guarded(inner, Artifact::Object, &unit.code, &unit, job.fault) {
+                match compile_guarded(inner, Artifact::Object, &unit.code, unit, job.fault) {
                     Ok(object) => {
                         served = build_outcome(&object);
                         break None;
@@ -715,8 +835,8 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 };
                 ServeStats::bump(&inner.stats.interp_runs);
-                match interp_outputs(proc, &registry, &inputs) {
-                    Ok(buffers) => break Some(summarize(&buffers)),
+                match interpret(proc, &machine_for(request.target), inputs) {
+                    Ok(summary) => break Some(summary),
                     Err(detail) => {
                         degrade(
                             &mut degraded,
@@ -743,23 +863,42 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
         kernel: request.proc.name().to_string(),
         tier,
         degraded,
-        diagnostics,
+        diagnostics: plan.diagnostics.clone(),
         c_code: request.options.want_c.then(|| unit.code.clone()),
         exec,
-        scheduled_ir: proc.to_string(),
+        scheduled_ir: plan.scheduled_ir.clone(),
         trace: trace.finish(),
     })
 }
 
+/// Runs the interpreter on `proc` over `inputs`, which become its
+/// arguments without a copy, and folds the final contents of every
+/// tensor argument into an [`ExecSummary`].
+fn interpret(
+    proc: &Proc,
+    machine: &MachineModel,
+    inputs: Vec<SynthArg>,
+) -> Result<ExecSummary, String> {
+    let registry = registry_for(machine);
+    let (bufs, args) = interp_args(inputs);
+    Interpreter::new(&registry)
+        .run(proc, args, &mut NullMonitor)
+        .map_err(|e| format!("interpreter failed on `{}`: {e}", proc.name()))?;
+    Ok(summarize(
+        bufs.iter()
+            .map(|b| Ref::map(b.borrow(), |b| b.data.as_slice())),
+    ))
+}
+
 /// [`ExecSummary::checksum`] is byte-wise FNV-1a by contract (clients
 /// recompute it from reference outputs), whatever the cache hashes with.
-fn summarize(buffers: &[Vec<f64>]) -> ExecSummary {
+fn summarize<B: Deref<Target = [f64]>>(buffers: impl IntoIterator<Item = B>) -> ExecSummary {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x100_0000_01b3;
     let mut checksum = OFFSET_BASIS;
     let mut elems = 0usize;
     for buffer in buffers {
-        for v in buffer {
+        for v in buffer.iter() {
             for byte in v.to_bits().to_le_bytes() {
                 checksum = (checksum ^ u64::from(byte)).wrapping_mul(PRIME);
             }
@@ -867,7 +1006,7 @@ fn run_binary_guarded(
         block.truncate(block.len() / 2);
     }
     match run_data_driver(&mut cmd, &block, &inner.cfg.run_guard) {
-        Ok(values) => Ok(summarize(&[values])),
+        Ok(values) => Ok(summarize([values.as_slice()])),
         Err(err) if err.timed_out => {
             ServeStats::bump(&inner.stats.guard_timeouts);
             Err((DegradeReason::BinaryTimeout, err.message))

@@ -120,10 +120,11 @@ pub struct TraceStep {
     pub name: &'static str,
     /// Wall-clock nanoseconds spent in the stage.
     pub ns: u64,
-    /// How the stage ended: `"ok"`, `"served"` — `"served (built)"` or
-    /// `"served (reused)"` where the tier asked the toolchain for a
-    /// build, saying whether `cc` ran for this request — or
-    /// `"degraded to <tier>: <reason>"`.
+    /// How the stage ended: `"ok"`; `"reused"` for `replay`, `verify`
+    /// and `emit` when the service already held the request's plan;
+    /// `"served"` — `"served (built)"` or `"served (reused)"` where the
+    /// tier asked the toolchain for a build, saying whether `cc` ran for
+    /// this request — or `"degraded to <tier>: <reason>"`.
     pub outcome: String,
 }
 
@@ -166,7 +167,9 @@ impl fmt::Display for RequestTrace {
 }
 
 /// Per-request options. Every field shapes the response, so every field
-/// is part of the request's cache key (the derived `Hash`).
+/// is part of the request's cache key ([`crate::request_key`]); `tier`
+/// and `debug_bounds` shape the plan too, and the service plans once per
+/// distinct pair (with the kernel, script and target).
 #[derive(Clone, Hash, Debug)]
 pub struct ServeOptions {
     /// Highest tier the caller wants (the service may degrade below it,

@@ -316,13 +316,15 @@ fn avx512_request_on_an_avx2_only_host_is_served_portable() {
     assert!(ok.exec.is_some_and(|e| e.elems > 0), "the binary ran");
 }
 
-/// One prelude per service and `cflags` set, and one build per unit:
-/// both are made for the first native request and the second one — same
-/// kernel, another input seed — runs what the first built. The counts
-/// read `(compiles, binary_runs) == (1, 2)`; until inputs became data
-/// they read `(2, 2)`, the seed being part of the compiled text, and that
-/// change is what this assertion now pins. The prelude is counted on its
-/// own and the request trace gains no step.
+/// One prelude per service and `cflags` set, one plan per schedule and
+/// one build per unit: all three are made for the first native request
+/// and the second one — same kernel, another input seed — runs what the
+/// first planned and built. The counts read `(compiles, binary_runs) ==
+/// (1, 2)`; until inputs became data they read `(2, 2)`, the seed being
+/// part of the compiled text, and that change is what this assertion now
+/// pins. The second request's planning steps keep their names and read
+/// `reused`. The prelude is counted on its own and the request trace
+/// gains no step.
 #[test]
 fn a_service_builds_its_prelude_once_and_counts_it_apart() {
     if !exo_machine::HostCaps::detect().supports_cflags(&["-mavx2", "-mfma"]) {
@@ -330,7 +332,10 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
         return;
     }
     let service = KernelService::new(ServeConfig::default());
-    for (seed, outcome) in [(1, "served (built)"), (2, "served (reused)")] {
+    for (seed, planned, outcome) in [
+        (1, ["ok", "ok (0 findings)", "ok"], "served (built)"),
+        (2, ["reused"; 3], "served (reused)"),
+    ] {
         let ok = serve(&service, native_sgemm_request(seed));
         assert_eq!(ok.tier, Tier::NativeRun);
         assert!(ok.degraded.is_empty(), "degraded: {:?}", ladder(&ok));
@@ -339,6 +344,11 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
             names,
             vec!["replay", "verify", "emit", "native-flags", "native-run"]
         );
+        let planning: Vec<&str> = ok.trace.steps[..3]
+            .iter()
+            .map(|s| s.outcome.as_str())
+            .collect();
+        assert_eq!(planning, planned, "seed {seed}");
         assert_eq!(
             ok.trace.step("native-run").expect("native-run").outcome,
             outcome
@@ -347,6 +357,7 @@ fn a_service_builds_its_prelude_once_and_counts_it_apart() {
     let stats = service.stats();
     assert_eq!((stats.compiles, stats.binary_runs), (1, 2));
     assert_eq!(stats.builds_reused, 1);
+    assert_eq!(stats.plans_reused, 1);
     assert!(
         stats.preludes_built <= 1,
         "two requests with one flag set built {} preludes",

@@ -1,13 +1,15 @@
 //! The interpreter's allocation budget: heap allocations of one
-//! `interp_outputs` run of each AVX2 schedule of record, the run a serve
-//! miss's interp tier makes. Counted by a global allocator switched on
-//! for the test's own thread only, on a fresh registry, so the lowering
-//! of the scheduled proc and of every instruction it calls is included.
-//! The count depends on neither the host nor the build profile.
+//! interpreted run of each AVX2 schedule of record, as a serve miss's
+//! interp tier makes it: the synthesized inputs moved into arguments
+//! (`interp_args`), then `Interpreter::run`. Counted by a global
+//! allocator switched on for the test's own thread only, on a fresh
+//! registry, so the lowering of the scheduled proc and of every
+//! instruction it calls is included. The count depends on neither the
+//! host nor the build profile.
 
-use exo2::codegen::difftest::{interp_outputs, synth_inputs};
+use exo2::codegen::difftest::{interp_args, synth_inputs};
 use exo2::cursors::ProcHandle;
-use exo2::interp::ProcRegistry;
+use exo2::interp::{Interpreter, NullMonitor, ProcRegistry};
 use exo2::ir::DataType;
 use exo2::kernels::{self, Precision};
 use exo2::lib::{apply_script, schedule_of_record};
@@ -76,8 +78,11 @@ fn record_run_allocs(name: &str) -> u64 {
         .expect("the record replays");
     let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
     let inputs = synth_inputs(&kernel, 1).expect("inputs");
-    let (outputs, allocs) = count_allocs(|| interp_outputs(scheduled.proc(), &registry, &inputs));
-    outputs.expect("the record runs");
+    let (ran, allocs) = count_allocs(|| {
+        let (_bufs, args) = interp_args(inputs);
+        Interpreter::new(&registry).run(scheduled.proc(), args, &mut NullMonitor)
+    });
+    ran.expect("the record runs");
     allocs
 }
 
