@@ -3,40 +3,18 @@
 //! class the interpreter's views do **not** trap (reads past a window's
 //! extent but inside the underlying buffer) aborts the compiled binary.
 
+mod fixtures;
+
 use exo_codegen::difftest::{
     build, cc_available, emit_driver, run_differential_with, synth_inputs, DiffOutcome,
 };
 use exo_codegen::{emit_c, CodegenOptions};
-use exo_core::{reorder_loops, TailStrategy};
-use exo_cursors::ProcHandle;
 use exo_interp::{ArgValue, Interpreter, NullMonitor, ProcRegistry};
-use exo_ir::{ib, read, DataType, Expr, Mem, Proc, ProcBuilder, Stmt, WAccess};
-use exo_lib::vectorize;
-use exo_machine::MachineModel;
-
-/// A procedure that reads `w[3]` where `w = x[0, 0:2]`: past the window's
-/// extent 2 but inside row 0 of `x`, so neither the interpreter nor plain
-/// emitted C notices.
-fn out_of_window_proc() -> Proc {
-    ProcBuilder::new("oow")
-        .tensor_arg("x", DataType::F32, vec![ib(4), ib(4)], Mem::Dram)
-        .tensor_arg("y", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.push(Stmt::WindowStmt {
-                name: "w".into(),
-                rhs: Expr::Window {
-                    buf: "x".into(),
-                    idx: vec![WAccess::Point(ib(0)), WAccess::Interval(ib(0), ib(2))],
-                },
-            });
-            b.assign("y", vec![ib(0)], read("w", vec![ib(3)]));
-        })
-        .build()
-}
+use exo_ir::DataType;
 
 #[test]
 fn debug_bounds_instruments_window_and_buffer_accesses() {
-    let proc = out_of_window_proc();
+    let proc = fixtures::out_of_window();
     let registry = ProcRegistry::new();
     // The interpreter does not trap this access (window extents are a
     // scheduling-time property of views) — that is exactly the hole the
@@ -64,18 +42,7 @@ fn debug_bounds_elides_checks_for_fully_proven_procs() {
     // Every access of the unscheduled copy is proven in-bounds from the
     // loop ranges alone, so the debug build is check-free — identical
     // instrumentation surface to the plain build.
-    let proc = ProcBuilder::new("copy")
-        .size_arg("n")
-        .tensor_arg("x", DataType::F32, vec![exo_ir::var("n")], Mem::Dram)
-        .tensor_arg("y", DataType::F32, vec![exo_ir::var("n")], Mem::Dram)
-        .for_("i", ib(0), exo_ir::var("n"), |b| {
-            b.assign(
-                "y",
-                vec![exo_ir::var("i")],
-                read("x", vec![exo_ir::var("i")]),
-            );
-        })
-        .build();
+    let proc = fixtures::proven_copy();
     assert!(exo_analysis::check_proc(&proc).is_empty());
     let registry = ProcRegistry::new();
     let dbg = emit_c(&proc, &registry, &CodegenOptions::debug()).unwrap();
@@ -88,7 +55,7 @@ fn debug_bounds_aborts_on_out_of_window_read() {
         eprintln!("skipping: no `cc` on PATH");
         return;
     }
-    let proc = out_of_window_proc();
+    let proc = fixtures::out_of_window();
     let registry = ProcRegistry::new();
     let unit = emit_c(&proc, &registry, &CodegenOptions::debug()).unwrap();
     let inputs = synth_inputs(&proc, 11).unwrap();
@@ -114,14 +81,13 @@ fn debug_bounds_agrees_with_interpreter_on_legal_schedules() {
     // A legal windowed schedule — the vectorized sgemm the scheduling
     // library produces — must be unaffected by the checks: every access
     // is in bounds, so the instrumented C still matches the interpreter.
-    let machine = MachineModel::avx2();
-    let p = ProcHandle::new(exo_kernels::sgemm());
-    let p = reorder_loops(&p, "k").expect("reorder");
-    let j = p.find_loop("j").expect("j loop");
-    let v = vectorize(&p, &j, 8, DataType::F32, &machine, TailStrategy::Perfect)
-        .expect("vectorize sgemm");
-    let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
-    match run_differential_with(v.proc(), &registry, 5, &CodegenOptions::debug()) {
+    let registry = fixtures::avx2_registry();
+    match run_differential_with(
+        &fixtures::vectorized_sgemm(),
+        &registry,
+        5,
+        &CodegenOptions::debug(),
+    ) {
         Ok(DiffOutcome::Agreed { elems, .. }) => assert!(elems > 0),
         Ok(DiffOutcome::Skipped(why)) => eprintln!("skipping: {why}"),
         Err(e) => panic!("debug-bounds differential failed: {e}"),

@@ -4,45 +4,17 @@
 //! pointer and the callsite to an address, differentially checked against
 //! the interpreter.
 
+mod fixtures;
+
 use exo_codegen::difftest::{run_differential, DiffOutcome};
 use exo_codegen::{emit_c, CodegenError, CodegenOptions};
 use exo_interp::ProcRegistry;
-use exo_ir::{fb, ib, read, var, DataType, Mem, Proc, ProcBuilder};
-
-/// `scale_acc(dst, s): dst = dst * s` — writes its scalar parameter.
-fn scale_acc() -> Proc {
-    ProcBuilder::new("scale_acc")
-        .scalar_arg("dst", DataType::F32)
-        .scalar_arg("s", DataType::F32)
-        .with_body(|b| {
-            b.assign("dst", vec![], var("dst") * var("s"));
-        })
-        .build()
-}
-
-/// A caller that reduces into a rank-0 allocation, scales it through the
-/// by-reference call, and stores the result.
-fn writeback_caller() -> Proc {
-    ProcBuilder::new("uses_writeback")
-        .size_arg("n")
-        .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
-        .with_body(|b| {
-            b.alloc("acc", DataType::F32, vec![], Mem::Dram);
-            b.assign("acc", vec![], fb(0.0));
-            b.for_("i", ib(0), var("n"), |b| {
-                b.reduce("acc", vec![], read("x", vec![var("i")]));
-            });
-            b.call("scale_acc", vec![var("acc"), fb(0.5)]);
-            b.assign("x", vec![ib(0)], var("acc"));
-        })
-        .build()
-}
 
 #[test]
 fn writeback_emits_pointer_parameter_and_address_argument() {
     let mut registry = ProcRegistry::new();
-    registry.register(scale_acc());
-    let caller = writeback_caller();
+    registry.register(fixtures::scale_acc());
+    let caller = fixtures::writeback_caller();
     let unit = emit_c(&caller, &registry, &CodegenOptions::portable()).unwrap();
     let c = &unit.code;
     assert!(
@@ -56,8 +28,8 @@ fn writeback_emits_pointer_parameter_and_address_argument() {
 #[test]
 fn writeback_agrees_with_interpreter() {
     let mut registry = ProcRegistry::new();
-    registry.register(scale_acc());
-    let caller = writeback_caller();
+    registry.register(fixtures::scale_acc());
+    let caller = fixtures::writeback_caller();
     match run_differential(&caller, &registry, 3) {
         Ok(DiffOutcome::Agreed { elems, .. }) => assert!(elems > 0),
         Ok(DiffOutcome::Skipped(why)) => eprintln!("skipping: {why}"),
@@ -70,24 +42,10 @@ fn transitively_forwarded_writeback_is_traced() {
     // `wrap` only forwards its scalar parameter to `scale_acc`; the
     // write must be traced through the forwarding so `wrap`'s parameter
     // is a pointer too.
-    let wrap = ProcBuilder::new("wrap")
-        .scalar_arg("v", DataType::F32)
-        .with_body(|b| {
-            b.call("scale_acc", vec![var("v"), fb(2.0)]);
-        })
-        .build();
-    let caller = ProcBuilder::new("uses_wrap")
-        .tensor_arg("x", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.alloc("t", DataType::F32, vec![], Mem::Dram);
-            b.assign("t", vec![], read("x", vec![ib(1)]));
-            b.call("wrap", vec![var("t")]);
-            b.assign("x", vec![ib(0)], var("t"));
-        })
-        .build();
     let mut registry = ProcRegistry::new();
-    registry.register(scale_acc());
-    registry.register(wrap);
+    registry.register(fixtures::scale_acc());
+    registry.register(fixtures::wrap());
+    let caller = fixtures::wrap_caller();
     let unit = emit_c(&caller, &registry, &CodegenOptions::portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("static void wrap(float *v)"), "{c}");
@@ -105,15 +63,13 @@ fn rank1_tensor_to_written_scalar_parameter_still_errors() {
     // Binding a rank-1 tensor by reference to a *written* scalar
     // parameter traps in the interpreter (rank-mismatched write); the
     // emitter keeps rejecting it rather than emitting a wrong shape.
-    let caller = ProcBuilder::new("bad_rank")
-        .tensor_arg("x", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.call("scale_acc", vec![var("x"), fb(0.5)]);
-        })
-        .build();
     let mut registry = ProcRegistry::new();
-    registry.register(scale_acc());
-    match emit_c(&caller, &registry, &CodegenOptions::portable()) {
+    registry.register(fixtures::scale_acc());
+    match emit_c(
+        &fixtures::bad_rank(),
+        &registry,
+        &CodegenOptions::portable(),
+    ) {
         Err(CodegenError::Unsupported(msg)) => {
             assert!(msg.contains("by reference"), "{msg}");
         }

@@ -1,9 +1,11 @@
 //! Emitter unit tests: signatures, control flow, reserved-name
 //! rejection, float literals, configuration registers and windows.
 
+mod fixtures;
+
 use exo_codegen::{emit_c, CodegenError, CodegenOptions};
 use exo_interp::ProcRegistry;
-use exo_ir::{fb, ib, read, var, DataType, Expr, Mem, ProcBuilder, Sym, WAccess};
+use exo_ir::{ib, DataType, Mem, ProcBuilder};
 
 fn portable() -> CodegenOptions {
     CodegenOptions::portable()
@@ -11,20 +13,7 @@ fn portable() -> CodegenOptions {
 
 #[test]
 fn gemv_emits_strided_accesses_with_hoisted_strides() {
-    let p = ProcBuilder::new("gemv")
-        .size_arg("M")
-        .size_arg("N")
-        .tensor_arg("A", DataType::F32, vec![var("M"), var("N")], Mem::Dram)
-        .tensor_arg("x", DataType::F32, vec![var("N")], Mem::Dram)
-        .tensor_arg("y", DataType::F32, vec![var("M")], Mem::Dram)
-        .assert_(Expr::eq_(Expr::modulo(var("M"), ib(8)), ib(0)))
-        .for_("i", ib(0), var("M"), |b| {
-            b.for_("j", ib(0), var("N"), |b| {
-                let rhs = read("A", vec![var("i"), var("j")]) * read("x", vec![var("j")]);
-                b.reduce("y", vec![var("i")], rhs);
-            });
-        })
-        .build();
+    let p = fixtures::gemv();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(
@@ -70,15 +59,7 @@ fn reserved_proc_and_argument_names_are_rejected() {
 fn shadowed_iterators_get_distinct_c_names() {
     // Two sibling loops over `i`: lowering gives each its own slot, so
     // the emitted C declares two distinct identifiers.
-    let mut builder =
-        ProcBuilder::new("twice").tensor_arg("x", DataType::F32, vec![ib(8)], Mem::Dram);
-    builder = builder.for_("i", ib(0), ib(8), |b| {
-        b.assign("x", vec![var("i")], fb(1.0));
-    });
-    builder = builder.for_("i", ib(0), ib(8), |b| {
-        b.assign("x", vec![var("i")], fb(2.0));
-    });
-    let p = builder.build();
+    let p = fixtures::twice();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("for (int64_t i = 0; i < 8; i++)"), "{c}");
@@ -91,15 +72,7 @@ fn shadowed_iterators_get_distinct_c_names() {
 
 #[test]
 fn float_literals_are_legal_c() {
-    let p = ProcBuilder::new("lits")
-        .tensor_arg("x", DataType::F64, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.assign("x", vec![ib(0)], fb(1.0));
-            b.assign("x", vec![ib(1)], fb(f64::INFINITY));
-            b.assign("x", vec![ib(2)], fb(f64::NEG_INFINITY));
-            b.assign("x", vec![ib(3)], fb(1.0 / 3.0));
-        })
-        .build();
+    let p = fixtures::lits();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("x[0] = 1.0;"), "{c}");
@@ -111,13 +84,7 @@ fn float_literals_are_legal_c() {
 
 #[test]
 fn euclidean_index_division_uses_the_helper() {
-    let p = ProcBuilder::new("divmod")
-        .size_arg("n")
-        .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
-        .for_("i", ib(0), var("n") / ib(4), |b| {
-            b.assign("x", vec![var("i") % var("n")], fb(0.0));
-        })
-        .build();
+    let p = fixtures::divmod();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("exo_div_euclid(n, 4)"), "{c}");
@@ -127,24 +94,7 @@ fn euclidean_index_division_uses_the_helper() {
 
 #[test]
 fn branches_and_else_bodies_emit_structured_ifs() {
-    let p = ProcBuilder::new("branchy")
-        .size_arg("n")
-        .tensor_arg("x", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.if_else(
-                Expr::lt(var("n"), ib(4)),
-                |t| {
-                    t.assign("x", vec![ib(0)], fb(1.0));
-                },
-                |e| {
-                    e.assign("x", vec![ib(0)], fb(2.0));
-                },
-            );
-            b.if_(Expr::eq_(var("n"), ib(8)), |t| {
-                t.assign("x", vec![ib(1)], fb(3.0));
-            });
-        })
-        .build();
+    let p = fixtures::branchy();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("if (n < 4) {"), "{c}");
@@ -154,20 +104,7 @@ fn branches_and_else_bodies_emit_structured_ifs() {
 
 #[test]
 fn config_registers_become_static_globals() {
-    let p = ProcBuilder::new("cfguser")
-        .tensor_arg("x", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.write_config("gemm_cfg", "ld1_stride", ib(16));
-            b.assign(
-                "x",
-                vec![ib(0)],
-                Expr::ReadConfig {
-                    config: Sym::new("gemm_cfg"),
-                    field: "ld1_stride".into(),
-                },
-            );
-        })
-        .build();
+    let p = fixtures::cfguser();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(
@@ -180,38 +117,14 @@ fn config_registers_become_static_globals() {
 
 #[test]
 fn calls_with_windows_emit_compound_literals() {
-    let callee = ProcBuilder::new("vec_copy8")
-        .window_arg("dst", DataType::F32, vec![ib(8)], Mem::VecAvx2)
-        .window_arg("src", DataType::F32, vec![ib(8)], Mem::Dram)
-        .with_body(|b| {
-            b.for_("l", ib(0), ib(8), |b| {
-                b.assign("dst", vec![var("l")], b.read("src", vec![var("l")]));
-            });
-        })
-        .build();
-    let caller = ProcBuilder::new("caller")
-        .size_arg("n")
-        .tensor_arg("x", DataType::F32, vec![var("n"), var("n")], Mem::Dram)
-        .for_("i", ib(0), var("n"), |b| {
-            b.alloc("t", DataType::F32, vec![ib(8)], Mem::VecAvx2);
-            b.call(
-                "vec_copy8",
-                vec![
-                    Expr::Window {
-                        buf: Sym::new("t"),
-                        idx: vec![WAccess::Interval(ib(0), ib(8))],
-                    },
-                    Expr::Window {
-                        buf: Sym::new("x"),
-                        idx: vec![WAccess::Point(var("i")), WAccess::Interval(ib(0), ib(8))],
-                    },
-                ],
-            );
-        })
-        .build();
     let mut registry = ProcRegistry::new();
-    registry.register(callee);
-    let unit = emit_c(&caller, &registry, &CodegenOptions::portable()).unwrap();
+    registry.register(fixtures::vec_copy8());
+    let unit = emit_c(
+        &fixtures::window_caller(),
+        &registry,
+        &CodegenOptions::portable(),
+    )
+    .unwrap();
     let c = &unit.code;
     assert!(
         c.contains("struct exo_win_1f32 { float *data; int64_t strides[1]; };"),
@@ -239,15 +152,7 @@ fn multi_dim_allocations_are_declared_flat() {
     // Accesses linearize through row-major strides, so the declaration
     // must be a flat array — `float t[4][3]` would not type-check
     // against `t[i * 3 + j]`.
-    let p = ProcBuilder::new("alloc2d")
-        .size_arg("n")
-        .tensor_arg("out", DataType::F32, vec![var("n")], Mem::Dram)
-        .for_("i", ib(0), var("n"), |b| {
-            b.alloc("t", DataType::F32, vec![ib(4), ib(3)], Mem::Dram);
-            b.assign("t", vec![ib(1), ib(2)], fb(5.0));
-            b.assign("out", vec![var("i")], b.read("t", vec![ib(1), ib(2)]));
-        })
-        .build();
+    let p = fixtures::alloc2d();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("float t[4 * 3];"), "{c}");
@@ -261,14 +166,7 @@ fn multi_dim_allocations_are_declared_flat() {
 
 #[test]
 fn nested_negation_does_not_emit_predecrement() {
-    let p = ProcBuilder::new("negneg")
-        .size_arg("n")
-        .tensor_arg("out", DataType::F32, vec![ib(1)], Mem::Dram)
-        .with_body(|b| {
-            b.assign("out", vec![ib(0)], -(-var("n")));
-            b.assign("out", vec![ib(0)], -(-fb(5.0)));
-        })
-        .build();
+    let p = fixtures::negneg();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("out[0] = -(-n);"), "{c}");
@@ -281,16 +179,7 @@ fn impure_loop_bounds_are_hoisted_like_the_executor() {
     // The executor evaluates a loop's upper bound once at entry; a bound
     // reading a buffer element must not be re-evaluated per iteration
     // (the body may write it).
-    let p = ProcBuilder::new("impure_bound")
-        .tensor_arg("lim", DataType::F32, vec![ib(1)], Mem::Dram)
-        .tensor_arg("out", DataType::F32, vec![ib(64)], Mem::Dram)
-        .for_("i", ib(0), read("lim", vec![ib(0)]) + ib(0), |b| {
-            // Shrink the bound mid-loop: iteration count must still be
-            // the value read at entry.
-            b.assign("lim", vec![ib(0)], fb(1.0));
-            b.assign("out", vec![var("i")], fb(1.0));
-        })
-        .build();
+    let p = fixtures::impure_bound();
     let unit = emit_c(&p, &ProcRegistry::new(), &portable()).unwrap();
     let c = &unit.code;
     assert!(c.contains("const int64_t exo_hi_"), "{c}");
@@ -321,28 +210,12 @@ fn re_registering_an_instruction_changes_the_emitted_unit() {
     // A callee's C comes from the registry's memoized lowering, which
     // lives in the registry entry: re-registering the name must replace
     // it along with the definition.
-    let instr = |rhs: f64| {
-        ProcBuilder::new("fill4")
-            .tensor_arg("dst", DataType::F32, vec![ib(4)], Mem::Dram)
-            .for_("i", ib(0), ib(4), |b| {
-                b.assign("dst", vec![var("i")], fb(rhs));
-            })
-            .build()
-            .with_instr(exo_ir::InstrInfo {
-                cost_class: "test".into(),
-            })
-    };
-    let p = ProcBuilder::new("kernel")
-        .tensor_arg("y", DataType::F32, vec![ib(4)], Mem::Dram)
-        .with_body(|b| {
-            b.call("fill4", vec![var("y")]);
-        })
-        .build();
+    let p = fixtures::fill4_kernel();
     let mut registry = ProcRegistry::new();
-    registry.register(instr(1.0));
+    registry.register(fixtures::fill4(1.0));
     let first = emit_c(&p, &registry, &portable()).unwrap().code;
     assert_eq!(emit_c(&p, &registry, &portable()).unwrap().code, first);
-    registry.register(instr(2.0));
+    registry.register(fixtures::fill4(2.0));
     let second = emit_c(&p, &registry, &portable()).unwrap().code;
     assert_ne!(first, second);
     assert!(

@@ -5,73 +5,19 @@
 //! and write the wrong elements — while unit-stride callsites keep the
 //! real intrinsic.
 
+mod fixtures;
+
 use exo_codegen::difftest::{run_differential_with, DiffOutcome};
 use exo_codegen::{emit_c, CodegenOptions};
-use exo_interp::ProcRegistry;
-use exo_ir::{ib, var, DataType, Expr, Mem, Proc, ProcBuilder, WAccess};
-use exo_machine::MachineModel;
-
-fn registry() -> ProcRegistry {
-    MachineModel::avx2()
-        .instructions(DataType::F32)
-        .into_iter()
-        .collect()
-}
-
-/// Copies columns of `A` into `C` through 8-lane vector loads/stores on
-/// **column** windows: `A[8*io : 8*io+8, j]` has stride 16 in its kept
-/// dimension, violating the intrinsic ABI's unit-stride contract.
-fn column_copy() -> Proc {
-    let col = |buf: &str| Expr::Window {
-        buf: buf.into(),
-        idx: vec![
-            WAccess::Interval(ib(8) * var("io"), ib(8) * var("io") + ib(8)),
-            WAccess::Point(var("j")),
-        ],
-    };
-    ProcBuilder::new("column_copy")
-        .tensor_arg("C", DataType::F32, vec![ib(16), ib(16)], Mem::Dram)
-        .tensor_arg("A", DataType::F32, vec![ib(16), ib(16)], Mem::Dram)
-        .with_body(|b| {
-            b.for_("j", ib(0), ib(16), |b| {
-                b.for_("io", ib(0), ib(2), |b| {
-                    b.alloc("va", DataType::F32, vec![ib(8)], Mem::VecAvx2);
-                    b.call("mm256_loadu_ps", vec![var("va"), col("A")]);
-                    b.call("mm256_storeu_ps", vec![col("C"), var("va")]);
-                });
-            });
-        })
-        .build()
-}
-
-/// The same copy over **row** windows `A[j, 8*io : 8*io+8]` — unit
-/// stride in the last dimension, so the intrinsics are legal.
-fn row_copy() -> Proc {
-    let row = |buf: &str| Expr::Window {
-        buf: buf.into(),
-        idx: vec![
-            WAccess::Point(var("j")),
-            WAccess::Interval(ib(8) * var("io"), ib(8) * var("io") + ib(8)),
-        ],
-    };
-    ProcBuilder::new("row_copy")
-        .tensor_arg("C", DataType::F32, vec![ib(16), ib(16)], Mem::Dram)
-        .tensor_arg("A", DataType::F32, vec![ib(16), ib(16)], Mem::Dram)
-        .with_body(|b| {
-            b.for_("j", ib(0), ib(16), |b| {
-                b.for_("io", ib(0), ib(2), |b| {
-                    b.alloc("va", DataType::F32, vec![ib(8)], Mem::VecAvx2);
-                    b.call("mm256_loadu_ps", vec![var("va"), row("A")]);
-                    b.call("mm256_storeu_ps", vec![row("C"), var("va")]);
-                });
-            });
-        })
-        .build()
-}
 
 #[test]
 fn strided_callsites_demote_intrinsics_to_scalar_bodies() {
-    let unit = emit_c(&column_copy(), &registry(), &CodegenOptions::native()).unwrap();
+    let unit = emit_c(
+        &fixtures::column_copy(),
+        &fixtures::avx2_registry(),
+        &CodegenOptions::native(),
+    )
+    .unwrap();
     let c = &unit.code;
     // Both vector ops see a strided window somewhere in the unit, so
     // both are emitted as their portable scalar bodies...
@@ -84,7 +30,12 @@ fn strided_callsites_demote_intrinsics_to_scalar_bodies() {
 
 #[test]
 fn unit_stride_callsites_keep_the_intrinsics() {
-    let unit = emit_c(&row_copy(), &registry(), &CodegenOptions::native()).unwrap();
+    let unit = emit_c(
+        &fixtures::row_copy(),
+        &fixtures::avx2_registry(),
+        &CodegenOptions::native(),
+    )
+    .unwrap();
     let c = &unit.code;
     assert!(c.contains("_mm256_loadu_ps("), "{c}");
     assert!(c.contains("_mm256_storeu_ps("), "{c}");
@@ -97,8 +48,8 @@ fn strided_vector_calls_agree_with_interpreter_in_intrinsic_mode() {
     // differential harness can compile it anywhere; before the verdict
     // existed, intrinsic-mode emission of this kernel produced silently
     // wrong column accesses.
-    let proc = column_copy();
-    let registry = registry();
+    let proc = fixtures::column_copy();
+    let registry = fixtures::avx2_registry();
     match run_differential_with(&proc, &registry, 21, &CodegenOptions::native()) {
         Ok(DiffOutcome::Agreed { elems, .. }) => assert!(elems > 0),
         Ok(DiffOutcome::Skipped(why)) => eprintln!("skipping: {why}"),
