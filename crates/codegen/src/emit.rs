@@ -9,12 +9,30 @@
 //! the `AccessPlan`-style precomputed strides the slot executor uses.
 //! A lowered `Loop` or `If` owns its bodies, so each one emits as one
 //! `for` or `if` around its emitted bodies.
+//!
+//! Everything is written once, in order, into one buffer per unit
+//! through `fmt::Write`: an expression writes itself given its parent's
+//! precedence, so parentheses are decided while writing. A function is
+//! written signature first; the stride constants of its dense arguments
+//! are recorded as the body writes them and inserted in front of the
+//! finished body. The unit's includes, window structs and helpers are
+//! written in front of the functions at the end.
+//!
+//! A callee without calls of its own (every instruction procedure) is
+//! rendered once per registration: its text and the unit-level facts the
+//! text implies (includes, compiler flags, window structs, helpers) are
+//! kept in the registry entry's backend memo
+//! ([`ProcRegistry::backend_memo`]), keyed by the emission mode and by
+//! the intrinsic-or-scalar-fallback verdict, and later units replay them.
 
-use crate::mangle::{is_c_identifier, is_c_reserved, sanitize};
+use crate::mangle::{is_c_identifier, is_c_reserved, sanitized};
 use crate::{CUnit, CodegenError, CodegenOptions, Result};
 use exo_interp::{LBufRef, LCallArg, LExpr, LInst, LWSpec, LWindow, LoweredProc, ProcRegistry};
 use exo_ir::{format_float, ArgKind, BinOp, DataType, Expr, Proc, Sym, UnOp};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::sync::OnceLock;
 
 /// C scalar type for a data type.
 pub(crate) fn c_type(ty: DataType) -> &'static str {
@@ -39,32 +57,10 @@ enum CClass {
     Bool,
 }
 
-/// A rendered C expression with enough precedence information to insert
-/// minimal parentheses.
-struct CExpr {
-    s: String,
-    prec: u8,
-    class: CClass,
-}
-
-impl CExpr {
-    fn atom(s: impl Into<String>, class: CClass) -> CExpr {
-        CExpr {
-            s: s.into(),
-            prec: 100,
-            class,
-        }
-    }
-
-    /// Renders for use as an operand of an operator with precedence `p`.
-    fn at(&self, p: u8) -> String {
-        if self.prec < p {
-            format!("({})", self.s)
-        } else {
-            self.s.clone()
-        }
-    }
-}
+/// Precedence of an atom: never parenthesized.
+const ATOM: u8 = 100;
+/// Precedence of a prefix operator (`-x`, `!x`, `*p`).
+const PREFIX: u8 = 90;
 
 fn c_binop(op: BinOp) -> (&'static str, u8) {
     match op {
@@ -95,9 +91,30 @@ fn c_op_symbol(op: BinOp) -> &'static str {
     }
 }
 
+fn class_of_type(ty: DataType) -> CClass {
+    if ty.is_float() {
+        CClass::Float
+    } else if ty == DataType::Bool {
+        CClass::Bool
+    } else {
+        CClass::Int
+    }
+}
+
+/// A statically renderable extent, written where a debug-bounds check
+/// uses it.
+#[derive(Clone, Copy, Debug)]
+enum Extent<'a> {
+    /// A declared dimension of a dense argument (over size parameters).
+    Arg(&'a Expr),
+    /// A lowered expression: an allocation's dimension or a window
+    /// interval's pure extent.
+    Local(&'a LExpr),
+}
+
 /// How a frame slot is represented in C.
 #[derive(Clone, Debug)]
-enum SlotRepr {
+enum SlotRepr<'a> {
     /// A `size` parameter (`int64_t`).
     Size,
     /// A by-value scalar parameter.
@@ -112,31 +129,34 @@ enum SlotRepr {
     /// A rank-0 tensor parameter: a plain pointer.
     Ptr0(DataType),
     /// A dense tensor parameter: pointer + strides derived from the
-    /// declared dimension expressions.
+    /// declared dimension expressions. Its stride constants' used flags
+    /// start at `FnEmitter::strides_used[flags]`, one per dimension but
+    /// the last.
     DenseArg {
         elem: DataType,
-        /// Per-dimension extents as C expressions.
-        dims: Vec<String>,
+        dims: &'a [Expr],
+        flags: usize,
     },
     /// A window parameter: `struct exo_win_{rank}{tag}`.
     WinParam { elem: DataType, rank: usize },
     /// A rank-0 local allocation: a scalar variable.
     Alloc0(DataType),
     /// A rank-`n` local allocation: a (possibly variable-length) array.
-    AllocN { elem: DataType, dims: Vec<String> },
+    AllocN { elem: DataType, dims: &'a [LExpr] },
     /// A window alias bound by a `WindowStmt`: a local window struct.
     Alias {
         elem: DataType,
         rank: usize,
-        /// Per-kept-dimension extents as C expressions, populated only
-        /// under [`CodegenOptions::debug_bounds`]; `None` for dimensions
-        /// whose extent is not statically renderable (e.g. inherited
-        /// from a window parameter, whose ABI carries strides only).
-        extents: Vec<Option<String>>,
+        /// Per-kept-dimension extents, populated only under
+        /// [`CodegenOptions::debug_bounds`] for a checked alias; a
+        /// missing or `None` entry is a dimension whose extent is not
+        /// statically renderable (e.g. inherited from a window
+        /// parameter, whose ABI carries strides only).
+        extents: Vec<Option<Extent<'a>>>,
     },
 }
 
-impl SlotRepr {
+impl SlotRepr<'_> {
     fn elem(&self) -> Option<DataType> {
         match self {
             SlotRepr::Ptr0(t) | SlotRepr::Alloc0(t) | SlotRepr::ScalarRef(t) => Some(*t),
@@ -151,7 +171,8 @@ impl SlotRepr {
     fn rank(&self) -> Option<usize> {
         match self {
             SlotRepr::Ptr0(_) | SlotRepr::Alloc0(_) | SlotRepr::ScalarRef(_) => Some(0),
-            SlotRepr::DenseArg { dims, .. } | SlotRepr::AllocN { dims, .. } => Some(dims.len()),
+            SlotRepr::DenseArg { dims, .. } => Some(dims.len()),
+            SlotRepr::AllocN { dims, .. } => Some(dims.len()),
             SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } => Some(*rank),
             _ => None,
         }
@@ -162,28 +183,16 @@ impl SlotRepr {
     }
 }
 
-/// Shared translation-unit state: includes, window structs, helper and
-/// config-register usage, accumulated function definitions.
-pub(crate) struct UnitEmitter<'a> {
-    registry: &'a ProcRegistry,
-    opts: &'a CodegenOptions,
-    funcs: Vec<String>,
-    emitted: BTreeSet<String>,
-    emitting: Vec<String>,
+/// What a unit needs in front of its functions. A function's share is
+/// kept with its memoized text, so a replay needs what a render needs.
+#[derive(Clone, Debug, Default)]
+struct Facts {
+    includes: BTreeSet<String>,
+    cflags: BTreeSet<String>,
     /// (rank, tag) → C element type, for the window struct definitions.
     win_structs: BTreeMap<(usize, &'static str), &'static str>,
     /// (config, field) pairs backed by `static double` globals.
     configs: BTreeSet<(String, String)>,
-    /// Per-procedure cache of the written-scalar-parameter analysis.
-    written_cache: BTreeMap<String, BTreeSet<Sym>>,
-    /// Instruction procedures with at least one callsite in this unit
-    /// passing a window that is not provably unit-stride in its last
-    /// dimension. Their intrinsic bodies (which index `.data` assuming
-    /// unit stride) would be silently wrong, so they are demoted to their
-    /// portable scalar bodies even in intrinsic mode.
-    scalar_fallback_instrs: BTreeSet<String>,
-    includes: BTreeSet<String>,
-    cflags: BTreeSet<String>,
     need_div: bool,
     need_mod: bool,
     need_fmod: bool,
@@ -193,93 +202,189 @@ pub(crate) struct UnitEmitter<'a> {
     need_bound: bool,
 }
 
+impl Facts {
+    fn include(&mut self, inc: &str) {
+        if !self.includes.contains(inc) {
+            self.includes.insert(inc.to_string());
+        }
+    }
+
+    fn cflag(&mut self, flag: &str) {
+        if !self.cflags.contains(flag) {
+            self.cflags.insert(flag.to_string());
+        }
+    }
+
+    fn config(&mut self, config: &str, field: &str) {
+        if !self.configs.iter().any(|(c, f)| c == config && f == field) {
+            self.configs.insert((config.to_string(), field.to_string()));
+        }
+    }
+
+    fn merge(&mut self, other: &Facts) {
+        for inc in &other.includes {
+            self.include(inc);
+        }
+        for flag in &other.cflags {
+            self.cflag(flag);
+        }
+        for (key, celem) in &other.win_structs {
+            self.win_structs.insert(*key, *celem);
+        }
+        for (config, field) in &other.configs {
+            self.config(config, field);
+        }
+        self.need_div |= other.need_div;
+        self.need_mod |= other.need_mod;
+        self.need_fmod |= other.need_fmod;
+        self.need_math |= other.need_math;
+        self.need_string |= other.need_string;
+        self.need_bool |= other.need_bool;
+        self.need_bound |= other.need_bound;
+    }
+}
+
+/// One rendered function and the unit-level facts its text implies.
+#[derive(Debug)]
+struct FnText {
+    text: String,
+    facts: Facts,
+}
+
+/// The emitter's memo in a registry entry: the entry's function text per
+/// emission mode (intrinsics, debug bounds, OpenMP) and fallback verdict.
+#[derive(Debug)]
+struct FnTexts([OnceLock<FnText>; 16]);
+
+impl Default for FnTexts {
+    fn default() -> Self {
+        FnTexts(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+fn memo_key(opts: &CodegenOptions, fallback: bool) -> usize {
+    usize::from(opts.intrinsics)
+        | usize::from(opts.debug_bounds) << 1
+        | usize::from(opts.openmp) << 2
+        | usize::from(fallback) << 3
+}
+
+/// Calls `f` on every instruction of `block`, pre-order.
+fn for_each_inst<'i>(block: &'i [LInst], f: &mut impl FnMut(&'i LInst)) {
+    for inst in block {
+        f(inst);
+        match inst {
+            LInst::Loop { body, .. } => for_each_inst(body, f),
+            LInst::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                for_each_inst(then_body, f);
+                for_each_inst(else_body, f);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Shared translation-unit state: the function definitions written so
+/// far and what the unit needs in front of them.
+pub(crate) struct UnitEmitter<'a> {
+    registry: &'a ProcRegistry,
+    opts: &'a CodegenOptions,
+    /// The function definitions, callees first, separated by blank lines.
+    out: String,
+    /// Where the stride constants wait to be moved in front of a body.
+    scratch: String,
+    emitted: Vec<&'a str>,
+    emitting: Vec<&'a str>,
+    facts: Facts,
+    /// Per-procedure cache of the written-scalar-parameter analysis.
+    written_cache: Vec<(&'a str, BTreeSet<Sym>)>,
+    /// Instruction procedures with at least one callsite in this unit
+    /// passing a window that is not provably unit-stride in its last
+    /// dimension. Their intrinsic bodies (which index `.data` assuming
+    /// unit stride) would be silently wrong, so they are demoted to their
+    /// portable scalar bodies even in intrinsic mode.
+    scalar_fallback_instrs: Vec<&'a str>,
+}
+
 impl<'a> UnitEmitter<'a> {
     pub(crate) fn new(registry: &'a ProcRegistry, opts: &'a CodegenOptions) -> Self {
         UnitEmitter {
             registry,
             opts,
-            funcs: Vec::new(),
-            emitted: BTreeSet::new(),
+            out: String::with_capacity(4096),
+            scratch: String::new(),
+            emitted: Vec::new(),
             emitting: Vec::new(),
-            win_structs: BTreeMap::new(),
-            configs: BTreeSet::new(),
-            written_cache: BTreeMap::new(),
-            scalar_fallback_instrs: BTreeSet::new(),
-            includes: BTreeSet::new(),
-            cflags: BTreeSet::new(),
-            need_div: false,
-            need_mod: false,
-            need_fmod: false,
-            need_math: false,
-            need_string: false,
-            need_bool: false,
-            need_bound: false,
+            facts: Facts::default(),
+            written_cache: Vec::new(),
+            scalar_fallback_instrs: Vec::new(),
         }
     }
 
-    /// The set of **scalar** parameters of `proc` that its body writes —
-    /// directly (an assign/reduce targeting the parameter) or
-    /// transitively (forwarding the parameter to a nested call whose
-    /// matching scalar parameter is itself written). A written scalar
-    /// parameter lowers to a pointer ([`SlotRepr::ScalarRef`]), which is
-    /// what makes the interpreter's by-reference rank-0 write-back idiom
-    /// emit valid C. Cached per procedure name.
-    fn written_scalar_params(&mut self, proc: &Proc) -> BTreeSet<Sym> {
-        if let Some(hit) = self.written_cache.get(proc.name()) {
-            return hit.clone();
+    /// Whether `proc` writes its scalar parameter `param` — directly (an
+    /// assign/reduce targeting the parameter) or transitively (forwarding
+    /// the parameter to a nested call whose matching scalar parameter is
+    /// itself written). A written scalar parameter lowers to a pointer
+    /// ([`SlotRepr::ScalarRef`]), which is what makes the interpreter's
+    /// by-reference rank-0 write-back idiom emit valid C. The analysis is
+    /// cached per procedure.
+    fn writes_scalar(&mut self, proc: &'a Proc, param: &Sym) -> bool {
+        let i = self.written_scalar_params(proc);
+        self.written_cache[i].1.contains(param)
+    }
+
+    /// The written scalar parameters of `proc`, as an index into the
+    /// cache.
+    fn written_scalar_params(&mut self, proc: &'a Proc) -> usize {
+        if let Some(i) = self
+            .written_cache
+            .iter()
+            .position(|(n, _)| *n == proc.name())
+        {
+            return i;
         }
         // Seed with the empty set so recursive call cycles terminate
         // (cycles are rejected with `Unsupported` during emission).
-        self.written_cache
-            .insert(proc.name().to_string(), BTreeSet::new());
-        let scalar_params: BTreeSet<Sym> = proc
-            .args()
-            .iter()
-            .filter(|a| matches!(a.kind, ArgKind::Scalar { .. }))
-            .map(|a| a.name.clone())
-            .collect();
+        let at = self.written_cache.len();
+        self.written_cache.push((proc.name(), BTreeSet::new()));
+        let is_scalar_param = |v: &Sym| {
+            proc.args()
+                .iter()
+                .any(|a| a.name == *v && matches!(a.kind, ArgKind::Scalar { .. }))
+        };
+        let registry = self.registry;
         let mut written = BTreeSet::new();
-        let mut calls: Vec<(String, Vec<Expr>)> = Vec::new();
         for stmt in proc.body().iter() {
             exo_ir::for_each_stmt(stmt, &mut |s| match s {
                 exo_ir::Stmt::Assign { buf, .. } | exo_ir::Stmt::Reduce { buf, .. }
-                    if scalar_params.contains(buf) =>
+                    if is_scalar_param(buf) =>
                 {
                     written.insert(buf.clone());
                 }
-                exo_ir::Stmt::Call { proc, args } => {
-                    calls.push((proc.clone(), args.clone()));
+                exo_ir::Stmt::Call { proc: callee, args } => {
+                    // An unknown callee errors out of emission before the
+                    // analysis result matters; skip it here.
+                    let Some(callee_proc) = registry.get(callee) else {
+                        return;
+                    };
+                    let c = self.written_scalar_params(callee_proc);
+                    for (p, a) in callee_proc.args().iter().zip(args.iter()) {
+                        if let Expr::Var(v) = a {
+                            if is_scalar_param(v) && self.written_cache[c].1.contains(&p.name) {
+                                written.insert(v.clone());
+                            }
+                        }
+                    }
                 }
                 _ => {}
             });
         }
-        for (callee, args) in calls {
-            // An unknown callee errors out of emission before the
-            // analysis result matters; skip it here.
-            let Some(callee_proc) = self.registry.get(&callee).cloned() else {
-                continue;
-            };
-            let callee_written = self.written_scalar_params(&callee_proc);
-            for (p, a) in callee_proc.args().iter().zip(args.iter()) {
-                if !callee_written.contains(&p.name) {
-                    continue;
-                }
-                if let Expr::Var(v) = a {
-                    if scalar_params.contains(v) {
-                        written.insert(v.clone());
-                    }
-                }
-            }
-        }
-        self.written_cache
-            .insert(proc.name().to_string(), written.clone());
-        written
-    }
-
-    fn win_struct(&mut self, rank: usize, elem: DataType) -> String {
-        let tag = exo_machine::c_type_tag(elem);
-        self.win_structs.insert((rank, tag), c_type(elem));
-        format!("exo_win_{rank}{tag}")
+        self.written_cache[at].1 = written;
+        at
     }
 
     /// Walks the call graph reachable from `proc`, recording every
@@ -290,13 +395,14 @@ impl<'a> UnitEmitter<'a> {
     /// emitting silently wrong vector code.
     fn scalar_fallback_scan(
         &mut self,
-        proc: &Proc,
-        lowered: &LoweredProc,
-        seen: &mut BTreeSet<String>,
+        proc: &'a Proc,
+        lowered: &'a LoweredProc,
+        seen: &mut Vec<&'a str>,
     ) {
-        if !seen.insert(proc.name().to_string()) {
+        if seen.contains(&proc.name()) {
             return;
         }
+        seen.push(proc.name());
         let registry = self.registry;
         let mut facts: Vec<Option<StrideFact>> = vec![None; lowered.slot_names().len()];
         for (arg, larg) in proc.args().iter().zip(lowered.args()) {
@@ -310,7 +416,7 @@ impl<'a> UnitEmitter<'a> {
             }
         }
         let mut callees = Vec::new();
-        for inst in lowered.insts() {
+        for_each_inst(lowered.code(), &mut |inst| {
             match inst {
                 LInst::Alloc { slot, dims, .. } => {
                     facts[*slot as usize] = Some(StrideFact {
@@ -325,34 +431,38 @@ impl<'a> UnitEmitter<'a> {
                     // Unknown callees error out of emission before any
                     // verdict matters.
                     let Some((callee_proc, callee_lowered)) = registry.lowered_for(callee) else {
-                        continue;
+                        return;
                     };
-                    if callee_proc.is_instr() && !args_unit_stride(&facts, callee_proc, args) {
-                        self.scalar_fallback_instrs.insert(callee.to_string());
+                    if callee_proc.is_instr()
+                        && !args_unit_stride(&facts, callee_proc, args)
+                        && !self.scalar_fallback_instrs.contains(&callee_proc.name())
+                    {
+                        self.scalar_fallback_instrs.push(callee_proc.name());
                     }
                     callees.push((callee_proc, callee_lowered));
                 }
                 _ => {}
             }
-        }
+        });
         for (p, l) in callees {
             self.scalar_fallback_scan(p, l, seen);
         }
     }
 
     /// Emits `proc`, given its lowering, callees first; definitions
-    /// accumulate in the unit. A callee's lowering is the registry's memo.
+    /// accumulate in the unit. A callee's lowering is the registry's memo,
+    /// and so is the text of a callee without calls of its own.
     pub(crate) fn add_proc(
         &mut self,
-        proc: &Proc,
-        lowered: &LoweredProc,
+        proc: &'a Proc,
+        lowered: &'a LoweredProc,
         is_root: bool,
     ) -> Result<()> {
         if is_root && self.opts.intrinsics {
-            let mut seen = BTreeSet::new();
+            let mut seen = Vec::new();
             self.scalar_fallback_scan(proc, lowered, &mut seen);
         }
-        let name = proc.name().to_string();
+        let name = proc.name();
         if self.emitted.contains(&name) {
             return Ok(());
         }
@@ -361,9 +471,9 @@ impl<'a> UnitEmitter<'a> {
                 "recursive call cycle through `{name}`"
             )));
         }
-        if !is_c_identifier(&name) || is_c_reserved(&name) {
+        if !is_c_identifier(name) || is_c_reserved(name) {
             return Err(CodegenError::ReservedName {
-                name,
+                name: name.to_string(),
                 what: "procedure",
             });
         }
@@ -371,90 +481,137 @@ impl<'a> UnitEmitter<'a> {
             let a = arg.name.name();
             if !is_c_identifier(a) || is_c_reserved(a) {
                 return Err(CodegenError::ReservedName {
-                    name: format!("{a}` (argument of `{}", proc.name()),
+                    name: format!("{a}` (argument of `{name}"),
                     what: "argument",
                 });
             }
         }
-        self.emitting.push(name.clone());
+        self.emitting.push(name);
         let registry = self.registry;
         // Emit callees first, in order of first appearance.
-        for inst in lowered.insts() {
+        let mut has_calls = false;
+        let mut callees = Ok(());
+        for_each_inst(lowered.code(), &mut |inst| {
             if let LInst::Call { callee, .. } = inst {
-                let (callee_proc, callee_lowered) = registry
-                    .lowered_for(callee)
-                    .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?;
-                self.add_proc(callee_proc, callee_lowered, false)?;
+                has_calls = true;
+                if callees.is_ok() {
+                    callees = match registry.lowered_for(callee) {
+                        Some((p, l)) => self.add_proc(p, l, false),
+                        None => Err(CodegenError::UnknownCallee(callee.to_string())),
+                    };
+                }
             }
+        });
+        callees?;
+        let fallback = self.scalar_fallback_instrs.contains(&name);
+        if !self.out.is_empty() {
+            self.out.push('\n');
         }
-        // Instruction procedures may lower to a real machine intrinsic
-        // when requested; everything else gets the portable scalar body
-        // generated from its own object code. An instruction with a
-        // non-unit-stride callsite is demoted to its scalar body — the
-        // intrinsic would read/write the wrong elements.
-        let intrinsic = (proc.is_instr() && self.opts.intrinsics)
-            .then(|| exo_machine::c_intrinsic(proc.name()))
+        let memo = (!is_root && !has_calls)
+            .then(|| registry.backend_memo(name, FnTexts::default))
             .flatten();
-        let demoted = intrinsic.is_some() && self.scalar_fallback_instrs.contains(proc.name());
-        let intrinsic = intrinsic.filter(|i| i.stock_toolchain && !demoted);
-        let mut def = FnEmitter::new(self, proc, lowered)?.emit(is_root, intrinsic)?;
-        if demoted {
-            def = format!(
-                "/* `{}`: portable scalar body — a callsite passes a window that is \
-                 not unit-stride in its last dimension */\n{def}",
-                proc.name()
-            );
+        match memo.map(|m| &m.0[memo_key(self.opts, fallback)]) {
+            Some(slot) => match slot.get() {
+                Some(hit) => {
+                    self.out.push_str(&hit.text);
+                    self.facts.merge(&hit.facts);
+                }
+                None => {
+                    let start = self.out.len();
+                    let outer = std::mem::take(&mut self.facts);
+                    let rendered = self.render(proc, lowered, is_root, fallback);
+                    let facts = std::mem::replace(&mut self.facts, outer);
+                    rendered?;
+                    self.facts.merge(&facts);
+                    let text = self.out[start..].to_string();
+                    // Another unit may have filled the slot meanwhile with
+                    // the same text; either copy serves.
+                    let _ = slot.set(FnText { text, facts });
+                }
+            },
+            None => self.render(proc, lowered, is_root, fallback)?,
         }
-        self.funcs.push(def);
         self.emitting.pop();
-        self.emitted.insert(name.clone());
+        self.emitted.push(name);
         Ok(())
     }
 
+    /// Writes `proc`'s function. Instruction procedures may lower to a
+    /// real machine intrinsic when requested; everything else gets the
+    /// portable scalar body generated from its own object code. An
+    /// instruction with a non-unit-stride callsite (`fallback`) is
+    /// demoted to its scalar body — the intrinsic would read/write the
+    /// wrong elements.
+    fn render(
+        &mut self,
+        proc: &'a Proc,
+        lowered: &'a LoweredProc,
+        is_root: bool,
+        fallback: bool,
+    ) -> Result<()> {
+        let intrinsic = (proc.is_instr() && self.opts.intrinsics)
+            .then(|| exo_machine::c_intrinsic(proc.name()))
+            .flatten();
+        let demoted = intrinsic.is_some() && fallback;
+        let intrinsic = intrinsic.filter(|i| i.stock_toolchain && !demoted);
+        if demoted {
+            let _ = writeln!(
+                self.out,
+                "/* `{}`: portable scalar body — a callsite passes a window that is \
+                 not unit-stride in its last dimension */",
+                proc.name()
+            );
+        }
+        FnEmitter::new(self, proc, lowered)?.emit(is_root, intrinsic)
+    }
+
     pub(crate) fn finish(self, root: &str, mode: &str) -> CUnit {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let f = &self.facts;
+        let mut out = String::with_capacity(self.out.len() + 1024);
+        let _ = write!(
+            out,
             "/* Generated by exo-codegen — do not edit.\n * kernel: {root}\n * mode: {mode}\n */\n"
-        ));
+        );
         out.push_str("#include <stdint.h>\n");
-        if self.need_bool {
+        if f.need_bool {
             out.push_str("#include <stdbool.h>\n");
         }
-        if self.need_math {
+        if f.need_math {
             out.push_str("#include <math.h>\n");
         }
-        if self.need_bound {
+        if f.need_bound {
             out.push_str("#include <assert.h>\n");
         }
-        if self.need_string {
+        if f.need_string {
             out.push_str("#include <string.h>\n");
         }
-        for inc in &self.includes {
-            out.push_str(&format!("#include {inc}\n"));
+        for inc in &f.includes {
+            let _ = writeln!(out, "#include {inc}");
         }
         out.push('\n');
-        for ((rank, tag), celem) in &self.win_structs {
+        for ((rank, tag), celem) in &f.win_structs {
             if *rank == 0 {
                 // C99 forbids zero-length arrays; a rank-0 window is just
                 // its data pointer.
-                out.push_str(&format!("struct exo_win_0{tag} {{ {celem} *data; }};\n"));
+                let _ = writeln!(out, "struct exo_win_0{tag} {{ {celem} *data; }};");
             } else {
-                out.push_str(&format!(
-                    "struct exo_win_{rank}{tag} {{ {celem} *data; int64_t strides[{rank}]; }};\n"
-                ));
+                let _ = writeln!(
+                    out,
+                    "struct exo_win_{rank}{tag} {{ {celem} *data; int64_t strides[{rank}]; }};"
+                );
             }
         }
-        if !self.win_structs.is_empty() {
+        if !f.win_structs.is_empty() {
             out.push('\n');
         }
-        if self.need_bound {
+        if f.need_bound {
             out.push_str(
                 "static inline int64_t exo_bnd(int64_t i, int64_t n) {\n    \
                  assert(0 <= i && i < n);\n    \
                  return i;\n}\n\n",
             );
         }
-        if self.need_div {
+        if f.need_div {
             out.push_str(
                 "static inline int64_t exo_div_euclid(int64_t a, int64_t b) {\n    \
                  if (b == 0) return 0;\n    \
@@ -464,7 +621,7 @@ impl<'a> UnitEmitter<'a> {
                  return q;\n}\n\n",
             );
         }
-        if self.need_mod {
+        if f.need_mod {
             out.push_str(
                 "static inline int64_t exo_mod_euclid(int64_t a, int64_t b) {\n    \
                  if (b == 0) return 0;\n    \
@@ -473,44 +630,45 @@ impl<'a> UnitEmitter<'a> {
                  return r;\n}\n\n",
             );
         }
-        if self.need_fmod {
+        if f.need_fmod {
             out.push_str(
                 "static inline double exo_fmod_euclid(double a, double b) {\n    \
                  double r = fmod(a, b);\n    \
                  return (r < 0.0) ? r + fabs(b) : r;\n}\n\n",
             );
         }
-        for (config, field) in &self.configs {
-            out.push_str(&format!(
-                "static double exo_cfg_{}_{} = 0.0;\n",
-                sanitize(config),
-                sanitize(field)
-            ));
+        for (config, field) in &f.configs {
+            let _ = writeln!(
+                out,
+                "static double exo_cfg_{}_{} = 0.0;",
+                sanitized(config),
+                sanitized(field)
+            );
         }
-        if !self.configs.is_empty() {
+        if !f.configs.is_empty() {
             out.push('\n');
         }
-        for (i, f) in self.funcs.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            out.push_str(f);
-        }
+        out.push_str(&self.out);
         CUnit {
             name: root.to_string(),
             code: out,
-            cflags: self.cflags.into_iter().collect(),
+            cflags: self.facts.cflags.into_iter().collect(),
         }
     }
 }
 
-/// Per-function emission state.
-struct FnEmitter<'u, 'a, 'p> {
+/// Per-function emission state; the text goes straight into the unit's
+/// buffer.
+struct FnEmitter<'u, 'a> {
     unit: &'u mut UnitEmitter<'a>,
-    proc: &'p Proc,
-    lp: &'p LoweredProc,
-    names: Vec<String>,
-    repr: Vec<SlotRepr>,
+    proc: &'a Proc,
+    lp: &'a LoweredProc,
+    names: Vec<Cow<'a, str>>,
+    repr: Vec<SlotRepr<'a>>,
+    /// One flag per (dense argument, dimension but the last): whether the
+    /// body has written that stride constant. Only written constants are
+    /// declared, since an unused `const` trips `-Werror`.
+    strides_used: Vec<bool>,
     /// Source names of buffers with at least one access the static
     /// verifier could not certify in-bounds (populated only under
     /// `debug_bounds`). Fully-proven buffers skip the `exo_bnd`
@@ -524,41 +682,48 @@ struct FnEmitter<'u, 'a, 'p> {
     /// (e.g. shared reductions) keep the advisory comment — running
     /// them on threads would race at the C level.
     omp_loops: BTreeSet<String>,
-    body: String,
     indent: usize,
 }
 
-impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
+/// Whether `name` is the stride-constant name `{arg}_s{d}` of a dense
+/// rank-≥2 argument of `proc` (`d` below the argument's last dimension).
+fn is_stride_const(proc: &Proc, name: &str) -> bool {
+    proc.args().iter().any(|arg| {
+        let ArgKind::Tensor {
+            dims,
+            window: false,
+            ..
+        } = &arg.kind
+        else {
+            return false;
+        };
+        name.strip_prefix(&*sanitized(arg.name.name()))
+            .and_then(|rest| rest.strip_prefix("_s"))
+            .filter(|d| d.bytes().all(|b| b.is_ascii_digit()) && (*d == "0" || !d.starts_with('0')))
+            .and_then(|d| d.parse::<usize>().ok())
+            .is_some_and(|d| d + 1 < dims.len())
+    })
+}
+
+impl<'u, 'a> FnEmitter<'u, 'a> {
     fn new(
         unit: &'u mut UnitEmitter<'a>,
-        proc: &'p Proc,
-        lp: &'p LoweredProc,
-    ) -> Result<FnEmitter<'u, 'a, 'p>> {
+        proc: &'a Proc,
+        lp: &'a LoweredProc,
+    ) -> Result<FnEmitter<'u, 'a>> {
         // Deterministic slot names: the sanitized source name when free,
         // otherwise suffixed with the (unique) slot index. The hoisted
         // stride-constant names of dense rank-≥2 arguments (`A_s0`, ...)
-        // are reserved up front so no binding can shadow them; an
-        // *argument* that itself collides with one is an error, since
-        // argument names are ABI and cannot be silently renamed.
-        let mut used: BTreeSet<String> = BTreeSet::new();
-        let arg_slots: BTreeSet<usize> = lp.args().iter().map(|a| a.slot as usize).collect();
-        for arg in proc.args() {
-            if let ArgKind::Tensor {
-                dims,
-                window: false,
-                ..
-            } = &arg.kind
-            {
-                for d in 0..dims.len().saturating_sub(1) {
-                    used.insert(format!("{}_s{d}", sanitize(arg.name.name())));
-                }
-            }
-        }
+        // are reserved, so no binding can shadow them; an *argument* that
+        // itself collides with one is an error, since argument names are
+        // ABI and cannot be silently renamed.
+        let mut used: BTreeSet<Cow<'a, str>> = BTreeSet::new();
         let mut names = Vec::with_capacity(lp.slot_names().len());
         for (slot, src) in lp.slot_names().iter().enumerate() {
-            let base = sanitize(src);
-            let name = if used.contains(&base) {
-                if arg_slots.contains(&slot) {
+            let base = sanitized(src);
+            let taken = |n: &str| used.contains(n) || is_stride_const(proc, n);
+            let name = if taken(&base) {
+                if lp.args().iter().any(|a| a.slot as usize == slot) {
                     return Err(CodegenError::Unsupported(format!(
                         "argument `{base}` of `{}` collides with a generated \
                          stride-constant name; rename the argument",
@@ -566,10 +731,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     )));
                 }
                 let mut cand = format!("{base}_s{slot}");
-                while used.contains(&cand) {
+                while taken(&cand) {
                     cand.push('_');
                 }
-                cand
+                Cow::Owned(cand)
             } else {
                 base
             };
@@ -579,13 +744,13 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         // Parameter representations; locals are filled in by the prepass.
         // A scalar parameter the body (transitively) writes becomes a
         // pointer — the C shape of the by-reference write-back idiom.
-        let own_written = unit.written_scalar_params(proc);
         let mut repr = vec![SlotRepr::Iter; lp.slot_names().len()];
+        let mut flags = 0;
         for (arg, larg) in proc.args().iter().zip(lp.args()) {
             let slot = larg.slot as usize;
             repr[slot] = match &arg.kind {
                 ArgKind::Size => SlotRepr::Size,
-                ArgKind::Scalar { ty } if own_written.contains(&arg.name) => {
+                ArgKind::Scalar { ty } if unit.writes_scalar(proc, &arg.name) => {
                     SlotRepr::ScalarRef(*ty)
                 }
                 ArgKind::Scalar { ty } => SlotRepr::ScalarParam(*ty),
@@ -600,9 +765,12 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                             rank: dims.len(),
                         }
                     } else {
+                        let first = flags;
+                        flags += dims.len() - 1;
                         SlotRepr::DenseArg {
                             elem: *ty,
-                            dims: Vec::new(), // rendered below, after names exist
+                            dims,
+                            flags: first,
                         }
                     }
                 }
@@ -636,62 +804,94 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
             lp,
             names,
             repr,
+            strides_used: vec![false; flags],
             unproven,
             omp_loops,
-            body: String::new(),
             indent: 1,
         };
-        // Render dense-argument dimension expressions (they may only
-        // reference size parameters and constants).
-        for (arg, larg) in proc.args().iter().zip(lp.args()) {
-            let ArgKind::Tensor {
+        // Dense-argument dimension expressions may only reference size
+        // parameters and constants.
+        for arg in proc.args() {
+            if let ArgKind::Tensor {
                 dims,
                 window: false,
                 ..
             } = &arg.kind
-            else {
-                continue;
-            };
-            if dims.is_empty() {
-                continue;
-            }
-            let rendered: Vec<String> = dims
-                .iter()
-                .map(|d| this.render_dim(d).map(|c| c.s))
-                .collect::<Result<_>>()?;
-            if let SlotRepr::DenseArg {
-                dims: slot_dims, ..
-            } = &mut this.repr[larg.slot as usize]
             {
-                *slot_dims = rendered;
+                for d in dims {
+                    this.check_dim(d)?;
+                }
             }
         }
         this.prepass()?;
         Ok(this)
     }
 
-    /// Renders an argument-dimension expression (source `Expr` over size
-    /// parameters) as C.
-    fn render_dim(&self, e: &Expr) -> Result<CExpr> {
+    fn out(&mut self) -> &mut String {
+        &mut self.unit.out
+    }
+
+    fn put(&mut self, s: &str) {
+        self.unit.out.push_str(s);
+    }
+
+    /// Writes slot `slot`'s C name.
+    fn name(&mut self, slot: usize) {
+        self.unit.out.push_str(&self.names[slot]);
+    }
+
+    /// Rejects an argument-dimension expression [`Self::dim`] cannot
+    /// write.
+    fn check_dim(&self, e: &Expr) -> Result<()> {
         match e {
-            Expr::Int(v) => Ok(CExpr::atom(v.to_string(), CClass::Int)),
-            Expr::Var(s) => {
-                let slot = self.arg_slot(s)?;
-                Ok(CExpr::atom(self.names[slot].clone(), CClass::Int))
-            }
-            Expr::Bin { op, lhs, rhs } if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) => {
-                let (sym, prec) = c_binop(*op);
-                let l = self.render_dim(lhs)?;
-                let r = self.render_dim(rhs)?;
-                Ok(CExpr {
-                    s: format!("{} {sym} {}", l.at(prec), r.at(prec + 1)),
-                    prec,
-                    class: CClass::Int,
-                })
+            Expr::Int(_) => Ok(()),
+            Expr::Var(s) => self.arg_slot(s).map(drop),
+            Expr::Bin {
+                op: BinOp::Add | BinOp::Sub | BinOp::Mul,
+                lhs,
+                rhs,
+            } => {
+                self.check_dim(lhs)?;
+                self.check_dim(rhs)
             }
             other => Err(CodegenError::Unsupported(format!(
                 "argument dimension expression `{other}` (only +, -, * over sizes and constants)"
             ))),
+        }
+    }
+
+    /// Writes an argument-dimension expression (a source `Expr` over size
+    /// parameters, accepted by [`Self::check_dim`]) as an operand of
+    /// precedence `p`.
+    fn dim(&mut self, e: &Expr, p: u8) -> Result<()> {
+        match e {
+            Expr::Int(v) => {
+                let _ = write!(self.out(), "{v}");
+                Ok(())
+            }
+            Expr::Var(s) => {
+                let slot = self.arg_slot(s)?;
+                self.name(slot);
+                Ok(())
+            }
+            Expr::Bin {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul),
+                lhs,
+                rhs,
+            } => {
+                let (sym, prec) = c_binop(*op);
+                if prec < p {
+                    self.put("(");
+                }
+                self.dim(lhs, prec)?;
+                let _ = write!(self.out(), " {sym} ");
+                self.dim(rhs, prec + 1)?;
+                if prec < p {
+                    self.put(")");
+                }
+                Ok(())
+            }
+            other => self.check_dim(other),
         }
     }
 
@@ -709,42 +909,44 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
     /// aliases). The pre-order walk is source order, so every slot's
     /// binding instruction precedes its uses.
     fn prepass(&mut self) -> Result<()> {
-        for inst in self.lp.insts() {
-            match inst {
-                LInst::Alloc { slot, ty, dims, .. } => {
-                    if dims.is_empty() {
-                        self.repr[*slot as usize] = SlotRepr::Alloc0(*ty);
-                    } else {
-                        let rendered: Vec<String> = dims
-                            .iter()
-                            .map(|d| self.expr(d).map(|c| c.s))
-                            .collect::<Result<_>>()?;
-                        self.repr[*slot as usize] = SlotRepr::AllocN {
-                            elem: *ty,
-                            dims: rendered,
-                        };
-                    }
-                }
-                LInst::Loop { iter, .. } => self.repr[*iter as usize] = SlotRepr::Iter,
-                LInst::WindowBind { slot, rhs } => {
-                    let (elem, rank) = self.window_shape(rhs)?;
-                    let checked = self.unit.opts.debug_bounds
-                        && self
-                            .unproven
-                            .contains(&self.lp.slot_names()[*slot as usize]);
-                    let extents = if checked {
-                        self.window_extents(rhs)?
-                    } else {
-                        vec![None; rank]
-                    };
-                    self.repr[*slot as usize] = SlotRepr::Alias {
-                        elem,
-                        rank,
-                        extents,
-                    };
-                }
-                _ => {}
+        let mut result = Ok(());
+        let lp = self.lp;
+        for_each_inst(lp.code(), &mut |inst| {
+            if result.is_ok() {
+                result = self.prepass_inst(inst);
             }
+        });
+        result
+    }
+
+    fn prepass_inst(&mut self, inst: &'a LInst) -> Result<()> {
+        match inst {
+            LInst::Alloc { slot, ty, dims, .. } => {
+                self.repr[*slot as usize] = if dims.is_empty() {
+                    SlotRepr::Alloc0(*ty)
+                } else {
+                    SlotRepr::AllocN { elem: *ty, dims }
+                };
+            }
+            LInst::Loop { iter, .. } => self.repr[*iter as usize] = SlotRepr::Iter,
+            LInst::WindowBind { slot, rhs } => {
+                let (elem, rank) = self.window_shape(rhs)?;
+                let checked = self.unit.opts.debug_bounds
+                    && self
+                        .unproven
+                        .contains(&self.lp.slot_names()[*slot as usize]);
+                let extents = if checked {
+                    self.window_extents(rhs)?
+                } else {
+                    Vec::new()
+                };
+                self.repr[*slot as usize] = SlotRepr::Alias {
+                    elem,
+                    rank,
+                    extents,
+                };
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -806,85 +1008,160 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         }
     }
 
-    /// The data pointer of a tensor slot (array decays, structs expose
-    /// `.data`, rank-0 locals need `&`).
-    fn data_ptr(&self, slot: usize) -> Result<String> {
+    /// Writes the data pointer of a tensor slot (array decays, structs
+    /// expose `.data`, rank-0 locals need `&`).
+    fn data_ptr(&mut self, slot: usize) -> Result<()> {
         match &self.repr[slot] {
-            SlotRepr::Ptr0(_) | SlotRepr::DenseArg { .. } | SlotRepr::AllocN { .. } => {
-                Ok(self.names[slot].clone())
-            }
+            // A written scalar parameter is already a pointer.
+            SlotRepr::Ptr0(_)
+            | SlotRepr::DenseArg { .. }
+            | SlotRepr::AllocN { .. }
+            | SlotRepr::ScalarRef(_) => self.name(slot),
             SlotRepr::WinParam { .. } | SlotRepr::Alias { .. } => {
-                Ok(format!("{}.data", self.names[slot]))
+                self.name(slot);
+                self.put(".data");
             }
-            SlotRepr::Alloc0(_) => Ok(format!("&{}", self.names[slot])),
-            // Already a pointer.
-            SlotRepr::ScalarRef(_) => Ok(self.names[slot].clone()),
-            _ => Err(CodegenError::Unsupported(format!(
-                "`{}` used as a tensor",
-                self.names[slot]
-            ))),
+            SlotRepr::Alloc0(_) => {
+                self.put("&");
+                self.name(slot);
+            }
+            _ => {
+                return Err(CodegenError::Unsupported(format!(
+                    "`{}` used as a tensor",
+                    self.names[slot]
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether dimension `d`'s stride of a tensor slot writes as `1`.
+    fn stride_is_one(&self, slot: usize, d: usize) -> bool {
+        match &self.repr[slot] {
+            SlotRepr::DenseArg { dims, .. } if d + 1 < dims.len() => false,
+            SlotRepr::AllocN { dims, .. } if d + 1 < dims.len() => {
+                d + 2 == dims.len() && self.writes_as(&dims[d + 1], 1)
+            }
+            SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } if d < *rank => false,
+            _ => true,
         }
     }
 
-    /// Per-dimension stride expressions of a tensor slot.
-    fn strides(&self, slot: usize) -> Vec<String> {
-        match &self.repr[slot] {
-            SlotRepr::DenseArg { dims, .. } => dense_strides(Some(&self.names[slot]), dims),
-            SlotRepr::AllocN { dims, .. } => dense_strides(None, dims),
-            SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } => (0..*rank)
-                .map(|d| format!("{}.strides[{d}]", self.names[slot]))
-                .collect(),
-            _ => Vec::new(),
+    /// Whether `e` writes as the literal `lit`.
+    fn writes_as(&self, e: &LExpr, lit: i64) -> bool {
+        match e {
+            LExpr::Int(v) => *v == lit,
+            LExpr::Stride {
+                buf: LBufRef::Slot(s),
+                dim,
+            } => {
+                let s = *s as usize;
+                self.repr[s].is_tensor()
+                    && match &self.repr[s] {
+                        SlotRepr::AllocN { dims, .. } if dim + 1 < dims.len() => {
+                            dim + 2 == dims.len() && self.writes_as(&dims[dim + 1], lit)
+                        }
+                        _ => lit == 1 && self.stride_is_one(s, *dim),
+                    }
+            }
+            _ => false,
         }
     }
 
-    /// Statically renderable per-dimension extents of a tensor slot: the
-    /// declared dimensions for dense arguments and allocations, recorded
-    /// extents for window aliases, unknown for window parameters (whose
-    /// ABI carries strides only).
-    fn slot_extents(&self, slot: usize) -> Vec<Option<String>> {
-        match &self.repr[slot] {
-            SlotRepr::DenseArg { dims, .. } | SlotRepr::AllocN { dims, .. } => {
-                dims.iter().map(|d| Some(d.clone())).collect()
+    /// Writes dimension `d`'s stride of a tensor slot: the hoisted
+    /// constant of a dense argument (recording its use), the raw product
+    /// of an allocation's trailing dimensions, a window's runtime stride,
+    /// or `1`.
+    fn stride(&mut self, slot: usize, d: usize) -> Result<()> {
+        match self.repr[slot] {
+            SlotRepr::DenseArg { dims, flags, .. } if d + 1 < dims.len() => {
+                self.strides_used[flags + d] = true;
+                self.name(slot);
+                let _ = write!(self.out(), "_s{d}");
             }
-            SlotRepr::Alias { extents, .. } => extents.clone(),
-            SlotRepr::WinParam { rank, .. } => vec![None; *rank],
-            _ => Vec::new(),
+            SlotRepr::AllocN { dims, .. } if d + 1 < dims.len() => {
+                self.product(&dims[d + 1..], |this, e| this.expr(e, 0))?;
+            }
+            SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } if d < rank => {
+                self.name(slot);
+                let _ = write!(self.out(), ".strides[{d}]");
+            }
+            _ => self.put("1"),
+        }
+        Ok(())
+    }
+
+    /// Writes the product of `dims` (`1` when empty), each written by
+    /// `write`, with parentheses only around composite factors.
+    fn product<T>(
+        &mut self,
+        dims: &'a [T],
+        mut write: impl FnMut(&mut Self, &'a T) -> Result<()>,
+    ) -> Result<()> {
+        if dims.is_empty() {
+            self.put("1");
+        }
+        for (i, e) in dims.iter().enumerate() {
+            if i > 0 {
+                self.put(" * ");
+            }
+            let start = self.unit.out.len();
+            write(self, e)?;
+            let atom = self.unit.out[start..]
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'_');
+            if !atom {
+                self.unit.out.insert(start, '(');
+                self.put(")");
+            }
+        }
+        Ok(())
+    }
+
+    /// The statically renderable extent of dimension `d` of a tensor
+    /// slot: declared dimensions for dense arguments and allocations,
+    /// recorded extents for window aliases, unknown for window parameters
+    /// (whose ABI carries strides only).
+    fn extent(&self, slot: usize, d: usize) -> Option<Extent<'a>> {
+        match &self.repr[slot] {
+            SlotRepr::DenseArg { dims, .. } => dims.get(d).map(Extent::Arg),
+            SlotRepr::AllocN { dims, .. } => dims.get(d).map(Extent::Local),
+            SlotRepr::Alias { extents, .. } => extents.get(d).copied().flatten(),
+            _ => None,
         }
     }
 
     /// Post-narrowing extents of a lowered window form (debug-bounds mode
-    /// only): interval extents that are pure index arithmetic render to
-    /// C; dimensions kept beyond the spec inherit the underlying tensor's
-    /// extents.
-    fn window_extents(&mut self, w: &LWindow) -> Result<Vec<Option<String>>> {
+    /// only): interval extents that are pure index arithmetic; dimensions
+    /// kept beyond the spec inherit the underlying tensor's extents.
+    fn window_extents(&self, w: &'a LWindow) -> Result<Vec<Option<Extent<'a>>>> {
         Ok(match w {
             LWindow::Var { buf } => {
                 let slot = self.tensor_slot(buf)?;
-                self.slot_extents(slot)
+                let (_, rank) = self.elem_rank(slot)?;
+                (0..rank).map(|d| self.extent(slot, d)).collect()
             }
             LWindow::Window { buf, spec } => {
                 let slot = self.tensor_slot(buf)?;
-                let under = self.slot_extents(slot);
-                let mut out = Vec::new();
-                for wd in spec.iter() {
-                    if let LWSpec::Interval { extent, .. } = wd {
-                        out.push(if self.lexpr_pure(extent) {
-                            Some(self.expr(extent)?.s)
-                        } else {
-                            None
-                        });
-                    }
-                }
-                out.extend(under.into_iter().skip(spec.len()));
+                let (_, rank) = self.elem_rank(slot)?;
+                let mut out: Vec<Option<Extent<'a>>> = spec
+                    .iter()
+                    .filter_map(|wd| match wd {
+                        LWSpec::Interval { extent, .. } => {
+                            Some(self.lexpr_pure(extent).then_some(Extent::Local(extent)))
+                        }
+                        LWSpec::Point(_) => None,
+                    })
+                    .collect();
+                out.extend((spec.len()..rank).map(|d| self.extent(slot, d)));
                 out
             }
             LWindow::PointRead { .. } | LWindow::NotATensor { .. } => Vec::new(),
         })
     }
 
-    /// `buf[i0, i1, ...]` as a C lvalue/rvalue.
-    fn element(&mut self, slot: usize, idx: &[CExpr]) -> Result<String> {
+    /// Writes `buf[i0, i1, ...]` as a C lvalue/rvalue.
+    fn element(&mut self, slot: usize, idx: &'a [LExpr]) -> Result<()> {
         let (_, rank) = self.elem_rank(slot)?;
         if idx.is_empty() {
             if rank != 0 {
@@ -893,10 +1170,12 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     self.names[slot]
                 )));
             }
-            return Ok(match &self.repr[slot] {
-                SlotRepr::Alloc0(_) => self.names[slot].clone(),
-                _ => format!("*{}", self.data_ptr(slot)?),
-            });
+            if !matches!(self.repr[slot], SlotRepr::Alloc0(_)) {
+                self.put("*");
+                return self.data_ptr(slot);
+            }
+            self.name(slot);
+            return Ok(());
         }
         if idx.len() != rank {
             return Err(CodegenError::Unsupported(format!(
@@ -905,63 +1184,159 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                 idx.len()
             )));
         }
-        let strides = self.strides(slot);
         let checked =
             self.unit.opts.debug_bounds && self.unproven.contains(&self.lp.slot_names()[slot]);
-        let extents = if checked {
-            self.slot_extents(slot)
-        } else {
-            Vec::new()
-        };
-        let mut terms = Vec::with_capacity(idx.len());
-        for (d, (i, stride)) in idx.iter().zip(&strides).enumerate() {
+        self.name(slot);
+        if matches!(
+            self.repr[slot],
+            SlotRepr::WinParam { .. } | SlotRepr::Alias { .. }
+        ) {
+            self.put(".data");
+        }
+        self.put("[");
+        for (d, i) in idx.iter().enumerate() {
+            if d > 0 {
+                self.put(" + ");
+            }
+            let unit_stride = self.stride_is_one(slot, d);
             // Debug-bounds mode routes each index with a known extent
             // through the assert-backed `exo_bnd` helper.
-            let checked = extents.get(d).and_then(|e| e.as_ref()).map(|ext| {
-                self.unit.need_bound = true;
-                CExpr::atom(format!("exo_bnd({}, {ext})", i.s), CClass::Int)
-            });
-            let i = checked.as_ref().unwrap_or(i);
-            if stride == "1" {
-                terms.push(i.at(70));
-            } else {
-                terms.push(format!("{} * {stride}", i.at(80)));
+            match checked.then(|| self.extent(slot, d)).flatten() {
+                Some(extent) => {
+                    self.unit.facts.need_bound = true;
+                    self.put("exo_bnd(");
+                    self.expr(i, 0)?;
+                    self.put(", ");
+                    match extent {
+                        Extent::Arg(e) => self.dim(e, 0)?,
+                        Extent::Local(e) => self.expr(e, 0)?,
+                    }
+                    self.put(")");
+                }
+                None => self.expr(i, if unit_stride { 70 } else { 80 })?,
+            }
+            if !unit_stride {
+                self.put(" * ");
+                self.stride(slot, d)?;
             }
         }
-        let data = match &self.repr[slot] {
-            SlotRepr::WinParam { .. } | SlotRepr::Alias { .. } => {
-                format!("{}.data", self.names[slot])
-            }
-            _ => self.names[slot].clone(),
-        };
-        Ok(format!("{data}[{}]", terms.join(" + ")))
+        self.put("]");
+        Ok(())
     }
 
     // ================================================================
     // Expressions
     // ================================================================
 
-    fn expr(&mut self, e: &LExpr) -> Result<CExpr> {
+    /// Precedence of the text [`Self::expr`] writes for `e`.
+    fn prec(&self, e: &LExpr) -> u8 {
         match e {
-            LExpr::Int(v) => Ok(if *v < 0 {
-                CExpr {
-                    s: v.to_string(),
-                    prec: 90,
-                    class: CClass::Int,
-                }
-            } else {
-                CExpr::atom(v.to_string(), CClass::Int)
-            }),
-            LExpr::Float(v) => Ok(CExpr {
-                s: self.float_literal(*v),
-                prec: if *v < 0.0 { 90 } else { 100 },
-                class: CClass::Float,
-            }),
-            LExpr::Bool(b) => {
-                self.unit.need_bool = true;
-                Ok(CExpr::atom(if *b { "true" } else { "false" }, CClass::Bool))
+            LExpr::Int(v) if *v < 0 => PREFIX,
+            LExpr::Float(v) if *v < 0.0 => PREFIX,
+            LExpr::Var(LBufRef::Slot(s)) => self.var_prec(*s as usize),
+            LExpr::Read {
+                buf: LBufRef::Slot(s),
+                idx,
+            } if idx.is_empty() && !self.repr[*s as usize].is_tensor() => {
+                self.var_prec(*s as usize)
             }
-            LExpr::Var(buf) => self.var_value(buf),
+            LExpr::Bin { op, lhs, rhs } => match op {
+                BinOp::Div | BinOp::Mod if self.both_int(lhs, rhs) => ATOM,
+                BinOp::Div => 80,
+                BinOp::Mod => ATOM,
+                _ => c_binop(*op).1,
+            },
+            LExpr::Un { .. } => PREFIX,
+            LExpr::Stride { .. } => 0,
+            _ => ATOM,
+        }
+    }
+
+    fn var_prec(&self, slot: usize) -> u8 {
+        match self.repr[slot] {
+            SlotRepr::Ptr0(_)
+            | SlotRepr::ScalarRef(_)
+            | SlotRepr::WinParam { rank: 0, .. }
+            | SlotRepr::Alias { rank: 0, .. } => PREFIX,
+            _ => ATOM,
+        }
+    }
+
+    /// Value class of `e` (what decides `/` and `%`).
+    fn class(&self, e: &LExpr) -> CClass {
+        match e {
+            LExpr::Int(_) | LExpr::Stride { .. } => CClass::Int,
+            LExpr::Bool(_) => CClass::Bool,
+            LExpr::Var(LBufRef::Slot(s)) => self.var_class(*s as usize),
+            LExpr::Read {
+                buf: LBufRef::Slot(s),
+                idx,
+            } if idx.is_empty() && !self.repr[*s as usize].is_tensor() => {
+                self.var_class(*s as usize)
+            }
+            LExpr::Bin { op, lhs, rhs } => {
+                let both_int = self.both_int(lhs, rhs);
+                if matches!(op, BinOp::Div | BinOp::Mod) {
+                    if both_int {
+                        CClass::Int
+                    } else {
+                        CClass::Float
+                    }
+                } else if op.is_predicate() {
+                    CClass::Bool
+                } else if both_int {
+                    CClass::Int
+                } else {
+                    CClass::Float
+                }
+            }
+            LExpr::Un { op: UnOp::Neg, arg } => self.class(arg),
+            LExpr::Un { op: UnOp::Not, .. } => CClass::Bool,
+            _ => CClass::Float,
+        }
+    }
+
+    fn var_class(&self, slot: usize) -> CClass {
+        match self.repr[slot] {
+            SlotRepr::Size | SlotRepr::Iter => CClass::Int,
+            // A written scalar parameter's class follows the declared
+            // type, like a by-value one (an integer-typed by-reference
+            // write-back would diverge from the interpreter's all-f64
+            // element model on `/` — floats, the only type the idiom is
+            // used with, agree either way).
+            SlotRepr::ScalarParam(ty) | SlotRepr::ScalarRef(ty) => class_of_type(ty),
+            _ => CClass::Float,
+        }
+    }
+
+    fn both_int(&self, lhs: &LExpr, rhs: &LExpr) -> bool {
+        self.class(lhs) == CClass::Int && self.class(rhs) == CClass::Int
+    }
+
+    /// Writes `e` as an operand of an operator with precedence `p`:
+    /// parenthesized when its own precedence is lower.
+    fn expr(&mut self, e: &'a LExpr, p: u8) -> Result<()> {
+        if self.prec(e) < p {
+            self.put("(");
+            self.expr_bare(e)?;
+            self.put(")");
+            Ok(())
+        } else {
+            self.expr_bare(e)
+        }
+    }
+
+    fn expr_bare(&mut self, e: &'a LExpr) -> Result<()> {
+        match e {
+            LExpr::Int(v) => {
+                let _ = write!(self.out(), "{v}");
+            }
+            LExpr::Float(v) => self.float_literal(*v),
+            LExpr::Bool(b) => {
+                self.unit.facts.need_bool = true;
+                self.put(if *b { "true" } else { "false" });
+            }
+            LExpr::Var(buf) => self.var_value(buf)?,
             LExpr::Read { buf, idx } => {
                 let slot = match buf {
                     LBufRef::Unbound(n) => return Err(CodegenError::Unbound(n.to_string())),
@@ -978,178 +1353,124 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         self.names[slot]
                     )));
                 }
-                let rendered: Vec<CExpr> =
-                    idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
                 // Buffer elements are Float-class regardless of storage
                 // type: the interpreter models every element as f64.
-                Ok(CExpr::atom(self.element(slot, &rendered)?, CClass::Float))
+                self.element(slot, idx)?;
             }
-            LExpr::WindowInScalar => Err(CodegenError::Unsupported(
-                "window expression in scalar context".to_string(),
-            )),
-            LExpr::Bin { op, lhs, rhs } => {
-                let l = self.expr(lhs)?;
-                let r = self.expr(rhs)?;
-                self.binop(*op, l, r)
+            LExpr::WindowInScalar => {
+                return Err(CodegenError::Unsupported(
+                    "window expression in scalar context".to_string(),
+                ))
             }
-            LExpr::Un { op, arg } => {
-                let a = self.expr(arg)?;
-                match op {
-                    // `at(91)` parenthesizes a nested negation: `-(-n)`
-                    // must not fuse into C's predecrement `--n`.
-                    UnOp::Neg => Ok(CExpr {
-                        s: format!("-{}", a.at(91)),
-                        prec: 90,
-                        class: a.class,
-                    }),
-                    UnOp::Not => {
-                        self.unit.need_bool = true;
-                        Ok(CExpr {
-                            s: format!("!{}", a.at(90)),
-                            prec: 90,
-                            class: CClass::Bool,
-                        })
-                    }
+            LExpr::Bin { op, lhs, rhs } => self.binop(*op, lhs, rhs)?,
+            LExpr::Un { op, arg } => match op {
+                // A nested negation is parenthesized: `-(-n)` must not
+                // fuse into C's predecrement `--n`.
+                UnOp::Neg => {
+                    self.put("-");
+                    self.expr(arg, PREFIX + 1)?;
                 }
-            }
+                UnOp::Not => {
+                    self.unit.facts.need_bool = true;
+                    self.put("!");
+                    self.expr(arg, PREFIX)?;
+                }
+            },
             LExpr::Stride { buf, dim } => {
                 let slot = self.tensor_slot(buf)?;
-                let strides = self.strides(slot);
-                let s = strides
-                    .get(*dim)
-                    .cloned()
-                    .unwrap_or_else(|| "1".to_string());
-                Ok(CExpr {
-                    s,
-                    prec: 0,
-                    class: CClass::Int,
-                })
+                self.stride(slot, *dim)?;
             }
-            LExpr::ReadConfig { config, field } => {
-                Ok(CExpr::atom(self.config_var(config, field), CClass::Float))
-            }
+            LExpr::ReadConfig { config, field } => self.config_var(config, field),
         }
+        Ok(())
     }
 
-    fn var_value(&mut self, buf: &LBufRef) -> Result<CExpr> {
+    fn var_value(&mut self, buf: &LBufRef) -> Result<()> {
         let slot = match buf {
             LBufRef::Unbound(n) => return Err(CodegenError::Unbound(n.to_string())),
             LBufRef::Slot(s) => *s as usize,
         };
         match &self.repr[slot] {
-            SlotRepr::Size | SlotRepr::Iter => {
-                Ok(CExpr::atom(self.names[slot].clone(), CClass::Int))
+            SlotRepr::Size | SlotRepr::Iter | SlotRepr::ScalarParam(_) | SlotRepr::Alloc0(_) => {
+                self.name(slot)
             }
-            SlotRepr::ScalarParam(ty) => {
-                let class = if ty.is_float() {
-                    CClass::Float
-                } else if *ty == DataType::Bool {
-                    CClass::Bool
-                } else {
-                    CClass::Int
-                };
-                Ok(CExpr::atom(self.names[slot].clone(), class))
+            // Rank-0 tensors in scalar position read their single element;
+            // a written scalar parameter reads through its pointer.
+            SlotRepr::Ptr0(_) | SlotRepr::ScalarRef(_) => {
+                self.put("*");
+                self.name(slot);
             }
-            // Rank-0 tensors in scalar position read their single element.
-            SlotRepr::Ptr0(_) => Ok(CExpr {
-                s: format!("*{}", self.names[slot]),
-                prec: 90,
-                class: CClass::Float,
-            }),
-            // A written scalar parameter reads through its pointer. The
-            // class follows the declared type, like `ScalarParam` (an
-            // integer-typed by-reference write-back would diverge from
-            // the interpreter's all-f64 element model on `/` — floats,
-            // the only type the idiom is used with, agree either way).
-            SlotRepr::ScalarRef(ty) => {
-                let class = if ty.is_float() {
-                    CClass::Float
-                } else if *ty == DataType::Bool {
-                    CClass::Bool
-                } else {
-                    CClass::Int
-                };
-                Ok(CExpr {
-                    s: format!("*{}", self.names[slot]),
-                    prec: 90,
-                    class,
-                })
+            SlotRepr::WinParam { rank: 0, .. } | SlotRepr::Alias { rank: 0, .. } => {
+                self.put("*");
+                self.name(slot);
+                self.put(".data");
             }
-            SlotRepr::Alloc0(_) => Ok(CExpr::atom(self.names[slot].clone(), CClass::Float)),
-            SlotRepr::WinParam { rank: 0, .. } | SlotRepr::Alias { rank: 0, .. } => Ok(CExpr {
-                s: format!("*{}.data", self.names[slot]),
-                prec: 90,
-                class: CClass::Float,
-            }),
-            other => Err(CodegenError::Unsupported(format!(
-                "tensor `{}` ({other:?}) used in a scalar context",
-                self.names[slot]
-            ))),
+            other => {
+                return Err(CodegenError::Unsupported(format!(
+                    "tensor `{}` ({other:?}) used in a scalar context",
+                    self.names[slot]
+                )))
+            }
         }
+        Ok(())
     }
 
-    fn binop(&mut self, op: BinOp, l: CExpr, r: CExpr) -> Result<CExpr> {
-        let both_int = l.class == CClass::Int && r.class == CClass::Int;
+    fn binop(&mut self, op: BinOp, lhs: &'a LExpr, rhs: &'a LExpr) -> Result<()> {
         match op {
-            BinOp::Div if both_int => {
-                self.unit.need_div = true;
-                Ok(CExpr::atom(
-                    format!("exo_div_euclid({}, {})", l.s, r.s),
-                    CClass::Int,
-                ))
-            }
-            BinOp::Mod if both_int => {
-                self.unit.need_mod = true;
-                Ok(CExpr::atom(
-                    format!("exo_mod_euclid({}, {})", l.s, r.s),
-                    CClass::Int,
-                ))
+            BinOp::Div | BinOp::Mod if self.both_int(lhs, rhs) => {
+                if op == BinOp::Div {
+                    self.unit.facts.need_div = true;
+                    self.put("exo_div_euclid(");
+                } else {
+                    self.unit.facts.need_mod = true;
+                    self.put("exo_mod_euclid(");
+                }
+                self.call2(lhs, rhs)
             }
             // Value-class division/modulo follow the interpreter's f64
             // semantics: promote explicitly so an integer-typed element
             // (interpreted as a float value) cannot truncate.
-            BinOp::Div => Ok(CExpr {
-                s: format!("(double){} / (double){}", l.at(81), r.at(81)),
-                prec: 80,
-                class: CClass::Float,
-            }),
+            BinOp::Div => {
+                self.put("(double)");
+                self.expr(lhs, 81)?;
+                self.put(" / (double)");
+                self.expr(rhs, 81)
+            }
             BinOp::Mod => {
-                self.unit.need_fmod = true;
-                self.unit.need_math = true;
-                Ok(CExpr::atom(
-                    format!("exo_fmod_euclid({}, {})", l.s, r.s),
-                    CClass::Float,
-                ))
+                self.unit.facts.need_fmod = true;
+                self.unit.facts.need_math = true;
+                self.put("exo_fmod_euclid(");
+                self.call2(lhs, rhs)
             }
             _ => {
-                let (sym, prec) = c_binop(op);
-                let class = if op.is_predicate() {
-                    CClass::Bool
-                } else if both_int {
-                    CClass::Int
-                } else {
-                    CClass::Float
-                };
                 // All the remaining operators are left-associative in C.
-                Ok(CExpr {
-                    s: format!("{} {sym} {}", l.at(prec), r.at(prec + 1)),
-                    prec,
-                    class,
-                })
+                let (sym, prec) = c_binop(op);
+                self.expr(lhs, prec)?;
+                let _ = write!(self.out(), " {sym} ");
+                self.expr(rhs, prec + 1)
             }
         }
     }
 
-    fn float_literal(&mut self, v: f64) -> String {
+    /// Writes `lhs, rhs)`: the arguments of a two-operand helper call.
+    fn call2(&mut self, lhs: &'a LExpr, rhs: &'a LExpr) -> Result<()> {
+        self.expr(lhs, 0)?;
+        self.put(", ");
+        self.expr(rhs, 0)?;
+        self.put(")");
+        Ok(())
+    }
+
+    fn float_literal(&mut self, v: f64) {
         if v.is_nan() {
-            self.unit.need_math = true;
-            return "NAN".to_string();
+            self.unit.facts.need_math = true;
+            self.put("NAN");
+        } else if v.is_infinite() {
+            self.unit.facts.need_math = true;
+            self.put(if v > 0.0 { "INFINITY" } else { "-INFINITY" });
+        } else {
+            self.put(&format_float(v));
         }
-        if v.is_infinite() {
-            self.unit.need_math = true;
-            return if v > 0.0 { "INFINITY" } else { "-INFINITY" }.to_string();
-        }
-        format_float(v)
     }
 
     /// Whether a lowered expression is pure index arithmetic: free of
@@ -1170,64 +1491,74 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         }
     }
 
-    fn config_var(&mut self, config: &str, field: &str) -> String {
-        self.unit
-            .configs
-            .insert((config.to_string(), field.to_string()));
-        format!("exo_cfg_{}_{}", sanitize(config), sanitize(field))
+    fn config_var(&mut self, config: &str, field: &str) {
+        self.unit.facts.config(config, field);
+        let _ = write!(
+            self.out(),
+            "exo_cfg_{}_{}",
+            sanitized(config),
+            sanitized(field)
+        );
     }
 
     // ================================================================
     // Statements
     // ================================================================
 
-    fn line(&mut self, s: &str) {
+    /// Starts a line at the current indentation.
+    fn start_line(&mut self) {
         for _ in 0..self.indent {
-            self.body.push_str("    ");
+            self.unit.out.push_str("    ");
         }
-        self.body.push_str(s);
-        self.body.push('\n');
+    }
+
+    /// Writes one whole line at the current indentation.
+    fn line(&mut self, s: &str) {
+        self.start_line();
+        self.put(s);
+        self.put("\n");
     }
 
     /// Emits one lowered block, recursing into loop and branch bodies.
-    fn emit_block(&mut self, block: &[LInst]) -> Result<()> {
+    fn emit_block(&mut self, block: &'a [LInst]) -> Result<()> {
         for inst in block {
             match inst {
-                LInst::Assign { buf, idx, rhs } => {
+                LInst::Assign { buf, idx, rhs } | LInst::Reduce { buf, idx, rhs } => {
                     let slot = self.tensor_slot(buf)?;
-                    let rendered: Vec<CExpr> =
-                        idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
-                    let lhs = self.element(slot, &rendered)?;
-                    let rhs = self.expr(rhs)?;
-                    self.line(&format!("{lhs} = {};", rhs.s));
-                }
-                LInst::Reduce { buf, idx, rhs } => {
-                    let slot = self.tensor_slot(buf)?;
-                    let rendered: Vec<CExpr> =
-                        idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
-                    let lhs = self.element(slot, &rendered)?;
-                    let rhs = self.expr(rhs)?;
-                    self.line(&format!("{lhs} += {};", rhs.s));
+                    self.start_line();
+                    self.element(slot, idx)?;
+                    self.put(if matches!(inst, LInst::Assign { .. }) {
+                        " = "
+                    } else {
+                        " += "
+                    });
+                    self.expr(rhs, 0)?;
+                    self.put(";\n");
                 }
                 LInst::Alloc { slot, ty, dims, .. } => {
-                    let name = self.names[*slot as usize].clone();
+                    let slot = *slot as usize;
+                    self.start_line();
+                    let _ = write!(self.out(), "{} ", c_type(*ty));
+                    self.name(slot);
                     if dims.is_empty() {
-                        self.line(&format!("{} {name} = 0;", c_type(*ty)));
+                        self.put(" = 0;\n");
                     } else {
-                        let rendered: Vec<String> = dims
-                            .iter()
-                            .map(|d| self.expr(d).map(|c| c.s))
-                            .collect::<Result<_>>()?;
                         // Declared *flat* (one dimension, the element
                         // count) because every access linearizes through
                         // the row-major strides — a multi-dimensional C
                         // array type would not match those accesses.
-                        let len = dense_product(&rendered);
+                        self.put("[");
+                        self.product(dims, |this, e| this.expr(e, 0))?;
+                        self.put("];\n");
                         // Zero-initialize like the interpreter's
                         // `BufferData::zeros` (memset also covers VLAs).
-                        self.unit.need_string = true;
-                        self.line(&format!("{} {name}[{len}];", c_type(*ty)));
-                        self.line(&format!("memset({name}, 0, sizeof {name});"));
+                        self.unit.facts.need_string = true;
+                        self.start_line();
+                        self.put("memset(");
+                        self.name(slot);
+                        self.put(", 0, sizeof ");
+                        self.name(slot);
+                        self.put(");\n");
                     }
                 }
                 LInst::Loop {
@@ -1238,9 +1569,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     parallel,
                     ..
                 } => {
-                    let it = self.names[*iter as usize].clone();
-                    let lo_c = self.expr(lo)?;
-                    let hi_c = self.expr(hi)?;
+                    let it = *iter as usize;
                     // Work-sharing pragma only for loops the region
                     // analysis certified thread-safe (keyed by *source*
                     // name — the mangled slot name may be suffixed).
@@ -1248,7 +1577,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         && self
                             .lp
                             .slot_names()
-                            .get(*iter as usize)
+                            .get(it)
                             .is_some_and(|src| self.omp_loops.contains(src));
                     if *parallel && !omp {
                         self.line("/* exo: parallel loop (iterations are independent) */");
@@ -1264,26 +1593,36 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     if hoist {
                         self.line("{");
                         self.indent += 1;
-                        self.line(&format!("const int64_t exo_hi_{iter} = {};", hi_c.s));
+                        self.start_line();
+                        let _ = write!(self.out(), "const int64_t exo_hi_{iter} = ");
+                        self.expr(hi, 0)?;
+                        self.put(";\n");
                     }
-                    let bound = if hoist {
-                        format!("exo_hi_{iter}")
-                    } else {
-                        hi_c.at(61)
-                    };
                     if omp {
                         // The pragma must immediately precede the `for`
                         // statement (after any hoisted bound). `-fopenmp`
                         // is mandatory from here on: under `-Wall
                         // -Werror` an unconsumed pragma is fatal via
                         // -Wunknown-pragmas.
-                        self.unit.cflags.insert("-fopenmp".to_string());
+                        self.unit.facts.cflag("-fopenmp");
                         self.line("#pragma omp parallel for");
                     }
-                    self.line(&format!(
-                        "for (int64_t {it} = {}; {it} < {bound}; {it}++) {{",
-                        lo_c.s
-                    ));
+                    self.start_line();
+                    self.put("for (int64_t ");
+                    self.name(it);
+                    self.put(" = ");
+                    self.expr(lo, 0)?;
+                    self.put("; ");
+                    self.name(it);
+                    self.put(" < ");
+                    if hoist {
+                        let _ = write!(self.out(), "exo_hi_{iter}");
+                    } else {
+                        self.expr(hi, 61)?;
+                    }
+                    self.put("; ");
+                    self.name(it);
+                    self.put("++) {\n");
                     self.indent += 1;
                     self.emit_block(body)?;
                     self.indent -= 1;
@@ -1298,8 +1637,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     then_body,
                     else_body,
                 } => {
-                    let cond = self.expr(cond)?;
-                    self.line(&format!("if ({}) {{", cond.s));
+                    self.start_line();
+                    self.put("if (");
+                    self.expr(cond, 0)?;
+                    self.put(") {\n");
                     self.indent += 1;
                     self.emit_block(then_body)?;
                     self.indent -= 1;
@@ -1312,8 +1653,9 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     self.line("}");
                 }
                 LInst::Call { callee, args } => {
-                    let call = self.render_call(callee, args)?;
-                    self.line(&call);
+                    self.start_line();
+                    self.call(callee, args)?;
+                    self.put("\n");
                 }
                 LInst::Pass => self.line(";"),
                 LInst::WriteConfig {
@@ -1321,35 +1663,31 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     field,
                     value,
                 } => {
-                    let value = self.expr(value)?;
-                    let var = self.config_var(config, field);
-                    self.line(&format!("{var} = {};", value.s));
+                    self.start_line();
+                    self.config_var(config, field);
+                    self.put(" = ");
+                    self.expr(value, 0)?;
+                    self.put(";\n");
                 }
                 LInst::WindowBind { slot, rhs } => {
                     let (elem, rank) = self.window_shape(rhs)?;
-                    let name = self.names[*slot as usize].clone();
-                    let lit = self.window_literal(rhs, rank, elem)?;
                     let sname = self.unit.win_struct(rank, elem);
-                    self.line(&format!("struct {sname} {name} = {lit};"));
+                    self.start_line();
+                    let _ = write!(self.out(), "struct {sname} ");
+                    self.name(*slot as usize);
+                    self.put(" = ");
+                    self.window_literal(rhs, rank, elem)?;
+                    self.put(";\n");
                 }
             }
         }
         Ok(())
     }
 
-    /// Resolves a lowered window into `(base pointer, kept strides)`.
-    fn window_parts(&mut self, w: &LWindow) -> Result<(String, Vec<String>)> {
+    /// Number of strides a lowered window keeps, rejecting a window with
+    /// more dimensions than its tensor.
+    fn window_kept(&self, w: &LWindow) -> Result<usize> {
         match w {
-            LWindow::Var { buf } => {
-                let slot = self.tensor_slot(buf)?;
-                Ok((self.data_ptr(slot)?, self.strides(slot)))
-            }
-            LWindow::PointRead { buf, idx } => {
-                let slot = self.tensor_slot(buf)?;
-                let rendered: Vec<CExpr> =
-                    idx.iter().map(|i| self.expr(i)).collect::<Result<_>>()?;
-                Ok((format!("&{}", self.element(slot, &rendered)?), Vec::new()))
-            }
             LWindow::Window { buf, spec } => {
                 let slot = self.tensor_slot(buf)?;
                 let (_, rank) = self.elem_rank(slot)?;
@@ -1360,36 +1698,57 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         spec.len()
                     )));
                 }
-                let strides = self.strides(slot);
-                let mut offset_terms = Vec::new();
-                let mut kept = Vec::new();
-                for (d, wd) in spec.iter().enumerate() {
-                    let e = match wd {
-                        LWSpec::Point(e) | LWSpec::Interval { lo: e, .. } => self.expr(e)?,
-                    };
-                    // A literal-zero offset contributes nothing.
-                    let is_zero = e.s == "0";
-                    if !is_zero {
-                        if strides[d] == "1" {
-                            offset_terms.push(e.at(70));
-                        } else {
-                            offset_terms.push(format!("{} * {}", e.at(80), strides[d]));
-                        }
-                    }
-                    if matches!(wd, LWSpec::Interval { .. }) {
-                        kept.push(strides[d].clone());
-                    }
-                }
-                for stride in strides.iter().skip(spec.len()) {
-                    kept.push(stride.clone());
-                }
-                let data = self.data_ptr(slot)?;
-                let ptr = if offset_terms.is_empty() {
-                    data
-                } else {
-                    format!("&{data}[{}]", offset_terms.join(" + "))
+                Ok(self.window_shape(w)?.1)
+            }
+            _ => Ok(self.window_shape(w)?.1),
+        }
+    }
+
+    /// Writes a lowered window's base pointer.
+    fn window_ptr(&mut self, w: &'a LWindow) -> Result<()> {
+        match w {
+            LWindow::Var { buf } => {
+                let slot = self.tensor_slot(buf)?;
+                self.data_ptr(slot)
+            }
+            LWindow::PointRead { buf, idx } => {
+                let slot = self.tensor_slot(buf)?;
+                self.put("&");
+                self.element(slot, idx)
+            }
+            LWindow::Window { buf, spec } => {
+                self.window_kept(w)?;
+                let slot = self.tensor_slot(buf)?;
+                let lo = |wd: &'a LWSpec| match wd {
+                    LWSpec::Point(e) | LWSpec::Interval { lo: e, .. } => e,
                 };
-                Ok((ptr, kept))
+                // A literal-zero offset contributes nothing.
+                if spec.iter().all(|wd| self.writes_as(lo(wd), 0)) {
+                    return self.data_ptr(slot);
+                }
+                self.put("&");
+                self.data_ptr(slot)?;
+                self.put("[");
+                let mut first = true;
+                for (d, wd) in spec.iter().enumerate() {
+                    let e = lo(wd);
+                    if self.writes_as(e, 0) {
+                        continue;
+                    }
+                    if !first {
+                        self.put(" + ");
+                    }
+                    first = false;
+                    if self.stride_is_one(slot, d) {
+                        self.expr(e, 70)?;
+                    } else {
+                        self.expr(e, 80)?;
+                        self.put(" * ");
+                        self.stride(slot, d)?;
+                    }
+                }
+                self.put("]");
+                Ok(())
             }
             LWindow::NotATensor { display } => Err(CodegenError::Unsupported(format!(
                 "expression `{display}` used as a tensor argument"
@@ -1397,30 +1756,54 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
         }
     }
 
-    /// A `(struct exo_win_..){ ptr, { strides } }` compound literal.
-    fn window_literal(&mut self, w: &LWindow, rank: usize, elem: DataType) -> Result<String> {
-        let (ptr, strides) = self.window_parts(w)?;
-        if strides.len() != rank {
+    /// Writes the strides a lowered window keeps, comma-separated: every
+    /// dimension but the points of its spec.
+    fn window_strides(&mut self, w: &LWindow) -> Result<()> {
+        let (slot, spec): (usize, &[LWSpec]) = match w {
+            LWindow::Var { buf } => (self.tensor_slot(buf)?, &[]),
+            LWindow::Window { buf, spec } => (self.tensor_slot(buf)?, spec),
+            LWindow::PointRead { .. } | LWindow::NotATensor { .. } => return Ok(()),
+        };
+        let mut first = true;
+        for d in 0..self.repr[slot].rank().unwrap_or(0) {
+            if matches!(spec.get(d), Some(LWSpec::Point(_))) {
+                continue;
+            }
+            if !first {
+                self.put(", ");
+            }
+            first = false;
+            self.stride(slot, d)?;
+        }
+        Ok(())
+    }
+
+    /// Writes a `{ ptr, { strides } }` window initializer.
+    fn window_literal(&mut self, w: &'a LWindow, rank: usize, elem: DataType) -> Result<()> {
+        let kept = self.window_kept(w)?;
+        if kept != rank {
             return Err(CodegenError::Unsupported(format!(
-                "window has rank {} where rank {rank} is expected",
-                strides.len()
+                "window has rank {kept} where rank {rank} is expected"
             )));
         }
         self.unit.win_struct(rank, elem);
-        if rank == 0 {
-            Ok(format!("{{ {ptr} }}"))
-        } else {
-            Ok(format!("{{ {ptr}, {{ {} }} }}", strides.join(", ")))
+        self.put("{ ");
+        self.window_ptr(w)?;
+        if rank > 0 {
+            self.put(", { ");
+            self.window_strides(w)?;
+            self.put(" }");
         }
+        self.put(" }");
+        Ok(())
     }
 
-    fn render_call(&mut self, callee: &str, args: &[LCallArg]) -> Result<String> {
-        let callee_proc = self
-            .unit
-            .registry
+    /// Writes `callee(args);`.
+    fn call(&mut self, callee: &str, args: &'a [LCallArg]) -> Result<()> {
+        let registry: &'a ProcRegistry = self.unit.registry;
+        let callee_proc = registry
             .get(callee)
-            .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?
-            .clone();
+            .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?;
         if args.len() != callee_proc.args().len() {
             return Err(CodegenError::Unsupported(format!(
                 "call to `{callee}` passes {} arguments, expected {}",
@@ -1428,31 +1811,33 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                 callee_proc.args().len()
             )));
         }
-        let mut rendered = Vec::with_capacity(args.len());
-        for (param, arg) in callee_proc.args().iter().zip(args) {
-            rendered.push(self.render_call_arg(callee, &callee_proc, param, arg)?);
+        self.put(callee);
+        self.put("(");
+        for (i, (param, arg)) in callee_proc.args().iter().zip(args).enumerate() {
+            if i > 0 {
+                self.put(", ");
+            }
+            self.call_arg(callee, callee_proc, param, arg)?;
         }
-        Ok(format!("{callee}({});", rendered.join(", ")))
+        self.put(");");
+        Ok(())
     }
 
-    fn render_call_arg(
+    fn call_arg(
         &mut self,
         callee: &str,
-        callee_proc: &Proc,
+        callee_proc: &'a Proc,
         param: &exo_ir::ProcArg,
-        arg: &LCallArg,
-    ) -> Result<String> {
+        arg: &'a LCallArg,
+    ) -> Result<()> {
         match &param.kind {
-            ArgKind::Size => Ok(self.expr(&arg.scalar)?.s),
+            ArgKind::Size => self.expr(&arg.scalar, 0),
             ArgKind::Scalar { ty } => {
                 // The interpreter's by-reference idiom: a rank-0 tensor
                 // passed to a scalar parameter. A written parameter is a
                 // pointer in C (`ScalarRef`), so the callsite passes the
                 // element's address; an unwritten one stays by-value.
-                let written = self
-                    .unit
-                    .written_scalar_params(callee_proc)
-                    .contains(&param.name);
+                let written = self.unit.writes_scalar(callee_proc, &param.name);
                 if let LWindow::Var {
                     buf: LBufRef::Slot(s),
                 } = &arg.window
@@ -1460,14 +1845,15 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     let s = *s as usize;
                     if self.repr[s].is_tensor() {
                         if self.repr[s].rank() == Some(0) {
-                            return Ok(if written {
-                                self.data_ptr(s)?
-                            } else {
-                                match &self.repr[s] {
-                                    SlotRepr::Alloc0(_) => self.names[s].clone(),
-                                    _ => format!("*{}", self.data_ptr(s)?),
-                                }
-                            });
+                            if written {
+                                return self.data_ptr(s);
+                            }
+                            if matches!(self.repr[s], SlotRepr::Alloc0(_)) {
+                                self.name(s);
+                                return Ok(());
+                            }
+                            self.put("*");
+                            return self.data_ptr(s);
                         }
                         if written {
                             // A rank-≥1 tensor bound by reference to a
@@ -1484,7 +1870,6 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         }
                     }
                 }
-                let v = self.expr(&arg.scalar)?;
                 if written {
                     // The callee expects a pointer but the argument is a
                     // plain scalar expression: materialize an addressable
@@ -1492,9 +1877,12 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                     // traps if such a write actually executes (scalar
                     // bindings are not writable), so agreement on
                     // interpreter-successful runs is preserved.
-                    Ok(format!("&({}){{ {} }}", c_type(*ty), v.s))
+                    let _ = write!(self.out(), "&({}){{ ", c_type(*ty));
+                    self.expr(&arg.scalar, 0)?;
+                    self.put(" }");
+                    Ok(())
                 } else {
-                    Ok(v.s)
+                    self.expr(&arg.scalar, 0)
                 }
             }
             ArgKind::Tensor {
@@ -1507,7 +1895,7 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                             let slot = self.tensor_slot(buf)?;
                             self.data_ptr(slot)
                         }
-                        other => Ok(self.window_parts(other)?.0),
+                        other => self.window_ptr(other),
                     };
                 }
                 let rank = dims.len();
@@ -1520,9 +1908,9 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                             param.name
                         )));
                     }
-                    let lit = self.window_literal(&arg.window, rank, *ty)?;
                     let sname = self.unit.win_struct(rank, *ty);
-                    Ok(format!("(struct {sname}){lit}"))
+                    let _ = write!(self.out(), "(struct {sname})");
+                    self.window_literal(&arg.window, rank, *ty)
                 } else {
                     // A dense (non-window) tensor parameter: the callee
                     // recomputes strides from its declared dimensions, so
@@ -1531,9 +1919,10 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
                         LWindow::Var { buf } => {
                             let slot = self.tensor_slot(buf)?;
                             match &self.repr[slot] {
-                                SlotRepr::DenseArg { dims, .. } | SlotRepr::AllocN { dims, .. }
-                                    if dims.len() == rank =>
-                                {
+                                SlotRepr::DenseArg { dims, .. } if dims.len() == rank => {
+                                    self.data_ptr(slot)
+                                }
+                                SlotRepr::AllocN { dims, .. } if dims.len() == rank => {
                                     self.data_ptr(slot)
                                 }
                                 other => Err(CodegenError::Unsupported(format!(
@@ -1559,98 +1948,139 @@ impl<'u, 'a, 'p> FnEmitter<'u, 'a, 'p> {
     // Whole function
     // ================================================================
 
-    fn signature(&mut self, is_root: bool) -> Result<String> {
-        let mut params = Vec::with_capacity(self.proc.args().len());
-        for larg in self.lp.args() {
+    /// Writes `[static ]void name(params) {` and its newline.
+    fn signature(&mut self, is_root: bool) -> Result<()> {
+        let linkage = if is_root { "" } else { "static " };
+        let _ = write!(self.unit.out, "{linkage}void {}(", self.proc.name());
+        if self.lp.args().is_empty() {
+            self.put("void");
+        }
+        for (i, larg) in self.lp.args().iter().enumerate() {
+            if i > 0 {
+                self.put(", ");
+            }
             let slot = larg.slot as usize;
-            let name = &self.names[slot];
-            let p = match &self.repr[slot] {
-                SlotRepr::Size => format!("int64_t {name}"),
+            match self.repr[slot] {
+                SlotRepr::Size => self.put("int64_t "),
                 SlotRepr::ScalarParam(ty) => {
-                    if *ty == DataType::Bool {
-                        self.unit.need_bool = true;
-                    }
-                    format!("{} {name}", c_type(*ty))
+                    self.unit.facts.need_bool |= ty == DataType::Bool;
+                    let _ = write!(self.out(), "{} ", c_type(ty));
                 }
-                SlotRepr::Ptr0(ty) => format!("{} *{name}", c_type(*ty)),
                 SlotRepr::ScalarRef(ty) => {
-                    if *ty == DataType::Bool {
-                        self.unit.need_bool = true;
-                    }
-                    format!("{} *{name}", c_type(*ty))
+                    self.unit.facts.need_bool |= ty == DataType::Bool;
+                    let _ = write!(self.out(), "{} *", c_type(ty));
                 }
-                SlotRepr::DenseArg { elem, .. } => format!("{} *{name}", c_type(*elem)),
+                SlotRepr::Ptr0(ty) | SlotRepr::DenseArg { elem: ty, .. } => {
+                    let _ = write!(self.out(), "{} *", c_type(ty));
+                }
                 SlotRepr::WinParam { elem, rank } => {
-                    let sname = self.unit.win_struct(*rank, *elem);
-                    format!("struct {sname} {name}")
+                    let sname = self.unit.win_struct(rank, elem);
+                    let _ = write!(self.out(), "struct {sname} ");
                 }
-                other => {
+                ref other => {
                     return Err(CodegenError::Unsupported(format!(
-                        "parameter `{name}` has a local representation ({other:?})"
+                        "parameter `{}` has a local representation ({other:?})",
+                        self.names[slot]
                     )))
                 }
-            };
-            params.push(p);
+            }
+            self.name(slot);
         }
-        let params = if params.is_empty() {
-            "void".to_string()
-        } else {
-            params.join(", ")
-        };
-        let linkage = if is_root { "" } else { "static " };
-        Ok(format!("{linkage}void {}({params})", self.proc.name()))
+        self.put(") {\n");
+        Ok(())
     }
 
-    fn emit(mut self, is_root: bool, intrinsic: Option<exo_machine::CIntrinsic>) -> Result<String> {
+    /// Writes the whole function: signature, assume comments, stride
+    /// constants, body.
+    fn emit(mut self, is_root: bool, intrinsic: Option<exo_machine::CIntrinsic>) -> Result<()> {
+        self.signature(is_root)?;
         // Assertion preconditions become assume-style comments: the
         // emitted code relies on them the same way the schedule did.
-        let mut header = String::new();
         for (_, src) in self.lp.preds() {
-            header.push_str(&format!("    /* assume: {} */\n", src.replace("*/", "* /")));
+            self.put("    /* assume: ");
+            for (i, part) in src.split("*/").enumerate() {
+                if i > 0 {
+                    self.put("* /");
+                }
+                self.put(part);
+            }
+            self.put(" */\n");
         }
-        let body = if let Some(intr) = intrinsic {
+        if let Some(intr) = intrinsic {
             for inc in &intr.includes {
-                self.unit.includes.insert(inc.clone());
+                self.unit.facts.include(inc);
             }
             for flag in &intr.cflags {
-                self.unit.cflags.insert(flag.clone());
+                self.unit.facts.cflag(flag);
             }
-            let mut b = String::from(
+            self.put(
                 "    /* machine intrinsic lowering (windows assumed unit-stride \
                  in the last dimension) */\n",
             );
             for line in intr.body.lines() {
-                b.push_str("    ");
-                b.push_str(line);
-                b.push('\n');
+                self.put("    ");
+                self.put(line);
+                self.put("\n");
             }
-            b
         } else {
+            let body_at = self.unit.out.len();
             self.emit_block(self.lp.code())?;
-            // Hoist the stride constants of dense arguments — the emitted
-            // mirror of the executor's `AccessPlan`. Every stride of a
-            // dense argument renders as its reserved constant name; only
-            // the names the body references are declared, in slot order,
-            // since an unused `const` trips `-Werror`.
-            for (slot, repr) in self.repr.iter().enumerate() {
-                let SlotRepr::DenseArg { dims, .. } = repr else {
-                    continue;
-                };
-                for d in 0..dims.len().saturating_sub(1) {
-                    let cname = format!("{}_s{d}", self.names[slot]);
-                    if ident_used(&self.body, &cname) {
-                        let stride = raw_dense_stride(dims, d);
-                        header.push_str(&format!("    const int64_t {cname} = {stride};\n"));
-                    }
+            if self.unit.out.len() == body_at {
+                self.put("    ;\n");
+            }
+            self.declare_strides(body_at)?;
+        }
+        self.put("}\n");
+        Ok(())
+    }
+
+    /// Declares the stride constants of dense arguments the body wrote —
+    /// the emitted mirror of the executor's `AccessPlan` — in slot order,
+    /// in front of the body that starts at `body_at`.
+    fn declare_strides(&mut self, body_at: usize) -> Result<()> {
+        let end = self.unit.out.len();
+        for slot in 0..self.repr.len() {
+            let SlotRepr::DenseArg { dims, flags, .. } = self.repr[slot] else {
+                continue;
+            };
+            for d in 0..dims.len().saturating_sub(1) {
+                if self.strides_used[flags + d] {
+                    self.put("    const int64_t ");
+                    self.name(slot);
+                    let _ = write!(self.out(), "_s{d} = ");
+                    self.product(&dims[d + 1..], |this, e| this.dim(e, 0))?;
+                    self.put(";\n");
                 }
             }
-            if self.body.is_empty() {
-                self.body.push_str("    ;\n");
-            }
-            std::mem::take(&mut self.body)
-        };
-        let sig = self.signature(is_root)?;
-        Ok(format!("{sig} {{\n{header}{body}}}\n"))
+        }
+        if self.unit.out.len() > end {
+            let unit = &mut *self.unit;
+            unit.scratch.clear();
+            unit.scratch.push_str(&unit.out[end..]);
+            unit.out.truncate(end);
+            unit.out.insert_str(body_at, &unit.scratch);
+        }
+        Ok(())
+    }
+}
+
+impl UnitEmitter<'_> {
+    fn win_struct(&mut self, rank: usize, elem: DataType) -> WinStruct {
+        let tag = exo_machine::c_type_tag(elem);
+        self.facts.win_structs.insert((rank, tag), c_type(elem));
+        WinStruct { rank, tag }
+    }
+}
+
+/// The name of a window struct, `exo_win_{rank}{tag}`.
+struct WinStruct {
+    rank: usize,
+    tag: &'static str,
+}
+
+impl std::fmt::Display for WinStruct {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "exo_win_{}{}", self.rank, self.tag)
     }
 }
 
@@ -1680,14 +2110,15 @@ fn window_fact(facts: &[Option<StrideFact>], w: &LWindow) -> Option<StrideFact> 
             spec,
         } => {
             let under = facts[*s as usize]?;
-            let kept: Vec<usize> = spec
+            let kept = spec
                 .iter()
-                .enumerate()
-                .filter(|(_, wd)| matches!(wd, LWSpec::Interval { .. }))
-                .map(|(d, _)| d)
-                .collect();
+                .filter(|wd| matches!(wd, LWSpec::Interval { .. }))
+                .count();
+            let last_kept = spec
+                .iter()
+                .rposition(|wd| matches!(wd, LWSpec::Interval { .. }));
             let beyond = under.rank.saturating_sub(spec.len());
-            let rank = kept.len() + beyond;
+            let rank = kept + beyond;
             let last_unit = if rank == 0 {
                 true
             } else if beyond > 0 {
@@ -1697,7 +2128,7 @@ fn window_fact(facts: &[Option<StrideFact>], w: &LWindow) -> Option<StrideFact> 
                 // The spec covers every dimension: the window's last
                 // dimension is unit-stride only if it is the buffer's
                 // last (row-major contiguous) dimension.
-                kept.last() == Some(&(under.rank - 1)) && under.last_unit
+                last_kept.is_some() && last_kept == under.rank.checked_sub(1) && under.last_unit
             };
             Some(StrideFact { rank, last_unit })
         }
@@ -1722,55 +2153,4 @@ fn args_unit_stride(facts: &[Option<StrideFact>], callee: &Proc, args: &[LCallAr
         }
     }
     true
-}
-
-/// Whether `name` occurs in `text` as a whole C identifier (not as a
-/// substring of a longer identifier).
-fn ident_used(text: &str, name: &str) -> bool {
-    let bytes = text.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut start = 0;
-    while let Some(pos) = text[start..].find(name) {
-        let p = start + pos;
-        let after = p + name.len();
-        let before_ok = p == 0 || !is_ident(bytes[p - 1]);
-        let after_ok = after >= bytes.len() || !is_ident(bytes[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = p + 1;
-    }
-    false
-}
-
-/// Suffix-product stride of dimension `d` as a raw expression over the
-/// rendered dimension strings.
-fn raw_dense_stride(dims: &[String], d: usize) -> String {
-    dense_product(&dims[d + 1..])
-}
-
-/// Product of rendered dimension expressions (`1` when empty), with
-/// parentheses only around composite factors.
-fn dense_product(dims: &[String]) -> String {
-    if dims.is_empty() {
-        return "1".to_string();
-    }
-    let atom = |e: &String| e.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
-    dims.iter()
-        .map(|e| if atom(e) { e.clone() } else { format!("({e})") })
-        .collect::<Vec<_>>()
-        .join(" * ")
-}
-
-/// Per-dimension stride expressions of a dense tensor: the hoisted
-/// constant names (`A_s0`) of a dense argument `name`, raw products for a
-/// local allocation.
-fn dense_strides(name: Option<&str>, dims: &[String]) -> Vec<String> {
-    (0..dims.len())
-        .map(|d| match name {
-            _ if d + 1 == dims.len() => "1".to_string(),
-            Some(name) => format!("{name}_s{d}"),
-            None => raw_dense_stride(dims, d),
-        })
-        .collect()
 }

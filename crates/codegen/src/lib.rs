@@ -213,8 +213,9 @@ pub type Result<T> = std::result::Result<T, CodegenError>;
 /// symbols; [`CodegenError::Unsupported`] for constructs outside the C
 /// backend's subset (the message names the construct).
 pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Result<CUnit> {
+    let lowered = exo_interp::lower(proc);
     let mut unit = emit::UnitEmitter::new(registry, opts);
-    unit.add_proc(proc, &exo_interp::lower(proc), true)?;
+    unit.add_proc(proc, &lowered, true)?;
     let mode = if opts.intrinsics {
         "machine intrinsics where mapped, scalar fallback otherwise"
     } else {

@@ -12,6 +12,8 @@
 //!   index comes from `exo_interp::lower`, so the same procedure always
 //!   mangles to the same identifiers.
 
+use std::borrow::Cow;
+
 /// C99 keywords plus identifiers the emitted prelude itself uses. A user
 /// procedure or argument carrying one of these cannot be emitted.
 const C_RESERVED: &[&str] = &[
@@ -94,6 +96,16 @@ pub fn is_c_identifier(name: &str) -> bool {
     bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
+/// [`sanitize`], borrowing `name` when it is already a legal unreserved
+/// identifier (the common case).
+pub(crate) fn sanitized(name: &str) -> Cow<'_, str> {
+    if is_c_identifier(name) && !is_c_reserved(name) {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(sanitize(name))
+    }
+}
+
 /// Rewrites a name into a legal (not necessarily unused) C identifier:
 /// illegal characters become `_`, a leading digit gets a `v` prefix, and
 /// reserved words get an `x_` prefix. Empty names become `v`.
@@ -143,6 +155,9 @@ mod tests {
         assert_eq!(sanitize("exo_tmp"), "x_exo_tmp");
         for weird in ["a b", "α", "x.y", "9", "while"] {
             assert!(is_c_identifier(&sanitize(weird)), "{weird}");
+        }
+        for name in ["i", "blur-x", "3x", "for", "", "exo_tmp", "A_s0"] {
+            assert_eq!(sanitized(name), sanitize(name), "{name}");
         }
     }
 }

@@ -207,9 +207,9 @@ fn unknown_callees_error() {
 
 #[test]
 fn re_registering_an_instruction_changes_the_emitted_unit() {
-    // A callee's C comes from the registry's memoized lowering, which
-    // lives in the registry entry: re-registering the name must replace
-    // it along with the definition.
+    // A callee's C comes from the registry's memoized lowering and text,
+    // which live in the registry entry: re-registering the name must
+    // replace both along with the definition.
     let p = fixtures::fill4_kernel();
     let mut registry = ProcRegistry::new();
     registry.register(fixtures::fill4(1.0));
@@ -226,4 +226,43 @@ fn re_registering_an_instruction_changes_the_emitted_unit() {
         second.contains("= 2.0") && !second.contains("= 1.0"),
         "{second}"
     );
+}
+
+#[test]
+fn demoted_and_intrinsic_uses_of_one_instruction_emit_their_own_text() {
+    // `column_copy` demotes `mm256_loadu_ps` to its scalar body (strided
+    // windows), `row_copy` keeps the intrinsic: the memo is keyed by the
+    // verdict, so neither unit replays the other's text.
+    let shared = fixtures::avx2_registry();
+    let native = CodegenOptions::native();
+    let fresh = |p: &exo_ir::Proc| emit_c(p, &fixtures::avx2_registry(), &native).unwrap().code;
+    for p in [
+        fixtures::column_copy(),
+        fixtures::row_copy(),
+        fixtures::column_copy(),
+        fixtures::row_copy(),
+    ] {
+        assert_eq!(emit_c(&p, &shared, &native).unwrap().code, fresh(&p));
+    }
+}
+
+#[test]
+fn portable_then_native_from_one_registry_match_fresh_registries() {
+    // The memo is keyed by the emission mode: a registry that emitted a
+    // unit portable emits it native as a registry that never emitted.
+    let shared = fixtures::avx2_registry();
+    let p = fixtures::vectorized_sgemm();
+    for opts in [
+        CodegenOptions::portable(),
+        CodegenOptions::native(),
+        CodegenOptions::portable(),
+    ] {
+        let unit = emit_c(&p, &shared, &opts).unwrap();
+        let fresh = emit_c(&p, &fixtures::avx2_registry(), &opts).unwrap();
+        assert_eq!(unit.code, fresh.code);
+        assert_eq!(unit.cflags, fresh.cflags);
+    }
+    let native = emit_c(&p, &shared, &CodegenOptions::native()).unwrap();
+    assert!(native.code.contains("_mm256_"), "{}", native.code);
+    assert!(!native.cflags.is_empty());
 }

@@ -2,13 +2,18 @@
 //! lowering of each: the executor runs a callee's memoized lowering, and
 //! the C emitter (`exo-codegen`) emits from it, so a registered procedure
 //! is lowered once per registration however many calls run it and
-//! however many units emit it.
+//! however many units emit it. Beside the lowering, each entry keeps a
+//! second memo for a code generator: the C emitter keeps there the text
+//! it rendered for the procedure, so an instruction is rendered once per
+//! registration too.
 
 use crate::lower::{lower, LoweredProc};
 use exo_ir::{ContentHasher, Proc};
+use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 
 /// Maps procedure names to their definitions.
 ///
@@ -26,6 +31,13 @@ use std::hash::BuildHasherDefault;
 /// it was computed from, so re-registering a name drops it with the
 /// definition it came from.
 ///
+/// The second memo ([`ProcRegistry::backend_memo`]) holds what a code
+/// generator derives from the entry alone; the C emitter keeps each
+/// instruction's rendered function text there, one per emission mode.
+/// The registry does not know its type. It lives in the entry too, so it
+/// dies with the definition on re-registration, and a clone of the
+/// registry shares it.
+///
 /// Names hash with [`ContentHasher`]: every call looks its callee up by
 /// name, and a word-at-a-time hash with no per-process key beats
 /// SipHash there. The keys are the program's own procedure names, so
@@ -40,6 +52,7 @@ pub struct ProcRegistry {
 struct Entry {
     proc: Proc,
     lowered: OnceCell<LoweredProc>,
+    backend: OnceCell<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Entry {
@@ -61,6 +74,7 @@ impl ProcRegistry {
         let entry = Entry {
             proc,
             lowered: OnceCell::new(),
+            backend: OnceCell::new(),
         };
         self.procs.insert(entry.proc.name().to_string(), entry);
         self
@@ -107,6 +121,23 @@ impl ProcRegistry {
     pub fn lowered_for(&self, name: &str) -> Option<(&Proc, &LoweredProc)> {
         let entry = self.procs.get(name)?;
         Some((&entry.proc, entry.lowered()))
+    }
+
+    /// The code generator's memo for the procedure registered under
+    /// `name`, made by `init` on the first request since registration.
+    /// Returns `None` for unregistered names, and when the memo was made
+    /// with another type. The memo must depend on nothing but the entry's
+    /// procedure: re-registering another name leaves it in place.
+    pub fn backend_memo<T: Any + Send + Sync>(
+        &self,
+        name: &str,
+        init: impl FnOnce() -> T,
+    ) -> Option<&T> {
+        let entry = self.procs.get(name)?;
+        entry
+            .backend
+            .get_or_init(|| Arc::new(init()))
+            .downcast_ref::<T>()
     }
 
     /// The cached lowering for a top-level procedure, provided the

@@ -5,7 +5,9 @@ use crate::hash::ContentHasher;
 use crate::stmt::Block;
 use crate::sym::Sym;
 use crate::types::{DataType, Mem};
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The kind of a procedure argument.
@@ -71,12 +73,67 @@ pub struct Proc {
     body: Block,
 }
 
-#[derive(Clone, PartialEq, Hash, Debug)]
 struct Head {
     name: String,
     args: Vec<ProcArg>,
     preds: Vec<Expr>,
     instr: Option<InstrInfo>,
+    /// Structural hash of the fields above, cached like a block's: 0 =
+    /// not computed (a computed 0 is stored as 1). `Proc::head_mut`, the
+    /// only route to editing a header, clears it. `Relaxed` throughout,
+    /// as for blocks.
+    hash: AtomicU64,
+}
+
+impl Clone for Head {
+    fn clone(&self) -> Self {
+        Head {
+            name: self.name.clone(),
+            args: self.args.clone(),
+            preds: self.preds.clone(),
+            instr: self.instr.clone(),
+            hash: AtomicU64::new(self.hash.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Compares the fields; the cached hash is not one.
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.args == other.args
+            && self.preds == other.preds
+            && self.instr == other.instr
+    }
+}
+
+impl Hash for Head {
+    /// Feeds the structural hash of the fields, from the cache when this
+    /// header has been hashed since its last edit.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut hash = self.hash.load(Ordering::Relaxed);
+        if hash == 0 {
+            let mut h = ContentHasher::new();
+            self.name.hash(&mut h);
+            self.args.hash(&mut h);
+            self.preds.hash(&mut h);
+            self.instr.hash(&mut h);
+            hash = h.finish().max(1);
+            self.hash.store(hash, Ordering::Relaxed);
+        }
+        state.write_u64(hash);
+    }
+}
+
+impl fmt::Debug for Head {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Head")
+            .field("name", &self.name)
+            .field("args", &self.args)
+            .field("preds", &self.preds)
+            .field("instr", &self.instr)
+            .finish()
+    }
 }
 
 impl Proc {
@@ -89,22 +146,26 @@ impl Proc {
                 args,
                 preds,
                 instr: None,
+                hash: AtomicU64::new(0),
             }),
             body,
         }
     }
 
-    /// The header for editing, copied first if a clone shares it.
+    /// The header for editing, copied first if a clone shares it, with
+    /// its cached hash cleared. Every header edit goes through it.
     fn head_mut(&mut self) -> &mut Head {
-        Arc::make_mut(&mut self.head)
+        let head = Arc::make_mut(&mut self.head);
+        *head.hash.get_mut() = 0;
+        head
     }
 
     /// Structural hash of the whole procedure: equal procedures hash
     /// equal, and every field `==` compares — names, argument kinds and
     /// memories, assertions, instruction metadata, the shape of every
-    /// expression — reaches it. The header is hashed on each call; the
-    /// body's share comes from the hash its blocks cache, so for a version
-    /// produced by an edit only the copied spine is hashed anew.
+    /// expression — reaches it. The header's share is cached on the
+    /// header and the body's on its blocks, so for a version produced by
+    /// an edit only the edited header or the copied spine is hashed anew.
     pub fn content_hash(&self) -> u64 {
         let mut h = ContentHasher::new();
         self.hash(&mut h);

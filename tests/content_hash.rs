@@ -6,7 +6,7 @@
 //! nothing.
 
 use exo2::cursors::ProcHandle;
-use exo2::ir::{deep_unshare, Block, Proc};
+use exo2::ir::{deep_unshare, ib, var, Block, DataType, Expr, InstrInfo, Mem, Proc, ProcBuilder};
 use exo2::kernels::{self, Precision};
 use exo2::lib::{
     halide_blur_schedule, halide_unsharp_schedule, optimize_all_level_1, optimize_all_level_2,
@@ -86,4 +86,53 @@ fn every_library_version_hashes_like_an_unshared_copy_of_itself() {
             assert_eq!(va.content_hash(), vb.content_hash());
         }
     }
+}
+
+/// A small procedure, built afresh on each call.
+fn scale() -> Proc {
+    ProcBuilder::new("scale")
+        .size_arg("n")
+        .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
+        .for_("i", ib(0), var("n"), |b| {
+            b.assign("x", vec![var("i")], b.read("x", vec![var("i")]) * ib(2));
+        })
+        .build()
+}
+
+#[test]
+fn header_edits_change_the_cached_header_hash() {
+    let original = scale();
+    let before = original.content_hash();
+    let edits: [(&str, fn(Proc) -> Proc); 4] = [
+        ("with_name", |p| p.with_name("scale2")),
+        ("args_mut", |mut p| {
+            p.args_mut()[0].name = "m".into();
+            p
+        }),
+        ("add_assertion", |p| {
+            p.add_assertion(Expr::eq_(Expr::modulo(var("n"), ib(8)), ib(0)))
+        }),
+        ("with_instr", |p| {
+            p.with_instr(InstrInfo {
+                cost_class: "test".into(),
+            })
+        }),
+    ];
+    for (what, edit) in edits {
+        // The original's header hash is cached; the clone shares it until
+        // the edit copies it.
+        let edited = edit(original.clone());
+        assert_ne!(edited.content_hash(), before, "{what} kept the hash");
+        assert_eq!(
+            original.content_hash(),
+            before,
+            "{what} moved the original's hash"
+        );
+        // The edited version hashes like the same procedure built apart,
+        // whose header was never cached.
+        let apart = edit(scale());
+        assert_eq!(edited, apart);
+        assert_eq!(edited.content_hash(), apart.content_hash(), "{what}");
+    }
+    assert_eq!(scale().content_hash(), before);
 }
