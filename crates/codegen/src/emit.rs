@@ -34,6 +34,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::OnceLock;
 
+/// Appends formatted text to the unit's buffer (writing to a `String`
+/// cannot fail).
+macro_rules! w {
+    ($this:ident, $($fmt:tt)*) => {{
+        let _ = write!($this.unit.out, $($fmt)*);
+    }};
+}
+
 /// C scalar type for a data type.
 pub(crate) fn c_type(ty: DataType) -> &'static str {
     match ty {
@@ -827,10 +835,6 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
         Ok(this)
     }
 
-    fn out(&mut self) -> &mut String {
-        &mut self.unit.out
-    }
-
     fn put(&mut self, s: &str) {
         self.unit.out.push_str(s);
     }
@@ -866,7 +870,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
     fn dim(&mut self, e: &Expr, p: u8) -> Result<()> {
         match e {
             Expr::Int(v) => {
-                let _ = write!(self.out(), "{v}");
+                w!(self, "{v}");
                 Ok(())
             }
             Expr::Var(s) => {
@@ -884,7 +888,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                     self.put("(");
                 }
                 self.dim(lhs, prec)?;
-                let _ = write!(self.out(), " {sym} ");
+                w!(self, " {sym} ");
                 self.dim(rhs, prec + 1)?;
                 if prec < p {
                     self.put(")");
@@ -1018,13 +1022,9 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
             | SlotRepr::AllocN { .. }
             | SlotRepr::ScalarRef(_) => self.name(slot),
             SlotRepr::WinParam { .. } | SlotRepr::Alias { .. } => {
-                self.name(slot);
-                self.put(".data");
+                w!(self, "{}.data", self.names[slot])
             }
-            SlotRepr::Alloc0(_) => {
-                self.put("&");
-                self.name(slot);
-            }
+            SlotRepr::Alloc0(_) => w!(self, "&{}", self.names[slot]),
             _ => {
                 return Err(CodegenError::Unsupported(format!(
                     "`{}` used as a tensor",
@@ -1076,15 +1076,13 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
         match self.repr[slot] {
             SlotRepr::DenseArg { dims, flags, .. } if d + 1 < dims.len() => {
                 self.strides_used[flags + d] = true;
-                self.name(slot);
-                let _ = write!(self.out(), "_s{d}");
+                w!(self, "{}_s{d}", self.names[slot]);
             }
             SlotRepr::AllocN { dims, .. } if d + 1 < dims.len() => {
                 self.product(&dims[d + 1..], |this, e| this.expr(e, 0))?;
             }
             SlotRepr::WinParam { rank, .. } | SlotRepr::Alias { rank, .. } if d < rank => {
-                self.name(slot);
-                let _ = write!(self.out(), ".strides[{d}]");
+                w!(self, "{}.strides[{d}]", self.names[slot])
             }
             _ => self.put("1"),
         }
@@ -1186,14 +1184,11 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
         }
         let checked =
             self.unit.opts.debug_bounds && self.unproven.contains(&self.lp.slot_names()[slot]);
-        self.name(slot);
-        if matches!(
-            self.repr[slot],
-            SlotRepr::WinParam { .. } | SlotRepr::Alias { .. }
-        ) {
-            self.put(".data");
-        }
-        self.put("[");
+        let data = match self.repr[slot] {
+            SlotRepr::WinParam { .. } | SlotRepr::Alias { .. } => ".data",
+            _ => "",
+        };
+        w!(self, "{}{data}[", self.names[slot]);
         for (d, i) in idx.iter().enumerate() {
             if d > 0 {
                 self.put(" + ");
@@ -1328,9 +1323,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
 
     fn expr_bare(&mut self, e: &'a LExpr) -> Result<()> {
         match e {
-            LExpr::Int(v) => {
-                let _ = write!(self.out(), "{v}");
-            }
+            LExpr::Int(v) => w!(self, "{v}"),
             LExpr::Float(v) => self.float_literal(*v),
             LExpr::Bool(b) => {
                 self.unit.facts.need_bool = true;
@@ -1396,14 +1389,9 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
             }
             // Rank-0 tensors in scalar position read their single element;
             // a written scalar parameter reads through its pointer.
-            SlotRepr::Ptr0(_) | SlotRepr::ScalarRef(_) => {
-                self.put("*");
-                self.name(slot);
-            }
+            SlotRepr::Ptr0(_) | SlotRepr::ScalarRef(_) => w!(self, "*{}", self.names[slot]),
             SlotRepr::WinParam { rank: 0, .. } | SlotRepr::Alias { rank: 0, .. } => {
-                self.put("*");
-                self.name(slot);
-                self.put(".data");
+                w!(self, "*{}.data", self.names[slot])
             }
             other => {
                 return Err(CodegenError::Unsupported(format!(
@@ -1446,7 +1434,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                 // All the remaining operators are left-associative in C.
                 let (sym, prec) = c_binop(op);
                 self.expr(lhs, prec)?;
-                let _ = write!(self.out(), " {sym} ");
+                w!(self, " {sym} ");
                 self.expr(rhs, prec + 1)
             }
         }
@@ -1493,12 +1481,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
 
     fn config_var(&mut self, config: &str, field: &str) {
         self.unit.facts.config(config, field);
-        let _ = write!(
-            self.out(),
-            "exo_cfg_{}_{}",
-            sanitized(config),
-            sanitized(field)
-        );
+        w!(self, "exo_cfg_{}_{}", sanitized(config), sanitized(field));
     }
 
     // ================================================================
@@ -1538,8 +1521,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                 LInst::Alloc { slot, ty, dims, .. } => {
                     let slot = *slot as usize;
                     self.start_line();
-                    let _ = write!(self.out(), "{} ", c_type(*ty));
-                    self.name(slot);
+                    w!(self, "{} {}", c_type(*ty), self.names[slot]);
                     if dims.is_empty() {
                         self.put(" = 0;\n");
                     } else {
@@ -1554,11 +1536,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                         // `BufferData::zeros` (memset also covers VLAs).
                         self.unit.facts.need_string = true;
                         self.start_line();
-                        self.put("memset(");
-                        self.name(slot);
-                        self.put(", 0, sizeof ");
-                        self.name(slot);
-                        self.put(");\n");
+                        w!(self, "memset({0}, 0, sizeof {0});\n", self.names[slot]);
                     }
                 }
                 LInst::Loop {
@@ -1594,7 +1572,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                         self.line("{");
                         self.indent += 1;
                         self.start_line();
-                        let _ = write!(self.out(), "const int64_t exo_hi_{iter} = ");
+                        w!(self, "const int64_t exo_hi_{iter} = ");
                         self.expr(hi, 0)?;
                         self.put(";\n");
                     }
@@ -1608,21 +1586,15 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                         self.line("#pragma omp parallel for");
                     }
                     self.start_line();
-                    self.put("for (int64_t ");
-                    self.name(it);
-                    self.put(" = ");
+                    w!(self, "for (int64_t {} = ", self.names[it]);
                     self.expr(lo, 0)?;
-                    self.put("; ");
-                    self.name(it);
-                    self.put(" < ");
+                    w!(self, "; {} < ", self.names[it]);
                     if hoist {
-                        let _ = write!(self.out(), "exo_hi_{iter}");
+                        w!(self, "exo_hi_{iter}");
                     } else {
                         self.expr(hi, 61)?;
                     }
-                    self.put("; ");
-                    self.name(it);
-                    self.put("++) {\n");
+                    w!(self, "; {}++) {{\n", self.names[it]);
                     self.indent += 1;
                     self.emit_block(body)?;
                     self.indent -= 1;
@@ -1673,9 +1645,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                     let (elem, rank) = self.window_shape(rhs)?;
                     let sname = self.unit.win_struct(rank, elem);
                     self.start_line();
-                    let _ = write!(self.out(), "struct {sname} ");
-                    self.name(*slot as usize);
-                    self.put(" = ");
+                    w!(self, "struct {sname} {} = ", self.names[*slot as usize]);
                     self.window_literal(rhs, rank, elem)?;
                     self.put(";\n");
                 }
@@ -1877,7 +1847,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                     // traps if such a write actually executes (scalar
                     // bindings are not writable), so agreement on
                     // interpreter-successful runs is preserved.
-                    let _ = write!(self.out(), "&({}){{ ", c_type(*ty));
+                    w!(self, "&({}){{ ", c_type(*ty));
                     self.expr(&arg.scalar, 0)?;
                     self.put(" }");
                     Ok(())
@@ -1909,7 +1879,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                         )));
                     }
                     let sname = self.unit.win_struct(rank, *ty);
-                    let _ = write!(self.out(), "(struct {sname})");
+                    w!(self, "(struct {sname})");
                     self.window_literal(&arg.window, rank, *ty)
                 } else {
                     // A dense (non-window) tensor parameter: the callee
@@ -1951,7 +1921,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
     /// Writes `[static ]void name(params) {` and its newline.
     fn signature(&mut self, is_root: bool) -> Result<()> {
         let linkage = if is_root { "" } else { "static " };
-        let _ = write!(self.unit.out, "{linkage}void {}(", self.proc.name());
+        w!(self, "{linkage}void {}(", self.proc.name());
         if self.lp.args().is_empty() {
             self.put("void");
         }
@@ -1960,31 +1930,30 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
                 self.put(", ");
             }
             let slot = larg.slot as usize;
+            let name = &self.names[slot];
             match self.repr[slot] {
-                SlotRepr::Size => self.put("int64_t "),
+                SlotRepr::Size => w!(self, "int64_t {name}"),
                 SlotRepr::ScalarParam(ty) => {
                     self.unit.facts.need_bool |= ty == DataType::Bool;
-                    let _ = write!(self.out(), "{} ", c_type(ty));
+                    w!(self, "{} {name}", c_type(ty));
                 }
                 SlotRepr::ScalarRef(ty) => {
                     self.unit.facts.need_bool |= ty == DataType::Bool;
-                    let _ = write!(self.out(), "{} *", c_type(ty));
+                    w!(self, "{} *{name}", c_type(ty));
                 }
                 SlotRepr::Ptr0(ty) | SlotRepr::DenseArg { elem: ty, .. } => {
-                    let _ = write!(self.out(), "{} *", c_type(ty));
+                    w!(self, "{} *{name}", c_type(ty))
                 }
                 SlotRepr::WinParam { elem, rank } => {
                     let sname = self.unit.win_struct(rank, elem);
-                    let _ = write!(self.out(), "struct {sname} ");
+                    w!(self, "struct {sname} {name}");
                 }
                 ref other => {
                     return Err(CodegenError::Unsupported(format!(
-                        "parameter `{}` has a local representation ({other:?})",
-                        self.names[slot]
+                        "parameter `{name}` has a local representation ({other:?})"
                     )))
                 }
             }
-            self.name(slot);
         }
         self.put(") {\n");
         Ok(())
@@ -2045,9 +2014,7 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
             };
             for d in 0..dims.len().saturating_sub(1) {
                 if self.strides_used[flags + d] {
-                    self.put("    const int64_t ");
-                    self.name(slot);
-                    let _ = write!(self.out(), "_s{d} = ");
+                    w!(self, "    const int64_t {}_s{d} = ", self.names[slot]);
                     self.product(&dims[d + 1..], |this, e| this.dim(e, 0))?;
                     self.put(";\n");
                 }
