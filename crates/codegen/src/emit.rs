@@ -532,9 +532,7 @@ impl<'a> UnitEmitter<'a> {
                     rendered?;
                     self.facts.merge(&facts);
                     let text = self.out[start..].to_string();
-                    // Another unit may have filled the slot meanwhile with
-                    // the same text; either copy serves.
-                    let _ = slot.set(FnText { text, facts });
+                    slot.get_or_init(|| FnText { text, facts });
                 }
             },
             None => self.render(proc, lowered, is_root, fallback)?,
