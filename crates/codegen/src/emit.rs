@@ -277,25 +277,6 @@ fn memo_key(opts: &CodegenOptions, fallback: bool) -> usize {
         | usize::from(fallback) << 3
 }
 
-/// Calls `f` on every instruction of `block`, pre-order.
-fn for_each_inst<'i>(block: &'i [LInst], f: &mut impl FnMut(&'i LInst)) {
-    for inst in block {
-        f(inst);
-        match inst {
-            LInst::Loop { body, .. } => for_each_inst(body, f),
-            LInst::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                for_each_inst(then_body, f);
-                for_each_inst(else_body, f);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Shared translation-unit state: the function definitions written so
 /// far and what the unit needs in front of them.
 pub(crate) struct UnitEmitter<'a> {
@@ -424,7 +405,7 @@ impl<'a> UnitEmitter<'a> {
             }
         }
         let mut callees = Vec::new();
-        for_each_inst(lowered.code(), &mut |inst| {
+        for inst in lowered.insts() {
             match inst {
                 LInst::Alloc { slot, dims, .. } => {
                     facts[*slot as usize] = Some(StrideFact {
@@ -439,7 +420,7 @@ impl<'a> UnitEmitter<'a> {
                     // Unknown callees error out of emission before any
                     // verdict matters.
                     let Some((callee_proc, callee_lowered)) = registry.lowered_for(callee) else {
-                        return;
+                        continue;
                     };
                     if callee_proc.is_instr()
                         && !args_unit_stride(&facts, callee_proc, args)
@@ -451,7 +432,7 @@ impl<'a> UnitEmitter<'a> {
                 }
                 _ => {}
             }
-        });
+        }
         for (p, l) in callees {
             self.scalar_fallback_scan(p, l, seen);
         }
@@ -498,19 +479,15 @@ impl<'a> UnitEmitter<'a> {
         let registry = self.registry;
         // Emit callees first, in order of first appearance.
         let mut has_calls = false;
-        let mut callees = Ok(());
-        for_each_inst(lowered.code(), &mut |inst| {
+        for inst in lowered.insts() {
             if let LInst::Call { callee, .. } = inst {
                 has_calls = true;
-                if callees.is_ok() {
-                    callees = match registry.lowered_for(callee) {
-                        Some((p, l)) => self.add_proc(p, l, false),
-                        None => Err(CodegenError::UnknownCallee(callee.to_string())),
-                    };
-                }
+                let (callee_proc, callee_lowered) = registry
+                    .lowered_for(callee)
+                    .ok_or_else(|| CodegenError::UnknownCallee(callee.to_string()))?;
+                self.add_proc(callee_proc, callee_lowered, false)?;
             }
-        });
-        callees?;
+        }
         let fallback = self.scalar_fallback_instrs.contains(&name);
         if !self.out.is_empty() {
             self.out.push('\n');
@@ -911,14 +888,11 @@ impl<'u, 'a> FnEmitter<'u, 'a> {
     /// aliases). The pre-order walk is source order, so every slot's
     /// binding instruction precedes its uses.
     fn prepass(&mut self) -> Result<()> {
-        let mut result = Ok(());
         let lp = self.lp;
-        for_each_inst(lp.code(), &mut |inst| {
-            if result.is_ok() {
-                result = self.prepass_inst(inst);
-            }
-        });
-        result
+        for inst in lp.insts() {
+            self.prepass_inst(inst)?;
+        }
+        Ok(())
     }
 
     fn prepass_inst(&mut self, inst: &'a LInst) -> Result<()> {

@@ -103,7 +103,8 @@ fn scale() -> Proc {
 fn header_edits_change_the_cached_header_hash() {
     let original = scale();
     let before = original.content_hash();
-    let edits: [(&str, fn(Proc) -> Proc); 4] = [
+    type Edit = fn(Proc) -> Proc;
+    let edits: [(&str, Edit); 4] = [
         ("with_name", |p| p.with_name("scale2")),
         ("args_mut", |mut p| {
             p.args_mut()[0].name = "m".into();
