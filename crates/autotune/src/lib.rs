@@ -59,6 +59,7 @@ pub mod space;
 use exo_codegen::difftest::{interp_args, synth_inputs};
 use exo_cursors::ProcHandle;
 use exo_interp::{BufRef, ProcRegistry};
+use exo_ir::memo::ContentMemo;
 use exo_ir::{DataType, Proc};
 use exo_lib::{apply_script, schedule_of_record, ScheduleScript};
 use exo_machine::{try_simulate, MachineModel};
@@ -248,26 +249,23 @@ enum Priced {
 /// equal to one priced before (the unscheduled kernel is the first) costs
 /// a hash and a comparison instead of a simulation.
 struct Prices {
-    seen: Vec<(u64, Proc, Priced)>,
+    priced: ContentMemo<Proc, Priced>,
     reference: Run,
 }
 
 impl Prices {
     /// The prices of one call, seeded with the unscheduled kernel's run.
-    fn new(base: &Proc, reference: Run) -> Prices {
+    /// A call prices at most `budget` candidates, so a memo of `budget`
+    /// entries beside the kernel's never evicts.
+    fn new(base: &Proc, reference: Run, budget: usize) -> Prices {
+        let priced = ContentMemo::new(budget + 1);
         let cycles = Priced::Cycles(reference.cycles);
-        Prices {
-            seen: vec![(base.content_hash(), base.clone(), cycles)],
-            reference,
-        }
+        priced.get_or_init(base.content_hash(), base, |_| true, || cycles);
+        Prices { priced, reference }
     }
 
-    fn price(&mut self, proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Priced {
-        let hash = proc.content_hash();
-        if let Some((_, _, priced)) = self.seen.iter().find(|(h, p, _)| *h == hash && p == proc) {
-            return *priced;
-        }
-        let priced = {
+    fn price(&self, proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Priced {
+        let simulate = || {
             let _sim = exo_obs::span!("tune:simulate");
             match Run::of(proc, registry, input_seed) {
                 Ok(run) if run.agrees_with(&self.reference) => Priced::Cycles(run.cycles),
@@ -275,8 +273,8 @@ impl Prices {
                 Err(_) => Priced::Trapped,
             }
         };
-        self.seen.push((hash, proc.clone(), priced));
-        priced
+        let hash = proc.content_hash();
+        self.priced.get_or_init(hash, proc, |_| true, simulate).0
     }
 }
 
@@ -339,7 +337,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     let reference = Run::of(base.proc(), &registry, cfg.input_seed)
         .map_err(|e| format!("`{}` baseline does not simulate: {e}", task.name))?;
     let baseline_cycles = reference.cycles;
-    let mut prices = Prices::new(base.proc(), reference);
+    let prices = Prices::new(base.proc(), reference, cfg.budget);
 
     let scripts = {
         let _gen = exo_obs::span!("tune:generate", "{}", task.name);
@@ -479,11 +477,11 @@ mod tests {
         let base = copy(Precision::Single);
         let reference = Run::of(&base, &registry, 1).expect("the kernel simulates");
         let cycles = reference.cycles;
-        let mut prices = Prices::new(&base, reference);
+        let prices = Prices::new(&base, reference, 2);
         // The unscheduled kernel is priced already.
         let again = prices.price(&base.clone(), &registry, 1);
         assert!(matches!(again, Priced::Cycles(c) if c == cycles));
-        assert_eq!(prices.seen.len(), 1);
+        assert_eq!(prices.priced.stats().misses, 1);
         // A kernel with the same arguments that computes something else
         // diverges, and is simulated once.
         let other = scal(Precision::Single);
@@ -493,6 +491,6 @@ mod tests {
                 Priced::Diverged
             ));
         }
-        assert_eq!(prices.seen.len(), 2);
+        assert_eq!(prices.priced.stats().misses, 2);
     }
 }

@@ -33,13 +33,14 @@ use crate::emit::c_type;
 use crate::{emit_c, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
+use exo_ir::memo::ContentMemo;
 use exo_ir::rng::Rng;
-use exo_ir::{ArgKind, DataType, Expr, Proc, Sym};
-use std::collections::BTreeMap;
+use exo_ir::{ArgKind, ContentHasher, DataType, Expr, Proc, Sym};
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Supervision policy for `cc` invocations: generous wall-clock limit
@@ -703,6 +704,10 @@ pub fn summarize_runs(runs: &[f64]) -> Option<(f64, f64)> {
 #[derive(Debug)]
 pub struct BuildDir {
     artifact: PathBuf,
+    /// The precompiled prelude a [`Toolchain::command`] passes to the
+    /// compile of this directory's source, kept on disk — through the
+    /// prelude's eviction — for as long as the compile may read it.
+    prelude: Option<Arc<BuildDir>>,
 }
 
 impl BuildDir {
@@ -719,6 +724,7 @@ impl BuildDir {
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         Ok(BuildDir {
             artifact: dir.join(artifact),
+            prelude: None,
         })
     }
 
@@ -756,7 +762,7 @@ impl Drop for BuildDir {
 const BASE_CFLAGS: [&str; 4] = ["-O2", "-Wall", "-Werror", "-std=c99"];
 
 /// What a compile produces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Artifact {
     /// A linked binary, `kernel`: the source defines `main`.
     Executable,
@@ -835,8 +841,10 @@ fn run_cc(
     command: Result<(Command, BuildDir), String>,
     guard: &GuardConfig,
 ) -> Result<BuildDir, BuildError> {
-    let (mut cmd, build) = command.map_err(BuildError::Unavailable)?;
+    let (mut cmd, mut build) = command.map_err(BuildError::Unavailable)?;
     run_compiler(&mut cmd, guard)?;
+    // The artifact is built: the prelude may go.
+    build.prelude = None;
     Ok(build)
 }
 
@@ -848,22 +856,19 @@ const PRELUDE_MARKER: &str = "#include <immintrin.h>";
 /// largest unit served — sgemm's AVX-512 record with its data driver —
 /// holds 39 kB of source and a 29 kB binary, and the key keeps the source
 /// once more in memory: ≈ 3.5 MB of disk and 1.3 MB of heap at the cap.
-/// `cold_native` holds 3 units per service, the fault-injection soak 8;
-/// a warm lookup at the cap scans every key in 2 µs.
+/// `cold_native` holds 3 units per service, the fault-injection soak 8.
 pub const BUILD_CACHE_CAP: usize = 32;
 
-/// One memoised build: its key — compared in full, so that no hash
-/// collision can ever run the wrong kernel — and the slot its first
-/// lookup fills while later lookups of the same key wait on it.
-#[derive(Debug)]
-struct CachedBuild {
-    kind: Artifact,
-    cflags: Vec<String>,
-    source: String,
-    slot: BuildSlot,
-}
+/// Preludes a [`Toolchain`] keeps at most. One is ≈ 24 MB of disk (the
+/// `.gch` of `<immintrin.h>` under `-mavx2 -mfma`), and the emitter asks
+/// for at most four `cflags` sets — AVX2 or AVX-512, each with or without
+/// `-fopenmp` — so the cap evicts only on flags the library never emits.
+pub const PRELUDE_CACHE_CAP: usize = 4;
 
-type BuildSlot = Arc<OnceLock<Result<Arc<BuildDir>, BuildError>>>;
+/// What a memoised build is made from — artifact kind, `cflags`, source
+/// text — compared in full on every lookup, so that no hash collision
+/// can ever run the wrong kernel.
+type BuildKey = (Artifact, Vec<String>, String);
 
 /// A handle on a memoised build of a [`Toolchain`]. The artifact stays
 /// on disk for as long as a handle exists — through eviction and through
@@ -888,32 +893,45 @@ impl SharedBuild {
     }
 }
 
-/// A C compiler plus what it has already parsed and built.
+/// A C compiler plus what it has already parsed and built, in two
+/// [`ContentMemo`]s: lookups of one key wait for its first build, other
+/// keys build beside it, and each memo evicts its least recently used
+/// entry at its bound.
 ///
 /// Per distinct `cflags` set it keeps a precompiled header of the fixed
 /// include block every native unit starts with, built on first use and
-/// passed to later compiles with `-include`. The preludes are private to
-/// their owner: each sits in its own [`BuildDir`] and goes when the
-/// toolchain is dropped. GCC silently ignores a `.gch` built with other
-/// flags but fails hard on a truncated one, so a prelude is keyed by the
-/// full `cflags`, never shared between processes and never reused from
-/// an earlier run. A prelude that cannot be built is remembered as such,
-/// and the command is then exactly [`cc_command`]'s.
+/// passed to later compiles with `-include`, at most
+/// [`PRELUDE_CACHE_CAP`] of them. The preludes are private to their
+/// owner: each sits in its own [`BuildDir`] and goes when the toolchain is
+/// dropped or evicts it, and no compile is running with it. GCC silently
+/// ignores a `.gch` built with other flags but fails hard on a truncated
+/// one, so a prelude is keyed by the full `cflags`, never shared between
+/// processes and never reused from an earlier run. A prelude that cannot
+/// be built is remembered as such, and the command is then exactly
+/// [`cc_command`]'s.
 ///
 /// Per distinct (artifact kind, `cflags`, source text) it keeps what
-/// [`Toolchain::executable`] and [`Toolchain::object`] built, least
-/// recently used first, at most [`BUILD_CACHE_CAP`] of them. A failed or
-/// timed-out build is not kept. Eviction and the toolchain's drop only
-/// give up the cache's own handle: a directory goes once the last
-/// [`SharedBuild`] on it has gone too.
+/// [`Toolchain::executable`] and [`Toolchain::object`] built, at most
+/// [`BUILD_CACHE_CAP`] of them. A failed or timed-out build is handed to
+/// the lookups waiting for it and not kept. Eviction and the toolchain's
+/// drop only give up the cache's own handle: a directory goes once the
+/// last [`SharedBuild`] on it has gone too.
 #[derive(Debug)]
 pub struct Toolchain {
     program: String,
     guard: GuardConfig,
-    /// Per `cflags` set asked for so far: the directory holding
-    /// `prelude.h` and `prelude.h.gch`, or why it could not be built.
-    preludes: Mutex<BTreeMap<Vec<String>, Result<BuildDir, String>>>,
-    builds: Mutex<Vec<CachedBuild>>,
+    /// Per `cflags` set asked for: the directory holding `prelude.h` and
+    /// `prelude.h.gch`, or why it could not be built.
+    preludes: ContentMemo<Vec<String>, Result<Arc<BuildDir>, String>>,
+    preludes_built: AtomicU64,
+    builds: ContentMemo<BuildKey, Result<Arc<BuildDir>, BuildError>>,
+}
+
+/// The content hash of `value`, as the toolchain's memos are keyed.
+fn content_hash(value: &impl Hash) -> u64 {
+    let mut h = ContentHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
 impl Toolchain {
@@ -923,8 +941,9 @@ impl Toolchain {
         Toolchain {
             program: program.to_string(),
             guard,
-            preludes: Mutex::new(BTreeMap::new()),
-            builds: Mutex::new(Vec::new()),
+            preludes: ContentMemo::new(PRELUDE_CACHE_CAP),
+            preludes_built: AtomicU64::new(0),
+            builds: ContentMemo::new(BUILD_CACHE_CAP),
         }
     }
 
@@ -934,22 +953,14 @@ impl Toolchain {
     }
 
     /// Preludes built so far (failed builds and reuses not counted).
-    /// Waits for a build in progress.
     pub fn preludes_built(&self) -> u64 {
-        let built = self.lock_preludes().values().filter(|p| p.is_ok()).count();
-        built as u64
+        self.preludes_built.load(Ordering::Relaxed)
     }
 
-    fn lock_preludes(&self) -> MutexGuard<'_, BTreeMap<Vec<String>, Result<BuildDir, String>>> {
-        // The map's only update is the insert of a finished entry, so a
-        // poisoned lock still guards a valid map.
-        self.preludes.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_builds(&self) -> MutexGuard<'_, Vec<CachedBuild>> {
-        // Every update is one `Vec` operation on whole entries, so a
-        // poisoned lock still guards a valid list.
-        self.builds.lock().unwrap_or_else(|e| e.into_inner())
+    /// Builds and preludes evicted at [`BUILD_CACHE_CAP`] and
+    /// [`PRELUDE_CACHE_CAP`] so far.
+    pub fn evictions(&self) -> u64 {
+        self.builds.stats().evictions + self.preludes.stats().evictions
     }
 
     /// [`cc_command`] for this toolchain's compiler, plus `-include
@@ -962,10 +973,12 @@ impl Toolchain {
         tag: &str,
         kind: Artifact,
     ) -> Result<(Command, BuildDir), String> {
-        let (mut cmd, build) = cc_command(&self.program, source, cflags, tag, kind)?;
+        let (mut cmd, mut build) = cc_command(&self.program, source, cflags, tag, kind)?;
         if source.contains(PRELUDE_MARKER) {
-            if let Some(header) = self.prelude(cflags) {
-                cmd.arg("-include").arg(header);
+            if let Some(prelude) = self.prelude(cflags) {
+                cmd.arg("-include")
+                    .arg(prelude.artifact().with_extension(""));
+                build.prelude = Some(prelude);
             }
         }
         Ok((cmd, build))
@@ -1007,9 +1020,9 @@ impl Toolchain {
         self.memoised(source, cflags, tag, Artifact::Object)
     }
 
-    /// Looks the build up, most recently used last; the first lookup of
-    /// a key builds it outside the list's lock, so different keys build
-    /// in parallel while lookups of the same key wait on its slot.
+    /// Looks the build up; the first lookup of a key builds it while
+    /// lookups of the same key wait for it, and different keys build in
+    /// parallel.
     fn memoised(
         &self,
         source: &str,
@@ -1017,55 +1030,27 @@ impl Toolchain {
         tag: &str,
         kind: Artifact,
     ) -> Result<SharedBuild, BuildError> {
-        let slot = {
-            let mut builds = self.lock_builds();
-            let known = builds
-                .iter()
-                .position(|b| b.kind == kind && b.cflags == cflags && b.source == source);
-            let entry = match known {
-                Some(at) => builds.remove(at),
-                None => CachedBuild {
-                    kind,
-                    cflags: cflags.to_vec(),
-                    source: source.to_string(),
-                    slot: BuildSlot::default(),
-                },
-            };
-            let slot = entry.slot.clone();
-            builds.push(entry);
-            if builds.len() > BUILD_CACHE_CAP {
-                builds.remove(0);
-            }
-            slot
-        };
-        let mut built_ms = None;
-        let result = slot.get_or_init(|| {
-            let started = Instant::now();
-            let built = self.build(source, cflags, tag, kind).map(Arc::new);
-            built_ms = Some(started.elapsed().as_secs_f64() * 1e3);
-            built
-        });
-        match result {
-            Ok(dir) => {
-                exo_obs::event("difftest:build", || match built_ms {
-                    Some(ms) => format!("built {ms:.0} {tag}"),
-                    None => format!("reused {tag}"),
+        let key: BuildKey = (kind, cflags.to_vec(), source.to_string());
+        let mut built_ms = 0.0;
+        let (result, built) =
+            self.builds
+                .get_or_init(content_hash(&key), &key, Result::is_ok, || {
+                    let started = Instant::now();
+                    let built = self.build(source, cflags, tag, kind).map(Arc::new);
+                    built_ms = started.elapsed().as_secs_f64() * 1e3;
+                    built
                 });
-                Ok(SharedBuild {
-                    dir: dir.clone(),
-                    reused: built_ms.is_none(),
-                })
-            }
-            Err(error) => {
-                exo_obs::event("difftest:build", || format!("failed {tag}"));
-                // Lookups that were waiting share the error; the next one
-                // finds no entry and builds again.
-                if built_ms.is_some() {
-                    self.lock_builds().retain(|b| !Arc::ptr_eq(&b.slot, &slot));
-                }
-                Err(error.clone())
-            }
-        }
+        exo_obs::event("difftest:build", || match (&result, built) {
+            (Err(_), _) => format!("failed {tag}"),
+            (Ok(_), true) => format!("built {built_ms:.0} {tag}"),
+            (Ok(_), false) => format!("reused {tag}"),
+        });
+        // Lookups that were waiting share an error; the next one builds
+        // again.
+        result.map(|dir| SharedBuild {
+            dir,
+            reused: !built,
+        })
     }
 
     /// Compiles `unit` under its data driver ([`emit_data_driver`]), runs
@@ -1090,32 +1075,32 @@ impl Toolchain {
             .ok_or_else(|| format!("timing binary for `{}` printed no runs", proc.name()))
     }
 
-    /// Path of the `prelude.h` whose precompiled form was built with
-    /// `cflags`, building it on the first lookup. Concurrent lookups wait
-    /// for a build in progress rather than starting their own.
-    fn prelude(&self, cflags: &[String]) -> Option<PathBuf> {
-        let mut preludes = self.lock_preludes();
-        let mut built_ms = None;
-        if !preludes.contains_key(cflags) {
-            let _span = exo_obs::span!("difftest:prelude", "{}", cflags.join(" "));
-            let started = Instant::now();
-            let built = self.build_prelude(cflags);
-            built_ms = Some(started.elapsed().as_secs_f64() * 1e3);
-            preludes.insert(cflags.to_vec(), built);
-        }
-        match preludes.get(cflags)? {
-            Ok(dir) => {
-                exo_obs::event("difftest:prelude", || match built_ms {
-                    Some(ms) => format!("built {ms:.0} {}", cflags.join(" ")),
-                    None => "reused".to_string(),
-                });
-                Some(dir.artifact().with_extension(""))
-            }
-            Err(reason) => {
-                exo_obs::event("difftest:prelude", || format!("unavailable: {reason}"));
-                None
-            }
-        }
+    /// The directory of the `prelude.h` whose precompiled form was built
+    /// with `cflags`, building it on the first lookup. Concurrent lookups
+    /// wait for a build in progress rather than starting their own.
+    fn prelude(&self, cflags: &[String]) -> Option<Arc<BuildDir>> {
+        let mut built_ms = 0.0;
+        let (prelude, built) = self.preludes.get_or_init(
+            content_hash(&cflags),
+            &cflags.to_vec(),
+            |_| true,
+            || {
+                let _span = exo_obs::span!("difftest:prelude", "{}", cflags.join(" "));
+                let started = Instant::now();
+                let prelude = self.build_prelude(cflags).map(Arc::new);
+                built_ms = started.elapsed().as_secs_f64() * 1e3;
+                if prelude.is_ok() {
+                    self.preludes_built.fetch_add(1, Ordering::Relaxed);
+                }
+                prelude
+            },
+        );
+        exo_obs::event("difftest:prelude", || match (&prelude, built) {
+            (Err(reason), _) => format!("unavailable: {reason}"),
+            (Ok(_), true) => format!("built {built_ms:.0} {}", cflags.join(" ")),
+            (Ok(_), false) => "reused".to_string(),
+        });
+        prelude.ok()
     }
 
     /// Precompiles the include block of a native unit with exactly the

@@ -2,12 +2,14 @@
 //! `immintrin.h` and changes nothing else — same binary, same output,
 //! data drivers still see `clock_gettime` — it is per `cflags` set, and
 //! a toolchain that cannot build it issues exactly the plain command.
+//! The toolchain keeps at most `PRELUDE_CACHE_CAP` of them, and one it
+//! evicts stays on disk while a command still names it.
 //!
 //! Every check logs a skip where `cc`, the prelude or the CPU is missing.
 
 use exo_codegen::difftest::{
     build, cc_available, emit_driver, run_lines, synth_inputs, Artifact, BuildDir, SynthArg,
-    Toolchain,
+    Toolchain, PRELUDE_CACHE_CAP,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
@@ -247,4 +249,45 @@ fn each_cflags_set_gets_its_own_prelude() {
         dirs.iter().all(|d| !d.exists()),
         "a prelude outlived its owner"
     );
+}
+
+/// A stand-in compiler that writes an empty output file: enough for the
+/// toolchain to take a prelude as built, with no `cc` run.
+#[cfg(unix)]
+#[test]
+fn an_evicted_prelude_stays_on_disk_while_a_command_names_it() {
+    use std::os::unix::fs::PermissionsExt;
+    let script = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cc-touch.sh");
+    std::fs::write(
+        &script,
+        "#!/bin/sh\nwhile [ $# -gt 0 ]; do [ \"$1\" = -o ] && : > \"$2\"; shift; done\n",
+    )
+    .expect("script is written");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+        .expect("script is executable");
+    let toolchain = Toolchain::new(&script.to_string_lossy(), guard());
+    let source = "#include <immintrin.h>\n";
+    let command = |flag: String| {
+        toolchain
+            .command(source, &[flag], "k", Artifact::Object)
+            .expect("command")
+    };
+    let (held, dir) = command("-DFIRST".into());
+    let header = included(&held).expect("the stand-in builds the prelude");
+    let gch = std::path::PathBuf::from(format!("{header}.gch"));
+    assert!(gch.exists());
+    for k in 0..PRELUDE_CACHE_CAP {
+        drop(command(format!("-DOTHER{k}")));
+    }
+    assert_eq!(toolchain.evictions(), 1);
+    assert!(
+        gch.exists(),
+        "an evicted prelude went while a command named it"
+    );
+    drop(dir);
+    assert!(!gch.exists(), "the prelude outlived its last holder");
+    // Asked for again, it is built again.
+    let (again, _dir) = command("-DFIRST".into());
+    assert_ne!(included(&again), Some(header));
+    assert_eq!(toolchain.preludes_built(), PRELUDE_CACHE_CAP as u64 + 2);
 }

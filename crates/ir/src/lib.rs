@@ -31,7 +31,8 @@
 //!   helpers) used by the cursor machinery in `exo-cursors`,
 //! * structural visitors and substitution utilities,
 //! * structural content hashing ([`Proc::content_hash`], cached on shared
-//!   [`Block`] nodes; [`ContentHasher`]),
+//!   [`Block`] nodes; [`ContentHasher`]), and the one bounded memo every
+//!   cache keyed by such a hash is built on ([`memo::ContentMemo`]),
 //! * the workspace's one seeded random stream ([`rng::Rng`]) and the random
 //!   programs property tests draw from it ([`gen`]).
 //!
@@ -76,6 +77,7 @@ mod builder;
 mod expr;
 pub mod gen;
 mod hash;
+pub mod memo;
 mod path;
 mod print;
 mod proc;

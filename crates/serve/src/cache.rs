@@ -13,29 +13,44 @@
 //! input). The printed text is *not* such an address: the printer drops
 //! the grouping of right-nested `+` / `*` and omits instruction metadata.
 //!
-//! Three entry states:
+//! Every hit is confirmed by comparing the whole request, so not even a
+//! collision can answer one request with another's result.
 //!
-//! * **InFlight** — a worker is computing this key. Identical
-//!   submissions attach themselves as waiters and are all answered by
-//!   the one computation (single-flight: N concurrent identical
-//!   requests perform exactly one compilation).
-//! * **Ready** — a cached success, stored with a checksum over its
-//!   payload. Every hit re-validates the checksum over the whole
-//!   payload; a mismatch (bit rot, or the injected `cache-corruption`
-//!   fault) quarantines the entry and recomputes instead of serving
-//!   corrupt data.
-//! * **Failed** — a cached failure with a timestamp. Within
-//!   [`ResultCache::negative_ttl`] identical requests are answered from
-//!   the cache (a bad request cannot stampede the compiler); after the
-//!   TTL the entry expires and the next request retries for real.
+//! The cache is the service's [`ContentMemo`] of answers, at most
+//! [`RESULT_CACHE_CAP`] of them, least recently used out first. Its
+//! slots are the single-flight: the first submission of a key claims the
+//! slot and a worker fills it, and identical submissions meanwhile hold
+//! the same slot and are all answered by the one computation (N
+//! concurrent identical requests perform exactly one compilation). Two
+//! policies sit on top:
+//!
+//! * **checksummed successes** — a success is stored with a checksum over
+//!   its payload, and every hit re-validates it over the whole payload; a
+//!   mismatch (bit rot, or the injected `cache-corruption` fault) forgets
+//!   the entry and recomputes instead of serving corrupt data;
+//! * **TTL'd failures** — a failure is stored with a timestamp. Within
+//!   the negative TTL identical requests are answered from the cache (a
+//!   bad request cannot stampede the compiler); after it the entry is
+//!   forgotten and the next request retries for real.
+//!
+//! Transient outcomes — load shedding, shutdown — reach everyone holding
+//! the slot and are forgotten, never kept.
 
-use crate::types::{CacheStatus, Delivery, ServeError, ServeOk, ServeResult};
+use crate::types::{ServeError, ServeOk, ServeRequest, ServeResult};
+use exo_ir::memo::{Claim, ContentMemo};
 use exo_ir::ContentHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc::Sender;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Results a service keeps at most. A held result is its `ServeOk` —
+/// names, degradations, the trace's steps; the plan's printed IR,
+/// diagnostics and C are shared with the plan, not copied — and its
+/// key's copy of the request: a one-worker service serving interp seeds
+/// of the three records grew ≈ 1.7 kB of RSS per result held, so the cap
+/// is ≈ 1.7 MB. `serve_mixed` cycles 48 hot keys, far below it; a client
+/// cycling more distinct requests than this recomputes the least
+/// recently used.
+pub const RESULT_CACHE_CAP: usize = 1024;
 
 /// Checksum a cached success payload. Validated on every hit; the
 /// injected `cache-corruption` fault flips it to simulate bit rot.
@@ -54,272 +69,180 @@ pub(crate) fn payload_checksum(ok: &ServeOk) -> u64 {
     h.finish()
 }
 
-/// What `admit` decided for a submission.
-pub(crate) enum Admission {
-    /// Served from a validated cached success.
-    Hit(std::sync::Arc<ServeOk>),
-    /// Served from a TTL-fresh cached failure.
-    NegativeHit(ServeError),
-    /// Attached as a waiter to an identical in-flight computation.
-    Joined,
-    /// The caller must compute: the key is now in-flight with the
-    /// caller's sender as its first (originating) waiter.
-    Compute {
-        /// A corrupt `Ready` entry was detected and quarantined on the
-        /// way (the computation replaces it).
-        recovered_corruption: bool,
-    },
+/// One answer as the cache holds it: the result, the checksum of a
+/// success's payload and the time a failure was stored.
+#[derive(Clone)]
+pub(crate) struct Stored {
+    pub(crate) result: ServeResult,
+    checksum: u64,
+    at: Instant,
 }
 
-enum Entry {
-    InFlight {
-        /// Waiters with the cache status each should be delivered with:
-        /// the first is the originating submission (`Miss`), later ones
-        /// are coalesced (`Coalesced`).
-        waiters: Vec<(Sender<Delivery>, CacheStatus)>,
-    },
-    Ready {
-        value: std::sync::Arc<ServeOk>,
-        checksum: u64,
-    },
-    Failed {
-        error: ServeError,
-        at: Instant,
-    },
-}
-
-/// The service's result cache. All methods take `&self`; the map is
-/// behind one mutex (entries are small: `Arc`s, senders, timestamps).
-pub(crate) struct ResultCache {
-    entries: Mutex<HashMap<u64, Entry>>,
-    /// How long cached failures stay authoritative.
-    pub(crate) negative_ttl: Duration,
-}
-
-impl ResultCache {
-    pub(crate) fn new(negative_ttl: Duration) -> Self {
-        ResultCache {
-            entries: Mutex::new(HashMap::new()),
-            negative_ttl,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
-        // A panicking worker cannot poison this lock into uselessness:
-        // the map itself is always in a consistent state between
-        // operations, so the poison flag is cleared by recovering the
-        // guard.
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Admits one submission for `key`: hit, negative hit, join, or
-    /// compute (registering `tx` as the originating waiter).
-    pub(crate) fn admit(&self, key: u64, tx: Sender<Delivery>) -> Admission {
-        let mut map = self.lock();
-        let mut recovered_corruption = false;
-        match map.get_mut(&key) {
-            Some(Entry::Ready { value, checksum }) => {
-                if payload_checksum(value) == *checksum {
-                    return Admission::Hit(value.clone());
-                }
-                // Corrupt payload: quarantine (drop the entry) and fall
-                // through to a fresh computation.
-                recovered_corruption = true;
-                map.remove(&key);
-            }
-            Some(Entry::Failed { error, at }) => {
-                if at.elapsed() < self.negative_ttl {
-                    return Admission::NegativeHit(error.clone());
-                }
-                // TTL expired: the failure is no longer authoritative.
-                map.remove(&key);
-            }
-            Some(Entry::InFlight { waiters }) => {
-                waiters.push((tx, CacheStatus::Coalesced));
-                return Admission::Joined;
-            }
-            None => {}
-        }
-        map.insert(
-            key,
-            Entry::InFlight {
-                waiters: vec![(tx, CacheStatus::Miss)],
-            },
-        );
-        Admission::Compute {
-            recovered_corruption,
-        }
-    }
-
-    /// Resolves an in-flight key with the computed result: delivers to
-    /// every waiter and stores the entry (`Ready` for successes,
-    /// `Failed` with the current time for failures). Returns how many
-    /// waiters were notified.
-    ///
-    /// `corrupt_stored` flips the stored checksum *atomically with the
-    /// store* (the `cache-corruption` fault): the waiters of this
-    /// computation still receive the intact result, but every later hit
+impl Stored {
+    /// `result` as stored now. `corrupt` flips the checksum of a success
+    /// *as it is stored* (the `cache-corruption` fault): the computation's
+    /// own waiters still receive the intact result, but every later hit
     /// sees the mismatch. Injecting at store time (rather than after)
     /// leaves no window in which a racing submission could be served the
     /// entry pre-corruption and defeat the test.
-    pub(crate) fn resolve(&self, key: u64, result: ServeResult, corrupt_stored: bool) -> usize {
-        let mut map = self.lock();
-        let waiters = match map.remove(&key) {
-            Some(Entry::InFlight { waiters }) => waiters,
-            // Not in flight (already rejected, or never admitted):
-            // nothing to deliver, nothing to store.
-            Some(other) => {
-                map.insert(key, other);
-                return 0;
-            }
-            None => Vec::new(),
+    pub(crate) fn new(result: ServeResult, corrupt: bool) -> Self {
+        let checksum = match &result {
+            Ok(ok) if corrupt => payload_checksum(ok) ^ 0xDEAD_BEEF_DEAD_BEEF,
+            Ok(ok) => payload_checksum(ok),
+            Err(_) => 0,
         };
-        match &result {
-            Ok(value) => {
-                let checksum = payload_checksum(value)
-                    ^ if corrupt_stored {
-                        0xDEAD_BEEF_DEAD_BEEF
-                    } else {
-                        0
-                    };
-                map.insert(
-                    key,
-                    Entry::Ready {
-                        value: value.clone(),
-                        checksum,
-                    },
-                );
-            }
-            Err(error) => {
-                map.insert(
-                    key,
-                    Entry::Failed {
-                        error: error.clone(),
-                        at: Instant::now(),
-                    },
-                );
-            }
+        Stored {
+            result,
+            checksum,
+            at: Instant::now(),
         }
-        drop(map);
-        let notified = waiters.len();
-        for (tx, status) in waiters {
-            let _ = tx.send(Delivery {
-                result: result.clone(),
-                cache: status,
-            });
-        }
-        notified
     }
 
-    /// Rejects an in-flight key *without* caching the error (used for
-    /// transient conditions — load shedding, shutdown — that must not
-    /// poison future identical requests). Delivers `error` to every
-    /// waiter and removes the entry.
-    pub(crate) fn reject(&self, key: u64, error: ServeError) {
-        let waiters = {
-            let mut map = self.lock();
-            match map.remove(&key) {
-                Some(Entry::InFlight { waiters }) => waiters,
-                Some(other) => {
-                    map.insert(key, other);
-                    Vec::new()
-                }
-                None => Vec::new(),
+    /// Whether the cache may still answer with this: a success whose
+    /// payload still matches its checksum (`corrupt` says that it does
+    /// not), or a failure stored less than `negative_ttl` ago. A lookup
+    /// that finds it stale forgets it and computes afresh.
+    pub(crate) fn fresh(&self, negative_ttl: Duration, corrupt: &mut bool) -> bool {
+        match &self.result {
+            Ok(ok) => {
+                *corrupt = payload_checksum(ok) != self.checksum;
+                !*corrupt
             }
-        };
-        for (tx, status) in waiters {
-            let _ = tx.send(Delivery {
-                result: Err(error.clone()),
-                cache: status,
-            });
+            Err(_) => self.at.elapsed() < negative_ttl,
         }
     }
+}
+
+/// The service's result cache: answers by request, at most
+/// [`RESULT_CACHE_CAP`] of them.
+pub(crate) type ResultCache = ContentMemo<ServeRequest, Stored>;
+
+/// Answers everyone holding `claim`'s slot with a transient `error`
+/// (load shedding, shutdown) and keeps nothing: the next identical
+/// request computes for real.
+pub(crate) fn reject(
+    cache: &ResultCache,
+    key: u64,
+    request: &ServeRequest,
+    claim: Claim<Stored>,
+    error: ServeError,
+) {
+    cache.forget(key, request);
+    claim.fill(Stored::new(Err(error), false));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Tier;
-    use std::sync::mpsc::channel;
+    use crate::types::{RequestTrace, ServeOptions, Tier};
+    use exo_ir::memo::Found;
+    use exo_kernels::{scal, Precision};
+    use exo_machine::MachineKind;
     use std::sync::Arc;
+
+    fn request(input_seed: u64) -> ServeRequest {
+        ServeRequest {
+            proc: scal(Precision::Single),
+            script: Default::default(),
+            target: MachineKind::Scalar,
+            options: ServeOptions {
+                input_seed,
+                ..ServeOptions::default()
+            },
+        }
+    }
 
     fn ok_payload() -> Arc<ServeOk> {
         Arc::new(ServeOk {
             kernel: "k".into(),
             tier: Tier::VerifiedIr,
             degraded: vec![],
-            diagnostics: vec![],
+            diagnostics: Arc::new([]),
             c_code: None,
             exec: None,
             scheduled_ir: "proc k() {}".into(),
-            trace: crate::types::RequestTrace::default(),
+            trace: RequestTrace::default(),
         })
+    }
+
+    const TTL: Duration = Duration::from_millis(40);
+
+    /// A lookup as the service makes it, and whether it found a corrupt
+    /// success.
+    fn find(cache: &ResultCache, key: u64, request: &ServeRequest) -> (Found<Stored>, bool) {
+        let mut corrupt = false;
+        let found = cache.find(key, request, |s| s.fresh(TTL, &mut corrupt));
+        (found, corrupt)
+    }
+
+    fn claim(cache: &ResultCache, key: u64, request: &ServeRequest) -> Claim<Stored> {
+        match find(cache, key, request) {
+            (Found::Claimed(claim), _) => claim,
+            _ => panic!("expected a miss"),
+        }
     }
 
     #[test]
     fn single_flight_coalesces_waiters_and_resolves_all() {
-        let cache = ResultCache::new(Duration::from_secs(1));
-        let (tx1, rx1) = channel();
-        let (tx2, rx2) = channel();
-        let (tx3, rx3) = channel();
-        assert!(matches!(cache.admit(7, tx1), Admission::Compute { .. }));
-        assert!(matches!(cache.admit(7, tx2), Admission::Joined));
-        assert!(matches!(cache.admit(7, tx3), Admission::Joined));
-        let notified = cache.resolve(7, Ok(ok_payload()), false);
-        assert_eq!(notified, 3);
-        assert_eq!(rx1.recv().unwrap().cache, CacheStatus::Miss);
-        assert_eq!(rx2.recv().unwrap().cache, CacheStatus::Coalesced);
-        assert_eq!(rx3.recv().unwrap().cache, CacheStatus::Coalesced);
-        // Next admission is a pure hit.
-        let (tx4, rx4) = channel();
-        assert!(matches!(cache.admit(7, tx4), Admission::Hit(_)));
-        assert!(rx4.try_recv().is_err(), "hits are delivered by the caller");
+        let cache = ResultCache::new(RESULT_CACHE_CAP);
+        let req = request(1);
+        let first = claim(&cache, 7, &req);
+        let joined: Vec<_> = (0..2)
+            .map(|_| match find(&cache, 7, &req) {
+                (Found::Pending(slot), false) => slot,
+                _ => panic!("an identical request joins the one in flight"),
+            })
+            .collect();
+        let own = first.slot();
+        first.fill(Stored::new(Ok(ok_payload()), false));
+        for slot in joined.iter().chain([&own]) {
+            assert!(slot.wait(None).is_some_and(|s| s.result.is_ok()));
+        }
+        assert!(matches!(find(&cache, 7, &req), (Found::Ready(_), false)));
+        // Another request under the same key is not served that answer.
+        assert!(matches!(
+            find(&cache, 7, &request(2)),
+            (Found::Claimed(_), false)
+        ));
     }
 
     #[test]
     fn negative_entries_expire_after_the_ttl() {
-        let cache = ResultCache::new(Duration::from_millis(40));
-        let (tx, _rx) = channel();
-        assert!(matches!(cache.admit(1, tx), Admission::Compute { .. }));
-        cache.resolve(1, Err(ServeError::Internal("boom".into())), false);
-        let (tx, _rx) = channel();
-        assert!(matches!(cache.admit(1, tx), Admission::NegativeHit(_)));
+        let cache = ResultCache::new(RESULT_CACHE_CAP);
+        let req = request(1);
+        claim(&cache, 1, &req).fill(Stored::new(Err(ServeError::Internal("boom".into())), false));
+        assert!(matches!(find(&cache, 1, &req), (Found::Ready(_), false)));
         std::thread::sleep(Duration::from_millis(60));
-        let (tx, _rx) = channel();
         assert!(
-            matches!(cache.admit(1, tx), Admission::Compute { .. }),
+            matches!(find(&cache, 1, &req), (Found::Claimed(_), false)),
             "expired failure must be recomputed"
         );
     }
 
     #[test]
     fn corrupt_entries_are_quarantined_and_recomputed() {
-        let cache = ResultCache::new(Duration::from_secs(1));
-        let (tx, _rx) = channel();
-        assert!(matches!(cache.admit(9, tx), Admission::Compute { .. }));
-        cache.resolve(9, Ok(ok_payload()), true);
-        let (tx, _rx) = channel();
-        match cache.admit(9, tx) {
-            Admission::Compute {
-                recovered_corruption,
-            } => assert!(recovered_corruption),
-            _ => panic!("corrupt entry must force a recompute"),
-        }
+        let cache = ResultCache::new(RESULT_CACHE_CAP);
+        let req = request(1);
+        claim(&cache, 9, &req).fill(Stored::new(Ok(ok_payload()), true));
+        assert!(
+            matches!(find(&cache, 9, &req), (Found::Claimed(_), true)),
+            "corrupt entry must force a recompute"
+        );
     }
 
     #[test]
     fn reject_delivers_without_caching() {
-        let cache = ResultCache::new(Duration::from_secs(1));
-        let (tx, rx) = channel();
-        assert!(matches!(cache.admit(4, tx), Admission::Compute { .. }));
-        cache.reject(4, ServeError::Canceled);
+        let cache = ResultCache::new(RESULT_CACHE_CAP);
+        let req = request(1);
+        let first = claim(&cache, 4, &req);
+        let own = first.slot();
+        reject(&cache, 4, &req, first, ServeError::Canceled);
         assert!(matches!(
-            rx.recv().unwrap().result,
-            Err(ServeError::Canceled)
+            own.wait(None).map(|s| s.result),
+            Some(Err(ServeError::Canceled))
         ));
-        let (tx, _rx) = channel();
         assert!(
-            matches!(cache.admit(4, tx), Admission::Compute { .. }),
+            matches!(find(&cache, 4, &req), (Found::Claimed(_), false)),
             "rejected keys must not be negatively cached"
         );
     }

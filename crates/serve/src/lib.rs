@@ -10,8 +10,9 @@
 //! supervision ([`proc_guard`]), identical concurrent requests are
 //! coalesced single-flight onto one computation, results are
 //! content-addressed and checksummed (corrupt entries are quarantined
-//! and recomputed), failures are negative-cached with a TTL, and
-//! overload sheds requests instead of queueing unboundedly.
+//! and recomputed), failures are negative-cached with a TTL, every cache
+//! is bounded, and overload sheds requests instead of queueing
+//! unboundedly.
 //!
 //! Deterministic fault injection ([`FaultPlan`]) drives the soak tests:
 //! hung compilers, missing compilers, hung binaries, truncated argument
@@ -44,8 +45,11 @@ mod types;
 /// and the autotuner's measurement runs.
 pub use exo_guard as proc_guard;
 
+pub use cache::RESULT_CACHE_CAP;
 pub use fault::{Fault, FaultPlan};
-pub use service::{request_key, KernelService, ServeConfig, ServeStats, StatsSnapshot, Ticket};
+pub use service::{
+    request_key, KernelService, ServeConfig, ServeStats, StatsSnapshot, Ticket, PLAN_CACHE_CAP,
+};
 pub use types::{
     CacheStatus, Degradation, DegradeReason, Delivery, ExecSummary, RequestTrace, ServeError,
     ServeOk, ServeOptions, ServeRequest, ServeResult, Tier, TraceStep,

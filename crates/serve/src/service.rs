@@ -4,11 +4,18 @@
 //!
 //! A *plan* is what the request's kernel, script, target, tier and bounds
 //! mode make: the script replayed, the result verified, its C emitted and
-//! its IR printed. The service keeps every plan it succeeds in making, so
+//! its IR printed. The service keeps the plans it succeeds in making, so
 //! a request that differs from one already served only in its input seed
 //! or in whether it wants the C back goes straight to the ladder, which
 //! runs per request: it synthesizes the inputs and executes on the
-//! highest tier that works.
+//! highest tier that works. Workers that need one new plan at once make
+//! it once: the others wait for it.
+//!
+//! Everything the service keeps is bounded: the results
+//! ([`RESULT_CACHE_CAP`](crate::RESULT_CACHE_CAP)), the plans
+//! ([`PLAN_CACHE_CAP`]) and the toolchain's builds and preludes are each
+//! an [`exo_ir::memo::ContentMemo`] that evicts its least recently used
+//! entry at its bound, so its memory does not grow with its traffic.
 //!
 //! Robustness is the load-bearing design, in layers:
 //!
@@ -26,7 +33,7 @@
 //!   service steps down the ladder native-run → compile-only → interp →
 //!   verified-IR, recording every step and its reason in the response.
 
-use crate::cache::{Admission, ResultCache};
+use crate::cache::{reject, ResultCache, Stored, RESULT_CACHE_CAP};
 use crate::fault::{Fault, FaultPlan};
 use crate::types::{
     CacheStatus, Degradation, DegradeReason, Delivery, ExecSummary, RequestTrace, ServeError,
@@ -41,18 +48,18 @@ use exo_codegen::{emit_c, emit_runnable, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, GuardConfig};
 use exo_interp::{Interpreter, NullMonitor, ProcRegistry};
+use exo_ir::memo::{Claim, ContentMemo, Found, Slot};
 use exo_ir::{ContentHasher, Proc};
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
 use std::cell::Ref;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -93,137 +100,105 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic service counters. All relaxed atomics — consistency across
-/// fields is only needed at quiescence (after all tickets resolved),
-/// which is when the tests and the bench read them.
-#[derive(Default)]
-pub struct ServeStats {
+/// Declares the service's counters once: each is a field of
+/// [`ServeStats`] and of [`StatsSnapshot`], and [`ServeStats::snapshot`]
+/// copies it.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic service counters. All relaxed atomics — consistency
+        /// across fields is only needed at quiescence (after all tickets
+        /// resolved), which is when the tests and the bench read them.
+        #[derive(Default)]
+        pub struct ServeStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// End-to-end worker pipeline latency per freshly computed
+            /// request (cache hits excluded — they never reach a worker).
+            pub request_latency: Histogram,
+        }
+
+        /// A plain-data copy of [`ServeStats`] at one moment, and what
+        /// the service's memos count.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Precompiled preludes the service's toolchain built (one
+            /// per distinct native `cflags` set; not counted in
+            /// `compiles`). The request that triggers one is slower by
+            /// the build.
+            pub preludes_built: u64,
+            /// Entries the service's memos — results, plans, and its
+            /// toolchain's builds and preludes — evicted at their bounds.
+            pub evictions: u64,
+            /// Results the cache holds now, at most
+            /// [`RESULT_CACHE_CAP`](crate::RESULT_CACHE_CAP).
+            pub results_held: u64,
+            /// Percentile summary of [`ServeStats::request_latency`] (ns).
+            pub latency: HistSummary,
+        }
+
+        impl ServeStats {
+            /// A plain-data copy of every counter. What the memos count
+            /// — `preludes_built`, `evictions` and `results_held` —
+            /// reads 0: [`KernelService::stats`] fills it in.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    latency: self.request_latency.summary(),
+                    ..StatsSnapshot::default()
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Requests submitted (cache hits included).
-    pub submitted: AtomicU64,
+    submitted,
     /// Requests a worker finished computing (success or failure).
-    pub completed: AtomicU64,
+    completed,
     /// Fresh pipeline executions started by workers.
-    pub computed: AtomicU64,
+    computed,
     /// Computed requests answered by a plan this service already holds:
     /// no replay, verification or emission ran. One of `computed`, not
     /// a submission of its own.
-    pub plans_reused: AtomicU64,
+    plans_reused,
     /// Submissions served from a cached success.
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Submissions served from a TTL-fresh cached failure.
-    pub negative_hits: AtomicU64,
+    negative_hits,
     /// Submissions coalesced onto an identical in-flight request.
-    pub coalesced: AtomicU64,
+    coalesced,
     /// Submissions shed because the queue was full.
-    pub overloaded: AtomicU64,
+    overloaded,
     /// Supervised C compiler invocations (injected faults included): the
     /// native tiers' lookups that the toolchain's build cache did not
     /// answer. A lookup that waited on a concurrent build which then
     /// failed counts here too.
-    pub compiles: AtomicU64,
+    compiles,
     /// Native-tier lookups answered by a build this service's toolchain
     /// already holds: no `cc` ran.
-    pub builds_reused: AtomicU64,
+    builds_reused,
     /// Supervised compiled-binary invocations.
-    pub binary_runs: AtomicU64,
-    /// Precompiled preludes the service's toolchain built (one per
-    /// distinct native `cflags` set; not counted in `compiles`). The
-    /// request that triggers one is slower by the build.
-    pub preludes_built: AtomicU64,
+    binary_runs,
     /// Interpreter executions.
-    pub interp_runs: AtomicU64,
+    interp_runs,
     /// Degradation steps taken across all requests.
-    pub degradations: AtomicU64,
+    degradations,
     /// Subprocesses killed at their wall-clock limit.
-    pub guard_timeouts: AtomicU64,
+    guard_timeouts,
     /// Worker panics caught and classified (the worker survived).
-    pub panics_recovered: AtomicU64,
+    panics_recovered,
     /// Cache entries corrupted by the injected fault.
-    pub corruptions_injected: AtomicU64,
+    corruptions_injected,
     /// Corrupt cache entries detected on hit and quarantined.
-    pub corruptions_recovered: AtomicU64,
+    corruptions_recovered,
     /// Requests canceled by shutdown before processing.
-    pub canceled: AtomicU64,
-    /// End-to-end worker pipeline latency per freshly computed request
-    /// (cache hits excluded — they never reach a worker).
-    pub request_latency: Histogram,
-}
-
-/// A plain-data copy of [`ServeStats`] at one moment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`ServeStats::submitted`].
-    pub submitted: u64,
-    /// See [`ServeStats::completed`].
-    pub completed: u64,
-    /// See [`ServeStats::computed`].
-    pub computed: u64,
-    /// See [`ServeStats::plans_reused`].
-    pub plans_reused: u64,
-    /// See [`ServeStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`ServeStats::negative_hits`].
-    pub negative_hits: u64,
-    /// See [`ServeStats::coalesced`].
-    pub coalesced: u64,
-    /// See [`ServeStats::overloaded`].
-    pub overloaded: u64,
-    /// See [`ServeStats::compiles`].
-    pub compiles: u64,
-    /// See [`ServeStats::builds_reused`].
-    pub builds_reused: u64,
-    /// See [`ServeStats::binary_runs`].
-    pub binary_runs: u64,
-    /// See [`ServeStats::preludes_built`].
-    pub preludes_built: u64,
-    /// See [`ServeStats::interp_runs`].
-    pub interp_runs: u64,
-    /// See [`ServeStats::degradations`].
-    pub degradations: u64,
-    /// See [`ServeStats::guard_timeouts`].
-    pub guard_timeouts: u64,
-    /// See [`ServeStats::panics_recovered`].
-    pub panics_recovered: u64,
-    /// See [`ServeStats::corruptions_injected`].
-    pub corruptions_injected: u64,
-    /// See [`ServeStats::corruptions_recovered`].
-    pub corruptions_recovered: u64,
-    /// See [`ServeStats::canceled`].
-    pub canceled: u64,
-    /// Percentile summary of [`ServeStats::request_latency`] (ns).
-    pub latency: HistSummary,
+    canceled,
 }
 
 impl ServeStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A plain-data copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            submitted: get(&self.submitted),
-            completed: get(&self.completed),
-            computed: get(&self.computed),
-            plans_reused: get(&self.plans_reused),
-            cache_hits: get(&self.cache_hits),
-            negative_hits: get(&self.negative_hits),
-            coalesced: get(&self.coalesced),
-            overloaded: get(&self.overloaded),
-            compiles: get(&self.compiles),
-            builds_reused: get(&self.builds_reused),
-            binary_runs: get(&self.binary_runs),
-            preludes_built: get(&self.preludes_built),
-            interp_runs: get(&self.interp_runs),
-            degradations: get(&self.degradations),
-            guard_timeouts: get(&self.guard_timeouts),
-            panics_recovered: get(&self.panics_recovered),
-            corruptions_injected: get(&self.corruptions_injected),
-            corruptions_recovered: get(&self.corruptions_recovered),
-            canceled: get(&self.canceled),
-            latency: self.request_latency.summary(),
-        }
     }
 }
 
@@ -232,6 +207,33 @@ struct Job {
     index: u64,
     fault: Option<Fault>,
     request: ServeRequest,
+    /// The result cache's slot for `key`, which this job fills.
+    claim: Claim<Stored>,
+}
+
+/// Plans a service keeps at most. For the largest record, sgemm on
+/// AVX-512, a plan holds the scheduled proc (≈ 48 kB), its printed IR
+/// (5 kB), its C twice (12 kB, in the unit and as the text results share)
+/// and, once a native request needs it, the data driver (18 kB): ≈ 100 kB,
+/// so ≈ 6 MB at the cap. `serve_mixed` uses 3 plans; a client cycling more
+/// distinct kernels, scripts, targets, tiers and bounds modes than this
+/// replays the least recently used again.
+pub const PLAN_CACHE_CAP: usize = 64;
+
+/// What a plan is made from, compared in full on every lookup and keyed
+/// by its [`request_key`]: the request with the options that only the
+/// ladder and the response read — `want_c`, `input_seed` — at fixed
+/// values. Any other option, and any added later, shapes the plan.
+fn plan_request(request: &ServeRequest) -> ServeRequest {
+    let options = ServeOptions {
+        want_c: false,
+        input_seed: 0,
+        ..request.options.clone()
+    };
+    ServeRequest {
+        options,
+        ..request.clone()
+    }
 }
 
 struct ServiceInner {
@@ -244,17 +246,18 @@ struct ServiceInner {
     /// for the service's lifetime: they go when the last worker has been
     /// joined.
     toolchain: Toolchain,
-    /// Every plan the service has made, by [`plan_key`], for its
-    /// lifetime. Unbounded like the result cache, and never larger: each
-    /// key here is the plan of at least one entry there.
-    plans: Mutex<HashMap<u64, Arc<Plan>>>,
+    /// The plans the service has made, by [`plan_request`]. A refusal is
+    /// handed to the workers waiting for it and not kept.
+    plan_memo: ContentMemo<ServeRequest, Result<Arc<Plan>, ServeError>>,
     cfg: ServeConfig,
     workers_alive: AtomicUsize,
 }
 
-/// Receives the outcome of one submitted request.
+/// Receives the outcome of one submitted request: it holds the result
+/// cache's slot for the request's key, and how the cache took part.
 pub struct Ticket {
-    rx: Receiver<Delivery>,
+    slot: Slot<Stored>,
+    cache: CacheStatus,
 }
 
 impl Ticket {
@@ -262,13 +265,18 @@ impl Ticket {
     /// was torn down without delivering (it delivers [`ServeError::Canceled`]
     /// on orderly shutdown, so `None` indicates an abnormal drop).
     pub fn wait(self) -> Option<Delivery> {
-        self.rx.recv().ok()
+        self.wait_timeout(Duration::MAX)
     }
 
-    /// Blocks up to `timeout`; `None` on timeout (the hang detector of
-    /// the soak harness).
+    /// Blocks up to `timeout` (without a deadline if now + `timeout` is
+    /// past what an `Instant` holds); `None` on timeout (the hang detector
+    /// of the soak harness).
     pub fn wait_timeout(self, timeout: Duration) -> Option<Delivery> {
-        self.rx.recv_timeout(timeout).ok()
+        let stored = self.slot.wait(Instant::now().checked_add(timeout))?;
+        Some(Delivery {
+            result: stored.result,
+            cache: self.cache,
+        })
     }
 }
 
@@ -288,10 +296,10 @@ impl KernelService {
             queue: Mutex::new(VecDeque::new()),
             notify: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            cache: ResultCache::new(cfg.negative_ttl),
+            cache: ResultCache::new(RESULT_CACHE_CAP),
             stats: ServeStats::default(),
             toolchain: Toolchain::new("cc", cfg.compile_guard.clone()),
-            plans: Mutex::new(HashMap::new()),
+            plan_memo: ContentMemo::new(PLAN_CACHE_CAP),
             cfg,
             workers_alive: AtomicUsize::new(0),
         });
@@ -320,67 +328,70 @@ impl KernelService {
         let index = inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let fault = inner.cfg.fault_plan.fault_at(index);
         let key = request_key(&request);
-        let (tx, rx) = channel();
-        match inner.cache.admit(key, tx.clone()) {
-            Admission::Hit(value) => {
+        let ttl = inner.cfg.negative_ttl;
+        let mut recovered_corruption = false;
+        let found = inner.cache.find(key, &request, |stored| {
+            stored.fresh(ttl, &mut recovered_corruption)
+        });
+        let (slot, cache) = match found {
+            Found::Ready(slot) if slot.get().is_some_and(|s| s.result.is_ok()) => {
                 ServeStats::bump(&inner.stats.cache_hits);
                 exo_obs::event("serve:cache", || format!("hit {key:016x}"));
-                let _ = tx.send(Delivery {
-                    result: Ok(value),
-                    cache: CacheStatus::Hit,
-                });
+                (slot, CacheStatus::Hit)
             }
-            Admission::NegativeHit(error) => {
+            Found::Ready(slot) => {
                 ServeStats::bump(&inner.stats.negative_hits);
                 exo_obs::event("serve:cache", || format!("negative-hit {key:016x}"));
-                let _ = tx.send(Delivery {
-                    result: Err(error),
-                    cache: CacheStatus::NegativeHit,
-                });
+                (slot, CacheStatus::NegativeHit)
             }
-            Admission::Joined => {
+            Found::Pending(slot) => {
                 ServeStats::bump(&inner.stats.coalesced);
                 exo_obs::event("serve:cache", || format!("coalesced {key:016x}"));
+                (slot, CacheStatus::Coalesced)
             }
-            Admission::Compute {
-                recovered_corruption,
-            } => {
+            Found::Claimed(claim) => {
                 if recovered_corruption {
                     ServeStats::bump(&inner.stats.corruptions_recovered);
                 }
                 exo_obs::event("serve:cache", || format!("miss {key:016x}"));
-                let shed_at = {
-                    let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.len() >= inner.cfg.queue_cap {
-                        Some(q.len())
-                    } else {
-                        q.push_back(Job {
-                            key,
-                            index,
-                            fault,
-                            request,
-                        });
-                        None
-                    }
-                };
-                match shed_at {
-                    Some(queue_len) => {
-                        ServeStats::bump(&inner.stats.overloaded);
-                        // Transient: deliver to all waiters, cache nothing.
-                        inner
-                            .cache
-                            .reject(key, ServeError::Overloaded { queue_len });
-                    }
-                    None => inner.notify.notify_one(),
+                let slot = claim.slot();
+                let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+                if q.len() >= inner.cfg.queue_cap {
+                    let queue_len = q.len();
+                    drop(q);
+                    ServeStats::bump(&inner.stats.overloaded);
+                    // Transient: answer everyone on the slot, keep nothing.
+                    let shed = ServeError::Overloaded { queue_len };
+                    reject(&inner.cache, key, &request, claim, shed);
+                } else {
+                    q.push_back(Job {
+                        key,
+                        index,
+                        fault,
+                        request,
+                        claim,
+                    });
+                    drop(q);
+                    inner.notify.notify_one();
                 }
+                (slot, CacheStatus::Miss)
             }
-        }
-        Ticket { rx }
+        };
+        Ticket { slot, cache }
     }
 
     /// A plain-data copy of the service counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        let inner = &self.inner;
+        let results = inner.cache.stats();
+        StatsSnapshot {
+            evictions: results.evictions
+                + inner.plan_memo.stats().evictions
+                + inner.toolchain.evictions(),
+            results_held: results.len,
+            preludes_built: inner.toolchain.preludes_built(),
+            ..inner.stats.snapshot()
+        }
     }
 
     /// Worker threads currently alive — the escaped-panic detector: a
@@ -398,7 +409,14 @@ impl KernelService {
         };
         for job in pending {
             ServeStats::bump(&self.inner.stats.canceled);
-            self.inner.cache.reject(job.key, ServeError::Canceled);
+            let Job {
+                key,
+                request,
+                claim,
+                ..
+            } = job;
+            let canceled = ServeError::Canceled;
+            reject(&self.inner.cache, key, &request, claim, canceled);
         }
         self.inner.notify.notify_all();
         for handle in self.workers.drain(..) {
@@ -419,38 +437,14 @@ impl Drop for KernelService {
     }
 }
 
-/// Content key of a request: the key of its plan (the kernel's
-/// structural hash, the script's steps, the target, the tier and the
-/// bounds mode), then the options that only the tier ladder and the
-/// response read. Requests that differ in any response-shaping field get
-/// different keys (up to a 64-bit collision); the value is stable within
-/// a build, not across toolchains.
+/// Content key of a request: the kernel's structural hash (its
+/// header's and body's cached shares), then the script's steps, the
+/// target and every option, as `==` compares them. Requests that differ
+/// in any field get different keys (up to a 64-bit collision); the value
+/// is stable within a build, not across toolchains.
 pub fn request_key(request: &ServeRequest) -> u64 {
     let mut h = ContentHasher::new();
-    h.write_u64(plan_key(request));
-    request.options.want_c.hash(&mut h);
-    request.options.input_seed.hash(&mut h);
-    h.finish()
-}
-
-/// Content key of a request's plan: the kernel's structural hash, then
-/// the script's steps, the target, the tier and the bounds mode — what
-/// replay, verification and emission read. Every other option is in
-/// [`request_key`] only; the destructuring below fails to compile when
-/// [`crate::ServeOptions`] gains a field that neither key names.
-fn plan_key(request: &ServeRequest) -> u64 {
-    let ServeOptions {
-        tier,
-        debug_bounds,
-        want_c: _,
-        input_seed: _,
-    } = &request.options;
-    let mut h = ContentHasher::new();
-    h.write_u64(request.proc.content_hash());
-    request.script.hash(&mut h);
-    request.target.hash(&mut h);
-    tier.hash(&mut h);
-    debug_bounds.hash(&mut h);
+    request.hash(&mut h);
     h.finish()
 }
 
@@ -508,14 +502,14 @@ fn worker_loop(inner: &ServiceInner) {
             }
         };
         let corrupt_stored = matches!(job.fault, Some(Fault::CacheCorruption)) && result.is_ok();
-        // Counters are bumped BEFORE resolve delivers: a client that
+        // Counters are bumped BEFORE the slot is filled: a client that
         // reads stats right after receiving its delivery must see this
         // job fully accounted.
         if corrupt_stored {
             ServeStats::bump(&inner.stats.corruptions_injected);
         }
         ServeStats::bump(&inner.stats.completed);
-        inner.cache.resolve(job.key, result, corrupt_stored);
+        job.claim.fill(Stored::new(result, corrupt_stored));
     }
 }
 
@@ -562,74 +556,78 @@ fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Records one degradation step in all three sinks: the response's
-/// `degraded` list, the request trace, and (when tracing is on) a
-/// `serve:degrade` event.
-fn degrade(
-    degraded: &mut Vec<Degradation>,
-    trace: &mut TraceBuilder,
-    from: Tier,
-    to: Tier,
-    reason: DegradeReason,
-    detail: String,
-) {
-    trace.step(from.name(), format!("degraded to {to}: {reason}"));
-    exo_obs::event("serve:degrade", || format!("{from} -> {to}: {reason}"));
-    degraded.push(Degradation {
-        from,
-        to,
-        reason,
-        detail,
-    });
+/// Where a request stands on the tier ladder: the tier it is trying,
+/// the steps it took down to it, and its trace.
+struct Ladder {
+    tier: Tier,
+    degraded: Vec<Degradation>,
+    trace: TraceBuilder,
+}
+
+impl Ladder {
+    /// Steps down to `to`, recorded in all three sinks: the response's
+    /// `degraded` list, the request trace, and (when tracing is on) a
+    /// `serve:degrade` event.
+    fn down(&mut self, to: Tier, reason: DegradeReason, detail: String) {
+        let from = std::mem::replace(&mut self.tier, to);
+        let outcome = format!("degraded to {to}: {reason}");
+        self.trace.step(from.name(), outcome);
+        exo_obs::event("serve:degrade", || format!("{from} -> {to}: {reason}"));
+        self.degraded.push(Degradation {
+            from,
+            to,
+            reason,
+            detail,
+        });
+    }
 }
 
 /// What replay, verification and emission make of a request — the same
-/// for every request with its [`plan_key`].
+/// for every request with its [`plan_request`].
 struct Plan {
     /// The scheduled procedure, without the cursor history that made it.
     proc: Proc,
     /// The verifier's findings, formatted; none of them is an error.
-    diagnostics: Vec<String>,
+    diagnostics: Arc<[String]>,
     unit: CUnit,
+    /// `unit`'s text, as the results that want it share it.
+    c_code: Arc<str>,
     /// Outcome of the `native-flags` step: which unit was emitted and why.
     native_flags: String,
     /// `proc`, printed.
-    scheduled_ir: String,
+    scheduled_ir: Arc<str>,
     /// The data driver around `unit`, emitted the first time the
     /// native-run tier is reached with inputs to run it on.
     driver: OnceLock<String>,
 }
 
-/// The request's plan: the one the service holds for its [`plan_key`],
-/// or a new one, kept if made. A refusal — a script that does not
-/// replay, a verifier error, a unit that cannot be emitted — is returned
-/// and not kept, and neither is a plan whose making panics: those are the
-/// result cache's negative entries. Two workers that miss one key at
-/// once both make the plan; the first to store it wins. Closes the
-/// `replay`, `verify` and `emit` steps of `trace`, with outcome `reused`
-/// on a held plan.
+/// The request's plan: the one the service holds for its [`plan_request`],
+/// or a new one, kept if made. A worker that needs a plan another is
+/// making waits for it. A refusal — a script that does not replay, a
+/// verifier error, a unit that cannot be emitted — is handed to those
+/// waiting and not kept, and neither is a plan whose making panics (its
+/// waiters then make it themselves): those are the result cache's
+/// negative entries. Closes the `replay`, `verify` and `emit` steps of
+/// `trace`, with outcome `reused` on a plan this worker did not make.
 fn plan(
     inner: &ServiceInner,
     request: &ServeRequest,
     trace: &mut TraceBuilder,
 ) -> Result<Arc<Plan>, ServeError> {
-    let key = plan_key(request);
-    let held = inner
-        .plans
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&key)
-        .cloned();
-    if let Some(plan) = held {
+    let key = plan_request(request);
+    let (planned, made) =
+        inner
+            .plan_memo
+            .get_or_init(request_key(&key), &key, Result::is_ok, || {
+                make_plan(inner, request, trace).map(Arc::new)
+            });
+    if !made && planned.is_ok() {
         ServeStats::bump(&inner.stats.plans_reused);
         for step in ["replay", "verify", "emit"] {
             trace.step(step, "reused".to_string());
         }
-        return Ok(plan);
     }
-    let made = Arc::new(make_plan(inner, request, trace)?);
-    let mut plans = inner.plans.lock().unwrap_or_else(|e| e.into_inner());
-    Ok(plans.entry(key).or_insert(made).clone())
+    planned
 }
 
 /// Replays the script, verifies the result and emits its C.
@@ -701,11 +699,12 @@ fn make_plan(
         None if unit.cflags.is_empty() => "native (no extra flags needed)".to_string(),
         None => format!("native ({})", unit.cflags.join(" ")),
     };
-    let scheduled_ir = proc.to_string();
+    let scheduled_ir = proc.to_string().into();
     trace.step("emit", "ok".to_string());
     Ok(Plan {
         proc,
-        diagnostics,
+        diagnostics: diagnostics.into(),
+        c_code: unit.code.as_str().into(),
         unit,
         native_flags,
         scheduled_ir,
@@ -742,25 +741,20 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     let (proc, unit) = (&plan.proc, &plan.unit);
     trace.step("native-flags", plan.native_flags.clone());
 
-    let mut degraded: Vec<Degradation> = Vec::new();
-    let mut tier = request.options.tier;
+    let mut ladder = Ladder {
+        tier: request.options.tier,
+        degraded: Vec::new(),
+        trace,
+    };
     let mut served = "served";
     let exec = loop {
-        let _tier_span = exo_obs::span!("serve:tier", "{}", tier.name());
-        match tier {
+        let _tier_span = exo_obs::span!("serve:tier", "{}", ladder.tier.name());
+        match ladder.tier {
             Tier::NativeRun => {
                 let inputs = match synth_inputs(proc, request.options.input_seed) {
                     Ok(inputs) => inputs,
                     Err(detail) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::NativeRun,
-                            Tier::CompileOnly,
-                            DegradeReason::InputSynthesis,
-                            detail,
-                        );
-                        tier = Tier::CompileOnly;
+                        ladder.down(Tier::CompileOnly, DegradeReason::InputSynthesis, detail);
                         continue;
                     }
                 };
@@ -774,29 +768,11 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                         Err((reason, detail)) => {
                             // The unit compiled; serve the compile-only
                             // tier from the artifact we already have.
-                            degrade(
-                                &mut degraded,
-                                &mut trace,
-                                Tier::NativeRun,
-                                Tier::CompileOnly,
-                                reason,
-                                detail,
-                            );
-                            tier = Tier::CompileOnly;
+                            ladder.down(Tier::CompileOnly, reason, detail);
                             break None;
                         }
                     },
-                    Err((reason, detail)) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::NativeRun,
-                            Tier::Interp,
-                            reason,
-                            detail,
-                        );
-                        tier = Tier::Interp;
-                    }
+                    Err((reason, detail)) => ladder.down(Tier::Interp, reason, detail),
                 }
             }
             Tier::CompileOnly => {
@@ -805,54 +781,31 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                         served = build_outcome(&object);
                         break None;
                     }
-                    Err((reason, detail)) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::CompileOnly,
-                            Tier::Interp,
-                            reason,
-                            detail,
-                        );
-                        tier = Tier::Interp;
-                    }
+                    Err((reason, detail)) => ladder.down(Tier::Interp, reason, detail),
                 }
             }
             Tier::Interp => {
                 let inputs = match synth_inputs(proc, request.options.input_seed) {
                     Ok(inputs) => inputs,
                     Err(detail) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::Interp,
-                            Tier::VerifiedIr,
-                            DegradeReason::InputSynthesis,
-                            detail,
-                        );
-                        tier = Tier::VerifiedIr;
+                        ladder.down(Tier::VerifiedIr, DegradeReason::InputSynthesis, detail);
                         continue;
                     }
                 };
                 ServeStats::bump(&inner.stats.interp_runs);
                 match interpret(proc, &machine_for(request.target), inputs) {
                     Ok(summary) => break Some(summary),
-                    Err(detail) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::Interp,
-                            Tier::VerifiedIr,
-                            DegradeReason::InterpTrap,
-                            detail,
-                        );
-                        tier = Tier::VerifiedIr;
-                    }
+                    Err(detail) => ladder.down(Tier::VerifiedIr, DegradeReason::InterpTrap, detail),
                 }
             }
             Tier::VerifiedIr => break None,
         }
     };
+    let Ladder {
+        tier,
+        degraded,
+        mut trace,
+    } = ladder;
     trace.step(tier.name(), served.to_string());
 
     inner
@@ -864,7 +817,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
         tier,
         degraded,
         diagnostics: plan.diagnostics.clone(),
-        c_code: request.options.want_c.then(|| unit.code.clone()),
+        c_code: request.options.want_c.then(|| plan.c_code.clone()),
         exec,
         scheduled_ir: plan.scheduled_ir.clone(),
         trace: trace.finish(),
@@ -950,23 +903,10 @@ fn compile_guarded(
     let built = match fault {
         Some(Fault::CcMissing) => injected(Command::new("exo2-injected-missing-cc")),
         Some(Fault::CcHang) => injected(hang_command()),
-        _ => {
-            let built = match kind {
-                Artifact::Executable => {
-                    inner.toolchain.executable(source, &unit.cflags, &unit.name)
-                }
-                Artifact::Object => inner.toolchain.object(source, &unit.cflags, &unit.name),
-            };
-            // A lookup the cache answered built no prelude either, and
-            // must not queue behind another worker's prelude build.
-            if !matches!(&built, Ok(build) if build.reused()) {
-                inner
-                    .stats
-                    .preludes_built
-                    .fetch_max(inner.toolchain.preludes_built(), Ordering::Relaxed);
-            }
-            built
-        }
+        _ => match kind {
+            Artifact::Executable => inner.toolchain.executable(source, &unit.cflags, &unit.name),
+            Artifact::Object => inner.toolchain.object(source, &unit.cflags, &unit.name),
+        },
     };
     ServeStats::bump(match &built {
         Ok(build) if build.reused() => &inner.stats.builds_reused,

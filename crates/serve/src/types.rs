@@ -170,7 +170,7 @@ impl fmt::Display for RequestTrace {
 /// is part of the request's cache key ([`crate::request_key`]); `tier`
 /// and `debug_bounds` shape the plan too, and the service plans once per
 /// distinct pair (with the kernel, script and target).
-#[derive(Clone, Hash, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ServeOptions {
     /// Highest tier the caller wants (the service may degrade below it,
     /// never above it).
@@ -195,8 +195,9 @@ impl Default for ServeOptions {
 }
 
 /// One compilation request: a kernel, the schedule to replay over it,
-/// the target machine, and options.
-#[derive(Clone, Debug)]
+/// the target machine, and options. Two requests `==` tells apart are
+/// never answered with each other's result.
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ServeRequest {
     /// The unscheduled kernel.
     pub proc: exo_ir::Proc,
@@ -229,14 +230,16 @@ pub struct ServeOk {
     /// requested tier was served directly).
     pub degraded: Vec<Degradation>,
     /// Static-verifier findings on the scheduled procedure (warnings
-    /// only; proven violations are rejected instead of served).
-    pub diagnostics: Vec<String>,
-    /// The emitted C translation unit, when requested.
-    pub c_code: Option<String>,
+    /// only; proven violations are rejected instead of served), shared
+    /// with every result of the same plan.
+    pub diagnostics: Arc<[String]>,
+    /// The emitted C translation unit, when requested, shared like
+    /// `diagnostics`.
+    pub c_code: Option<Arc<str>>,
     /// Execution summary, on the executing tiers.
     pub exec: Option<ExecSummary>,
-    /// Pretty-printed scheduled IR.
-    pub scheduled_ir: String,
+    /// Pretty-printed scheduled IR, shared like `diagnostics`.
+    pub scheduled_ir: Arc<str>,
     /// Per-request pipeline timing and degradation summary. Excluded
     /// from the cache payload checksum (it is timing, not content);
     /// cache hits replay the original computation's trace.

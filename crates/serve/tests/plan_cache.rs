@@ -238,3 +238,24 @@ fn workers_racing_on_one_new_plan_agree() {
     serve(&racing, &request(5));
     assert_eq!(racing.stats().plans_reused, stats.plans_reused + 1);
 }
+
+/// Four workers take four seeds of one plan nobody has made: one of them
+/// makes it, and the others wait for it or find it made.
+#[test]
+fn workers_racing_on_one_new_plan_make_it_once() {
+    let racing = service(4);
+    let tickets: Vec<_> = (1..=4)
+        .map(|seed| racing.submit(record_request("sgemm", Tier::Interp, seed, false)))
+        .collect();
+    let served: Vec<Arc<ServeOk>> = tickets
+        .into_iter()
+        .map(|t| t.wait_timeout(WAIT).expect("hung").result.expect("served"))
+        .collect();
+    let replayed = served
+        .iter()
+        .filter(|ok| ok.trace.step("replay").expect("replay").outcome == "ok")
+        .count();
+    assert_eq!(replayed, 1);
+    let stats = racing.stats();
+    assert_eq!((stats.computed, stats.plans_reused), (4, 3), "{stats:?}");
+}
