@@ -419,7 +419,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
             .collect();
         let times = {
             let _measure = exo_obs::span!("tune:measure", "{} candidates", batch.len());
-            measure::measure_batch(&batch, &task.machine, cfg.input_seed, cfg.threads)
+            measure::measure_batch(&batch, &registry, cfg.input_seed, cfg.threads)
         };
         for (i, (cand, m)) in candidates.iter_mut().zip(&times).enumerate() {
             cand.measured_ns = m.nanos();

@@ -9,21 +9,25 @@
 //! inputs, so measured kernels run on exactly the input shapes the cost
 //! model was evaluated on. What lives here is the request for the native
 //! unit (which `exo_codegen::emit_runnable` turns into the portable one
-//! on a host that cannot run it) and the worker pool.
+//! on a host that cannot run it) and the worker pool. The workers share
+//! the tuner's one [`ProcRegistry`]: its memos are `OnceLock`s, so an
+//! instruction lowered or rendered for one candidate is reused by every
+//! candidate on every worker.
 //!
 //! Robustness: timing binaries run under [`exo_guard::run_guarded`]
 //! (hard wall-clock limit, kill-on-timeout), and each candidate is
 //! measured under `catch_unwind` so a panic in emission or measurement
 //! of one candidate surfaces as [`Measurement::Panicked`] for *that
 //! candidate* instead of unwinding the worker scope and killing the
-//! whole batch.
+//! whole batch. The shared registry needs no repair after a panic: a
+//! memo whose making unwound is left empty, and made again when next
+//! asked for.
 
 use exo_codegen::difftest::{cc_available, synth_inputs, Toolchain};
 use exo_codegen::{emit_runnable, CodegenOptions};
 use exo_guard::panic_message;
 use exo_interp::ProcRegistry;
-use exo_ir::{DataType, Proc};
-use exo_machine::MachineModel;
+use exo_ir::Proc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -105,14 +109,13 @@ fn measure_one(
 /// per candidate, in order; all-[`Measurement::Unavailable`] when no C
 /// compiler is on `PATH`.
 ///
-/// Workers build their own [`ProcRegistry`] from `machine` — the
-/// registry's lowering cache (a `OnceCell` per entry) is single-threaded
-/// by design. A candidate whose measurement panics is reported as
-/// [`Measurement::Panicked`] (the worker rebuilds its registry, whose
-/// internal cache the unwind may have left mid-update, and continues).
+/// Every worker emits against `registry`, the instructions of the
+/// candidates' machine, which `tune` has already built for simulation.
+/// A candidate whose measurement panics is reported as
+/// [`Measurement::Panicked`], and its worker goes on to the next one.
 pub fn measure_batch(
     procs: &[Proc],
-    machine: &MachineModel,
+    registry: &ProcRegistry,
     input_seed: u64,
     threads: usize,
 ) -> Vec<Measurement> {
@@ -120,22 +123,21 @@ pub fn measure_batch(
         return vec![Measurement::Unavailable; procs.len()];
     }
     let toolchain = Toolchain::system();
-    measure_batch_impl(procs, machine, threads, &|registry, _i, proc| {
+    measure_batch_impl(procs, threads, &|_i, proc| {
         measure_one(&toolchain, proc, registry, input_seed)
     })
 }
 
 /// Per-candidate runner injected into [`measure_batch_impl`]:
-/// `(registry, index, proc) -> (median ns, spread) or error`.
+/// `(index, proc) -> (median ns, spread) or error`.
 pub(crate) type CandidateRunner<'a> =
-    &'a (dyn Fn(&ProcRegistry, usize, &Proc) -> Result<(f64, f64), String> + Sync);
+    &'a (dyn Fn(usize, &Proc) -> Result<(f64, f64), String> + Sync);
 
 /// The worker-pool core of [`measure_batch`] with an injectable
 /// per-candidate runner, so the panic-isolation contract is testable
 /// without a C toolchain.
 pub(crate) fn measure_batch_impl(
     procs: &[Proc],
-    machine: &MachineModel,
     threads: usize,
     runner: CandidateRunner<'_>,
 ) -> Vec<Measurement> {
@@ -147,37 +149,26 @@ pub(crate) fn measure_batch_impl(
     let workers = threads.clamp(1, procs.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let build_registry = || -> ProcRegistry {
-                    machine.instructions(DataType::F32).into_iter().collect()
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= procs.len() {
+                    break;
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| runner(i, &procs[i])));
+                let measured = match outcome {
+                    Ok(Ok((ns, spread))) => Measurement::Nanos { ns, spread },
+                    Ok(Err(e)) => {
+                        eprintln!("autotune: measurement of candidate {i} failed: {e}");
+                        Measurement::Failed(e)
+                    }
+                    Err(payload) => {
+                        let msg = panic_message(payload.as_ref());
+                        eprintln!("autotune: measurement of candidate {i} panicked: {msg}");
+                        Measurement::Panicked(msg)
+                    }
                 };
-                let mut registry = build_registry();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= procs.len() {
-                        break;
-                    }
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| runner(&registry, i, &procs[i])));
-                    let measured = match outcome {
-                        Ok(Ok((ns, spread))) => Measurement::Nanos { ns, spread },
-                        Ok(Err(e)) => {
-                            eprintln!("autotune: measurement of candidate {i} failed: {e}");
-                            Measurement::Failed(e)
-                        }
-                        Err(payload) => {
-                            // The unwind may have interrupted the
-                            // registry's lowering cache mid-update;
-                            // rebuild it before the next candidate.
-                            let msg = panic_message(payload.as_ref());
-                            eprintln!("autotune: measurement of candidate {i} panicked: {msg}");
-                            registry = build_registry();
-                            Measurement::Panicked(msg)
-                        }
-                    };
-                    if let Ok(mut slot) = results[i].lock() {
-                        *slot = measured;
-                    }
+                if let Ok(mut slot) = results[i].lock() {
+                    *slot = measured;
                 }
             });
         }
@@ -197,7 +188,6 @@ pub(crate) fn measure_batch_impl(
 mod tests {
     use super::*;
     use exo_kernels::{scal, Precision};
-    use exo_machine::MachineModel;
 
     fn batch_of(n: usize) -> Vec<Proc> {
         (0..n).map(|_| scal(Precision::Single)).collect()
@@ -205,11 +195,10 @@ mod tests {
 
     #[test]
     fn a_panicking_candidate_is_isolated_not_fatal() {
-        let machine = MachineModel::scalar();
         let procs = batch_of(4);
         // Candidate 2 panics; the batch must still yield all four
         // results, with the panic surfaced on exactly that candidate.
-        let results = measure_batch_impl(&procs, &machine, 2, &|_reg, i, _proc| {
+        let results = measure_batch_impl(&procs, 2, &|i, _proc| {
             if i == 2 {
                 std::panic::panic_any("boom in candidate 2".to_string());
             }
@@ -246,9 +235,8 @@ mod tests {
 
     #[test]
     fn failures_carry_their_message() {
-        let machine = MachineModel::scalar();
         let procs = batch_of(2);
-        let results = measure_batch_impl(&procs, &machine, 1, &|_reg, i, _proc| {
+        let results = measure_batch_impl(&procs, 1, &|i, _proc| {
             if i == 0 {
                 Err("cc said no".to_string())
             } else {

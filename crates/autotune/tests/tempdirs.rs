@@ -6,6 +6,7 @@
 
 use exo_autotune::measure::measure_batch;
 use exo_cursors::ProcHandle;
+use exo_ir::DataType;
 use exo_kernels::sgemm;
 use exo_lib::{apply_script, schedule_of_record};
 use exo_machine::{HostCaps, MachineModel};
@@ -26,7 +27,8 @@ fn a_native_batch_leaves_no_build_directory() {
     let scheduled =
         apply_script(&ProcHandle::new(sgemm()), &script, &machine).expect("the record applies");
     let batch = vec![scheduled.proc().clone(); 3];
-    let measured = measure_batch(&batch, &machine, 1, 2);
+    let registry = machine.instructions(DataType::F32).into_iter().collect();
+    let measured = measure_batch(&batch, &registry, 1, 2);
     assert!(
         measured.iter().all(|m| m.nanos().is_some()),
         "native candidates are timed: {measured:?}"

@@ -544,8 +544,10 @@ static int64_t exo_tensor(uint64_t rank, uint64_t *dims, int64_t *strides, const
 /// calls), and prints the ns per call of [`TIMED_RUNS`] batches, one per
 /// line. The text is a function of the procedure's signature only —
 /// never of an input — so one build checks, serves and times every input
-/// of the kernel.
-pub fn emit_data_driver(unit: &CUnit, proc: &Proc) -> String {
+/// of the kernel. `unit` is the unit's text: a [`CUnit`], or the text a
+/// caller keeps of one.
+pub fn emit_data_driver(unit: &(impl AsRef<str> + ?Sized), proc: &Proc) -> String {
+    let unit = unit.as_ref();
     let args = proc.args();
     // Decoded arguments live in file-scope statics, so that the call and
     // the timer can sit above the decoder's pragma.
@@ -606,9 +608,9 @@ pub fn emit_data_driver(unit: &CUnit, proc: &Proc) -> String {
             }
         }
     }
-    let mut s = String::with_capacity(unit.code.len() + 8192);
+    let mut s = String::with_capacity(unit.len() + 8192);
     s.push_str(POSIX_DEFINE);
-    s.push_str(&unit.code);
+    s.push_str(unit);
     s.push_str(
         "\n#include <stdint.h>\n#include <stdio.h>\n#include <stdlib.h>\n#include <string.h>\n\
          #include <time.h>\n\n",

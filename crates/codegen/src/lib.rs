@@ -62,7 +62,7 @@ pub mod difftest;
 
 pub use mangle::{is_c_identifier, is_c_reserved, sanitize};
 
-use exo_interp::ProcRegistry;
+use exo_interp::{LoweredProc, ProcRegistry};
 use exo_ir::Proc;
 use exo_machine::HostCaps;
 use std::fmt;
@@ -150,6 +150,13 @@ pub struct CUnit {
     pub cflags: Vec<String>,
 }
 
+impl AsRef<str> for CUnit {
+    /// The unit's text, [`CUnit::code`].
+    fn as_ref(&self) -> &str {
+        &self.code
+    }
+}
+
 /// Errors raised by C emission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodegenError {
@@ -204,7 +211,9 @@ pub type Result<T> = std::result::Result<T, CodegenError>;
 /// `registry`, emitted as a `static` function (callees first), and the
 /// root procedure itself as the one externally-visible function. The
 /// unit is self-contained: window structs, integer-division helpers and
-/// configuration-register globals are generated as needed.
+/// configuration-register globals are generated as needed. The root's
+/// lowering comes from [`ProcRegistry::lowering`]: the registry's memo
+/// when `proc` is registered under its own name, a fresh one otherwise.
 ///
 /// # Errors
 /// [`CodegenError::ReservedName`] when the procedure or one of its
@@ -213,9 +222,18 @@ pub type Result<T> = std::result::Result<T, CodegenError>;
 /// symbols; [`CodegenError::Unsupported`] for constructs outside the C
 /// backend's subset (the message names the construct).
 pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Result<CUnit> {
-    let lowered = exo_interp::lower(proc);
+    emit_lowered(proc, &registry.lowering(proc), registry, opts)
+}
+
+/// [`emit_c`] on the root's lowering, taken once by the caller.
+fn emit_lowered(
+    proc: &Proc,
+    lowered: &LoweredProc,
+    registry: &ProcRegistry,
+    opts: &CodegenOptions,
+) -> Result<CUnit> {
     let mut unit = emit::UnitEmitter::new(registry, opts);
-    unit.add_proc(proc, &lowered, true)?;
+    unit.add_proc(proc, lowered, true)?;
     let mode = if opts.intrinsics {
         "machine intrinsics where mapped, scalar fallback otherwise"
     } else {
@@ -230,7 +248,8 @@ pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Re
 /// naming the flags it lacks. The unit's own flags decide, not the
 /// target's usual ones: an AVX-512 unit on an AVX2-only host would die
 /// of SIGILL. This is the one native-or-portable verdict; the
-/// compilation service and the autotuner's measurement both ask it.
+/// compilation service and the autotuner's measurement both ask it. The
+/// root is lowered once ([`ProcRegistry::lowering`]) for both units.
 ///
 /// # Errors
 /// As [`emit_c`].
@@ -240,7 +259,8 @@ pub fn emit_runnable(
     opts: &CodegenOptions,
     caps: &HostCaps,
 ) -> Result<(CUnit, Option<String>)> {
-    let unit = emit_c(proc, registry, opts)?;
+    let lowered = registry.lowering(proc);
+    let unit = emit_lowered(proc, &lowered, registry, opts)?;
     if caps.supports_cflags(&unit.cflags) {
         return Ok((unit, None));
     }
@@ -255,6 +275,6 @@ pub fn emit_runnable(
     } else {
         format!("host cannot execute {}", missing.join(" "))
     };
-    let portable = emit_c(proc, registry, &CodegenOptions::portable())?;
+    let portable = emit_lowered(proc, &lowered, registry, &CodegenOptions::portable())?;
     Ok((portable, Some(why)))
 }

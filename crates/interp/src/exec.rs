@@ -32,8 +32,8 @@
 use crate::buffer::{canonical_nan, AccessPlan, ArgValue, BufferData, View, WindowDim};
 use crate::error::InterpError;
 use crate::lower::{
-    lower, LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LaneAccess, Lanes,
-    LoweredProc, Strip, StripAccess, MAX_STRIP_OPERANDS,
+    LBufRef, LCallArg, LExpr, LInst, LParamKind, LWSpec, LWindow, LaneAccess, Lanes, LoweredProc,
+    Strip, StripAccess, MAX_STRIP_OPERANDS,
 };
 use crate::monitor::{Monitor, StripCursor, StripStep, StripTrace};
 use crate::registry::ProcRegistry;
@@ -566,9 +566,10 @@ impl<'a> Interpreter<'a> {
 
     /// Runs `proc` with the given arguments, reporting events to `monitor`.
     ///
-    /// The procedure is lowered to a slot-indexed instruction tree first
-    /// (reusing the registry's cached lowering when `proc` is registered
-    /// under its own name), then executed by the dense-frame executor.
+    /// The procedure's slot-indexed instruction tree comes from
+    /// [`ProcRegistry::lowering`] (the registry's memo when `proc` is
+    /// registered under its own name, a fresh lowering otherwise) and is
+    /// executed by the dense-frame executor.
     /// Generic over the monitor, so a concrete monitor's hooks inline into
     /// the executor's loop (and the empty ones vanish); `&mut dyn Monitor`
     /// is accepted as before.
@@ -591,14 +592,7 @@ impl<'a> Interpreter<'a> {
                 args.len()
             )));
         }
-        let unregistered;
-        let lowered = match self.registry.lowered_if_registered(proc) {
-            Some(lp) => lp,
-            None => {
-                unregistered = lower(proc);
-                &unregistered
-            }
-        };
+        let lowered = self.registry.lowering(proc);
         let mut frame: Frame = vec![None; lowered.frame_size];
         for ((arg, value), larg) in proc.args().iter().zip(args).zip(&lowered.args) {
             let binding = self.bind_arg(&arg.kind, value, arg.name.name())?;
@@ -606,12 +600,12 @@ impl<'a> Interpreter<'a> {
         }
         // Check assertion preconditions.
         for (pred, pred_str) in &lowered.preds {
-            let v = self.eval_l(lowered, pred, &frame, monitor)?;
+            let v = self.eval_l(&lowered, pred, &frame, monitor)?;
             if !v.as_bool()? {
                 return Err(InterpError::AssertFailed(pred_str.clone()));
             }
         }
-        self.exec_body(lowered, &lowered.code, &mut frame, monitor)
+        self.exec_body(&lowered, &lowered.code, &mut frame, monitor)
     }
 
     /// Read access to the accumulated configuration-register state
@@ -1841,6 +1835,7 @@ mod tests {
     use super::*;
     use crate::monitor::{CountingMonitor, NullMonitor};
     use exo_ir::{fb, ib, read, var, Mem, ProcBuilder};
+    use std::borrow::Cow;
 
     fn gemv_proc() -> Proc {
         ProcBuilder::new("gemv")
@@ -2136,10 +2131,10 @@ mod tests {
         registry.register(gemv_proc());
         assert!(registry.lowered_for("gemv").is_some());
         let p = gemv_proc();
-        assert!(registry.lowered_if_registered(&p).is_some());
+        assert!(matches!(registry.lowering(&p), Cow::Borrowed(_)));
         // A different body under the same name must not reuse the cache.
         let other = ProcBuilder::new("gemv").size_arg("M").build();
-        assert!(registry.lowered_if_registered(&other).is_none());
+        assert!(matches!(registry.lowering(&other), Cow::Owned(_)));
     }
 
     #[test]

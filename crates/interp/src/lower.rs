@@ -652,7 +652,9 @@ impl LoweredProc {
 /// Lowers a procedure. Lowering never fails: symbols that are not in
 /// scope become lazy [`crate::InterpError::Unbound`] sites, exactly like
 /// the scoped-map interpreter which only errored when the use executed.
+/// Traced as an `interp:lower` span named after the procedure.
 pub fn lower(proc: &Proc) -> LoweredProc {
+    let _span = exo_obs::span!("interp:lower", "{}", proc.name());
     let mut lw = Lowerer {
         slot_names: Vec::with_capacity(proc.binding_site_count()),
         scope: Vec::new(),

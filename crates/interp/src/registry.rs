@@ -1,19 +1,19 @@
 //! A registry of procedures resolvable by call statements, and the one
 //! lowering of each: the executor runs a callee's memoized lowering, and
 //! the C emitter (`exo-codegen`) emits from it, so a registered procedure
-//! is lowered once per registration however many calls run it and
-//! however many units emit it. Beside the lowering, each entry keeps a
-//! second memo for a code generator: the C emitter keeps there the text
-//! it rendered for the procedure, so an instruction is rendered once per
-//! registration too.
+//! is lowered once per registration however many calls run it, however
+//! many units emit it and however many threads share the registry.
+//! Beside the lowering, each entry keeps a second memo for a code
+//! generator: the C emitter keeps there the text it rendered for the
+//! procedure, so an instruction is rendered once per registration too.
 
 use crate::lower::{lower, LoweredProc};
 use exo_ir::{ContentHasher, Proc};
 use std::any::Any;
-use std::cell::OnceCell;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Maps procedure names to their definitions.
 ///
@@ -27,9 +27,10 @@ use std::sync::Arc;
 /// lazily on first call), so the hot instruction procedures of a kernel
 /// are lowered once per registration rather than re-traversed on every
 /// call, and the C emitter takes every callee's lowering from the same
-/// memo ([`ProcRegistry::lowered_for`]). The lowering lives in the entry
-/// it was computed from, so re-registering a name drops it with the
-/// definition it came from.
+/// memo ([`ProcRegistry::lowered_for`]); a root is looked up by
+/// [`ProcRegistry::lowering`]. The lowering lives in the entry it was
+/// computed from, so re-registering a name drops it with the definition
+/// it came from.
 ///
 /// The second memo ([`ProcRegistry::backend_memo`]) holds what a code
 /// generator derives from the entry alone; the C emitter keeps each
@@ -43,6 +44,11 @@ use std::sync::Arc;
 /// SipHash there. The keys are the program's own procedure names, so
 /// there is no colliding input to defend against; with no seed, the
 /// iteration order is the same in every process.
+///
+/// Both memos are `OnceLock`s, so a registry is `Send + Sync` and one
+/// registry serves every thread: the first thread to ask for a memo
+/// makes it, the others wait for it. An init that panics leaves its cell
+/// empty, not half-written, and the next request makes the memo again.
 #[derive(Clone, Debug, Default)]
 pub struct ProcRegistry {
     procs: HashMap<String, Entry, BuildHasherDefault<ContentHasher>>,
@@ -51,8 +57,8 @@ pub struct ProcRegistry {
 #[derive(Clone, Debug)]
 struct Entry {
     proc: Proc,
-    lowered: OnceCell<LoweredProc>,
-    backend: OnceCell<Arc<dyn Any + Send + Sync>>,
+    lowered: OnceLock<LoweredProc>,
+    backend: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Entry {
@@ -73,8 +79,8 @@ impl ProcRegistry {
     pub fn register(&mut self, proc: Proc) -> &mut Self {
         let entry = Entry {
             proc,
-            lowered: OnceCell::new(),
-            backend: OnceCell::new(),
+            lowered: OnceLock::new(),
+            backend: OnceLock::new(),
         };
         self.procs.insert(entry.proc.name().to_string(), entry);
         self
@@ -140,13 +146,17 @@ impl ProcRegistry {
             .downcast_ref::<T>()
     }
 
-    /// The cached lowering for a top-level procedure, provided the
-    /// identical procedure is registered under its own name (the identity
-    /// key: same name *and* structurally equal definition). Lets repeated
-    /// `run` calls on a registered kernel skip re-lowering.
-    pub(crate) fn lowered_if_registered(&self, proc: &Proc) -> Option<&LoweredProc> {
-        let entry = self.procs.get(proc.name())?;
-        (entry.proc == *proc).then(|| entry.lowered())
+    /// The lowering of a root procedure: the memo, when the identical
+    /// procedure is registered under its own name (the identity key: same
+    /// name *and* structurally equal definition), and otherwise a fresh
+    /// lowering, which nothing keeps. The interpreter's `run` and the C
+    /// emitter both take their root's lowering here, so a registered
+    /// kernel is lowered once however often it runs or is emitted.
+    pub fn lowering(&self, proc: &Proc) -> Cow<'_, LoweredProc> {
+        match self.procs.get(proc.name()) {
+            Some(entry) if entry.proc == *proc => Cow::Borrowed(entry.lowered()),
+            _ => Cow::Owned(lower(proc)),
+        }
     }
 }
 
@@ -161,7 +171,9 @@ impl FromIterator<Proc> for ProcRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_ir::ProcBuilder;
+    use crate::{ArgValue, Interpreter, NullMonitor};
+    use exo_ir::{ib, read, var, DataType, Mem, ProcBuilder};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn register_and_lookup() {
@@ -190,5 +202,75 @@ mod tests {
             .collect();
         assert_eq!(r.len(), 2);
         assert_eq!(r.iter().count(), 2);
+    }
+
+    #[test]
+    fn a_panicking_backend_memo_init_leaves_the_entry_usable() {
+        let mut r = ProcRegistry::new();
+        r.register(ProcBuilder::new("foo").build());
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            r.backend_memo::<u32>("foo", || std::panic::panic_any("init unwound"))
+        }));
+        assert!(unwound.is_err());
+        // The cell was left empty, not half-written: the next request
+        // makes the memo, and the lowering memo beside it still works.
+        assert_eq!(r.backend_memo("foo", || 7u32), Some(&7));
+        assert_eq!(r.backend_memo("foo", || 8u32), Some(&7));
+        assert!(r.lowered_for("foo").is_some());
+    }
+
+    /// `y[i] = x[i] + x[i]` for `i < n`, through a registered callee.
+    fn doubled() -> (Proc, Proc) {
+        let args = |b: ProcBuilder| {
+            b.size_arg("n")
+                .tensor_arg("y", DataType::F32, vec![var("n")], Mem::Dram)
+                .tensor_arg("x", DataType::F32, vec![var("n")], Mem::Dram)
+        };
+        let twice = args(ProcBuilder::new("twice"))
+            .for_("i", ib(0), var("n"), |b| {
+                let rhs = read("x", vec![var("i")]) + read("x", vec![var("i")]);
+                b.assign("y", vec![var("i")], rhs);
+            })
+            .build();
+        let root = args(ProcBuilder::new("doubled"))
+            .with_body(|b| {
+                b.call("twice", vec![var("n"), var("y"), var("x")]);
+            })
+            .build();
+        (twice, root)
+    }
+
+    #[test]
+    fn threads_share_one_registry_and_its_lowerings() {
+        let (twice, root) = doubled();
+        let fresh = || -> ProcRegistry { [twice.clone(), root.clone()].into_iter().collect() };
+        let run = |registry: &ProcRegistry| {
+            let x: Vec<f64> = (0..16).map(f64::from).collect();
+            let (_, x_arg) = ArgValue::from_vec(x, vec![16], DataType::F32);
+            let (y, y_arg) = ArgValue::zeros(vec![16], DataType::F32);
+            let args = vec![ArgValue::Int(16), y_arg, x_arg];
+            Interpreter::new(registry)
+                .run(&root, args, &mut NullMonitor)
+                .unwrap();
+            let lowered = match registry.lowering(&root) {
+                Cow::Borrowed(lowered) => lowered as *const LoweredProc as usize,
+                Cow::Owned(_) => panic!("a registered root is lowered afresh"),
+            };
+            let out = y.borrow().data.clone();
+            (out, lowered)
+        };
+        let (alone, _) = run(&fresh());
+        assert_eq!(alone, (0..16).map(|v| f64::from(2 * v)).collect::<Vec<_>>());
+        // Four threads race to make the memos of one registry.
+        let shared = fresh();
+        let threaded: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|_| s.spawn(|| run(&shared))).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let memo = threaded[0].1;
+        for (out, lowered) in threaded {
+            assert_eq!(out, alone, "a thread's outputs differ from one thread's");
+            assert_eq!(lowered, memo, "threads borrowed different lowerings");
+        }
     }
 }

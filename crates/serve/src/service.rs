@@ -3,12 +3,13 @@
 //! effect is supervised and every failure is a classified value.
 //!
 //! A *plan* is what the request's kernel, script, target, tier and bounds
-//! mode make: the script replayed, the result verified, its C emitted and
-//! its IR printed. The service keeps the plans it succeeds in making, so
-//! a request that differs from one already served only in its input seed
-//! or in whether it wants the C back goes straight to the ladder, which
-//! runs per request: it synthesizes the inputs and executes on the
-//! highest tier that works. Workers that need one new plan at once make
+//! mode make: the script replayed, the result verified, its C emitted, its
+//! IR printed, and the registry its runs resolve calls against, which
+//! keeps every lowering they need. The service keeps the plans it
+//! succeeds in making, so a request that differs from one already served
+//! only in its input seed or in whether it wants the C back goes straight
+//! to the ladder, which runs per request: it synthesizes the inputs and
+//! executes on the highest tier that works. Workers that need one new plan at once make
 //! it once: the others wait for it.
 //!
 //! Everything the service keeps is bounded: the results
@@ -44,12 +45,12 @@ use exo_codegen::difftest::{
     emit_data_driver, encode_args, interp_args, run_compiler, run_data_driver, synth_inputs,
     Artifact, BuildError, SharedBuild, SynthArg, Toolchain,
 };
-use exo_codegen::{emit_c, emit_runnable, CUnit, CodegenOptions};
+use exo_codegen::{emit_c, emit_runnable, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, GuardConfig};
 use exo_interp::{Interpreter, NullMonitor, ProcRegistry};
 use exo_ir::memo::{Claim, ContentMemo, Found, Slot};
-use exo_ir::{ContentHasher, Proc};
+use exo_ir::{ContentHasher, DataType, Proc};
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
@@ -212,10 +213,13 @@ struct Job {
 }
 
 /// Plans a service keeps at most. For the largest record, sgemm on
-/// AVX-512, a plan holds the scheduled proc (≈ 48 kB), its printed IR
-/// (5 kB), its C twice (12 kB, in the unit and as the text results share)
-/// and, once a native request needs it, the data driver (18 kB): ≈ 100 kB,
-/// so ≈ 6 MB at the cap. `serve_mixed` uses 3 plans; a client cycling more
+/// AVX-512, a plan holds the scheduled proc (≈ 75 kB of live heap), its
+/// printed IR (5 kB), its C once (12 kB, the text results share), its
+/// registry (≈ 75 kB: the proc's lowering ≈ 50 kB, the lowerings and
+/// rendered text of the instructions it calls ≈ 21 kB, the instruction
+/// entries ≈ 3 kB) and, once a native request needs it, the data driver
+/// (18 kB): ≈ 185 kB, so ≈ 12 MB at the cap. `serve_mixed` uses 3 plans,
+/// interp-tier AVX2 records of ≈ 120, 80 and 35 kB; a client cycling more
 /// distinct kernels, scripts, targets, tiers and bounds modes than this
 /// replays the least recently used again.
 pub const PLAN_CACHE_CAP: usize = 64;
@@ -587,16 +591,21 @@ impl Ladder {
 struct Plan {
     /// The scheduled procedure, without the cursor history that made it.
     proc: Proc,
+    /// The target's F32 instructions, and `proc` under its own name: the
+    /// emitter and the interp tier resolve calls against it and take
+    /// every lowering from its memos, so each is made once per plan.
+    registry: ProcRegistry,
     /// The verifier's findings, formatted; none of them is an error.
     diagnostics: Arc<[String]>,
-    unit: CUnit,
-    /// `unit`'s text, as the results that want it share it.
+    /// The emitted unit's text, as the results that want it share it.
     c_code: Arc<str>,
+    /// The extra compiler flags the unit needs.
+    cflags: Vec<String>,
     /// Outcome of the `native-flags` step: which unit was emitted and why.
     native_flags: String,
     /// `proc`, printed.
     scheduled_ir: Arc<str>,
-    /// The data driver around `unit`, emitted the first time the
+    /// The data driver around the unit, emitted the first time the
     /// native-run tier is reached with inputs to run it on.
     driver: OnceLock<String>,
 }
@@ -685,9 +694,12 @@ fn make_plan(
     } else {
         (CodegenOptions::native(), None)
     };
+    // A kernel named like an instruction it calls replaces it here; the
+    // emitter then refuses the call cycle, so no plan holds one.
+    let mut registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
+    registry.register(proc.clone());
     let (unit, portable_why) = {
         let _span = exo_obs::span!("serve:emit", "{}", proc.name());
-        let registry = registry_for(&machine);
         match portable_why {
             Some(why) => emit_c(&proc, &registry, &opts).map(|unit| (unit, Some(why))),
             None => emit_runnable(&proc, &registry, &opts, caps),
@@ -703,22 +715,14 @@ fn make_plan(
     trace.step("emit", "ok".to_string());
     Ok(Plan {
         proc,
+        registry,
         diagnostics: diagnostics.into(),
-        c_code: unit.code.as_str().into(),
-        unit,
+        c_code: unit.code.into(),
+        cflags: unit.cflags,
         native_flags,
         scheduled_ir,
         driver: OnceLock::new(),
     })
-}
-
-/// The instructions of `machine` the interpreter and the emitter resolve
-/// calls against.
-fn registry_for(machine: &MachineModel) -> ProcRegistry {
-    machine
-        .instructions(exo_ir::DataType::F32)
-        .into_iter()
-        .collect()
 }
 
 /// The per-request pipeline: the request's plan, then the tier ladder on
@@ -738,7 +742,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     let request = &job.request;
     let mut trace = TraceBuilder::new();
     let plan = plan(inner, request, &mut trace)?;
-    let (proc, unit) = (&plan.proc, &plan.unit);
+    let proc = &plan.proc;
     trace.step("native-flags", plan.native_flags.clone());
 
     let mut ladder = Ladder {
@@ -758,8 +762,10 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                         continue;
                     }
                 };
-                let driver = plan.driver.get_or_init(|| emit_data_driver(unit, proc));
-                match compile_guarded(inner, Artifact::Executable, driver, unit, job.fault) {
+                let driver = plan
+                    .driver
+                    .get_or_init(|| emit_data_driver(&*plan.c_code, proc));
+                match compile_guarded(inner, Artifact::Executable, driver, &plan, job.fault) {
                     Ok(exe) => match run_binary_guarded(inner, &exe, &inputs, job.fault) {
                         Ok(summary) => {
                             served = build_outcome(&exe);
@@ -776,7 +782,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                 }
             }
             Tier::CompileOnly => {
-                match compile_guarded(inner, Artifact::Object, &unit.code, unit, job.fault) {
+                match compile_guarded(inner, Artifact::Object, &plan.c_code, &plan, job.fault) {
                     Ok(object) => {
                         served = build_outcome(&object);
                         break None;
@@ -793,7 +799,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 };
                 ServeStats::bump(&inner.stats.interp_runs);
-                match interpret(proc, &machine_for(request.target), inputs) {
+                match interpret(&plan, inputs) {
                     Ok(summary) => break Some(summary),
                     Err(detail) => ladder.down(Tier::VerifiedIr, DegradeReason::InterpTrap, detail),
                 }
@@ -824,19 +830,15 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
     })
 }
 
-/// Runs the interpreter on `proc` over `inputs`, which become its
-/// arguments without a copy, and folds the final contents of every
-/// tensor argument into an [`ExecSummary`].
-fn interpret(
-    proc: &Proc,
-    machine: &MachineModel,
-    inputs: Vec<SynthArg>,
-) -> Result<ExecSummary, String> {
-    let registry = registry_for(machine);
+/// Runs the interpreter on the plan's proc over `inputs`, which become
+/// its arguments without a copy, and folds the final contents of every
+/// tensor argument into an [`ExecSummary`]. The proc and its callees run
+/// their lowerings from the plan's registry, made when the plan was.
+fn interpret(plan: &Plan, inputs: Vec<SynthArg>) -> Result<ExecSummary, String> {
     let (bufs, args) = interp_args(inputs);
-    Interpreter::new(&registry)
-        .run(proc, args, &mut NullMonitor)
-        .map_err(|e| format!("interpreter failed on `{}`: {e}", proc.name()))?;
+    Interpreter::new(&plan.registry)
+        .run(&plan.proc, args, &mut NullMonitor)
+        .map_err(|e| format!("interpreter failed on `{}`: {e}", plan.proc.name()))?;
     Ok(summarize(
         bufs.iter()
             .map(|b| Ref::map(b.borrow(), |b| b.data.as_slice())),
@@ -883,8 +885,9 @@ fn hang_command() -> Command {
 }
 
 /// The service toolchain's build of `source` — a data driver with `main`
-/// to link, or the bare unit to compile — under the service's compile
-/// guard: built by the first request for it, reused by every later one.
+/// to link, or the bare unit to compile — with `plan`'s flags and name,
+/// under the service's compile guard: built by the first request for it,
+/// reused by every later one.
 /// A planned compiler fault stands in for `cc` itself and goes around the
 /// toolchain: it neither reads nor populates the build cache and builds
 /// no prelude. The error is a (reason, detail) degradation pair.
@@ -892,9 +895,10 @@ fn compile_guarded(
     inner: &ServiceInner,
     kind: Artifact,
     source: &str,
-    unit: &CUnit,
+    plan: &Plan,
     fault: Option<Fault>,
 ) -> Result<SharedBuild, (DegradeReason, String)> {
+    let (cflags, name) = (&plan.cflags, plan.proc.name());
     let injected = |mut stand_in: Command| {
         Err(run_compiler(&mut stand_in, &inner.cfg.compile_guard)
             .err()
@@ -904,8 +908,8 @@ fn compile_guarded(
         Some(Fault::CcMissing) => injected(Command::new("exo2-injected-missing-cc")),
         Some(Fault::CcHang) => injected(hang_command()),
         _ => match kind {
-            Artifact::Executable => inner.toolchain.executable(source, &unit.cflags, &unit.name),
-            Artifact::Object => inner.toolchain.object(source, &unit.cflags, &unit.name),
+            Artifact::Executable => inner.toolchain.executable(source, cflags, name),
+            Artifact::Object => inner.toolchain.object(source, cflags, name),
         },
     };
     ServeStats::bump(match &built {
